@@ -5,8 +5,9 @@ experiment described by a JSON config, writing `result.json` and (for
 tabular outputs) `result.csv`.  `scatterlab acceptance [--out DIR]` runs
 the full acceptance suite.  `scatterlab schema` prints the config schema.
 
-Exit codes: 0 success, 1 acceptance failure, 2 config/validation error,
-3 numerical-flag failure in strict mode.
+Exit codes: 0 success, 1 acceptance failure, 2 config/validation error
+(including a grid too small for the run, which trips the edge-mass
+reflection monitor), 3 numerical-flag failure in strict mode.
 """
 
 from __future__ import annotations
@@ -217,10 +218,7 @@ def _run_propagate(model, p):
         out = propagator.free_evolve(f0, T)
     else:
         cfg = propagator.EvolutionConfig(model=model, dt=dt)
-        try:
-            out = propagator.split_step_evolve(f0, cfg, T)
-        except propagator.ReflectionError as exc:
-            raise ConfigError(f"reflection: {exc}") from exc
+        out = propagator.split_step_evolve(f0, cfg, T)
     stride = max(1, n // 1024)
     rows = [[x, v.real, v.imag]
             for x, v in zip(out.grid[::stride], out.values[::stride])]
@@ -366,8 +364,11 @@ def run(config_path: str, strict: bool = False, out_dir: str = ".") -> int:
             out = _run_diagnose(model, p, seed=config.get("seed", 0))
         else:
             out = _run_acceptance_experiment(p)
-    except (ConfigError, ParameterError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, ParameterError, DomainError,
+            propagator.ReflectionError) as exc:
+        prefix = ("reflection: "
+                  if isinstance(exc, propagator.ReflectionError) else "")
+        print(f"config error: {prefix}{exc}", file=sys.stderr)
         return 2
     columns, rows, extra, flags = out
     csv_path, json_path = _write_outputs(out_dir, config, columns, rows,

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: quadrature, special functions, discrete Fourier transforms.
+"""Shared numerical kernels: quadrature, special functions, and the unitary
+discrete Fourier transform (numpy.fft, norm="ortho").
 
 All routines are pure functions; units are hbar = 1, 2m = 1 so that the
 Hamiltonian is -Laplacian + v and energy = k**2.
@@ -29,34 +30,6 @@ class QuadratureRule:
 
     def integrate(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
-
-    def integrate_values(self, values) -> complex:
-        return np.dot(self.weights, values)
-
-
-@dataclass(frozen=True)
-class UniformGrid:
-    """Origin-centered uniform grid with n points per axis."""
-
-    dimension: int
-    n: int
-    dx: float
-
-    def __post_init__(self):
-        if self.dimension not in (1, 3):
-            raise ParameterError("dimension must be 1 or 3")
-        if self.n < 8 or self.n % 2 != 0:
-            raise ParameterError("n must be even and >= 8")
-        if self.dx <= 0:
-            raise ParameterError("dx must be positive")
-
-    @property
-    def axis(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dx
-
-    @property
-    def extent(self) -> float:
-        return self.n * self.dx / 2.0
 
 
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
@@ -197,36 +170,9 @@ def legendre_p_all(l_max: int, t: float) -> np.ndarray:
     return out
 
 
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-_twiddle_cache: dict[tuple[int, int], list[np.ndarray]] = {}
-
-
-def _stage_twiddles(n: int, sign: int) -> list[np.ndarray]:
-    key = (n, sign)
-    if key not in _twiddle_cache:
-        stages = []
-        m = 2
-        while m <= n:
-            stages.append(np.exp(sign * 2j * np.pi * np.arange(m // 2) / m))
-            m *= 2
-        _twiddle_cache[key] = stages
-    return _twiddle_cache[key]
-
-
-_perm_cache: dict[int, np.ndarray] = {}
-
-
 def dft(values, direction: str = "forward") -> np.ndarray:
-    """Unitary radix-2 discrete Fourier transform.
+    """Unitary discrete Fourier transform along the last axis (numpy.fft,
+    norm="ortho"); the length must be a power of two.
 
     forward:  X_k = n^{-1/2} sum_j x_j exp(-2 pi i j k / n)
     inverse uses the opposite sign; inverse(forward(x)) == x.
@@ -237,20 +183,8 @@ def dft(values, direction: str = "forward") -> np.ndarray:
     n = x.shape[-1]
     if n < 1 or n & (n - 1):
         raise ParameterError(f"length must be a power of two, got {n}")
-    if n == 1:
-        return x.copy()
-    if n not in _perm_cache:
-        _perm_cache[n] = _bit_reverse_permutation(n)
-    sign = -1 if direction == "forward" else 1
-    y = x[..., _perm_cache[n]].copy()
-    for tw in _stage_twiddles(n, sign):
-        m = 2 * tw.shape[0]
-        y = y.reshape(*y.shape[:-1], n // m, m)
-        even = y[..., : m // 2]
-        odd = y[..., m // 2:] * tw
-        y = np.concatenate([even + odd, even - odd], axis=-1)
-        y = y.reshape(*y.shape[:-2], n)
-    return y / np.sqrt(n)
+    transform = np.fft.fft if direction == "forward" else np.fft.ifft
+    return transform(x, axis=-1, norm="ortho")
 
 
 def dft_freqs(n: int, dx: float) -> np.ndarray:

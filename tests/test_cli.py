@@ -107,3 +107,25 @@ class TestRun:
         assert cli.main(["schema"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["properties"]["experiment"]["enum"][0] == "phaseshift"
+
+
+class TestReflection:
+    """A packet that reaches the grid edge ends in exit 2, not a traceback."""
+
+    def _assert_reflection(self, tmp_path, capsys, config):
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        assert "config error: reflection:" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    def test_moller_small_grid(self, tmp_path, capsys):
+        self._assert_reflection(tmp_path, capsys, {
+            "experiment": "moller",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"n": 64}})
+
+    def test_kato_small_grid(self, tmp_path, capsys):
+        self._assert_reflection(tmp_path, capsys, {
+            "experiment": "diagnose",
+            "params": {"check": "kato", "n": 64, "T_values": [25.0, 50.0]}})

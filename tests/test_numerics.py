@@ -113,6 +113,34 @@ class TestDft:
         with pytest.raises(ParameterError):
             dft(np.zeros(12, complex))
 
+    def test_length_one_returns_copy(self):
+        v = np.array([2.5 - 1.0j])
+        out = dft(v)
+        assert not np.shares_memory(out, v)
+        assert np.array_equal(out, v)
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ParameterError):
+            dft(np.zeros(8, complex), "backward")
+
+    def test_input_not_mutated(self):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        before = v.copy()
+        dft(v)
+        dft(v, "inverse")
+        assert np.array_equal(v, before)
+
+    def test_real_input_gives_complex128(self):
+        assert dft(np.arange(16.0)).dtype == np.complex128
+
+    def test_batched_matches_numpy(self):
+        rng = np.random.default_rng(4)
+        n = 8192
+        v = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        assert np.allclose(dft(v), np.fft.fft(v, axis=-1) / np.sqrt(n),
+                           rtol=0.0, atol=1e-12)
+
     def test_freqs(self):
         n, dx = 16, 0.3
         assert np.allclose(dft_freqs(n, dx),

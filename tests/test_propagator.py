@@ -10,7 +10,7 @@ ZERO = PotentialModel(kind="zero")
 
 
 def fourier_oracle(fhat, x, t):
-    """Direct trapezoid Fourier synthesis, independent of the radix-2 path."""
+    """Direct trapezoid Fourier synthesis, independent of the FFT path."""
     k = np.linspace(-12.0, 12.0, 40001)
     ph = np.asarray(fhat(k)) * np.exp(1j * (np.outer(x, k) - k * k * t))
     return np.trapezoid(ph, k, axis=1) / np.sqrt(2 * np.pi)
@@ -95,6 +95,18 @@ class TestSplitStep:
         out = propagator.free_evolve(mode, 1.7)
         expect = mode.values * np.exp(-1j * (8 * k1) ** 2 * 1.7)
         assert np.allclose(out.values[:-1], expect[:-1], atol=1e-9)
+
+    def test_radial_kinetic_keeps_last_sample(self):
+        # the odd extension covers samples 0..n-2; the last is passed through
+        rng = np.random.default_rng(5)
+        n = 2**9
+        pk = propagator.WavePacket(
+            geometry="radial", dx=0.3,
+            values=rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        phase = propagator._kinetic_phase(pk, 0.05)
+        out = propagator._apply_kinetic(pk.values, phase, "radial")
+        assert out[-1] == pk.values[-1]
+        assert not np.allclose(out[:-1], pk.values[:-1])
 
 
 class TestAsymptotics:
