@@ -12,7 +12,7 @@ the partial-wave reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -87,7 +87,7 @@ def born_first_phase_shift(model: PotentialModel, k: float, l: int,
     if n_panels > 200000:
         raise ConvergenceError("quadrature would need too many panels")
     rule = composite_gauss(12, np.linspace(0.0, r_cut, n_panels + 1))
-    jl = np.array([spherical_jl(l, k * r) for r in rule.nodes])
+    jl = spherical_jl(l, k * rule.nodes)
     val = -k * float(np.dot(rule.weights, model.radial_values(rule.nodes) * jl * jl * rule.nodes**2))
     # averaged tail: j_l(kr)^2 r^2 ~ 1/(2 k^2) gives -int_R v dr / (2k)
     tail = abs(quad(lambda r: model.radial_values(r), r_cut, np.inf, limit=200)[0]) / (2.0 * k)
@@ -112,14 +112,10 @@ class HighEnergyExpansion:
     b: np.ndarray                  # shape (N+1, n_points), complex
     remainder_factor: np.ndarray   # shape (n_points,), complex
     cone_half_angle: float = FORWARD_CONE_HALF_ANGLE
-    tables: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if not np.allclose(self.b[0], 1.0):
             raise AssertionError("b_0 must be identically 1")
-
-    def remainder(self, sqrt_lambda: float) -> np.ndarray:
-        return self.remainder_factor * (2j * sqrt_lambda) ** (-self.N)
 
 
 def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid):
@@ -187,7 +183,7 @@ def transport_coefficients(model: PotentialModel, omega_prime, x_grid,
     remainder = _cyl.interpolator(grid, g_last)(pts).astype(complex)
     return HighEnergyExpansion(
         N=N, omega_prime=omega_prime, x_grid=x_grid, b=b,
-        remainder_factor=remainder, tables=(grid, tables),
+        remainder_factor=remainder,
     )
 
 
@@ -232,14 +228,7 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
 
     # orthonormal frame with e1 along the oscillation direction
     e1 = delta / np.linalg.norm(delta)
-    ref = omega + omega_prime
-    if np.linalg.norm(ref - (ref @ e1) * e1) < 1e-12:
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(ref @ e1) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-    e2 = ref - (ref @ e1) * e1
-    e2 /= np.linalg.norm(e2)
-    e3 = np.cross(e1, e2)
+    e2, e3 = _cyl.plane_basis(e1)
 
     n1 = max(96, int(np.ceil(2 * R * kappa / (2 * np.pi)) * 10))
     nt = max(96, int(np.ceil(8 * R)))

@@ -38,10 +38,6 @@ class DiscretizedOperator:
     kinetic: np.ndarray
 
     @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
@@ -57,22 +53,6 @@ def discretize(model: PotentialModel, n: int, extent: float) -> DiscretizedOpera
     kin = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     h = kin + np.diag(model.radial_values(np.abs(x)))
     return DiscretizedOperator(x=x, matrix=h, kinetic=kin)
-
-
-@dataclass(frozen=True)
-class DilationGenerator:
-    """A = -i (d/dx x + x d/dx) with centered differences, symmetrized."""
-
-    matrix: np.ndarray
-
-
-def dilation_generator(op: DiscretizedOperator) -> DilationGenerator:
-    n, dx = op.n, op.dx
-    d = (np.diag(np.full(n - 1, 1.0), 1) - np.diag(np.full(n - 1, 1.0), -1)) / (2 * dx)
-    xm = np.diag(op.x)
-    a = -1j * (d @ xm + xm @ d)
-    a = 0.5 * (a + a.conj().T)
-    return DilationGenerator(matrix=a)
 
 
 # ---------------------------------------------------------------------------

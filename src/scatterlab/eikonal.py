@@ -16,7 +16,7 @@ fields (built-in models are radial).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -238,26 +238,6 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     )
 
 
-def gradient_decay_exponent(data: EikonalData, r_lo: float, r_hi: float) -> float:
-    """Fitted exponent of |grad Phi| against radius, off the cone."""
-    grid = data.grid
-    r = grid.radius()
-    mag = np.hypot(data.Phi_s, data.Phi_z)
-    mask = data.off_cone() & (r > r_lo) & (r < r_hi) & (mag > 1e-14)
-    logs_r = np.log(r[mask])
-    logs_m = np.log(mag[mask])
-    # bin by radius to de-weight the angular spread
-    bins = np.linspace(np.log(r_lo), np.log(r_hi), 12)
-    idx = np.digitize(logs_r, bins)
-    xs, ys = [], []
-    for b in range(1, len(bins)):
-        sel = idx == b
-        if np.any(sel):
-            xs.append(np.mean(logs_r[sel]))
-            ys.append(np.log(np.max(np.exp(logs_m[sel]))))
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # transport coefficients and approximate eigenfunctions
 # ---------------------------------------------------------------------------
@@ -422,12 +402,7 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
                    window: float) -> complex:
     sql = np.sqrt(lam)
     rule = _plane_rule(window, sql)
-    # plane basis orthogonal to omega0
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(ref @ omega0) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    e1 = _unit(ref - (ref @ omega0) * omega0)
-    e2 = np.cross(omega0, e1)
+    e1, e2 = _cyl.plane_basis(omega0)
 
     taper = _taper_profile(
         (np.abs(rule.nodes) - window * (1 - TAPER_FRACTION))
@@ -518,10 +493,7 @@ def diagonal_exponent_probe(model: PotentialModel, lam: float, omega0,
     if len(angles) < 5 or angles[0] / angles[-1] < 8.0:
         raise ParameterError("need >= 5 decreasing angles spanning a decade")
     omega0 = _unit(omega0)
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(ref @ omega0) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    e1 = _unit(ref - (ref @ omega0) * omega0)
+    e1, _ = _cyl.plane_basis(omega0)
     solutions = s0_solutions(model, lam, N)
     vals, seps, ok = [], [], True
     for th in angles:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 
 class ParameterError(ValueError):
@@ -64,110 +65,47 @@ def composite_gauss(n_per_panel: int, edges) -> QuadratureRule:
     )
 
 
-def _sph_j_upward(l: int, x: float) -> float:
-    j0 = np.sin(x) / x
-    if l == 0:
-        return j0
-    j1 = np.sin(x) / x**2 - np.cos(x) / x
-    for m in range(1, l):
-        j0, j1 = j1, (2 * m + 1) / x * j1 - j0
-    return j1
-
-
-def _sph_j_downward(l: int, x: float) -> float:
-    # Start the recurrence well above l, run down, then normalize with j0.
-    m_start = l + int(np.ceil(np.sqrt(40.0 * (l + 1)))) + 20
-    jp1, j = 0.0, 1e-30
-    target = 0.0
-    for m in range(m_start, 0, -1):
-        jm1 = (2 * m + 1) / x * j - jp1
-        jp1, j = j, jm1
-        if m - 1 == l:
-            target = jm1
-        # rescale to avoid overflow
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp1 *= 1e-250
-            target *= 1e-250
-    true_j0 = np.sin(x) / x
-    return target * true_j0 / j
-
-
-def _sph_series_jl(l: int, x: float) -> float:
-    # Taylor series about x = 0; only used for very small arguments.
-    term = x**l / np.prod(np.arange(1, 2 * l + 2, 2, dtype=float))
-    total = term
-    k = 1
-    x2 = x * x
-    while True:
-        term *= -0.5 * x2 / (k * (2 * (l + k) + 1))
-        total += term
-        if abs(term) < 1e-18 * abs(total) + 1e-300:
-            return total
-        k += 1
-
-
-def spherical_bessel(l: int, x: float) -> tuple[float, float]:
-    """Spherical Bessel functions (j_l(x), y_l(x)).
-
-    j_l uses downward recurrence for x < l (stability), upward otherwise;
-    y_l always recurses upward (stable direction). x = 0 is allowed only
-    via the j_l series limit; y_l diverges there.
-    """
-    if l < 0:
+def _bessel_arg(l, x) -> np.ndarray:
+    if np.any(np.asarray(l) < 0):
         raise ParameterError("l must be >= 0")
-    if x == 0:
-        raise DomainError("y_l is singular at x = 0")
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise DomainError("x must be positive")
-    if x < 1e-4 * (l + 1):
-        jl = _sph_series_jl(l, x)
-    elif x < l:
-        jl = _sph_j_downward(l, x)
-    else:
-        jl = _sph_j_upward(l, x)
-    y0 = -np.cos(x) / x
-    if l == 0:
-        return jl, y0
-    y1 = -np.cos(x) / x**2 - np.sin(x) / x
-    for m in range(1, l):
-        y0, y1 = y1, (2 * m + 1) / x * y1 - y0
-    return jl, y1
+    return x
 
 
-def spherical_jl(l: int, x: float) -> float:
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
-    return spherical_bessel(l, x)[0]
+def spherical_bessel(l, x) -> tuple[np.ndarray, np.ndarray]:
+    """Spherical Bessel functions (j_l(x), y_l(x)) from scipy.special,
+    broadcast over l and x.  y_l is singular at x = 0."""
+    x = _bessel_arg(l, x)
+    if np.any(x == 0):
+        raise DomainError("y_l is singular at x = 0")
+    return spherical_jn(l, x), spherical_yn(l, x)
 
 
-def legendre_p(l: int, t: float) -> float:
-    """Legendre polynomial P_l(t) by the three-term recurrence."""
-    if abs(t) > 1.0 + 1e-14:
+def spherical_jl(l, x) -> np.ndarray:
+    """j_l(x) alone; finite at x = 0."""
+    return spherical_jn(l, _bessel_arg(l, x))
+
+
+def _legendre_arg(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0 + 1e-14):
         raise DomainError(f"|t| must be <= 1, got {t}")
-    t = min(1.0, max(-1.0, t))
+    return np.clip(t, -1.0, 1.0)
+
+
+def legendre_p(l: int, t):
+    """Legendre polynomial P_l(t) (scipy.special), elementwise in t."""
+    t = _legendre_arg(t)
     if l < 0:
         raise ParameterError("l must be >= 0")
-    p0, p1 = 1.0, t
-    if l == 0:
-        return p0
-    for m in range(1, l):
-        p0, p1 = p1, ((2 * m + 1) * t * p1 - m * p0) / (m + 1)
-    return p1
+    return eval_legendre(int(l), t)
 
 
-def legendre_p_all(l_max: int, t: float) -> np.ndarray:
-    """P_0(t) .. P_lmax(t) in one recurrence sweep."""
-    if abs(t) > 1.0 + 1e-14:
-        raise DomainError(f"|t| must be <= 1, got {t}")
-    t = min(1.0, max(-1.0, t))
-    out = np.empty(l_max + 1)
-    out[0] = 1.0
-    if l_max >= 1:
-        out[1] = t
-    for m in range(1, l_max):
-        out[m + 1] = ((2 * m + 1) * t * out[m] - m * out[m - 1]) / (m + 1)
-    return out
+def legendre_p_all(l_max: int, t) -> np.ndarray:
+    """P_0(t) .. P_lmax(t) along a new last axis."""
+    return eval_legendre(np.arange(l_max + 1), _legendre_arg(t)[..., None])
 
 
 def dft(values, direction: str = "forward") -> np.ndarray:

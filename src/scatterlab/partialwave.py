@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, ParameterError, legendre_p_all, spherical_bessel
+from .numerics import (DomainError, ParameterError, legendre_p_all,
+                       spherical_bessel, spherical_jl)
 from .potentials import PotentialModel
 
 
@@ -88,8 +89,10 @@ def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
     return r, u
 
 
-def _match_phase(u: np.ndarray, r: np.ndarray, l: int, k: float) -> float:
-    """Phase shift from two-point matching near the end of the grid.
+def _match_phase(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
+                 k: float) -> np.ndarray:
+    """Phase shifts of all channels (columns of u, orders ls) from
+    two-point matching near the end of the grid.
 
     The radii are a quarter wavelength apart (k dr ~ pi/2) to avoid
     simultaneous zeros of the matched combinations.
@@ -99,21 +102,17 @@ def _match_phase(u: np.ndarray, r: np.ndarray, l: int, k: float) -> float:
     i1 = i2 - sep
     if i1 < 1:
         raise ParameterError("grid too short for quarter-wavelength matching")
+    # a channel whose solution vanishes at i2 matches one node earlier
+    i2 = np.where(u[i2] == 0.0, i2 - 1, i2)
     r1, r2 = r[i1], r[i2]
-    u1, u2 = u[i1], u[i2]
-    if u2 == 0.0:
-        i2 -= 1
-        r2, u2 = r[i2], u[i2]
-    j1, y1 = spherical_bessel(l, k * r1)
-    j2, y2 = spherical_bessel(l, k * r2)
+    u1, u2 = u[i1], u[i2, np.arange(u.shape[1])]
+    j1, y1 = spherical_bessel(ls, k * r1)
+    j2, y2 = spherical_bessel(ls, k * r2)
     big_k = (r2 * u1) / (r1 * u2)
     delta = np.arctan2(big_k * j2 - j1, big_k * y2 - y1)
     # arctan2 lands in (-pi, pi]; reduce mod pi into (-pi/2, pi/2]
-    while delta <= -np.pi / 2:
-        delta += np.pi
-    while delta > np.pi / 2:
-        delta -= np.pi
-    return float(delta)
+    delta = np.where(delta <= -np.pi / 2, delta + np.pi, delta)
+    return np.where(delta > np.pi / 2, delta - np.pi, delta)
 
 
 def _validate_radial_inputs(model: PotentialModel, k: float, r_max: float):
@@ -136,8 +135,9 @@ def radial_phase_shift(model: PotentialModel, l: int, k: float,
     _validate_radial_inputs(model, k, r_max)
     if model.kind == "zero":
         return 0.0
-    r, u = _numerov_channels(model, np.array([l], dtype=float), k, r_max, dr)
-    return _match_phase(u[:, 0], r, l, k)
+    ls = np.array([l])
+    r, u = _numerov_channels(model, ls, k, r_max, dr)
+    return float(_match_phase(u, r, ls, k)[0])
 
 
 def phase_shift_table(model: PotentialModel, k: float, l_max: int,
@@ -148,10 +148,10 @@ def phase_shift_table(model: PotentialModel, k: float, l_max: int,
     _validate_radial_inputs(model, k, r_max)
     if model.kind == "zero":
         return PhaseShiftTable(k=k, l_max=l_max, delta=np.zeros(l_max + 1), model=model)
-    ls = np.arange(l_max + 1, dtype=float)
+    ls = np.arange(l_max + 1)
     r, u = _numerov_channels(model, ls, k, r_max, dr)
-    delta = np.array([_match_phase(u[:, l], r, l, k) for l in range(l_max + 1)])
-    return PhaseShiftTable(k=k, l_max=l_max, delta=delta, model=model)
+    return PhaseShiftTable(k=k, l_max=l_max, delta=_match_phase(u, r, ls, k),
+                           model=model)
 
 
 def smatrix_eigenvalues(table: PhaseShiftTable) -> tuple[np.ndarray, np.ndarray]:
@@ -161,36 +161,40 @@ def smatrix_eigenvalues(table: PhaseShiftTable) -> tuple[np.ndarray, np.ndarray]
     return values, mult
 
 
-def amplitude(table: PhaseShiftTable, theta: float,
-              allow_forward: bool = False) -> complex:
-    """Truncated partial-wave amplitude at scattering angle theta.
-
-    a(theta) = (2ik)^-1 sum_l (2l+1)(exp(2 i delta_l) - 1) P_l(cos theta).
-    """
+def _amplitude_values(table: PhaseShiftTable, thetas) -> np.ndarray:
+    """a(theta) = (2ik)^-1 sum_l (2l+1)(exp(2 i delta_l) - 1) P_l(cos theta),
+    elementwise over thetas."""
     if table.delta.size == 0:
         raise ParameterError("empty phase shift table")
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all((0.0 <= thetas) & (thetas <= np.pi)):
+        raise ParameterError(f"theta must lie in [0, pi], got {thetas}")
+    pl = legendre_p_all(table.l_max, np.cos(thetas))
+    ls = np.arange(table.l_max + 1)
+    s_minus_1 = np.exp(2j * table.delta) - 1.0
+    return np.sum((2 * ls + 1) * s_minus_1 * pl, axis=-1) / (2j * table.k)
+
+
+def amplitude(table: PhaseShiftTable, theta: float,
+              allow_forward: bool = False) -> complex:
+    """Truncated partial-wave amplitude at scattering angle theta."""
     if theta == 0.0 and not allow_forward:
         raise ParameterError("theta = 0 only valid for truncated sums; "
                              "pass allow_forward=True")
-    if not 0.0 <= theta <= np.pi:
-        raise ParameterError(f"theta must lie in [0, pi], got {theta}")
-    pl = legendre_p_all(table.l_max, np.cos(theta))
-    ls = np.arange(table.l_max + 1)
-    s_minus_1 = np.exp(2j * table.delta) - 1.0
-    return complex(np.sum((2 * ls + 1) * s_minus_1 * pl) / (2j * table.k))
+    return complex(_amplitude_values(table, theta))
 
 
 def amplitude_kernel(table: PhaseShiftTable, thetas) -> AmplitudeKernel:
     thetas = np.asarray(thetas, dtype=float)
-    vals = np.array([amplitude(table, float(t), allow_forward=True) for t in thetas])
+    vals = _amplitude_values(table, thetas)
     if np.any(~np.isfinite(vals)):
         raise NumericalError("non-finite amplitude sample")
     return AmplitudeKernel(lam=table.k**2, theta=thetas, values=vals)
 
 
-def _riccati_hankel(l: int, x: float) -> tuple[complex, complex]:
+def _riccati_hankel(l: int, x) -> tuple[np.ndarray, np.ndarray]:
     """(H_minus, H_plus): exact free solutions behaving like
-    exp(-i(x - l pi/2)) and exp(+i(x - l pi/2)) at infinity."""
+    exp(-i(x - l pi/2)) and exp(+i(x - l pi/2)) at infinity, elementwise in x."""
     j, y = spherical_bessel(l, x)
     s = x * j           # -> sin(x - l pi/2)
     c = -x * y          # -> cos(x - l pi/2)
@@ -211,18 +215,16 @@ def radial_in_out_decomposition(model: PotentialModel, l: int, k: float,
         raise ParameterError("sample radii must lie where the tail is < 1e-8")
     r_max = float(np.max(r_samples)) + 1.0
     dr = 1e-3
+    x = k * r_samples
+    hm, hp = _riccati_hankel(l, x)
     if model.kind == "zero":
         # exact free regular solution kr j_l(kr) (asymptote sin(kr - l pi/2))
-        u_at = np.array([k * rs * spherical_bessel(l, k * rs)[0]
-                         for rs in r_samples])
+        u_at = x * spherical_jl(l, x)
     else:
         r, u = _numerov_channels(model, np.array([l], dtype=float), k, r_max, dr)
         u_at = np.interp(r_samples, r, u[:, 0])
-    basis = np.empty((len(r_samples), 2), dtype=complex)
-    for i, rs in enumerate(r_samples):
-        hm, hp = _riccati_hankel(l, k * rs)
-        basis[i, 0] = 0.5j * hm       # incoming
-        basis[i, 1] = -0.5j * hp      # outgoing
+    basis = np.column_stack([0.5j * hm,       # incoming
+                             -0.5j * hp])     # outgoing
     cond = np.linalg.cond(basis)
     if cond > 1e8:
         raise NumericalError(f"in/out fit ill-conditioned (cond={cond:.2e})")

@@ -176,4 +176,6 @@ def model_from_config(spec: dict) -> PotentialModel:
     for key in ("v0", "width", "rho"):
         if key in spec:
             kwargs[key] = float(spec[key])
+    if "radial" in spec:
+        kwargs["radial"] = bool(spec["radial"])
     return PotentialModel(kind=kind, **kwargs)

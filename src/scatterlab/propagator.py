@@ -260,13 +260,14 @@ def _probe(model: PotentialModel, times, dt: float, packet_at) -> CauchyReport:
         raise ParameterError("need at least three increasing times")
     config = EvolutionConfig(model=model, dt=dt)
     incs = []
+    u0 = packet_at(times[0])
     for t0, t1 in zip(times[:-1], times[1:]):
         u1 = packet_at(t1)
-        u0 = packet_at(t0)
         back = split_step_evolve(replace(u1, t=t1), config, t1 - (t1 - t0))
         # back now holds e^{-iH (t0 - t1)} u(t1) = e^{iH (t1-t0)} u(t1)
         incs.append(float(np.sqrt(np.sum(np.abs(back.values - u0.values) ** 2)
                                   * u0.dx)))
+        u0 = u1
     incs = np.asarray(incs)
     return CauchyReport(times=times, increments=incs,
                         verdict=_verdict(incs), modified=False)

@@ -37,6 +37,14 @@ class TestValidation:
         path.write_text("{not json")
         assert cli.run(str(path)) == 2
 
+    def test_potential_value_beyond_float_range(self, tmp_path, capsys):
+        # JSON integers are unbounded; float() of this one overflows
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "phaseshift", "potential": '
+                        '{"kind": "gaussian_well", "v0": -1' + "0" * 400 + '}}')
+        assert cli.run(str(path), out_dir=str(tmp_path / "out")) == 2
+        assert "config error at potential" in capsys.readouterr().err
+
     def test_schema_is_valid_jsonschema(self):
         import jsonschema
         jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
@@ -93,6 +101,25 @@ class TestRun:
         assert cli.run(path, strict=True, out_dir=str(out)) == 3
         record = json.loads((out / "result.json").read_text())
         assert "lap_not_stable" in record["provenance"]["flags"]
+
+    def test_amplitude_angle_out_of_range(self, tmp_path):
+        path = write_config(tmp_path, {
+            "experiment": "amplitude",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"k": 1.0, "l_max": 5, "thetas": [4.0]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        assert not (out / "result.json").exists()
+
+    def test_non_radial_model_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "experiment": "phaseshift",
+            "potential": {"kind": "gaussian_well", "v0": -1.0,
+                          "radial": False}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        assert "radial" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
 
     def test_acceptance_subset(self, tmp_path):
         path = write_config(tmp_path, {

@@ -19,11 +19,6 @@ class TestDiscretization:
         op = diagnostics.discretize(ZERO, 128, 20.0)
         assert np.min(np.linalg.eigvalsh(op.kinetic)) > -1e-12
 
-    def test_dilation_generator_hermitian(self):
-        op = diagnostics.discretize(ZERO, 128, 20.0)
-        a = diagnostics.dilation_generator(op).matrix
-        assert np.max(np.abs(a - a.conj().T)) < 1e-10
-
 
 class TestHsNorm:
     def test_gaussian_closed_form(self):

@@ -70,6 +70,12 @@ class TestSMatrix:
         assert np.allclose(np.abs(eigs), 1.0, atol=1e-14)
         assert np.all(mult == 2 * np.arange(21) + 1)
 
+    def test_table_matches_single_channel(self):
+        table = partialwave.phase_shift_table(GAUSS, 2.0, 25)
+        for l in range(26):
+            assert table.delta[l] == pytest.approx(
+                partialwave.radial_phase_shift(GAUSS, l, 2.0), abs=1e-14)
+
     def test_accumulation_at_one(self):
         table = partialwave.phase_shift_table(GAUSS, 2.0, 25)
         eigs, _ = partialwave.smatrix_eigenvalues(table)
@@ -119,3 +125,15 @@ class TestAmplitude:
         for th, val in zip(thetas, kern.values):
             assert val == pytest.approx(partialwave.amplitude(table, float(th)),
                                         rel=1e-12)
+
+    @pytest.mark.parametrize("thetas", [[0.5, 4.0], [-0.1], [1.0, np.nan]])
+    def test_kernel_rejects_angle_outside_range(self, thetas):
+        table = partialwave.phase_shift_table(GAUSS, 1.0, 10)
+        with pytest.raises(ParameterError):
+            partialwave.amplitude_kernel(table, thetas)
+
+    def test_kernel_rejects_empty_table(self):
+        table = partialwave.PhaseShiftTable(k=1.0, l_max=-1,
+                                            delta=np.zeros(0), model=GAUSS)
+        with pytest.raises(ParameterError):
+            partialwave.amplitude_kernel(table, [1.0])

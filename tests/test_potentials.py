@@ -100,6 +100,10 @@ class TestConfig:
         with pytest.raises(KeyError):
             model_from_config({"v0": 1.0})
 
+    def test_radial_flag_passed_through(self):
+        assert not model_from_config({"kind": "zero", "radial": False}).radial
+        assert model_from_config({"kind": "zero"}).radial
+
     @given(st.sampled_from([k for k in KINDS if k != "zero"]),
            st.floats(-2.0, 2.0), st.floats(0.1, 5.0))
     @settings(max_examples=40, deadline=None)

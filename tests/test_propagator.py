@@ -159,6 +159,32 @@ class TestMollerProbes:
         with pytest.raises(ParameterError):
             propagator.moller_probe(ZERO, f0, [10.0, 5.0, 20.0])
 
+    def test_each_packet_built_once(self, monkeypatch):
+        # a 5-time probe needs the 5 free packets u(T_j) once each; every
+        # increment equals the one computed from freshly built packets
+        f0 = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0, k0=0.5,
+                                        sigma=3.0)
+        times = [1.0, 2.0, 3.0, 4.0, 5.0]
+        free_evolve = propagator.free_evolve
+        config = propagator.EvolutionConfig(model=GAUSS, dt=0.02)
+        expect = []
+        for t0, t1 in zip(times[:-1], times[1:]):
+            back = propagator.split_step_evolve(free_evolve(f0, t1), config,
+                                                t1 - (t1 - t0))
+            u0 = free_evolve(f0, t0)
+            expect.append(float(np.sqrt(np.sum(np.abs(back.values - u0.values)
+                                               ** 2) * u0.dx)))
+        calls = []
+
+        def counting(packet, t):
+            calls.append(t)
+            return free_evolve(packet, t)
+
+        monkeypatch.setattr(propagator, "free_evolve", counting)
+        rep = propagator.moller_probe(GAUSS, f0, times)
+        assert calls == times
+        assert rep.increments.tolist() == expect
+
 
 class TestTimeDomainSMatrix:
     def test_zero_potential_unit_element(self):
