@@ -7,7 +7,10 @@ the full acceptance suite.  `scatterlab schema` prints the config schema.
 
 Exit codes: 0 success, 1 acceptance failure, 2 config/validation error
 (including a grid too small for the run, which trips the edge-mass
-reflection monitor), 3 numerical-flag failure in strict mode.
+reflection monitor, and the typed numerical failures: a non-finite or
+ill-conditioned partial-wave result, a quadrature that does not converge,
+an empty eigenvalue window, an energy too close to a resonance), 3
+numerical-flag failure in strict mode.
 """
 
 from __future__ import annotations
@@ -343,6 +346,17 @@ def _write_outputs(out_dir: str, config: dict, columns, rows, extra, flags):
     return csv_path, json_path
 
 
+# Errors a run can end in for an input the schema admits, with the prefix
+# that names them after "config error: ".
+_TYPED_ERRORS = {
+    propagator.ReflectionError: "reflection: ",
+    partialwave.NumericalError: "numerical: ",
+    born.ConvergenceError: "convergence: ",
+    diagnostics.WindowError: "window: ",
+    diagnostics.ResonanceProximityError: "resonance proximity: ",
+}
+
+
 def run(config_path: str, strict: bool = False, out_dir: str = ".") -> int:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -355,10 +369,8 @@ def run(config_path: str, strict: bool = False, out_dir: str = ".") -> int:
         model = _model(config)
         out = RUNNERS[config["experiment"]](
             model, config.get("params", {}), config.get("seed", 0))
-    except (ConfigError, ParameterError, DomainError,
-            propagator.ReflectionError) as exc:
-        prefix = ("reflection: "
-                  if isinstance(exc, propagator.ReflectionError) else "")
+    except (ConfigError, ParameterError, DomainError, *_TYPED_ERRORS) as exc:
+        prefix = _TYPED_ERRORS.get(type(exc), "")
         print(f"config error: {prefix}{exc}", file=sys.stderr)
         return 2
     columns, rows, extra, flags = out

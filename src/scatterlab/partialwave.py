@@ -11,9 +11,11 @@ S(lambda) - Id on the sphere equals (i k / 2 pi) * a at d = 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .numerics import (DomainError, ParameterError, legendre_p_all,
                        spherical_bessel, spherical_jl)
@@ -52,12 +54,76 @@ def _default_r_max(model: PotentialModel, k: float) -> float:
     return max(model.tail_radius(1e-10), 30.0 / k + model.effective_range)
 
 
+# Longest chunk of rows per banded solve.  Chunks start at 2 rows and
+# double after each solve that stays finite; one that overflows is halved
+# and redone, down to a single row.
+_CHUNK = 8192
+# A channel whose solution would reach 2**_MAX_EXP (about 1e250) is scaled
+# down by a power of two so that max |u| < 2**_MAX_EXP.
+_MAX_EXP = 830
+
+
+def _sweep(f: np.ndarray, u: np.ndarray) -> None:
+    """Fill u[2:] from the seeds u[0], u[1] by the Numerov recursion
+    f[i-1] u[i-1] - (12 - 10 f[i]) u[i] + f[i+1] u[i+1] = 0.
+
+    Each chunk of rows is one lower-triangular banded solve (LAPACK dtbtrs,
+    bandwidth 2) whose first two rows are identity rows carrying the last
+    two values.  Before each chunk those two values are scaled below 1 in
+    magnitude by a power of two, and the rows keep that scale until the
+    sweep ends; then one ldexp per chunk brings the channel onto a common
+    scale.  Power-of-two scaling is exact, so u does not depend on where
+    chunks end.
+    """
+    n = len(u)
+    # lower band storage ab[d, j] = A[j+d, j], held transposed: row j is
+    # f[j] on the diagonal, -(12 - 10 f[j]) one row down, f[j] two rows down
+    band = np.empty((n, 3))
+    band[:, 0] = f
+    band[:, 1] = 10.0 * f - 12.0
+    band[:, 2] = f
+    starts, scales = [], []  # u[starts[i]:starts[i+1]] * 2**scales[i] is the solution
+    scale = 0
+    peak = math.frexp(max(abs(u[0]), abs(u[1])))[1]  # max |solution| < 2**peak
+    s, m = 2, 2
+    while s < n:
+        top = math.frexp(max(abs(u[s - 2]), abs(u[s - 1])))[1]
+        u[s - 2:s] = np.ldexp(u[s - 2:s], -top)
+        scale += top
+        starts.append(s - 2)
+        scales.append(scale)
+        # rows s-2 and s-1 become identity rows; a later chunk either starts
+        # past them or uses them as identity rows too
+        band[s - 2, :2] = (1.0, 0.0)
+        band[s - 1, 0] = 1.0
+        while True:
+            e = min(n, s + m)
+            b = np.zeros(e - s + 2)
+            b[:2] = u[s - 2:s]
+            x, info = dtbtrs(band[s - 2:e].T, b, uplo="L", overwrite_b=1)
+            if info != 0:
+                raise NumericalError(f"Numerov band is singular (dtbtrs info={info})")
+            size = float(np.max(np.abs(x)))
+            if math.isfinite(size):
+                break
+            if m == 1:
+                raise NumericalError(f"Numerov sweep overflows or is not finite at row {s}")
+            m //= 2
+        u[s:e] = x[2:]
+        peak = max(peak, scale + math.frexp(size)[1])
+        s, m = e, min(2 * m, _CHUNK)
+    shift = max(0, peak - _MAX_EXP)
+    for a, z, scale in zip(starts, starts[1:] + [n], scales):
+        u[a:z] = np.ldexp(u[a:z], scale - shift)
+
+
 def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
                       r_max: float, dr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate all channels in ls simultaneously from r = dr.
+    """Integrate every channel in ls from r = dr.
 
     Returns (r_grid, u) with u of shape (n_r, n_channels); regular solution
-    normalization u ~ r^(l+1) at the origin.
+    normalization u ~ r^(l+1) at the origin, except that a channel whose
+    solution would reach about 1e250 is scaled down by a power of two.
     """
     n = int(np.ceil(r_max / dr))
     r = dr * np.arange(1, n + 1)
@@ -68,10 +134,9 @@ def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
         on_edge = np.abs(r - model.width) < 0.5 * dr
         v = np.where(on_edge, 0.5 * model.v0, v)
     ll = ls * (ls + 1.0)
-    # W[i, j] = l_j(l_j+1)/r_i^2 + v(r_i) - k^2
-    w = ll[None, :] / (r * r)[:, None] + (v - k * k)[:, None]
-    f = 1.0 - (dr * dr / 12.0) * w
-    u = np.empty((n, len(ls)))
+    rr = r * r
+    vk = v - k * k
+    u = np.empty((n, len(ls)), order="F")
     # series seed u = r^(l+1) (1 + (v(0)-k^2) r^2/(4l+6)); underflowed
     # channels start from a tiny representable value instead
     v0 = float(model.radial_values(0.0)) if model.kind != "yukawa" else float(
@@ -81,11 +146,9 @@ def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
     with np.errstate(under="ignore"):
         u[0] = np.where(ls * np.log(r[0]) > -250, r[0] ** (ls + 1.0) * corr0, 1e-250)
         u[1] = np.where(ls * np.log(r[1]) > -250, r[1] ** (ls + 1.0) * corr1, 2e-250)
-    for i in range(1, n - 1):
-        u[i + 1] = ((12.0 - 10.0 * f[i]) * u[i] - f[i - 1] * u[i - 1]) / f[i + 1]
-        big = np.abs(u[i + 1]) > 1e250
-        if np.any(big):
-            u[: i + 2, big] *= 1e-250
+    for j in range(len(ls)):
+        # f = 1 - dr^2/12 (l(l+1)/r^2 + v(r) - k^2)
+        _sweep(1.0 - (dr * dr / 12.0) * (ll[j] / rr + vk), u[:, j])
     return r, u
 
 
@@ -115,6 +178,15 @@ def _match_phase(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
     return np.where(delta > np.pi / 2, delta - np.pi, delta)
 
 
+def _require_short_range(model: PotentialModel):
+    # checked before any grid is sized: tail_radius puts a rho <= 1 tail
+    # out at up to 1e6, a Numerov grid of up to 1e9 steps
+    if model.kind == "power_tail" and model.rho <= 1.0:
+        raise DomainError(
+            f"partial-wave phase shifts do not exist for a long-range "
+            f"power tail (rho={model.rho} <= 1)")
+
+
 def _validate_radial_inputs(model: PotentialModel, k: float, r_max: float):
     if not model.radial:
         raise ParameterError("partial-wave analysis requires a radial model")
@@ -130,6 +202,7 @@ def _validate_radial_inputs(model: PotentialModel, k: float, r_max: float):
 def radial_phase_shift(model: PotentialModel, l: int, k: float,
                        r_max: float | None = None, dr: float = 1e-3) -> float:
     """delta_l at momentum k, reduced to (-pi/2, pi/2]."""
+    _require_short_range(model)
     if r_max is None:
         r_max = _default_r_max(model, k)
     _validate_radial_inputs(model, k, r_max)
@@ -142,7 +215,8 @@ def radial_phase_shift(model: PotentialModel, l: int, k: float,
 
 def phase_shift_table(model: PotentialModel, k: float, l_max: int,
                       r_max: float | None = None, dr: float = 1e-3) -> PhaseShiftTable:
-    """All channels 0..l_max in one vectorized Numerov sweep."""
+    """All channels 0..l_max on one shared Numerov grid."""
+    _require_short_range(model)
     if r_max is None:
         r_max = _default_r_max(model, k)
     _validate_radial_inputs(model, k, r_max)
@@ -210,6 +284,7 @@ def radial_in_out_decomposition(model: PotentialModel, l: int, k: float,
     holds at any sample radius outside the potential.  Free normalization:
     sin(kr - l pi/2) decomposes with b_- = b_+ = 1.
     """
+    _require_short_range(model)
     r_samples = np.asarray(r_samples, dtype=float)
     if np.any(np.abs(model.radial_values(r_samples)) > 1e-8):
         raise ParameterError("sample radii must lie where the tail is < 1e-8")

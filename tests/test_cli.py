@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from scatterlab import cli
+from scatterlab import born, cli, diagnostics, partialwave
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -156,3 +157,42 @@ class TestReflection:
         self._assert_reflection(tmp_path, capsys, {
             "experiment": "diagnose",
             "params": {"check": "kato", "n": 64, "T_values": [25.0, 50.0]}})
+
+
+class TestTypedErrors:
+    """Numerical failures on inputs the schema admits end in exit 2 with a
+    typed message, not a traceback."""
+
+    def _assert_typed(self, tmp_path, capsys, config, prefix):
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        assert f"config error: {prefix}" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    def test_born_long_range_tail(self, tmp_path, capsys):
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "born",
+            "potential": {"kind": "power_tail", "v0": 0.5, "rho": 0.5},
+            "params": {"k": 2.0}}, "convergence: ")
+
+    @pytest.mark.parametrize("error,prefix", [
+        (partialwave.NumericalError, "numerical: "),
+        (born.ConvergenceError, "convergence: "),
+        (diagnostics.WindowError, "window: "),
+        (diagnostics.ResonanceProximityError, "resonance proximity: "),
+    ])
+    def test_error_type_named(self, tmp_path, capsys, monkeypatch, error, prefix):
+        def fail(model, params, seed):
+            raise error("injected")
+
+        monkeypatch.setitem(cli.RUNNERS, "phaseshift", fail)
+        self._assert_typed(tmp_path, capsys, {"experiment": "phaseshift"},
+                           prefix + "injected")
+
+    def test_phaseshift_long_range_tail_rejected_at_once(self, tmp_path, capsys):
+        start = time.perf_counter()
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "phaseshift",
+            "potential": {"kind": "power_tail", "v0": 0.5, "rho": 0.9}}, "")
+        assert time.perf_counter() - start < 1.0

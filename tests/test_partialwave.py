@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterlab import born, partialwave
-from scatterlab.numerics import ParameterError
+from scatterlab.numerics import DomainError, ParameterError
 from scatterlab.potentials import PotentialModel
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
@@ -23,6 +23,40 @@ def square_well_delta0(v0: float, R: float, k: float) -> float:
         slope = (k / kap) * np.tanh(kap * R)
     delta = np.arctan(slope) - k * R
     return (delta + np.pi / 2) % np.pi - np.pi / 2
+
+
+def numerov_step_loop(model, ls, k, r_max, dr):
+    """The per-step Numerov recursion that the banded sweep replaced, kept
+    as the reference: same grid, seeds and square-well edge averaging, with
+    a 1e-250 rescale of any channel that passes 1e250."""
+    n = int(np.ceil(r_max / dr))
+    r = dr * np.arange(1, n + 1)
+    v = model.radial_values(r)
+    if model.kind == "square_well":
+        # average the jump when the edge lands on a node; keeps the scheme
+        # second order instead of first
+        on_edge = np.abs(r - model.width) < 0.5 * dr
+        v = np.where(on_edge, 0.5 * model.v0, v)
+    ll = ls * (ls + 1.0)
+    # W[i, j] = l_j(l_j+1)/r_i^2 + v(r_i) - k^2
+    w = ll[None, :] / (r * r)[:, None] + (v - k * k)[:, None]
+    f = 1.0 - (dr * dr / 12.0) * w
+    u = np.empty((n, len(ls)))
+    # series seed u = r^(l+1) (1 + (v(0)-k^2) r^2/(4l+6)); underflowed
+    # channels start from a tiny representable value instead
+    v0 = float(model.radial_values(0.0)) if model.kind != "yukawa" else float(
+        model.radial_values(dr))
+    corr0 = 1.0 + (v0 - k * k) * r[0] ** 2 / (4.0 * ls + 6.0)
+    corr1 = 1.0 + (v0 - k * k) * r[1] ** 2 / (4.0 * ls + 6.0)
+    with np.errstate(under="ignore"):
+        u[0] = np.where(ls * np.log(r[0]) > -250, r[0] ** (ls + 1.0) * corr0, 1e-250)
+        u[1] = np.where(ls * np.log(r[1]) > -250, r[1] ** (ls + 1.0) * corr1, 2e-250)
+    for i in range(1, n - 1):
+        u[i + 1] = ((12.0 - 10.0 * f[i]) * u[i] - f[i - 1] * u[i - 1]) / f[i + 1]
+        big = np.abs(u[i + 1]) > 1e250
+        if np.any(big):
+            u[: i + 2, big] *= 1e-250
+    return r, u
 
 
 class TestPhaseShift:
@@ -61,6 +95,68 @@ class TestPhaseShift:
     def test_shift_in_principal_branch(self, k, l):
         delta = partialwave.radial_phase_shift(GAUSS, l, k)
         assert -np.pi / 2 < delta <= np.pi / 2
+
+    @pytest.mark.parametrize("kind,rho", [("power_tail", 1.0),
+                                          ("power_tail", 0.9)])
+    def test_long_range_tail_rejected(self, kind, rho):
+        tail = PotentialModel(kind=kind, v0=1.0, rho=rho)
+        with pytest.raises(DomainError):
+            partialwave.radial_phase_shift(tail, 0, 1.0)
+        with pytest.raises(DomainError):
+            partialwave.phase_shift_table(tail, 1.0, 4)
+        with pytest.raises(DomainError):
+            partialwave.radial_in_out_decomposition(
+                tail, 0, 1.0, np.linspace(1e5, 1e5 + 3.0, 8))
+
+
+class TestNumerovSweep:
+    @pytest.mark.parametrize("model,k,l_max", [
+        (GAUSS, 2.0, 25),
+        # the edge r = 1 lies on a node of the 1e-3 grid
+        (PotentialModel(kind="square_well", v0=1.0, width=1.0), 1.0, 6),
+        (PotentialModel(kind="yukawa", v0=0.1, width=1.0), 2.0, 10),
+        # the step loop's 1e250 rescale fires on channels l = 162..200
+        (GAUSS, 2.0, 200),
+    ])
+    def test_matches_step_loop(self, model, k, l_max):
+        ls = np.arange(l_max + 1)
+        r, u = numerov_step_loop(model, ls, k,
+                                 partialwave._default_r_max(model, k), 1e-3)
+        expected = partialwave._match_phase(u, r, ls, k)
+        table = partialwave.phase_shift_table(model, k, l_max)
+        assert np.max(np.abs(table.delta - expected)) < 1e-10
+
+    def test_chunk_length_does_not_change_u(self, monkeypatch):
+        # l = 250 outgrows 2**830 and is scaled down, which takes its first
+        # rows to subnormal numbers or zero; l = 0, 3 and 60 keep u ~ r^(l+1)
+        ls = np.array([0, 3, 60, 250])
+        runs = []
+        for chunk in (3, 64, 1000, partialwave._CHUNK):
+            monkeypatch.setattr(partialwave, "_CHUNK", chunk)
+            runs.append(partialwave._numerov_channels(GAUSS, ls, 2.0, 8.0, 1e-3)[1])
+        assert 2.0 ** 829 <= np.max(np.abs(runs[0][:, 3])) < 2.0 ** 830
+        for u in runs[1:]:
+            assert np.array_equal(u, runs[0])
+
+    def test_large_l_splits_chunk(self, monkeypatch):
+        finite = []
+        solve = partialwave.dtbtrs
+
+        def spy(*args, **kwargs):
+            x, info = solve(*args, **kwargs)
+            finite.append(bool(np.all(np.isfinite(x))))
+            return x, info
+
+        monkeypatch.setattr(partialwave, "dtbtrs", spy)
+        # u ~ r^1201 grows by 2^1201 over the first 2-row chunk
+        delta = partialwave.radial_phase_shift(GAUSS, 1200, 60.0, r_max=30.0)
+        assert not all(finite)
+        assert np.isfinite(delta)
+        assert abs(np.exp(2j * delta)) == pytest.approx(1.0, abs=1e-15)
+        ls = np.array([1200])
+        r, u = numerov_step_loop(GAUSS, ls, 60.0, 30.0, 1e-3)
+        assert delta == pytest.approx(
+            partialwave._match_phase(u, r, ls, 60.0)[0], abs=1e-10)
 
 
 class TestSMatrix:
