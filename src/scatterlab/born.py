@@ -24,6 +24,7 @@ from . import partialwave
 
 FORWARD_CONE_HALF_ANGLE = np.deg2rad(15.0)
 RAY_TRUNCATION = 1e-12
+_SLICE_BLOCK = 8   # u1 slices of the kernel quadrature evaluated together
 
 
 class ConvergenceError(RuntimeError):
@@ -119,21 +120,22 @@ class HighEnergyExpansion:
 
 
 def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid):
-    """b_0..b_N on the cylindrical grid about the propagation axis,
-    marching the ray integral up from z_min (incoming convention)."""
+    """b_0..b_N stacked (N+1, n_s, n_z) on the cylindrical grid about the
+    propagation axis, marching the ray integral up from z_min (incoming
+    convention), and the last source -Lap b_N + v b_N."""
     r = grid.radius()
     v = model.radial_values(r)
-    tables = [np.ones_like(v)]
+    tables = np.empty((N + 1,) + v.shape)
+    tables[0] = 1.0
     g = v.copy()  # -Lap b_0 + v b_0
-    for _ in range(N):
+    for n in range(1, N + 1):
         # tail below z_min for the n=0 source only; higher sources decay
         # at least as fast and the grid is sized so the tail is negligible
         anchor = np.zeros(len(grid.s))
         if np.max(np.abs(g[:, 0])) > RAY_TRUNCATION:
-            anchor = _tail_anchor(model, grid, tables[-1])
-        b_next = _cyl.march_up(g, grid, anchor)
-        tables.append(b_next)
-        g = -_cyl.laplacian(b_next, grid) + v * b_next
+            anchor = _tail_anchor(model, grid, tables[n - 1])
+        tables[n] = _cyl.march_up(g, grid, anchor)
+        g = -_cyl.laplacian(tables[n], grid) + v * tables[n]
     return tables, g
 
 
@@ -175,12 +177,11 @@ def transport_coefficients(model: PotentialModel, omega_prime, x_grid,
         grid = _default_cyl_grid(model)
     tables, g_last = _bn_tables(model, N, grid)
     s, z = _cyl.cyl_coords(x_grid, omega_prime)
-    pts = np.column_stack([s, z])
+    vals = _cyl.bilinear(grid, np.concatenate((tables[1:], g_last[None])), s, z)
     b = np.empty((N + 1, len(x_grid)), dtype=complex)
     b[0] = 1.0
-    for n in range(1, N + 1):
-        b[n] = _cyl.interpolator(grid, tables[n])(pts)
-    remainder = _cyl.interpolator(grid, g_last)(pts).astype(complex)
+    b[1:] = vals[:N]
+    remainder = vals[N].astype(complex)
     return HighEnergyExpansion(
         N=N, omega_prime=omega_prime, x_grid=x_grid, b=b,
         remainder_factor=remainder,
@@ -210,9 +211,14 @@ def _support_radius(model: PotentialModel) -> float:
 
 
 def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
-                       N: int, grid: _cyl.CylGrid | None = None) -> BornKernelSample:
+                       N: int, grid: _cyl.CylGrid | None = None,
+                       tables: np.ndarray | None = None) -> BornKernelSample:
     """Truncated kernel k_N(omega, omega', lambda) at d = 3 by grid
-    quadrature over the (numerical) support of v."""
+    quadrature over the (numerical) support of v.
+
+    tables: b_0..b_N (or more) from _bn_tables(model, N, grid), which do
+    not depend on lambda or omega; built here when not given.
+    """
     omega = np.asarray(omega, dtype=float)
     omega_prime = np.asarray(omega_prime, dtype=float)
     omega = omega / np.linalg.norm(omega)
@@ -221,6 +227,8 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
         return BornKernelSample(lam, omega, omega_prime, 0.0 + 0.0j, N)
     if np.allclose(omega, omega_prime):
         raise ParameterError("omega must differ from omega_prime")
+    if not model.radial:
+        raise ParameterError("high-energy kernel implemented for radial models")
     R = _support_radius(model)
     sql = np.sqrt(lam)
     delta = omega_prime - omega
@@ -235,32 +243,39 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
     rule1 = composite_gauss(12, np.linspace(-R, R, max(2, n1 // 12 + 1)))
     rule_t = composite_gauss(12, np.linspace(-R, R, max(2, nt // 12 + 1)))
 
-    if model.radial:
-        expansion_grid = grid or _default_cyl_grid(model, margin=1.8)
-        tables, _ = _bn_tables(model, N, expansion_grid)
-        interps = [None] + [_cyl.interpolator(expansion_grid, t) for t in tables[1:]]
-    else:
-        raise ParameterError("high-energy kernel implemented for radial models")
+    if N >= 1:
+        if grid is None:
+            if tables is not None:
+                raise ParameterError("tables need the grid they were built on")
+            grid = _default_cyl_grid(model, margin=1.8)
+        if tables is None:
+            tables, _ = _bn_tables(model, N, grid)
+        if len(tables) < N + 1 or tables.shape[1:] != (len(grid.s), len(grid.z)):
+            raise ParameterError(
+                f"tables of shape {tables.shape} do not hold b_0..b_{N} on the grid")
+        bn_tables = tables[1:N + 1]
 
-    u2, w2 = rule_t.nodes, rule_t.weights
-    u3, w3 = rule_t.nodes, rule_t.weights
-    integrals = np.zeros(N + 1, dtype=complex)
-    Y2, Y3 = np.meshgrid(u2, u3, indexing="ij")
-    W23 = np.outer(w2, w3)
-    for u1, w1 in zip(rule1.nodes, rule1.weights):
-        x = (u1 * e1)[None, None, :] + Y2[..., None] * e2 + Y3[..., None] * e3
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        v = model.radial_values(r)
-        phase = np.exp(1j * sql * u1 * np.linalg.norm(delta))  # x.delta = u1 |delta|
-        base = w1 * phase * (W23 * v)
-        integrals[0] += np.sum(base)
+    # x = u1 e1 + u2 e2 + u3 e3: r^2 = u1^2 + rho^2, z = x.omega' = u1 c1 + z_plane
+    Y2, Y3 = np.meshgrid(rule_t.nodes, rule_t.nodes, indexing="ij")
+    rho2 = (Y2 * Y2 + Y3 * Y3).ravel()
+    z_plane = (Y2 * (e2 @ omega_prime) + Y3 * (e3 @ omega_prime)).ravel()
+    W23 = np.outer(rule_t.weights, rule_t.weights).ravel()
+    c1 = e1 @ omega_prime
+    u1 = rule1.nodes
+    # per u1 slice: sum of W23 v b_n over the (u2, u3) plane, n = 0..N
+    sums = np.empty((N + 1, len(u1)))
+    for lo in range(0, len(u1), _SLICE_BLOCK):
+        u = u1[lo:lo + _SLICE_BLOCK, None]
+        r2 = u * u + rho2
+        wv = W23 * model.radial_values(np.sqrt(r2))
+        sums[0, lo:lo + _SLICE_BLOCK] = wv.sum(axis=1)
         if N >= 1:
-            z = x @ omega_prime
-            s = np.sqrt(np.maximum(r * r - z * z, 0.0))
-            pts = np.column_stack([s.ravel(), z.ravel()])
-            for n in range(1, N + 1):
-                bn = interps[n](pts).reshape(s.shape)
-                integrals[n] += np.sum(base * bn)
+            z = u * c1 + z_plane
+            s = np.sqrt(np.maximum(r2 - z * z, 0.0))
+            bn = _cyl.bilinear(grid, bn_tables, s, z)
+            sums[1:, lo:lo + _SLICE_BLOCK] = np.einsum("nbp,bp->nb", bn, wv)
+    phase = np.exp(1j * sql * u1 * np.linalg.norm(delta))  # x.delta = u1 |delta|
+    integrals = sums @ (rule1.weights * phase)
 
     orders = (2j * sql) ** (-np.arange(N + 1))
     value = -1j * np.pi * (2 * np.pi) ** -3 * sql * np.sum(orders * integrals)
@@ -299,9 +314,16 @@ def measure_error_order(model: PotentialModel, lambdas, omega, omega_prime,
     omega_prime = np.asarray(omega_prime, dtype=float)
     cos_theta = float(omega @ omega_prime)
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+    # b_n do not depend on lambda: one table build per fit
+    grid = _default_cyl_grid(model, margin=1.8)
+    tables = None
+    if N >= 1:
+        _support_radius(model)  # refuse before building tables the kernel cannot use
+        tables, _ = _bn_tables(model, N, grid)
     errors = np.empty(len(lambdas))
     for i, lam in enumerate(lambdas):
-        approx = high_energy_kernel(model, lam, omega, omega_prime, N).value
+        approx = high_energy_kernel(model, lam, omega, omega_prime, N,
+                                    grid=grid, tables=tables).value
         exact = exact_kernel(model, lam, theta)
         errors[i] = abs(exact - approx)
     floor = bool(np.any(errors < 1e-10))

@@ -59,8 +59,7 @@ def discretize(model: PotentialModel, n: int, extent: float) -> DiscretizedOpera
 # Hilbert-Schmidt norm identity
 # ---------------------------------------------------------------------------
 
-def hs_norm_resolvent_weight(model: PotentialModel, c: float,
-                             n_radial: int = 2000) -> float:
+def hs_norm_resolvent_weight(model: PotentialModel, c: float) -> float:
     """Squared HS norm of (H_0 + c)^{-1} |v|^{1/2} at d = 3:
     (2 pi)^{-3} ||v||_1 * int (|xi|^2 + c)^{-2} d^3 xi  =  ||v||_1 / (8 pi sqrt(c)).
 

@@ -172,7 +172,7 @@ def _phi3_anchor(model: PotentialModel, grid: _cyl.CylGrid, sign: int) -> np.nda
 
 
 def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
-                    N0: int | None = None, x_grid=None, sign: int = +1,
+                    N0: int | None = None, sign: int = +1,
                     grid: _cyl.CylGrid | None = None,
                     cone_half_angle: float = CONE_HALF_ANGLE) -> EikonalData:
     """Solve the linearized ray equations by successive approximations.

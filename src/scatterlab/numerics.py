@@ -49,18 +49,23 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
 
 
 def composite_gauss(n_per_panel: int, edges) -> QuadratureRule:
-    """Concatenation of Gauss-Legendre panels between consecutive edges."""
+    """Concatenation of Gauss-Legendre panels between consecutive edges.
+
+    One reference rule mapped to every panel at once; each node and weight
+    comes from the same float operations as gauss_legendre on its panel.
+    """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ParameterError("edges must be strictly increasing, at least two")
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rule = gauss_legendre(n_per_panel, a, b)
-        nodes.append(rule.nodes)
-        weights.append(rule.weights)
+    if n_per_panel < 1:
+        raise ParameterError(f"need at least one node, got n={n_per_panel}")
+    x, w = np.polynomial.legendre.leggauss(n_per_panel)
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
     return QuadratureRule(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
+        nodes=(mid[:, None] + half[:, None] * x).ravel(),
+        weights=(half[:, None] * w).ravel(),
         interval=(float(edges[0]), float(edges[-1])),
     )
 

@@ -27,6 +27,25 @@ class TestQuadrature:
         rule = composite_gauss(8, np.linspace(0.0, np.pi, 9))
         assert rule.integrate(np.sin) == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 8, 12, 16])
+    def test_composite_gauss_is_panel_rules(self, n):
+        rng = np.random.default_rng(n)
+        for n_panels in (1, 2, 7, 40):
+            edges = np.cumsum(rng.uniform(0.01, 3.0, n_panels + 1)) - 5.0
+            rule = composite_gauss(n, edges)
+            panels = [gauss_legendre(n, a, b) for a, b in zip(edges[:-1], edges[1:])]
+            assert np.array_equal(rule.nodes, np.concatenate([p.nodes for p in panels]))
+            assert np.array_equal(rule.weights, np.concatenate([p.weights for p in panels]))
+            assert rule.interval == (edges[0], edges[-1])
+
+    def test_composite_gauss_rejects_bad_input(self):
+        with pytest.raises(ParameterError):
+            composite_gauss(0, [0.0, 1.0])
+        with pytest.raises(ParameterError):
+            composite_gauss(4, [0.0, 1.0, 1.0])
+        with pytest.raises(ParameterError):
+            composite_gauss(4, [0.0])
+
     def test_weights_positive(self):
         rule = gauss_legendre(12, -1.0, 1.0)
         assert np.all(rule.weights > 0)
