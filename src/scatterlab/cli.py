@@ -229,6 +229,10 @@ def _run_acceptance_experiment(model, p, seed):
     extra = {"report": acceptance.format_report(results),
              "results": [asdict(r) for r in results]}
     flags = [f"criterion_{r.cid}_failed" for r in results if not r.passed]
+    # an informational criterion passes but may report its probe unreliable
+    flags += [f"criterion_{r.cid}_unreliable" for r in results
+              if any(not v for k, v in r.measured.items()
+                     if k.startswith("reliable"))]
     return ["criterion", "passed", "runtime_s"], rows, extra, flags
 
 
@@ -400,11 +404,6 @@ def run_acceptance(out_dir: str = ".") -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("SCATTERLAB_THREADS")
-    if threads and threads != "0":
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = argparse.ArgumentParser(
         prog="scatterlab",
         description="Numerical laboratory for quantum scattering of "

@@ -2,15 +2,23 @@
 
 Hilbert-Schmidt norm identity for the weighted free resolvent, Kato
 smoothness time integrals, Mourre commutator positivity on a spectral
-window, and limiting-absorption stability of weighted resolvents.
+window, and limiting-absorption stability of weighted resolvents.  The
+Mourre and limiting-absorption checks work on the tridiagonal
+second-order finite-difference H = -Delta_h + v (`_tridiag`) with
+tridiagonal LAPACK routines; no dense n x n matrix is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_banded
+from scipy.linalg import eigh, eigh_tridiagonal
+# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
+# name, so it stays bound until the tracer follows zgttrs/dtbtrs.
+from scipy.linalg import solve_banded  # noqa: F401
+from scipy.linalg.lapack import dtbtrs, zgttrf, zgttrs
 
 from .numerics import DomainError, ParameterError, composite_gauss
 from .potentials import PotentialModel
@@ -26,33 +34,19 @@ class ResonanceProximityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# discretized operators
+# discretized operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """Dense H = -Delta_h + v on a centered 1D grid (second-order FD)."""
-
-    x: np.ndarray
-    matrix: np.ndarray
-    kinetic: np.ndarray
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-
-def discretize(model: PotentialModel, n: int, extent: float) -> DiscretizedOperator:
-    """H on [-extent, extent] with Dirichlet ends."""
+def _tridiag(model: PotentialModel, n: int, extent: float):
+    """Grid x and the diagonal and off-diagonal of H = -Delta_h + v on
+    [-extent, extent] with Dirichlet ends (second-order FD)."""
     if n < 8:
         raise ParameterError("n too small")
     x = np.linspace(-extent, extent, n)
     dx = x[1] - x[0]
-    main = np.full(n, 2.0 / dx**2)
+    diag = 2.0 / dx**2 + model.radial_values(np.abs(x))
     off = np.full(n - 1, -1.0 / dx**2)
-    kin = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    h = kin + np.diag(model.radial_values(np.abs(x)))
-    return DiscretizedOperator(x=x, matrix=h, kinetic=kin)
+    return x, diag, off
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +100,12 @@ def kato_smoothness_integral(r: float, f: propagator.WavePacket,
     to be a doubling apart.
     """
     T_values = np.asarray(T_values, dtype=float)
+    if len(T_values) < 2:
+        raise ParameterError("T_values needs at least two entries")
     if np.any(np.diff(T_values) <= 0) or T_values[0] <= 0:
         raise ParameterError("T_values must be positive and increasing")
+    if not np.isfinite(T_values[-1]):
+        raise ParameterError("T_values must be finite")
     x = f.grid
     w2 = (1.0 + x * x) ** -r        # <x>^{-2r}
     norm2 = np.sum(np.abs(f.values) ** 2) * f.dx
@@ -116,10 +114,9 @@ def kato_smoothness_integral(r: float, f: propagator.WavePacket,
                           integrals=np.zeros(len(T_values)), saturating=True)
     ts = np.arange(0.0, T_values[-1] + 0.5 * dt, dt)
     g = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        ev = propagator.free_evolve(f, t)
+    for i, ev in enumerate(propagator.free_evolve_series(f, ts)):
         if ev.edge_mass() > propagator.EDGE_THRESHOLD:
-            raise propagator.ReflectionError(f"edge mass breach at t={t}")
+            raise propagator.ReflectionError(f"edge mass breach at t={ev.t}")
         g[i] = np.sum(w2 * np.abs(ev.values) ** 2) * f.dx
     cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1]))])
     integrals = np.interp(T_values, ts, cum) / norm2
@@ -136,31 +133,34 @@ def mourre_check(model: PotentialModel, window: tuple[float, float],
                  n: int = 1024, extent: float = 160.0) -> float:
     """Minimal eigenvalue of E(I) i[H, A] E(I).
 
-    E(I) projects onto eigenvectors of the discrete H inside the window;
-    the commutator uses the exact operator identity
-    i[H, A] = 4 H_0 - 2 x v'(x), realized as a matrix (the raw matrix
-    commutator vanishes on exact eigenvectors by the virial identity, so
-    the symbolic form is the faithful discretization).
+    E(I) projects onto the eigenvectors of the discrete H with eigenvalue
+    in I = (lo, hi]: LAPACK's selection by value (stebz) is half-open, so
+    an eigenvalue exactly at lo is left out.  The commutator uses the
+    exact operator identity i[H, A] = 4 H_0 - 2 x v'(x), applied to the
+    window vectors as a tridiagonal product (the raw matrix commutator
+    vanishes on exact eigenvectors by the virial identity, so the symbolic
+    form is the faithful discretization).
     """
     lo, hi = window
     if not 0 < lo < hi:
         raise ParameterError("window must satisfy 0 < lo < hi")
-    op = discretize(model, n, extent)
-    lam_max = 4.0 / op.dx**2
+    x, diag, off = _tridiag(model, n, extent)
+    dx = x[1] - x[0]
+    lam_max = 4.0 / dx**2
     if hi >= 0.25 * lam_max:
         raise ParameterError("window above the reliable spectral range")
-    evals, evecs = eigh(op.matrix)
-    sel = (evals >= lo) & (evals <= hi)
-    if not np.any(sel):
-        raise WindowError(f"no eigenvalues in [{lo}, {hi}]")
-    vs = evecs[:, sel]
+    _, vs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
+    if vs.shape[1] == 0:
+        raise WindowError(f"no eigenvalues in ({lo}, {hi}]")
     h = 1e-6
-    xv = np.abs(op.x)
+    xv = np.abs(x)
     dv = (model.radial_values(xv + h) - model.radial_values(np.abs(xv - h))) / (2 * h)
-    comm = 4.0 * op.kinetic - np.diag(2.0 * np.abs(op.x) * dv)
-    m = vs.T @ comm @ vs
+    cv = (4.0 * (2.0 / dx**2) - 2.0 * xv * dv)[:, None] * vs
+    cv[:-1] += (4.0 * off)[:, None] * vs[1:]
+    cv[1:] += (4.0 * off)[:, None] * vs[:-1]
+    m = vs.T @ cv
     m = 0.5 * (m + m.T)
-    return float(np.min(np.linalg.eigvalsh(m)))
+    return float(eigh(m, eigvals_only=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,33 +181,61 @@ class LapReport:
                      / max(self.norms[-2], 1e-300))
 
 
-def _tridiag(model: PotentialModel, n: int, extent: float):
-    x = np.linspace(-extent, extent, n)
-    dx = x[1] - x[0]
-    diag = 2.0 / dx**2 + model.radial_values(np.abs(x))
-    off = np.full(n - 1, -1.0 / dx**2)
-    return x, diag, off
+# Longest chunk of rows per banded solve of the Sturm recurrence; chunks
+# double up to it after each finite solve and halve on overflow.
+_STURM_CHUNK = 8192
 
 
 def _eig_count_below(diag, off, a: float) -> int:
-    """Sturm-sequence count of eigenvalues below a (tridiagonal)."""
-    count = 0
-    d = diag[0] - a
-    if d < 0:
-        count += 1
-    tiny = 1e-300
-    for i in range(1, len(diag)):
-        d = (diag[i] - a) - off[i - 1] ** 2 / (d if abs(d) > tiny else tiny)
-        if d < 0:
-            count += 1
-    return count
+    """Number of eigenvalues below a of the symmetric tridiagonal (diag, off).
+
+    Sturm count: the sign changes of the leading principal minors of T - a,
+    q_0 = 1, q_i = (d_i - a) q_{i-1} - off_{i-1}^2 q_{i-2}.  The minors are
+    taken divided by c^i with c = max|off|, which keeps their signs and,
+    for a constant off-diagonal, bounds their growth inside the spectrum.
+    Each chunk of rows is one lower-triangular banded solve (LAPACK dtbtrs,
+    bandwidth 2) whose first two rows are identity rows carrying the last
+    two values, scaled below 1 by a power of two (exact, so no sign moves);
+    a chunk whose output is not finite is redone at half length, and later
+    chunks keep that length.
+    """
+    n = len(diag)
+    c = float(np.max(np.abs(off), initial=0.0)) or 1.0
+    # q[j + 1] is the minor of order j; q[0] = 0 and q[1] = 1 seed the
+    # recurrence.  Lower band storage, transposed: row j holds the diagonal
+    # 1, the coefficient of q[j] in row j + 1 and that of q[j] in row j + 2.
+    q = np.zeros(n + 2)
+    q[1] = 1.0
+    band = np.zeros((n + 2, 3))
+    band[:, 0] = 1.0
+    band[1:n + 1, 1] = (a - diag) / c
+    band[1:n, 2] = (off / c) ** 2
+    s, m, grow = 2, 2, True
+    while s < n + 2:
+        top = math.frexp(max(abs(q[s - 2]), abs(q[s - 1])))[1]
+        q[s - 2:s] = np.ldexp(q[s - 2:s], -top)
+        band[s - 2, 1] = 0.0    # row s - 1 becomes an identity row
+        while True:
+            e = min(n + 2, s + m)
+            b = np.zeros(e - s + 2)
+            b[:2] = q[s - 2:s]
+            y, _ = dtbtrs(band[s - 2:e].T, b, uplo="L", overwrite_b=1)
+            if np.all(np.isfinite(y)) or m == 1:
+                break
+            m, grow = m // 2, False
+        q[s:e] = y[2:]
+        s, m = e, min(2 * m, _STURM_CHUNK) if grow else m
+    signs = np.sign(q[1:])
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
               n: int = 80_000, extent: float = 10_000.0,
               iters: int = 60, seed: int = 7) -> LapReport:
     """||<x>^{-r} (H - lam - i eps)^{-1} <x>^{-r}|| per eps (tridiagonal H,
-    largest singular value by power iteration with banded solves).
+    largest singular value by power iteration on one LU factorization of
+    H - lam - i eps per eps, LAPACK zgttrf/zgttrs).
 
     Resonance check: an isolated eigenvalue within 10 * min(eps) of lam is
     an error; when several levels fall in that window the discrete
@@ -215,8 +243,12 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
     the probe proceeds.
     """
     epsilons = np.asarray(epsilons, dtype=float)
+    if len(epsilons) < 2:
+        raise ParameterError("epsilons needs at least two entries")
     if np.any(np.diff(epsilons) >= 0) or np.any(epsilons <= 0):
         raise ParameterError("epsilons must be positive and decreasing")
+    if not (np.isfinite(lam) and np.isfinite(epsilons[0])):
+        raise ParameterError("lam and epsilons must be finite")
     if r <= 0:
         raise ParameterError("r must be positive")
     x, diag, off = _tridiag(model, n, extent)
@@ -233,21 +265,21 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
     rng = np.random.default_rng(seed)
     norms = []
     for eps in epsilons:
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = off
-        ab[1] = diag - lam - 1j * eps
-        ab[2, :-1] = off
-        ab_c = ab.conj()
+        dl, d, du, du2, ipiv, info = zgttrf(off, diag - lam - 1j * eps, off)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular matrix")
 
-        def apply_b(vec, band):
-            return w * solve_banded((1, 1), band, w * vec)
+        def apply_b(vec):
+            return w * zgttrs(dl, d, du, du2, ipiv, w * vec)[0]
 
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         s = 0.0
         for _ in range(iters):
-            u = apply_b(v, ab)
-            u = apply_b(u, ab_c)      # B* B v  (H real symmetric)
+            u = apply_b(v)
+            # B = W A^{-1} W is complex symmetric (H real symmetric, W real),
+            # so B* y = conj(B conj(y)) from the same factors
+            u = apply_b(u.conj()).conj()
             s_new = np.linalg.norm(u)
             v = u / s_new
             if abs(s_new - s) < 1e-10 * s_new:

@@ -114,27 +114,47 @@ def _kinetic_phase(packet: WavePacket, t: float) -> np.ndarray:
     return np.exp(-1j * k * k * t)
 
 
-def _apply_kinetic(values: np.ndarray, phase: np.ndarray,
-                   geometry: str) -> np.ndarray:
+def _extend(values: np.ndarray, geometry: str) -> np.ndarray:
+    """The periodic array whose transform carries the kinetic step."""
     if geometry == "line":
-        return dft(dft(values) * phase, "inverse")
+        return values
     # Dirichlet half-line: odd extension on 2n points, periodic transform
     n = len(values)
     ext = np.zeros(2 * n, dtype=complex)
     ext[1:n] = values[: n - 1]
     ext[n + 1:] = -values[n - 2::-1]
-    out = dft(dft(ext) * phase, "inverse")
-    res = np.empty(n, dtype=complex)
-    res[: n - 1] = out[1:n]
+    return ext
+
+
+def _restrict(out: np.ndarray, values: np.ndarray, geometry: str) -> np.ndarray:
+    """Inverse of _extend on the evolved periodic array."""
+    if geometry == "line":
+        return out
+    n = len(values)
+    res = out[1:n + 1].copy()
     res[n - 1] = values[n - 1]
     return res
 
 
+def _apply_kinetic(values: np.ndarray, phase: np.ndarray,
+                   geometry: str) -> np.ndarray:
+    out = dft(dft(_extend(values, geometry)) * phase, "inverse")
+    return _restrict(out, values, geometry)
+
+
 def free_evolve(packet: WavePacket, t_target: float) -> WavePacket:
     """Exact e^{-i H0 (t_target - t)} on the grid (single Fourier multiply)."""
-    phase = _kinetic_phase(packet, t_target - packet.t)
-    vals = _apply_kinetic(packet.values, phase, packet.geometry)
-    return replace(packet, values=vals, t=t_target)
+    return next(free_evolve_series(packet, [t_target]))
+
+
+def free_evolve_series(packet: WavePacket, times):
+    """free_evolve(packet, t) for each t in turn, lazily, from one forward
+    transform of the packet."""
+    spectrum = dft(_extend(packet.values, packet.geometry))
+    for t in times:
+        out = dft(spectrum * _kinetic_phase(packet, t - packet.t), "inverse")
+        yield replace(packet, values=_restrict(out, packet.values, packet.geometry),
+                      t=t)
 
 
 def split_step_evolve(packet: WavePacket, config: EvolutionConfig,

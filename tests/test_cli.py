@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scatterlab import born, cli, diagnostics, partialwave
+from scatterlab import acceptance, born, cli, diagnostics, entry, partialwave
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -136,6 +142,57 @@ class TestRun:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["properties"]["experiment"]["enum"][0] == "phaseshift"
 
+    @pytest.mark.parametrize("reliable,flags", [
+        ((True, False), ["criterion_15_unreliable"]),
+        ((True, True), []),
+    ])
+    def test_acceptance_flags_unreliable_probe(self, tmp_path, monkeypatch,
+                                               reliable, flags):
+        # a stub in place of the 36 s C15 probe
+        monkeypatch.setitem(acceptance.CRITERIA, 15, lambda: acceptance.CriterionResult(
+            15, "diagonal-singularity probe", True, "informational",
+            {"reliable_rho0.75": reliable[0], "reliable_rho1.0": reliable[1]}))
+        path = write_config(tmp_path, {
+            "experiment": "acceptance", "params": {"criteria": [15]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        record = json.loads((out / "result.json").read_text())
+        assert record["provenance"]["flags"] == flags
+
+
+class TestThreadCap:
+    """SCATTERLAB_THREADS reaches the BLAS/OpenMP variables before numpy
+    loads, which is when the thread pools read them."""
+
+    SPY = (
+        "import json, os, sys\n"
+        "seen = {}\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.update({v: os.environ.get(v) for v in VARS})\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from scatterlab import entry\n"
+        "VARS = entry.THREAD_VARS\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert entry.main(['schema']) == 0\n"
+        "sys.stderr.write(json.dumps(seen))\n")
+
+    def test_variables_set_before_numpy_loads(self):
+        env = {k: v for k, v in os.environ.items() if k not in entry.THREAD_VARS}
+        env["SCATTERLAB_THREADS"] = "3"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", self.SPY], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr) == {v: "3" for v in entry.THREAD_VARS}
+
+    def test_console_script_uses_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        assert meta["project"]["scripts"]["scatterlab"] == "scatterlab.entry:main"
+
 
 class TestReflection:
     """A packet that reaches the grid edge ends in exit 2, not a traceback."""
@@ -189,6 +246,29 @@ class TestTypedErrors:
         monkeypatch.setitem(cli.RUNNERS, "phaseshift", fail)
         self._assert_typed(tmp_path, capsys, {"experiment": "phaseshift"},
                            prefix + "injected")
+
+    @pytest.mark.parametrize("params", [
+        {"check": "lap", "epsilons": [0.1]},
+        {"check": "kato", "T_values": [5.0]},
+    ], ids=["lap", "kato"])
+    def test_single_entry_list_rejected(self, tmp_path, capsys, params):
+        # the schema admits one entry; both verdicts compare the last two
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "diagnose", "params": params}, "")
+
+    @pytest.mark.parametrize("params", [
+        '"check": "lap", "lam": 1e309',
+        '"check": "lap", "epsilons": [1e309, 0.1]',
+        '"check": "kato", "T_values": [5.0, 1e309]',
+    ], ids=["lap-lam", "lap-eps", "kato"])
+    def test_overflowing_number_rejected(self, tmp_path, capsys, params):
+        # JSON 1e309 parses to inf, which the schema admits as a number
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "diagnose", "params": {' + params + '}}')
+        out = tmp_path / "out"
+        assert cli.run(str(path), out_dir=str(out)) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
 
     def test_phaseshift_long_range_tail_rejected_at_once(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -38,6 +38,18 @@ class TestFreeEvolution:
         out = propagator.free_evolve(f0, 0.0)
         assert np.allclose(out.values, f0.values, atol=1e-13)
 
+    @pytest.mark.parametrize("geometry,center", [("line", 0.0), ("radial", 60.0)])
+    def test_series_matches_one_kinetic_step_per_time(self, geometry, center):
+        f0 = propagator.gaussian_packet(n=2**9, dx=0.5, center=center, k0=1.0,
+                                        sigma=2.0, geometry=geometry)
+        times = [0.0, 1.5, 4.0]
+        series = list(propagator.free_evolve_series(f0, times))
+        assert [ev.t for ev in series] == times
+        for t, ev in zip(times, series):
+            step = propagator._apply_kinetic(
+                f0.values, propagator._kinetic_phase(f0, t), geometry)
+            assert np.array_equal(ev.values, step)
+
 
 class TestSplitStep:
     def test_matches_free_for_zero_potential(self):
