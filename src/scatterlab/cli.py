@@ -128,11 +128,13 @@ def _run_s0(model, p, seed):
     thetas = p.get("thetas", [np.deg2rad(d) for d in (10, 20, 30)])
     omega0 = np.array([0.0, 0.0, 1.0])
     e1 = np.array([1.0, 0.0, 0.0])
+    pairs = [(np.cos(th / 2) * omega0 + np.sin(th / 2) * e1,
+              np.cos(th / 2) * omega0 - np.sin(th / 2) * e1) for th in thetas]
+    for w, wp in pairs:
+        eikonal.s0_directions(w, wp, omega0)
     sols = eikonal.s0_solutions(model, float(lam), N)
     rows, flags = [], []
-    for th in thetas:
-        w = np.cos(th / 2) * omega0 + np.sin(th / 2) * e1
-        wp = np.cos(th / 2) * omega0 - np.sin(th / 2) * e1
+    for th, (w, wp) in zip(thetas, pairs):
         s = eikonal.s0_kernel(model, float(lam), w, wp, omega0, N=N,
                               solutions=sols)
         rows.append([th] + _c(s.value) + [s.sensitivity, int(s.converged)])

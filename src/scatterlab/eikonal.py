@@ -349,16 +349,18 @@ class _PsiEvaluator:
         self.xi = eik.xi_norm
         orders = (2j * self.xi) ** -np.arange(solution.N + 1)
         btot = sum(o * bn for o, bn in zip(orders, solution.b_n))
+        bs = _cyl.d_ds(btot, grid)
+        bz = _cyl.d_dz(btot, grid)
         self._interp = {
             "Phi": _cyl.interpolator(grid, eik.Phi),
             "Phi_s": _cyl.interpolator(grid, eik.Phi_s),
             "Phi_z": _cyl.interpolator(grid, eik.Phi_z),
             "b_re": _cyl.interpolator(grid, btot.real),
             "b_im": _cyl.interpolator(grid, btot.imag),
-            "bs_re": _cyl.interpolator(grid, _cyl.d_ds(btot, grid).real),
-            "bs_im": _cyl.interpolator(grid, _cyl.d_ds(btot, grid).imag),
-            "bz_re": _cyl.interpolator(grid, _cyl.d_dz(btot, grid).real),
-            "bz_im": _cyl.interpolator(grid, _cyl.d_dz(btot, grid).imag),
+            "bs_re": _cyl.interpolator(grid, bs.real),
+            "bs_im": _cyl.interpolator(grid, bs.imag),
+            "bz_re": _cyl.interpolator(grid, bz.real),
+            "bz_im": _cyl.interpolator(grid, bz.imag),
         }
         # outside the table b = 1, Phi = 0
         self._interp["b_re"].fill_value = 1.0
@@ -408,9 +410,16 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
         (np.abs(rule.nodes) - window * (1 - TAPER_FRACTION))
         / (window * TAPER_FRACTION))
     w = rule.weights * taper
-    n = len(rule.nodes)
-    pts = (rule.nodes[:, None, None] * e1[None, None, :]
-           + rule.nodes[None, :, None] * e2[None, None, :]).reshape(-1, 3)
+    a = b = rule.nodes
+    wb = w
+    if omega @ e2 == 0.0 and omega_prime @ e2 == 0.0:
+        # b -> -b maps every node's (s, z) about omega and omega' and its
+        # derivative along omega0 onto themselves, so the integrand is even
+        # in b; the rule is symmetric with no node at 0 (8 per panel)
+        half = len(b) // 2
+        b, wb = b[half:], 2.0 * w[half:]
+    pts = (a[:, None, None] * e1[None, None, :]
+           + b[None, :, None] * e2[None, None, :]).reshape(-1, 3)
     pp, dpp = psi_plus(pts, omega, omega0)
     pm, dpm = psi_minus(pts, omega_prime, omega0)
     # subtract the free-field (v = 0) integrand: off the diagonal it
@@ -423,8 +432,8 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
     dfp = 1j * sql * float(omega @ omega0) * fp
     dfm = 1j * sql * float(omega_prime @ omega0) * fm
     integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
-                 - (np.conj(fp) * dfm - np.conj(dfp) * fm)).reshape(n, n)
-    total = w @ integrand @ w
+                 - (np.conj(fp) * dfm - np.conj(dfp) * fm))
+    total = w @ integrand.reshape(len(a), len(b)) @ wb
     return S0_SIGN * 1j * np.pi * lam ** 0.5 * (2 * np.pi) ** -3 * total
 
 
@@ -441,6 +450,19 @@ def s0_solutions(model: PotentialModel, lam: float, N: int,
     return _PsiEvaluator(sol_p), _PsiEvaluator(sol_m)
 
 
+def s0_directions(omega, omega_prime, omega0):
+    """Unit (omega, omega', omega0) for the S0 kernel; ParameterError when a
+    direction leaves the cap omega . omega0 > 0.5 or the two coincide."""
+    omega = _unit(omega)
+    omega_prime = _unit(omega_prime)
+    omega0 = _unit(omega0)
+    if omega @ omega0 <= S0_CAP_DELTA or omega_prime @ omega0 <= S0_CAP_DELTA:
+        raise ParameterError("directions must lie in the cap around omega0")
+    if np.allclose(omega, omega_prime):
+        raise ParameterError("omega must differ from omega_prime")
+    return omega, omega_prime, omega0
+
+
 def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
               N: int = 3, window: float | None = None,
               solutions: tuple | None = None) -> S0Sample:
@@ -451,13 +473,7 @@ def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
     relative change of the value under a 25% window enlargement; the
     sample is flagged non-converged when that exceeds 10%.
     """
-    omega = _unit(omega)
-    omega_prime = _unit(omega_prime)
-    omega0 = _unit(omega0)
-    if omega @ omega0 <= S0_CAP_DELTA or omega_prime @ omega0 <= S0_CAP_DELTA:
-        raise ParameterError("directions must lie in the cap around omega0")
-    if np.allclose(omega, omega_prime):
-        raise ParameterError("omega must differ from omega_prime")
+    omega, omega_prime, omega0 = s0_directions(omega, omega_prime, omega0)
     if window is None:
         window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
     if solutions is None:

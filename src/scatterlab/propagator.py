@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erf
 
 from .numerics import ParameterError, dft, dft_freqs
 from .potentials import PotentialModel
@@ -216,6 +217,11 @@ def _xi_potential_term(model: PotentialModel, x: np.ndarray, t: float) -> np.nda
     if model.kind == "power_tail" and model.rho == 2.0:
         safe = np.where(ax > 1e-12, ax, 1.0)
         out = np.where(ax > 1e-12, np.arctan(safe) / safe, 1.0)
+        return t * model.v0 * out
+    if model.kind == "gaussian_well":
+        u = ax / model.width
+        safe = np.where(u > 1e-12, u, 1.0)
+        out = np.where(u > 1e-12, 0.5 * np.sqrt(np.pi) * erf(safe) / safe, 1.0)
         return t * model.v0 * out
     out = np.empty_like(ax)
     for i, a in enumerate(ax):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatterlab import acceptance, born, cli, diagnostics, entry, partialwave
+from scatterlab import (acceptance, born, cli, diagnostics, eikonal, entry,
+                        partialwave)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -269,6 +270,18 @@ class TestTypedErrors:
         assert cli.run(str(path), out_dir=str(out)) == 2
         assert "finite" in capsys.readouterr().err
         assert not (out / "result.json").exists()
+
+    def test_s0_outside_cap_rejected_before_tables(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("s0 tables built for a rejected pair")
+
+        monkeypatch.setattr(eikonal, "s0_solutions", no_tables)
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "s0",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"lam": 64.0, "N": 1, "thetas": [np.deg2rad(130.0)]}},
+            "directions must lie in the cap around omega0")
 
     def test_phaseshift_long_range_tail_rejected_at_once(self, tmp_path, capsys):
         start = time.perf_counter()

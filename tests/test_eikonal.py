@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
-from scatterlab import eikonal
+from scatterlab import _cyl, eikonal
+from scatterlab.eikonal import (S0_SIGN, TAPER_FRACTION, _PsiEvaluator,
+                                _plane_rule, _taper_profile)
 from scatterlab.numerics import DomainError, ParameterError
 from scatterlab.potentials import PotentialModel
 
@@ -140,3 +144,106 @@ class TestS0:
         with pytest.raises(ParameterError):
             eikonal.diagonal_exponent_probe(TAIL1, 25.0, ZAXIS,
                                             [0.5, 0.4, 0.3])
+
+
+def _full_plane_s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
+                              omega, omega_prime, omega0, lam: float,
+                              window: float) -> complex:
+    """The S0 plane quadrature on the whole n x n tensor rule, kept as it
+    was before coplanar pairs were folded over b -> -b."""
+    sql = np.sqrt(lam)
+    rule = _plane_rule(window, sql)
+    e1, e2 = _cyl.plane_basis(omega0)
+
+    taper = _taper_profile(
+        (np.abs(rule.nodes) - window * (1 - TAPER_FRACTION))
+        / (window * TAPER_FRACTION))
+    w = rule.weights * taper
+    n = len(rule.nodes)
+    pts = (rule.nodes[:, None, None] * e1[None, None, :]
+           + rule.nodes[None, :, None] * e2[None, None, :]).reshape(-1, 3)
+    pp, dpp = psi_plus(pts, omega, omega0)
+    pm, dpm = psi_minus(pts, omega_prime, omega0)
+    # subtract the free-field (v = 0) integrand: off the diagonal it
+    # contributes nothing over the infinite plane, but its finite-window
+    # taper leakage would otherwise swamp the scattering part
+    zp = pts @ omega
+    zm = pts @ omega_prime
+    fp = np.exp(1j * sql * zp)
+    fm = np.exp(1j * sql * zm)
+    dfp = 1j * sql * float(omega @ omega0) * fp
+    dfm = 1j * sql * float(omega_prime @ omega0) * fm
+    integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
+                 - (np.conj(fp) * dfm - np.conj(dfp) * fm)).reshape(n, n)
+    total = w @ integrand @ w
+    return S0_SIGN * 1j * np.pi * lam ** 0.5 * (2 * np.pi) ** -3 * total
+
+
+@functools.cache
+def _solutions(model, lam, N):
+    return eikonal.s0_solutions(model, lam, N)
+
+
+def _pair(theta_deg, turn_deg=0.0):
+    """(omega, omega') at angle theta in the (z, x) plane, omega then turned
+    by turn_deg about the z axis."""
+    th = np.deg2rad(theta_deg)
+    e1 = np.array([1.0, 0.0, 0.0])
+    w = np.cos(th / 2) * ZAXIS + np.sin(th / 2) * e1
+    wp = np.cos(th / 2) * ZAXIS - np.sin(th / 2) * e1
+    c, s = np.cos(np.deg2rad(turn_deg)), np.sin(np.deg2rad(turn_deg))
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return turn @ w, wp
+
+
+class _CountingPsi:
+    def __init__(self, psi):
+        self.psi = psi
+        self.points = []
+
+    def __call__(self, points, omega, deriv_dir):
+        self.points.append(len(points))
+        return self.psi(points, omega, deriv_dir)
+
+
+class TestS0Fold:
+    """Coplanar pairs are summed over the b >= 0 half of the plane rule with
+    doubled weights; the full-plane quadrature is the oracle."""
+
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("theta", [10.0, 30.0])
+    @pytest.mark.parametrize("lam", [25.0, 64.0])
+    def test_gaussian_matches_full_plane(self, lam, theta, N):
+        pp, pm = _solutions(GAUSS, lam, N)
+        w, wp = _pair(theta)
+        window = max(3.0 * GAUSS.effective_range, 60.0 / np.sqrt(lam))
+        folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
+        full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
+        assert abs(folded - full) <= 1e-12 * abs(full)
+
+    def test_power_tail_matches_full_plane(self):
+        lam = 25.0
+        pp, pm = _solutions(TAIL1, lam, 1)
+        w, wp = _pair(20.0)
+        for window in (30.0, 37.5):
+            folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
+            full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam,
+                                             window)
+            assert abs(folded - full) <= 1e-12 * abs(full)
+
+    def test_folded_rule_halves_the_points(self):
+        lam = 25.0
+        pp, pm = (_CountingPsi(p) for p in _solutions(GAUSS, lam, 1))
+        n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
+        eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, lam, 18.0)
+        eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, lam, 18.0)
+        assert pp.points == pm.points == [n * n // 2, n * n]
+
+    def test_non_coplanar_pair_unchanged(self):
+        lam = 25.0
+        pp, pm = _solutions(GAUSS, lam, 1)
+        w, wp = _pair(20.0, turn_deg=30.0)
+        assert w[1] != 0.0
+        folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
+        full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
+        assert folded == full

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from scatterlab import propagator
 from scatterlab.numerics import ParameterError
@@ -146,6 +147,24 @@ class TestAsymptotics:
         a = propagator.free_asymptotics(fhat, 60.0)
         b = propagator.modified_free_evolution(ZERO, fhat, 60.0)
         assert np.allclose(a.values, b.values, atol=1e-14)
+
+    @pytest.mark.parametrize("width", [0.5, 1.0, 3.0])
+    def test_gaussian_xi_term_matches_quadrature(self, width):
+        # closed form t v0 (sqrt(pi)/2) erf(u)/u, u = |x|/width, against
+        # t int_0^1 v(s x) ds by adaptive quadrature at each point
+        model = PotentialModel(kind="gaussian_well", v0=-1.3, width=width)
+        x = np.array([-400.0, -7.5, -1e-13, 0.0, 1e-9, 0.3, 2.0, 40.0])
+        t = 3.5
+        closed = propagator._xi_potential_term(model, x, t)
+        loop = [t * quad(lambda s: float(model.radial_values(s * abs(a))),
+                         0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
+                for a in x]
+        assert closed[3] == t * model.v0
+        assert np.allclose(closed, loop, rtol=1e-10, atol=0.0)
+        # far out erf(u) = 1; adaptive quad on [0, 1] can miss the peak there
+        far = propagator._xi_potential_term(model, np.array([5e3]), t)
+        assert far[0] == pytest.approx(
+            t * model.v0 * 0.5 * np.sqrt(np.pi) * width / 5e3, rel=1e-15)
 
 
 class TestMollerProbes:
