@@ -1,15 +1,15 @@
 """Acceptance suite: fifteen numbered criteria covering every module.
 
 Each criterion is a function returning a CriterionResult with the
-measured quantities, the expected contract, a pass flag, and the
-runtime.  `run_all` executes any subset; `format_report` renders one
-pass/fail line per criterion.
+measured quantities, the expected contract and a pass flag.  `run_all`
+executes any subset and records each criterion's runtime;
+`format_report` renders one pass/fail line per criterion.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ def _fmt(x, nd=6):
 
 def criterion_01() -> CriterionResult:
     """Square-well s-wave phase shift vs the closed matching formula."""
-    t0 = time.time()
     model = PotentialModel(kind="square_well", v0=1.0, width=1.0)
     k, R, v0 = 1.0, 1.0, 1.0
     delta = partialwave.radial_phase_shift(model, 0, k)
@@ -64,13 +63,11 @@ def criterion_01() -> CriterionResult:
     err = abs(delta - oracle)
     return CriterionResult(
         1, "partial-wave exactness", bool(err < 1e-6), "|err| < 1e-6",
-        {"delta": _fmt(delta), "oracle": _fmt(oracle), "err": _fmt(err, 3)},
-        time.time() - t0)
+        {"delta": _fmt(delta), "oracle": _fmt(oracle), "err": _fmt(err, 3)})
 
 
 def criterion_02() -> CriterionResult:
     """S-matrix unitarity and accumulation at 1 for large l."""
-    t0 = time.time()
     table = partialwave.phase_shift_table(GAUSS, 2.0, 25)
     eigs, _mult = partialwave.smatrix_eigenvalues(table)
     ls = np.arange(table.l_max + 1)
@@ -80,13 +77,11 @@ def criterion_02() -> CriterionResult:
     return CriterionResult(
         2, "S-matrix unitarity", ok,
         "| |S_l|-1 | < 1e-12 all l; |S_l - 1| < 1e-3 for l >= 20",
-        {"unit_dev": _fmt(unit_dev, 3), "tail_dev": _fmt(tail_dev, 3)},
-        time.time() - t0)
+        {"unit_dev": _fmt(unit_dev, 3), "tail_dev": _fmt(tail_dev, 3)})
 
 
 def criterion_03() -> CriterionResult:
     """First Born amplitude for a Yukawa vs the partial-wave amplitude."""
-    t0 = time.time()
     g, mu, k, theta = 0.1, 1.0, 2.0, np.pi / 2
     model = PotentialModel(kind="yukawa", v0=g, width=1.0 / mu)
     a_born = born.born_first_amplitude(model, k, theta)
@@ -103,13 +98,11 @@ def criterion_03() -> CriterionResult:
         3, "Born cross-validation", bool(rel < 0.05), "rel err < 5%",
         {"born": _fmt(a_born), "closed_form": _fmt(closed),
          "partial_wave": _fmt(a_pw), "rel": _fmt(rel, 3),
-         "rel_complex": _fmt(rel_complex, 3)},
-        time.time() - t0)
+         "rel_complex": _fmt(rel_complex, 3)})
 
 
 def criterion_04() -> CriterionResult:
     """High-energy kernel error order in lambda for N = 0, 1."""
-    t0 = time.time()
     lams = [25.0, 50.0, 100.0, 200.0]
     omega = np.array([0.0, 0.0, 1.0])
     omega_p = np.array([1.0, 0.0, 0.0])   # theta = pi/2
@@ -123,13 +116,11 @@ def criterion_04() -> CriterionResult:
         {"slope_N0": _fmt(fit0.slope, 3), "slope_N1": _fmt(fit1.slope, 3),
          "floor_N0": fit0.floor_warning, "floor_N1": fit1.floor_warning,
          "errors_N0": np.array2string(fit0.errors, precision=2),
-         "errors_N1": np.array2string(fit1.errors, precision=2)},
-        time.time() - t0)
+         "errors_N1": np.array2string(fit1.errors, precision=2)})
 
 
 def criterion_05() -> CriterionResult:
     """Eikonal phase quadrature vs the closed form for v0 <x>^-2."""
-    t0 = time.time()
     model = PotentialModel(kind="power_tail", v0=1.0, rho=2.0)
     worst = 0.0
     for xn in (1.0, 5.0, 20.0):
@@ -142,12 +133,11 @@ def criterion_05() -> CriterionResult:
             worst = max(worst, abs(val - closed))
     return CriterionResult(
         5, "eikonal closed form", bool(worst < 1e-6), "abs err < 1e-6",
-        {"worst_abs_err": _fmt(worst, 3)}, time.time() - t0)
+        {"worst_abs_err": _fmt(worst, 3)})
 
 
 def criterion_06() -> CriterionResult:
     """PDE residual: >= 5x drop N=0 -> N=2 at lambda=25; N=1 slope -0.5."""
-    t0 = time.time()
     axis = np.array([0.0, 0.0, 1.0])
     eik25 = eikonal.eikonal_iterate(GAUSS, axis, 5.0)
     r0 = eikonal.transport_solve(GAUSS, eik25, 0).residual_norm
@@ -162,12 +152,11 @@ def criterion_06() -> CriterionResult:
         6, "residual scaling", bool(ok),
         "drop(N0->N2) >= 5 and slope(N=1) = -0.5 +- 0.3",
         {"r_N0": _fmt(r0, 3), "r_N2": _fmt(r2, 3), "drop": _fmt(drop, 3),
-         "slope_N1": _fmt(slope, 3)}, time.time() - t0)
+         "slope_N1": _fmt(slope, 3)})
 
 
 def criterion_07() -> CriterionResult:
     """Plane-integral S-matrix kernel vs the partial-wave kernel."""
-    t0 = time.time()
     lam = 100.0
     omega0 = np.array([0.0, 0.0, 1.0])
     e1 = np.array([1.0, 0.0, 0.0])
@@ -187,12 +176,11 @@ def criterion_07() -> CriterionResult:
     return CriterionResult(
         7, "S0 vs exact kernel", bool(ok),
         "rel err <= 10% and window sensitivity < 10% at 10-30 deg",
-        measured, time.time() - t0)
+        measured)
 
 
 def criterion_08() -> CriterionResult:
     """Explicit free asymptote vs exact free evolution."""
-    t0 = time.time()
     f0 = propagator.gaussian_packet(n=2**13, dx=0.65, center=0.0, k0=2.0,
                                     sigma=1.0)
     fhat = propagator.gaussian_spectral_profile(center=0.0, k0=2.0, sigma=1.0)
@@ -207,13 +195,11 @@ def criterion_08() -> CriterionResult:
     return CriterionResult(
         8, "free asymptotics", bool(ok),
         "L2 err <= 0.01 at t=100, strictly smaller at t=200",
-        {"err_100": _fmt(errs[100.0], 3), "err_200": _fmt(errs[200.0], 3)},
-        time.time() - t0)
+        {"err_100": _fmt(errs[100.0], 3), "err_200": _fmt(errs[200.0], 3)})
 
 
 def criterion_09() -> CriterionResult:
     """Short/long-range dichotomy of Moller-limit Cauchy increments."""
-    t0 = time.time()
     times = [20.0, 40.0, 80.0, 160.0, 320.0]
     f0 = propagator.gaussian_packet(n=2**13, dx=0.65, center=0.0, k0=2.0,
                                     sigma=6.0)
@@ -236,13 +222,11 @@ def criterion_09() -> CriterionResult:
          "sr_decay": _fmt(rep_sr.decay_factor, 3),
          "lr_decay": _fmt(rep_lr.decay_factor, 3),
          "mod_decay": _fmt(rep_mod.decay_factor, 3),
-         "mod_increments": np.array2string(rep_mod.increments, precision=2)},
-        time.time() - t0)
+         "mod_increments": np.array2string(rep_mod.increments, precision=2)})
 
 
 def criterion_10() -> CriterionResult:
     """Time-domain l = 0 S-matrix element vs the stationary one."""
-    t0 = time.time()
     k = 1.0
     s_time = propagator.scattering_phase_from_time_domain(GAUSS, k)
     delta = partialwave.radial_phase_shift(GAUSS, 0, k)
@@ -251,12 +235,11 @@ def criterion_10() -> CriterionResult:
     return CriterionResult(
         10, "time-domain S-matrix", bool(diff < 1e-2), "|diff| < 1e-2",
         {"s_time": _fmt(s_time), "s_stat": _fmt(s_stat),
-         "diff": _fmt(diff, 3)}, time.time() - t0)
+         "diff": _fmt(diff, 3)})
 
 
 def criterion_11() -> CriterionResult:
     """Hilbert-Schmidt identity and its exact c-scaling."""
-    t0 = time.time()
     val1 = diagnostics.hs_norm_resolvent_weight(GAUSS, 1.0)
     val16 = diagnostics.hs_norm_resolvent_weight(GAUSS, 16.0)
     target = np.sqrt(np.pi) / 8.0
@@ -267,21 +250,19 @@ def criterion_11() -> CriterionResult:
         11, "Hilbert-Schmidt identity", bool(ok),
         "within 1% of sqrt(pi)/8; c -> 16c divides by 4 exactly",
         {"value": _fmt(val1, 8), "rel": _fmt(rel, 3),
-         "scale_dev": _fmt(scale_dev, 3)}, time.time() - t0)
+         "scale_dev": _fmt(scale_dev, 3)})
 
 
 def criterion_12() -> CriterionResult:
     """Mourre positivity for v = 0 on I = [1, 2]."""
-    t0 = time.time()
     val = diagnostics.mourre_check(ZERO, (1.0, 2.0), n=1024)
     return CriterionResult(
         12, "Mourre positivity", bool(abs(val - 4.0) <= 0.1), "4.0 +- 0.1",
-        {"min_eig": _fmt(val, 5)}, time.time() - t0)
+        {"min_eig": _fmt(val, 5)})
 
 
 def criterion_13() -> CriterionResult:
     """Kato-smoothness saturation threshold between r = 1 and r = 0.25."""
-    t0 = time.time()
     f0 = propagator.gaussian_packet(n=2**13, dx=0.65, center=0.0, k0=2.0,
                                     sigma=1.0)
     Ts = [25.0, 50.0, 100.0, 200.0]
@@ -293,13 +274,11 @@ def criterion_13() -> CriterionResult:
     return CriterionResult(
         13, "Kato-smoothness threshold", bool(ok),
         "r=1 growth < 1% on last doubling; r=0.25 growth > 10%",
-        {"growth_r1": _fmt(g1, 3), "growth_r025": _fmt(g2, 3)},
-        time.time() - t0)
+        {"growth_r1": _fmt(g1, 3), "growth_r025": _fmt(g2, 3)})
 
 
 def criterion_14() -> CriterionResult:
     """Limiting-absorption stability of the weighted resolvent norm."""
-    t0 = time.time()
     eps = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
     rep1 = diagnostics.lap_probe(ZERO, 1.0, 1.0, eps)
     rep2 = diagnostics.lap_probe(ZERO, 1.0, 0.25, eps)
@@ -308,12 +287,11 @@ def criterion_14() -> CriterionResult:
         14, "LAP stability", bool(ok),
         "r=1 change < 5% between eps=3e-3 and 1e-3; r=0.25 change > 20%",
         {"change_r1": _fmt(rep1.last_change, 3),
-         "change_r025": _fmt(rep2.last_change, 3)}, time.time() - t0)
+         "change_r025": _fmt(rep2.last_change, 3)})
 
 
 def criterion_15() -> CriterionResult:
     """Diagonal-singularity exponent probe (informational, no tolerance)."""
-    t0 = time.time()
     omega0 = np.array([0.0, 0.0, 1.0])
     angles = np.geomspace(0.5, 0.05, 6)
     measured = {}
@@ -326,15 +304,21 @@ def criterion_15() -> CriterionResult:
     return CriterionResult(
         15, "diagonal-singularity probe", True,
         "informational: fitted exponent reported vs -(1 + 1/rho)",
-        measured, time.time() - t0)
+        measured)
 
 
 CRITERIA = {i: globals()[f"criterion_{i:02d}"] for i in range(1, 16)}
 
 
+def _timed(criterion) -> CriterionResult:
+    t0 = time.perf_counter()
+    result = criterion()
+    return replace(result, runtime=time.perf_counter() - t0)
+
+
 def run_all(ids=None) -> list[CriterionResult]:
     ids = sorted(ids) if ids else sorted(CRITERIA)
-    return [CRITERIA[i]() for i in ids]
+    return [_timed(CRITERIA[i]) for i in ids]
 
 
 def format_report(results) -> str:

@@ -60,8 +60,6 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr."""
     if model.kind == "zero":
         return 0.0
-    if not model.radial:
-        raise ParameterError("built-in Born quadrature requires a radial model")
     q = 2.0 * k * np.sin(theta / 2.0)
     if q < 1e-12:
         # q -> 0 limit: -(4 pi)^-1 int v = - int_0^inf r^2 v dr
@@ -78,8 +76,6 @@ def born_first_phase_shift(model: PotentialModel, k: float, l: int,
     """delta_l^1 = -k int_0^inf v(r) j_l(kr)^2 r^2 dr."""
     if model.kind == "zero":
         return 0.0
-    if not model.radial:
-        raise ParameterError("Born phase shift requires a radial model")
     r_cut = model.tail_radius(1e-13)
     if model.kind == "power_tail":
         r_cut = min(r_cut, 5000.0)
@@ -169,8 +165,6 @@ def transport_coefficients(model: PotentialModel, omega_prime, x_grid,
     omega_prime = np.asarray(omega_prime, dtype=float)
     omega_prime = omega_prime / np.linalg.norm(omega_prime)
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    if not model.radial:
-        raise ParameterError("transport recursion implemented for radial models")
     if model.kind == "power_tail" and model.rho <= 1.0:
         raise DomainError("ray quadrature does not converge for long-range decay")
     if grid is None:
@@ -227,8 +221,6 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
         return BornKernelSample(lam, omega, omega_prime, 0.0 + 0.0j, N)
     if np.allclose(omega, omega_prime):
         raise ParameterError("omega must differ from omega_prime")
-    if not model.radial:
-        raise ParameterError("high-energy kernel implemented for radial models")
     R = _support_radius(model)
     sql = np.sqrt(lam)
     delta = omega_prime - omega

@@ -274,7 +274,7 @@ SCHEMA = {
                 "v0": _NUM,
                 "width": _POS,
                 "rho": _POS,
-                "radial": {"type": "boolean"},
+                "radial": {"const": True},
             },
         },
         "seed": {"type": "integer", "minimum": 0},

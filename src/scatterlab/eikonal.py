@@ -117,10 +117,6 @@ class EikonalData:
     def off_cone(self) -> np.ndarray:
         return _cyl.off_cone_mask(self.grid, -self.sign, self.cone_half_angle)
 
-    def phi_at(self, points, n: int) -> np.ndarray:
-        s, z = _cyl.cyl_coords(points, self.xi_hat)
-        return _cyl.interpolator(self.grid, self.phi_n[n])(np.column_stack([s, z]))
-
     def Phi_at(self, points) -> np.ndarray:
         s, z = _cyl.cyl_coords(points, self.xi_hat)
         return _cyl.interpolator(self.grid, self.Phi)(np.column_stack([s, z]))
@@ -182,8 +178,6 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     source |grad phi_1|^2.  Each table is anchored by the defining
     difference quadrature on the far row and marched along rays.
     """
-    if not model.radial:
-        raise ParameterError("eikonal tables implemented for radial models")
     if model.rho <= 0.5:
         raise ConvergenceError("iteration implemented for rho > 1/2")
     if N0 is None:

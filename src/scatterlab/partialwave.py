@@ -188,8 +188,6 @@ def _require_short_range(model: PotentialModel):
 
 
 def _validate_radial_inputs(model: PotentialModel, k: float, r_max: float):
-    if not model.radial:
-        raise ParameterError("partial-wave analysis requires a radial model")
     if k <= 0:
         raise ParameterError(f"momentum must be positive, got k={k}")
     if abs(float(model.radial_values(r_max))) > 1e-6:

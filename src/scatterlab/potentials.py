@@ -6,7 +6,7 @@ rho > 1 is short range, 0 < rho <= 1 long range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,27 +19,25 @@ YUKAWA_R_MIN = 1e-8
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """Scalar potential with decay metadata.
+    """Radial scalar potential v(|x|) with decay metadata.
 
     kind:      one of KINDS
     v0:        overall strength (sign included; wells are negative)
     width:     range parameter (gaussian/bump width, yukawa 1/mu, well radius)
     rho:       claimed decay exponent
-    radial:    all built-ins depend on |x| only
     """
 
     kind: str
     v0: float = 0.0
     width: float = 1.0
     rho: float = 2.0
-    radial: bool = field(default=True)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        if self.kind != "zero" and self.width <= 0:
+        if self.width <= 0:
             raise ValueError("width must be positive")
 
     # -- radial profile -------------------------------------------------
@@ -176,6 +174,4 @@ def model_from_config(spec: dict) -> PotentialModel:
     for key in ("v0", "width", "rho"):
         if key in spec:
             kwargs[key] = float(spec[key])
-    if "radial" in spec:
-        kwargs["radial"] = bool(spec["radial"])
     return PotentialModel(kind=kind, **kwargs)

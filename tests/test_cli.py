@@ -283,6 +283,14 @@ class TestTypedErrors:
             "params": {"lam": 64.0, "N": 1, "thetas": [np.deg2rad(130.0)]}},
             "directions must lie in the cap around omega0")
 
+    def test_modified_moller_on_yukawa_rejected(self, tmp_path, capsys):
+        # int_0 v dr diverges for the 1/r core, so the Dollard phase does too
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "moller",
+            "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
+            "params": {"n": 512, "times": [5.0, 10.0, 20.0],
+                       "modified": True}}, "Xi term diverges")
+
     def test_phaseshift_long_range_tail_rejected_at_once(self, tmp_path, capsys):
         start = time.perf_counter()
         self._assert_typed(tmp_path, capsys, {

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatterlab import cli
 from scatterlab.potentials import (
     KINDS,
     PotentialModel,
@@ -22,6 +25,11 @@ class TestModel:
             PotentialModel(kind="gaussian_well", width=0.0)
         with pytest.raises(ValueError):
             PotentialModel(kind="power_tail", rho=-1.0)
+
+    def test_zero_kind_needs_positive_width(self):
+        # the Xi term's panel edges scale with width for every kind
+        with pytest.raises(ValueError):
+            PotentialModel(kind="zero", width=0.0)
 
     def test_zero_everywhere(self):
         m = PotentialModel(kind="zero")
@@ -100,9 +108,18 @@ class TestConfig:
         with pytest.raises(KeyError):
             model_from_config({"v0": 1.0})
 
-    def test_radial_flag_passed_through(self):
-        assert not model_from_config({"kind": "zero", "radial": False}).radial
-        assert model_from_config({"kind": "zero"}).radial
+    def test_radial_schema_accepts_only_true(self, tmp_path):
+        # every kind is radial: the key stays valid for `true` only
+        config = {"experiment": "born",
+                  "potential": {"kind": "zero", "radial": True}}
+        cli.validate_config(config)
+        assert model_from_config(config["potential"]) == PotentialModel("zero")
+        config["potential"]["radial"] = False
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.run(str(path), out_dir=str(out)) == 2
+        assert not (out / "result.json").exists()
 
     @given(st.sampled_from([k for k in KINDS if k != "zero"]),
            st.floats(-2.0, 2.0), st.floats(0.1, 5.0))

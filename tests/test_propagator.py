@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from scatterlab import propagator
-from scatterlab.numerics import ParameterError
+from scatterlab.numerics import DomainError, ParameterError
 from scatterlab.potentials import PotentialModel
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
@@ -165,6 +166,73 @@ class TestAsymptotics:
         far = propagator._xi_potential_term(model, np.array([5e3]), t)
         assert far[0] == pytest.approx(
             t * model.v0 * 0.5 * np.sqrt(np.pi) * width / 5e3, rel=1e-15)
+
+
+class TestXiTerm:
+    """t (1/|x|) int_0^|x| v(r) dr on the default `moller` grid against a
+    closed form (or a quadrature on the support) for every finite kind."""
+
+    X = propagator.WavePacket("line", np.zeros(2**13, complex), 0.65).grid
+    T = 3.5
+
+    def _check(self, model, profile):
+        # profile(a) = (1/a) int_0^a v(r) dr / v0 for a > 0; v(0)/v0 at 0
+        ax = np.abs(self.X)
+        safe = np.where(ax > 0, ax, 1.0)
+        oracle = self.T * model.v0 * np.where(ax > 0, profile(safe), 1.0)
+        got = propagator._xi_potential_term(model, self.X, self.T)
+        np.testing.assert_allclose(got, oracle, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("width", [0.5, 1.0, 3.0])
+    def test_gaussian_well(self, width):
+        model = PotentialModel(kind="gaussian_well", v0=-1.3, width=width)
+        self._check(model, lambda a: 0.5 * np.sqrt(np.pi) * width
+                    * erf(a / width) / a)
+
+    @pytest.mark.parametrize("rho,primitive", [(1.0, np.arcsinh),
+                                               (2.0, np.arctan)])
+    def test_power_tail(self, rho, primitive):
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
+        self._check(model, lambda a: primitive(a) / a)
+
+    @pytest.mark.parametrize("width", [1.0, 2.3])
+    def test_square_well(self, width):
+        model = PotentialModel(kind="square_well", v0=-0.7, width=width)
+        self._check(model, lambda a: np.minimum(1.0, width / a))
+
+    @pytest.mark.parametrize("width", [1.0, 1.3])
+    def test_compact_bump(self, width):
+        model = PotentialModel(kind="compact_bump", v0=0.8, width=width)
+
+        def integral(b):
+            return quad(lambda r: float(model.radial_values(r)), 0.0, b,
+                        epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+        full = integral(width)
+        self._check(model, lambda a: np.array(
+            [integral(b) if b < width else full for b in a]) / (model.v0 * a))
+
+    def test_zero_potential(self):
+        got = propagator._xi_potential_term(ZERO, self.X, self.T)
+        assert np.array_equal(got, np.zeros_like(self.X))
+
+    @pytest.mark.parametrize("model,error", [
+        (PotentialModel(kind="yukawa", v0=0.5, width=0.3), DomainError),
+        (PotentialModel(kind="power_tail", v0=0.5, rho=0.5), ParameterError),
+    ], ids=["yukawa", "rho0.5"])
+    def test_refused_before_any_evolution(self, monkeypatch, model, error):
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("evolved a packet for a refused model")
+
+        for name in ("free_evolve", "split_step_evolve"):
+            monkeypatch.setattr(propagator, name, no_evolution)
+        fhat = propagator.gaussian_spectral_profile(0.0, 2.0, 1.0)
+        with pytest.raises(error):
+            propagator.modified_free_evolution(model, fhat, 60.0)
+        f0 = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0, k0=2.0,
+                                        sigma=3.0)
+        with pytest.raises(error):
+            propagator.modified_moller_probe(model, f0, [5.0, 10.0, 20.0])
 
 
 class TestMollerProbes:
