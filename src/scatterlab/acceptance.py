@@ -266,8 +266,8 @@ def criterion_13() -> CriterionResult:
     f0 = propagator.gaussian_packet(n=2**13, dx=0.65, center=0.0, k0=2.0,
                                     sigma=1.0)
     Ts = [25.0, 50.0, 100.0, 200.0]
-    rep1 = diagnostics.kato_smoothness_integral(1.0, f0, Ts, dt=0.5)
-    rep2 = diagnostics.kato_smoothness_integral(0.25, f0, Ts, dt=0.5)
+    rep1, rep2 = diagnostics.kato_smoothness_integrals([1.0, 0.25], f0, Ts,
+                                                       dt=0.5)
     g1 = (rep1.integrals[-1] - rep1.integrals[-2]) / rep1.integrals[-2]
     g2 = (rep2.integrals[-1] - rep2.integrals[-2]) / rep2.integrals[-2]
     ok = rep1.saturating and g2 > 0.10

@@ -99,6 +99,16 @@ def kato_smoothness_integral(r: float, f: propagator.WavePacket,
     Saturation verdict compares the last two T values, which are expected
     to be a doubling apart.
     """
+    return kato_smoothness_integrals([r], f, T_values, dt)[0]
+
+
+def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
+                              dt: float = 1.0) -> list[KatoReport]:
+    """kato_smoothness_integral for each r in rs, from one free evolution:
+    |e^{-iH0 t} f|^2 and its edge check are formed once per sample time
+    and summed against each <x>^{-2r}."""
+    if len(rs) < 1:
+        raise ParameterError("rs needs at least one entry")
     T_values = np.asarray(T_values, dtype=float)
     if len(T_values) < 2:
         raise ParameterError("T_values needs at least two entries")
@@ -107,22 +117,28 @@ def kato_smoothness_integral(r: float, f: propagator.WavePacket,
     if not np.isfinite(T_values[-1]):
         raise ParameterError("T_values must be finite")
     x = f.grid
-    w2 = (1.0 + x * x) ** -r        # <x>^{-2r}
+    w2 = [(1.0 + x * x) ** -r for r in rs]      # <x>^{-2r}
     norm2 = np.sum(np.abs(f.values) ** 2) * f.dx
     if norm2 == 0.0:
-        return KatoReport(r=r, T_values=T_values,
-                          integrals=np.zeros(len(T_values)), saturating=True)
+        return [KatoReport(r=r, T_values=T_values,
+                           integrals=np.zeros(len(T_values)), saturating=True)
+                for r in rs]
     ts = np.arange(0.0, T_values[-1] + 0.5 * dt, dt)
-    g = np.empty(len(ts))
+    g = np.empty((len(w2), len(ts)))
     for i, ev in enumerate(propagator.free_evolve_series(f, ts)):
         if ev.edge_mass() > propagator.EDGE_THRESHOLD:
             raise propagator.ReflectionError(f"edge mass breach at t={ev.t}")
-        g[i] = np.sum(w2 * np.abs(ev.values) ** 2) * f.dx
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1]))])
-    integrals = np.interp(T_values, ts, cum) / norm2
-    growth = (integrals[-1] - integrals[-2]) / max(integrals[-2], 1e-300)
-    return KatoReport(r=r, T_values=T_values, integrals=integrals,
-                      saturating=bool(growth < 0.01))
+        density = np.abs(ev.values) ** 2
+        for j, w in enumerate(w2):
+            g[j, i] = np.sum(w * density) * f.dx
+    reports = []
+    for r, gr in zip(rs, g):
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (gr[1:] + gr[:-1]))])
+        integrals = np.interp(T_values, ts, cum) / norm2
+        growth = (integrals[-1] - integrals[-2]) / max(integrals[-2], 1e-300)
+        reports.append(KatoReport(r=r, T_values=T_values, integrals=integrals,
+                                  saturating=bool(growth < 0.01)))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared numerical kernels: quadrature, special functions, and the unitary
-discrete Fourier transform (numpy.fft, norm="ortho").
+discrete Fourier transform (scipy.fft, norm="ortho").
 
 All routines are pure functions; units are hbar = 1, 2m = 1 so that the
 Hamiltonian is -Laplacian + v and energy = k**2.
@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 
@@ -114,7 +115,7 @@ def legendre_p_all(l_max: int, t) -> np.ndarray:
 
 
 def dft(values, direction: str = "forward") -> np.ndarray:
-    """Unitary discrete Fourier transform along the last axis (numpy.fft,
+    """Unitary discrete Fourier transform along the last axis (scipy.fft,
     norm="ortho"); the length must be a power of two.
 
     forward:  X_k = n^{-1/2} sum_j x_j exp(-2 pi i j k / n)
@@ -126,7 +127,7 @@ def dft(values, direction: str = "forward") -> np.ndarray:
     n = x.shape[-1]
     if n < 1 or n & (n - 1):
         raise ParameterError(f"length must be a power of two, got {n}")
-    transform = np.fft.fft if direction == "forward" else np.fft.ifft
+    transform = scipy.fft.fft if direction == "forward" else scipy.fft.ifft
     return transform(x, axis=-1, norm="ortho")
 
 

@@ -116,32 +116,44 @@ def _kinetic_phase(packet: WavePacket, t: float) -> np.ndarray:
     return np.exp(-1j * k * k * t)
 
 
-def _extend(values: np.ndarray, geometry: str) -> np.ndarray:
-    """The periodic array whose transform carries the kinetic step."""
+def _extend(values: np.ndarray, geometry: str, parity: int = -1) -> np.ndarray:
+    """The periodic array whose transform carries the kinetic step.
+
+    Radial samples 0..n-2 sit at indices 1..n-1 of 2n points and are
+    mirrored with the given parity (-1: the odd Dirichlet extension; +1:
+    the even extension of a multiplier such as a potential phase); indices
+    0 and n stay zero.
+    """
     if geometry == "line":
         return values
-    # Dirichlet half-line: odd extension on 2n points, periodic transform
     n = len(values)
     ext = np.zeros(2 * n, dtype=complex)
     ext[1:n] = values[: n - 1]
-    ext[n + 1:] = -values[n - 2::-1]
+    mirror = values[n - 2::-1]
+    ext[n + 1:] = -mirror if parity < 0 else mirror
     return ext
 
 
-def _restrict(out: np.ndarray, values: np.ndarray, geometry: str) -> np.ndarray:
-    """Inverse of _extend on the evolved periodic array."""
+def _restrict(out: np.ndarray, wall: np.ndarray, geometry: str) -> np.ndarray:
+    """Inverse of _extend on the evolved periodic array; the radial wall
+    sample (the last one), which the extension leaves out, is the
+    one-element array `wall`."""
     if geometry == "line":
         return out
-    n = len(values)
+    n = len(out) // 2
     res = out[1:n + 1].copy()
-    res[n - 1] = values[n - 1]
+    res[n - 1:] = wall
     return res
 
 
 def _apply_kinetic(values: np.ndarray, phase: np.ndarray,
                    geometry: str) -> np.ndarray:
-    out = dft(dft(_extend(values, geometry)) * phase, "inverse")
-    return _restrict(out, values, geometry)
+    """e^{-iH0 t} through one forward and one inverse transform; `phase` is
+    _kinetic_phase's multiplier.  A periodic array from _extend goes in as
+    geometry "line", which applies the step to it unchanged."""
+    spectrum = dft(_extend(values, geometry))
+    spectrum *= phase
+    return _restrict(dft(spectrum, "inverse"), values[-1:], geometry)
 
 
 def free_evolve(packet: WavePacket, t_target: float) -> WavePacket:
@@ -155,37 +167,53 @@ def free_evolve_series(packet: WavePacket, times):
     spectrum = dft(_extend(packet.values, packet.geometry))
     for t in times:
         out = dft(spectrum * _kinetic_phase(packet, t - packet.t), "inverse")
-        yield replace(packet, values=_restrict(out, packet.values, packet.geometry),
-                      t=t)
+        yield replace(packet, values=_restrict(out, packet.values[-1:],
+                                               packet.geometry), t=t)
 
 
 def split_step_evolve(packet: WavePacket, config: EvolutionConfig,
                       t_target: float) -> WavePacket:
     """Strang-split e^{-iH (t_target - t)}; raises ReflectionError when the
-    edge-mass monitor trips (result would be contaminated)."""
+    edge-mass monitor trips (result would be contaminated).
+
+    The state stays on the periodic array of _extend between steps; the
+    potential phases act on it through their even extension.  The radial
+    wall sample, which the kinetic step passes through, only takes the
+    potential phases.  The packet is restricted for the edge checks and
+    the result.
+    """
     config.validate(packet)
     span = t_target - packet.t
     if span == 0.0:
         return packet
     n_steps = max(1, int(np.ceil(abs(span) / config.dt)))
     dt = span / n_steps
+    geometry = packet.geometry
     v = config.model.radial_values(np.abs(packet.grid))
     half = np.exp(-0.5j * v * dt)
     full = half * half
     kin = _kinetic_phase(packet, dt)
     vals = packet.values * half
+    ext = _extend(vals, geometry)
+    ext_half = _extend(half, geometry, parity=1)
+    ext_full = _extend(full, geometry, parity=1)
+    wall = vals[-1:]
     check_every = max(1, n_steps // 64)
-    out = replace(packet, values=vals, t=t_target)
     for i in range(n_steps):
-        vals = _apply_kinetic(vals, kin, packet.geometry)
-        vals *= full if i < n_steps - 1 else half
-        if (i + 1) % check_every == 0 or i == n_steps - 1:
-            probe = replace(out, values=vals)
-            if probe.edge_mass() > config.edge_threshold:
+        ext = _apply_kinetic(ext, kin, "line")
+        last = i == n_steps - 1
+        ext *= ext_half if last else ext_full
+        # not *=: numpy rounds a one-element in-place product unlike the
+        # n-point products the restricted loop made
+        wall = wall * (half[-1:] if last else full[-1:])
+        if (i + 1) % check_every == 0 or last:
+            out = replace(packet, values=_restrict(ext, wall, geometry),
+                          t=t_target)
+            if out.edge_mass() > config.edge_threshold:
                 raise ReflectionError(
-                    f"edge mass {probe.edge_mass():.2e} exceeds "
+                    f"edge mass {out.edge_mass():.2e} exceeds "
                     f"{config.edge_threshold:.1e} at step {i + 1}")
-    return replace(out, values=vals)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +378,11 @@ def scattering_phase_from_time_domain(model: PotentialModel, k: float,
     sigma = packet_width
     pk = gaussian_packet(n, dx, center=r0, k0=-k, sigma=sigma, geometry="radial")
     t_out = r0 / k  # round trip at group velocity 2k
+    u_0 = free_evolve(pk, t_out)
     if model.kind == "zero":
-        u_v = free_evolve(pk, t_out)
+        u_v = u_0
     else:
         u_v = split_step_evolve(pk, EvolutionConfig(model=model, dt=dt), t_out)
-    u_0 = free_evolve(pk, t_out)
     # sine-transform coefficients pick out the outgoing e^{ikr} component
     r = pk.grid
     sin_k = np.sin(k * r)

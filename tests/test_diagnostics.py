@@ -191,8 +191,8 @@ class TestKato:
         assert np.array_equal(rep.integrals, oracle)
 
     def test_one_forward_transform_per_call(self, monkeypatch):
-        # C13: two calls of 401 sample times each; one forward transform
-        # per call plus one inverse per sample time
+        # C13: one call for both weights over 401 sample times; one forward
+        # transform plus one inverse per sample time
         calls = []
 
         def counted(values, direction="forward"):
@@ -201,8 +201,24 @@ class TestKato:
 
         monkeypatch.setattr(propagator, "dft", counted)
         assert acceptance.criterion_13().passed
-        assert len(calls) == 804
-        assert calls.count("forward") == 2
+        assert len(calls) == 402
+        assert calls.count("forward") == 1
+
+    def test_several_weights_match_one_call_each(self):
+        Ts = [5.0, 10.0, 20.0]
+        reps = diagnostics.kato_smoothness_integrals([1.0, 0.25, 0.5],
+                                                     self._packet(), Ts, dt=0.5)
+        assert [rep.r for rep in reps] == [1.0, 0.25, 0.5]
+        for rep in reps:
+            one = diagnostics.kato_smoothness_integral(rep.r, self._packet(),
+                                                       Ts, dt=0.5)
+            assert np.array_equal(rep.integrals, one.integrals)
+            assert rep.saturating == one.saturating
+
+    def test_no_weight_rejected(self):
+        with pytest.raises(ParameterError, match="rs"):
+            diagnostics.kato_smoothness_integrals([], self._packet(),
+                                                  [5.0, 10.0])
 
 
 class TestMourre:

@@ -160,6 +160,15 @@ class TestDft:
         assert np.allclose(dft(v), np.fft.fft(v, axis=-1) / np.sqrt(n),
                            rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2**p for p in range(3, 15)])
+    def test_matches_numpy_ortho_every_size(self, n):
+        rng = np.random.default_rng(n + 1)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for direction, ref in (("forward", np.fft.fft), ("inverse", np.fft.ifft)):
+            expect = ref(v, norm="ortho")
+            err = np.max(np.abs(dft(v, direction) - expect))
+            assert err <= 1e-12 * np.max(np.abs(expect))
+
     def test_freqs(self):
         n, dx = 16, 0.3
         assert np.allclose(dft_freqs(n, dx),

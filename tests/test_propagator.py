@@ -1,14 +1,72 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
 from scatterlab import propagator
-from scatterlab.numerics import DomainError, ParameterError
+from scatterlab.numerics import DomainError, ParameterError, dft
 from scatterlab.potentials import PotentialModel
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
 ZERO = PotentialModel(kind="zero")
+TAIL = PotentialModel(kind="power_tail", v0=0.5, rho=1.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Strang loop that extends and restricts the packet around every
+# kinetic step, kept as it was before the loop stayed on the periodic array
+# ---------------------------------------------------------------------------
+
+def _oracle_extend(values, geometry):
+    if geometry == "line":
+        return values
+    n = len(values)
+    ext = np.zeros(2 * n, dtype=complex)
+    ext[1:n] = values[: n - 1]
+    ext[n + 1:] = -values[n - 2::-1]
+    return ext
+
+
+def _oracle_restrict(out, values, geometry):
+    if geometry == "line":
+        return out
+    n = len(values)
+    res = out[1:n + 1].copy()
+    res[n - 1] = values[n - 1]
+    return res
+
+
+def _oracle_apply_kinetic(values, phase, geometry):
+    out = dft(dft(_oracle_extend(values, geometry)) * phase, "inverse")
+    return _oracle_restrict(out, values, geometry)
+
+
+def split_step_oracle(packet, config, t_target):
+    config.validate(packet)
+    span = t_target - packet.t
+    if span == 0.0:
+        return packet
+    n_steps = max(1, int(np.ceil(abs(span) / config.dt)))
+    dt = span / n_steps
+    v = config.model.radial_values(np.abs(packet.grid))
+    half = np.exp(-0.5j * v * dt)
+    full = half * half
+    kin = propagator._kinetic_phase(packet, dt)
+    vals = packet.values * half
+    check_every = max(1, n_steps // 64)
+    out = replace(packet, values=vals, t=t_target)
+    for i in range(n_steps):
+        vals = _oracle_apply_kinetic(vals, kin, packet.geometry)
+        vals *= full if i < n_steps - 1 else half
+        if (i + 1) % check_every == 0 or i == n_steps - 1:
+            probe = replace(out, values=vals)
+            if probe.edge_mass() > config.edge_threshold:
+                raise propagator.ReflectionError(
+                    f"edge mass {probe.edge_mass():.2e} exceeds "
+                    f"{config.edge_threshold:.1e} at step {i + 1}")
+    return replace(out, values=vals)
 
 
 def fourier_oracle(fhat, x, t):
@@ -121,6 +179,106 @@ class TestSplitStep:
         out = propagator._apply_kinetic(pk.values, phase, "radial")
         assert out[-1] == pk.values[-1]
         assert not np.allclose(out[:-1], pk.values[:-1])
+
+
+def _radial_packet(n=2**10, dx=0.65, center=150.0, k0=-1.0, sigma=8.0):
+    # a nonzero wall sample, so that its exact pass-through is seen
+    pk = propagator.gaussian_packet(n, dx, center=center, k0=k0, sigma=sigma,
+                                    geometry="radial")
+    vals = pk.values.copy()
+    vals[-1] = 1e-4 + 2e-4j
+    return replace(pk, values=vals)
+
+
+def _time_domain_setting():
+    # scattering_phase_from_time_domain(GAUSS, 1.0) with its defaults:
+    # n 512, dx 0.8, r0 = 0.45 n dx, 6145 Strang steps of dt ~ 0.03
+    n, dx, k = 2**9, 0.8, 1.0
+    r0 = n * dx * 0.45
+    pk = propagator.gaussian_packet(n, dx, center=r0, k0=-k, sigma=20.0,
+                                    geometry="radial")
+    return pk, propagator.EvolutionConfig(model=GAUSS, dt=0.03), r0 / k
+
+
+def _l2_rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestStrangOnPeriodicArray:
+    @pytest.mark.parametrize("model", [GAUSS, TAIL])
+    def test_line_matches_oracle_exactly(self, model):
+        # line geometry has no extension: the arithmetic is unchanged
+        f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=-20.0,
+                                        k0=1.5, sigma=3.0)
+        cfg = propagator.EvolutionConfig(model=model, dt=0.02)
+        out = propagator.split_step_evolve(f0, cfg, 12.0)
+        ref = split_step_oracle(f0, cfg, 12.0)
+        assert out.t == ref.t and out.geometry == "line"
+        assert np.array_equal(out.values, ref.values)
+
+    @pytest.mark.parametrize("model", [GAUSS, TAIL])
+    def test_radial_matches_oracle(self, model):
+        pk = _radial_packet()
+        cfg = propagator.EvolutionConfig(model=model, dt=0.02)
+        out = propagator.split_step_evolve(pk, cfg, 60.0)
+        ref = split_step_oracle(pk, cfg, 60.0)
+        assert out.t == ref.t and len(out.values) == len(ref.values)
+        assert _l2_rel(out.values, ref.values) <= 1e-12
+        assert out.values[-1] == ref.values[-1]
+
+    def test_time_domain_setting_matches_oracle(self):
+        pk, cfg, t_out = _time_domain_setting()
+        assert int(np.ceil(t_out / cfg.dt)) == 6145
+        out = propagator.split_step_evolve(pk, cfg, t_out)
+        ref = split_step_oracle(pk, cfg, t_out)
+        assert _l2_rel(out.values, ref.values) <= 1e-12
+        assert out.values[-1] == ref.values[-1]
+
+    @pytest.mark.parametrize("case", ["line", "radial"])
+    def test_reflection_same_step_and_message(self, case):
+        if case == "line":   # test_reflection_detected's case
+            pk = propagator.gaussian_packet(n=2**8, dx=0.65, center=0.0,
+                                            k0=2.0, sigma=2.0)
+            cfg = propagator.EvolutionConfig(model=GAUSS, dt=0.012)
+            t = 40.0
+        else:                # outgoing radial packet runs into the wall
+            pk = _radial_packet(n=2**9, center=150.0, k0=1.5)
+            cfg = propagator.EvolutionConfig(model=GAUSS, dt=0.02)
+            t = 60.0
+        with pytest.raises(propagator.ReflectionError) as expect:
+            split_step_oracle(pk, cfg, t)
+        with pytest.raises(propagator.ReflectionError) as got:
+            propagator.split_step_evolve(pk, cfg, t)
+        assert str(got.value) == str(expect.value)
+
+    @pytest.mark.parametrize("geometry", ["line", "radial"])
+    def test_one_kinetic_step_two_transforms_per_step(self, monkeypatch,
+                                                      geometry):
+        if geometry == "line":
+            pk = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0,
+                                            k0=1.0, sigma=2.0)
+        else:
+            pk = _radial_packet(n=2**9)
+        cfg = propagator.EvolutionConfig(model=GAUSS, dt=0.02)
+        n_steps = int(np.ceil(3.0 / cfg.dt))
+        kinetic, transforms = [], []
+        apply_kinetic = propagator._apply_kinetic
+
+        def counted_kinetic(values, phase, geom):
+            kinetic.append(len(values))
+            return apply_kinetic(values, phase, geom)
+
+        def counted_dft(values, direction="forward"):
+            transforms.append(direction)
+            return dft(values, direction)
+
+        monkeypatch.setattr(propagator, "_apply_kinetic", counted_kinetic)
+        monkeypatch.setattr(propagator, "dft", counted_dft)
+        propagator.split_step_evolve(pk, cfg, 3.0)
+        # each kinetic step acts on the periodic array: 2n points for radial
+        width = len(pk.values) * (2 if geometry == "radial" else 1)
+        assert kinetic == [width] * n_steps
+        assert transforms == ["forward", "inverse"] * n_steps
 
 
 class TestAsymptotics:
@@ -294,6 +452,29 @@ class TestTimeDomainSMatrix:
         with pytest.raises(ParameterError):
             propagator.scattering_phase_from_time_domain(GAUSS, 1.0,
                                                          packet_width=1.0)
+
+    def test_zero_potential_evolves_freely_once(self, monkeypatch):
+        # the reference and the "interacting" packet are one free evolution
+        n, dx, k = 2**9, 0.8, 1.0
+        r0 = n * dx * 0.45
+        pk = propagator.gaussian_packet(n, dx, center=r0, k0=-k, sigma=20.0,
+                                        geometry="radial")
+        u_v = propagator.free_evolve(pk, r0 / k)
+        u_0 = propagator.free_evolve(pk, r0 / k)
+        sin_k = np.sin(k * pk.grid)
+        expect = complex(np.sum(sin_k * u_v.values) * dx
+                         / (np.sum(sin_k * u_0.values) * dx))
+        calls = []
+        free_evolve = propagator.free_evolve
+
+        def counting(packet, t):
+            calls.append(t)
+            return free_evolve(packet, t)
+
+        monkeypatch.setattr(propagator, "free_evolve", counting)
+        val = propagator.scattering_phase_from_time_domain(ZERO, k)
+        assert calls == [r0 / k]
+        assert val == expect
 
     def test_unit_modulus(self):
         val = propagator.scattering_phase_from_time_domain(GAUSS, 1.0)
