@@ -159,14 +159,12 @@ def criterion_07() -> CriterionResult:
     """Plane-integral S-matrix kernel vs the partial-wave kernel."""
     lam = 100.0
     omega0 = np.array([0.0, 0.0, 1.0])
-    e1 = np.array([1.0, 0.0, 0.0])
     sols = eikonal.s0_solutions(GAUSS, lam, 3)
     measured = {}
     ok = True
     for deg in (10.0, 20.0, 30.0):
         th = np.deg2rad(deg)
-        w = np.cos(th / 2) * omega0 + np.sin(th / 2) * e1
-        wp = np.cos(th / 2) * omega0 - np.sin(th / 2) * e1
+        w, wp = eikonal.coplanar_pair(omega0, th)
         sample = eikonal.s0_kernel(GAUSS, lam, w, wp, omega0, solutions=sols)
         exact = born.exact_kernel(GAUSS, lam, th)
         rel = abs(sample.value - exact) / abs(exact)

@@ -102,7 +102,9 @@ def _run_highenergy(model, p, seed):
     omega_p = np.array([np.sin(theta), 0.0, np.cos(theta)])
     fit = born.measure_error_order(model, lams, omega, omega_p, N)
     rows = [[lam, err] for lam, err in zip(fit.lambdas, fit.errors)]
-    extra = {"slope": fit.slope, "theoretical": fit.theoretical,
+    # the fitted slope is NaN under the error floor; JSON has no NaN
+    extra = {"slope": None if fit.floor_warning else fit.slope,
+             "theoretical": fit.theoretical,
              "floor_warning": fit.floor_warning}
     flags = ["error_floor"] if fit.floor_warning else []
     return ["lambda", "abs_error"], rows, extra, flags
@@ -127,9 +129,7 @@ def _run_s0(model, p, seed):
     N = p.get("N", 3)
     thetas = p.get("thetas", [np.deg2rad(d) for d in (10, 20, 30)])
     omega0 = np.array([0.0, 0.0, 1.0])
-    e1 = np.array([1.0, 0.0, 0.0])
-    pairs = [(np.cos(th / 2) * omega0 + np.sin(th / 2) * e1,
-              np.cos(th / 2) * omega0 - np.sin(th / 2) * e1) for th in thetas]
+    pairs = [eikonal.coplanar_pair(omega0, th) for th in thetas]
     for w, wp in pairs:
         eikonal.s0_directions(w, wp, omega0)
     sols = eikonal.s0_solutions(model, float(lam), N)

@@ -10,17 +10,18 @@ tridiagonal LAPACK routines; no dense n x n matrix is formed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
-# name, so it stays bound until the tracer follows zgttrs/dtbtrs.
+# name, so it stays bound until the tracer follows zgttrs and
+# numerics.dtbtrs, the one dtbtrs binding in the package.
 from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import dtbtrs, zgttrf, zgttrs
+from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .numerics import DomainError, ParameterError, composite_gauss
+from .numerics import (DomainError, ParameterError, banded_recurrence,
+                       composite_gauss)
 from .potentials import PotentialModel
 from . import propagator
 
@@ -197,11 +198,6 @@ class LapReport:
                      / max(self.norms[-2], 1e-300))
 
 
-# Longest chunk of rows per banded solve of the Sturm recurrence; chunks
-# double up to it after each finite solve and halve on overflow.
-_STURM_CHUNK = 8192
-
-
 def _eig_count_below(diag, off, a: float) -> int:
     """Number of eigenvalues below a of the symmetric tridiagonal (diag, off).
 
@@ -209,11 +205,8 @@ def _eig_count_below(diag, off, a: float) -> int:
     q_0 = 1, q_i = (d_i - a) q_{i-1} - off_{i-1}^2 q_{i-2}.  The minors are
     taken divided by c^i with c = max|off|, which keeps their signs and,
     for a constant off-diagonal, bounds their growth inside the spectrum.
-    Each chunk of rows is one lower-triangular banded solve (LAPACK dtbtrs,
-    bandwidth 2) whose first two rows are identity rows carrying the last
-    two values, scaled below 1 by a power of two (exact, so no sign moves);
-    a chunk whose output is not finite is redone at half length, and later
-    chunks keep that length.
+    numerics.banded_recurrence solves the recurrence; its per-chunk scales
+    are powers of two, so no sign moves and they are not applied.
     """
     n = len(diag)
     c = float(np.max(np.abs(off), initial=0.0)) or 1.0
@@ -226,21 +219,7 @@ def _eig_count_below(diag, off, a: float) -> int:
     band[:, 0] = 1.0
     band[1:n + 1, 1] = (a - diag) / c
     band[1:n, 2] = (off / c) ** 2
-    s, m, grow = 2, 2, True
-    while s < n + 2:
-        top = math.frexp(max(abs(q[s - 2]), abs(q[s - 1])))[1]
-        q[s - 2:s] = np.ldexp(q[s - 2:s], -top)
-        band[s - 2, 1] = 0.0    # row s - 1 becomes an identity row
-        while True:
-            e = min(n + 2, s + m)
-            b = np.zeros(e - s + 2)
-            b[:2] = q[s - 2:s]
-            y, _ = dtbtrs(band[s - 2:e].T, b, uplo="L", overwrite_b=1)
-            if np.all(np.isfinite(y)) or m == 1:
-                break
-            m, grow = m // 2, False
-        q[s:e] = y[2:]
-        s, m = e, min(2 * m, _STURM_CHUNK) if grow else m
+    banded_recurrence(band, q)
     signs = np.sign(q[1:])
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] != signs[:-1]))

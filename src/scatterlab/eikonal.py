@@ -444,6 +444,15 @@ def s0_solutions(model: PotentialModel, lam: float, N: int,
     return _PsiEvaluator(sol_p), _PsiEvaluator(sol_m)
 
 
+def coplanar_pair(omega0: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, omega') = cos(theta/2) omega0 +- sin(theta/2) e1: the pair at
+    angle theta symmetric about the unit vector omega0, in the plane of
+    omega0 and e1 from _cyl.plane_basis(omega0)."""
+    e1, _ = _cyl.plane_basis(omega0)
+    return (np.cos(theta / 2) * omega0 + np.sin(theta / 2) * e1,
+            np.cos(theta / 2) * omega0 - np.sin(theta / 2) * e1)
+
+
 def s0_directions(omega, omega_prime, omega0):
     """Unit (omega, omega', omega0) for the S0 kernel; ParameterError when a
     direction leaves the cap omega . omega0 > 0.5 or the two coincide."""
@@ -503,12 +512,10 @@ def diagonal_exponent_probe(model: PotentialModel, lam: float, omega0,
     if len(angles) < 5 or angles[0] / angles[-1] < 8.0:
         raise ParameterError("need >= 5 decreasing angles spanning a decade")
     omega0 = _unit(omega0)
-    e1, _ = _cyl.plane_basis(omega0)
     solutions = s0_solutions(model, lam, N)
     vals, seps, ok = [], [], True
     for th in angles:
-        w = np.cos(th / 2) * omega0 + np.sin(th / 2) * e1
-        wp = np.cos(th / 2) * omega0 - np.sin(th / 2) * e1
+        w, wp = coplanar_pair(omega0, th)
         sample = s0_kernel(model, lam, w, wp, omega0, N=N, window=window,
                            solutions=solutions)
         vals.append(sample.value)

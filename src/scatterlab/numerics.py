@@ -1,5 +1,6 @@
-"""Shared numerical kernels: quadrature, special functions, and the unitary
-discrete Fourier transform (scipy.fft, norm="ortho").
+"""Shared numerical kernels: quadrature, special functions, the unitary
+discrete Fourier transform (scipy.fft, norm="ortho") and the chunked
+three-term recurrence (LAPACK dtbtrs).
 
 All routines are pure functions; units are hbar = 1, 2m = 1 so that the
 Hamiltonian is -Laplacian + v and energy = k**2.
@@ -7,10 +8,12 @@ Hamiltonian is -Laplacian + v and energy = k**2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from scipy.linalg.lapack import dtbtrs
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 
@@ -20,6 +23,10 @@ class ParameterError(ValueError):
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the routine."""
+
+
+class NumericalError(RuntimeError):
+    """Ill-conditioned or non-convergent numerical step."""
 
 
 @dataclass(frozen=True)
@@ -136,3 +143,60 @@ def dft_freqs(n: int, dx: float) -> np.ndarray:
     k = np.arange(n, dtype=float)
     k[n // 2:] -= n
     return 2.0 * np.pi * k / (n * dx)
+
+
+# Longest chunk of rows per banded solve.  Chunks start at 2 rows and
+# double after each solve that stays finite; one that overflows is halved
+# and redone, down to a single row.
+_CHUNK = 8192
+
+
+def banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]:
+    """Fill x[2:] from the seeds x[0], x[1] by the three-term recurrence
+    band[i-2, 2] x[i-2] + band[i-1, 1] x[i-1] + band[i, 0] x[i] = 0.
+
+    band (len(x) rows) is the lower band storage ab[d, j] = A[j+d, j] of
+    the recurrence matrix, held transposed.  Each chunk of rows is one
+    lower-triangular banded solve (LAPACK dtbtrs, bandwidth 2) whose first
+    two rows are identity rows carrying the last two values; band is
+    overwritten there.  Before each chunk those two values are scaled below
+    1 in magnitude by a power of two, and the rows keep that scale:
+    x[starts[i]:starts[i+1]] * 2**scales[i] is the solution, and
+    max |solution| < 2**peak.  Power-of-two scaling is exact, so the
+    solution does not depend on where chunks end.
+
+    Returns (starts, scales, peak).  A singular band, or a single row whose
+    value is not finite, raises NumericalError.
+    """
+    n = len(x)
+    starts, scales = [], []
+    scale = 0
+    peak = math.frexp(max(abs(x[0]), abs(x[1])))[1]
+    s, m = 2, 2
+    while s < n:
+        top = math.frexp(max(abs(x[s - 2]), abs(x[s - 1])))[1]
+        x[s - 2:s] = np.ldexp(x[s - 2:s], -top)
+        scale += top
+        starts.append(s - 2)
+        scales.append(scale)
+        # rows s-2 and s-1 become identity rows; a later chunk either starts
+        # past them or uses them as identity rows too
+        band[s - 2, :2] = (1.0, 0.0)
+        band[s - 1, 0] = 1.0
+        while True:
+            e = min(n, s + m)
+            b = np.zeros(e - s + 2)
+            b[:2] = x[s - 2:s]
+            y, info = dtbtrs(band[s - 2:e].T, b, uplo="L", overwrite_b=1)
+            if info != 0:
+                raise NumericalError(f"recurrence band is singular (dtbtrs info={info})")
+            size = float(np.max(np.abs(y)))
+            if math.isfinite(size):
+                break
+            if m == 1:
+                raise NumericalError(f"recurrence overflows or is not finite at row {s}")
+            m //= 2
+        x[s:e] = y[2:]
+        peak = max(peak, scale + math.frexp(size)[1])
+        s, m = e, min(2 * m, _CHUNK)
+    return starts, scales, peak

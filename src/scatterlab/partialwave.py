@@ -11,19 +11,14 @@ S(lambda) - Id on the sphere equals (i k / 2 pi) * a at d = 3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
-from .numerics import (DomainError, ParameterError, legendre_p_all,
-                       spherical_bessel, spherical_jl)
+from .numerics import (DomainError, NumericalError, ParameterError,
+                       banded_recurrence, legendre_p_all, spherical_bessel,
+                       spherical_jl)
 from .potentials import PotentialModel
-
-
-class NumericalError(RuntimeError):
-    """Ill-conditioned or non-convergent numerical step."""
 
 
 @dataclass(frozen=True)
@@ -54,10 +49,6 @@ def _default_r_max(model: PotentialModel, k: float) -> float:
     return max(model.tail_radius(1e-10), 30.0 / k + model.effective_range)
 
 
-# Longest chunk of rows per banded solve.  Chunks start at 2 rows and
-# double after each solve that stays finite; one that overflows is halved
-# and redone, down to a single row.
-_CHUNK = 8192
 # A channel whose solution would reach 2**_MAX_EXP (about 1e250) is scaled
 # down by a power of two so that max |u| < 2**_MAX_EXP.
 _MAX_EXP = 830
@@ -65,55 +56,19 @@ _MAX_EXP = 830
 
 def _sweep(f: np.ndarray, u: np.ndarray) -> None:
     """Fill u[2:] from the seeds u[0], u[1] by the Numerov recursion
-    f[i-1] u[i-1] - (12 - 10 f[i]) u[i] + f[i+1] u[i+1] = 0.
-
-    Each chunk of rows is one lower-triangular banded solve (LAPACK dtbtrs,
-    bandwidth 2) whose first two rows are identity rows carrying the last
-    two values.  Before each chunk those two values are scaled below 1 in
-    magnitude by a power of two, and the rows keep that scale until the
-    sweep ends; then one ldexp per chunk brings the channel onto a common
-    scale.  Power-of-two scaling is exact, so u does not depend on where
-    chunks end.
+    f[i-1] u[i-1] - (12 - 10 f[i]) u[i] + f[i+1] u[i+1] = 0, solved by
+    numerics.banded_recurrence; then one ldexp per chunk brings the
+    channel onto a common scale.
     """
-    n = len(u)
-    # lower band storage ab[d, j] = A[j+d, j], held transposed: row j is
-    # f[j] on the diagonal, -(12 - 10 f[j]) one row down, f[j] two rows down
-    band = np.empty((n, 3))
+    # lower band storage, transposed: row j is f[j] on the diagonal,
+    # -(12 - 10 f[j]) one row down, f[j] two rows down
+    band = np.empty((len(u), 3))
     band[:, 0] = f
     band[:, 1] = 10.0 * f - 12.0
     band[:, 2] = f
-    starts, scales = [], []  # u[starts[i]:starts[i+1]] * 2**scales[i] is the solution
-    scale = 0
-    peak = math.frexp(max(abs(u[0]), abs(u[1])))[1]  # max |solution| < 2**peak
-    s, m = 2, 2
-    while s < n:
-        top = math.frexp(max(abs(u[s - 2]), abs(u[s - 1])))[1]
-        u[s - 2:s] = np.ldexp(u[s - 2:s], -top)
-        scale += top
-        starts.append(s - 2)
-        scales.append(scale)
-        # rows s-2 and s-1 become identity rows; a later chunk either starts
-        # past them or uses them as identity rows too
-        band[s - 2, :2] = (1.0, 0.0)
-        band[s - 1, 0] = 1.0
-        while True:
-            e = min(n, s + m)
-            b = np.zeros(e - s + 2)
-            b[:2] = u[s - 2:s]
-            x, info = dtbtrs(band[s - 2:e].T, b, uplo="L", overwrite_b=1)
-            if info != 0:
-                raise NumericalError(f"Numerov band is singular (dtbtrs info={info})")
-            size = float(np.max(np.abs(x)))
-            if math.isfinite(size):
-                break
-            if m == 1:
-                raise NumericalError(f"Numerov sweep overflows or is not finite at row {s}")
-            m //= 2
-        u[s:e] = x[2:]
-        peak = max(peak, scale + math.frexp(size)[1])
-        s, m = e, min(2 * m, _CHUNK)
+    starts, scales, peak = banded_recurrence(band, u)
     shift = max(0, peak - _MAX_EXP)
-    for a, z, scale in zip(starts, starts[1:] + [n], scales):
+    for a, z, scale in zip(starts, starts[1:] + [len(u)], scales):
         u[a:z] = np.ldexp(u[a:z], scale - shift)
 
 
@@ -187,43 +142,34 @@ def _require_short_range(model: PotentialModel):
             f"power tail (rho={model.rho} <= 1)")
 
 
-def _validate_radial_inputs(model: PotentialModel, k: float, r_max: float):
+def _phase_shifts(model: PotentialModel, ls: np.ndarray, k: float,
+                  r_max: float | None, dr: float) -> np.ndarray:
+    """delta_l(k) of every channel in ls on one shared Numerov grid."""
+    _require_short_range(model)
+    if r_max is None:
+        r_max = _default_r_max(model, k)
     if k <= 0:
         raise ParameterError(f"momentum must be positive, got k={k}")
-    if abs(float(model.radial_values(r_max))) > 1e-6:
-        raise ParameterError(
-            f"r_max={r_max} too small: |v(r_max)| = "
-            f"{abs(float(model.radial_values(r_max))):.2e} > 1e-6"
-        )
+    tail = abs(float(model.radial_values(r_max)))
+    if tail > 1e-6:
+        raise ParameterError(f"r_max={r_max} too small: |v(r_max)| = {tail:.2e} > 1e-6")
+    if model.kind == "zero":
+        return np.zeros(len(ls))
+    r, u = _numerov_channels(model, ls, k, r_max, dr)
+    return _match_phase(u, r, ls, k)
 
 
 def radial_phase_shift(model: PotentialModel, l: int, k: float,
                        r_max: float | None = None, dr: float = 1e-3) -> float:
     """delta_l at momentum k, reduced to (-pi/2, pi/2]."""
-    _require_short_range(model)
-    if r_max is None:
-        r_max = _default_r_max(model, k)
-    _validate_radial_inputs(model, k, r_max)
-    if model.kind == "zero":
-        return 0.0
-    ls = np.array([l])
-    r, u = _numerov_channels(model, ls, k, r_max, dr)
-    return float(_match_phase(u, r, ls, k)[0])
+    return float(_phase_shifts(model, np.array([l]), k, r_max, dr)[0])
 
 
 def phase_shift_table(model: PotentialModel, k: float, l_max: int,
                       r_max: float | None = None, dr: float = 1e-3) -> PhaseShiftTable:
     """All channels 0..l_max on one shared Numerov grid."""
-    _require_short_range(model)
-    if r_max is None:
-        r_max = _default_r_max(model, k)
-    _validate_radial_inputs(model, k, r_max)
-    if model.kind == "zero":
-        return PhaseShiftTable(k=k, l_max=l_max, delta=np.zeros(l_max + 1), model=model)
-    ls = np.arange(l_max + 1)
-    r, u = _numerov_channels(model, ls, k, r_max, dr)
-    return PhaseShiftTable(k=k, l_max=l_max, delta=_match_phase(u, r, ls, k),
-                           model=model)
+    return PhaseShiftTable(k=k, l_max=l_max, model=model, delta=_phase_shifts(
+        model, np.arange(l_max + 1), k, r_max, dr))
 
 
 def smatrix_eigenvalues(table: PhaseShiftTable) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,24 @@ from scatterlab import (acceptance, born, cli, diagnostics, eikonal, entry,
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _no_constant(name):
+    raise ValueError(f"result.json holds {name}, which strict JSON rejects")
+
+
+@pytest.fixture(autouse=True)
+def strict_result_json(monkeypatch):
+    """Every result.json a CLI run here writes parses as strict JSON."""
+    write = cli._write_outputs
+
+    def checked(*args, **kwargs):
+        csv_path, json_path = write(*args, **kwargs)
+        with open(json_path, encoding="utf-8") as fh:
+            json.load(fh, parse_constant=_no_constant)
+        return csv_path, json_path
+
+    monkeypatch.setattr(cli, "_write_outputs", checked)
+
+
 def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
@@ -109,6 +127,19 @@ class TestRun:
         assert cli.run(path, strict=True, out_dir=str(out)) == 3
         record = json.loads((out / "result.json").read_text())
         assert "lap_not_stable" in record["provenance"]["flags"]
+
+    def test_highenergy_floor_slope_is_null(self, tmp_path):
+        # every error lies under the floor at N = 0, so no slope is fitted
+        path = write_config(tmp_path, {
+            "experiment": "highenergy",
+            "potential": {"kind": "gaussian_well"},
+            "params": {"N": 0}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        record = json.loads((out / "result.json").read_text())
+        assert record["provenance"]["flags"] == ["error_floor"]
+        assert record["extra"]["floor_warning"] is True
+        assert record["extra"]["slope"] is None
 
     def test_amplitude_angle_out_of_range(self, tmp_path):
         path = write_config(tmp_path, {

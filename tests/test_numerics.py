@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
+from scatterlab import numerics
 from scatterlab.numerics import (
+    NumericalError,
     ParameterError,
+    banded_recurrence,
     composite_gauss,
     dft,
     dft_freqs,
@@ -182,3 +185,69 @@ class TestDft:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert np.linalg.norm(dft(v)) == pytest.approx(np.linalg.norm(v),
                                                        rel=1e-12)
+
+
+def recurrence_loop(band, x0, x1):
+    """The recurrence band[i-2, 2] x[i-2] + band[i-1, 1] x[i-1]
+    + band[i, 0] x[i] = 0 one row at a time, unscaled."""
+    x = [x0, x1]
+    for i in range(2, len(band)):
+        x.append(-(band[i - 2, 2] * x[i - 2] + band[i - 1, 1] * x[i - 1])
+                 / band[i, 0])
+    return np.array(x)
+
+
+def random_band(rng, n):
+    """A recurrence x[i] = g (w x[i-1] + (1 - w) x[i-2]) with random
+    diagonal, weights w and gains g: a positive solution that grows by
+    about 1e100 over 3000 rows, free of cancellation."""
+    d = rng.uniform(1.0, 2.0, n)
+    w = rng.uniform(0.2, 0.8, n)
+    g = rng.uniform(0.95, 1.25, n)
+    band = np.empty((n, 3))
+    band[:, 0] = d
+    band[:-1, 1] = -(d * w * g)[1:]
+    band[:-2, 2] = -(d * (1.0 - w) * g)[2:]
+    band[-1, 1:] = band[-2, 2] = 0.0
+    return band
+
+
+class TestBandedRecurrence:
+    @pytest.mark.parametrize("chunk", [3, 64, numerics._CHUNK])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_step_loop(self, monkeypatch, chunk, seed):
+        monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        n = 3000
+        band = random_band(rng, n)
+        x = np.zeros(n)
+        x[:2] = rng.uniform(0.5, 3.0, 2)
+        expected = recurrence_loop(band, x[0], x[1])
+        starts, scales, peak = banded_recurrence(band.copy(), x)
+        assert starts[0] == 0 and 1 <= np.diff(starts).min()
+        assert np.diff(starts).max() <= chunk
+        for a, z, scale in zip(starts, starts[1:] + [n], scales):
+            x[a:z] = np.ldexp(x[a:z], scale)
+        assert np.max(np.abs(x)) > 1e50
+        assert np.allclose(x, expected, rtol=1e-11, atol=0.0)
+        assert 2.0 ** (peak - 1) <= np.max(np.abs(x)) < 2.0 ** peak
+
+    def test_zero_diagonal_raises(self):
+        band = np.ones((40, 3))
+        band[:, 1] = -2.0
+        band[5, 0] = 0.0
+        x = np.zeros(40)
+        x[:2] = (1.0, 2.0)
+        with pytest.raises(NumericalError, match="singular"):
+            banded_recurrence(band, x)
+
+    def test_row_overflow_raises(self):
+        # x[i] = i + 1 up to row 10, whose tiny diagonal takes it past the
+        # float range however short the chunk
+        band = np.ones((40, 3))
+        band[:, 1] = -2.0
+        band[10, 0] = 1e-320
+        x = np.zeros(40)
+        x[:2] = (1.0, 2.0)
+        with pytest.raises(NumericalError, match="row 10"):
+            banded_recurrence(band, x)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterlab import born, partialwave
+from scatterlab import born, numerics, partialwave
 from scatterlab.numerics import DomainError, ParameterError
 from scatterlab.potentials import PotentialModel
 
@@ -131,8 +131,8 @@ class TestNumerovSweep:
         # rows to subnormal numbers or zero; l = 0, 3 and 60 keep u ~ r^(l+1)
         ls = np.array([0, 3, 60, 250])
         runs = []
-        for chunk in (3, 64, 1000, partialwave._CHUNK):
-            monkeypatch.setattr(partialwave, "_CHUNK", chunk)
+        for chunk in (3, 64, 1000, numerics._CHUNK):
+            monkeypatch.setattr(numerics, "_CHUNK", chunk)
             runs.append(partialwave._numerov_channels(GAUSS, ls, 2.0, 8.0, 1e-3)[1])
         assert 2.0 ** 829 <= np.max(np.abs(runs[0][:, 3])) < 2.0 ** 830
         for u in runs[1:]:
@@ -140,14 +140,14 @@ class TestNumerovSweep:
 
     def test_large_l_splits_chunk(self, monkeypatch):
         finite = []
-        solve = partialwave.dtbtrs
+        solve = numerics.dtbtrs
 
         def spy(*args, **kwargs):
             x, info = solve(*args, **kwargs)
             finite.append(bool(np.all(np.isfinite(x))))
             return x, info
 
-        monkeypatch.setattr(partialwave, "dtbtrs", spy)
+        monkeypatch.setattr(numerics, "dtbtrs", spy)
         # u ~ r^1201 grows by 2^1201 over the first 2-row chunk
         delta = partialwave.radial_phase_shift(GAUSS, 1200, 60.0, r_max=30.0)
         assert not all(finite)
