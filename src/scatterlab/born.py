@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
+# name, so it stays bound until the tracer drops it.
+from scipy.integrate import quad  # noqa: F401
 
 from . import _cyl
 from .numerics import DomainError, ParameterError, composite_gauss, spherical_jl
-from .potentials import PotentialModel
+from .potentials import PotentialModel, line_integral
 from . import partialwave
 
 FORWARD_CONE_HALF_ANGLE = np.deg2rad(15.0)
@@ -87,7 +89,7 @@ def born_first_phase_shift(model: PotentialModel, k: float, l: int,
     jl = spherical_jl(l, k * rule.nodes)
     val = -k * float(np.dot(rule.weights, model.radial_values(rule.nodes) * jl * jl * rule.nodes**2))
     # averaged tail: j_l(kr)^2 r^2 ~ 1/(2 k^2) gives -int_R v dr / (2k)
-    tail = abs(quad(lambda r: model.radial_values(r), r_cut, np.inf, limit=200)[0]) / (2.0 * k)
+    tail = abs(float(line_integral(model, 0.0, r_cut))) / (2.0 * k)
     if tail > tol * (1.0 + abs(val)):
         raise ConvergenceError(f"tail estimate {tail:.2e} exceeds tolerance")
     return val
@@ -125,26 +127,14 @@ def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid):
     tables[0] = 1.0
     g = v.copy()  # -Lap b_0 + v b_0
     for n in range(1, N + 1):
-        # tail below z_min for the n=0 source only; higher sources decay
-        # at least as fast and the grid is sized so the tail is negligible
+        # tail int_-inf^z_min v dz for the n=0 source only; higher sources
+        # decay at least as fast and the grid is sized so the tail is negligible
         anchor = np.zeros(len(grid.s))
-        if np.max(np.abs(g[:, 0])) > RAY_TRUNCATION:
-            anchor = _tail_anchor(model, grid, tables[n - 1])
+        if n == 1 and np.max(np.abs(g[:, 0])) > RAY_TRUNCATION:
+            anchor = line_integral(model, grid.s, -grid.z[0])
         tables[n] = _cyl.march_up(g, grid, anchor)
         g = -_cyl.laplacian(tables[n], grid) + v * tables[n]
     return tables, g
-
-
-def _tail_anchor(model: PotentialModel, grid: _cyl.CylGrid, b_prev) -> np.ndarray:
-    """int_-inf^{z_min} v(s, z) b_prev dz per s-row, for slowly decaying v."""
-    if np.allclose(b_prev, 1.0):
-        out = np.empty(len(grid.s))
-        z0 = grid.z[0]
-        for i, s in enumerate(grid.s):
-            out[i] = quad(lambda z: float(model.radial_values(np.hypot(s, z))),
-                          -np.inf, z0, limit=200)[0]
-        return out
-    return np.zeros(len(grid.s))
 
 
 def _default_cyl_grid(model: PotentialModel, margin: float = 1.0,

@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
+# name, so it stays bound until the tracer drops it.
+from scipy.integrate import quad  # noqa: F401
 
 from . import _cyl
 from .numerics import DomainError, ParameterError, composite_gauss
-from .potentials import PotentialModel
+from .potentials import PotentialModel, line_integral, ray_difference
 from .born import ConvergenceError
 
 CONE_HALF_ANGLE = np.deg2rad(15.0)
@@ -52,10 +54,12 @@ def default_n0(rho: float) -> int:
 
 def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int,
                            cone_half_angle: float = CONE_HALF_ANGLE) -> float:
-    """Phi_pm at a point by direct quadrature of the defining integral.
+    """Phi_pm at a point from potentials.ray_difference (closed form for
+    power tails, a composite Gauss rule on the support crossings otherwise).
 
     Requires rho > 1/2 for absolute convergence of the difference
-    integrand; x must avoid the cone around -sign * xi direction.
+    integrand; x must avoid the cone around -sign * xi direction.  yukawa
+    raises DomainError: the reference ray int_0^inf v diverges at the core.
     """
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
@@ -64,23 +68,14 @@ def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int,
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     xi_hat = _unit(xi)
-    r = np.linalg.norm(x)
-    if r > 0:
-        cos_to_bad = float(x @ (-sign * xi_hat)) / r
-        if cos_to_bad > np.cos(cone_half_angle):
-            raise DomainError("x lies inside the excluded cone around "
-                              "-sign * xi direction")
-    if model.kind == "zero":
-        return 0.0
-
-    def integrand(t):
-        return (float(model.radial_values(np.linalg.norm(x + sign * t * xi)))
-                - float(model.radial_values(t * np.linalg.norm(xi))))
-
-    val, err = quad(integrand, 0.0, np.inf, limit=400)
-    if err > 1e-8 * (1.0 + abs(val)):
-        raise ConvergenceError(f"ray quadrature tail estimate {err:.2e}")
-    return sign * 0.5 * val
+    # t |xi| = w - sign z: the ray x + sign t xi runs along w from sign z
+    # outward, on the line at distance s from the origin
+    z = float(x @ xi_hat)
+    s = np.linalg.norm(x - z * xi_hat)
+    if -sign * z > np.cos(cone_half_angle) * np.linalg.norm(x):
+        raise DomainError("x lies inside the excluded cone around "
+                          "-sign * xi direction")
+    return sign * 0.5 * float(ray_difference(model, s, sign * z)) / np.linalg.norm(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -122,49 +117,20 @@ class EikonalData:
         return _cyl.interpolator(self.grid, self.Phi)(np.column_stack([s, z]))
 
 
-def _phi1_anchor(model: PotentialModel, grid: _cyl.CylGrid, sign: int) -> np.ndarray:
-    """phi_1 on the anchor row (z_max for sign +, z_min for sign -) by the
-    defining difference quadrature."""
-    z0 = grid.z[-1] if sign > 0 else grid.z[0]
-    out = np.empty(len(grid.s))
-    for i, s in enumerate(grid.s):
-        def integrand(t, s=s):
-            return (float(model.radial_values(np.hypot(s, z0 + sign * t)))
-                    - float(model.radial_values(t)))
-        out[i] = sign * quad(integrand, 0.0, np.inf, limit=400)[0]
-    return out
+def _phi3_anchor(model: PotentialModel, s: np.ndarray, a: float, sign: int) -> np.ndarray:
+    """phi_3 = sign * int_0^inf (f3(x + sign t e_z) - f3(t e_z)) dt on the
+    anchor row (rays from w = a on the lines at distances s), with
+    f3 = |grad phi_1|^2 = v^2 + (d_s phi_1)^2 and d_s phi_1 a central
+    difference of ray_difference (zero on the axis).  Both line_integral
+    rules end on the same sphere, so the v^2 tails of a power tail, which
+    the rules cut off, cancel to O(s^2 R^(-2 rho - 1)) at its radius R."""
+    h = 1e-4 * model.width
 
-
-def _phi1_s_pointwise(model: PotentialModel, s: float, z: float, sign: int,
-                      h: float = 1e-4) -> float:
-    """s-derivative of phi_1 by the differentiated ray integral."""
-    def integrand(t):
-        r = np.hypot(s, z + sign * t)
-        if r < 1e-12:
-            return 0.0
-        dv = (float(model.radial_values(r + h)) - float(model.radial_values(r - h))) / (2 * h)
-        return dv * s / r
-    return sign * quad(integrand, 0.0, np.inf, limit=400)[0]
-
-
-def _phi3_anchor(model: PotentialModel, grid: _cyl.CylGrid, sign: int) -> np.ndarray:
-    """Anchor row for phi_3 (source |grad phi_1|^2), difference quadrature
-    with the inner ray integral for the transverse derivative."""
-    z0 = grid.z[-1] if sign > 0 else grid.z[0]
-
-    def f3(s, z):
-        v = float(model.radial_values(np.hypot(s, z)))
-        if s == 0.0:
-            return v * v
-        p = _phi1_s_pointwise(model, s, z, sign)
-        return v * v + p * p
-
-    out = np.empty(len(grid.s))
-    for i, s in enumerate(grid.s):
-        def integrand(t, s=s):
-            return f3(s, z0 + sign * t) - f3(0.0, sign * t)
-        out[i] = sign * quad(integrand, 0.0, np.inf, limit=100)[0]
-    return out
+    def f3(s, w):
+        ds_phi1 = (ray_difference(model, s + h, w)
+                   - ray_difference(model, np.abs(s - h), w)) / (2.0 * h)
+        return model.radial_values(np.hypot(s, w)) ** 2 + ds_phi1**2
+    return sign * (line_integral(model, s, a, f=f3) - line_integral(model, 0.0, 0.0, f=f3))
 
 
 def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
@@ -175,8 +141,8 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
 
     With zero vector potential phi_0 = 0 and the even orders vanish;
     phi_1 solves the ray equation with source v, phi_3 the one with
-    source |grad phi_1|^2.  Each table is anchored by the defining
-    difference quadrature on the far row and marched along rays.
+    source |grad phi_1|^2.  Each table is anchored by the difference ray
+    integral on the far row and marched along rays.
     """
     if model.rho <= 0.5:
         raise ConvergenceError("iteration implemented for rho > 1/2")
@@ -198,24 +164,18 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     r = grid.radius()
     v = model.radial_values(r)
 
+    # the tables are anchored on the far row (z_max for sign +, z_min for
+    # sign -), whose rays x + sign t e_z run along w = sign z from a outward
+    march = _cyl.march_down if sign > 0 else _cyl.march_up
+    a = grid.z[-1] if sign > 0 else -grid.z[0]
     phi = [np.zeros_like(v)]  # phi_0 = 0 for zero vector potential
     if N0 >= 1:
-        anchor = _phi1_anchor(model, grid, sign)
-        if sign > 0:
-            phi1 = _cyl.march_down(-v, grid, anchor)
-        else:
-            phi1 = _cyl.march_up(-v, grid, anchor)
-        phi.append(phi1)
+        phi.append(march(-v, grid, sign * ray_difference(model, grid.s, a)))
     if N0 >= 2:
         phi.append(np.zeros_like(v))  # phi_2: source 2 grad phi_0 . grad phi_1 = 0
     if N0 >= 3:
         f3 = _cyl.d_ds(phi[1], grid) ** 2 + _cyl.d_dz(phi[1], grid) ** 2
-        anchor3 = _phi3_anchor(model, grid, sign)
-        if sign > 0:
-            phi3 = _cyl.march_down(-f3, grid, anchor3)
-        else:
-            phi3 = _cyl.march_up(-f3, grid, anchor3)
-        phi.append(phi3)
+        phi.append(march(-f3, grid, _phi3_anchor(model, grid.s, a, sign)))
     if N0 >= 4:
         phi.append(np.zeros_like(v))  # phi_4: sources vanish with phi_0 = phi_2 = 0
 

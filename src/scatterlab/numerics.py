@@ -50,10 +50,8 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
         raise ParameterError(f"need at least one node, got n={n}")
     if not a < b:
         raise ParameterError(f"degenerate interval [{a}, {b}]")
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return QuadratureRule(nodes=mid + half * x, weights=half * w, interval=(a, b))
+    nodes, weights = gauss_panels(n, a, b)
+    return QuadratureRule(nodes=nodes, weights=weights, interval=(a, b))
 
 
 def composite_gauss(n_per_panel: int, edges) -> QuadratureRule:
@@ -67,15 +65,21 @@ def composite_gauss(n_per_panel: int, edges) -> QuadratureRule:
         raise ParameterError("edges must be strictly increasing, at least two")
     if n_per_panel < 1:
         raise ParameterError(f"need at least one node, got n={n_per_panel}")
-    x, w = np.polynomial.legendre.leggauss(n_per_panel)
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return QuadratureRule(
-        nodes=(mid[:, None] + half[:, None] * x).ravel(),
-        weights=(half[:, None] * w).ravel(),
-        interval=(float(edges[0]), float(edges[-1])),
-    )
+    nodes, weights = gauss_panels(n_per_panel, edges[:-1], edges[1:])
+    return QuadratureRule(nodes=nodes.ravel(), weights=weights.ravel(),
+                          interval=(float(edges[0]), float(edges[-1])))
+
+
+def gauss_panels(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, shape (..., n), of the n-point Gauss-Legendre rule
+    on every panel [lo, hi] (broadcast arrays; a zero-width panel gets zero
+    weights)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return mid + half * x, half * w
 
 
 def _bessel_arg(l, x) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 # name, so it stays bound until the tracer drops it.
 from scipy.integrate import quad  # noqa: F401
 
-from .numerics import DomainError, ParameterError, composite_gauss, dft, dft_freqs
-from .potentials import PotentialModel
+from .numerics import DomainError, ParameterError, dft, dft_freqs
+from .potentials import PotentialModel, line_integral
 
 EDGE_FRACTION = 0.10
 EDGE_THRESHOLD = 1e-6
@@ -235,27 +235,15 @@ def free_asymptotics(fhat, t: float, geometry: str = "line",
 
 
 def _xi_potential_term(model: PotentialModel, x: np.ndarray, t: float) -> np.ndarray:
-    """t * int_0^1 v(s x) ds = t * (1/|x|) int_0^|x| v(r) dr (t * v(0) at x = 0).
-
-    One cumulative composite Gauss rule: its panel edges are the sorted |x|,
-    a uniform cover of [0, width] and geometric panels (ratio 1.25) beyond
-    it, so every |x| reads the running sum at its own edge.
-    """
+    """t * int_0^1 v(s x) ds = t * (1/|x|) int_0^|x| v(r) dr (t * v(0) at x = 0),
+    from potentials.line_integral along the line through the origin."""
     if model.kind == "power_tail" and model.rho <= 0.5:
         raise ParameterError("Xi formula requires rho > 1/2")
     if model.kind == "yukawa":
         raise DomainError("Xi term diverges for yukawa: int_0 v dr is "
                           "infinite for a 1/r core")
     ax = np.abs(np.asarray(x, dtype=float))
-    far = max(float(ax.max(initial=0.0)), model.width)
-    n_geo = int(np.ceil(np.log(far / model.width) / np.log(1.25)))
-    edges = np.unique(np.concatenate([
-        np.linspace(0.0, model.width, 65),
-        model.width * 1.25 ** np.arange(1, n_geo + 1), ax]))
-    rule = composite_gauss(8, edges)
-    panels = (rule.weights * model.radial_values(rule.nodes)).reshape(-1, 8)
-    running = np.concatenate([[0.0], np.cumsum(panels.sum(axis=1))])
-    mean = running[np.searchsorted(edges, ax)] / np.where(ax > 0, ax, 1.0)
+    mean = line_integral(model, 0.0, 0.0, ax) / np.where(ax > 0, ax, 1.0)
     return t * np.where(ax > 0, mean, model.radial_values(0.0))
 
 

@@ -90,6 +90,14 @@ class TestFirstBorn:
         assert born.born_first_phase_shift(PotentialModel(kind="zero"),
                                            1.0, 0) == 0.0
 
+    @pytest.mark.parametrize("rho", [0.9, 1.0, 1.5])
+    def test_phase_shift_slow_tail_rejected(self, rho):
+        # int_R^inf v dr diverges (rho <= 1) or is far above the tolerance
+        # (rho = 1.5); its closed form must not turn into a finite part
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
+        with pytest.raises(born.ConvergenceError):
+            born.born_first_phase_shift(model, 1.0, 0)
+
 
 class TestTransport:
     def test_b0_is_one(self):

@@ -314,6 +314,13 @@ class TestTypedErrors:
             "params": {"lam": 64.0, "N": 1, "thetas": [np.deg2rad(130.0)]}},
             "directions must lie in the cap around omega0")
 
+    def test_eikonal_on_yukawa_rejected(self, tmp_path, capsys):
+        # the phi_1 anchor's reference ray int_0^inf v runs through the core
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "eikonal",
+            "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
+            "params": {"N0": 1, "N": 1}}, "the line passes through the yukawa")
+
     def test_modified_moller_on_yukawa_rejected(self, tmp_path, capsys):
         # int_0 v dr diverges for the 1/r core, so the Dollard phase does too
         self._assert_typed(tmp_path, capsys, {

@@ -1,7 +1,9 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from scatterlab import _cyl, eikonal
 from scatterlab.eikonal import (S0_SIGN, TAPER_FRACTION, _PsiEvaluator,
@@ -56,6 +58,64 @@ class TestPhaseIntegral:
             eikonal.eikonal_phase_integral(slow, [1.0, 0.0, 0.0],
                                            2.0 * ZAXIS, +1)
 
+    def test_yukawa_refused(self):
+        # int_0^inf v diverges at the 1/r core, so Phi_pm has no value
+        yukawa = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
+        with pytest.raises(DomainError):
+            eikonal.eikonal_phase_integral(yukawa, [1.0, 0.0, 2.0],
+                                           2.0 * ZAXIS, +1)
+
+
+def _crossing_points(width):
+    """(x, sign, s, a): |x| <= 12 at 16-170 degrees from -sign * e_z, turned
+    about the axis, whose ray x + sign t e_z crosses the ball of radius
+    width; s is the ray's distance from the axis, a = sign * z its start."""
+    out = []
+    for sign in (+1, -1):
+        for i, r in enumerate(np.linspace(0.25, 12.0, 48)):
+            for deg in np.linspace(16.0, 170.0, 31):
+                th, turn = np.deg2rad(deg), 0.7 * i
+                s, a = r * np.sin(th), -r * np.cos(th)
+                if s < width and a < np.sqrt(width**2 - s * s):
+                    x = np.array([s * np.cos(turn), s * np.sin(turn), sign * a])
+                    out.append((x, sign, s, a))
+    return out
+
+
+class TestPhaseIntegralScan:
+    """Phi_pm where the ray crosses a compact support, against the chord
+    closed form (square well) and a trapezoid reference (bump)."""
+
+    XI = 1.5
+
+    def test_square_well_chord(self):
+        model = PotentialModel(kind="square_well", v0=-1.0, width=1.0)
+        # |x| = 3.5 at 16 degrees from -xi: closed form 0.2368
+        th = np.deg2rad(16.0)
+        x = 3.5 * np.array([np.sin(th), 0.0, -np.cos(th)])
+        assert eikonal.eikonal_phase_integral(model, x, ZAXIS, +1) == pytest.approx(
+            0.5 * (1.0 - 2.0 * np.sqrt(1.0 - (3.5 * np.sin(th)) ** 2)), abs=1e-12)
+        points = _crossing_points(1.0)
+        assert len(points) > 200
+        for x, sign, s, a in points:
+            h = np.sqrt(1.0 - s * s)
+            chord = h - max(a, -h)
+            closed = sign * 0.5 * model.v0 * (chord - 1.0) / self.XI
+            got = eikonal.eikonal_phase_integral(model, x, self.XI * ZAXIS, sign)
+            assert got == pytest.approx(closed, abs=1e-8), (x, sign)
+
+    def test_compact_bump_trapezoid(self):
+        model = PotentialModel(kind="compact_bump", v0=0.8, width=1.3)
+        u = np.linspace(0.0, 1.3, 100001)
+        full = np.trapezoid(model.radial_values(u), u)
+        for x, sign, s, a in _crossing_points(1.3)[::10]:
+            h = np.sqrt(1.3**2 - s * s)
+            w = np.linspace(max(a, -h), h, 100001)
+            part = np.trapezoid(model.radial_values(np.hypot(s, w)), w)
+            ref = sign * 0.5 * (part - full) / self.XI
+            got = eikonal.eikonal_phase_integral(model, x, self.XI * ZAXIS, sign)
+            assert got == pytest.approx(ref, abs=1e-8), (x, sign)
+
 
 class TestIteration:
     def test_default_orders(self):
@@ -86,6 +146,52 @@ class TestIteration:
     def test_n0_zero_rejected_for_long_range(self):
         with pytest.raises(ParameterError):
             eikonal.eikonal_iterate(TAIL1, ZAXIS, 5.0, N0=0)
+
+    def test_yukawa_refused(self):
+        yukawa = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
+        with pytest.raises(DomainError):
+            eikonal.eikonal_iterate(yukawa, ZAXIS, 5.0, N0=1)
+
+    def test_default_n0_three_path(self):
+        # rho = 0.7 takes N0 = 3: the phi_3 anchor, checked on a few rows
+        # against adaptive quadrature of its defining integral with the
+        # exact d_s phi_1 = -rho s v0 int_w^inf (1 + s^2 + u^2)^(-rho/2-1) du
+        # (w > 0 on the anchor rows)
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            data = eikonal.eikonal_iterate(model, ZAXIS, 5.0)
+        assert data.N0 == 3
+        rho, v0 = model.rho, model.v0
+
+        def v(r):
+            return v0 * (1.0 + r * r) ** (-rho / 2)
+
+        def ds_phi1(s, w):
+            # u = w y keeps the integrand of order one for every w > 0
+            c = (1.0 + s * s) / (w * w)
+            tail = quad(lambda y: (c + y * y) ** (-rho / 2 - 1), 1.0, np.inf,
+                        epsabs=0.0, epsrel=1e-11)[0]
+            return -rho * s * v0 * w ** (-rho - 1) * tail
+
+        def reference(s, a):
+            # int_0^inf (f3(s, a + t) - f3(0, t)) dt, split where the
+            # reference ray passes the origin's unit scale
+            def f(t):
+                return v(np.hypot(s, a + t)) ** 2 + ds_phi1(s, a + t) ** 2 - v(t) ** 2
+            return sum(quad(f, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10)[0]
+                       for lo, hi in ((0.0, 1.0), (1.0, 100.0), (100.0, np.inf)))
+
+        grid = data.grid
+        for sign in (+1, -1):
+            a = grid.z[-1] if sign > 0 else -grid.z[0]
+            rows = np.array([0, 20, 80, 160])
+            got = eikonal._phi3_anchor(model, grid.s[rows], a, sign)
+            ref = [sign * reference(grid.s[i], a) for i in rows]
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(
+            data.phi_n[3][:, -1], eikonal._phi3_anchor(model, grid.s, grid.z[-1], +1),
+            rtol=0.0, atol=0.0)
 
 
 class TestTransport:

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from scatterlab import cli
+from scatterlab.numerics import DomainError
 from scatterlab.potentials import (
     KINDS,
     PotentialModel,
     evaluate,
+    line_integral,
     model_from_config,
+    ray_difference,
     verify_decay,
 )
 
@@ -130,3 +134,87 @@ class TestConfig:
         vals = np.abs(m.radial_values(r))
         bound = abs(v0) * max(1.0, 1.0 / (0.5 * width))  # yukawa 1/r factor
         assert np.all(vals <= bound + 1e-12)
+
+
+def _quad_line(model, s, a, b, shift=None):
+    """int_a^b v(sqrt(s^2 + w^2)) dw (minus int_0^inf v(w) dw at the same
+    distance from a when shift) by adaptive quadrature, split at 0."""
+    def f(w):
+        val = float(model.radial_values(np.hypot(s, w)))
+        if shift is not None:
+            val -= float(model.radial_values(w - shift))
+        return val
+    cuts = [a] + [c for c in (0.0,) if a < c < b] + [b]
+    return sum(quad(f, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-13)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+class TestLineIntegral:
+    """potentials.line_integral and ray_difference against adaptive
+    quadrature and closed forms."""
+
+    def test_power_tail_difference_against_quadrature(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            rho = rng.uniform(0.6, 3.0)
+            s, a = rng.uniform(0.0, 20.0), rng.uniform(-20.0, 20.0)
+            model = PotentialModel(kind="power_tail", v0=rng.choice([-0.7, 1.3]), rho=rho)
+            # int_a^inf (v(s, w) - v(0, w - a)) dw, the difference at equal t
+            ref = _quad_line(model, s, a, np.inf, shift=a)
+            assert ray_difference(model, s, a) == pytest.approx(ref, abs=1e-9), (rho, s, a)
+
+    def test_power_tail_continuous_across_rho_one(self):
+        s = np.array([0.0, 0.5, 3.0, 40.0])
+        a = np.array([0.0, -2.0, 7.0, 60.0])
+        at_one = ray_difference(PotentialModel(kind="power_tail", v0=0.5, rho=1.0), s, a)
+        for rho in (1.0 - 1e-7, 1.0 + 1e-7):
+            near = ray_difference(PotentialModel(kind="power_tail", v0=0.5, rho=rho), s, a)
+            np.testing.assert_allclose(near, at_one, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("rho", [0.9, 1.0])
+    def test_divergent_tail_is_infinite(self, rho):
+        # the finite part stands in only inside the difference integral
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
+        assert line_integral(model, 0.0, 5000.0) == np.inf
+        assert line_integral(model, 2.0, -np.inf, 3.0) == np.inf
+        assert np.isfinite(line_integral(model, 2.0, -3.0, 3.0))
+
+    def test_power_tail_segment_against_quadrature(self):
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=1.5)
+        for s, a, b in [(0.0, 0.0, 10.0), (2.0, -3.0, 1.0), (1.0, 5000.0, np.inf)]:
+            assert line_integral(model, s, a, b) == pytest.approx(
+                _quad_line(model, s, a, b), rel=1e-11)
+
+    def test_square_well_chord(self):
+        model = PotentialModel(kind="square_well", v0=-0.7, width=1.3)
+        s = np.array([0.0, 0.2, 0.9, 1.29, 1.31, 0.5])
+        a = np.array([-5.0, 0.1, -0.3, -1.0, -1.0, 0.4])
+        b = np.array([np.inf, 0.8, np.inf, 1.0, 1.0, 0.45])
+        h = np.sqrt(np.maximum(1.3**2 - s * s, 0.0))
+        chord = np.maximum(np.minimum(b, h) - np.maximum(a, -h), 0.0)
+        np.testing.assert_allclose(line_integral(model, s, a, b), -0.7 * chord,
+                                   rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("kind,width", [("gaussian_well", 0.7),
+                                            ("compact_bump", 1.3),
+                                            ("yukawa", 0.4)])
+    def test_smooth_kinds_against_quadrature(self, kind, width):
+        model = PotentialModel(kind=kind, v0=-0.8, width=width)
+        for s, a, b in [(0.3, -5.0, np.inf), (0.9, 0.2, 0.5), (1.2, -3.0, 3.0),
+                        (0.05, 2.0, np.inf), (3.0, -np.inf, np.inf)]:
+            assert line_integral(model, s, a, b) == pytest.approx(
+                _quad_line(model, s, a, min(b, 80.0)), rel=1e-10, abs=1e-15)
+
+    def test_broadcast_shape(self):
+        model = PotentialModel(kind="gaussian_well", v0=-1.0)
+        got = line_integral(model, np.array([0.0, 0.5, 1.0])[:, None], np.array([-1.0, 2.0]))
+        assert got.shape == (3, 2)
+        assert got[1, 0] == pytest.approx(float(line_integral(model, 0.5, -1.0)), rel=1e-15)
+
+    def test_yukawa_core_refused(self):
+        model = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
+        with pytest.raises(DomainError):
+            line_integral(model, 0.0, -1.0, 1.0)
+        with pytest.raises(DomainError):
+            ray_difference(model, 2.0, 10.0)    # the reference ray int_0^inf v
+        assert np.isfinite(line_integral(model, 0.0, 1.0))
