@@ -1,7 +1,9 @@
 """Acceptance suite: fifteen numbered criteria covering every module.
 
 Each criterion is a function returning a CriterionResult with the
-measured quantities, the expected contract and a pass flag.  `run_all`
+measured quantities (rounded for the printed line), the expected contract,
+a pass flag and, where a criterion records them, its `values` at full
+precision as JSON data.  `run_all`
 executes any subset and records each criterion's runtime;
 `format_report` renders one pass/fail line per criterion.
 """
@@ -28,12 +30,22 @@ class CriterionResult:
     expected: str
     measured: dict = field(default_factory=dict)
     runtime: float = 0.0
+    values: dict = field(default_factory=dict)   # full precision, JSON-ready
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         meas = ", ".join(f"{k}={v}" for k, v in self.measured.items())
         return (f"[{status}] criterion {self.cid:2d} ({self.name}): "
                 f"{meas}; expected {self.expected} [{self.runtime:.1f}s]")
+
+
+def _full(x):
+    """x at full precision as JSON data: a float or a list of floats, with
+    NaN as None (JSON null)."""
+    if np.ndim(x) > 0:
+        return [_full(v) for v in x]
+    x = float(x)
+    return None if np.isnan(x) else x
 
 
 def _fmt(x, nd=6):
@@ -116,7 +128,9 @@ def criterion_04() -> CriterionResult:
         {"slope_N0": _fmt(fit0.slope, 3), "slope_N1": _fmt(fit1.slope, 3),
          "floor_N0": fit0.floor_warning, "floor_N1": fit1.floor_warning,
          "errors_N0": np.array2string(fit0.errors, precision=2),
-         "errors_N1": np.array2string(fit1.errors, precision=2)})
+         "errors_N1": np.array2string(fit1.errors, precision=2)},
+        values={"errors_N0": _full(fit0.errors), "errors_N1": _full(fit1.errors),
+                "slope_N0": _full(fit0.slope), "slope_N1": _full(fit1.slope)})
 
 
 def criterion_05() -> CriterionResult:

@@ -198,7 +198,13 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
                        N: int, grid: _cyl.CylGrid | None = None,
                        tables: np.ndarray | None = None) -> BornKernelSample:
     """Truncated kernel k_N(omega, omega', lambda) at d = 3 by grid
-    quadrature over the (numerical) support of v.
+    quadrature over the (numerical) support of v: Gauss panels along
+    e1 = (omega' - omega)/|omega' - omega| times a tensor rule over the
+    (e2, e3) plane of _cyl.plane_basis(e1).  When omega' is orthogonal to
+    e3 (or to e2, after swapping the two), as for a pair in the xz- or
+    yz-plane, the integrand is even in u3 and the plane rule is folded onto
+    u3 > 0 with doubled weights: half the points, the same value up to
+    rounding.  Every other pair gets the full rule.
 
     tables: b_0..b_N (or more) from _bn_tables(model, N, grid), which do
     not depend on lambda or omega; built here when not given.
@@ -238,10 +244,18 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
         bn_tables = tables[1:N + 1]
 
     # x = u1 e1 + u2 e2 + u3 e3: r^2 = u1^2 + rho^2, z = x.omega' = u1 c1 + z_plane
-    Y2, Y3 = np.meshgrid(rule_t.nodes, rule_t.nodes, indexing="ij")
+    if e2 @ omega_prime == 0.0:
+        e2, e3 = e3, e2   # both axes carry rule_t, so the swap is a relabelling
+    u3, w3 = rule_t.nodes, rule_t.weights
+    if e3 @ omega_prime == 0.0:
+        # u3 -> -u3 leaves r, z and the phase unchanged, so the integrand is
+        # even in u3; rule_t is symmetric with no node at 0 (12 per panel)
+        half = len(u3) // 2
+        u3, w3 = u3[half:], 2.0 * w3[half:]
+    Y2, Y3 = np.meshgrid(rule_t.nodes, u3, indexing="ij")
     rho2 = (Y2 * Y2 + Y3 * Y3).ravel()
     z_plane = (Y2 * (e2 @ omega_prime) + Y3 * (e3 @ omega_prime)).ravel()
-    W23 = np.outer(rule_t.weights, rule_t.weights).ravel()
+    W23 = np.outer(rule_t.weights, w3).ravel()
     c1 = e1 @ omega_prime
     u1 = rule1.nodes
     # per u1 slice: sum of W23 v b_n over the (u2, u3) plane, n = 0..N

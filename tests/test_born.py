@@ -158,6 +158,12 @@ OFF_PLANE = (np.array([0.3, -0.2, 0.9]), np.array([-0.4, 0.7, 0.2]))
 # off-plane cases end in a partial block of slices for gaussian_well
 KERNEL_CASES = [(25.0, THETA_90), (100.0, OFF_PLANE), (400.0, THETA_03),
                 (400.0, THETA_25)]
+# omega' in the yz-plane: e2 = x is orthogonal to omega', so the kernel
+# swaps e2 and e3 before it folds the plane
+YZ_PLANE = (np.array([0.0, 0.0, 1.0]), np.array([0.0, np.sin(1.2), np.cos(1.2)]))
+# coplanar with the x axis on paper, but e3 . omega' is a rounding residue
+_S = np.sqrt(0.5)
+TILTED = (np.array([0.0, _S, _S]), np.array([np.sin(1.0), _S * np.cos(1.0), _S * np.cos(1.0)]))
 
 
 class TestBlockedKernel:
@@ -219,3 +225,42 @@ class TestBlockedKernel:
         omega, omega_p = THETA_90
         born.measure_error_order(GAUSS, [25.0, 50.0, 100.0, 200.0], omega, omega_p, 1)
         assert calls == [1]
+
+    @pytest.mark.parametrize("model", [KERNEL_MODELS[0], KERNEL_MODELS[2]],
+                             ids=lambda m: m.kind)
+    def test_yz_plane_matches_slice_loop(self, model):
+        omega, omega_p = YZ_PLANE
+        expected = kernel_slice_loop(model, 100.0, omega, omega_p, 2)
+        for N in (0, 1, 2):
+            got = born.high_energy_kernel(model, 100.0, omega, omega_p, N).value
+            assert abs(got - expected[N]) <= 1e-15, (N, got, expected[N])
+
+    @pytest.mark.parametrize("pair,folded", [
+        (THETA_90, True), (THETA_03, True), (YZ_PLANE, True),
+        (OFF_PLANE, False), (TILTED, False)],
+        ids=["theta_90", "theta_03", "yz_plane", "off_plane", "tilted"])
+    def test_coplanar_pairs_fold_the_plane(self, monkeypatch, pair, folded):
+        omega, omega_p = (p / np.linalg.norm(p) for p in pair)
+        delta = omega_p - omega
+        e2, e3 = _cyl.plane_basis(delta / np.linalg.norm(delta))
+        if pair is TILTED:   # the premise: a residue, not an exact zero
+            assert 0.0 < abs(e3 @ omega_p) < 1e-15 and e2 @ omega_p != 0.0
+        lam = 100.0
+        R = born._support_radius(GAUSS)
+        kappa = np.sqrt(lam) * np.linalg.norm(delta)
+        n1 = max(96, int(np.ceil(2 * R * kappa / (2 * np.pi)) * 10))
+        nt = max(96, int(np.ceil(8 * R)))
+        full = (len(composite_gauss(12, np.linspace(-R, R, max(2, n1 // 12 + 1))).nodes)
+                * len(composite_gauss(12, np.linspace(-R, R, max(2, nt // 12 + 1))).nodes) ** 2)
+
+        points = []
+        values = PotentialModel.radial_values
+
+        def spy(self, r):
+            if np.ndim(r) > 0:   # tail_radius probes single radii
+                points.append(np.size(r))
+            return values(self, r)
+
+        monkeypatch.setattr(PotentialModel, "radial_values", spy)
+        born.high_energy_kernel(GAUSS, lam, omega, omega_p, 0)
+        assert sum(points) == (full // 2 if folded else full)

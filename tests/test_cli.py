@@ -169,6 +169,27 @@ class TestRun:
         record = json.loads((out / "result.json").read_text())
         assert all(r["passed"] for r in record["extra"]["results"])
 
+    def test_acceptance_values_at_full_precision(self, tmp_path):
+        path = write_config(tmp_path, {
+            "experiment": "acceptance", "params": {"criteria": [4]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+
+        def refuse(token):   # NaN must be written as null
+            raise AssertionError(f"non-JSON constant {token}")
+
+        record = json.loads((out / "result.json").read_text(),
+                            parse_constant=refuse)
+        [c4] = record["extra"]["results"]
+        values, measured = c4["values"], c4["measured"]
+        assert set(values) == {"errors_N0", "errors_N1", "slope_N0", "slope_N1"}
+        for key in ("errors_N0", "errors_N1"):
+            assert len(values[key]) == 4
+            assert np.array2string(np.array(values[key]), precision=2) == measured[key]
+        for key in ("slope_N0", "slope_N1"):
+            slope = np.nan if values[key] is None else values[key]
+            assert f"{slope:.3g}" == measured[key]
+
     def test_main_schema_command(self, capsys):
         assert cli.main(["schema"]) == 0
         parsed = json.loads(capsys.readouterr().out)
