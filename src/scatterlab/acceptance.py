@@ -40,10 +40,12 @@ class CriterionResult:
 
 
 def _full(x):
-    """x at full precision as JSON data: a float or a list of floats, with
-    NaN as None (JSON null)."""
+    """x at full precision as JSON data: a float, a complex number as
+    [re, im], or a list of these, with NaN as None (JSON null)."""
     if np.ndim(x) > 0:
         return [_full(v) for v in x]
+    if np.iscomplexobj(x):
+        return [_full(x.real), _full(x.imag)]
     x = float(x)
     return None if np.isnan(x) else x
 
@@ -207,7 +209,8 @@ def criterion_08() -> CriterionResult:
     return CriterionResult(
         8, "free asymptotics", bool(ok),
         "L2 err <= 0.01 at t=100, strictly smaller at t=200",
-        {"err_100": _fmt(errs[100.0], 3), "err_200": _fmt(errs[200.0], 3)})
+        {"err_100": _fmt(errs[100.0], 3), "err_200": _fmt(errs[200.0], 3)},
+        values={"err_100": _full(errs[100.0]), "err_200": _full(errs[200.0])})
 
 
 def criterion_09() -> CriterionResult:
@@ -234,7 +237,14 @@ def criterion_09() -> CriterionResult:
          "sr_decay": _fmt(rep_sr.decay_factor, 3),
          "lr_decay": _fmt(rep_lr.decay_factor, 3),
          "mod_decay": _fmt(rep_mod.decay_factor, 3),
-         "mod_increments": np.array2string(rep_mod.increments, precision=2)})
+         "mod_increments": np.array2string(rep_mod.increments, precision=2)},
+        values={"sr_max_increment": _full(np.max(rep_sr.increments)),
+                "sr_decay": _full(rep_sr.decay_factor),
+                "lr_decay": _full(rep_lr.decay_factor),
+                "mod_decay": _full(rep_mod.decay_factor),
+                "sr_increments": _full(rep_sr.increments),
+                "lr_increments": _full(rep_lr.increments),
+                "mod_increments": _full(rep_mod.increments)})
 
 
 def criterion_10() -> CriterionResult:
@@ -247,7 +257,9 @@ def criterion_10() -> CriterionResult:
     return CriterionResult(
         10, "time-domain S-matrix", bool(diff < 1e-2), "|diff| < 1e-2",
         {"s_time": _fmt(s_time), "s_stat": _fmt(s_stat),
-         "diff": _fmt(diff, 3)})
+         "diff": _fmt(diff, 3)},
+        values={"s_time": _full(s_time), "s_stat": _full(s_stat),
+                "diff": _full(diff)})
 
 
 def criterion_11() -> CriterionResult:
@@ -286,7 +298,10 @@ def criterion_13() -> CriterionResult:
     return CriterionResult(
         13, "Kato-smoothness threshold", bool(ok),
         "r=1 growth < 1% on last doubling; r=0.25 growth > 10%",
-        {"growth_r1": _fmt(g1, 3), "growth_r025": _fmt(g2, 3)})
+        {"growth_r1": _fmt(g1, 3), "growth_r025": _fmt(g2, 3)},
+        values={"growth_r1": _full(g1), "growth_r025": _full(g2),
+                "integrals_r1": _full(rep1.integrals),
+                "integrals_r025": _full(rep2.integrals)})
 
 
 def criterion_14() -> CriterionResult:

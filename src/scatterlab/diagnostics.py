@@ -117,6 +117,9 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
         raise ParameterError("T_values must be positive and increasing")
     if not np.isfinite(T_values[-1]):
         raise ParameterError("T_values must be finite")
+    # np.arange's length, known before the samples are allocated
+    propagator.check_work(int(np.ceil((T_values[-1] + 0.5 * dt) / dt)),
+                          len(f.values))
     x = f.grid
     w2 = [(1.0 + x * x) ** -r for r in rs]      # <x>^{-2r}
     norm2 = np.sum(np.abs(f.values) ** 2) * f.dx

@@ -1,10 +1,12 @@
 """Time-dependent diagnostics: split-step evolution, free asymptotics,
 Moller-limit probes, modified free evolution, and the time-domain S-matrix.
 
-Geometries: "line" (origin-centered 1D grid) and "radial" (l = 0 channel
-on the half-line, Dirichlet at r = 0 realized by odd extension and a
-sine-transform kinetic step).  The kinetic factor is exact in Fourier
-space; Strang splitting e^{-iV dt/2} e^{-iH0 dt} e^{-iV dt/2} is
+Every packet lives on one origin-centred periodic grid x = (i - n/2) dx.
+The l = 0 channel (half-line, Dirichlet at r = 0) is an odd packet on that
+grid: v(|x|) is even there and the kinetic factor is even in k, so the
+evolution keeps the packet odd and both Dirichlet nodes (x = 0 and the
+self-mirrored x = -n dx / 2) stay zero.  The kinetic factor is exact in
+Fourier space; Strang splitting e^{-iV dt/2} e^{-iH0 dt} e^{-iV dt/2} is
 second-order in dt and unitary.
 """
 
@@ -22,6 +24,9 @@ from .potentials import PotentialModel, line_integral
 
 EDGE_FRACTION = 0.10
 EDGE_THRESHOLD = 1e-6
+# Largest work (time steps or samples, times grid points) a run may ask for;
+# checked before anything is allocated.
+MAX_POINT_STEPS = 2**31
 
 
 class ReflectionError(RuntimeError):
@@ -30,16 +35,13 @@ class ReflectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class WavePacket:
-    """Complex wave function samples on a uniform grid at time t."""
+    """Complex wave function samples on the origin-centred grid at time t."""
 
-    geometry: str               # "line" or "radial"
     values: np.ndarray
     dx: float
     t: float = 0.0
 
     def __post_init__(self):
-        if self.geometry not in ("line", "radial"):
-            raise ParameterError(f"unknown geometry {self.geometry!r}")
         n = len(self.values)
         if n & (n - 1) or n < 8:
             raise ParameterError("grid size must be a power of two >= 8")
@@ -47,9 +49,7 @@ class WavePacket:
     @property
     def grid(self) -> np.ndarray:
         n = len(self.values)
-        if self.geometry == "line":
-            return (np.arange(n) - n // 2) * self.dx
-        return (np.arange(n) + 1.0) * self.dx
+        return (np.arange(n) - n // 2) * self.dx
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx))
@@ -59,10 +59,7 @@ class WavePacket:
         n = len(self.values)
         m = max(1, int(round(EDGE_FRACTION * n / 2)))
         p = np.abs(self.values) ** 2
-        if self.geometry == "line":
-            edge = p[:m].sum() + p[-m:].sum()
-        else:
-            edge = p[-2 * m:].sum()
+        edge = p[:m].sum() + p[-m:].sum()
         total = p.sum()
         return float(edge / total) if total > 0 else 0.0
 
@@ -73,7 +70,6 @@ class EvolutionConfig:
 
     model: PotentialModel
     dt: float
-    edge_threshold: float = EDGE_THRESHOLD
 
     def validate(self, packet: WavePacket) -> None:
         lam_max = (np.pi / packet.dx) ** 2
@@ -85,10 +81,18 @@ class EvolutionConfig:
                 "refine dt or coarsen the grid")
 
 
+def check_work(n_steps: int, n_points: int) -> None:
+    """ParameterError when n_steps * n_points exceeds MAX_POINT_STEPS."""
+    if n_steps * n_points > MAX_POINT_STEPS:
+        raise ParameterError(
+            f"{n_steps} time steps x {n_points} points exceed "
+            f"MAX_POINT_STEPS = {MAX_POINT_STEPS}; shorten the run")
+
+
 def gaussian_packet(n: int, dx: float, center: float, k0: float,
-                    sigma: float, geometry: str = "line") -> WavePacket:
+                    sigma: float) -> WavePacket:
     """L2-normalized Gaussian exp(-(x-x0)^2/(4 sigma^2) + i k0 x)."""
-    pk = WavePacket(geometry=geometry, values=np.zeros(n, complex), dx=dx)
+    pk = WavePacket(values=np.zeros(n, complex), dx=dx)
     x = pk.grid
     vals = ((2 * np.pi * sigma**2) ** -0.25
             * np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k0 * x))
@@ -109,51 +113,16 @@ def gaussian_spectral_profile(center: float, k0: float, sigma: float):
 # ---------------------------------------------------------------------------
 
 def _kinetic_phase(packet: WavePacket, t: float) -> np.ndarray:
-    if packet.geometry == "line":
-        k = dft_freqs(len(packet.values), packet.dx)
-    else:
-        k = dft_freqs(2 * len(packet.values), packet.dx)
+    k = dft_freqs(len(packet.values), packet.dx)
     return np.exp(-1j * k * k * t)
 
 
-def _extend(values: np.ndarray, geometry: str, parity: int = -1) -> np.ndarray:
-    """The periodic array whose transform carries the kinetic step.
-
-    Radial samples 0..n-2 sit at indices 1..n-1 of 2n points and are
-    mirrored with the given parity (-1: the odd Dirichlet extension; +1:
-    the even extension of a multiplier such as a potential phase); indices
-    0 and n stay zero.
-    """
-    if geometry == "line":
-        return values
-    n = len(values)
-    ext = np.zeros(2 * n, dtype=complex)
-    ext[1:n] = values[: n - 1]
-    mirror = values[n - 2::-1]
-    ext[n + 1:] = -mirror if parity < 0 else mirror
-    return ext
-
-
-def _restrict(out: np.ndarray, wall: np.ndarray, geometry: str) -> np.ndarray:
-    """Inverse of _extend on the evolved periodic array; the radial wall
-    sample (the last one), which the extension leaves out, is the
-    one-element array `wall`."""
-    if geometry == "line":
-        return out
-    n = len(out) // 2
-    res = out[1:n + 1].copy()
-    res[n - 1:] = wall
-    return res
-
-
-def _apply_kinetic(values: np.ndarray, phase: np.ndarray,
-                   geometry: str) -> np.ndarray:
+def _apply_kinetic(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """e^{-iH0 t} through one forward and one inverse transform; `phase` is
-    _kinetic_phase's multiplier.  A periodic array from _extend goes in as
-    geometry "line", which applies the step to it unchanged."""
-    spectrum = dft(_extend(values, geometry))
+    _kinetic_phase's multiplier."""
+    spectrum = dft(values)
     spectrum *= phase
-    return _restrict(dft(spectrum, "inverse"), values[-1:], geometry)
+    return dft(spectrum, "inverse")
 
 
 def free_evolve(packet: WavePacket, t_target: float) -> WavePacket:
@@ -164,55 +133,39 @@ def free_evolve(packet: WavePacket, t_target: float) -> WavePacket:
 def free_evolve_series(packet: WavePacket, times):
     """free_evolve(packet, t) for each t in turn, lazily, from one forward
     transform of the packet."""
-    spectrum = dft(_extend(packet.values, packet.geometry))
+    spectrum = dft(packet.values)
     for t in times:
         out = dft(spectrum * _kinetic_phase(packet, t - packet.t), "inverse")
-        yield replace(packet, values=_restrict(out, packet.values[-1:],
-                                               packet.geometry), t=t)
+        yield replace(packet, values=out, t=t)
 
 
 def split_step_evolve(packet: WavePacket, config: EvolutionConfig,
                       t_target: float) -> WavePacket:
     """Strang-split e^{-iH (t_target - t)}; raises ReflectionError when the
-    edge-mass monitor trips (result would be contaminated).
-
-    The state stays on the periodic array of _extend between steps; the
-    potential phases act on it through their even extension.  The radial
-    wall sample, which the kinetic step passes through, only takes the
-    potential phases.  The packet is restricted for the edge checks and
-    the result.
-    """
+    edge-mass monitor trips (result would be contaminated)."""
     config.validate(packet)
     span = t_target - packet.t
     if span == 0.0:
         return packet
     n_steps = max(1, int(np.ceil(abs(span) / config.dt)))
+    check_work(n_steps, len(packet.values))
     dt = span / n_steps
-    geometry = packet.geometry
     v = config.model.radial_values(np.abs(packet.grid))
     half = np.exp(-0.5j * v * dt)
     full = half * half
     kin = _kinetic_phase(packet, dt)
     vals = packet.values * half
-    ext = _extend(vals, geometry)
-    ext_half = _extend(half, geometry, parity=1)
-    ext_full = _extend(full, geometry, parity=1)
-    wall = vals[-1:]
     check_every = max(1, n_steps // 64)
     for i in range(n_steps):
-        ext = _apply_kinetic(ext, kin, "line")
+        vals = _apply_kinetic(vals, kin)
         last = i == n_steps - 1
-        ext *= ext_half if last else ext_full
-        # not *=: numpy rounds a one-element in-place product unlike the
-        # n-point products the restricted loop made
-        wall = wall * (half[-1:] if last else full[-1:])
+        vals *= half if last else full
         if (i + 1) % check_every == 0 or last:
-            out = replace(packet, values=_restrict(ext, wall, geometry),
-                          t=t_target)
-            if out.edge_mass() > config.edge_threshold:
+            out = replace(packet, values=vals, t=t_target)
+            if out.edge_mass() > EDGE_THRESHOLD:
                 raise ReflectionError(
                     f"edge mass {out.edge_mass():.2e} exceeds "
-                    f"{config.edge_threshold:.1e} at step {i + 1}")
+                    f"{EDGE_THRESHOLD:.1e} at step {i + 1}")
     return out
 
 
@@ -220,13 +173,13 @@ def split_step_evolve(packet: WavePacket, config: EvolutionConfig,
 # explicit large-time formulas
 # ---------------------------------------------------------------------------
 
-def free_asymptotics(fhat, t: float, geometry: str = "line",
-                     n: int = 2**13, dx: float = 0.65) -> WavePacket:
+def free_asymptotics(fhat, t: float, n: int = 2**13,
+                     dx: float = 0.65) -> WavePacket:
     """Explicit free-evolution asymptote
     (e^{-itH0} f)(x) ~ e^{i|x|^2/4t} (2it)^{-1/2} fhat(x/2t) (d = 1)."""
     if t == 0:
         raise ParameterError("t must be nonzero")
-    pk = WavePacket(geometry=geometry, values=np.zeros(n, complex), dx=dx)
+    pk = WavePacket(values=np.zeros(n, complex), dx=dx)
     x = pk.grid
     amp = (2 * abs(t)) ** -0.5 * np.exp(-1j * np.sign(t) * np.pi / 4)
     vals = np.exp(1j * x * x / (4 * t)) * amp * np.asarray(fhat(x / (2 * t)),
@@ -248,13 +201,12 @@ def _xi_potential_term(model: PotentialModel, x: np.ndarray, t: float) -> np.nda
 
 
 def modified_free_evolution(model: PotentialModel, fhat, t: float,
-                            geometry: str = "line", n: int = 2**13,
-                            dx: float = 0.65) -> WavePacket:
+                            n: int = 2**13, dx: float = 0.65) -> WavePacket:
     """Modified free evolution (U0(t) f)(x) = e^{i Xi(x,t)} (2it)^{-1/2}
     fhat(x/2t) with Xi = |x|^2/4t - t int_0^1 v(sx) ds (valid for rho > 1/2)."""
     if t == 0:
         raise ParameterError("t must be nonzero")
-    base = free_asymptotics(fhat, t, geometry, n, dx)
+    base = free_asymptotics(fhat, t, n, dx)
     xi_v = _xi_potential_term(model, base.grid, t)
     return replace(base, values=base.values * np.exp(-1j * xi_v))
 
@@ -351,11 +303,13 @@ def scattering_phase_from_time_domain(model: PotentialModel, k: float,
                                       n: int = 2**9, dx: float = 0.8,
                                       r0: float | None = None,
                                       dt: float = 0.03) -> complex:
-    """e^{2 i delta_0(k)} from an incoming radial packet.
+    """e^{2 i delta_0(k)} from an incoming l = 0 packet.
 
-    An incoming l = 0 packet reflects off the origin; after it has fully
-    re-emerged, the sine-transform amplitude at momentum k relative to the
-    same packet evolved freely is e^{2 i delta_0}.
+    The half-line r in (0, n dx] with Dirichlet nodes at both ends is the
+    odd packet f(x) - f(-x) on the 2n-point grid.  An incoming packet
+    reflects off the origin; after it has fully re-emerged, the
+    sine-transform amplitude at momentum k relative to the same packet
+    evolved freely is e^{2 i delta_0}.
     """
     if k <= 0:
         raise ParameterError("k must be positive")
@@ -364,18 +318,19 @@ def scattering_phase_from_time_domain(model: PotentialModel, k: float,
     if r0 is None:
         r0 = n * dx * 0.45
     sigma = packet_width
-    pk = gaussian_packet(n, dx, center=r0, k0=-k, sigma=sigma, geometry="radial")
+    pk = gaussian_packet(2 * n, dx, center=r0, k0=-k, sigma=sigma)
+    pk = replace(pk, values=pk.values - pk.values[-np.arange(2 * n)])
     t_out = r0 / k  # round trip at group velocity 2k
     u_0 = free_evolve(pk, t_out)
     if model.kind == "zero":
         u_v = u_0
     else:
         u_v = split_step_evolve(pk, EvolutionConfig(model=model, dt=dt), t_out)
-    # sine-transform coefficients pick out the outgoing e^{ikr} component
-    r = pk.grid
-    sin_k = np.sin(k * r)
-    a_v = np.sum(sin_k * u_v.values) * dx
-    a_0 = np.sum(sin_k * u_0.values) * dx
+    # sine-transform coefficients over r = x > 0 pick out the outgoing
+    # e^{ikr} component
+    sin_k = np.sin(k * pk.grid[n + 1:])
+    a_v = np.sum(sin_k * u_v.values[n + 1:]) * dx
+    a_0 = np.sum(sin_k * u_0.values[n + 1:]) * dx
     if abs(a_0) < 1e-8:
         raise ParameterError("free reference amplitude vanishes at this k")
     return complex(a_v / a_0)

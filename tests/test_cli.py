@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scatterlab import (acceptance, born, cli, diagnostics, eikonal, entry,
-                        partialwave)
+                        partialwave, propagator)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -190,6 +190,19 @@ class TestRun:
             slope = np.nan if values[key] is None else values[key]
             assert f"{slope:.3g}" == measured[key]
 
+    def test_acceptance_complex_values_as_pairs(self, tmp_path):
+        path = write_config(tmp_path, {
+            "experiment": "acceptance", "params": {"criteria": [10]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        [c10] = json.loads((out / "result.json").read_text())["extra"]["results"]
+        values, measured = c10["values"], c10["measured"]
+        assert set(values) == {"s_time", "s_stat", "diff"}
+        for key in ("s_time", "s_stat"):
+            re, im = values[key]
+            assert acceptance._fmt(complex(re, im)) == measured[key]
+        assert f"{values['diff']:.3g}" == measured["diff"]
+
     def test_main_schema_command(self, capsys):
         assert cli.main(["schema"]) == 0
         parsed = json.loads(capsys.readouterr().out)
@@ -321,6 +334,27 @@ class TestTypedErrors:
         out = tmp_path / "out"
         assert cli.run(str(path), out_dir=str(out)) == 2
         assert "finite" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"experiment": "diagnose",
+         "params": {"check": "kato", "T_values": [10.0, 1e10]}},
+        {"experiment": "propagate",
+         "potential": {"kind": "gaussian_well", "v0": -1.0},
+         "params": {"T": 1e9}},
+    ], ids=["kato", "propagate"])
+    def test_work_bounded_before_any_transform(self, tmp_path, capsys,
+                                               monkeypatch, config):
+        # 1e10 Kato samples or 5e10 Strang steps of 8192 points each
+        def no_dft(*args, **kwargs):
+            raise AssertionError("transformed a packet for a refused run")
+
+        monkeypatch.setattr(propagator, "dft", no_dft)
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "MAX_POINT_STEPS" in err
         assert not (out / "result.json").exists()
 
     def test_s0_outside_cap_rejected_before_tables(self, tmp_path, capsys,
