@@ -2,10 +2,10 @@
 
 Each criterion is a function returning a CriterionResult with the
 measured quantities (rounded for the printed line), the expected contract,
-a pass flag and, where a criterion records them, its `values` at full
-precision as JSON data.  `run_all`
-executes any subset and records each criterion's runtime;
-`format_report` renders one pass/fail line per criterion.
+a pass flag and the same quantities (with some raw data behind them) at
+full precision as JSON data in `values`.  `run_all` executes any subset
+and records each criterion's runtime; `format_report` renders one
+pass/fail line per criterion.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ def criterion_01() -> CriterionResult:
     err = abs(delta - oracle)
     return CriterionResult(
         1, "partial-wave exactness", bool(err < 1e-6), "|err| < 1e-6",
-        {"delta": _fmt(delta), "oracle": _fmt(oracle), "err": _fmt(err, 3)})
+        {"delta": _fmt(delta), "oracle": _fmt(oracle), "err": _fmt(err, 3)},
+        values={"delta": _full(delta), "oracle": _full(oracle),
+                "err": _full(err)})
 
 
 def criterion_02() -> CriterionResult:
@@ -91,7 +93,9 @@ def criterion_02() -> CriterionResult:
     return CriterionResult(
         2, "S-matrix unitarity", ok,
         "| |S_l|-1 | < 1e-12 all l; |S_l - 1| < 1e-3 for l >= 20",
-        {"unit_dev": _fmt(unit_dev, 3), "tail_dev": _fmt(tail_dev, 3)})
+        {"unit_dev": _fmt(unit_dev, 3), "tail_dev": _fmt(tail_dev, 3)},
+        values={"unit_dev": _full(unit_dev), "tail_dev": _full(tail_dev),
+                "s_l": _full(eigs)})
 
 
 def criterion_03() -> CriterionResult:
@@ -112,7 +116,10 @@ def criterion_03() -> CriterionResult:
         3, "Born cross-validation", bool(rel < 0.05), "rel err < 5%",
         {"born": _fmt(a_born), "closed_form": _fmt(closed),
          "partial_wave": _fmt(a_pw), "rel": _fmt(rel, 3),
-         "rel_complex": _fmt(rel_complex, 3)})
+         "rel_complex": _fmt(rel_complex, 3)},
+        values={"born": _full(a_born), "closed_form": _full(closed),
+                "partial_wave": _full(a_pw), "rel": _full(rel),
+                "rel_complex": _full(rel_complex)})
 
 
 def criterion_04() -> CriterionResult:
@@ -149,7 +156,8 @@ def criterion_05() -> CriterionResult:
             worst = max(worst, abs(val - closed))
     return CriterionResult(
         5, "eikonal closed form", bool(worst < 1e-6), "abs err < 1e-6",
-        {"worst_abs_err": _fmt(worst, 3)})
+        {"worst_abs_err": _fmt(worst, 3)},
+        values={"worst_abs_err": _full(worst)})
 
 
 def criterion_06() -> CriterionResult:
@@ -168,7 +176,10 @@ def criterion_06() -> CriterionResult:
         6, "residual scaling", bool(ok),
         "drop(N0->N2) >= 5 and slope(N=1) = -0.5 +- 0.3",
         {"r_N0": _fmt(r0, 3), "r_N2": _fmt(r2, 3), "drop": _fmt(drop, 3),
-         "slope_N1": _fmt(slope, 3)})
+         "slope_N1": _fmt(slope, 3)},
+        values={"r_N0": _full(r0), "r_N2": _full(r2), "drop": _full(drop),
+                "slope_N1": _full(slope), "r_N1_lam25": _full(r1_25),
+                "r_N1_lam100": _full(r1_100)})
 
 
 def criterion_07() -> CriterionResult:
@@ -176,7 +187,7 @@ def criterion_07() -> CriterionResult:
     lam = 100.0
     omega0 = np.array([0.0, 0.0, 1.0])
     sols = eikonal.s0_solutions(GAUSS, lam, 3)
-    measured = {}
+    measured, values = {}, {}
     ok = True
     for deg in (10.0, 20.0, 30.0):
         th = np.deg2rad(deg)
@@ -186,11 +197,15 @@ def criterion_07() -> CriterionResult:
         rel = abs(sample.value - exact) / abs(exact)
         measured[f"rel_{int(deg)}deg"] = _fmt(rel, 3)
         measured[f"sens_{int(deg)}deg"] = _fmt(sample.sensitivity, 2)
+        values[f"rel_{int(deg)}deg"] = _full(rel)
+        values[f"sens_{int(deg)}deg"] = _full(sample.sensitivity)
+        values[f"s0_{int(deg)}deg"] = _full(sample.value)
+        values[f"exact_{int(deg)}deg"] = _full(exact)
         ok = ok and rel <= 0.10 and sample.sensitivity < 0.10
     return CriterionResult(
         7, "S0 vs exact kernel", bool(ok),
         "rel err <= 10% and window sensitivity < 10% at 10-30 deg",
-        measured)
+        measured, values=values)
 
 
 def criterion_08() -> CriterionResult:
@@ -274,7 +289,9 @@ def criterion_11() -> CriterionResult:
         11, "Hilbert-Schmidt identity", bool(ok),
         "within 1% of sqrt(pi)/8; c -> 16c divides by 4 exactly",
         {"value": _fmt(val1, 8), "rel": _fmt(rel, 3),
-         "scale_dev": _fmt(scale_dev, 3)})
+         "scale_dev": _fmt(scale_dev, 3)},
+        values={"value": _full(val1), "value_c16": _full(val16),
+                "rel": _full(rel), "scale_dev": _full(scale_dev)})
 
 
 def criterion_12() -> CriterionResult:
@@ -282,7 +299,7 @@ def criterion_12() -> CriterionResult:
     val = diagnostics.mourre_check(ZERO, (1.0, 2.0), n=1024)
     return CriterionResult(
         12, "Mourre positivity", bool(abs(val - 4.0) <= 0.1), "4.0 +- 0.1",
-        {"min_eig": _fmt(val, 5)})
+        {"min_eig": _fmt(val, 5)}, values={"min_eig": _full(val)})
 
 
 def criterion_13() -> CriterionResult:
@@ -314,24 +331,30 @@ def criterion_14() -> CriterionResult:
         14, "LAP stability", bool(ok),
         "r=1 change < 5% between eps=3e-3 and 1e-3; r=0.25 change > 20%",
         {"change_r1": _fmt(rep1.last_change, 3),
-         "change_r025": _fmt(rep2.last_change, 3)})
+         "change_r025": _fmt(rep2.last_change, 3)},
+        values={"change_r1": _full(rep1.last_change),
+                "change_r025": _full(rep2.last_change),
+                "norms_r1": _full(rep1.norms), "norms_r025": _full(rep2.norms)})
 
 
 def criterion_15() -> CriterionResult:
     """Diagonal-singularity exponent probe (informational, no tolerance)."""
     omega0 = np.array([0.0, 0.0, 1.0])
     angles = np.geomspace(0.5, 0.05, 6)
-    measured = {}
+    measured, values = {}, {}
     for rho in (0.75, 1.0):
         model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
         probe = eikonal.diagonal_exponent_probe(model, 100.0, omega0, angles)
         measured[f"fitted_rho{rho}"] = _fmt(probe.fitted_exponent, 3)
         measured[f"theory_rho{rho}"] = _fmt(probe.theoretical_exponent, 3)
         measured[f"reliable_rho{rho}"] = probe.reliable
+        values[f"fitted_rho{rho}"] = _full(probe.fitted_exponent)
+        values[f"theory_rho{rho}"] = _full(probe.theoretical_exponent)
+        values[f"reliable_rho{rho}"] = bool(probe.reliable)
     return CriterionResult(
         15, "diagonal-singularity probe", True,
         "informational: fitted exponent reported vs -(1 + 1/rho)",
-        measured)
+        measured, values=values)
 
 
 CRITERIA = {i: globals()[f"criterion_{i:02d}"] for i in range(1, 16)}

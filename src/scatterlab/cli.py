@@ -254,6 +254,11 @@ RUNNERS = {
 }
 EXPERIMENTS = tuple(RUNNERS)
 
+# Largest grid size `n` (propagate, moller, diagnose kato and mourre), held by
+# the schema so that no packet or operator of n points is allocated first;
+# the defaults are 2**13, and 1024 for mourre.
+MAX_GRID = 2**20
+
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM_LIST = {"type": "array", "items": _NUM, "minItems": 1}
@@ -295,7 +300,7 @@ SCHEMA = {
                 "xi_norm": _POS,
                 "times": _NUM_LIST,
                 "dt": _POS,
-                "n": {"type": "integer", "minimum": 8},
+                "n": {"type": "integer", "minimum": 8, "maximum": MAX_GRID},
                 "dx": _POS,
                 "sigma": _POS,
                 "center": _NUM,

@@ -33,6 +33,11 @@ class ReflectionError(RuntimeError):
     """Edge-mass monitor tripped: the run is contaminated by reflection."""
 
 
+def _grid(n: int, dx: float) -> np.ndarray:
+    """The origin-centred grid x = (i - n/2) dx, i = 0 .. n - 1."""
+    return (np.arange(n) - n // 2) * dx
+
+
 @dataclass(frozen=True)
 class WavePacket:
     """Complex wave function samples on the origin-centred grid at time t."""
@@ -48,8 +53,7 @@ class WavePacket:
 
     @property
     def grid(self) -> np.ndarray:
-        n = len(self.values)
-        return (np.arange(n) - n // 2) * self.dx
+        return _grid(len(self.values), self.dx)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dx))
@@ -92,11 +96,10 @@ def check_work(n_steps: int, n_points: int) -> None:
 def gaussian_packet(n: int, dx: float, center: float, k0: float,
                     sigma: float) -> WavePacket:
     """L2-normalized Gaussian exp(-(x-x0)^2/(4 sigma^2) + i k0 x)."""
-    pk = WavePacket(values=np.zeros(n, complex), dx=dx)
-    x = pk.grid
+    x = _grid(n, dx)
     vals = ((2 * np.pi * sigma**2) ** -0.25
             * np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k0 * x))
-    return replace(pk, values=vals.astype(complex))
+    return WavePacket(values=vals.astype(complex), dx=dx)
 
 
 def gaussian_spectral_profile(center: float, k0: float, sigma: float):
@@ -179,12 +182,11 @@ def free_asymptotics(fhat, t: float, n: int = 2**13,
     (e^{-itH0} f)(x) ~ e^{i|x|^2/4t} (2it)^{-1/2} fhat(x/2t) (d = 1)."""
     if t == 0:
         raise ParameterError("t must be nonzero")
-    pk = WavePacket(values=np.zeros(n, complex), dx=dx)
-    x = pk.grid
+    x = _grid(n, dx)
     amp = (2 * abs(t)) ** -0.5 * np.exp(-1j * np.sign(t) * np.pi / 4)
     vals = np.exp(1j * x * x / (4 * t)) * amp * np.asarray(fhat(x / (2 * t)),
                                                           dtype=complex)
-    return replace(pk, values=vals, t=t)
+    return WavePacket(values=vals, dx=dx, t=t)
 
 
 def _xi_potential_term(model: PotentialModel, x: np.ndarray, t: float) -> np.ndarray:

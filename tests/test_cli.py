@@ -171,7 +171,7 @@ class TestRun:
 
     def test_acceptance_values_at_full_precision(self, tmp_path):
         path = write_config(tmp_path, {
-            "experiment": "acceptance", "params": {"criteria": [4]}})
+            "experiment": "acceptance", "params": {"criteria": [1, 4]}})
         out = tmp_path / "out"
         assert cli.run(path, out_dir=str(out)) == 0
 
@@ -180,7 +180,7 @@ class TestRun:
 
         record = json.loads((out / "result.json").read_text(),
                             parse_constant=refuse)
-        [c4] = record["extra"]["results"]
+        [c1, c4] = record["extra"]["results"]
         values, measured = c4["values"], c4["measured"]
         assert set(values) == {"errors_N0", "errors_N1", "slope_N0", "slope_N1"}
         for key in ("errors_N0", "errors_N1"):
@@ -189,6 +189,12 @@ class TestRun:
         for key in ("slope_N0", "slope_N1"):
             slope = np.nan if values[key] is None else values[key]
             assert f"{slope:.3g}" == measured[key]
+        values, measured = c1["values"], c1["measured"]
+        assert set(values) == set(measured) == {"delta", "oracle", "err"}
+        assert f"{values['delta']:.6g}" == measured["delta"]
+        assert f"{values['oracle']:.6g}" == measured["oracle"]
+        assert f"{values['err']:.3g}" == measured["err"]
+        assert values["err"] == abs(values["delta"] - values["oracle"])
 
     def test_acceptance_complex_values_as_pairs(self, tmp_path):
         path = write_config(tmp_path, {
@@ -355,6 +361,35 @@ class TestTypedErrors:
         assert cli.run(path, out_dir=str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "MAX_POINT_STEPS" in err
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"experiment": "propagate", "params": {"n": 2**34}},
+        {"experiment": "moller", "params": {"n": 2**34}},
+        {"experiment": "diagnose", "params": {"check": "kato", "n": 2**34}},
+        {"experiment": "diagnose", "params": {"check": "mourre", "n": 2**34}},
+    ], ids=["propagate", "moller", "kato", "mourre"])
+    def test_huge_grid_refused_before_allocation(self, tmp_path, capsys,
+                                                 monkeypatch, config):
+        # a 2**34-point complex packet is 256 GiB; the grid builders
+        # (zeros, arange, linspace) must not be asked for anything that big
+        counts = {"zeros": lambda shape, *a, **k: np.prod(shape, dtype=float),
+                  "arange": lambda *a, **k: float(a[0]) if len(a) == 1 else 0.0,
+                  "linspace": lambda start, stop, num=50, *a, **k: float(num)}
+        for name, count in counts.items():
+            def guarded(*args, _original=getattr(np, name), _count=count,
+                        **kwargs):
+                if _count(*args, **kwargs) > 1e8:
+                    raise AssertionError("allocated a grid the schema refuses")
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, guarded)
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "at params/n: " in err
+        assert str(cli.MAX_GRID) in err
         assert not (out / "result.json").exists()
 
     def test_s0_outside_cap_rejected_before_tables(self, tmp_path, capsys,

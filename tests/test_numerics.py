@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
@@ -171,6 +172,38 @@ class TestDft:
             expect = ref(v, norm="ortho")
             err = np.max(np.abs(dft(v, direction) - expect))
             assert err <= 1e-12 * np.max(np.abs(expect))
+
+    @staticmethod
+    def _scipy_ortho(x, direction):
+        """The public scipy.fft route on the complex128 cast dft makes."""
+        transform = scipy.fft.fft if direction == "forward" else scipy.fft.ifft
+        return transform(np.asarray(x, dtype=complex), axis=-1, norm="ortho")
+
+    def _assert_bit_identical(self, x):
+        for direction in ("forward", "inverse"):
+            out = dft(x, direction)
+            assert out.dtype == np.complex128
+            assert np.array_equal(out, self._scipy_ortho(x, direction))
+
+    @pytest.mark.parametrize("n", [2**p for p in range(15)])
+    def test_bit_identical_to_scipy_fft_every_size(self, n):
+        rng = np.random.default_rng(100 + n)
+        self._assert_bit_identical(rng.standard_normal(n)
+                                   + 1j * rng.standard_normal(n))
+
+    def test_bit_identical_to_scipy_fft_batched_and_views(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((3, 4096)) + 1j * rng.standard_normal((3, 4096))
+        self._assert_bit_identical(v)
+        self._assert_bit_identical(v[:, ::2])
+        self._assert_bit_identical(v[::-1, ::-1])
+
+    def test_bit_identical_to_scipy_fft_real_and_complex64(self):
+        rng = np.random.default_rng(6)
+        self._assert_bit_identical(rng.standard_normal(1024))
+        self._assert_bit_identical((rng.standard_normal(1024)
+                                    + 1j * rng.standard_normal(1024)
+                                    ).astype(np.complex64))
 
     def test_freqs(self):
         n, dx = 16, 0.3
