@@ -82,9 +82,10 @@ def march_down(g: np.ndarray, grid: CylGrid, anchor: np.ndarray) -> np.ndarray:
     return anchor[:, None] - rev
 
 
-def interpolator(grid: CylGrid, f: np.ndarray, fill=0.0):
+def interpolator(grid: CylGrid, f: np.ndarray):
+    """scipy's bilinear RegularGridInterpolator of f, 0 outside the grid."""
     return RegularGridInterpolator(
-        (grid.s, grid.z), f, bounds_error=False, fill_value=fill
+        (grid.s, grid.z), f, bounds_error=False, fill_value=0.0
     )
 
 

@@ -24,7 +24,6 @@ from .numerics import DomainError, ParameterError, composite_gauss, spherical_jl
 from .potentials import PotentialModel, line_integral
 from . import partialwave
 
-FORWARD_CONE_HALF_ANGLE = np.deg2rad(15.0)
 RAY_TRUNCATION = 1e-12
 _SLICE_BLOCK = 8   # u1 slices of the kernel quadrature evaluated together
 
@@ -37,8 +36,9 @@ class ConvergenceError(RuntimeError):
 # first Born order
 # ---------------------------------------------------------------------------
 
-def _radial_fourier(model: PotentialModel, q: float, tol: float = 1e-9) -> float:
-    """(1/q) int_0^inf r v(r) sin(qr) dr with an oscillatory tail check."""
+def _radial_fourier(model: PotentialModel, q: float) -> float:
+    """(1/q) int_0^inf r v(r) sin(qr) dr with an oscillatory tail check
+    (relative tolerance 1e-9)."""
     r_cut = model.tail_radius(1e-13)
     if model.kind == "power_tail":
         r_cut = min(r_cut, 2000.0)
@@ -51,7 +51,7 @@ def _radial_fourier(model: PotentialModel, q: float, tol: float = 1e-9) -> float
     # integration-by-parts bound on the tail |int_R^inf (r v) sin(qr) dr|
     g = r_cut * abs(float(model.radial_values(r_cut)))
     tail = 2.0 * g / q
-    if tail > tol * (1.0 + abs(val)):
+    if tail > 1e-9 * (1.0 + abs(val)):
         raise ConvergenceError(
             f"tail estimate {tail:.2e} at r={r_cut:.1f} exceeds tolerance")
     return val / q
@@ -73,9 +73,9 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     return complex(-_radial_fourier(model, q))
 
 
-def born_first_phase_shift(model: PotentialModel, k: float, l: int,
-                           tol: float = 1e-8) -> float:
-    """delta_l^1 = -k int_0^inf v(r) j_l(kr)^2 r^2 dr."""
+def born_first_phase_shift(model: PotentialModel, k: float, l: int) -> float:
+    """delta_l^1 = -k int_0^inf v(r) j_l(kr)^2 r^2 dr, with a tail check
+    (relative tolerance 1e-8)."""
     if model.kind == "zero":
         return 0.0
     r_cut = model.tail_radius(1e-13)
@@ -90,7 +90,7 @@ def born_first_phase_shift(model: PotentialModel, k: float, l: int,
     val = -k * float(np.dot(rule.weights, model.radial_values(rule.nodes) * jl * jl * rule.nodes**2))
     # averaged tail: j_l(kr)^2 r^2 ~ 1/(2 k^2) gives -int_R v dr / (2k)
     tail = abs(float(line_integral(model, 0.0, r_cut))) / (2.0 * k)
-    if tail > tol * (1.0 + abs(val)):
+    if tail > 1e-8 * (1.0 + abs(val)):
         raise ConvergenceError(f"tail estimate {tail:.2e} exceeds tolerance")
     return val
 
@@ -99,28 +99,10 @@ def born_first_phase_shift(model: PotentialModel, k: float, l: int,
 # transport recursion b_{n+1}(x) = int_-inf^0 (-Lap b_n + v b_n)(x + t w') dt
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HighEnergyExpansion:
-    """b_n samples of the high-energy amplitude expansion along direction
-    omega_prime; b_0 = 1 identically.  remainder_factor holds
-    (-Lap b_N + v b_N)(x); the remainder is (2 i sqrt(lambda))^-N times it."""
-
-    N: int
-    omega_prime: np.ndarray
-    x_grid: np.ndarray
-    b: np.ndarray                  # shape (N+1, n_points), complex
-    remainder_factor: np.ndarray   # shape (n_points,), complex
-    cone_half_angle: float = FORWARD_CONE_HALF_ANGLE
-
-    def __post_init__(self):
-        if not np.allclose(self.b[0], 1.0):
-            raise AssertionError("b_0 must be identically 1")
-
-
-def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid):
+def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid) -> np.ndarray:
     """b_0..b_N stacked (N+1, n_s, n_z) on the cylindrical grid about the
     propagation axis, marching the ray integral up from z_min (incoming
-    convention), and the last source -Lap b_N + v b_N."""
+    convention)."""
     r = grid.radius()
     v = model.radial_values(r)
     tables = np.empty((N + 1,) + v.shape)
@@ -133,43 +115,16 @@ def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid):
         if n == 1 and np.max(np.abs(g[:, 0])) > RAY_TRUNCATION:
             anchor = line_integral(model, grid.s, -grid.z[0])
         tables[n] = _cyl.march_up(g, grid, anchor)
-        g = -_cyl.laplacian(tables[n], grid) + v * tables[n]
-    return tables, g
+        if n < N:
+            g = -_cyl.laplacian(tables[n], grid) + v * tables[n]
+    return tables
 
 
-def _default_cyl_grid(model: PotentialModel, margin: float = 1.0,
-                      n_s: int = 181, n_z: int = 481) -> _cyl.CylGrid:
-    r_eff = max(model.tail_radius(1e-10), 2.0)
-    r_eff = min(r_eff, 80.0)
-    return _cyl.make_grid(s_max=r_eff * margin, z_max=r_eff * margin,
-                          n_s=n_s, n_z=n_z)
-
-
-def transport_coefficients(model: PotentialModel, omega_prime, x_grid,
-                           N: int, grid: _cyl.CylGrid | None = None) -> HighEnergyExpansion:
-    """All b_n, n <= N, at the points of x_grid (shape (m, 3)).
-
-    Radial models use an axisymmetric (s, z) marching grid; the ray
-    quadrature requires short-range decay (rho > 1 or compact support).
-    """
-    omega_prime = np.asarray(omega_prime, dtype=float)
-    omega_prime = omega_prime / np.linalg.norm(omega_prime)
-    x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    if model.kind == "power_tail" and model.rho <= 1.0:
-        raise DomainError("ray quadrature does not converge for long-range decay")
-    if grid is None:
-        grid = _default_cyl_grid(model)
-    tables, g_last = _bn_tables(model, N, grid)
-    s, z = _cyl.cyl_coords(x_grid, omega_prime)
-    vals = _cyl.bilinear(grid, np.concatenate((tables[1:], g_last[None])), s, z)
-    b = np.empty((N + 1, len(x_grid)), dtype=complex)
-    b[0] = 1.0
-    b[1:] = vals[:N]
-    remainder = vals[N].astype(complex)
-    return HighEnergyExpansion(
-        N=N, omega_prime=omega_prime, x_grid=x_grid, b=b,
-        remainder_factor=remainder,
-    )
+def _default_cyl_grid(model: PotentialModel) -> _cyl.CylGrid:
+    """181 x 481 nodes on s in [0, 1.8 r_eff], z in [-1.8 r_eff, 1.8 r_eff],
+    with r_eff the radius where |v| < 1e-10, kept within [2, 80]."""
+    r_eff = min(max(model.tail_radius(1e-10), 2.0), 80.0)
+    return _cyl.make_grid(s_max=r_eff * 1.8, z_max=r_eff * 1.8, n_s=181, n_z=481)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +190,9 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
         if grid is None:
             if tables is not None:
                 raise ParameterError("tables need the grid they were built on")
-            grid = _default_cyl_grid(model, margin=1.8)
+            grid = _default_cyl_grid(model)
         if tables is None:
-            tables, _ = _bn_tables(model, N, grid)
+            tables = _bn_tables(model, N, grid)
         if len(tables) < N + 1 or tables.shape[1:] != (len(grid.s), len(grid.z)):
             raise ParameterError(
                 f"tables of shape {tables.shape} do not hold b_0..b_{N} on the grid")
@@ -279,13 +234,12 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
                             value=complex(value), order=N)
 
 
-def exact_kernel(model: PotentialModel, lam: float, theta: float,
-                 l_max: int | None = None, dr: float = 1e-3) -> complex:
-    """(i k / 2 pi) a(theta) from the partial-wave reference solver."""
+def exact_kernel(model: PotentialModel, lam: float, theta: float) -> complex:
+    """(i k / 2 pi) a(theta) from the partial-wave reference solver, with
+    channels up to k * effective_range + 12."""
     k = np.sqrt(lam)
-    if l_max is None:
-        l_max = int(np.ceil(k * model.effective_range)) + 12
-    table = partialwave.phase_shift_table(model, k, l_max, dr=dr)
+    l_max = int(np.ceil(k * model.effective_range)) + 12
+    table = partialwave.phase_shift_table(model, k, l_max)
     a = partialwave.amplitude(table, theta)
     return 1j * k / (2 * np.pi) * a
 
@@ -311,11 +265,11 @@ def measure_error_order(model: PotentialModel, lambdas, omega, omega_prime,
     cos_theta = float(omega @ omega_prime)
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
     # b_n do not depend on lambda: one table build per fit
-    grid = _default_cyl_grid(model, margin=1.8)
+    grid = _default_cyl_grid(model)
     tables = None
     if N >= 1:
         _support_radius(model)  # refuse before building tables the kernel cannot use
-        tables, _ = _bn_tables(model, N, grid)
+        tables = _bn_tables(model, N, grid)
     errors = np.empty(len(lambdas))
     for i, lam in enumerate(lambdas):
         approx = high_energy_kernel(model, lam, omega, omega_prime, N,

@@ -30,7 +30,9 @@ from .potentials import KINDS, PotentialModel, model_from_config
 
 
 class ConfigError(ValueError):
-    pass
+    """A config the schema or the potential model refuses; the message
+    says where ("at params/n: ..."), and run() prints it after
+    "config error: "."""
 
 
 def validate_config(config: dict) -> None:
@@ -40,14 +42,14 @@ def validate_config(config: dict) -> None:
     if errors:
         e = errors[0]
         where = "/".join(str(p) for p in e.path) or "<root>"
-        raise ConfigError(f"config error at {where}: {e.message}")
+        raise ConfigError(f"at {where}: {e.message}")
 
 
 def _model(config: dict) -> PotentialModel:
     try:
         return model_from_config(config.get("potential", {"kind": "zero"}))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config error at potential: {exc}") from exc
+        raise ConfigError(f"at potential: {exc}") from exc
 
 
 def _c(z) -> list[float]:
@@ -291,7 +293,6 @@ SCHEMA = {
                 "k_values": _NUM_LIST,
                 "lam": _POS,
                 "lambdas": _NUM_LIST,
-                "l": {"type": "integer", "minimum": 0},
                 "l_max": {"type": "integer", "minimum": 0},
                 "theta": _NUM,
                 "thetas": _NUM_LIST,

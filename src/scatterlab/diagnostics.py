@@ -150,8 +150,8 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
 # ---------------------------------------------------------------------------
 
 def mourre_check(model: PotentialModel, window: tuple[float, float],
-                 n: int = 1024, extent: float = 160.0) -> float:
-    """Minimal eigenvalue of E(I) i[H, A] E(I).
+                 n: int = 1024) -> float:
+    """Minimal eigenvalue of E(I) i[H, A] E(I), H on n points of [-160, 160].
 
     E(I) projects onto the eigenvectors of the discrete H with eigenvalue
     in I = (lo, hi]: LAPACK's selection by value (stebz) is half-open, so
@@ -164,7 +164,7 @@ def mourre_check(model: PotentialModel, window: tuple[float, float],
     lo, hi = window
     if not 0 < lo < hi:
         raise ParameterError("window must satisfy 0 < lo < hi")
-    x, diag, off = _tridiag(model, n, extent)
+    x, diag, off = _tridiag(model, n, 160.0)
     dx = x[1] - x[0]
     lam_max = 4.0 / dx**2
     if hi >= 0.25 * lam_max:
@@ -230,10 +230,10 @@ def _eig_count_below(diag, off, a: float) -> int:
 
 def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
               n: int = 80_000, extent: float = 10_000.0,
-              iters: int = 60, seed: int = 7) -> LapReport:
+              seed: int = 7) -> LapReport:
     """||<x>^{-r} (H - lam - i eps)^{-1} <x>^{-r}|| per eps (tridiagonal H,
-    largest singular value by power iteration on one LU factorization of
-    H - lam - i eps per eps, LAPACK zgttrf/zgttrs).
+    largest singular value by at most 60 power iteration steps on one LU
+    factorization of H - lam - i eps per eps, LAPACK zgttrf/zgttrs).
 
     Resonance check: an isolated eigenvalue within 10 * min(eps) of lam is
     an error; when several levels fall in that window the discrete
@@ -273,7 +273,7 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         s = 0.0
-        for _ in range(iters):
+        for _ in range(60):
             u = apply_b(v)
             # B = W A^{-1} W is complex symmetric (H real symmetric, W real),
             # so B* y = conj(B conj(y)) from the same factors

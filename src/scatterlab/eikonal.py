@@ -33,6 +33,8 @@ TAPER_FRACTION = 0.2
 S0_CAP_DELTA = 0.5
 # Sign of the plane-integral kernel for directions in the cap around +omega0.
 S0_SIGN = -1.0
+# Transport order of the S0 samples behind the diagonal-singularity probe.
+PROBE_N = 1
 
 
 def _unit(v) -> np.ndarray:
@@ -52,14 +54,14 @@ def default_n0(rho: float) -> int:
 # explicit ray integral
 # ---------------------------------------------------------------------------
 
-def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int,
-                           cone_half_angle: float = CONE_HALF_ANGLE) -> float:
+def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int) -> float:
     """Phi_pm at a point from potentials.ray_difference (closed form for
     power tails, a composite Gauss rule on the support crossings otherwise).
 
     Requires rho > 1/2 for absolute convergence of the difference
-    integrand; x must avoid the cone around -sign * xi direction.  yukawa
-    raises DomainError: the reference ray int_0^inf v diverges at the core.
+    integrand; x must avoid the CONE_HALF_ANGLE cone around the -sign * xi
+    direction.  yukawa raises DomainError: the reference ray int_0^inf v
+    diverges at the core.
     """
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
@@ -72,7 +74,7 @@ def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int,
     # outward, on the line at distance s from the origin
     z = float(x @ xi_hat)
     s = np.linalg.norm(x - z * xi_hat)
-    if -sign * z > np.cos(cone_half_angle) * np.linalg.norm(x):
+    if -sign * z > np.cos(CONE_HALF_ANGLE) * np.linalg.norm(x):
         raise DomainError("x lies inside the excluded cone around "
                           "-sign * xi direction")
     return sign * 0.5 * float(ray_difference(model, s, sign * z)) / np.linalg.norm(xi)
@@ -86,9 +88,9 @@ def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int,
 class EikonalData:
     """Eikonal correction tables about a propagation axis.
 
-    sign +1 pairs with the outgoing eigenfunction (cone excluded around
-    the negative axis); sign -1 with the incoming one (cone around the
-    positive axis).  Tables are (n_s, n_z) on grid.
+    sign +1 pairs with the outgoing eigenfunction (the CONE_HALF_ANGLE
+    cone excluded around the negative axis); sign -1 with the incoming one
+    (cone around the positive axis).  Tables are (n_s, n_z) on grid.
     """
 
     sign: int
@@ -103,18 +105,13 @@ class EikonalData:
     Phi_z: np.ndarray
     lap_Phi: np.ndarray
     q: np.ndarray                       # eikonal residual on the grid
-    cone_half_angle: float = CONE_HALF_ANGLE
 
     @property
     def lam(self) -> float:
         return self.xi_norm**2
 
     def off_cone(self) -> np.ndarray:
-        return _cyl.off_cone_mask(self.grid, -self.sign, self.cone_half_angle)
-
-    def Phi_at(self, points) -> np.ndarray:
-        s, z = _cyl.cyl_coords(points, self.xi_hat)
-        return _cyl.interpolator(self.grid, self.Phi)(np.column_stack([s, z]))
+        return _cyl.off_cone_mask(self.grid, -self.sign, CONE_HALF_ANGLE)
 
 
 def _phi3_anchor(model: PotentialModel, s: np.ndarray, a: float, sign: int) -> np.ndarray:
@@ -134,15 +131,15 @@ def _phi3_anchor(model: PotentialModel, s: np.ndarray, a: float, sign: int) -> n
 
 
 def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
-                    N0: int | None = None, sign: int = +1,
-                    grid: _cyl.CylGrid | None = None,
-                    cone_half_angle: float = CONE_HALF_ANGLE) -> EikonalData:
+                    N0: int | None = None, sign: int = +1) -> EikonalData:
     """Solve the linearized ray equations by successive approximations.
 
     With zero vector potential phi_0 = 0 and the even orders vanish;
     phi_1 solves the ray equation with source v, phi_3 the one with
     source |grad phi_1|^2.  Each table is anchored by the difference ray
-    integral on the far row and marched along rays.
+    integral on the far row and marched along rays.  The grid is 161 x 481
+    nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = 40 for power
+    tails and max(3 effective_range, 20) otherwise.
     """
     if model.rho <= 0.5:
         raise ConvergenceError("iteration implemented for rho > 1/2")
@@ -156,11 +153,9 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     if N0 > 4:
         raise ParameterError("N0 > 4 not supported (rho <= 1/2 regime)")
     xi_hat = _unit(xi_hat)
-    if grid is None:
-        extent = 40.0 if model.kind == "power_tail" else max(
-            3.0 * model.effective_range, 20.0)
-        grid = _cyl.make_grid(s_max=extent, z_max=1.5 * extent,
-                              n_s=161, n_z=481)
+    extent = 40.0 if model.kind == "power_tail" else max(
+        3.0 * model.effective_range, 20.0)
+    grid = _cyl.make_grid(s_max=extent, z_max=1.5 * extent, n_s=161, n_z=481)
     r = grid.radius()
     v = model.radial_values(r)
 
@@ -188,8 +183,7 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     return EikonalData(
         sign=sign, model=model, xi_hat=xi_hat, xi_norm=float(xi_norm),
         N0=N0, grid=grid, phi_n=tuple(phi), Phi=Phi, Phi_s=Phi_s,
-        Phi_z=Phi_z, lap_Phi=lap_Phi, q=q, cone_half_angle=cone_half_angle,
-    )
+        Phi_z=Phi_z, lap_Phi=lap_Phi, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +385,14 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
     return S0_SIGN * 1j * np.pi * lam ** 0.5 * (2 * np.pi) ** -3 * total
 
 
-def s0_solutions(model: PotentialModel, lam: float, N: int,
-                 grid: _cyl.CylGrid | None = None,
-                 N0: int | None = None) -> tuple[_PsiEvaluator, _PsiEvaluator]:
-    """Reusable (psi_plus, psi_minus) evaluators at energy lam."""
+def s0_solutions(model: PotentialModel, lam: float,
+                 N: int) -> tuple[_PsiEvaluator, _PsiEvaluator]:
+    """Reusable (psi_plus, psi_minus) evaluators at energy lam, with the
+    default iteration depth default_n0(rho)."""
     sql = np.sqrt(lam)
     axis = np.array([0.0, 0.0, 1.0])
-    eik_p = eikonal_iterate(model, axis, sql, N0=N0, sign=+1, grid=grid)
-    eik_m = eikonal_iterate(model, axis, sql, N0=N0, sign=-1, grid=grid)
+    eik_p = eikonal_iterate(model, axis, sql, sign=+1)
+    eik_m = eikonal_iterate(model, axis, sql, sign=-1)
     sol_p = transport_solve(model, eik_p, N)
     sol_m = transport_solve(model, eik_m, N)
     return _PsiEvaluator(sol_p), _PsiEvaluator(sol_m)
@@ -427,18 +421,17 @@ def s0_directions(omega, omega_prime, omega0):
 
 
 def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
-              N: int = 3, window: float | None = None,
-              solutions: tuple | None = None) -> S0Sample:
+              N: int = 3, solutions: tuple | None = None) -> S0Sample:
     """Plane-integral kernel sample over a tapered window of the plane
-    through the origin orthogonal to omega0 (d = 3, zero vector potential).
+    through the origin orthogonal to omega0 (d = 3, zero vector potential);
+    the window's half-width is max(3 effective_range, 60 / sqrt(lam)).
 
     Directions must lie in the cap omega . omega0 > 0.5.  Reports the
     relative change of the value under a 25% window enlargement; the
     sample is flagged non-converged when that exceeds 10%.
     """
     omega, omega_prime, omega0 = s0_directions(omega, omega_prime, omega0)
-    if window is None:
-        window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
+    window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
     if solutions is None:
         solutions = s0_solutions(model, lam, N)
     psi_plus, psi_minus = solutions
@@ -463,20 +456,19 @@ class DiagonalProbe:
 
 
 def diagonal_exponent_probe(model: PotentialModel, lam: float, omega0,
-                            angles, N: int = 1,
-                            window: float | None = None) -> DiagonalProbe:
+                            angles) -> DiagonalProbe:
     """Fit |s0| ~ |omega - omega'|^p near the diagonal and report p against
     the stationary-phase prediction -(1 + 1/rho) at d = 3 (informational;
-    valid regime rho < 1)."""
+    valid regime rho < 1), from S0 samples of transport order PROBE_N."""
     angles = np.asarray(angles, dtype=float)
     if len(angles) < 5 or angles[0] / angles[-1] < 8.0:
         raise ParameterError("need >= 5 decreasing angles spanning a decade")
     omega0 = _unit(omega0)
-    solutions = s0_solutions(model, lam, N)
+    solutions = s0_solutions(model, lam, PROBE_N)
     vals, seps, ok = [], [], True
     for th in angles:
         w, wp = coplanar_pair(omega0, th)
-        sample = s0_kernel(model, lam, w, wp, omega0, N=N, window=window,
+        sample = s0_kernel(model, lam, w, wp, omega0, N=PROBE_N,
                            solutions=solutions)
         vals.append(sample.value)
         seps.append(np.linalg.norm(w - wp))

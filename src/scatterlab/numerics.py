@@ -111,24 +111,13 @@ def spherical_jl(l, x) -> np.ndarray:
     return spherical_jn(l, _bessel_arg(l, x))
 
 
-def _legendre_arg(t) -> np.ndarray:
+def legendre_p_all(l_max: int, t) -> np.ndarray:
+    """P_0(t) .. P_lmax(t) (scipy.special) along a new last axis; t is
+    clamped to [-1, 1] after a DomainError check that allows rounding."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-14):
         raise DomainError(f"|t| must be <= 1, got {t}")
-    return np.clip(t, -1.0, 1.0)
-
-
-def legendre_p(l: int, t):
-    """Legendre polynomial P_l(t) (scipy.special), elementwise in t."""
-    t = _legendre_arg(t)
-    if l < 0:
-        raise ParameterError("l must be >= 0")
-    return eval_legendre(int(l), t)
-
-
-def legendre_p_all(l_max: int, t) -> np.ndarray:
-    """P_0(t) .. P_lmax(t) along a new last axis."""
-    return eval_legendre(np.arange(l_max + 1), _legendre_arg(t)[..., None])
+    return eval_legendre(np.arange(l_max + 1), np.clip(t, -1.0, 1.0)[..., None])
 
 
 def dft(values, direction: str = "forward") -> np.ndarray:

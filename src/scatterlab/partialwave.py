@@ -2,8 +2,7 @@
 
 Per-channel Numerov integration of u'' = (l(l+1)/r^2 + v - k^2) u, phase
 shifts by asymptotic matching against free spherical waves, S-matrix
-eigenvalues exp(2 i delta_l), the partial-wave scattering amplitude, and
-the incoming/outgoing decomposition whose ratio realizes the S-matrix.
+eigenvalues exp(2 i delta_l) and the partial-wave scattering amplitude.
 
 Amplitude normalization: a(theta) is the textbook f(theta); the kernel of
 S(lambda) - Id on the sphere equals (i k / 2 pi) * a at d = 3.
@@ -16,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (DomainError, NumericalError, ParameterError,
-                       banded_recurrence, legendre_p_all, spherical_bessel,
-                       spherical_jl)
+                       banded_recurrence, legendre_p_all, spherical_bessel)
 from .potentials import PotentialModel
 
 
@@ -209,43 +207,3 @@ def amplitude_kernel(table: PhaseShiftTable, thetas) -> AmplitudeKernel:
         raise NumericalError("non-finite amplitude sample")
     return AmplitudeKernel(lam=table.k**2, theta=thetas, values=vals)
 
-
-def _riccati_hankel(l: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """(H_minus, H_plus): exact free solutions behaving like
-    exp(-i(x - l pi/2)) and exp(+i(x - l pi/2)) at infinity, elementwise in x."""
-    j, y = spherical_bessel(l, x)
-    s = x * j           # -> sin(x - l pi/2)
-    c = -x * y          # -> cos(x - l pi/2)
-    return c - 1j * s, c + 1j * s
-
-
-def radial_in_out_decomposition(model: PotentialModel, l: int, k: float,
-                                r_samples) -> tuple[complex, complex]:
-    """Fit the channel solution to b_- e^{-i(kr - l pi/2)} + b_+ e^{+i(kr - l pi/2)}.
-
-    The basis uses exact free spherical waves (Riccati-Hankel combinations
-    with those asymptotics), so the contract b_+/b_- = exp(2 i delta_l)
-    holds at any sample radius outside the potential.  Free normalization:
-    sin(kr - l pi/2) decomposes with b_- = b_+ = 1.
-    """
-    _require_short_range(model)
-    r_samples = np.asarray(r_samples, dtype=float)
-    if np.any(np.abs(model.radial_values(r_samples)) > 1e-8):
-        raise ParameterError("sample radii must lie where the tail is < 1e-8")
-    r_max = float(np.max(r_samples)) + 1.0
-    dr = 1e-3
-    x = k * r_samples
-    hm, hp = _riccati_hankel(l, x)
-    if model.kind == "zero":
-        # exact free regular solution kr j_l(kr) (asymptote sin(kr - l pi/2))
-        u_at = x * spherical_jl(l, x)
-    else:
-        r, u = _numerov_channels(model, np.array([l], dtype=float), k, r_max, dr)
-        u_at = np.interp(r_samples, r, u[:, 0])
-    basis = np.column_stack([0.5j * hm,       # incoming
-                             -0.5j * hp])     # outgoing
-    cond = np.linalg.cond(basis)
-    if cond > 1e8:
-        raise NumericalError(f"in/out fit ill-conditioned (cond={cond:.2e})")
-    coef, *_ = np.linalg.lstsq(basis, u_at.astype(complex), rcond=None)
-    return complex(coef[0]), complex(coef[1])

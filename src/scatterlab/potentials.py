@@ -1,4 +1,4 @@
-"""Potential catalog with decay classification and numerical decay verification.
+"""Potential catalog with decay classification and line integrals of v.
 
 Decay convention: |v(x)| <= C <x>^{-rho} with <x> = (1 + |x|^2)^{1/2};
 rho > 1 is short range, 0 < rho <= 1 long range.
@@ -199,64 +199,6 @@ def evaluate(model: PotentialModel, x) -> float:
         r = np.sqrt(np.sum(x * x, axis=-1))
     out = model.radial_values(r)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """sup |d^a v| * <x>^(rho+|a|) per derivative order, with pass flags."""
-
-    model: PotentialModel
-    orders: tuple[int, ...]
-    sup_constants: tuple[float, ...]
-    growth_ratios: tuple[float, ...]
-    passed: tuple[bool, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.passed)
-
-
-def verify_decay(model: PotentialModel, derivative_orders: int, sample_radii) -> DecayReport:
-    """Check |d^a v| <= C <x>^{-rho-|a|} empirically along a radial ray.
-
-    Derivatives are radial central differences. A derivative order passes
-    when the weighted samples show no growth trend beyond 5% between the
-    first and second half of the (increasing) radii.
-    """
-    radii = np.asarray(sample_radii, dtype=float)
-    if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ValueError("sample radii must be positive and increasing")
-    if derivative_orders > 2:
-        raise ValueError("at most second derivatives are sampled")
-    orders, sups, ratios, flags = [], [], [], []
-    h = 1e-3
-    for order in range(derivative_orders + 1):
-        if order == 0:
-            deriv = np.abs(model.radial_values(radii))
-        elif order == 1:
-            deriv = np.abs(model.radial_values(radii + h) - model.radial_values(radii - h)) / (2 * h)
-        else:
-            deriv = np.abs(
-                model.radial_values(radii + h)
-                - 2 * model.radial_values(radii)
-                + model.radial_values(radii - h)
-            ) / h**2
-        weighted = deriv * (1.0 + radii * radii) ** ((model.rho + order) / 2.0)
-        half = len(radii) // 2
-        lead = max(np.max(weighted[:half]), 1e-300)
-        tail = np.max(weighted[half:])
-        ratio = tail / lead
-        orders.append(order)
-        sups.append(float(np.max(weighted)))
-        ratios.append(float(ratio))
-        flags.append(bool(ratio <= 1.05))
-    return DecayReport(
-        model=model,
-        orders=tuple(orders),
-        sup_constants=tuple(sups),
-        growth_ratios=tuple(ratios),
-        passed=tuple(flags),
-    )
 
 
 def model_from_config(spec: dict) -> PotentialModel:

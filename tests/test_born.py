@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scatterlab import _cyl, born
-from scatterlab.numerics import ParameterError, composite_gauss
+from scatterlab.numerics import DomainError, ParameterError, composite_gauss
 from scatterlab.potentials import PotentialModel
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
@@ -30,8 +30,8 @@ def kernel_slice_loop(model, lam, omega, omega_prime, N, grid=None):
     rule1 = composite_gauss(12, np.linspace(-R, R, max(2, n1 // 12 + 1)))
     rule_t = composite_gauss(12, np.linspace(-R, R, max(2, nt // 12 + 1)))
 
-    expansion_grid = grid or born._default_cyl_grid(model, margin=1.8)
-    tables, _ = born._bn_tables(model, N, expansion_grid)
+    expansion_grid = grid or born._default_cyl_grid(model)
+    tables = born._bn_tables(model, N, expansion_grid)
     interps = [None] + [_cyl.interpolator(expansion_grid, t) for t in tables[1:]]
 
     u2, w2 = rule_t.nodes, rule_t.weights
@@ -99,22 +99,26 @@ class TestFirstBorn:
             born.born_first_phase_shift(model, 1.0, 0)
 
 
+def b_at_origin(model, N):
+    """b_0..b_N at x = 0, read from the _bn_tables the kernel uses."""
+    grid = born._default_cyl_grid(model)
+    s, z = _cyl.cyl_coords(np.zeros((1, 3)), np.array([0.0, 0.0, 1.0]))
+    return _cyl.bilinear(grid, born._bn_tables(model, N, grid), s, z)[:, 0]
+
+
 class TestTransport:
     def test_b0_is_one(self):
-        exp = born.transport_coefficients(GAUSS, [0, 0, 1],
-                                          [[0.0, 0.0, 0.0]], 2)
-        assert exp.b[0][0] == pytest.approx(1.0)
+        assert b_at_origin(GAUSS, 2)[0] == pytest.approx(1.0)
 
     def test_b1_ray_integral_oracle(self):
         # b1(0) = int_-inf^0 v(t w') dt = v0 sqrt(pi)/2 for the unit gaussian
-        exp = born.transport_coefficients(GAUSS, [0, 0, 1],
-                                          [[0.0, 0.0, 0.0]], 1)
-        assert exp.b[1][0] == pytest.approx(-np.sqrt(np.pi) / 2, rel=1e-3)
+        assert b_at_origin(GAUSS, 1)[1] == pytest.approx(-np.sqrt(np.pi) / 2, rel=1e-3)
 
     def test_long_range_rejected(self):
         tail = PotentialModel(kind="power_tail", v0=1.0, rho=1.0)
-        with pytest.raises(Exception):
-            born.transport_coefficients(tail, [0, 0, 1], [[0.0, 0.0, 0.0]], 1)
+        omega, omega_p = THETA_90
+        with pytest.raises(DomainError):
+            born.high_energy_kernel(tail, 25.0, omega, omega_p, 1)
 
 
 class TestKernel:
@@ -183,8 +187,8 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("N", [1, 2])
     def test_given_tables_change_nothing(self, N):
         omega, omega_p = OFF_PLANE
-        grid = born._default_cyl_grid(GAUSS, margin=1.8)
-        tables, _ = born._bn_tables(GAUSS, N, grid)
+        grid = born._default_cyl_grid(GAUSS)
+        tables = born._bn_tables(GAUSS, N, grid)
         built = born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, N)
         given = born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, N,
                                         grid=grid, tables=tables)
@@ -192,8 +196,8 @@ class TestBlockedKernel:
 
     def test_tables_for_higher_order_serve_lower(self):
         omega, omega_p = THETA_90
-        grid = born._default_cyl_grid(GAUSS, margin=1.8)
-        tables, _ = born._bn_tables(GAUSS, 2, grid)
+        grid = born._default_cyl_grid(GAUSS)
+        tables = born._bn_tables(GAUSS, 2, grid)
         built = born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, 1)
         given = born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, 1,
                                         grid=grid, tables=tables)
@@ -201,8 +205,8 @@ class TestBlockedKernel:
 
     def test_tables_must_match(self):
         omega, omega_p = THETA_90
-        grid = born._default_cyl_grid(GAUSS, margin=1.8)
-        tables, _ = born._bn_tables(GAUSS, 1, grid)
+        grid = born._default_cyl_grid(GAUSS)
+        tables = born._bn_tables(GAUSS, 1, grid)
         with pytest.raises(ParameterError):   # too few orders
             born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, 2,
                                     grid=grid, tables=tables)

@@ -69,7 +69,15 @@ class TestValidation:
         path.write_text('{"experiment": "phaseshift", "potential": '
                         '{"kind": "gaussian_well", "v0": -1' + "0" * 400 + '}}')
         assert cli.run(str(path), out_dir=str(tmp_path / "out")) == 2
-        assert "config error at potential" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: at potential: " in err and err.count("config error") == 1
+
+    def test_param_l_refused(self, tmp_path, capsys):
+        # no runner reads a single channel l; phaseshift takes l_max
+        path = write_config(tmp_path, {"experiment": "phaseshift",
+                                       "params": {"l": 2}})
+        assert cli.run(path) == 2
+        assert "'l'" in capsys.readouterr().err
 
     def test_schema_is_valid_jsonschema(self):
         import jsonschema
@@ -388,7 +396,8 @@ class TestTypedErrors:
         out = tmp_path / "out"
         assert cli.run(path, out_dir=str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "at params/n: " in err
+        assert err.startswith("config error: at params/n: ")
+        assert err.count("config error") == 1
         assert str(cli.MAX_GRID) in err
         assert not (out / "result.json").exists()
 

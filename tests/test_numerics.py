@@ -7,6 +7,7 @@ from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 from scatterlab import numerics
 from scatterlab.numerics import (
+    DomainError,
     NumericalError,
     ParameterError,
     banded_recurrence,
@@ -14,7 +15,6 @@ from scatterlab.numerics import (
     dft,
     dft_freqs,
     gauss_legendre,
-    legendre_p,
     legendre_p_all,
     spherical_bessel,
     spherical_jl,
@@ -90,28 +90,33 @@ class TestLegendre:
     @pytest.mark.parametrize("l", [0, 1, 2, 7, 20])
     @pytest.mark.parametrize("t", [-1.0, -0.3, 0.0, 0.5, 1.0])
     def test_against_scipy(self, l, t):
-        assert legendre_p(l, t) == pytest.approx(eval_legendre(l, t),
-                                                 rel=1e-12, abs=1e-14)
+        assert legendre_p_all(l, t)[l] == pytest.approx(eval_legendre(l, t),
+                                                        rel=1e-12, abs=1e-14)
 
     def test_all_consistent(self):
-        t = 0.37
+        t = np.array([-1.0, -0.6, 0.37, 1.0])
         vals = legendre_p_all(10, t)
+        assert vals.shape == (4, 11)
         for l in range(11):
-            assert vals[l] == pytest.approx(legendre_p(l, t), rel=1e-13)
+            assert vals[:, l] == pytest.approx(eval_legendre(l, t), rel=1e-13)
 
     def test_orthogonality(self):
         rule = gauss_legendre(64, -1.0, 1.0)
+        p = legendre_p_all(9, rule.nodes)
         for m, n in [(0, 1), (2, 5), (3, 3), (7, 9)]:
-            val = float(np.dot(rule.weights,
-                               [legendre_p(m, t) * legendre_p(n, t)
-                                for t in rule.nodes]))
+            val = float(np.dot(rule.weights, p[:, m] * p[:, n]))
             expect = 2.0 / (2 * n + 1) if m == n else 0.0
             assert val == pytest.approx(expect, abs=1e-13)
 
     @given(st.integers(0, 40), st.floats(-1.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_bounded_on_interval(self, l, t):
-        assert abs(legendre_p(l, t)) <= 1.0 + 1e-12
+        assert np.all(np.abs(legendre_p_all(l, t)) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("t", [1.0 + 1e-9, -1.5, [0.0, 2.0]])
+    def test_outside_interval_rejected(self, t):
+        with pytest.raises(DomainError):
+            legendre_p_all(3, t)
 
 
 class TestDft:

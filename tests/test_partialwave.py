@@ -104,9 +104,6 @@ class TestPhaseShift:
             partialwave.radial_phase_shift(tail, 0, 1.0)
         with pytest.raises(DomainError):
             partialwave.phase_shift_table(tail, 1.0, 4)
-        with pytest.raises(DomainError):
-            partialwave.radial_in_out_decomposition(
-                tail, 0, 1.0, np.linspace(1e5, 1e5 + 3.0, 8))
 
 
 class TestNumerovSweep:
@@ -178,24 +175,19 @@ class TestSMatrix:
         assert np.max(np.abs(eigs[20:] - 1.0)) < 1e-3
 
     def test_in_out_ratio_is_smatrix_eigenvalue(self):
+        # outside v the Numerov solution is a s(kr) + b c(kr) with the free
+        # Riccati waves s = x j_l -> sin(x - l pi/2), c = -x y_l -> cos(..),
+        # so b_- e^{-i(..)} + b_+ e^{+i(..)} with b_+ / b_- = (a + ib) / (a - ib)
         k, l = 1.3, 1
         delta = partialwave.radial_phase_shift(GAUSS, l, k)
+        r, u = partialwave._numerov_channels(GAUSS, np.array([l]), k, 13.0, 1e-3)
         r_samples = np.linspace(9.0, 12.0, 24)
-        b_minus, b_plus = partialwave.radial_in_out_decomposition(
-            GAUSS, l, k, r_samples)
-        ratio = b_plus / b_minus
+        x = k * r_samples
+        j, y = numerics.spherical_bessel(l, x)
+        (a, b), *_ = np.linalg.lstsq(np.column_stack([x * j, -x * y]),
+                                     np.interp(r_samples, r, u[:, 0]), rcond=None)
+        ratio = (a + 1j * b) / (a - 1j * b)
         assert ratio == pytest.approx(np.exp(2j * delta), abs=1e-5)
-
-    def test_free_decomposition_normalization(self):
-        b_minus, b_plus = partialwave.radial_in_out_decomposition(
-            PotentialModel(kind="zero"), 2, 1.0, np.linspace(8.0, 11.0, 16))
-        assert b_minus == pytest.approx(1.0, abs=1e-9)
-        assert b_plus == pytest.approx(1.0, abs=1e-9)
-
-    def test_samples_inside_potential_rejected(self):
-        with pytest.raises(ParameterError):
-            partialwave.radial_in_out_decomposition(
-                GAUSS, 0, 1.0, np.linspace(1.0, 2.0, 8))
 
 
 class TestAmplitude:

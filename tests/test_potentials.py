@@ -15,7 +15,6 @@ from scatterlab.potentials import (
     line_integral,
     model_from_config,
     ray_difference,
-    verify_decay,
 )
 
 
@@ -76,31 +75,16 @@ class TestDecay:
                                           ("power_tail", 2.0),
                                           ("power_tail", 1.0)])
     def test_claimed_decay_verified(self, kind, rho):
+        # |d^a v| <x>^(rho + a), a = 0, 1, 2 (central differences), shows no
+        # growth beyond 5% from the first to the second half of the radii
         m = PotentialModel(kind=kind, v0=-0.5, width=1.0, rho=rho)
-        rep = verify_decay(m, 2, np.linspace(1.0, 30.0, 40))
-        assert rep.all_passed
-
-    def test_overclaimed_decay_fails(self):
-        # forge a profile decaying like rho = 1 but claiming rho = 3: the
-        # weighted samples grow ~ r^2 and the check must flag it
-        class SlowTail(PotentialModel):
-            def radial_values(self, r):
-                r = np.asarray(r, dtype=float)
-                return (1.0 + r * r) ** -0.5
-
-        m = SlowTail(kind="power_tail", v0=1.0, rho=3.0)
-        rep = verify_decay(m, 0, np.linspace(1.0, 200.0, 60))
-        assert not rep.all_passed
-
-    def test_sup_constants_finite(self):
-        m = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
-        rep = verify_decay(m, 2, np.linspace(0.5, 20.0, 40))
-        assert all(np.isfinite(c) and c >= 0 for c in rep.sup_constants)
-
-    def test_bad_radii_rejected(self):
-        m = PotentialModel(kind="zero")
-        with pytest.raises(ValueError):
-            verify_decay(m, 0, [2.0, 1.0])
+        r, h = np.linspace(1.0, 30.0, 40), 1e-3
+        v = m.radial_values
+        derivs = [np.abs(v(r)), np.abs(v(r + h) - v(r - h)) / (2 * h),
+                  np.abs(v(r + h) - 2 * v(r) + v(r - h)) / h**2]
+        for a, d in enumerate(derivs):
+            weighted = d * (1.0 + r * r) ** ((rho + a) / 2.0)
+            assert np.max(weighted[20:]) <= 1.05 * max(np.max(weighted[:20]), 1e-300)
 
 
 class TestConfig:
