@@ -164,9 +164,8 @@ def criterion_06() -> CriterionResult:
     """PDE residual: >= 5x drop N=0 -> N=2 at lambda=25; N=1 slope -0.5."""
     axis = np.array([0.0, 0.0, 1.0])
     eik25 = eikonal.eikonal_iterate(GAUSS, axis, 5.0)
-    r0 = eikonal.transport_solve(GAUSS, eik25, 0).residual_norm
-    r1_25 = eikonal.transport_solve(GAUSS, eik25, 1).residual_norm
-    r2 = eikonal.transport_solve(GAUSS, eik25, 2).residual_norm
+    r0, r1_25, r2 = (sol.residual_norm
+                     for sol in eikonal.transport_series(GAUSS, eik25, 2))
     eik100 = eikonal.eikonal_iterate(GAUSS, axis, 10.0)
     r1_100 = eikonal.transport_solve(GAUSS, eik100, 1).residual_norm
     drop = r0 / r2

@@ -118,10 +118,8 @@ def _run_eikonal(model, p, seed):
     N = p.get("N", 2)
     axis = np.array([0.0, 0.0, 1.0])
     eik = eikonal.eikonal_iterate(model, axis, float(xi_norm), N0=N0)
-    rows = []
-    for n in range(N + 1):
-        sol = eikonal.transport_solve(model, eik, n)
-        rows.append([n, sol.residual_norm])
+    rows = [[sol.N, sol.residual_norm]
+            for sol in eikonal.transport_series(model, eik, N)]
     extra = {"lambda": eik.lam, "N0": eik.N0}
     return ["N", "residual_norm"], rows, extra, []
 

@@ -16,6 +16,8 @@ fields (built-in models are radial).
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +93,11 @@ class EikonalData:
     sign +1 pairs with the outgoing eigenfunction (the CONE_HALF_ANGLE
     cone excluded around the negative axis); sign -1 with the incoming one
     (cone around the positive axis).  Tables are (n_s, n_z) on grid.
+
+    The package builds sign +1 only: for a real radial potential the
+    sign -1 tables are the mirror Phi_-(s, z) = -Phi_+(s, -z), and S0 takes
+    psi_- as the time reversal of psi_+ (_PsiEvaluator.time_reversed).
+    sign -1 stays as the tests' independent oracle of that identity.
     """
 
     sign: int
@@ -210,18 +217,17 @@ class ApproximateEigenfunction:
         return self.eikonal.sign
 
 
-def transport_solve(model: PotentialModel, eikonal: EikonalData,
-                    N: int) -> ApproximateEigenfunction:
-    """Solve the amplitude recursion b_0 = 1,
+def transport_series(model: PotentialModel, eikonal: EikonalData,
+                     N: int) -> Iterator[ApproximateEigenfunction]:
+    """The approximate eigenfunctions of orders n = 0..N from one march of
+    the amplitude recursion b_0 = 1,
     ray(b_{n+1}) = -Lap b_n - 2i grad Phi . grad b_n - i (Lap Phi) b_n + q b_n,
-    and assemble psi with its PDE residual norm."""
+    each assembled with its PDE residual norm."""
     if model is not eikonal.model and model != eikonal.model:
         raise ParameterError("model must match the eikonal data")
     grid = eikonal.grid
-    r = grid.radius()
-    v = model.radial_values(r)
     xi = eikonal.xi_norm
-    sign = eikonal.sign
+    march = _cyl.march_down if eikonal.sign > 0 else _cyl.march_up
 
     def source(bn):
         return (-_cyl.laplacian(bn.real, grid) - 1j * _cyl.laplacian(bn.imag, grid)
@@ -230,38 +236,42 @@ def transport_solve(model: PotentialModel, eikonal: EikonalData,
                 - 1j * eikonal.lap_Phi * bn
                 + eikonal.q * bn)
 
-    b = [np.ones_like(v, dtype=complex)]
-    for n in range(N):
-        f = source(b[-1])
-        zero = np.zeros(len(grid.s))
-        if sign > 0:
-            b.append(_cyl.march_down(f, grid, zero))
-        else:
-            b.append(_cyl.march_up(f, grid, zero))
-
-    orders = (2j * xi) ** -np.arange(N + 1)
-    btot = sum(o * bn for o, bn in zip(orders, b))
     ss, zz = grid.mesh()
     phase = np.exp(1j * (xi * zz + eikonal.Phi))
-    psi = phase * btot
-
-    # (-Lap + v - lambda) psi = exp(i phi) [ q b - i (Lap Phi) b
-    #   - 2i (xi e_z + grad Phi) . grad b - Lap b ];  with the recursion
-    # the bracket telescopes exactly to (2 i |xi|)^-N f(b_N), which is the
-    # stable form (the direct difference cancels to the differencing floor)
-    residual = phase * ((2j * xi) ** -N * source(b[N]))
-
     mask = eikonal.off_cone()
     mask[:3, :] = False
     mask[-3:, :] = False
     mask[:, :3] = False
     mask[:, -3:] = False
     weight = 2.0 * np.pi * np.maximum(ss, grid.ds / 4.0)
-    norm2 = np.sum(np.abs(residual[mask]) ** 2 * weight[mask]) * grid.ds * grid.dz
-    return ApproximateEigenfunction(
-        eikonal=eikonal, N=N, b_n=tuple(b), psi=psi,
-        residual=residual, residual_norm=float(np.sqrt(norm2)),
-    )
+    orders = (2j * xi) ** -np.arange(N + 1)
+
+    b = [np.ones(ss.shape, dtype=complex)]
+    btot = 0
+    for n in range(N + 1):
+        btot = btot + orders[n] * b[n]
+        f = source(b[n])
+        # (-Lap + v - lambda) psi = exp(i phi) [ q b - i (Lap Phi) b
+        #   - 2i (xi e_z + grad Phi) . grad b - Lap b ];  with the recursion
+        # the bracket telescopes exactly to (2 i |xi|)^-n f(b_n), which is
+        # the stable form (the direct difference cancels to the differencing
+        # floor)
+        residual = phase * ((2j * xi) ** -n * f)
+        norm2 = np.sum(np.abs(residual[mask]) ** 2 * weight[mask]) * grid.ds * grid.dz
+        yield ApproximateEigenfunction(
+            eikonal=eikonal, N=n, b_n=tuple(b), psi=phase * btot,
+            residual=residual, residual_norm=float(np.sqrt(norm2)),
+        )
+        if n < N:
+            b.append(march(f, grid, np.zeros(len(grid.s))))
+
+
+def transport_solve(model: PotentialModel, eikonal: EikonalData,
+                    N: int) -> ApproximateEigenfunction:
+    """The order-N approximate eigenfunction, the last of transport_series."""
+    for sol in transport_series(model, eikonal, N):
+        pass
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +298,16 @@ class S0Sample:
 
 class _PsiEvaluator:
     """Evaluates psi and its derivative along a fixed space direction from
-    axisymmetric tables, for any propagation direction omega."""
+    axisymmetric tables, for any propagation direction omega.
+
+    Built from an outgoing (sign +1) solution it evaluates psi_+; its
+    time_reversed() twin evaluates psi_-(x; omega) = conj psi_+(x; -omega)
+    from the same nine interpolators (reverses is then the outgoing one).
+    """
 
     def __init__(self, solution: ApproximateEigenfunction):
         self.sol = solution
+        self.reverses: _PsiEvaluator | None = None
         eik = solution.eikonal
         grid = eik.grid
         self.xi = eik.xi_norm
@@ -313,11 +329,28 @@ class _PsiEvaluator:
         # outside the table b = 1, Phi = 0
         self._interp["b_re"].fill_value = 1.0
 
+    def time_reversed(self) -> _PsiEvaluator:
+        """psi_- for a real radial potential: time reversal maps psi_+(x; w)
+        to conj psi_+(x; -w), so the incoming tables are never built."""
+        if self.reverses is not None:
+            return self.reverses
+        rev = copy.copy(self)
+        rev.reverses = self
+        return rev
+
     def __call__(self, points: np.ndarray, omega: np.ndarray,
                  deriv_dir: np.ndarray):
         """(psi, d psi / d t) along deriv_dir at the given 3D points."""
+        if self.reverses is not None:
+            psi, dpsi = self._outgoing(points, -omega, deriv_dir)
+            return np.conj(psi), np.conj(dpsi)
+        return self._outgoing(points, omega, deriv_dir)
+
+    def _outgoing(self, points, omega, deriv_dir):
         s, z = _cyl.cyl_coords(points, omega)
-        pts = np.column_stack([s, z])
+        # (n, 2) in Fortran order: the interpolator's per-call NaN scan
+        # then runs down contiguous columns
+        pts = np.array([s, z]).T
         get = lambda name: self._interp[name](pts)
         Phi = get("Phi")
         b = get("b_re") + 1j * get("b_im")
@@ -369,7 +402,14 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
     pts = (a[:, None, None] * e1[None, None, :]
            + b[None, :, None] * e2[None, None, :]).reshape(-1, 3)
     pp, dpp = psi_plus(pts, omega, omega0)
-    pm, dpm = psi_minus(pts, omega_prime, omega0)
+    if (getattr(psi_minus, "reverses", None) is psi_plus
+            and _same_cyl_coords(pts, omega, -omega_prime)):
+        # psi_-(x; omega') = conj psi_+(x; -omega'); equal (s, z) about
+        # omega and -omega' on the plane make the pair symmetric about
+        # omega0, and d/dt along omega0 flips both s and z
+        pm, dpm = np.conj(pp), -np.conj(dpp)
+    else:
+        pm, dpm = psi_minus(pts, omega_prime, omega0)
     # subtract the free-field (v = 0) integrand: off the diagonal it
     # contributes nothing over the infinite plane, but its finite-window
     # taper leakage would otherwise swamp the scattering part
@@ -385,17 +425,24 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
     return S0_SIGN * 1j * np.pi * lam ** 0.5 * (2 * np.pi) ** -3 * total
 
 
+def _same_cyl_coords(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+    """True when every point has bit-identical (s, z) about a and about b."""
+    return all(np.array_equal(u, v) for u, v in
+               zip(_cyl.cyl_coords(points, a), _cyl.cyl_coords(points, b)))
+
+
 def s0_solutions(model: PotentialModel, lam: float,
                  N: int) -> tuple[_PsiEvaluator, _PsiEvaluator]:
     """Reusable (psi_plus, psi_minus) evaluators at energy lam, with the
-    default iteration depth default_n0(rho)."""
-    sql = np.sqrt(lam)
+    default iteration depth default_n0(rho).
+
+    Only the outgoing (sign +1) eikonal and transport tables are built;
+    psi_minus is psi_plus.time_reversed() on the same interpolators.
+    """
     axis = np.array([0.0, 0.0, 1.0])
-    eik_p = eikonal_iterate(model, axis, sql, sign=+1)
-    eik_m = eikonal_iterate(model, axis, sql, sign=-1)
-    sol_p = transport_solve(model, eik_p, N)
-    sol_m = transport_solve(model, eik_m, N)
-    return _PsiEvaluator(sol_p), _PsiEvaluator(sol_m)
+    eik = eikonal_iterate(model, axis, np.sqrt(lam), sign=+1)
+    psi = _PsiEvaluator(transport_solve(model, eik, N))
+    return psi, psi.time_reversed()
 
 
 def coplanar_pair(omega0: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -428,12 +475,20 @@ def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
 
     Directions must lie in the cap omega . omega0 > 0.5.  Reports the
     relative change of the value under a 25% window enlargement; the
-    sample is flagged non-converged when that exceeds 10%.
+    sample is flagged non-converged when that exceeds 10%.  solutions from
+    s0_solutions must be built for the same model, lam and N, else
+    ParameterError.
     """
     omega, omega_prime, omega0 = s0_directions(omega, omega_prime, omega0)
     window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
     if solutions is None:
         solutions = s0_solutions(model, lam, N)
+    for psi in solutions:
+        eik = psi.sol.eikonal
+        if (model != eik.model or eik.xi_norm != np.sqrt(lam)
+                or psi.sol.N != N):
+            raise ParameterError("solutions were built for another model, "
+                                 "lambda or N")
     psi_plus, psi_minus = solutions
     val = _s0_quadrature(psi_plus, psi_minus, omega, omega_prime, omega0,
                          lam, window)

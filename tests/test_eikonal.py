@@ -355,3 +355,126 @@ class TestS0Fold:
         folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
         full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
         assert folded == full
+
+
+TAIL09 = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
+
+
+def _two_table_pair(model, lam, N):
+    """(psi_plus, psi_minus) with psi_minus built from its own sign -1
+    tables: the oracle of the time-reversed incoming evaluator."""
+    sql = np.sqrt(lam)
+    psi_plus = _solutions(model, lam, N)[0]
+    incoming = eikonal.transport_solve(
+        model, eikonal.eikonal_iterate(model, ZAXIS, sql, sign=-1), N)
+    return psi_plus, _PsiEvaluator(incoming)
+
+
+class TestTimeReversal:
+    """psi_-(x; omega) = conj psi_+(x; -omega) for a real radial potential,
+    with the sign -1 tables as the oracle."""
+
+    @pytest.mark.parametrize("model,lam", [(GAUSS, 25.0), (GAUSS, 64.0),
+                                           (TAIL09, 100.0), (TAIL1, 100.0)])
+    def test_incoming_tables_mirror_outgoing(self, model, lam):
+        # Phi_-(s, z) = -Phi_+(s, -z), b_-,n(s, z) = (-1)^n conj b_+,n(s, -z)
+        sql = np.sqrt(lam)
+        plus = eikonal.eikonal_iterate(model, ZAXIS, sql, sign=+1)
+        minus = eikonal.eikonal_iterate(model, ZAXIS, sql, sign=-1)
+        assert np.array_equal(plus.grid.z, -plus.grid.z[::-1])
+        assert np.array_equal(minus.Phi, -plus.Phi[:, ::-1])
+        b_plus = eikonal.transport_solve(model, plus, 3).b_n
+        b_minus = eikonal.transport_solve(model, minus, 3).b_n
+        for n, (bp, bm) in enumerate(zip(b_plus, b_minus)):
+            mirror = (-1) ** n * np.conj(bp[:, ::-1])
+            np.testing.assert_allclose(bm, mirror, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(bp)))
+
+    @pytest.mark.parametrize("model,lam,N", [(GAUSS, 64.0, 3),
+                                             (TAIL09, 25.0, 1)])
+    def test_quadrature_matches_two_tables(self, model, lam, N):
+        reversed_pair = _solutions(model, lam, N)
+        two_tables = _two_table_pair(model, lam, N)
+        assert reversed_pair[1].reverses is reversed_pair[0]
+        assert two_tables[1].reverses is None
+        w, wp = _pair(20.0)
+        window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
+        for omega, omega_prime in ((w, wp), (wp, w), _pair(20.0, 30.0)):
+            for win in (window, 1.25 * window):
+                got = eikonal._s0_quadrature(*reversed_pair, omega, omega_prime,
+                                             ZAXIS, lam, win)
+                ref = eikonal._s0_quadrature(*two_tables, omega, omega_prime,
+                                             ZAXIS, lam, win)
+                assert abs(got - ref) <= 1e-10 * abs(ref), (omega, win)
+
+    def test_symmetric_pair_evaluates_psi_plus_once(self, monkeypatch):
+        lam = 25.0
+        pp, pm = _solutions(GAUSS, lam, 1)
+        calls = []
+        evaluate = _PsiEvaluator.__call__
+
+        def counting(self, points, omega, deriv_dir):
+            calls.append((self, len(points)))
+            return evaluate(self, points, omega, deriv_dir)
+
+        monkeypatch.setattr(_PsiEvaluator, "__call__", counting)
+        n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
+        eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, lam, 18.0)
+        assert calls == [(pp, n * n // 2)]
+        calls.clear()
+        eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, lam, 18.0)
+        assert calls == [(pp, n * n), (pm, n * n)]
+
+    def test_one_table_set(self, monkeypatch):
+        built = []
+        iterate = eikonal.eikonal_iterate
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("sign", +1))
+            return iterate(*args, **kwargs)
+
+        monkeypatch.setattr(eikonal, "eikonal_iterate", counting)
+        pp, pm = eikonal.s0_solutions(GAUSS, 25.0, 1)
+        assert built == [+1]
+        assert pp.sol.sign == +1 and pm.reverses is pp
+        assert pm._interp is pp._interp
+        assert pm.time_reversed() is pp
+
+    def test_mismatched_solutions_refused(self):
+        sols = _solutions(GAUSS, 25.0, 1)
+        w, wp = _pair(20.0)
+        other = PotentialModel(kind="gaussian_well", v0=-0.5, width=1.0)
+        for model, lam, N in ((other, 25.0, 1), (GAUSS, 36.0, 1),
+                              (GAUSS, 25.0, 3)):
+            with pytest.raises(ParameterError, match="another model"):
+                eikonal.s0_kernel(model, lam, w, wp, ZAXIS, N=N,
+                                  solutions=sols)
+
+    def test_matching_solutions_compare_sqrt_lambda(self):
+        # sqrt(63)^2 != 63 in floating point; the tables carry sqrt(lam)
+        lam = 63.0
+        assert np.sqrt(lam) ** 2 != lam
+        sols = eikonal.s0_solutions(GAUSS, lam, 1)
+        sample = eikonal.s0_kernel(GAUSS, lam, *_pair(20.0), ZAXIS, N=1,
+                                   solutions=sols)
+        assert sample.N == 1 and np.isfinite(sample.value)
+
+
+class TestTransportSeries:
+    @pytest.mark.parametrize("model,N", [(GAUSS, 2), (TAIL09, 3)])
+    def test_each_order_equals_its_own_solve(self, model, N):
+        # order n of one march is bit for bit transport_solve(..., n)
+        data = eikonal.eikonal_iterate(model, ZAXIS, 5.0)
+        series = list(eikonal.transport_series(model, data, N))
+        assert [sol.N for sol in series] == list(range(N + 1))
+        for n, sol in enumerate(series):
+            alone = eikonal.transport_solve(model, data, n)
+            assert len(sol.b_n) == n + 1
+            assert sol.residual_norm == alone.residual_norm
+            assert np.array_equal(sol.psi, alone.psi)
+            assert np.array_equal(sol.residual, alone.residual)
+
+    def test_model_mismatch_refused(self):
+        data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0)
+        with pytest.raises(ParameterError):
+            next(eikonal.transport_series(TAIL2, data, 1))
