@@ -149,9 +149,9 @@ def dft_freqs(n: int, dx: float) -> np.ndarray:
     return 2.0 * np.pi * k / (n * dx)
 
 
-# Longest chunk of rows per banded solve.  Chunks start at 2 rows and
-# double after each solve that stays finite; one that overflows is halved
-# and redone, down to a single row.
+# Rows per banded solve.  Each call starts at this cap; a chunk that
+# overflows is halved and redone, down to a single row, and the length
+# doubles back towards the cap after each solve that stays finite.
 _CHUNK = 8192
 
 
@@ -163,8 +163,13 @@ def banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]
     the recurrence matrix, held transposed.  Each chunk of rows is one
     lower-triangular banded solve (LAPACK dtbtrs, bandwidth 2) whose first
     two rows are identity rows carrying the last two values; band is
-    overwritten there.  Before each chunk those two values are scaled below
-    1 in magnitude by a power of two, and the rows keep that scale:
+    overwritten there.  Chunks start at _CHUNK rows, are halved on
+    overflow and double back after each finite solve.  Each is solved in
+    place on its slice of x, which must therefore be a contiguous float64
+    vector (ParameterError otherwise).
+
+    Before each chunk the two carried values are scaled below 1 in
+    magnitude by a power of two, and the rows keep that scale:
     x[starts[i]:starts[i+1]] * 2**scales[i] is the solution, and
     max |solution| < 2**peak.  Power-of-two scaling is exact, so the
     solution does not depend on where chunks end.
@@ -172,14 +177,17 @@ def banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]
     Returns (starts, scales, peak).  A singular band, or a single row whose
     value is not finite, raises NumericalError.
     """
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.ndim == 1 and x.flags.c_contiguous):
+        raise ParameterError("x must be a contiguous float64 vector")
     n = len(x)
     starts, scales = [], []
     scale = 0
     peak = math.frexp(max(abs(x[0]), abs(x[1])))[1]
-    s, m = 2, 2
+    s, m = 2, _CHUNK
     while s < n:
         top = math.frexp(max(abs(x[s - 2]), abs(x[s - 1])))[1]
-        x[s - 2:s] = np.ldexp(x[s - 2:s], -top)
+        np.ldexp(x[s - 2:s], -top, out=x[s - 2:s])
         scale += top
         starts.append(s - 2)
         scales.append(scale)
@@ -189,18 +197,18 @@ def banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]
         band[s - 1, 0] = 1.0
         while True:
             e = min(n, s + m)
-            b = np.zeros(e - s + 2)
-            b[:2] = x[s - 2:s]
-            y, info = dtbtrs(band[s - 2:e].T, b, uplo="L", overwrite_b=1)
+            # the identity rows leave x[s-2:s] as they are, so a redone
+            # chunk only needs its right-hand side zeroed again
+            x[s:e] = 0.0
+            y, info = dtbtrs(band[s - 2:e].T, x[s - 2:e], uplo="L", overwrite_b=1)
             if info != 0:
                 raise NumericalError(f"recurrence band is singular (dtbtrs info={info})")
-            size = float(np.max(np.abs(y)))
+            size = max(y.max(), -y.min())
             if math.isfinite(size):
                 break
             if m == 1:
                 raise NumericalError(f"recurrence overflows or is not finite at row {s}")
             m //= 2
-        x[s:e] = y[2:]
         peak = max(peak, scale + math.frexp(size)[1])
         s, m = e, min(2 * m, _CHUNK)
     return starts, scales, peak

@@ -47,6 +47,13 @@ def _default_r_max(model: PotentialModel, k: float) -> float:
     return max(model.tail_radius(1e-10), 30.0 / k + model.effective_range)
 
 
+# Largest Numerov sweep, in float64 values: rows x (channels + 8), the 8
+# being the per-row arrays (r, v, r^2, v - k^2, f, the 3-column band).
+# 2**27 values is 1 GiB; tier-1, the acceptance suite and the benchmark
+# reach at most 4.4e6.  tail_radius puts a power tail with rho <= 2 at
+# 1.1e8 rows or more, 1e9 at its r = 1e6 cap (rho <= 5/3).
+MAX_SWEEP_FLOATS = 2**27
+
 # A channel whose solution would reach 2**_MAX_EXP (about 1e250) is scaled
 # down by a power of two so that max |u| < 2**_MAX_EXP.
 _MAX_EXP = 830
@@ -55,8 +62,10 @@ _MAX_EXP = 830
 def _sweep(f: np.ndarray, u: np.ndarray) -> None:
     """Fill u[2:] from the seeds u[0], u[1] by the Numerov recursion
     f[i-1] u[i-1] - (12 - 10 f[i]) u[i] + f[i+1] u[i+1] = 0, solved by
-    numerics.banded_recurrence; then one ldexp per chunk brings the
-    channel onto a common scale.
+    numerics.banded_recurrence (chunks start at its cap, halve on overflow
+    and double back; each is solved in place in u, a contiguous float64
+    vector); then one in-place ldexp per chunk brings the channel onto a
+    common scale.
     """
     # lower band storage, transposed: row j is f[j] on the diagonal,
     # -(12 - 10 f[j]) one row down, f[j] two rows down
@@ -67,7 +76,7 @@ def _sweep(f: np.ndarray, u: np.ndarray) -> None:
     starts, scales, peak = banded_recurrence(band, u)
     shift = max(0, peak - _MAX_EXP)
     for a, z, scale in zip(starts, starts[1:] + [len(u)], scales):
-        u[a:z] = np.ldexp(u[a:z], scale - shift)
+        np.ldexp(u[a:z], scale - shift, out=u[a:z])
 
 
 def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
@@ -153,6 +162,12 @@ def _phase_shifts(model: PotentialModel, ls: np.ndarray, k: float,
         raise ParameterError(f"r_max={r_max} too small: |v(r_max)| = {tail:.2e} > 1e-6")
     if model.kind == "zero":
         return np.zeros(len(ls))
+    n = int(np.ceil(r_max / dr))
+    if n * (len(ls) + 8) > MAX_SWEEP_FLOATS:
+        raise ParameterError(
+            f"Numerov grid of {n} rows x {len(ls)} channels exceeds "
+            f"MAX_SWEEP_FLOATS = {MAX_SWEEP_FLOATS} float64 values "
+            f"(r_max={r_max:g}, dr={dr:g})")
     r, u = _numerov_channels(model, ls, k, r_max, dr)
     return _match_phase(u, r, ls, k)
 

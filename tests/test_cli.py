@@ -401,6 +401,37 @@ class TestTypedErrors:
         assert str(cli.MAX_GRID) in err
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize("config", [
+        {"experiment": "phaseshift",
+         "potential": {"kind": "power_tail", "v0": 1.0, "rho": 1.5}},
+        {"experiment": "amplitude",
+         "potential": {"kind": "power_tail", "v0": 0.5, "rho": 1.9}},
+        {"experiment": "phaseshift",
+         "potential": {"kind": "gaussian_well", "v0": -1.0},
+         "params": {"k": 1.0, "l_max": 10**6}},
+    ], ids=["phaseshift-rho1.5", "amplitude-rho1.9", "phaseshift-channels"])
+    def test_huge_numerov_grid_refused_before_allocation(self, tmp_path, capsys,
+                                                         monkeypatch, config):
+        # rho < 2 puts r_max at tail_radius's 1e6 cap: 1e9 rows of dr = 1e-3
+        counts = {"empty": lambda shape, *a, **k: np.prod(shape, dtype=float),
+                  "zeros": lambda shape, *a, **k: np.prod(shape, dtype=float),
+                  "arange": lambda *a, **k: float(a[0] if len(a) == 1 else a[1] - a[0])}
+        for name, count in counts.items():
+            def guarded(*args, _original=getattr(np, name), _count=count,
+                        **kwargs):
+                if _count(*args, **kwargs) > 1e8:
+                    raise AssertionError("allocated a Numerov grid over the cap")
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, guarded)
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Numerov grid of ")
+        assert f"MAX_SWEEP_FLOATS = {partialwave.MAX_SWEEP_FLOATS}" in err
+        assert not (out / "result.json").exists()
+
     def test_s0_outside_cap_rejected_before_tables(self, tmp_path, capsys,
                                                    monkeypatch):
         def no_tables(*args, **kwargs):

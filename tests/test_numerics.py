@@ -262,11 +262,26 @@ class TestBandedRecurrence:
         x[:2] = rng.uniform(0.5, 3.0, 2)
         expected = recurrence_loop(band, x[0], x[1])
         starts, scales, peak = banded_recurrence(band.copy(), x)
-        assert starts[0] == 0 and 1 <= np.diff(starts).min()
-        assert np.diff(starts).max() <= chunk
+        assert starts[0] == 0 and np.all(np.diff(starts + [n]) > 0)
+        assert np.max(np.diff(starts), initial=0) <= chunk
         for a, z, scale in zip(starts, starts[1:] + [n], scales):
             x[a:z] = np.ldexp(x[a:z], scale)
         assert np.max(np.abs(x)) > 1e50
+        assert np.allclose(x, expected, rtol=1e-11, atol=0.0)
+        assert 2.0 ** (peak - 1) <= np.max(np.abs(x)) < 2.0 ** peak
+
+    def test_negative_solution_peak(self):
+        # the chunk size is the largest magnitude of either sign
+        rng = np.random.default_rng(3)
+        n = 3000
+        band = random_band(rng, n)
+        x = np.zeros(n)
+        x[:2] = -rng.uniform(0.5, 3.0, 2)
+        expected = recurrence_loop(band, x[0], x[1])
+        starts, scales, peak = banded_recurrence(band.copy(), x)
+        for a, z, scale in zip(starts, starts[1:] + [n], scales):
+            x[a:z] = np.ldexp(x[a:z], scale)
+        assert np.max(x) < -1.0 and np.min(x) < -1e50
         assert np.allclose(x, expected, rtol=1e-11, atol=0.0)
         assert 2.0 ** (peak - 1) <= np.max(np.abs(x)) < 2.0 ** peak
 
@@ -278,6 +293,42 @@ class TestBandedRecurrence:
         x[:2] = (1.0, 2.0)
         with pytest.raises(NumericalError, match="singular"):
             banded_recurrence(band, x)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.zeros(80)[::2],
+        lambda: np.zeros((40, 2))[:, 0],
+        lambda: np.zeros(40, dtype=np.float32),
+        lambda: np.zeros((40, 1)),
+        lambda: [0.0] * 40,
+    ], ids=["strided", "c-order-column", "float32", "2d", "list"])
+    def test_x_must_be_contiguous_float64_vector(self, make):
+        band = np.ones((40, 3))
+        band[:, 1] = -2.0
+        x = make()
+        with pytest.raises(ParameterError, match="contiguous float64 vector"):
+            banded_recurrence(band, x)
+
+    def test_solves_in_place(self, monkeypatch):
+        # x[i] = i + 1; every solve's right-hand side is a view into x
+        views = []
+        solve = numerics.dtbtrs
+
+        def spy(ab, b, **kwargs):
+            views.append(np.shares_memory(b, x) and kwargs.get("overwrite_b") == 1)
+            return solve(ab, b, **kwargs)
+
+        monkeypatch.setattr(numerics, "dtbtrs", spy)
+        monkeypatch.setattr(numerics, "_CHUNK", 16)
+        band = np.ones((100, 3))
+        band[:, 1] = -2.0
+        x = np.zeros(100)
+        x[:2] = (1.0, 2.0)
+        starts, scales, _ = banded_recurrence(band, x)
+        assert views and all(views)
+        assert starts == list(range(0, 98, 16))
+        for a, z, scale in zip(starts, starts[1:] + [100], scales):
+            x[a:z] = np.ldexp(x[a:z], scale)
+        assert np.array_equal(x, np.arange(1.0, 101.0))
 
     def test_row_overflow_raises(self):
         # x[i] = i + 1 up to row 10, whose tiny diagonal takes it past the

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtbtrs
 
-from scatterlab import born, numerics, partialwave
-from scatterlab.numerics import DomainError, ParameterError
+from scatterlab import born, diagnostics, numerics, partialwave
+from scatterlab.numerics import _CHUNK, DomainError, NumericalError, ParameterError
 from scatterlab.potentials import PotentialModel
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
@@ -105,6 +108,21 @@ class TestPhaseShift:
         with pytest.raises(DomainError):
             partialwave.phase_shift_table(tail, 1.0, 4)
 
+    def test_sweep_footprint_capped(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("Numerov grid built over the cap")
+
+        monkeypatch.setattr(partialwave, "_numerov_channels", no_grid)
+        tail = PotentialModel(kind="power_tail", v0=1.0, rho=1.5)
+        with pytest.raises(ParameterError, match="1000000000 rows x 1 channels"):
+            partialwave.radial_phase_shift(tail, 0, 1.0)
+        # the fewest channels that take a 6000-row grid past the cap
+        rows = int(np.ceil(6.0 / 1e-3))
+        channels = partialwave.MAX_SWEEP_FLOATS // rows - 8 + 1
+        assert rows * (channels + 7) <= partialwave.MAX_SWEEP_FLOATS
+        with pytest.raises(ParameterError, match=f"{rows} rows x {channels} channels"):
+            partialwave.phase_shift_table(GAUSS, 2.0, channels - 1, r_max=6.0)
+
 
 class TestNumerovSweep:
     @pytest.mark.parametrize("model,k,l_max", [
@@ -154,6 +172,109 @@ class TestNumerovSweep:
         r, u = numerov_step_loop(GAUSS, ls, 60.0, 30.0, 1e-3)
         assert delta == pytest.approx(
             partialwave._match_phase(u, r, ls, 60.0)[0], abs=1e-10)
+
+
+def ramp_banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]:
+    """numerics.banded_recurrence as it was before chunks started at the
+    cap, kept as the reference for the chunk schedule: every call ramps up
+    from a 2-row chunk and solves each chunk on a fresh right-hand side."""
+    n = len(x)
+    starts, scales = [], []
+    scale = 0
+    peak = math.frexp(max(abs(x[0]), abs(x[1])))[1]
+    s, m = 2, 2
+    while s < n:
+        top = math.frexp(max(abs(x[s - 2]), abs(x[s - 1])))[1]
+        x[s - 2:s] = np.ldexp(x[s - 2:s], -top)
+        scale += top
+        starts.append(s - 2)
+        scales.append(scale)
+        # rows s-2 and s-1 become identity rows; a later chunk either starts
+        # past them or uses them as identity rows too
+        band[s - 2, :2] = (1.0, 0.0)
+        band[s - 1, 0] = 1.0
+        while True:
+            e = min(n, s + m)
+            b = np.zeros(e - s + 2)
+            b[:2] = x[s - 2:s]
+            y, info = dtbtrs(band[s - 2:e].T, b, uplo="L", overwrite_b=1)
+            if info != 0:
+                raise NumericalError(f"recurrence band is singular (dtbtrs info={info})")
+            size = float(np.max(np.abs(y)))
+            if math.isfinite(size):
+                break
+            if m == 1:
+                raise NumericalError(f"recurrence overflows or is not finite at row {s}")
+            m //= 2
+        x[s:e] = y[2:]
+        peak = max(peak, scale + math.frexp(size)[1])
+        s, m = e, min(2 * m, _CHUNK)
+    return starts, scales, peak
+
+
+# the grids of born.exact_kernel behind the highenergy CLI defaults:
+# gaussian_well at lambda = 25, 50, 100, 200, channels up to k R_eff + 12
+HIGHENERGY_GRIDS = [
+    (np.arange(int(np.ceil(np.sqrt(lam) * GAUSS.effective_range)) + 13), np.sqrt(lam))
+    for lam in (25.0, 50.0, 100.0, 200.0)]
+
+
+class TestChunkSchedule:
+    """Chunks that start at the cap and are solved in place give the same
+    rescaled Numerov solutions and Sturm counts, bit for bit, as the 2-row
+    ramp on a fresh right-hand side."""
+
+    @staticmethod
+    def both(monkeypatch, module, compute):
+        new = compute()
+        monkeypatch.setattr(module, "banded_recurrence", ramp_banded_recurrence)
+        old = compute()
+        monkeypatch.undo()
+        return new, old
+
+    @pytest.mark.parametrize("model,ls,k,r_max", [
+        *[(GAUSS, ls, k, None) for ls, k in HIGHENERGY_GRIDS],
+        # l = 250 is scaled down into subnormal rows
+        (GAUSS, np.array([0, 3, 60, 250]), 2.0, None),
+        # the first chunk overflows and is halved
+        (GAUSS, np.array([1200]), 60.0, 30.0),
+        (PotentialModel(kind="yukawa", v0=0.1, width=1.0), np.arange(11), 2.0, None),
+        (PotentialModel(kind="square_well", v0=1.0, width=1.0), np.arange(7), 1.0, None),
+    ], ids=["he25", "he50", "he100", "he200", "gauss-k2", "l1200", "yukawa",
+            "square-well"])
+    def test_numerov_matches_ramp(self, monkeypatch, model, ls, k, r_max):
+        r_max = partialwave._default_r_max(model, k) if r_max is None else r_max
+        new, old = self.both(monkeypatch, partialwave, lambda: partialwave._numerov_channels(
+            model, ls, k, r_max, 1e-3)[1])
+        assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("model", [PotentialModel(kind="zero"), GAUSS],
+                             ids=["zero", "gaussian"])
+    def test_sturm_count_matches_ramp(self, monkeypatch, model):
+        # the lap operator at the lap_probe defaults
+        _, diag, off = diagnostics._tridiag(model, 80_000, 10_000.0)
+        shifts = [-1.0, -0.1, 0.0, 1e-3, 0.7, 1.0, 4.0, 1e4]
+        new, old = self.both(monkeypatch, diagnostics, lambda: [
+            diagnostics._eig_count_below(diag, off, a) for a in shifts])
+        assert new == old
+
+    def test_highenergy_solve_count(self, monkeypatch):
+        finite = []
+        solve = numerics.dtbtrs
+
+        def spy(*args, **kwargs):
+            x, info = solve(*args, **kwargs)
+            finite.append(bool(np.all(np.isfinite(x))))
+            return x, info
+
+        monkeypatch.setattr(numerics, "dtbtrs", spy)
+        bound = 0
+        for ls, k in HIGHENERGY_GRIDS:
+            n = int(np.ceil(partialwave._default_r_max(GAUSS, k) / 1e-3))
+            bound += len(ls) * -(-(n - 2) // _CHUNK)
+            born.exact_kernel(GAUSS, k * k, np.pi / 2)
+        assert all(finite)
+        assert len(finite) <= bound == 442
 
 
 class TestSMatrix:
