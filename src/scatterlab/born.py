@@ -131,15 +131,6 @@ def _default_cyl_grid(model: PotentialModel) -> _cyl.CylGrid:
 # truncated high-energy kernel and its error order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BornKernelSample:
-    lam: float
-    omega: np.ndarray
-    omega_prime: np.ndarray
-    value: complex
-    order: int
-
-
 def _support_radius(model: PotentialModel) -> float:
     r = model.tail_radius(1e-9)
     if r > 60.0:
@@ -151,7 +142,7 @@ def _support_radius(model: PotentialModel) -> float:
 
 def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
                        N: int, grid: _cyl.CylGrid | None = None,
-                       tables: np.ndarray | None = None) -> BornKernelSample:
+                       tables: np.ndarray | None = None) -> complex:
     """Truncated kernel k_N(omega, omega', lambda) at d = 3 by grid
     quadrature over the (numerical) support of v: Gauss panels along
     e1 = (omega' - omega)/|omega' - omega| times a tensor rule over the
@@ -169,7 +160,7 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
     omega = omega / np.linalg.norm(omega)
     omega_prime = omega_prime / np.linalg.norm(omega_prime)
     if model.kind == "zero":
-        return BornKernelSample(lam, omega, omega_prime, 0.0 + 0.0j, N)
+        return 0.0 + 0.0j
     if np.allclose(omega, omega_prime):
         raise ParameterError("omega must differ from omega_prime")
     R = _support_radius(model)
@@ -230,8 +221,7 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
 
     orders = (2j * sql) ** (-np.arange(N + 1))
     value = -1j * np.pi * (2 * np.pi) ** -3 * sql * np.sum(orders * integrals)
-    return BornKernelSample(lam=lam, omega=omega, omega_prime=omega_prime,
-                            value=complex(value), order=N)
+    return complex(value)
 
 
 def exact_kernel(model: PotentialModel, lam: float, theta: float) -> complex:
@@ -273,7 +263,7 @@ def measure_error_order(model: PotentialModel, lambdas, omega, omega_prime,
     errors = np.empty(len(lambdas))
     for i, lam in enumerate(lambdas):
         approx = high_energy_kernel(model, lam, omega, omega_prime, N,
-                                    grid=grid, tables=tables).value
+                                    grid=grid, tables=tables)
         exact = exact_kernel(model, lam, theta)
         errors[i] = abs(exact - approx)
     floor = bool(np.any(errors < 1e-10))

@@ -20,7 +20,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .numerics import (DomainError, ParameterError, banded_recurrence,
+from .numerics import (DomainError, NumericalError, ParameterError,
                        composite_gauss)
 from .potentials import PotentialModel
 from . import propagator
@@ -189,43 +189,31 @@ def mourre_check(model: PotentialModel, window: tuple[float, float],
 
 @dataclass(frozen=True)
 class LapReport:
-    lam: float
-    r: float
     epsilons: np.ndarray
     norms: np.ndarray
-    stable: bool                # < 5% change between the last two epsilons
 
     @property
     def last_change(self) -> float:
         return float(abs(self.norms[-1] - self.norms[-2])
                      / max(self.norms[-2], 1e-300))
 
+    @property
+    def stable(self) -> bool:
+        """< 5% change between the last two epsilons."""
+        return self.last_change < 0.05
 
-def _eig_count_below(diag, off, a: float) -> int:
-    """Number of eigenvalues below a of the symmetric tridiagonal (diag, off).
 
-    Sturm count: the sign changes of the leading principal minors of T - a,
-    q_0 = 1, q_i = (d_i - a) q_{i-1} - off_{i-1}^2 q_{i-2}.  The minors are
-    taken divided by c^i with c = max|off|, which keeps their signs and,
-    for a constant off-diagonal, bounds their growth inside the spectrum.
-    numerics.banded_recurrence solves the recurrence; its per-chunk scales
-    are powers of two, so no sign moves and they are not applied.
+def _eig_count(diag, off, lo: float, hi: float) -> int:
+    """Number of eigenvalues in (lo, hi] of the symmetric tridiagonal
+    (diag, off), from LAPACK stebz's Sturm counts at the two ends: with the
+    tolerance at the window width every cluster is converged at once and
+    nothing is bisected.  A window that rounds to a point holds none
+    (stebz refuses lo == hi).
     """
-    n = len(diag)
-    c = float(np.max(np.abs(off), initial=0.0)) or 1.0
-    # q[j + 1] is the minor of order j; q[0] = 0 and q[1] = 1 seed the
-    # recurrence.  Lower band storage, transposed: row j holds the diagonal
-    # 1, the coefficient of q[j] in row j + 1 and that of q[j] in row j + 2.
-    q = np.zeros(n + 2)
-    q[1] = 1.0
-    band = np.zeros((n + 2, 3))
-    band[:, 0] = 1.0
-    band[1:n + 1, 1] = (a - diag) / c
-    band[1:n, 2] = (off / c) ** 2
-    banded_recurrence(band, q)
-    signs = np.sign(q[1:])
-    signs = signs[signs != 0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    if not lo < hi:
+        return 0
+    return len(eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                select_range=(lo, hi), tol=hi - lo))
 
 
 def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
@@ -235,10 +223,15 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
     largest singular value by at most 60 power iteration steps on one LU
     factorization of H - lam - i eps per eps, LAPACK zgttrf/zgttrs).
 
-    Resonance check: an isolated eigenvalue within 10 * min(eps) of lam is
-    an error; when several levels fall in that window the discrete
-    spectrum is quasi-continuous there (it approximates the continuum) and
-    the probe proceeds.
+    Resonance check: the eigenvalues of H in the guard window
+    (lam - 10 min(eps), lam + 10 min(eps)] are counted by LAPACK stebz
+    (_eig_count).  Exactly one, an isolated eigenvalue, is an error
+    (ResonanceProximityError); when several levels fall in the window the
+    discrete spectrum is quasi-continuous there (it approximates the
+    continuum) and the probe proceeds, as it does with none.
+
+    A singular factorization, or a power-iteration norm that underflows to
+    0 or is not finite (eps near the float64 limit), raises NumericalError.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     if len(epsilons) < 2:
@@ -250,22 +243,20 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
     if r <= 0:
         raise ParameterError("r must be positive")
     x, diag, off = _tridiag(model, n, extent)
-    guard = 10.0 * epsilons.min()
-    dx = x[1] - x[0]
-    spec_lo = float(diag.min() - 2.0 / dx**2)   # Gershgorin lower bound
-    if lam > spec_lo - guard:  # below the spectrum there is nothing to hit
-        k = (_eig_count_below(diag, off, lam + guard)
-             - _eig_count_below(diag, off, lam - guard))
-        if k == 1:
-            raise ResonanceProximityError(
-                f"lambda within {guard:.1e} of an isolated discrete eigenvalue")
+    # a Python float: near the float64 limit the window and its width
+    # overflow to inf without a numpy warning
+    guard = 10.0 * float(epsilons.min())
+    if _eig_count(diag, off, lam - guard, lam + guard) == 1:
+        raise ResonanceProximityError(
+            f"lambda within {guard:.1e} of an isolated discrete eigenvalue")
     w = (1.0 + x * x) ** (-r / 2.0)
     rng = np.random.default_rng(seed)
     norms = []
     for eps in epsilons:
         dl, d, du, du2, ipiv, info = zgttrf(off, diag - lam - 1j * eps, off)
         if info != 0:
-            raise np.linalg.LinAlgError("singular matrix")
+            raise NumericalError(f"H - lam - i eps is singular at eps = {eps:g} "
+                                 f"(zgttrf info={info})")
 
         def apply_b(vec):
             return w * zgttrs(dl, d, du, du2, ipiv, w * vec)[0]
@@ -279,13 +270,14 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
             # so B* y = conj(B conj(y)) from the same factors
             u = apply_b(u.conj()).conj()
             s_new = np.linalg.norm(u)
+            if not 0.0 < s_new < np.inf:
+                raise NumericalError(
+                    f"resolvent norm at eps = {eps:g} underflows or is not "
+                    f"finite ({s_new})")
             v = u / s_new
             if abs(s_new - s) < 1e-10 * s_new:
                 s = s_new
                 break
             s = s_new
         norms.append(np.sqrt(s))
-    norms = np.asarray(norms)
-    change = abs(norms[-1] - norms[-2]) / max(norms[-2], 1e-300)
-    return LapReport(lam=lam, r=r, epsilons=epsilons, norms=norms,
-                     stable=bool(change < 0.05))
+    return LapReport(epsilons=epsilons, norms=np.asarray(norms))

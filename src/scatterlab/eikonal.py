@@ -287,12 +287,8 @@ def _taper_profile(u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class S0Sample:
     value: complex
-    window: float
     sensitivity: float
     converged: bool
-    lam: float
-    omega: np.ndarray
-    omega_prime: np.ndarray
     N: int
 
 
@@ -495,9 +491,8 @@ def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
     val_big = _s0_quadrature(psi_plus, psi_minus, omega, omega_prime, omega0,
                              lam, 1.25 * window)
     sens = abs(val_big - val) / max(abs(val), 1e-300)
-    return S0Sample(value=complex(val), window=float(window),
-                    sensitivity=float(sens), converged=bool(sens <= 0.10),
-                    lam=lam, omega=omega, omega_prime=omega_prime, N=N)
+    return S0Sample(value=complex(val), sensitivity=float(sens),
+                    converged=bool(sens <= 0.10), N=N)
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,11 @@ class PhaseShiftTable:
 
 @dataclass(frozen=True)
 class AmplitudeKernel:
-    """Sampled scattering amplitude a(theta_i) at energy lambda."""
+    """Sampled scattering amplitude a(theta_i), normalized as in the module
+    docstring."""
 
-    lam: float
     theta: np.ndarray
     values: np.ndarray
-    normalization: str = "textbook-f; S-Id kernel = (ik/2pi) a"
 
 
 def _default_r_max(model: PotentialModel, k: float) -> float:
@@ -220,5 +219,5 @@ def amplitude_kernel(table: PhaseShiftTable, thetas) -> AmplitudeKernel:
     vals = _amplitude_values(table, thetas)
     if np.any(~np.isfinite(vals)):
         raise NumericalError("non-finite amplitude sample")
-    return AmplitudeKernel(lam=table.k**2, theta=thetas, values=vals)
+    return AmplitudeKernel(theta=thetas, values=vals)
 

@@ -69,9 +69,6 @@ class PotentialModel:
             return out.reshape(np.shape(r))
         raise AssertionError(self.kind)
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
     @property
     def effective_range(self) -> float:
         """Radius beyond which the potential is numerically negligible (or
@@ -188,17 +185,6 @@ def ray_difference(model: PotentialModel, s, a) -> np.ndarray:
     g = _power_primitive(model.rho, np.asarray(a, dtype=float) / np.exp(log_c))
     x = (1.0 - model.rho) * log_c
     return -model.v0 * (_power_scale(model.rho) * log_c * exprel(x) + np.exp(x) * g)
-
-
-def evaluate(model: PotentialModel, x) -> float:
-    """v(x) for a point (or array of points, last axis = coordinates)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        r = np.abs(x)
-    else:
-        r = np.sqrt(np.sum(x * x, axis=-1))
-    out = model.radial_values(r)
-    return float(out) if out.ndim == 0 else out
 
 
 def model_from_config(spec: dict) -> PotentialModel:

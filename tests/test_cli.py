@@ -336,19 +336,38 @@ class TestTypedErrors:
         self._assert_typed(tmp_path, capsys, {
             "experiment": "diagnose", "params": params}, "")
 
-    @pytest.mark.parametrize("params", [
-        '"check": "lap", "lam": 1e309',
-        '"check": "lap", "epsilons": [1e309, 0.1]',
-        '"check": "kato", "T_values": [5.0, 1e309]',
-    ], ids=["lap-lam", "lap-eps", "kato"])
-    def test_overflowing_number_rejected(self, tmp_path, capsys, params):
+    @pytest.mark.parametrize("params,prefix", [
+        ('"check": "lap", "lam": 1e309', ""),
+        ('"check": "lap", "epsilons": [1e309, 0.1]', ""),
+        # finite, but the weighted resolvent norm underflows to 0
+        ('"check": "lap", "epsilons": [1e308, 1e307]', "numerical: "),
+        ('"check": "kato", "T_values": [5.0, 1e309]', ""),
+    ], ids=["lap-lam", "lap-eps", "lap-eps-huge", "kato"])
+    def test_overflowing_number_rejected(self, tmp_path, capsys, params, prefix):
         # JSON 1e309 parses to inf, which the schema admits as a number
         path = tmp_path / "config.json"
         path.write_text('{"experiment": "diagnose", "params": {' + params + '}}')
         out = tmp_path / "out"
         assert cli.run(str(path), out_dir=str(out)) == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {prefix}" in err and "finite" in err
         assert not (out / "result.json").exists()
+
+    def test_lap_tiny_epsilons_run(self, tmp_path, capsys):
+        # the guard window (1 - 1e-299, 1 + 1e-299] rounds to a point and
+        # holds no eigenvalue; the norms stay finite
+        path = write_config(tmp_path, {
+            "experiment": "diagnose",
+            "params": {"check": "lap", "epsilons": [1e-299, 1e-300]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        assert "error" not in capsys.readouterr().err
+        lines = (out / "result.csv").read_text().splitlines()
+        assert lines[1] == "epsilon,norm"
+        eps, norms = np.array([[float(v) for v in ln.split(",")]
+                               for ln in lines[2:]]).T
+        assert list(eps) == [1e-299, 1e-300]
+        assert norms == pytest.approx(10.840137335427, rel=1e-12)
 
     @pytest.mark.parametrize("config", [
         {"experiment": "diagnose",

@@ -296,6 +296,24 @@ class TestLap:
             diagnostics.lap_probe(deep, float(e0), 1.0, self.EPS,
                                   n=n, extent=extent)
 
+    def test_zero_pivot_is_numerical_error(self, monkeypatch):
+        # a zero pivot in zgttrf (info > 0) ends in the typed error the CLI
+        # maps to exit 2, not in numpy's LinAlgError
+        factor = diagnostics.zgttrf
+
+        def singular(*args):
+            *factors, _ = factor(*args)
+            return (*factors, 3)
+
+        monkeypatch.setattr(diagnostics, "zgttrf", singular)
+        with pytest.raises(numerics.NumericalError, match="zgttrf info=3"):
+            diagnostics.lap_probe(ZERO, -1.0, 1.0, self.EPS, n=800, extent=100.0)
+
+    def test_underflowing_norm_is_numerical_error(self):
+        # eps near the float64 limit: |<x>^-r A^-1 <x>^-r v|^2 underflows to 0
+        with pytest.raises(numerics.NumericalError, match="eps = 1e\\+308"):
+            diagnostics.lap_probe(ZERO, 1.0, 1.0, [1e308, 1e307])
+
     def test_input_validation(self):
         with pytest.raises(ParameterError):
             diagnostics.lap_probe(ZERO, 1.0, 1.0, [1e-2, 1e-1])
@@ -319,6 +337,9 @@ class TestLap:
 
 
 class TestSturmCount:
+    """diagnostics._eig_count, LAPACK stebz's count on (lo, hi], against the
+    per-row Sturm recurrence pivot_count_below (eigenvalues below a)."""
+
     @pytest.mark.parametrize("model,n,extent", [
         (ZERO, 80_000, 10_000.0), (GAUSS, 4_000, 400.0),
         (DEEP, 4_000, 400.0), (ZERO, 2_000, 10_000.0),
@@ -326,18 +347,45 @@ class TestSturmCount:
     def test_matches_pivot_count(self, model, n, extent):
         _, diag, off = diagnostics._tridiag(model, n, extent)
         top = float(diag.max() + 2.0 * abs(off[0]))
-        shifts = [-1e6, -10.0, -3.0, -0.5, 0.0, 1e-3, 0.5, 0.99, 1.01, 2.0,
-                  10.0, 0.5 * top, top + 1.0, 1e9]
-        for a in shifts:
-            assert (diagnostics._eig_count_below(diag, off, a)
-                    == pivot_count_below(diag, off, a)), a
+        shifts = sorted([-1e6, -10.0, -3.0, -0.5, 0.0, 1e-3, 0.5, 0.99, 1.01,
+                         2.0, 10.0, 0.5 * top, top + 1.0, 1e9])
+        below = [pivot_count_below(diag, off, a) for a in shifts]
+        # every window between two shifts: below, across and above the
+        # spectrum, one level wide and all of it
+        for i, lo in enumerate(shifts):
+            for hi, expected in zip(shifts[i + 1:], below[i + 1:]):
+                assert (diagnostics._eig_count(diag, off, lo, hi)
+                        == expected - below[i]), (lo, hi)
+
+    @pytest.mark.parametrize("model,n,extent,lam,guard,expected", [
+        # wholly below, wholly above the spectrum
+        (ZERO, 80_000, 10_000.0, -1e6, 1.0, 0),
+        (ZERO, 80_000, 10_000.0, 1e9, 1.0, 0),
+        # lap_probe's defaults: the quasi-continuum at lam = 1, eps 3e-3
+        (ZERO, 80_000, 10_000.0, 1.0, 0.03, 192),
+        # guard 10 * 1e-300 rounds the window (1 - g, 1 + g] to a point
+        (ZERO, 80_000, 10_000.0, 1.0, 1e-299, 0),
+        # epsilons [1e308, 1e307]: (-1e308, 1e308], width inf
+        (ZERO, 80_000, 10_000.0, 1.0, 1e308, 80_000),
+        # eps = 1e308: guard 1e309 is inf
+        (GAUSS, 4_000, 400.0, 1.0, 10.0 * 1e308, 4_000),
+    ], ids=["below", "above", "quasi-continuum", "point", "huge", "infinite"])
+    def test_edge_windows(self, model, n, extent, lam, guard, expected):
+        _, diag, off = diagnostics._tridiag(model, n, extent)
+        lo, hi = lam - guard, lam + guard
+        assert diagnostics._eig_count(diag, off, lo, hi) == expected
+        assert (pivot_count_below(diag, off, hi)
+                - pivot_count_below(diag, off, lo)) == expected
 
     def test_deep_well_bound_state(self):
         _, diag, off = diagnostics._tridiag(DEEP, 4_000, 400.0)
         ev = eigh_tridiagonal(diag, off, eigvals_only=True)
         e0, gap = ev[0], ev[1] - ev[0]
         assert e0 < -0.5 and gap > 0.1
-        for a, expected in ((e0 - 1e-6, 0), (e0 + 1e-6, 1),
-                            (0.5 * (ev[5] + ev[6]), 6)):
-            assert diagnostics._eig_count_below(diag, off, a) == expected
-            assert pivot_count_below(diag, off, a) == expected
+        # the last window is lap_probe's guard 10 * 3e-3 around the level
+        for lo, hi, expected in ((-1e6, e0 - 1e-6, 0), (-1e6, e0 + 1e-6, 1),
+                                 (-1e6, 0.5 * (ev[5] + ev[6]), 6),
+                                 (e0 - 0.03, e0 + 0.03, 1)):
+            assert diagnostics._eig_count(diag, off, lo, hi) == expected
+            assert (pivot_count_below(diag, off, hi)
+                    - pivot_count_below(diag, off, lo)) == expected

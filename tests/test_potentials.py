@@ -11,7 +11,6 @@ from scatterlab.numerics import DomainError
 from scatterlab.potentials import (
     KINDS,
     PotentialModel,
-    evaluate,
     line_integral,
     model_from_config,
     ray_difference,
@@ -56,11 +55,6 @@ class TestModel:
         assert m.radial_values(0.0) == pytest.approx(1.0, rel=1e-14)
         assert m.radial_values(1.0) == 0.0
         assert m.radial_values(2.0) == 0.0
-
-    def test_evaluate_3d_point(self):
-        m = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
-        assert evaluate(m, [1.0, 2.0, 2.0]) == pytest.approx(-np.exp(-9.0),
-                                                             rel=1e-12)
 
     def test_tail_radius(self):
         m = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
