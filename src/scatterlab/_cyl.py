@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RegularGridInterpolator
 
 
@@ -35,12 +36,9 @@ class CylGrid:
         return np.sqrt(ss * ss + zz * zz)
 
 
-def make_grid(s_max: float, z_max: float, n_s: int, n_z: int,
-              z_min: float | None = None) -> CylGrid:
-    if z_min is None:
-        z_min = -z_max
+def make_grid(s_max: float, z_max: float, n_s: int, n_z: int) -> CylGrid:
     return CylGrid(s=np.linspace(0.0, s_max, n_s),
-                   z=np.linspace(z_min, z_max, n_z))
+                   z=np.linspace(-z_max, z_max, n_z))
 
 
 def d_ds(f: np.ndarray, grid: CylGrid) -> np.ndarray:
@@ -67,18 +65,12 @@ def laplacian(f: np.ndarray, grid: CylGrid) -> np.ndarray:
 
 def march_up(g: np.ndarray, grid: CylGrid, anchor: np.ndarray) -> np.ndarray:
     """F(s, z) = anchor(s) + int_{z_min}^{z} g(s, z') dz' (trapezoid)."""
-    dz = grid.dz
-    inc = np.zeros_like(g)
-    inc[:, 1:] = 0.5 * dz * (g[:, 1:] + g[:, :-1])
-    return anchor[:, None] + np.cumsum(inc, axis=1)
+    return anchor[:, None] + cumulative_trapezoid(g, dx=grid.dz, initial=0)
 
 
 def march_down(g: np.ndarray, grid: CylGrid, anchor: np.ndarray) -> np.ndarray:
     """F(s, z) = anchor(s) - int_{z}^{z_max} g(s, z') dz' (trapezoid)."""
-    dz = grid.dz
-    inc = np.zeros_like(g)
-    inc[:, :-1] = 0.5 * dz * (g[:, 1:] + g[:, :-1])
-    rev = np.cumsum(inc[:, ::-1], axis=1)[:, ::-1]
+    rev = cumulative_trapezoid(g[:, ::-1], dx=grid.dz, initial=0)[:, ::-1]
     return anchor[:, None] - rev
 
 

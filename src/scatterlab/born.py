@@ -59,7 +59,12 @@ def _radial_fourier(model: PotentialModel, q: float) -> float:
 
 def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> complex:
     """First Born amplitude f1(q) = -(4 pi)^-1 int exp(-i q.x) v(x) dx,
-    q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr."""
+    q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr.
+    ParameterError unless k > 0 and theta lies in [0, pi]."""
+    if not k > 0:
+        raise ParameterError(f"momentum must be positive, got k={k}")
+    if not 0.0 <= theta <= np.pi:   # partialwave.amplitude's rule
+        raise ParameterError(f"theta must lie in [0, pi], got {theta}")
     if model.kind == "zero":
         return 0.0
     q = 2.0 * k * np.sin(theta / 2.0)
@@ -155,6 +160,8 @@ def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
     tables: b_0..b_N (or more) from _bn_tables(model, N, grid), which do
     not depend on lambda or omega; built here when not given.
     """
+    if not lam > 0:
+        raise ParameterError(f"lambda must be positive, got lam={lam}")
     omega = np.asarray(omega, dtype=float)
     omega_prime = np.asarray(omega_prime, dtype=float)
     omega = omega / np.linalg.norm(omega)
@@ -248,6 +255,8 @@ def measure_error_order(model: PotentialModel, lambdas, omega, omega_prime,
     """Fitted slope of log|k_exact - k_N| against log lambda; the pointwise
     d = 3 proxy for the expansion's O(lambda^(-N/2)) error order."""
     lambdas = np.asarray(lambdas, dtype=float)
+    if not np.all(lambdas > 0):
+        raise ParameterError(f"lambdas must be positive, got {lambdas}")
     if len(lambdas) < 4 or lambdas[-1] / lambdas[0] < 8.0:
         raise ParameterError("need >= 4 energies spanning close to a decade")
     omega = np.asarray(omega, dtype=float)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -43,6 +44,16 @@ def validate_config(config: dict) -> None:
         e = errors[0]
         where = "/".join(str(p) for p in e.path) or "<root>"
         raise ConfigError(f"at {where}: {e.message}")
+    # non-finite numbers (JSON 1e309, NaN, Infinity), which the schema's
+    # "number" admits; breadth first, the loop visits what it appends
+    todo = [((), config)]
+    for path, value in todo:
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            todo += [(path + (key,), item) for key, item in items]
+        elif isinstance(value, float) and not math.isfinite(value):
+            where = "/".join(str(p) for p in path)
+            raise ConfigError(f"at {where}: {value} is not finite")
 
 
 def _model(config: dict) -> PotentialModel:
@@ -77,11 +88,10 @@ def _run_phaseshift(model, p, seed):
 def _run_amplitude(model, p, seed):
     k = p.get("k", 1.0)
     l_max = p.get("l_max", 20)
-    thetas = p.get("thetas", list(np.linspace(0.1, np.pi, 30)))
+    thetas = np.array(p.get("thetas", np.linspace(0.1, np.pi, 30)), float)
     table = partialwave.phase_shift_table(model, float(k), l_max)
-    kernel = partialwave.amplitude_kernel(table, thetas)
-    rows = [[t, v.real, v.imag, abs(v) ** 2]
-            for t, v in zip(kernel.theta, kernel.values)]
+    values = partialwave.amplitude(table, thetas)
+    rows = [[t, v.real, v.imag, abs(v) ** 2] for t, v in zip(thetas, values)]
     return ["theta", "re_a", "im_a", "dsigma"], rows, {"k": k, "l_max": l_max}, []
 
 
@@ -158,8 +168,7 @@ def _run_propagate(model, p, seed):
     if model.kind == "zero":
         out = propagator.free_evolve(f0, T)
     else:
-        cfg = propagator.EvolutionConfig(model=model, dt=dt)
-        out = propagator.split_step_evolve(f0, cfg, T)
+        out = propagator.split_step_evolve(f0, model, dt, T)
     stride = max(1, n // 1024)
     rows = [[x, v.real, v.imag]
             for x, v in zip(out.grid[::stride], out.values[::stride])]
@@ -181,7 +190,7 @@ def _run_moller(model, p, seed):
     rep = probe(model, f0, times, dt=dt)
     rows = [[t, inc] for t, inc in zip(rep.times[1:], rep.increments)]
     extra = {"verdict": rep.verdict, "decay_factor": rep.decay_factor,
-             "modified": rep.modified}
+             "modified": modified}
     flags = [] if rep.verdict == "converging" else [f"verdict_{rep.verdict}"]
     return ["T", "increment"], rows, extra, flags
 
@@ -199,7 +208,7 @@ def _run_diagnose(model, p, seed):
         f0 = propagator.gaussian_packet(
             n=p.get("n", 2**13), dx=p.get("dx", 0.65), center=0.0,
             k0=p.get("k", 2.0), sigma=p.get("sigma", 1.0))
-        rep = diagnostics.kato_smoothness_integral(float(r), f0, Ts)
+        [rep] = diagnostics.kato_smoothness_integrals([float(r)], f0, Ts)
         rows = [[T, I] for T, I in zip(rep.T_values, rep.integrals)]
         if not rep.saturating:
             flags.append("kato_not_saturating")

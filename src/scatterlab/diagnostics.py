@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh, eigh_tridiagonal
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
 # name, so it stays bound until the tracer follows zgttrs and
@@ -93,21 +94,16 @@ class KatoReport:
     saturating: bool            # < 1% growth on the last doubling
 
 
-def kato_smoothness_integral(r: float, f: propagator.WavePacket,
-                             T_values, dt: float = 1.0) -> KatoReport:
-    """I(T) = int_0^T ||<x>^{-r} e^{-iH0 t} f||^2 dt on the free 1D grid.
+def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
+                              dt: float = 1.0) -> list[KatoReport]:
+    """I(T) = int_0^T ||<x>^{-r} e^{-iH0 t} f||^2 dt on the free 1D grid,
+    for each r in rs, from one free evolution: |e^{-iH0 t} f|^2 and its
+    edge check are formed once per sample time and summed against each
+    <x>^{-2r}.
 
     Saturation verdict compares the last two T values, which are expected
     to be a doubling apart.
     """
-    return kato_smoothness_integrals([r], f, T_values, dt)[0]
-
-
-def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
-                              dt: float = 1.0) -> list[KatoReport]:
-    """kato_smoothness_integral for each r in rs, from one free evolution:
-    |e^{-iH0 t} f|^2 and its edge check are formed once per sample time
-    and summed against each <x>^{-2r}."""
     if len(rs) < 1:
         raise ParameterError("rs needs at least one entry")
     T_values = np.asarray(T_values, dtype=float)
@@ -136,8 +132,7 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
         for j, w in enumerate(w2):
             g[j, i] = np.sum(w * density) * f.dx
     reports = []
-    for r, gr in zip(rs, g):
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (gr[1:] + gr[:-1]))])
+    for r, cum in zip(rs, cumulative_trapezoid(g, dx=dt, initial=0)):
         integrals = np.interp(T_values, ts, cum) / norm2
         growth = (integrals[-1] - integrals[-2]) / max(integrals[-2], 1e-300)
         reports.append(KatoReport(r=r, T_values=T_values, integrals=integrals,

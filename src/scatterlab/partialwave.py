@@ -33,15 +33,6 @@ class PhaseShiftTable:
             raise NumericalError("non-finite phase shift in table")
 
 
-@dataclass(frozen=True)
-class AmplitudeKernel:
-    """Sampled scattering amplitude a(theta_i), normalized as in the module
-    docstring."""
-
-    theta: np.ndarray
-    values: np.ndarray
-
-
 def _default_r_max(model: PotentialModel, k: float) -> float:
     return max(model.tail_radius(1e-10), 30.0 / k + model.effective_range)
 
@@ -139,23 +130,19 @@ def _match_phase(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
     return np.where(delta > np.pi / 2, delta - np.pi, delta)
 
 
-def _require_short_range(model: PotentialModel):
+def _phase_shifts(model: PotentialModel, ls: np.ndarray, k: float,
+                  r_max: float | None, dr: float) -> np.ndarray:
+    """delta_l(k) of every channel in ls on one shared Numerov grid."""
     # checked before any grid is sized: tail_radius puts a rho <= 1 tail
     # out at up to 1e6, a Numerov grid of up to 1e9 steps
     if model.kind == "power_tail" and model.rho <= 1.0:
         raise DomainError(
             f"partial-wave phase shifts do not exist for a long-range "
             f"power tail (rho={model.rho} <= 1)")
-
-
-def _phase_shifts(model: PotentialModel, ls: np.ndarray, k: float,
-                  r_max: float | None, dr: float) -> np.ndarray:
-    """delta_l(k) of every channel in ls on one shared Numerov grid."""
-    _require_short_range(model)
-    if r_max is None:
-        r_max = _default_r_max(model, k)
     if k <= 0:
         raise ParameterError(f"momentum must be positive, got k={k}")
+    if r_max is None:
+        r_max = _default_r_max(model, k)
     tail = abs(float(model.radial_values(r_max)))
     if tail > 1e-6:
         raise ParameterError(f"r_max={r_max} too small: |v(r_max)| = {tail:.2e} > 1e-6")
@@ -191,33 +178,19 @@ def smatrix_eigenvalues(table: PhaseShiftTable) -> tuple[np.ndarray, np.ndarray]
     return values, mult
 
 
-def _amplitude_values(table: PhaseShiftTable, thetas) -> np.ndarray:
-    """a(theta) = (2ik)^-1 sum_l (2l+1)(exp(2 i delta_l) - 1) P_l(cos theta),
-    elementwise over thetas."""
+def amplitude(table: PhaseShiftTable, theta) -> complex | np.ndarray:
+    """a(theta) = (2ik)^-1 sum_l (2l+1)(exp(2 i delta_l) - 1) P_l(cos theta)
+    for theta in [0, pi], the forward theta = 0 included: a complex number
+    for a scalar theta, an array for an array of angles."""
     if table.delta.size == 0:
         raise ParameterError("empty phase shift table")
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= thetas) & (thetas <= np.pi)):
         raise ParameterError(f"theta must lie in [0, pi], got {thetas}")
     pl = legendre_p_all(table.l_max, np.cos(thetas))
     ls = np.arange(table.l_max + 1)
     s_minus_1 = np.exp(2j * table.delta) - 1.0
-    return np.sum((2 * ls + 1) * s_minus_1 * pl, axis=-1) / (2j * table.k)
-
-
-def amplitude(table: PhaseShiftTable, theta: float,
-              allow_forward: bool = False) -> complex:
-    """Truncated partial-wave amplitude at scattering angle theta."""
-    if theta == 0.0 and not allow_forward:
-        raise ParameterError("theta = 0 only valid for truncated sums; "
-                             "pass allow_forward=True")
-    return complex(_amplitude_values(table, theta))
-
-
-def amplitude_kernel(table: PhaseShiftTable, thetas) -> AmplitudeKernel:
-    thetas = np.asarray(thetas, dtype=float)
-    vals = _amplitude_values(table, thetas)
-    if np.any(~np.isfinite(vals)):
+    values = np.sum((2 * ls + 1) * s_minus_1 * pl, axis=-1) / (2j * table.k)
+    if not np.all(np.isfinite(values)):
         raise NumericalError("non-finite amplitude sample")
-    return AmplitudeKernel(theta=thetas, values=vals)
-
+    return complex(values) if values.ndim == 0 else values

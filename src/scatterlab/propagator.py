@@ -68,23 +68,6 @@ class WavePacket:
         return float(edge / total) if total > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Split-step parameters with the dt * lambda_max < 0.5 accuracy guard."""
-
-    model: PotentialModel
-    dt: float
-
-    def validate(self, packet: WavePacket) -> None:
-        lam_max = (np.pi / packet.dx) ** 2
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
-        if self.dt * lam_max >= 0.5:
-            raise ParameterError(
-                f"dt * lambda_max = {self.dt * lam_max:.3f} >= 0.5; "
-                "refine dt or coarsen the grid")
-
-
 def check_work(n_steps: int, n_points: int) -> None:
     """ParameterError when n_steps * n_points exceeds MAX_POINT_STEPS."""
     if n_steps * n_points > MAX_POINT_STEPS:
@@ -142,18 +125,25 @@ def free_evolve_series(packet: WavePacket, times):
         yield replace(packet, values=out, t=t)
 
 
-def split_step_evolve(packet: WavePacket, config: EvolutionConfig,
+def split_step_evolve(packet: WavePacket, model: PotentialModel, dt: float,
                       t_target: float) -> WavePacket:
-    """Strang-split e^{-iH (t_target - t)}; raises ReflectionError when the
-    edge-mass monitor trips (result would be contaminated)."""
-    config.validate(packet)
+    """Strang-split e^{-iH (t_target - t)} in steps of at most dt, guarded by
+    dt * lambda_max < 0.5; raises ReflectionError when the edge-mass monitor
+    trips (result would be contaminated)."""
+    lam_max = (np.pi / packet.dx) ** 2
+    if dt <= 0:
+        raise ParameterError("dt must be positive")
+    if dt * lam_max >= 0.5:
+        raise ParameterError(
+            f"dt * lambda_max = {dt * lam_max:.3f} >= 0.5; "
+            "refine dt or coarsen the grid")
     span = t_target - packet.t
     if span == 0.0:
         return packet
-    n_steps = max(1, int(np.ceil(abs(span) / config.dt)))
+    n_steps = max(1, int(np.ceil(abs(span) / dt)))
     check_work(n_steps, len(packet.values))
     dt = span / n_steps
-    v = config.model.radial_values(np.abs(packet.grid))
+    v = model.radial_values(np.abs(packet.grid))
     half = np.exp(-0.5j * v * dt)
     full = half * half
     kin = _kinetic_phase(packet, dt)
@@ -223,23 +213,18 @@ class CauchyReport:
 
     times: np.ndarray
     increments: np.ndarray
-    verdict: str                # "converging" | "plateau" | "inconclusive"
-    modified: bool
 
     @property
     def decay_factor(self) -> float:
         return float(self.increments[0] / max(self.increments[-1], 1e-300))
 
-
-def _verdict(increments: np.ndarray) -> str:
-    first, last = increments[0], increments[-1]
-    if first < 1e-12:
-        return "converging"
-    if first / max(last, 1e-300) >= 10.0:
-        return "converging"
-    if first / max(last, 1e-300) < 2.0:
-        return "plateau"
-    return "inconclusive"
+    @property
+    def verdict(self) -> str:
+        """converging (first increment below 1e-12, or a decay factor of at
+        least 10), plateau (decay factor below 2) or inconclusive."""
+        if self.increments[0] < 1e-12 or self.decay_factor >= 10.0:
+            return "converging"
+        return "plateau" if self.decay_factor < 2.0 else "inconclusive"
 
 
 def _probe(model: PotentialModel, times, dt: float, packet_at) -> CauchyReport:
@@ -253,19 +238,17 @@ def _probe(model: PotentialModel, times, dt: float, packet_at) -> CauchyReport:
     times = np.asarray(times, dtype=float)
     if len(times) < 3 or np.any(np.diff(times) <= 0):
         raise ParameterError("need at least three increasing times")
-    config = EvolutionConfig(model=model, dt=dt)
     incs = []
     u0 = packet_at(times[0])
     for t0, t1 in zip(times[:-1], times[1:]):
         u1 = packet_at(t1)
-        back = split_step_evolve(u1, config, t1 - (t1 - t0))
+        back = split_step_evolve(u1, model, dt, t1 - (t1 - t0))
         # back now holds e^{-iH (t0 - t1)} u(t1) = e^{iH (t1-t0)} u(t1)
         incs.append(float(np.sqrt(np.sum(np.abs(back.values - u0.values) ** 2)
                                   * u0.dx)))
         u0 = u1
     incs = np.asarray(incs)
-    return CauchyReport(times=times, increments=incs,
-                        verdict=_verdict(incs), modified=False)
+    return CauchyReport(times=times, increments=incs)
 
 
 def moller_probe(model: PotentialModel, f0: WavePacket, times,
@@ -292,8 +275,7 @@ def modified_moller_probe(model: PotentialModel, f0: WavePacket, times,
     def packet_at(t):
         base = free_evolve(f0, t)
         return replace(base, values=base.values * np.exp(-1j * (t * xi_1)))
-    rep = _probe(model, times, dt, packet_at)
-    return replace(rep, modified=True)
+    return _probe(model, times, dt, packet_at)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +309,7 @@ def scattering_phase_from_time_domain(model: PotentialModel, k: float,
     if model.kind == "zero":
         u_v = u_0
     else:
-        u_v = split_step_evolve(pk, EvolutionConfig(model=model, dt=dt), t_out)
+        u_v = split_step_evolve(pk, model, dt, t_out)
     # sine-transform coefficients over r = x > 0 pick out the outgoing
     # e^{ikr} component
     sin_k = np.sin(k * pk.grid[n + 1:])

@@ -86,6 +86,13 @@ class TestFirstBorn:
         assert born.born_first_amplitude(PotentialModel(kind="zero"),
                                          1.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("k,theta", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0),
+                                         (1.0, 3.5), (1.0, np.nan)])
+    def test_bad_momentum_or_angle_rejected(self, k, theta):
+        # q = 2k sin(theta/2) <= 0 would take the forward (q -> 0) branch
+        with pytest.raises(ParameterError):
+            born.born_first_amplitude(GAUSS, k, theta)
+
     def test_phase_shift_zero_potential(self):
         assert born.born_first_phase_shift(PotentialModel(kind="zero"),
                                            1.0, 0) == 0.0
@@ -137,6 +144,11 @@ class TestKernel:
         kernel = born.high_energy_kernel(PotentialModel(kind="zero"), 4.0,
                                          [0, 0, 1], [1, 0, 0], 2)
         assert kernel == 0.0 and isinstance(kernel, complex)
+
+    @pytest.mark.parametrize("lam", [0.0, -4.0, np.nan])
+    def test_nonpositive_lambda_rejected(self, lam):
+        with pytest.raises(ParameterError, match="lambda must be positive"):
+            born.high_energy_kernel(GAUSS, lam, [0, 0, 1], [1, 0, 0], 0)
 
     def test_coincident_directions_rejected(self):
         with pytest.raises(ParameterError):

@@ -149,6 +149,18 @@ class TestRun:
         assert record["extra"]["floor_warning"] is True
         assert record["extra"]["slope"] is None
 
+    def test_amplitude_integer_and_forward_angles(self, tmp_path):
+        # integer angles are written as floats; theta = 0 is the forward
+        # amplitude
+        path = write_config(tmp_path, {
+            "experiment": "amplitude",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"k": 1.0, "l_max": 5, "thetas": [1, 0]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        rows = (out / "result.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["1.0", "0.0"]
+
     def test_amplitude_angle_out_of_range(self, tmp_path):
         path = write_config(tmp_path, {
             "experiment": "amplitude",
@@ -336,22 +348,74 @@ class TestTypedErrors:
         self._assert_typed(tmp_path, capsys, {
             "experiment": "diagnose", "params": params}, "")
 
-    @pytest.mark.parametrize("params,prefix", [
-        ('"check": "lap", "lam": 1e309', ""),
-        ('"check": "lap", "epsilons": [1e309, 0.1]', ""),
+    @pytest.mark.parametrize("experiment,params,prefix", [
+        ("diagnose", '"check": "lap", "lam": 1e309', ""),
+        ("diagnose", '"check": "lap", "epsilons": [1e309, 0.1]', ""),
         # finite, but the weighted resolvent norm underflows to 0
-        ('"check": "lap", "epsilons": [1e308, 1e307]', "numerical: "),
-        ('"check": "kato", "T_values": [5.0, 1e309]', ""),
-    ], ids=["lap-lam", "lap-eps", "lap-eps-huge", "kato"])
-    def test_overflowing_number_rejected(self, tmp_path, capsys, params, prefix):
-        # JSON 1e309 parses to inf, which the schema admits as a number
+        ("diagnose", '"check": "lap", "epsilons": [1e308, 1e307]', "numerical: "),
+        ("diagnose", '"check": "kato", "T_values": [5.0, 1e309]', ""),
+        ("born", '"thetas": [1e309]', "at params/thetas/0: inf is not finite"),
+        ("born", '"theta": NaN', "at params/theta: nan is not finite"),
+        ("eikonal", '"xi_norm": 1e309', "at params/xi_norm: inf is not finite"),
+        ("propagate", '"center": 1e309', "at params/center: inf is not finite"),
+        ("propagate", '"center": -Infinity',
+         "at params/center: -inf is not finite"),
+    ], ids=["lap-lam", "lap-eps", "lap-eps-huge", "kato", "born-thetas",
+            "born-nan", "eikonal", "propagate", "propagate-infinity"])
+    def test_overflowing_number_rejected(self, tmp_path, capsys, experiment,
+                                         params, prefix):
+        # JSON 1e309 parses to inf, and Python's json reads the NaN and
+        # Infinity tokens; the schema's "number" admits all three, so
+        # validate_config refuses them before any runner starts
         path = tmp_path / "config.json"
-        path.write_text('{"experiment": "diagnose", "params": {' + params + '}}')
+        path.write_text('{"experiment": "' + experiment + '", "params": {'
+                        + params + '}}')
         out = tmp_path / "out"
         assert cli.run(str(path), out_dir=str(out)) == 2
         err = capsys.readouterr().err
         assert f"config error: {prefix}" in err and "finite" in err
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("params", [
+        {"lambdas": [-1, -2, -4, -16]},
+        {"lambdas": [0, 2, 4, 16]},
+    ], ids=["negative", "zero"])
+    def test_highenergy_nonpositive_lambda_rejected(self, tmp_path, capsys,
+                                                    params):
+        # warnings are errors here: no divide by zero comes first
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "highenergy",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": params}, "lambdas must be positive")
+
+    @pytest.mark.parametrize("params,message", [
+        ({"k_values": [-1.0], "thetas": [1.0]}, "momentum must be positive"),
+        ({"k_values": [1.0], "thetas": [-1.0]}, "theta must lie in [0, pi]"),
+    ], ids=["k", "theta"])
+    def test_born_bad_momentum_or_angle_rejected(self, tmp_path, capsys,
+                                                 params, message):
+        # q = 2k sin(theta/2) < 0 once fell into the forward (q -> 0) branch
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "born",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": params}, message)
+
+    def test_phaseshift_zero_momentum_rejected(self, tmp_path, capsys):
+        # the default r_max holds 30 / k, so k is checked before it is sized
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "phaseshift",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"k_values": [0]}}, "momentum must be positive")
+
+    def test_born_unit_angle_unchanged(self, tmp_path):
+        path = write_config(tmp_path, {
+            "experiment": "born",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"k_values": [1.0], "thetas": [1.0]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        rows = (out / "result.csv").read_text().splitlines()[2:]
+        assert rows == ["1.0,1.0,0.3521217560719998,0.0"]
 
     def test_lap_tiny_epsilons_run(self, tmp_path, capsys):
         # the guard window (1 - 1e-299, 1 + 1e-299] rounds to a point and

@@ -152,40 +152,40 @@ class TestKato:
 
     def test_threshold_flip(self):
         Ts = [10.0, 20.0, 40.0, 80.0]
-        r1 = diagnostics.kato_smoothness_integral(1.0, self._packet(), Ts,
-                                                  dt=0.5)
-        r025 = diagnostics.kato_smoothness_integral(0.25, self._packet(), Ts,
-                                                    dt=0.5)
+        [r1] = diagnostics.kato_smoothness_integrals([1.0], self._packet(), Ts,
+                                                     dt=0.5)
+        [r025] = diagnostics.kato_smoothness_integrals([0.25], self._packet(),
+                                                       Ts, dt=0.5)
         assert r1.saturating
         assert not r025.saturating
 
     def test_integrals_monotone(self):
-        rep = diagnostics.kato_smoothness_integral(
-            1.0, self._packet(), [5.0, 10.0, 20.0], dt=0.5)
+        [rep] = diagnostics.kato_smoothness_integrals(
+            [1.0], self._packet(), [5.0, 10.0, 20.0], dt=0.5)
         assert np.all(np.diff(rep.integrals) > 0)
 
     def test_zero_packet(self):
         f = self._packet()
         from dataclasses import replace
         zero = replace(f, values=np.zeros_like(f.values))
-        rep = diagnostics.kato_smoothness_integral(1.0, zero, [5.0, 10.0])
+        [rep] = diagnostics.kato_smoothness_integrals([1.0], zero, [5.0, 10.0])
         assert np.all(rep.integrals == 0.0) and rep.saturating
 
     def test_bad_times(self):
         with pytest.raises(ParameterError):
-            diagnostics.kato_smoothness_integral(1.0, self._packet(),
-                                                 [10.0, 5.0])
+            diagnostics.kato_smoothness_integrals([1.0], self._packet(),
+                                                  [10.0, 5.0])
 
     def test_single_time_rejected(self):
         # the verdict compares the last two T values
         with pytest.raises(ParameterError, match="two"):
-            diagnostics.kato_smoothness_integral(1.0, self._packet(), [5.0])
+            diagnostics.kato_smoothness_integrals([1.0], self._packet(), [5.0])
 
     @pytest.mark.parametrize("r", [1.0, 0.25])
     def test_matches_one_evolution_per_time(self, r):
         Ts = [5.0, 10.0, 20.0]
-        rep = diagnostics.kato_smoothness_integral(r, self._packet(), Ts,
-                                                   dt=0.5)
+        [rep] = diagnostics.kato_smoothness_integrals([r], self._packet(), Ts,
+                                                      dt=0.5)
         oracle = free_evolve_loop_integrals(r, self._packet(),
                                             np.asarray(Ts), 0.5)
         assert np.array_equal(rep.integrals, oracle)
@@ -210,8 +210,9 @@ class TestKato:
                                                      self._packet(), Ts, dt=0.5)
         assert [rep.r for rep in reps] == [1.0, 0.25, 0.5]
         for rep in reps:
-            one = diagnostics.kato_smoothness_integral(rep.r, self._packet(),
-                                                       Ts, dt=0.5)
+            [one] = diagnostics.kato_smoothness_integrals([rep.r],
+                                                          self._packet(), Ts,
+                                                          dt=0.5)
             assert np.array_equal(rep.integrals, one.integrals)
             assert rep.saturating == one.saturating
 

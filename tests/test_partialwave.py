@@ -295,17 +295,11 @@ class TestSMatrix:
 
 
 class TestAmplitude:
-    def test_forward_requires_flag(self):
-        table = partialwave.phase_shift_table(GAUSS, 1.0, 10)
-        with pytest.raises(ParameterError):
-            partialwave.amplitude(table, 0.0)
-        partialwave.amplitude(table, 0.0, allow_forward=True)
-
     def test_optical_theorem(self):
         # Im a(0) = (k / 4 pi) sigma_tot for a unitary truncated sum
         k = 1.5
         table = partialwave.phase_shift_table(GAUSS, k, 25)
-        a0 = partialwave.amplitude(table, 0.0, allow_forward=True)
+        a0 = partialwave.amplitude(table, 0.0)
         sigma = (4 * np.pi / k**2) * np.sum(
             (2 * np.arange(26) + 1) * np.sin(table.delta) ** 2)
         assert a0.imag == pytest.approx(k * sigma / (4 * np.pi), rel=1e-10)
@@ -313,19 +307,28 @@ class TestAmplitude:
     def test_kernel_matches_pointwise(self):
         table = partialwave.phase_shift_table(GAUSS, 1.0, 15)
         thetas = np.linspace(0.2, np.pi, 7)
-        kern = partialwave.amplitude_kernel(table, thetas)
-        for th, val in zip(thetas, kern.values):
+        values = partialwave.amplitude(table, thetas)
+        for th, val in zip(thetas, values):
             assert val == pytest.approx(partialwave.amplitude(table, float(th)),
                                         rel=1e-12)
+
+    def test_scalar_and_array_agree_exactly(self):
+        table = partialwave.phase_shift_table(GAUSS, 1.3, 20)
+        thetas = np.concatenate([[0.0], np.linspace(0.05, np.pi, 40)])
+        values = partialwave.amplitude(table, thetas)
+        assert values.shape == thetas.shape
+        scalar = [partialwave.amplitude(table, float(th)) for th in thetas]
+        assert all(type(a) is complex for a in scalar)
+        assert np.array_equal(values, np.array(scalar))
 
     @pytest.mark.parametrize("thetas", [[0.5, 4.0], [-0.1], [1.0, np.nan]])
     def test_kernel_rejects_angle_outside_range(self, thetas):
         table = partialwave.phase_shift_table(GAUSS, 1.0, 10)
         with pytest.raises(ParameterError):
-            partialwave.amplitude_kernel(table, thetas)
+            partialwave.amplitude(table, thetas)
 
     def test_kernel_rejects_empty_table(self):
         table = partialwave.PhaseShiftTable(k=1.0, l_max=-1,
                                             delta=np.zeros(0), model=GAUSS)
         with pytest.raises(ParameterError):
-            partialwave.amplitude_kernel(table, [1.0])
+            partialwave.amplitude(table, [1.0])

@@ -53,12 +53,11 @@ def _oracle_edge_mass(values, geometry):
     return float(p[-2 * m:].sum() / p.sum())
 
 
-def split_step_oracle(packet, config, t_target, geometry="line"):
-    config.validate(packet)
+def split_step_oracle(packet, model, dt, t_target, geometry="line"):
     span = t_target - packet.t
     if span == 0.0:
         return packet
-    n_steps = max(1, int(np.ceil(abs(span) / config.dt)))
+    n_steps = max(1, int(np.ceil(abs(span) / dt)))
     dt = span / n_steps
     n = len(packet.values)
     if geometry == "line":
@@ -68,7 +67,7 @@ def split_step_oracle(packet, config, t_target, geometry="line"):
         r = (np.arange(n) + 1.0) * packet.dx
         k = dft_freqs(2 * n, packet.dx)
         kin = np.exp(-1j * k * k * dt)
-    v = config.model.radial_values(r)
+    v = model.radial_values(r)
     half = np.exp(-0.5j * v * dt)
     full = half * half
     vals = packet.values * half
@@ -150,27 +149,23 @@ class TestSplitStep:
     def test_matches_free_for_zero_potential(self):
         f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=0.0, k0=1.0,
                                         sigma=2.0)
-        cfg = propagator.EvolutionConfig(model=ZERO, dt=0.02)
-        a = propagator.split_step_evolve(f0, cfg, 2.0)
+        a = propagator.split_step_evolve(f0, ZERO, 0.02, 2.0)
         b = propagator.free_evolve(f0, 2.0)
         assert np.allclose(a.values, b.values, atol=1e-10)
 
     def test_norm_conserved(self):
         f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=0.0, k0=1.0,
                                         sigma=2.0)
-        cfg = propagator.EvolutionConfig(model=GAUSS, dt=0.02)
-        out = propagator.split_step_evolve(f0, cfg, 5.0)
+        out = propagator.split_step_evolve(f0, GAUSS, 0.02, 5.0)
         assert out.norm() == pytest.approx(f0.norm(), rel=1e-11)
 
     def test_second_order_in_dt(self):
         f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=-4.0,
                                         k0=1.5, sigma=2.0)
-        ref = propagator.split_step_evolve(
-            f0, propagator.EvolutionConfig(model=GAUSS, dt=0.0025), 2.0)
+        ref = propagator.split_step_evolve(f0, GAUSS, 0.0025, 2.0)
         errs = []
         for dt in (0.02, 0.01):
-            out = propagator.split_step_evolve(
-                f0, propagator.EvolutionConfig(model=GAUSS, dt=dt), 2.0)
+            out = propagator.split_step_evolve(f0, GAUSS, dt, 2.0)
             errs.append(np.linalg.norm(out.values - ref.values)
                         * np.sqrt(f0.dx))
         order = np.log2(errs[0] / errs[1])
@@ -179,15 +174,16 @@ class TestSplitStep:
     def test_stability_guard(self):
         f0 = propagator.gaussian_packet(n=2**9, dx=0.2, center=0.0, k0=1.0,
                                         sigma=2.0)
-        with pytest.raises(ParameterError):
-            propagator.EvolutionConfig(model=GAUSS, dt=0.05).validate(f0)
+        with pytest.raises(ParameterError, match=r"dt \* lambda_max = "):
+            propagator.split_step_evolve(f0, GAUSS, 0.05, 1.0)
+        with pytest.raises(ParameterError, match="dt must be positive"):
+            propagator.split_step_evolve(f0, GAUSS, 0.0, 1.0)
 
     def test_reflection_detected(self):
         f0 = propagator.gaussian_packet(n=2**8, dx=0.65, center=0.0, k0=2.0,
                                         sigma=2.0)
-        cfg = propagator.EvolutionConfig(model=GAUSS, dt=0.012)
         with pytest.raises(propagator.ReflectionError):
-            propagator.split_step_evolve(f0, cfg, 40.0)
+            propagator.split_step_evolve(f0, GAUSS, 0.012, 40.0)
 
     def test_radial_dirichlet_origin(self):
         # l = 0 channel = odd packet on (-n dx, n dx]: a sine mode with a
@@ -212,7 +208,7 @@ def _time_domain_setting():
     n, dx, k = 2**9, 0.8, 1.0
     r0 = n * dx * 0.45
     pk = _odd_packet(n, dx, center=r0, k0=-k, sigma=20.0)
-    return pk, propagator.EvolutionConfig(model=GAUSS, dt=0.03), r0 / k
+    return pk, 0.03, r0 / k
 
 
 def _l2_rel(a, b):
@@ -225,9 +221,8 @@ class TestStrangOnPeriodicArray:
         # line geometry has no extension: the arithmetic is unchanged
         f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=-20.0,
                                         k0=1.5, sigma=3.0)
-        cfg = propagator.EvolutionConfig(model=model, dt=0.02)
-        out = propagator.split_step_evolve(f0, cfg, 12.0)
-        ref = split_step_oracle(f0, cfg, 12.0)
+        out = propagator.split_step_evolve(f0, model, 0.02, 12.0)
+        ref = split_step_oracle(f0, model, 0.02, 12.0)
         assert out.t == ref.t
         assert np.array_equal(out.values, ref.values)
 
@@ -237,18 +232,18 @@ class TestStrangOnPeriodicArray:
         # samples 0..n-2
         pk = _radial_packet()
         n = len(pk.values) // 2
-        cfg = propagator.EvolutionConfig(model=model, dt=0.02)
-        out = propagator.split_step_evolve(pk, cfg, 60.0)
-        ref = split_step_oracle(_radial_samples(pk), cfg, 60.0, "radial")
+        out = propagator.split_step_evolve(pk, model, 0.02, 60.0)
+        ref = split_step_oracle(_radial_samples(pk), model, 0.02, 60.0,
+                                "radial")
         assert out.t == ref.t and len(out.values) == 2 * len(ref.values)
         assert _l2_rel(out.values[n + 1:], ref.values[:n - 1]) <= 1e-12
 
     def test_time_domain_setting_matches_oracle(self):
-        pk, cfg, t_out = _time_domain_setting()
+        pk, dt, t_out = _time_domain_setting()
         n = len(pk.values) // 2
-        assert int(np.ceil(t_out / cfg.dt)) == 6145
-        out = propagator.split_step_evolve(pk, cfg, t_out)
-        ref = split_step_oracle(_radial_samples(pk), cfg, t_out, "radial")
+        assert int(np.ceil(t_out / dt)) == 6145
+        out = propagator.split_step_evolve(pk, GAUSS, dt, t_out)
+        ref = split_step_oracle(_radial_samples(pk), GAUSS, dt, t_out, "radial")
         assert _l2_rel(out.values[n + 1:], ref.values[:n - 1]) <= 1e-12
 
     @pytest.mark.parametrize("model", [GAUSS, TAIL])
@@ -256,8 +251,7 @@ class TestStrangOnPeriodicArray:
         # x = 0 and the self-mirrored x = -n dx are the two Dirichlet nodes
         pk = _radial_packet()
         n = len(pk.values) // 2
-        cfg = propagator.EvolutionConfig(model=model, dt=0.02)
-        out = propagator.split_step_evolve(pk, cfg, 60.0)
+        out = propagator.split_step_evolve(pk, model, 0.02, 60.0)
         scale = np.max(np.abs(out.values))
         assert abs(out.values[n]) <= 1e-13 * scale
         assert abs(out.values[0]) <= 1e-13 * scale
@@ -267,18 +261,18 @@ class TestStrangOnPeriodicArray:
         if case == "line":   # test_reflection_detected's case
             pk = propagator.gaussian_packet(n=2**8, dx=0.65, center=0.0,
                                             k0=2.0, sigma=2.0)
-            cfg = propagator.EvolutionConfig(model=GAUSS, dt=0.012)
+            dt = 0.012
             t = 40.0
             with pytest.raises(propagator.ReflectionError) as expect:
-                split_step_oracle(pk, cfg, t)
+                split_step_oracle(pk, GAUSS, dt, t)
         else:                # outgoing radial packet runs into the wall
             pk = _radial_packet(n=2**9, center=150.0, k0=1.5)
-            cfg = propagator.EvolutionConfig(model=GAUSS, dt=0.02)
+            dt = 0.02
             t = 60.0
             with pytest.raises(propagator.ReflectionError) as expect:
-                split_step_oracle(_radial_samples(pk), cfg, t, "radial")
+                split_step_oracle(_radial_samples(pk), GAUSS, dt, t, "radial")
         with pytest.raises(propagator.ReflectionError) as got:
-            propagator.split_step_evolve(pk, cfg, t)
+            propagator.split_step_evolve(pk, GAUSS, dt, t)
         if case == "line":
             assert str(got.value) == str(expect.value)
         else:
@@ -296,8 +290,8 @@ class TestStrangOnPeriodicArray:
                                             k0=1.0, sigma=2.0)
         else:
             pk = _radial_packet(n=2**9)
-        cfg = propagator.EvolutionConfig(model=GAUSS, dt=0.02)
-        n_steps = int(np.ceil(3.0 / cfg.dt))
+        dt = 0.02
+        n_steps = int(np.ceil(3.0 / dt))
         kinetic, transforms = [], []
         apply_kinetic = propagator._apply_kinetic
 
@@ -311,7 +305,7 @@ class TestStrangOnPeriodicArray:
 
         monkeypatch.setattr(propagator, "_apply_kinetic", counted_kinetic)
         monkeypatch.setattr(propagator, "dft", counted_dft)
-        propagator.split_step_evolve(pk, cfg, 3.0)
+        propagator.split_step_evolve(pk, GAUSS, dt, 3.0)
         # each kinetic step acts on the whole packet: 2n points for the
         # l = 0 channel on (0, n dx]
         width = 2**9 * (2 if geometry == "radial" else 1)
@@ -446,7 +440,6 @@ class TestMollerProbes:
                                         sigma=3.0)
         rep = propagator.modified_moller_probe(ZERO, f0, self.TIMES)
         assert np.max(rep.increments) < 1e-12
-        assert rep.modified
 
     def test_input_validation(self):
         f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=0.0, k0=2.0,
@@ -461,11 +454,10 @@ class TestMollerProbes:
                                         sigma=3.0)
         times = [1.0, 2.0, 3.0, 4.0, 5.0]
         free_evolve = propagator.free_evolve
-        config = propagator.EvolutionConfig(model=GAUSS, dt=0.02)
         expect = []
         for t0, t1 in zip(times[:-1], times[1:]):
-            back = propagator.split_step_evolve(free_evolve(f0, t1), config,
-                                                t1 - (t1 - t0))
+            back = propagator.split_step_evolve(free_evolve(f0, t1), GAUSS,
+                                                0.02, t1 - (t1 - t0))
             u0 = free_evolve(f0, t0)
             expect.append(float(np.sqrt(np.sum(np.abs(back.values - u0.values)
                                                ** 2) * u0.dx)))

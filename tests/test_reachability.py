@@ -1,4 +1,5 @@
-"""Every public module-level function and class of the package is reached.
+"""Every public module-level function and class of the package is reached,
+and every parameter with a default of a public function is passed.
 
 A name counts as reached when the source of the package or of the
 benchmark (`perfbench/`) refers to it outside its own definition: through
@@ -8,6 +9,13 @@ benchmark (`perfbench/`) refers to it outside its own definition: through
 module.  Tests do not count, and neither do docstrings or strings.  What
 only tests reach is either wired into the package or deleted; the few
 exceptions are listed in ALLOWED with the reason each stays.
+
+A parameter with a default counts as passed when some call in the same
+sources names it as a keyword or reaches it by position.  A call resolves
+through the names above, through both branches of `(f if c else g)(...)`,
+and through a one-line alias `probe = f` (or `= f if c else g`) in the same
+top-level definition.  A parameter no call passes is a constant in
+disguise; the exceptions are listed in UNPASSED with the reason each stays.
 """
 
 import ast
@@ -24,6 +32,23 @@ ALLOWED = {
         "explicit Dollard asymptotics, kept until the momentum-form modifier settles it",
     **{("acceptance", f"criterion_{i:02d}"): "reached through CRITERIA's globals()"
        for i in range(1, 16)},
+}
+
+
+UNPASSED = {
+    **{("diagnostics", "lap_probe", p): "tests shrink the LAP grid"
+       for p in ("n", "extent")},
+    **{("partialwave", fn, p): "tests vary the Numerov grid; the ROADMAP "
+       "items 3 and 6 oracles vary dr"
+       for fn in ("phase_shift_table", "radial_phase_shift")
+       for p in ("r_max", "dr")},
+    **{("propagator", "scattering_phase_from_time_domain", p):
+       "tests size the packet and grid; ROADMAP item 4 needs dx"
+       for p in ("packet_width", "n", "dx", "r0", "dt")},
+    **{("propagator", "modified_free_evolution", p):
+       "tests size the grid; kept with the function (see ALLOWED)"
+       for p in ("n", "dx")},
+    ("entry", "main", "argv"): "tests pass argv; the console script passes none",
 }
 
 
@@ -89,3 +114,107 @@ def test_allowlist_is_current():
     defined, found = public_definitions(), reached()
     stale = sorted(name for name in ALLOWED if name not in defined or name in found)
     assert not stale, f"ALLOWED entries to drop: {stale}"
+
+
+def defaulted_parameters() -> dict[tuple[str, str], tuple[list[str], list[str]]]:
+    """(module, function) -> (positional parameter names, names of the
+    parameters with a default) for every public module-level function with
+    at least one default."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            if defaulted:
+                found[(path.stem, node.name)] = (positional, defaulted)
+    return found
+
+
+def _functions(tree: ast.Module, home: str | None) -> dict[str, tuple[str, str]]:
+    """Bare names that denote a package function in this source: imported
+    ones, and for a package module its own top-level functions."""
+    names = {}
+    if home is not None:
+        names.update({node.name: (home, node.name) for node in tree.body
+                      if isinstance(node, ast.FunctionDef)})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (mod := _package_module(node)):
+            for alias in node.names:
+                names[alias.asname or alias.name] = (mod, alias.name)
+    return names
+
+
+def _modules(tree: ast.Module) -> dict[str, str]:
+    """Names bound to a package module by `from . import module`."""
+    return {alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and _package_module(node) == ""
+            for alias in node.names if alias.name in MODULES}
+
+
+def passed_parameters() -> set[tuple[str, str, str]]:
+    """(module, function, parameter) for every defaulted parameter that a
+    call in the package or the benchmark passes."""
+    signatures = defaulted_parameters()
+    passed = set()
+    sources = [(path, path.stem) for path in PACKAGE.glob("*.py")]
+    sources += [(path, None) for path in (ROOT / "perfbench").rglob("*.py")]
+    for path, home in sources:
+        tree = ast.parse(path.read_text())
+        functions, modules = _functions(tree, home), _modules(tree)
+
+        def targets(expr, local):
+            if isinstance(expr, ast.IfExp):
+                return targets(expr.body, local) | targets(expr.orelse, local)
+            if isinstance(expr, ast.Name):
+                if expr.id in local:
+                    return local[expr.id]
+                return {functions[expr.id]} if expr.id in functions else set()
+            if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+                    and expr.value.id in modules):
+                return {(modules[expr.value.id], expr.attr)}
+            return set()
+
+        for top in tree.body:
+            local = {}
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)
+                        and (found := targets(node.value, {}))):
+                    local[node.targets[0].id] = found
+            for call in ast.walk(top):
+                if not isinstance(call, ast.Call):
+                    continue
+                for target in targets(call.func, local) & signatures.keys():
+                    positional, defaulted = signatures[target]
+                    if (any(isinstance(a, ast.Starred) for a in call.args)
+                            or any(k.arg is None for k in call.keywords)):
+                        names = set(defaulted)
+                    else:
+                        names = set(positional[:len(call.args)])
+                        names |= {k.arg for k in call.keywords}
+                    passed |= {target + (name,) for name in names
+                               if name in defaulted}
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed():
+    defaulted = {key + (name,) for key, (_, names)
+                 in defaulted_parameters().items() for name in names}
+    unpassed = sorted(defaulted - passed_parameters() - set(UNPASSED))
+    assert not unpassed, f"defaults no call in the package overrides: {unpassed}"
+
+
+def test_unpassed_allowlist_is_current():
+    # an entry for a deleted, default-free or since-passed parameter would
+    # hide nothing
+    defaulted = {key + (name,) for key, (_, names)
+                 in defaulted_parameters().items() for name in names}
+    passed = passed_parameters()
+    stale = sorted(key for key in UNPASSED if key not in defaulted or key in passed)
+    assert not stale, f"UNPASSED entries to drop: {stale}"
