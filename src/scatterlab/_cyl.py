@@ -81,54 +81,6 @@ def interpolator(grid: CylGrid, f: np.ndarray):
     )
 
 
-def _cell(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index of the cell [nodes[i], nodes[i+1]] holding x on a uniform
-    axis, clipped to the first and last cell."""
-    n = len(nodes)
-    u = (x - nodes[0]) * ((n - 1) / (nodes[-1] - nodes[0]))
-    np.floor(u, out=u)
-    np.clip(u, 0, n - 2, out=u)
-    return u.astype(np.intp)
-
-
-def _fraction(nodes: np.ndarray, i: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Position of x within its cell, as RegularGridInterpolator forms it."""
-    lo = nodes[i]
-    return (x - lo) / (nodes[i + 1] - lo)
-
-
-def bilinear(grid: CylGrid, tables: np.ndarray, s, z) -> np.ndarray:
-    """Bilinear interpolation of stacked tables (m, n_s, n_z) at the points
-    (s, z), shape (m,) + s.shape; 0 outside [s_0, s_max] x [z_min, z_max]
-    (the interpolator() convention).
-
-    The grid is uniform, so the cell of each point is found by arithmetic
-    once and shared by all m tables.
-    """
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n_s, n_z = len(grid.s), len(grid.z)
-    i = _cell(grid.s, s)
-    j = _cell(grid.z, z)
-    ts = _fraction(grid.s, i, s)
-    tz = _fraction(grid.z, j, z)
-    inside = ((s >= grid.s[0]) & (s <= grid.s[-1])
-              & (z >= grid.z[0]) & (z <= grid.z[-1]))
-    a1 = np.where(inside, ts, 0.0)
-    a0 = np.where(inside, 1.0 - ts, 0.0)
-    corner = i * n_z + j
-    flat = tables.reshape(len(tables), n_s * n_z)
-    out = np.take(flat, corner, axis=1)
-    out *= a0 * (1.0 - tz)
-    term = np.empty_like(out)
-    for step, weight in ((1, a0 * tz), (n_z - 1, a1 * (1.0 - tz)), (1, a1 * tz)):
-        corner += step
-        np.take(flat, corner, axis=1, out=term)
-        term *= weight
-        out += term
-    return out
-
-
 def cyl_coords(points: np.ndarray, axis: np.ndarray):
     """(s, z) of 3D points relative to a unit axis vector."""
     points = np.atleast_2d(points)

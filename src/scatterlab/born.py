@@ -7,7 +7,9 @@ amplitude corrections b_n (b_0 = 1), the truncated kernel
           int exp(i sqrt(lambda) x.(w' - w)) v(x) b_n(x, w') dx      (d = 3)
 
 and least-squares measurement of the error's energy-decay order against
-the partial-wave reference.
+the partial-wave reference.  v is radial, so b_n depends only on the
+distance s from the axis w' and the coordinate z along it; the azimuth
+integral is a Bessel J_0 and each term of k_N is a 2-D (s, z) integral.
 """
 
 from __future__ import annotations
@@ -18,14 +20,16 @@ import numpy as np
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
 # name, so it stays bound until the tracer drops it.
 from scipy.integrate import quad  # noqa: F401
+from scipy.special import j0
 
 from . import _cyl
-from .numerics import DomainError, ParameterError, composite_gauss, spherical_jl
+from .numerics import (DomainError, ParameterError, composite_gauss, gauss_panels,
+                       spherical_jl)
 from .potentials import PotentialModel, line_integral
 from . import partialwave
 
 RAY_TRUNCATION = 1e-12
-_SLICE_BLOCK = 8   # u1 slices of the kernel quadrature evaluated together
+_CELL_NODES = 4   # Gauss nodes per b_n table cell, along s and along z
 
 
 class ConvergenceError(RuntimeError):
@@ -145,90 +149,87 @@ def _support_radius(model: PotentialModel) -> float:
     return r
 
 
-def high_energy_kernel(model: PotentialModel, lam: float, omega, omega_prime,
-                       N: int, grid: _cyl.CylGrid | None = None,
-                       tables: np.ndarray | None = None) -> complex:
-    """Truncated kernel k_N(omega, omega', lambda) at d = 3 by grid
-    quadrature over the (numerical) support of v: Gauss panels along
-    e1 = (omega' - omega)/|omega' - omega| times a tensor rule over the
-    (e2, e3) plane of _cyl.plane_basis(e1).  When omega' is orthogonal to
-    e3 (or to e2, after swapping the two), as for a pair in the xz- or
-    yz-plane, the integrand is even in u3 and the plane rule is folded onto
-    u3 > 0 with doubled weights: half the points, the same value up to
-    rounding.  Every other pair gets the full rule.
+def _lerp_cells(lo: np.ndarray, hi: np.ndarray, t: np.ndarray,
+                out: np.ndarray) -> None:
+    """out[a] = (1 - t[a]) lo + t[a] hi: the linear interpolant at fraction
+    t[a] of every cell [lo, hi], written one fraction at a time."""
+    for a, ta in enumerate(t):
+        np.multiply(lo, 1.0 - ta, out=out[a])
+        out[a] += ta * hi
 
-    tables: b_0..b_N (or more) from _bn_tables(model, N, grid), which do
-    not depend on lambda or omega; built here when not given.
+
+def high_energy_kernel(model: PotentialModel, lam, omega, omega_prime,
+                       N: int) -> complex | np.ndarray:
+    """Truncated kernel k_N(omega, omega', lambda) at d = 3: a complex
+    number for a scalar lambda, an array for an array of energies.
+
+    About omega', x = z omega' + s n(phi) and b_n depends on (s, z) only, so
+    the azimuth integral is 2 pi J_0(sqrt(lambda) |delta_perp| s), with
+    delta = omega' - omega and delta_perp its part normal to omega':
+
+        int v b_n e^{i sqrt(lambda) x.delta} dx = 2 pi int_0^R s ds
+            int_{-R}^{R} dz v b_n J_0(sqrt(lambda) |delta_perp| s)
+            e^{i sqrt(lambda) (omega'.delta) z}.
+
+    The (s, z) rule has _CELL_NODES Gauss nodes on each cell of the
+    _default_cyl_grid table that meets s <= R, |z| <= R (R the support
+    radius), so b_n, the bilinear interpolant of the _bn_tables values, is
+    a polynomial on every panel.  v b_n on those nodes is formed once per
+    call and serves every lambda.
     """
-    if not lam > 0:
+    lams = np.asarray(lam, dtype=float)
+    if not np.all(lams > 0):
         raise ParameterError(f"lambda must be positive, got lam={lam}")
     omega = np.asarray(omega, dtype=float)
     omega_prime = np.asarray(omega_prime, dtype=float)
     omega = omega / np.linalg.norm(omega)
     omega_prime = omega_prime / np.linalg.norm(omega_prime)
     if model.kind == "zero":
-        return 0.0 + 0.0j
+        values = np.zeros(lams.shape, dtype=complex)
+        return complex(values) if values.ndim == 0 else values
     if np.allclose(omega, omega_prime):
         raise ParameterError("omega must differ from omega_prime")
     R = _support_radius(model)
-    sql = np.sqrt(lam)
-    delta = omega_prime - omega
-    kappa = sql * np.linalg.norm(delta)
+    grid = _default_cyl_grid(model)
 
-    # orthonormal frame with e1 along the oscillation direction
-    e1 = delta / np.linalg.norm(delta)
-    e2, e3 = _cyl.plane_basis(e1)
+    # the table cells that cover s in [0, R] and z in [-R, R]; the grid
+    # reaches at least 1.8 R on each side
+    i_s = int(np.searchsorted(grid.s, R))
+    j_lo = int(np.searchsorted(grid.z, -R, side="right")) - 1
+    j_hi = int(np.searchsorted(grid.z, R))
+    s, w_s = (a.ravel() for a in gauss_panels(_CELL_NODES, grid.s[:i_s],
+                                               grid.s[1:i_s + 1]))
+    z, w_z = (a.ravel() for a in gauss_panels(_CELL_NODES, grid.z[j_lo:j_hi],
+                                               grid.z[j_lo + 1:j_hi + 1]))
+    t = 0.5 * (np.polynomial.legendre.leggauss(_CELL_NODES)[0] + 1.0)
 
-    n1 = max(96, int(np.ceil(2 * R * kappa / (2 * np.pi)) * 10))
-    nt = max(96, int(np.ceil(8 * R)))
-    rule1 = composite_gauss(12, np.linspace(-R, R, max(2, n1 // 12 + 1)))
-    rule_t = composite_gauss(12, np.linspace(-R, R, max(2, nt // 12 + 1)))
-
+    # v b_n on the nodes, n = 0..N, each order written in place into one stack
+    vb = np.empty((N + 1, len(s), len(z)))
+    vb[0] = model.radial_values(np.sqrt(s[:, None] ** 2 + z * z))
     if N >= 1:
-        if grid is None:
-            if tables is not None:
-                raise ParameterError("tables need the grid they were built on")
-            grid = _default_cyl_grid(model)
-        if tables is None:
-            tables = _bn_tables(model, N, grid)
-        if len(tables) < N + 1 or tables.shape[1:] != (len(grid.s), len(grid.z)):
-            raise ParameterError(
-                f"tables of shape {tables.shape} do not hold b_0..b_{N} on the grid")
-        bn_tables = tables[1:N + 1]
+        tables = _bn_tables(model, N, grid)
+        # b_n on the s nodes at the table's z nodes, then on the (s, z) nodes
+        along_s = np.empty((i_s, _CELL_NODES, j_hi - j_lo + 1))
+        flat = along_s.reshape(len(s), -1)
+        for n in range(1, N + 1):
+            cell = tables[n, :i_s + 1, j_lo:j_hi + 1]
+            _lerp_cells(cell[:-1], cell[1:], t, np.moveaxis(along_s, 1, 0))
+            bn = vb[n].reshape(len(s), -1, _CELL_NODES)
+            _lerp_cells(flat[:, :-1], flat[:, 1:], t, np.moveaxis(bn, 2, 0))
+            vb[n] *= vb[0]
 
-    # x = u1 e1 + u2 e2 + u3 e3: r^2 = u1^2 + rho^2, z = x.omega' = u1 c1 + z_plane
-    if e2 @ omega_prime == 0.0:
-        e2, e3 = e3, e2   # both axes carry rule_t, so the swap is a relabelling
-    u3, w3 = rule_t.nodes, rule_t.weights
-    if e3 @ omega_prime == 0.0:
-        # u3 -> -u3 leaves r, z and the phase unchanged, so the integrand is
-        # even in u3; rule_t is symmetric with no node at 0 (12 per panel)
-        half = len(u3) // 2
-        u3, w3 = u3[half:], 2.0 * w3[half:]
-    Y2, Y3 = np.meshgrid(rule_t.nodes, u3, indexing="ij")
-    rho2 = (Y2 * Y2 + Y3 * Y3).ravel()
-    z_plane = (Y2 * (e2 @ omega_prime) + Y3 * (e3 @ omega_prime)).ravel()
-    W23 = np.outer(rule_t.weights, w3).ravel()
-    c1 = e1 @ omega_prime
-    u1 = rule1.nodes
-    # per u1 slice: sum of W23 v b_n over the (u2, u3) plane, n = 0..N
-    sums = np.empty((N + 1, len(u1)))
-    for lo in range(0, len(u1), _SLICE_BLOCK):
-        u = u1[lo:lo + _SLICE_BLOCK, None]
-        r2 = u * u + rho2
-        wv = W23 * model.radial_values(np.sqrt(r2))
-        sums[0, lo:lo + _SLICE_BLOCK] = wv.sum(axis=1)
-        if N >= 1:
-            z = u * c1 + z_plane
-            s = np.sqrt(np.maximum(r2 - z * z, 0.0))
-            bn = _cyl.bilinear(grid, bn_tables, s, z)
-            sums[1:, lo:lo + _SLICE_BLOCK] = np.einsum("nbp,bp->nb", bn, wv)
-    phase = np.exp(1j * sql * u1 * np.linalg.norm(delta))  # x.delta = u1 |delta|
-    integrals = sums @ (rule1.weights * phase)
-
-    orders = (2j * sql) ** (-np.arange(N + 1))
-    value = -1j * np.pi * (2 * np.pi) ** -3 * sql * np.sum(orders * integrals)
-    return complex(value)
+    sql = np.sqrt(lams).ravel()
+    delta = omega_prime - omega
+    c = omega_prime @ delta
+    d_perp = np.linalg.norm(delta - c * omega_prime)
+    radial = (2.0 * np.pi * s * w_s) * j0(np.outer(sql * d_perp, s))
+    axial = w_z * np.exp(1j * np.outer(sql * c, z))
+    # integrals[l, n] = sum_s sum_z radial[l, s] vb[n, s, z] axial[l, z]
+    integrals = np.einsum("nlz,lz->ln", radial @ vb, axial)
+    orders = (2j * sql[:, None]) ** -np.arange(N + 1)
+    values = -1j * np.pi * (2 * np.pi) ** -3 * sql * np.sum(orders * integrals, axis=1)
+    values = values.reshape(lams.shape)
+    return complex(values) if values.ndim == 0 else values
 
 
 def exact_kernel(model: PotentialModel, lam: float, theta: float) -> complex:
@@ -263,18 +264,9 @@ def measure_error_order(model: PotentialModel, lambdas, omega, omega_prime,
     omega_prime = np.asarray(omega_prime, dtype=float)
     cos_theta = float(omega @ omega_prime)
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    # b_n do not depend on lambda: one table build per fit
-    grid = _default_cyl_grid(model)
-    tables = None
-    if N >= 1:
-        _support_radius(model)  # refuse before building tables the kernel cannot use
-        tables = _bn_tables(model, N, grid)
-    errors = np.empty(len(lambdas))
-    for i, lam in enumerate(lambdas):
-        approx = high_energy_kernel(model, lam, omega, omega_prime, N,
-                                    grid=grid, tables=tables)
-        exact = exact_kernel(model, lam, theta)
-        errors[i] = abs(exact - approx)
+    approx = high_energy_kernel(model, lambdas, omega, omega_prime, N)
+    exact = np.array([exact_kernel(model, lam, theta) for lam in lambdas])
+    errors = np.abs(exact - approx)
     floor = bool(np.any(errors < 1e-10))
     if floor:
         slope = np.nan

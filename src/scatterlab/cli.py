@@ -43,7 +43,10 @@ def validate_config(config: dict) -> None:
     if errors:
         e = errors[0]
         where = "/".join(str(p) for p in e.path) or "<root>"
-        raise ConfigError(f"at {where}: {e.message}")
+        message = e.message
+        if e.validator == "not":   # a list beside its single-value form
+            message = " and ".join(e.validator_value["required"]) + " exclude each other"
+        raise ConfigError(f"at {where}: {message}")
     # non-finite numbers (JSON 1e309, NaN, Infinity), which the schema's
     # "number" admits; breadth first, the loop visits what it appends
     todo = [((), config)]
@@ -74,11 +77,11 @@ def _c(z) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _run_phaseshift(model, p, seed):
-    ks = p.get("k_values", [p.get("k", 1.0)])
+    ks = np.array(p.get("k_values", [p.get("k", 1.0)]), float)
     l_max = p.get("l_max", 10)
     rows = []
     for k in ks:
-        table = partialwave.phase_shift_table(model, float(k), l_max)
+        table = partialwave.phase_shift_table(model, k, l_max)
         eigs, _ = partialwave.smatrix_eigenvalues(table)
         for l in range(l_max + 1):
             rows.append([k, l, table.delta[l], eigs[l].real, eigs[l].imag])
@@ -96,12 +99,12 @@ def _run_amplitude(model, p, seed):
 
 
 def _run_born(model, p, seed):
-    ks = p.get("k_values", [p.get("k", 1.0)])
-    thetas = p.get("thetas", [p.get("theta", np.pi / 2)])
+    ks = np.array(p.get("k_values", [p.get("k", 1.0)]), float)
+    thetas = np.array(p.get("thetas", [p.get("theta", np.pi / 2)]), float)
     rows = []
     for k in ks:
         for th in thetas:
-            a = born.born_first_amplitude(model, float(k), float(th))
+            a = born.born_first_amplitude(model, k, th)
             rows.append([k, th] + _c(a))
     return ["k", "theta", "re_a_born", "im_a_born"], rows, {}, []
 
@@ -137,7 +140,7 @@ def _run_eikonal(model, p, seed):
 def _run_s0(model, p, seed):
     lam = p.get("lam", 100.0)
     N = p.get("N", 3)
-    thetas = p.get("thetas", [np.deg2rad(d) for d in (10, 20, 30)])
+    thetas = np.array(p.get("thetas", np.deg2rad([10, 20, 30])), float)
     omega0 = np.array([0.0, 0.0, 1.0])
     pairs = [eikonal.coplanar_pair(omega0, th) for th in thetas]
     for w, wp in pairs:
@@ -199,8 +202,8 @@ def _run_diagnose(model, p, seed):
     check = p.get("check", "hs")
     flags = []
     if check == "hs":
-        c = p.get("c", 1.0)
-        val = diagnostics.hs_norm_resolvent_weight(model, float(c))
+        c = float(p.get("c", 1.0))
+        val = diagnostics.hs_norm_resolvent_weight(model, c)
         return ["c", "hs_norm_sq"], [[c, val]], {}, flags
     if check == "kato":
         r = p.get("r", 1.0)
@@ -215,9 +218,8 @@ def _run_diagnose(model, p, seed):
         return ["T", "integral"], rows, {"r": r,
                                          "saturating": rep.saturating}, flags
     if check == "mourre":
-        lo, hi = p.get("window", [1.0, 2.0])
-        val = diagnostics.mourre_check(model, (float(lo), float(hi)),
-                                       n=p.get("n", 1024))
+        lo, hi = np.array(p.get("window", [1.0, 2.0]), float)
+        val = diagnostics.mourre_check(model, (lo, hi), n=p.get("n", 1024))
         return (["window_lo", "window_hi", "min_eig"], [[lo, hi, val]],
                 {}, flags)
     # lap
@@ -325,6 +327,9 @@ SCHEMA = {
                              "items": {"type": "integer",
                                        "minimum": 1, "maximum": 15}},
             },
+            # a list and its single-value form: the runners read the list
+            "allOf": [{"not": {"required": ["k", "k_values"]}},
+                      {"not": {"required": ["theta", "thetas"]}}],
         },
     },
 }

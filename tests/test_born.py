@@ -9,9 +9,10 @@ GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
 
 
 def kernel_slice_loop(model, lam, omega, omega_prime, N, grid=None):
-    """The per-slice quadrature loop that the blocked kernel replaced, kept
-    as the reference: the same rules and tables, one u1 slice at a time,
-    with one RegularGridInterpolator per b_n table.  Returns k_0 .. k_N."""
+    """The 3-D cube rule that the (s, z) kernel replaced, kept as an
+    independent oracle: Gauss panels along e1 = delta/|delta| times a
+    tensor rule over the (e2, e3) plane, one u1 slice at a time, with one
+    RegularGridInterpolator per b_n table.  Returns k_0 .. k_N."""
     omega = np.asarray(omega, dtype=float)
     omega_prime = np.asarray(omega_prime, dtype=float)
     omega = omega / np.linalg.norm(omega)
@@ -109,8 +110,9 @@ class TestFirstBorn:
 def b_at_origin(model, N):
     """b_0..b_N at x = 0, read from the _bn_tables the kernel uses."""
     grid = born._default_cyl_grid(model)
-    s, z = _cyl.cyl_coords(np.zeros((1, 3)), np.array([0.0, 0.0, 1.0]))
-    return _cyl.bilinear(grid, born._bn_tables(model, N, grid), s, z)[:, 0]
+    origin = np.zeros((1, 2))   # (s, z) of x = 0
+    return np.array([_cyl.interpolator(grid, t)(origin)[0]
+                     for t in born._bn_tables(model, N, grid)])
 
 
 class TestTransport:
@@ -145,7 +147,7 @@ class TestKernel:
                                          [0, 0, 1], [1, 0, 0], 2)
         assert kernel == 0.0 and isinstance(kernel, complex)
 
-    @pytest.mark.parametrize("lam", [0.0, -4.0, np.nan])
+    @pytest.mark.parametrize("lam", [0.0, -4.0, np.nan, [25.0, -1.0]])
     def test_nonpositive_lambda_rejected(self, lam):
         with pytest.raises(ParameterError, match="lambda must be positive"):
             born.high_energy_kernel(GAUSS, lam, [0, 0, 1], [1, 0, 0], 0)
@@ -164,119 +166,116 @@ def _direction_pair(theta):
     return np.array([0.0, 0.0, 1.0]), np.array([np.sin(theta), 0.0, np.cos(theta)])
 
 
-KERNEL_MODELS = [GAUSS,
-                 PotentialModel(kind="yukawa", v0=0.5, width=0.3),
-                 PotentialModel(kind="compact_bump", v0=-2.0, width=2.0)]
-THETA_03, THETA_90, THETA_25 = (_direction_pair(t) for t in (0.3, np.pi / 2, 2.5))
+BUMP = PotentialModel(kind="compact_bump", v0=-2.0, width=2.0)
+YUKAWA = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
+THETA_03, THETA_90 = _direction_pair(0.3), _direction_pair(np.pi / 2)
 OFF_PLANE = (np.array([0.3, -0.2, 0.9]), np.array([-0.4, 0.7, 0.2]))
-# every model meets every energy and every direction pair; the slice loop
-# takes 0.3-2 s a case, so not every energy meets every pair.  The pi/2 and
-# off-plane cases end in a partial block of slices for gaussian_well
-KERNEL_CASES = [(25.0, THETA_90), (100.0, OFF_PLANE), (400.0, THETA_03),
-                (400.0, THETA_25)]
-# omega' in the yz-plane: e2 = x is orthogonal to omega', so the kernel
-# swaps e2 and e3 before it folds the plane
-YZ_PLANE = (np.array([0.0, 0.0, 1.0]), np.array([0.0, np.sin(1.2), np.cos(1.2)]))
-# coplanar with the x axis on paper, but e3 . omega' is a rounding residue
-_S = np.sqrt(0.5)
-TILTED = (np.array([0.0, _S, _S]), np.array([np.sin(1.0), _S * np.cos(1.0), _S * np.cos(1.0)]))
+THETAS = [0.3, np.pi / 2, 2.5, np.pi]
+LAMBDAS = np.array([4.0, 25.0, 100.0, 400.0])
 
 
-class TestBlockedKernel:
-    @pytest.mark.parametrize("model", KERNEL_MODELS, ids=lambda m: m.kind)
-    @pytest.mark.parametrize("case", range(len(KERNEL_CASES)))
-    def test_matches_slice_loop(self, model, case):
-        lam, (omega, omega_p) = KERNEL_CASES[case]
-        expected = kernel_slice_loop(model, lam, omega, omega_p, 2)
-        for N in (0, 1, 2):
-            got = born.high_energy_kernel(model, lam, omega, omega_p, N)
-            # Yukawa's b_n tables sample v at r = 0, clamped to v0 / 1e-8,
-            # which makes |k_1| ~ 1e2 and |k_2| ~ 1e7; there 1e-15 absolute
-            # is below one ulp, so the bound is relative
-            tol = 1e-15 if abs(expected[N]) <= 1.0 else 2e-14 * abs(expected[N])
-            assert abs(got - expected[N]) <= tol, (N, got, expected[N])
+def _born_kernel(lams, theta, f1):
+    """k_0 = (i sqrt(lam) / 2 pi) f_1(q), q = 2 sqrt(lam) sin(theta/2)."""
+    k = np.sqrt(lams)
+    return 1j * k / (2 * np.pi) * f1(k, 2 * k * np.sin(theta / 2))
+
+
+class TestCellRuleKernel:
+    """The (s, z) rule with the azimuth in closed form."""
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_n0_gaussian_closed_form(self, theta):
+        # f1(q) = -(v0 sqrt(pi)^3 / 4 pi) e^{-q^2/4}; what is left is the
+        # truncation at the support radius (measured: up to 1.9e-11)
+        expect = _born_kernel(LAMBDAS, theta,
+                              lambda k, q: -GAUSS.v0 * np.pi**1.5 / (4 * np.pi)
+                              * np.exp(-q * q / 4))
+        got = born.high_energy_kernel(GAUSS, LAMBDAS, *_direction_pair(theta), 0)
+        assert np.max(np.abs(got - expect)) <= 5e-11
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_n0_compact_bump_first_born(self, theta):
+        # against the radial Born quadrature, itself good to 1e-9 relative
+        # (measured: up to 1.0e-10)
+        expect = _born_kernel(LAMBDAS, theta, lambda k, q: np.array(
+            [born.born_first_amplitude(BUMP, kk, theta) for kk in k]))
+        got = born.high_energy_kernel(BUMP, LAMBDAS, *_direction_pair(theta), 0)
+        assert np.max(np.abs(got - expect)) <= 2e-10
 
     @pytest.mark.parametrize("N", [1, 2])
-    def test_given_tables_change_nothing(self, N):
-        omega, omega_p = OFF_PLANE
-        grid = born._default_cyl_grid(GAUSS)
-        tables = born._bn_tables(GAUSS, N, grid)
-        built = born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, N)
-        given = born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, N,
-                                        grid=grid, tables=tables)
-        assert given == built
+    @pytest.mark.parametrize("model", [GAUSS, BUMP], ids=lambda m: m.kind)
+    def test_node_refinement(self, monkeypatch, model, N):
+        # the panels end on the table's cell edges, where the bilinear b_n
+        # has its kinks (measured: 4 against 6 nodes up to 4.4e-14)
+        for theta in THETAS:
+            pair = _direction_pair(theta)
+            four = born.high_energy_kernel(model, LAMBDAS, *pair, N)
+            monkeypatch.setattr(born, "_CELL_NODES", 6)
+            six = born.high_energy_kernel(model, LAMBDAS, *pair, N)
+            monkeypatch.setattr(born, "_CELL_NODES", 4)
+            assert np.max(np.abs(four - six)) <= 1e-13, theta
 
-    def test_tables_for_higher_order_serve_lower(self):
-        omega, omega_p = THETA_90
-        grid = born._default_cyl_grid(GAUSS)
-        tables = born._bn_tables(GAUSS, 2, grid)
-        built = born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, 1)
-        given = born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, 1,
-                                        grid=grid, tables=tables)
-        assert given == built
+    @pytest.mark.parametrize("model", [GAUSS, BUMP], ids=lambda m: m.kind)
+    def test_off_plane_pair_equals_coplanar(self, model):
+        # the kernel depends on the pair only through omega'.delta and
+        # |delta_perp|, so only the angle between them matters
+        omega, omega_p = (p / np.linalg.norm(p) for p in OFF_PLANE)
+        coplanar = _direction_pair(np.arccos(omega @ omega_p))
+        for N in (0, 1, 2):
+            off = born.high_energy_kernel(model, LAMBDAS[:3], omega, omega_p, N)
+            on = born.high_energy_kernel(model, LAMBDAS[:3], *coplanar, N)
+            assert np.max(np.abs(off - on)) <= 1e-16, N
 
-    def test_tables_must_match(self):
-        omega, omega_p = THETA_90
-        grid = born._default_cyl_grid(GAUSS)
-        tables = born._bn_tables(GAUSS, 1, grid)
-        with pytest.raises(ParameterError):   # too few orders
-            born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, 2,
-                                    grid=grid, tables=tables)
-        with pytest.raises(ParameterError):   # no grid to read them on
-            born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, 1, tables=tables)
-        small = _cyl.make_grid(4.0, 4.0, 21, 41)
-        with pytest.raises(ParameterError):   # built on another grid
-            born.high_energy_kernel(GAUSS, 25.0, omega, omega_p, 1,
-                                    grid=small, tables=tables)
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    @pytest.mark.parametrize("model", [GAUSS, BUMP, YUKAWA], ids=lambda m: m.kind)
+    def test_array_lambda_matches_scalar_calls(self, model, N):
+        got = born.high_energy_kernel(model, LAMBDAS, *THETA_03, N)
+        assert isinstance(got, np.ndarray) and got.shape == LAMBDAS.shape
+        one = [born.high_energy_kernel(model, lam, *THETA_03, N) for lam in LAMBDAS]
+        assert all(isinstance(v, complex) for v in one)
+        np.testing.assert_allclose(got, one, rtol=1e-13, atol=1e-17)
 
-    def test_fit_builds_tables_once(self, monkeypatch):
-        calls = []
-        build = born._bn_tables
+    @pytest.mark.parametrize("model,lam,pair", [(GAUSS, 25.0, THETA_90),
+                                                (BUMP, 100.0, THETA_03)],
+                             ids=["gaussian_well", "compact_bump"])
+    def test_matches_slice_loop(self, model, lam, pair):
+        # the 3-D cube rule misses the kinks of the bilinear b_n; its error
+        # at N >= 1 is what this bound allows (measured: up to 1.47e-7)
+        expected = kernel_slice_loop(model, lam, *pair, 2)
+        for N, tol in ((0, 2e-10), (1, 1.5e-7), (2, 1.5e-7)):
+            got = born.high_energy_kernel(model, lam, *pair, N)
+            assert abs(got - expected[N]) <= tol, (N, got, expected[N])
 
-        def spy(*args):
-            calls.append(args[1])
+    @pytest.mark.parametrize("lam,pair", [(25.0, THETA_90), (400.0, THETA_03)],
+                             ids=["25-theta_90", "400-theta_03"])
+    def test_yukawa_n0_nearer_closed_form_than_cube_rule(self, lam, pair):
+        # v ~ 1/r at the origin limits both rules (measured: 2.6e-6 and
+        # 1.1e-5 here, against 3.4e-4 and 7.5e-5 for the cube rule)
+        theta = np.arccos(pair[0] @ pair[1])
+        mu = 1.0 / YUKAWA.width
+        expect = _born_kernel(lam, theta, lambda k, q: -YUKAWA.v0 / (q * q + mu * mu))
+        cube = kernel_slice_loop(YUKAWA, lam, *pair, 0)[0]
+        got = born.high_energy_kernel(YUKAWA, lam, *pair, 0)
+        assert abs(got - expect) < abs(cube - expect)
+
+    def test_zero_potential_array(self):
+        got = born.high_energy_kernel(PotentialModel(kind="zero"), LAMBDAS,
+                                      [0, 0, 1], [1, 0, 0], 1)
+        assert got.shape == LAMBDAS.shape and np.all(got == 0.0)
+
+    def test_fit_makes_one_kernel_call(self, monkeypatch):
+        calls, builds = [], []
+        kernel, build = born.high_energy_kernel, born._bn_tables
+
+        def kernel_spy(model, lam, *args):
+            calls.append(np.shape(lam))
+            return kernel(model, lam, *args)
+
+        def build_spy(*args):
+            builds.append(args[1])
             return build(*args)
 
-        monkeypatch.setattr(born, "_bn_tables", spy)
-        omega, omega_p = THETA_90
-        born.measure_error_order(GAUSS, [25.0, 50.0, 100.0, 200.0], omega, omega_p, 1)
-        assert calls == [1]
-
-    @pytest.mark.parametrize("model", [KERNEL_MODELS[0], KERNEL_MODELS[2]],
-                             ids=lambda m: m.kind)
-    def test_yz_plane_matches_slice_loop(self, model):
-        omega, omega_p = YZ_PLANE
-        expected = kernel_slice_loop(model, 100.0, omega, omega_p, 2)
-        for N in (0, 1, 2):
-            got = born.high_energy_kernel(model, 100.0, omega, omega_p, N)
-            assert abs(got - expected[N]) <= 1e-15, (N, got, expected[N])
-
-    @pytest.mark.parametrize("pair,folded", [
-        (THETA_90, True), (THETA_03, True), (YZ_PLANE, True),
-        (OFF_PLANE, False), (TILTED, False)],
-        ids=["theta_90", "theta_03", "yz_plane", "off_plane", "tilted"])
-    def test_coplanar_pairs_fold_the_plane(self, monkeypatch, pair, folded):
-        omega, omega_p = (p / np.linalg.norm(p) for p in pair)
-        delta = omega_p - omega
-        e2, e3 = _cyl.plane_basis(delta / np.linalg.norm(delta))
-        if pair is TILTED:   # the premise: a residue, not an exact zero
-            assert 0.0 < abs(e3 @ omega_p) < 1e-15 and e2 @ omega_p != 0.0
-        lam = 100.0
-        R = born._support_radius(GAUSS)
-        kappa = np.sqrt(lam) * np.linalg.norm(delta)
-        n1 = max(96, int(np.ceil(2 * R * kappa / (2 * np.pi)) * 10))
-        nt = max(96, int(np.ceil(8 * R)))
-        full = (len(composite_gauss(12, np.linspace(-R, R, max(2, n1 // 12 + 1))).nodes)
-                * len(composite_gauss(12, np.linspace(-R, R, max(2, nt // 12 + 1))).nodes) ** 2)
-
-        points = []
-        values = PotentialModel.radial_values
-
-        def spy(self, r):
-            if np.ndim(r) > 0:   # tail_radius probes single radii
-                points.append(np.size(r))
-            return values(self, r)
-
-        monkeypatch.setattr(PotentialModel, "radial_values", spy)
-        born.high_energy_kernel(GAUSS, lam, omega, omega_p, 0)
-        assert sum(points) == (full // 2 if folded else full)
+        monkeypatch.setattr(born, "high_energy_kernel", kernel_spy)
+        monkeypatch.setattr(born, "_bn_tables", build_spy)
+        born.measure_error_order(GAUSS, [25.0, 50.0, 100.0, 200.0], *THETA_90, 1)
+        assert calls == [(4,)] and builds == [1]

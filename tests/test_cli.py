@@ -79,6 +79,22 @@ class TestValidation:
         assert cli.run(path) == 2
         assert "'l'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment,params,pair", [
+        ("phaseshift", {"k": 1.0, "k_values": [1.0, 2.0]}, "k and k_values"),
+        ("born", {"k": 1.0, "k_values": [1.0]}, "k and k_values"),
+        ("born", {"theta": 1.0, "thetas": [1.0, 2.0]}, "theta and thetas"),
+        ("s0", {"theta": 0.2, "thetas": [0.3]}, "theta and thetas"),
+    ], ids=["phaseshift-k", "born-k", "born-theta", "s0-theta"])
+    def test_value_beside_its_list_refused(self, tmp_path, capsys, experiment,
+                                           params, pair):
+        # the runners read the list, so the single value would be dropped
+        path = write_config(tmp_path, {"experiment": experiment, "params": params})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: at params: {pair} exclude each other" in err
+        assert not (out / "result.json").exists()
+
     def test_schema_is_valid_jsonschema(self):
         import jsonschema
         jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
@@ -160,6 +176,34 @@ class TestRun:
         assert cli.run(path, out_dir=str(out)) == 0
         rows = (out / "result.csv").read_text().splitlines()[2:]
         assert [row.split(",")[0] for row in rows] == ["1.0", "0.0"]
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("phaseshift", {"k_values": [1, 2], "l_max": 2}),
+        ("phaseshift", {"k": 1, "l_max": 2}),
+        ("born", {"k_values": [1, 2], "thetas": [1, 2]}),
+        ("born", {"k": 2, "theta": 1}),
+        ("s0", {"lam": 25, "N": 1, "thetas": [1]}),
+        ("diagnose", {"check": "hs", "c": 1}),
+        ("diagnose", {"check": "mourre", "window": [1, 2]}),
+    ], ids=["phaseshift-k_values", "phaseshift-k", "born-lists", "born-values",
+            "s0", "hs", "mourre"])
+    def test_integer_spelling_writes_the_same_rows(self, tmp_path, experiment,
+                                                   params):
+        # the rows hold floats however the config spells them; only the
+        # header line (the config's hash) differs
+        floats = {key: ([float(x) for x in value] if isinstance(value, list)
+                        else value if key in ("l_max", "N", "n", "check")
+                        else float(value))
+                  for key, value in params.items()}
+        rows = []
+        for name, given in (("int", params), ("float", floats)):
+            path = write_config(tmp_path, {
+                "experiment": experiment,
+                "potential": {"kind": "gaussian_well", "v0": -1.0},
+                "params": given}, f"{name}.json")
+            assert cli.run(path, out_dir=str(tmp_path / name)) == 0
+            rows.append((tmp_path / name / "result.csv").read_text().splitlines()[1:])
+        assert rows[0] == rows[1]
 
     def test_amplitude_angle_out_of_range(self, tmp_path):
         path = write_config(tmp_path, {

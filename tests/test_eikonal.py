@@ -137,8 +137,8 @@ class TestIteration:
             eikonal.eikonal_phase_integral(GAUSS, p, 5.0 * ZAXIS, +1)
             for p in pts])
         s, z = _cyl.cyl_coords(pts, data.xi_hat)
-        assert np.allclose(_cyl.bilinear(data.grid, data.Phi[None], s, z)[0],
-                           direct, atol=2e-4)
+        phi = _cyl.interpolator(data.grid, data.Phi)(np.column_stack([s, z]))
+        assert np.allclose(phi, direct, atol=2e-4)
 
     def test_zero_n0_means_no_phase(self):
         data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0)
