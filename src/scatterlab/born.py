@@ -1,7 +1,8 @@
 """Born approximation and the high-energy expansion of the scattering kernel.
 
-First Born amplitude and phase shifts, the ray-integral recursion for the
-amplitude corrections b_n (b_0 = 1), the truncated kernel
+First Born amplitude and phase shifts, the transport recursion for the
+amplitude corrections b_n (b_0 = 1) that the eikonal amplitudes share, the
+truncated kernel
 
     k_N = -i pi (2 pi)^-3 lambda^(1/2) sum_{n<=N} (2 i sqrt(lambda))^-n
           int exp(i sqrt(lambda) x.(w' - w)) v(x) b_n(x, w') dx      (d = 3)
@@ -14,7 +15,9 @@ integral is a Bessel J_0 and each term of k_N is a 2-D (s, z) integral.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
@@ -105,28 +108,59 @@ def born_first_phase_shift(model: PotentialModel, k: float, l: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# transport recursion b_{n+1}(x) = int_-inf^0 (-Lap b_n + v b_n)(x + t w') dt
+# transport_orders: the one recursion under the kernel's b_n and the eikonal
+# amplitudes, ray(b_{n+1}) = -Lap b_n - 2i grad Phi.grad b_n - i Lap Phi b_n + q b_n
 # ---------------------------------------------------------------------------
+
+def transport_orders(model: PotentialModel, grid: _cyl.CylGrid, q: np.ndarray,
+                     N: int, march, anchor: np.ndarray,
+                     phi: tuple[np.ndarray, ...] | None = None) -> Iterator[np.ndarray]:
+    """b_0, f_0, b_1, f_1, ..., b_N, f_N of the transport recursion on the
+    (s, z) grid, with f_n = ray(b_{n+1}) the source of b_n and ray the
+    march along the axis; each item is formed only when it is asked for.
+
+    phi is (Phi_s, Phi_z, Lap Phi), or None for Phi = 0 (real tables, the
+    kernel's b_n with q = v).  The source of b_0 = 1 is q - i Lap Phi in
+    closed form.  b_1 starts from anchor on the march's first row; higher
+    sources decay at least as fast as q and start from 0.
+
+    The recursion needs a smooth q: for yukawa, b_1 = int v dt diverges
+    logarithmically on the axis, so orders N >= 1 raise DomainError.
+    """
+    if N >= 1 and model.kind == "yukawa":
+        raise DomainError("transport orders N >= 1 need a smooth potential; "
+                          "b_1 = int v dt diverges on the axis for the yukawa "
+                          "1/r core")
+    b = np.ones(q.shape, dtype=float if phi is None else complex)
+    f = q
+    if phi is not None:
+        phi_s, phi_z, lap_phi = phi
+        f = q - 1j * lap_phi
+    yield b
+    yield f
+    for n in range(1, N + 1):
+        b = march(f, grid, anchor if n == 1 else np.zeros(len(grid.s)))
+        yield b
+        f = -_cyl.laplacian(b.real, grid)
+        if phi is not None:
+            f = (f - 1j * _cyl.laplacian(b.imag, grid)
+                 - 2j * (phi_s * _cyl.d_ds(b, grid) + phi_z * _cyl.d_dz(b, grid))
+                 - 1j * lap_phi * b)
+        f = f + q * b
+        yield f
+
 
 def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid) -> np.ndarray:
     """b_0..b_N stacked (N+1, n_s, n_z) on the cylindrical grid about the
-    propagation axis, marching the ray integral up from z_min (incoming
-    convention)."""
-    r = grid.radius()
-    v = model.radial_values(r)
-    tables = np.empty((N + 1,) + v.shape)
-    tables[0] = 1.0
-    g = v.copy()  # -Lap b_0 + v b_0
-    for n in range(1, N + 1):
-        # tail int_-inf^z_min v dz for the n=0 source only; higher sources
-        # decay at least as fast and the grid is sized so the tail is negligible
-        anchor = np.zeros(len(grid.s))
-        if n == 1 and np.max(np.abs(g[:, 0])) > RAY_TRUNCATION:
-            anchor = line_integral(model, grid.s, -grid.z[0])
-        tables[n] = _cyl.march_up(g, grid, anchor)
-        if n < N:
-            g = -_cyl.laplacian(tables[n], grid) + v * tables[n]
-    return tables
+    propagation axis: transport_orders with Phi = 0 and q = v, marched up
+    from z_min (incoming convention).  b_1 starts from the tail
+    int_-inf^z_min v dz unless v is negligible on that row."""
+    v = model.radial_values(grid.radius())
+    anchor = np.zeros(len(grid.s))
+    if np.max(np.abs(v[:, 0])) > RAY_TRUNCATION:
+        anchor = line_integral(model, grid.s, -grid.z[0])
+    orders = transport_orders(model, grid, v, N, _cyl.march_up, anchor)
+    return np.stack(list(islice(orders, 0, 2 * N + 1, 2)))
 
 
 def _default_cyl_grid(model: PotentialModel) -> _cyl.CylGrid:

@@ -89,10 +89,10 @@ def _run_phaseshift(model, p, seed):
 
 
 def _run_amplitude(model, p, seed):
-    k = p.get("k", 1.0)
+    k = float(p.get("k", 1.0))
     l_max = p.get("l_max", 20)
     thetas = np.array(p.get("thetas", np.linspace(0.1, np.pi, 30)), float)
-    table = partialwave.phase_shift_table(model, float(k), l_max)
+    table = partialwave.phase_shift_table(model, k, l_max)
     values = partialwave.amplitude(table, thetas)
     rows = [[t, v.real, v.imag, abs(v) ** 2] for t, v in zip(thetas, values)]
     return ["theta", "re_a", "im_a", "dsigma"], rows, {"k": k, "l_max": l_max}, []
@@ -138,17 +138,17 @@ def _run_eikonal(model, p, seed):
 
 
 def _run_s0(model, p, seed):
-    lam = p.get("lam", 100.0)
+    lam = float(p.get("lam", 100.0))
     N = p.get("N", 3)
     thetas = np.array(p.get("thetas", np.deg2rad([10, 20, 30])), float)
     omega0 = np.array([0.0, 0.0, 1.0])
     pairs = [eikonal.coplanar_pair(omega0, th) for th in thetas]
     for w, wp in pairs:
         eikonal.s0_directions(w, wp, omega0)
-    sols = eikonal.s0_solutions(model, float(lam), N)
+    sols = eikonal.s0_solutions(model, lam, N)
     rows, flags = [], []
     for th, (w, wp) in zip(thetas, pairs):
-        s = eikonal.s0_kernel(model, float(lam), w, wp, omega0, N=N,
+        s = eikonal.s0_kernel(model, lam, w, wp, omega0, N=N,
                               solutions=sols)
         rows.append([th] + _c(s.value) + [s.sensitivity, int(s.converged)])
         if not s.converged:
@@ -206,12 +206,12 @@ def _run_diagnose(model, p, seed):
         val = diagnostics.hs_norm_resolvent_weight(model, c)
         return ["c", "hs_norm_sq"], [[c, val]], {}, flags
     if check == "kato":
-        r = p.get("r", 1.0)
+        r = float(p.get("r", 1.0))
         Ts = p.get("T_values", [25.0, 50.0, 100.0, 200.0])
         f0 = propagator.gaussian_packet(
             n=p.get("n", 2**13), dx=p.get("dx", 0.65), center=0.0,
             k0=p.get("k", 2.0), sigma=p.get("sigma", 1.0))
-        [rep] = diagnostics.kato_smoothness_integrals([float(r)], f0, Ts)
+        [rep] = diagnostics.kato_smoothness_integrals([r], f0, Ts)
         rows = [[T, I] for T, I in zip(rep.T_values, rep.integrals)]
         if not rep.saturating:
             flags.append("kato_not_saturating")
@@ -223,10 +223,10 @@ def _run_diagnose(model, p, seed):
         return (["window_lo", "window_hi", "min_eig"], [[lo, hi, val]],
                 {}, flags)
     # lap
-    lam = p.get("lam", 1.0)
-    r = p.get("r", 1.0)
+    lam = float(p.get("lam", 1.0))
+    r = float(p.get("r", 1.0))
     eps = p.get("epsilons", [1e-1, 3e-2, 1e-2, 3e-3])
-    rep = diagnostics.lap_probe(model, float(lam), float(r), eps, seed=seed)
+    rep = diagnostics.lap_probe(model, lam, r, eps, seed=seed)
     rows = [[e, nn] for e, nn in zip(rep.epsilons, rep.norms)]
     if not rep.stable:
         flags.append("lap_not_stable")

@@ -223,7 +223,9 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
     (_eig_count).  Exactly one, an isolated eigenvalue, is an error
     (ResonanceProximityError); when several levels fall in the window the
     discrete spectrum is quasi-continuous there (it approximates the
-    continuum) and the probe proceeds, as it does with none.
+    continuum) and the probe proceeds, as it does with none.  A guard
+    below the float spacing at lam, where the window rounds to a point and
+    holds nothing, raises ParameterError.
 
     A singular factorization, or a power-iteration norm that underflows to
     0 or is not finite (eps near the float64 limit), raises NumericalError.
@@ -237,10 +239,14 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
         raise ParameterError("lam and epsilons must be finite")
     if r <= 0:
         raise ParameterError("r must be positive")
-    x, diag, off = _tridiag(model, n, extent)
     # a Python float: near the float64 limit the window and its width
     # overflow to inf without a numpy warning
     guard = 10.0 * float(epsilons.min())
+    if not lam - guard < lam + guard:
+        raise ParameterError(
+            f"resonance guard 10 min(eps) = {guard:.1e} is below the float "
+            f"spacing at lam = {lam}; its window rounds to a point")
+    x, diag, off = _tridiag(model, n, extent)
     if _eig_count(diag, off, lam - guard, lam + guard) == 1:
         raise ResonanceProximityError(
             f"lambda within {guard:.1e} of an isolated discrete eigenvalue")

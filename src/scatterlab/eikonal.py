@@ -28,7 +28,7 @@ from scipy.integrate import quad  # noqa: F401
 from . import _cyl
 from .numerics import DomainError, ParameterError, composite_gauss
 from .potentials import PotentialModel, line_integral, ray_difference
-from .born import ConvergenceError
+from .born import ConvergenceError, transport_orders
 
 CONE_HALF_ANGLE = np.deg2rad(15.0)
 TAPER_FRACTION = 0.2
@@ -220,7 +220,7 @@ class ApproximateEigenfunction:
 def transport_series(model: PotentialModel, eikonal: EikonalData,
                      N: int) -> Iterator[ApproximateEigenfunction]:
     """The approximate eigenfunctions of orders n = 0..N from one march of
-    the amplitude recursion b_0 = 1,
+    the amplitude recursion transport_orders,
     ray(b_{n+1}) = -Lap b_n - 2i grad Phi . grad b_n - i (Lap Phi) b_n + q b_n,
     each assembled with its PDE residual norm."""
     if model is not eikonal.model and model != eikonal.model:
@@ -228,13 +228,6 @@ def transport_series(model: PotentialModel, eikonal: EikonalData,
     grid = eikonal.grid
     xi = eikonal.xi_norm
     march = _cyl.march_down if eikonal.sign > 0 else _cyl.march_up
-
-    def source(bn):
-        return (-_cyl.laplacian(bn.real, grid) - 1j * _cyl.laplacian(bn.imag, grid)
-                - 2j * (eikonal.Phi_s * _cyl.d_ds(bn, grid)
-                        + eikonal.Phi_z * _cyl.d_dz(bn, grid))
-                - 1j * eikonal.lap_Phi * bn
-                + eikonal.q * bn)
 
     ss, zz = grid.mesh()
     phase = np.exp(1j * (xi * zz + eikonal.Phi))
@@ -246,11 +239,15 @@ def transport_series(model: PotentialModel, eikonal: EikonalData,
     weight = 2.0 * np.pi * np.maximum(ss, grid.ds / 4.0)
     orders = (2j * xi) ** -np.arange(N + 1)
 
-    b = [np.ones(ss.shape, dtype=complex)]
+    # the recursion alternates b_n and its source f_n
+    recursion = transport_orders(
+        model, grid, eikonal.q, N, march, np.zeros(len(grid.s)),
+        (eikonal.Phi_s, eikonal.Phi_z, eikonal.lap_Phi))
+    b = []
     btot = 0
-    for n in range(N + 1):
-        btot = btot + orders[n] * b[n]
-        f = source(b[n])
+    for n, (bn, f) in enumerate(zip(recursion, recursion)):
+        b.append(bn)
+        btot = btot + orders[n] * bn
         # (-Lap + v - lambda) psi = exp(i phi) [ q b - i (Lap Phi) b
         #   - 2i (xi e_z + grad Phi) . grad b - Lap b ];  with the recursion
         # the bracket telescopes exactly to (2 i |xi|)^-n f(b_n), which is
@@ -262,8 +259,6 @@ def transport_series(model: PotentialModel, eikonal: EikonalData,
             eikonal=eikonal, N=n, b_n=tuple(b), psi=phase * btot,
             residual=residual, residual_norm=float(np.sqrt(norm2)),
         )
-        if n < N:
-            b.append(march(f, grid, np.zeros(len(grid.s))))
 
 
 def transport_solve(model: PotentialModel, eikonal: EikonalData,

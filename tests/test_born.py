@@ -1,11 +1,16 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from scatterlab import _cyl, born
+from scatterlab import _cyl, born, eikonal
 from scatterlab.numerics import DomainError, ParameterError, composite_gauss
-from scatterlab.potentials import PotentialModel
+from scatterlab.potentials import PotentialModel, line_integral
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
+TAIL2 = PotentialModel(kind="power_tail", v0=1.0, rho=2.0)
+BUMP = PotentialModel(kind="compact_bump", v0=-2.0, width=2.0)
+YUKAWA = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
 
 
 def kernel_slice_loop(model, lam, omega, omega_prime, N, grid=None):
@@ -115,7 +120,83 @@ def b_at_origin(model, N):
                      for t in born._bn_tables(model, N, grid)])
 
 
+def bn_tables_loop(model, N, grid):
+    """The per-order loop that built the b_n tables before they came from
+    transport_orders, kept as a bit-for-bit oracle."""
+    r = grid.radius()
+    v = model.radial_values(r)
+    tables = np.empty((N + 1,) + v.shape)
+    tables[0] = 1.0
+    g = v.copy()  # -Lap b_0 + v b_0
+    for n in range(1, N + 1):
+        anchor = np.zeros(len(grid.s))
+        if n == 1 and np.max(np.abs(g[:, 0])) > born.RAY_TRUNCATION:
+            anchor = line_integral(model, grid.s, -grid.z[0])
+        tables[n] = _cyl.march_up(g, grid, anchor)
+        if n < N:
+            g = -_cyl.laplacian(tables[n], grid) + v * tables[n]
+    return tables
+
+
+def count_laplacians(monkeypatch):
+    calls = []
+    laplacian = _cyl.laplacian
+
+    def spy(f, grid):
+        calls.append(f.shape)
+        return laplacian(f, grid)
+
+    monkeypatch.setattr(_cyl, "laplacian", spy)
+    return calls
+
+
 class TestTransport:
+    @pytest.mark.parametrize("model", [GAUSS, BUMP, TAIL2], ids=lambda m: m.kind)
+    def test_tables_match_loop(self, model):
+        grid = born._default_cyl_grid(model)
+        got = born._bn_tables(model, 3, grid)
+        assert got.dtype == float
+        assert np.array_equal(got, bn_tables_loop(model, 3, grid))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_laplacians_per_build(self, monkeypatch, N):
+        # the source of b_0 is v in closed form, and b_N's source is never
+        # formed
+        calls = count_laplacians(monkeypatch)
+        born._bn_tables(GAUSS, N, born._default_cyl_grid(GAUSS))
+        assert len(calls) == N - 1
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    def test_laplacians_per_eikonal_series(self, monkeypatch, N):
+        # two per order n >= 1, for the real and imaginary parts; none for
+        # the closed-form source of b_0
+        data = eikonal.eikonal_iterate(GAUSS, [0.0, 0.0, 1.0], 5.0)
+        calls = count_laplacians(monkeypatch)
+        assert len(list(eikonal.transport_series(GAUSS, data, N))) == N + 1
+        assert len(calls) == 2 * N
+
+    def test_per_order_noise_gain(self):
+        # a seeded eps U(-1, 1) field added to q grows by 1e3 to 1e4 per
+        # order through -Lap (measured: 2.0e3 to 6.6e3), whatever eps is:
+        # the table noise bounds how many orders the grid can carry
+        grid = born._default_cyl_grid(GAUSS)
+        v = GAUSS.radial_values(grid.radius())
+        zero = np.zeros(len(grid.s))
+
+        def tables(q):
+            orders = born.transport_orders(GAUSS, grid, q, 3, _cyl.march_up, zero)
+            return list(islice(orders, 0, 7, 2))
+
+        clean = tables(v)
+        for eps in (1e-13, 1e-10):
+            for seed in (0, 1, 2):
+                noise = np.random.default_rng(seed).uniform(-1.0, 1.0, v.shape)
+                noisy = tables(v + eps * noise)
+                change = [np.max(np.abs(a - b)) for a, b in zip(noisy, clean)]
+                assert change[0] == 0.0
+                for n in (1, 2):
+                    assert 1e3 <= change[n + 1] / change[n] <= 1e4, (eps, seed, n)
+
     def test_b0_is_one(self):
         assert b_at_origin(GAUSS, 2)[0] == pytest.approx(1.0)
 
@@ -166,8 +247,6 @@ def _direction_pair(theta):
     return np.array([0.0, 0.0, 1.0]), np.array([np.sin(theta), 0.0, np.cos(theta)])
 
 
-BUMP = PotentialModel(kind="compact_bump", v0=-2.0, width=2.0)
-YUKAWA = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
 THETA_03, THETA_90 = _direction_pair(0.3), _direction_pair(np.pi / 2)
 OFF_PLANE = (np.array([0.3, -0.2, 0.9]), np.array([-0.4, 0.7, 0.2]))
 THETAS = [0.3, np.pi / 2, 2.5, np.pi]
@@ -229,6 +308,12 @@ class TestCellRuleKernel:
     @pytest.mark.parametrize("N", [0, 1, 2])
     @pytest.mark.parametrize("model", [GAUSS, BUMP, YUKAWA], ids=lambda m: m.kind)
     def test_array_lambda_matches_scalar_calls(self, model, N):
+        if model is YUKAWA and N >= 1:
+            # b_1 = int v dt diverges on the axis for the 1/r core
+            for lam in (LAMBDAS, LAMBDAS[0]):
+                with pytest.raises(DomainError, match="smooth potential"):
+                    born.high_energy_kernel(model, lam, *THETA_03, N)
+            return
         got = born.high_energy_kernel(model, LAMBDAS, *THETA_03, N)
         assert isinstance(got, np.ndarray) and got.shape == LAMBDAS.shape
         one = [born.high_energy_kernel(model, lam, *THETA_03, N) for lam in LAMBDAS]

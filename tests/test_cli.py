@@ -185,12 +185,17 @@ class TestRun:
         ("s0", {"lam": 25, "N": 1, "thetas": [1]}),
         ("diagnose", {"check": "hs", "c": 1}),
         ("diagnose", {"check": "mourre", "window": [1, 2]}),
+        ("amplitude", {"k": 1, "l_max": 4, "thetas": [1]}),
+        ("diagnose", {"check": "kato", "r": 1, "n": 1024, "dx": 0.5,
+                      "T_values": [2, 4]}),
+        ("diagnose", {"check": "lap", "lam": 1, "r": 1,
+                      "epsilons": [0.1, 0.03]}),
     ], ids=["phaseshift-k_values", "phaseshift-k", "born-lists", "born-values",
-            "s0", "hs", "mourre"])
+            "s0", "hs", "mourre", "amplitude", "kato", "lap"])
     def test_integer_spelling_writes_the_same_rows(self, tmp_path, experiment,
                                                    params):
-        # the rows hold floats however the config spells them; only the
-        # header line (the config's hash) differs
+        # the rows and the extra block hold floats however the config spells
+        # them; only the header line (the config's hash) differs
         floats = {key: ([float(x) for x in value] if isinstance(value, list)
                         else value if key in ("l_max", "N", "n", "check")
                         else float(value))
@@ -203,6 +208,8 @@ class TestRun:
                 "params": given}, f"{name}.json")
             assert cli.run(path, out_dir=str(tmp_path / name)) == 0
             rows.append((tmp_path / name / "result.csv").read_text().splitlines()[1:])
+            record = json.loads((tmp_path / name / "result.json").read_text())
+            rows[-1].append(json.dumps(record["extra"], sort_keys=True))
         assert rows[0] == rows[1]
 
     def test_amplitude_angle_out_of_range(self, tmp_path):
@@ -461,21 +468,15 @@ class TestTypedErrors:
         rows = (out / "result.csv").read_text().splitlines()[2:]
         assert rows == ["1.0,1.0,0.3521217560719998,0.0"]
 
-    def test_lap_tiny_epsilons_run(self, tmp_path, capsys):
-        # the guard window (1 - 1e-299, 1 + 1e-299] rounds to a point and
-        # holds no eigenvalue; the norms stay finite
-        path = write_config(tmp_path, {
+    @pytest.mark.parametrize("eps", [[1e-20, 1e-21], [1e-299, 1e-300]],
+                             ids=["1e-20", "1e-299"])
+    def test_lap_guard_below_float_spacing_refused(self, tmp_path, capsys, eps):
+        # the guard window (1 - 10 eps, 1 + 10 eps] rounds to a point, where
+        # the resonance check could see no eigenvalue
+        self._assert_typed(tmp_path, capsys, {
             "experiment": "diagnose",
-            "params": {"check": "lap", "epsilons": [1e-299, 1e-300]}})
-        out = tmp_path / "out"
-        assert cli.run(path, out_dir=str(out)) == 0
-        assert "error" not in capsys.readouterr().err
-        lines = (out / "result.csv").read_text().splitlines()
-        assert lines[1] == "epsilon,norm"
-        eps, norms = np.array([[float(v) for v in ln.split(",")]
-                               for ln in lines[2:]]).T
-        assert list(eps) == [1e-299, 1e-300]
-        assert norms == pytest.approx(10.840137335427, rel=1e-12)
+            "params": {"check": "lap", "lam": 1.0, "epsilons": eps}},
+            "resonance guard")
 
     @pytest.mark.parametrize("config", [
         {"experiment": "diagnose",
@@ -577,6 +578,24 @@ class TestTypedErrors:
             "experiment": "eikonal",
             "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
             "params": {"N0": 1, "N": 1}}, "the line passes through the yukawa")
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("highenergy", {"lambdas": [4.0, 8.0, 16.0, 32.0], "N": 1}),
+        ("eikonal", {"N": 2}),
+        ("s0", {"lam": 25.0, "N": 1, "thetas": [0.3]}),
+    ], ids=["highenergy", "eikonal", "s0"])
+    def test_yukawa_transport_orders_refused(self, tmp_path, capsys,
+                                             experiment, params):
+        # b_1 = int v dt diverges on the axis for the 1/r core; order 0
+        # needs no b_1 and runs
+        config = {"experiment": experiment,
+                  "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
+                  "params": params}
+        self._assert_typed(tmp_path, capsys, config,
+                           "transport orders N >= 1 need a smooth potential")
+        path = write_config(tmp_path, {**config, "params": {**params, "N": 0}},
+                            "order0.json")
+        assert cli.run(path, out_dir=str(tmp_path / "order0")) == 0
 
     def test_modified_moller_on_yukawa_rejected(self, tmp_path, capsys):
         # int_0 v dr diverges for the 1/r core, so the Dollard phase does too

@@ -297,6 +297,17 @@ class TestLap:
             diagnostics.lap_probe(deep, float(e0), 1.0, self.EPS,
                                   n=n, extent=extent)
 
+    @pytest.mark.parametrize("eps", [[1e-20, 1e-21], [1e-299, 1e-300]],
+                             ids=["1e-20", "1e-299"])
+    def test_guard_below_float_spacing_refused(self, eps):
+        # 10 min(eps) below half the spacing at e0 rounds the guard window
+        # to a point, where the isolated level could not be seen
+        n, extent = 4000, 400.0
+        _, diag, off = diagnostics._tridiag(DEEP, n, extent)
+        e0 = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0]
+        with pytest.raises(ParameterError, match="rounds to a point"):
+            diagnostics.lap_probe(DEEP, float(e0), 1.0, eps, n=n, extent=extent)
+
     def test_zero_pivot_is_numerical_error(self, monkeypatch):
         # a zero pivot in zgttrf (info > 0) ends in the typed error the CLI
         # maps to exit 2, not in numpy's LinAlgError

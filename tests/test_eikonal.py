@@ -478,3 +478,59 @@ class TestTransportSeries:
         data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0)
         with pytest.raises(ParameterError):
             next(eikonal.transport_series(TAIL2, data, 1))
+
+
+def transport_series_loop(model, data, N):
+    """(b_n, residual_norm) per order from the source closure and march
+    that transport_series ran before it took its orders from
+    born.transport_orders, kept as a bit-for-bit oracle."""
+    grid = data.grid
+    xi = data.xi_norm
+    march = _cyl.march_down if data.sign > 0 else _cyl.march_up
+
+    def source(bn):
+        return (-_cyl.laplacian(bn.real, grid) - 1j * _cyl.laplacian(bn.imag, grid)
+                - 2j * (data.Phi_s * _cyl.d_ds(bn, grid)
+                        + data.Phi_z * _cyl.d_dz(bn, grid))
+                - 1j * data.lap_Phi * bn
+                + data.q * bn)
+
+    ss, zz = grid.mesh()
+    phase = np.exp(1j * (xi * zz + data.Phi))
+    mask = data.off_cone()
+    mask[:3, :] = False
+    mask[-3:, :] = False
+    mask[:, :3] = False
+    mask[:, -3:] = False
+    weight = 2.0 * np.pi * np.maximum(ss, grid.ds / 4.0)
+    b = [np.ones(ss.shape, dtype=complex)]
+    norms = []
+    for n in range(N + 1):
+        f = source(b[n])
+        residual = phase * ((2j * xi) ** -n * f)
+        norm2 = np.sum(np.abs(residual[mask]) ** 2 * weight[mask]) * grid.ds * grid.dz
+        norms.append(float(np.sqrt(norm2)))
+        if n < N:
+            b.append(march(f, grid, np.zeros(len(grid.s))))
+    return b, norms
+
+
+BUMP = PotentialModel(kind="compact_bump", v0=-2.0, width=2.0)
+
+
+class TestTransportOrders:
+    """transport_series on the shared recursion born.transport_orders."""
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("lam", [25.0, 100.0])
+    @pytest.mark.parametrize("model", [GAUSS, BUMP, TAIL2, TAIL09],
+                             ids=["gaussian_well", "compact_bump", "rho2", "rho0.9"])
+    def test_matches_source_closure(self, model, lam, sign):
+        # the closed-form source of b_0, q - i Lap Phi, is what the closure
+        # formed from -Lap 1 and grad 1, exactly 0 on these grids
+        data = eikonal.eikonal_iterate(model, ZAXIS, np.sqrt(lam), sign=sign)
+        b, norms = transport_series_loop(model, data, 3)
+        series = list(eikonal.transport_series(model, data, 3))
+        assert [sol.residual_norm for sol in series] == norms
+        for n, bn in enumerate(series[-1].b_n):
+            assert np.array_equal(bn, b[n]), n
