@@ -230,8 +230,12 @@ def _run_diagnose(model, p, seed):
     rows = [[e, nn] for e, nn in zip(rep.epsilons, rep.norms)]
     if not rep.stable:
         flags.append("lap_not_stable")
+    if not rep.converged:
+        flags.append("lap_not_converged")
     return ["epsilon", "norm"], rows, {"lam": lam, "r": r,
-                                       "stable": rep.stable}, flags
+                                       "stable": rep.stable,
+                                       "converged": rep.converged,
+                                       "solves": rep.solves}, flags
 
 
 def _run_acceptance_experiment(model, p, seed):

@@ -186,6 +186,8 @@ def mourre_check(model: PotentialModel, window: tuple[float, float],
 class LapReport:
     epsilons: np.ndarray
     norms: np.ndarray
+    steps: np.ndarray       # (len(epsilons), 2) power steps: even, odd block
+    residuals: np.ndarray   # (len(epsilons), 2) ||B*B v - s v|| / s, last step
 
     @property
     def last_change(self) -> float:
@@ -196,6 +198,20 @@ class LapReport:
     def stable(self) -> bool:
         """< 5% change between the last two epsilons."""
         return self.last_change < 0.05
+
+    @property
+    def converged(self) -> bool:
+        """Every block stopped by the tolerance before the step cap (a block
+        that takes all _POWER_STEPS steps counts as stopped by the cap)."""
+        return bool(np.all(self.steps < _POWER_STEPS))
+
+    @property
+    def solves(self) -> int:
+        """zgttrs solves made, two per power step."""
+        return int(2 * self.steps.sum())
+
+
+_POWER_STEPS = 60
 
 
 def _eig_count(diag, off, lo: float, hi: float) -> int:
@@ -211,21 +227,91 @@ def _eig_count(diag, off, lo: float, hi: float) -> int:
                                 select_range=(lo, hi), tol=hi - lo))
 
 
+def _mirror_blocks(diag, off, w):
+    """The even and odd blocks (diag, off, w) of a tridiagonal operator and a
+    weight that are symmetric under the reflection i -> n-1-i.
+
+    Each block acts on the right half of the grid in the orthonormal basis
+    (e_i +- e_{n-1-i}) / sqrt(2).  For even n the node next to the mirror
+    couples to its own image: diag[h] +- off[h-1] with h = n/2.  For odd n
+    the even block keeps the centre node, coupled by sqrt(2) off, and the
+    odd block drops it.  Only right-half values are read (linspace's
+    mirrored nodes differ at the ulp level).
+    """
+    n = len(diag)
+    h = n // 2
+    if n % 2 == 0:
+        d_even, d_odd = diag[h:].copy(), diag[h:].copy()
+        d_even[0] += off[h - 1]
+        d_odd[0] -= off[h - 1]
+        return (d_even, off[h:], w[h:]), (d_odd, off[h:], w[h:])
+    off_even = off[h:].copy()
+    off_even[0] *= np.sqrt(2.0)
+    return (diag[h:], off_even, w[h:]), (diag[h + 1:], off[h + 1:], w[h + 1:])
+
+
+def _power_norm(diag, off, w, lam: float, eps: float,
+                rng: np.random.Generator):
+    """(||B||, steps, residual) for B = W (T - lam - i eps)^{-1} W on one
+    tridiagonal block T, by power iteration on B*B from a random start
+    drawn from rng: one zgttrf factorization, two zgttrs solves in place per
+    step, stopped when s = ||B*B v|| changes by < 1e-10 relative or after
+    _POWER_STEPS steps.  The residual ||B*B v - s v|| / s is that of the
+    last step.
+    """
+    dl, d, du, du2, ipiv, info = zgttrf(off, diag - lam - 1j * eps, off)
+    if info != 0:
+        raise NumericalError(f"H - lam - i eps is singular at eps = {eps:g} "
+                             f"(zgttrf info={info})")
+    v = rng.standard_normal(len(diag)) + 1j * rng.standard_normal(len(diag))
+    v /= np.linalg.norm(v)
+    u = np.empty_like(v)
+    s = 0.0
+    for step in range(1, _POWER_STEPS + 1):
+        np.multiply(w, v, out=u)
+        zgttrs(dl, d, du, du2, ipiv, u, overwrite_b=1)
+        np.multiply(w, u, out=u)
+        # B is complex symmetric (T real symmetric, W real), so
+        # B* y = conj(B conj(y)) from the same factors
+        np.conjugate(u, out=u)
+        np.multiply(w, u, out=u)
+        zgttrs(dl, d, du, du2, ipiv, u, overwrite_b=1)
+        np.multiply(w, u, out=u)
+        np.conjugate(u, out=u)
+        s_new = np.linalg.norm(u)
+        if not 0.0 < s_new < np.inf:
+            raise NumericalError(
+                f"resolvent norm at eps = {eps:g} underflows or is not "
+                f"finite ({s_new})")
+        if abs(s_new - s) < 1e-10 * s_new or step == _POWER_STEPS:
+            return (np.sqrt(s_new), step,
+                    np.linalg.norm(u - s_new * v) / s_new)
+        np.divide(u, s_new, out=v)
+        s = s_new
+
+
 def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
               n: int = 80_000, extent: float = 10_000.0,
               seed: int = 7) -> LapReport:
-    """||<x>^{-r} (H - lam - i eps)^{-1} <x>^{-r}|| per eps (tridiagonal H,
-    largest singular value by at most 60 power iteration steps on one LU
-    factorization of H - lam - i eps per eps, LAPACK zgttrf/zgttrs).
+    """||<x>^{-r} (H - lam - i eps)^{-1} <x>^{-r}|| per eps (tridiagonal H).
+
+    The potential is radial and the grid symmetric about 0, so H and the
+    weight commute with the reflection x -> -x and the norm is the larger
+    of the norms on the even and the odd block (_mirror_blocks), each on
+    about n/2 rows.  Each block's norm is its largest singular value by
+    power iteration (_power_norm: per eps one LU factorization of
+    (block - lam - i eps), LAPACK zgttrf/zgttrs, at most _POWER_STEPS
+    steps); the report holds the steps and last residual of both blocks
+    and whether every block stopped by the tolerance (`converged`).
 
     Resonance check: the eigenvalues of H in the guard window
     (lam - 10 min(eps), lam + 10 min(eps)] are counted by LAPACK stebz
-    (_eig_count).  Exactly one, an isolated eigenvalue, is an error
-    (ResonanceProximityError); when several levels fall in the window the
-    discrete spectrum is quasi-continuous there (it approximates the
-    continuum) and the probe proceeds, as it does with none.  A guard
-    below the float spacing at lam, where the window rounds to a point and
-    holds nothing, raises ParameterError.
+    (_eig_count) on the full operator.  Exactly one, an isolated
+    eigenvalue, is an error (ResonanceProximityError); when several levels
+    fall in the window the discrete spectrum is quasi-continuous there (it
+    approximates the continuum) and the probe proceeds, as it does with
+    none.  A guard below the float spacing at lam, where the window rounds
+    to a point and holds nothing, raises ParameterError.
 
     A singular factorization, or a power-iteration norm that underflows to
     0 or is not finite (eps near the float64 limit), raises NumericalError.
@@ -250,35 +336,11 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
     if _eig_count(diag, off, lam - guard, lam + guard) == 1:
         raise ResonanceProximityError(
             f"lambda within {guard:.1e} of an isolated discrete eigenvalue")
-    w = (1.0 + x * x) ** (-r / 2.0)
+    blocks = _mirror_blocks(diag, off, (1.0 + x * x) ** (-r / 2.0))
     rng = np.random.default_rng(seed)
-    norms = []
-    for eps in epsilons:
-        dl, d, du, du2, ipiv, info = zgttrf(off, diag - lam - 1j * eps, off)
-        if info != 0:
-            raise NumericalError(f"H - lam - i eps is singular at eps = {eps:g} "
-                                 f"(zgttrf info={info})")
-
-        def apply_b(vec):
-            return w * zgttrs(dl, d, du, du2, ipiv, w * vec)[0]
-
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        s = 0.0
-        for _ in range(60):
-            u = apply_b(v)
-            # B = W A^{-1} W is complex symmetric (H real symmetric, W real),
-            # so B* y = conj(B conj(y)) from the same factors
-            u = apply_b(u.conj()).conj()
-            s_new = np.linalg.norm(u)
-            if not 0.0 < s_new < np.inf:
-                raise NumericalError(
-                    f"resolvent norm at eps = {eps:g} underflows or is not "
-                    f"finite ({s_new})")
-            v = u / s_new
-            if abs(s_new - s) < 1e-10 * s_new:
-                s = s_new
-                break
-            s = s_new
-        norms.append(np.sqrt(s))
-    return LapReport(epsilons=epsilons, norms=np.asarray(norms))
+    results = [_power_norm(*block, lam, eps, rng)
+               for eps in epsilons for block in blocks]
+    norms, steps, residuals = (np.reshape(col, (len(epsilons), 2))
+                               for col in zip(*results))
+    return LapReport(epsilons=epsilons, norms=norms.max(axis=1), steps=steps,
+                     residuals=residuals)

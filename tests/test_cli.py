@@ -152,6 +152,26 @@ class TestRun:
         record = json.loads((out / "result.json").read_text())
         assert "lap_not_stable" in record["provenance"]["flags"]
 
+    def test_lap_step_cap_flags_exit_3(self, tmp_path, monkeypatch):
+        # a power iteration cut at the step cap is reported, not hidden
+        path = write_config(tmp_path, {
+            "experiment": "diagnose",
+            "potential": {"kind": "zero"},
+            "params": {"check": "lap", "lam": 1.0, "r": 1.0,
+                       "epsilons": [3e-3, 1e-3]}})
+        out = tmp_path / "out"
+        assert cli.run(path, strict=True, out_dir=str(out)) == 0
+        record = json.loads((out / "result.json").read_text())
+        assert record["extra"]["converged"] is True
+        assert record["provenance"]["flags"] == []
+        monkeypatch.setattr(diagnostics, "_POWER_STEPS", 2)
+        assert cli.run(path, out_dir=str(out)) == 0
+        assert cli.run(path, strict=True, out_dir=str(out)) == 3
+        record = json.loads((out / "result.json").read_text())
+        assert "lap_not_converged" in record["provenance"]["flags"]
+        assert record["extra"]["converged"] is False
+        assert record["extra"]["solves"] == 2 * 2 * 2 * 2
+
     def test_highenergy_floor_slope_is_null(self, tmp_path):
         # every error lies under the floor at N = 0, so no slope is fitted
         path = write_config(tmp_path, {

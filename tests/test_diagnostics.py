@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from scatterlab import acceptance, diagnostics, numerics, propagator
 from scatterlab.numerics import DomainError, ParameterError
@@ -75,6 +77,40 @@ def banded_lap_norms(model, lam, r, epsilons, n=80_000, extent=10_000.0,
             s = s_new
         norms.append(np.sqrt(s))
     return np.asarray(norms)
+
+
+def eigsh_lap_norms(model, lam, r, epsilons, n, extent, seed=7):
+    """||B|| from Lanczos (eigsh) on B*B, a LinearOperator on the full-grid
+    zgttrf factors of H - lam - i eps."""
+    x, diag, off = diagnostics._tridiag(model, n, extent)
+    w = (1.0 + x * x) ** (-r / 2.0)
+    rng = np.random.default_rng(seed)
+    norms = []
+    for eps in epsilons:
+        factors = zgttrf(off, diag - lam - 1j * eps, off)[:5]
+
+        def apply_b(vec):
+            return w * zgttrs(*factors, w * vec)[0]
+
+        op = LinearOperator(
+            (n, n), dtype=complex,
+            matvec=lambda v: apply_b(apply_b(v.ravel()).conj()).conj())
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        top = eigsh(op, k=1, which="LA", tol=1e-12, v0=v0,
+                    return_eigenvectors=False)
+        norms.append(np.sqrt(top[0]))
+    return np.asarray(norms)
+
+
+def dense_lap_norms(model, lam, r, epsilons, n, extent):
+    """Largest singular value of the dense W (H - lam - i eps)^{-1} W."""
+    x, h, _ = dense_fd(model, n, extent)
+    w = (1.0 + x * x) ** (-r / 2.0)
+    return np.array([
+        np.linalg.svd(w[:, None] * np.linalg.inv(h - (lam + 1j * eps)
+                                                 * np.eye(n)) * w[None, :],
+                      compute_uv=False)[0]
+        for eps in epsilons])
 
 
 def pivot_count_below(diag, off, a):
@@ -337,15 +373,83 @@ class TestLap:
         with pytest.raises(ParameterError, match="two"):
             diagnostics.lap_probe(ZERO, 1.0, 1.0, [1e-1])
 
-    @pytest.mark.parametrize("model,lam,r,eps,n,extent", [
-        (ZERO, 1.0, 1.0, [0.1, 0.03], 80_000, 10_000.0),
-        (ZERO, 1.0, 0.25, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], 8_000, 1_000.0),
-        (GAUSS, 0.7, 1.0, [1e-1, 1e-2], 8_000, 1_000.0),
+    @pytest.mark.parametrize("model,lam,r,eps,n,extent,power_converges", [
+        (ZERO, 1.0, 1.0, [0.1, 0.03], 80_000, 10_000.0, True),
+        (ZERO, 1.0, 0.25, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], 8_000, 1_000.0,
+         False),
+        (GAUSS, 0.7, 1.0, [1e-1, 1e-2], 8_000, 1_000.0, False),
     ], ids=["default-grid", "small-r", "gaussian"])
-    def test_norms_match_banded_oracle(self, model, lam, r, eps, n, extent):
+    def test_norms_match_banded_oracle(self, model, lam, r, eps, n, extent,
+                                       power_converges):
+        # the full-grid power iteration stops at its 60-step cap on small-r
+        # and gaussian, where the top even and odd singular values are
+        # close; Lanczos is the oracle on every case
         rep = diagnostics.lap_probe(model, lam, r, eps, n=n, extent=extent)
-        oracle = banded_lap_norms(model, lam, r, eps, n=n, extent=extent)
-        assert np.array_equal(rep.norms, oracle)
+        assert rep.converged
+        np.testing.assert_allclose(
+            rep.norms, eigsh_lap_norms(model, lam, r, eps, n, extent),
+            rtol=1e-9, atol=0)
+        if power_converges:
+            np.testing.assert_allclose(
+                rep.norms, banded_lap_norms(model, lam, r, eps, n=n,
+                                            extent=extent),
+                rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n", [400, 401])
+    @pytest.mark.parametrize("model", [ZERO, GAUSS], ids=["zero", "gaussian"])
+    @pytest.mark.parametrize("r", [1.0, 0.25])
+    def test_norms_match_dense_svd(self, model, r, n):
+        # both parities: an even grid and one with a centre node
+        eps = [0.1, 0.03]
+        rep = diagnostics.lap_probe(model, 1.0, r, eps, n=n, extent=40.0)
+        np.testing.assert_allclose(
+            rep.norms, dense_lap_norms(model, 1.0, r, eps, n, 40.0),
+            rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("model", [ZERO, GAUSS], ids=["zero", "gaussian"])
+    def test_mirror_blocks_split_the_spectrum(self, model, n):
+        _, diag, off = diagnostics._tridiag(model, n, 10.0)
+        blocks = diagnostics._mirror_blocks(diag, off, np.ones(n))
+        assert [len(d) for d, _, _ in blocks] == [n - n // 2, n // 2]
+        halves = np.concatenate([eigh_tridiagonal(d, o, eigvals_only=True)
+                                 for d, o, _ in blocks])
+        full = eigh_tridiagonal(diag, off, eigvals_only=True)
+        np.testing.assert_allclose(np.sort(halves), full, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [1.0, 0.25])
+    def test_criterion_14_converged(self, r):
+        eps = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        rep = diagnostics.lap_probe(ZERO, 1.0, r, eps)
+        assert rep.converged
+        assert np.all(rep.steps < diagnostics._POWER_STEPS)
+        assert np.all((0 < rep.residuals) & (rep.residuals < 1e-4))
+        np.testing.assert_allclose(
+            rep.norms, eigsh_lap_norms(ZERO, 1.0, r, eps, 80_000, 10_000.0),
+            rtol=1e-9, atol=0)
+
+    def test_step_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_POWER_STEPS", 2)
+        rep = diagnostics.lap_probe(ZERO, 1.0, 1.0, [0.1, 0.03], n=8_000,
+                                    extent=1_000.0)
+        assert not rep.converged
+        assert rep.steps.tolist() == [[2, 2], [2, 2]]
+        assert rep.residuals.shape == (2, 2)
+
+    def test_benchmark_config_solve_count(self, monkeypatch):
+        # the benchmark's lap task: the full-grid probe made 66 solves on
+        # 80 000 rows
+        solve = diagnostics.zgttrs
+        rows = []
+
+        def spy(*args, **kwargs):
+            rows.append(len(args[5]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "zgttrs", spy)
+        rep = diagnostics.lap_probe(ZERO, 1.0, 1.0, [0.1, 0.03])
+        assert len(rows) == rep.solves <= 64
+        assert set(rows) == {40_000}
 
 
 class TestSturmCount:
