@@ -26,8 +26,8 @@ from scipy.integrate import quad  # noqa: F401
 from scipy.special import j0
 
 from . import _cyl
-from .numerics import (DomainError, ParameterError, composite_gauss, gauss_panels,
-                       spherical_jl)
+from .numerics import (DomainError, ParameterError, ScatterlabError, composite_gauss,
+                       gauss_panels, spherical_jl)
 from .potentials import PotentialModel, line_integral
 from . import partialwave
 
@@ -35,8 +35,10 @@ RAY_TRUNCATION = 1e-12
 _CELL_NODES = 4   # Gauss nodes per b_n table cell, along s and along z
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ScatterlabError, RuntimeError):
     """Integral tail estimate exceeds the requested tolerance."""
+
+    prefix = "convergence: "
 
 
 # ---------------------------------------------------------------------------

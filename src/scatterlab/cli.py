@@ -5,11 +5,13 @@ experiment described by a JSON config, writing `result.json` and (for
 tabular outputs) `result.csv`.  `scatterlab acceptance [--out DIR]` runs
 the full acceptance suite.  `scatterlab schema` prints the config schema.
 
-Exit codes: 0 success, 1 acceptance failure, 2 config/validation error
-(including a grid too small for the run, which trips the edge-mass
-reflection monitor, and the typed numerical failures: a non-finite or
-ill-conditioned partial-wave result, a quadrature that does not converge,
-an empty eigenvalue window, an energy too close to a resonance), 3
+`EXPERIMENTS`, the experiment table, holds each experiment's runner and its
+parameters with their defaults; `SCHEMA` and `resolve` are built on it.
+
+Exit codes: 0 success, 1 acceptance failure, 2 config/validation error or
+any other `numerics.ScatterlabError` (a packet that reaches the grid edge,
+a non-finite or ill-conditioned result, a quadrature that does not
+converge, an empty eigenvalue window, an energy on a resonance), 3
 numerical-flag failure in strict mode.
 """
 
@@ -26,11 +28,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, born, diagnostics, eikonal, partialwave, propagator
-from .numerics import DomainError, ParameterError
+from .numerics import ScatterlabError
 from .potentials import KINDS, PotentialModel, model_from_config
 
 
-class ConfigError(ValueError):
+class ConfigError(ScatterlabError, ValueError):
     """A config the schema or the potential model refuses; the message
     says where ("at params/n: ..."), and run() prints it after
     "config error: "."""
@@ -71,51 +73,37 @@ def _c(z) -> list[float]:
     return [z.real, z.imag]
 
 
-# ---------------------------------------------------------------------------
-# experiment implementations: each takes (model, params, seed) and returns
-# (columns, rows, extra, flags)
-# ---------------------------------------------------------------------------
+# Experiment runners: each takes (model, params, seed), params the complete
+# dict from resolve(), and returns (columns, rows, extra, flags).
 
 def _run_phaseshift(model, p, seed):
-    ks = np.array(p.get("k_values", [p.get("k", 1.0)]), float)
-    l_max = p.get("l_max", 10)
     rows = []
-    for k in ks:
-        table = partialwave.phase_shift_table(model, k, l_max)
+    for k in p["k_values"]:
+        table = partialwave.phase_shift_table(model, k, p["l_max"])
         eigs, _ = partialwave.smatrix_eigenvalues(table)
-        for l in range(l_max + 1):
+        for l in range(p["l_max"] + 1):
             rows.append([k, l, table.delta[l], eigs[l].real, eigs[l].imag])
     return ["k", "l", "delta", "re_s", "im_s"], rows, {}, []
 
 
 def _run_amplitude(model, p, seed):
-    k = float(p.get("k", 1.0))
-    l_max = p.get("l_max", 20)
-    thetas = np.array(p.get("thetas", np.linspace(0.1, np.pi, 30)), float)
-    table = partialwave.phase_shift_table(model, k, l_max)
-    values = partialwave.amplitude(table, thetas)
-    rows = [[t, v.real, v.imag, abs(v) ** 2] for t, v in zip(thetas, values)]
-    return ["theta", "re_a", "im_a", "dsigma"], rows, {"k": k, "l_max": l_max}, []
+    table = partialwave.phase_shift_table(model, p["k"], p["l_max"])
+    values = partialwave.amplitude(table, p["thetas"])
+    rows = [[t, v.real, v.imag, abs(v) ** 2]
+            for t, v in zip(p["thetas"], values)]
+    return ["theta", "re_a", "im_a", "dsigma"], rows, {}, []
 
 
 def _run_born(model, p, seed):
-    ks = np.array(p.get("k_values", [p.get("k", 1.0)]), float)
-    thetas = np.array(p.get("thetas", [p.get("theta", np.pi / 2)]), float)
-    rows = []
-    for k in ks:
-        for th in thetas:
-            a = born.born_first_amplitude(model, k, th)
-            rows.append([k, th] + _c(a))
+    rows = [[k, th] + _c(born.born_first_amplitude(model, k, th))
+            for k in p["k_values"] for th in p["thetas"]]
     return ["k", "theta", "re_a_born", "im_a_born"], rows, {}, []
 
 
 def _run_highenergy(model, p, seed):
-    lams = p.get("lambdas", [25.0, 50.0, 100.0, 200.0])
-    theta = p.get("theta", np.pi / 2)
-    N = p.get("N", 0)
     omega = np.array([0.0, 0.0, 1.0])
-    omega_p = np.array([np.sin(theta), 0.0, np.cos(theta)])
-    fit = born.measure_error_order(model, lams, omega, omega_p, N)
+    omega_p = np.array([np.sin(p["theta"]), 0.0, np.cos(p["theta"])])
+    fit = born.measure_error_order(model, p["lambdas"], omega, omega_p, p["N"])
     rows = [[lam, err] for lam, err in zip(fit.lambdas, fit.errors)]
     # the fitted slope is NaN under the error floor; JSON has no NaN
     extra = {"slope": None if fit.floor_warning else fit.slope,
@@ -126,122 +114,93 @@ def _run_highenergy(model, p, seed):
 
 
 def _run_eikonal(model, p, seed):
-    xi_norm = p.get("xi_norm", 5.0)
-    N0 = p.get("N0")
-    N = p.get("N", 2)
     axis = np.array([0.0, 0.0, 1.0])
-    eik = eikonal.eikonal_iterate(model, axis, float(xi_norm), N0=N0)
+    # without N0, eikonal_iterate takes default_n0(rho)
+    eik = eikonal.eikonal_iterate(model, axis, p["xi_norm"], N0=p.get("N0"))
     rows = [[sol.N, sol.residual_norm]
-            for sol in eikonal.transport_series(model, eik, N)]
+            for sol in eikonal.transport_series(model, eik, p["N"])]
     extra = {"lambda": eik.lam, "N0": eik.N0}
     return ["N", "residual_norm"], rows, extra, []
 
 
 def _run_s0(model, p, seed):
-    lam = float(p.get("lam", 100.0))
-    N = p.get("N", 3)
-    thetas = np.array(p.get("thetas", np.deg2rad([10, 20, 30])), float)
     omega0 = np.array([0.0, 0.0, 1.0])
-    pairs = [eikonal.coplanar_pair(omega0, th) for th in thetas]
+    pairs = [eikonal.coplanar_pair(omega0, th) for th in p["thetas"]]
     for w, wp in pairs:
         eikonal.s0_directions(w, wp, omega0)
-    sols = eikonal.s0_solutions(model, lam, N)
+    sols = eikonal.s0_solutions(model, p["lam"], p["N"])
     rows, flags = [], []
-    for th, (w, wp) in zip(thetas, pairs):
-        s = eikonal.s0_kernel(model, lam, w, wp, omega0, N=N,
+    for th, (w, wp) in zip(p["thetas"], pairs):
+        s = eikonal.s0_kernel(model, p["lam"], w, wp, omega0, N=p["N"],
                               solutions=sols)
         rows.append([th] + _c(s.value) + [s.sensitivity, int(s.converged)])
         if not s.converged:
             flags.append(f"s0_not_converged theta={th:.4f}")
     return (["theta", "re_s0", "im_s0", "sensitivity", "converged"],
-            rows, {"lambda": lam, "N": N}, flags)
+            rows, {}, flags)
 
 
 def _run_propagate(model, p, seed):
-    n = p.get("n", 2**13)
-    dx = p.get("dx", 0.65)
-    sigma = p.get("sigma", 6.0)
-    k = p.get("k", 2.0)
-    center = p.get("center", 0.0)
-    T = p.get("T", 10.0)
-    dt = p.get("dt", 0.02)
-    f0 = propagator.gaussian_packet(n=n, dx=dx, center=center, k0=k,
-                                    sigma=sigma)
-    flags = []
+    f0 = propagator.gaussian_packet(n=p["n"], dx=p["dx"], center=p["center"],
+                                    k0=p["k"], sigma=p["sigma"])
     if model.kind == "zero":
-        out = propagator.free_evolve(f0, T)
+        out = propagator.free_evolve(f0, p["T"])
     else:
-        out = propagator.split_step_evolve(f0, model, dt, T)
-    stride = max(1, n // 1024)
+        out = propagator.split_step_evolve(f0, model, p["dt"], p["T"])
+    stride = max(1, p["n"] // 1024)
     rows = [[x, v.real, v.imag]
             for x, v in zip(out.grid[::stride], out.values[::stride])]
-    extra = {"T": T, "norm": out.norm(), "edge_mass": out.edge_mass()}
-    return ["x", "re_psi", "im_psi"], rows, extra, flags
+    extra = {"norm": out.norm(), "edge_mass": out.edge_mass()}
+    return ["x", "re_psi", "im_psi"], rows, extra, []
 
 
 def _run_moller(model, p, seed):
-    times = p.get("times", [20.0, 40.0, 80.0, 160.0, 320.0])
-    dt = p.get("dt", 0.02)
-    sigma = p.get("sigma", 6.0)
-    k = p.get("k", 2.0)
-    n = p.get("n", 2**13)
-    dx = p.get("dx", 0.65)
-    modified = p.get("modified", False)
-    f0 = propagator.gaussian_packet(n=n, dx=dx, center=0.0, k0=k, sigma=sigma)
-    probe = (propagator.modified_moller_probe if modified
+    f0 = propagator.gaussian_packet(n=p["n"], dx=p["dx"], center=0.0,
+                                    k0=p["k"], sigma=p["sigma"])
+    probe = (propagator.modified_moller_probe if p["modified"]
              else propagator.moller_probe)
-    rep = probe(model, f0, times, dt=dt)
+    rep = probe(model, f0, p["times"], dt=p["dt"])
     rows = [[t, inc] for t, inc in zip(rep.times[1:], rep.increments)]
-    extra = {"verdict": rep.verdict, "decay_factor": rep.decay_factor,
-             "modified": modified}
+    extra = {"verdict": rep.verdict, "decay_factor": rep.decay_factor}
     flags = [] if rep.verdict == "converging" else [f"verdict_{rep.verdict}"]
     return ["T", "increment"], rows, extra, flags
 
 
-def _run_diagnose(model, p, seed):
-    check = p.get("check", "hs")
-    flags = []
-    if check == "hs":
-        c = float(p.get("c", 1.0))
-        val = diagnostics.hs_norm_resolvent_weight(model, c)
-        return ["c", "hs_norm_sq"], [[c, val]], {}, flags
-    if check == "kato":
-        r = float(p.get("r", 1.0))
-        Ts = p.get("T_values", [25.0, 50.0, 100.0, 200.0])
-        f0 = propagator.gaussian_packet(
-            n=p.get("n", 2**13), dx=p.get("dx", 0.65), center=0.0,
-            k0=p.get("k", 2.0), sigma=p.get("sigma", 1.0))
-        [rep] = diagnostics.kato_smoothness_integrals([r], f0, Ts)
-        rows = [[T, I] for T, I in zip(rep.T_values, rep.integrals)]
-        if not rep.saturating:
-            flags.append("kato_not_saturating")
-        return ["T", "integral"], rows, {"r": r,
-                                         "saturating": rep.saturating}, flags
-    if check == "mourre":
-        lo, hi = np.array(p.get("window", [1.0, 2.0]), float)
-        val = diagnostics.mourre_check(model, (lo, hi), n=p.get("n", 1024))
-        return (["window_lo", "window_hi", "min_eig"], [[lo, hi, val]],
-                {}, flags)
-    # lap
-    lam = float(p.get("lam", 1.0))
-    r = float(p.get("r", 1.0))
-    eps = p.get("epsilons", [1e-1, 3e-2, 1e-2, 3e-3])
-    rep = diagnostics.lap_probe(model, lam, r, eps, seed=seed)
+def _run_hs(model, p, seed):
+    val = diagnostics.hs_norm_resolvent_weight(model, p["c"])
+    return ["c", "hs_norm_sq"], [[p["c"], val]], {}, []
+
+
+def _run_kato(model, p, seed):
+    f0 = propagator.gaussian_packet(n=p["n"], dx=p["dx"], center=0.0,
+                                    k0=p["k"], sigma=p["sigma"])
+    [rep] = diagnostics.kato_smoothness_integrals([p["r"]], f0, p["T_values"])
+    rows = [[T, I] for T, I in zip(rep.T_values, rep.integrals)]
+    flags = [] if rep.saturating else ["kato_not_saturating"]
+    return ["T", "integral"], rows, {"saturating": rep.saturating}, flags
+
+
+def _run_mourre(model, p, seed):
+    lo, hi = p["window"]
+    val = diagnostics.mourre_check(model, (lo, hi), n=p["n"])
+    return ["window_lo", "window_hi", "min_eig"], [[lo, hi, val]], {}, []
+
+
+def _run_lap(model, p, seed):
+    rep = diagnostics.lap_probe(model, p["lam"], p["r"], p["epsilons"],
+                                seed=seed)
     rows = [[e, nn] for e, nn in zip(rep.epsilons, rep.norms)]
-    if not rep.stable:
-        flags.append("lap_not_stable")
-    if not rep.converged:
-        flags.append("lap_not_converged")
-    return ["epsilon", "norm"], rows, {"lam": lam, "r": r,
-                                       "stable": rep.stable,
-                                       "converged": rep.converged,
-                                       "solves": rep.solves}, flags
+    flags = [flag for flag, ok in (("lap_not_stable", rep.stable),
+                                   ("lap_not_converged", rep.converged))
+             if not ok]
+    extra = {"stable": rep.stable, "converged": rep.converged,
+             "solves": rep.solves}
+    return ["epsilon", "norm"], rows, extra, flags
 
 
 def _run_acceptance_experiment(model, p, seed):
     from . import acceptance
-    ids = p.get("criteria")
-    results = acceptance.run_all(ids)
+    results = acceptance.run_all(p["criteria"])
     rows = [[r.cid, int(r.passed), r.runtime] for r in results]
     extra = {"report": acceptance.format_report(results),
              "results": [asdict(r) for r in results]}
@@ -253,30 +212,113 @@ def _run_acceptance_experiment(model, p, seed):
     return ["criterion", "passed", "runtime_s"], rows, extra, flags
 
 
-# ---------------------------------------------------------------------------
-
-RUNNERS = {
-    "phaseshift": _run_phaseshift,
-    "amplitude": _run_amplitude,
-    "born": _run_born,
-    "highenergy": _run_highenergy,
-    "eikonal": _run_eikonal,
-    "s0": _run_s0,
-    "propagate": _run_propagate,
-    "moller": _run_moller,
-    "diagnose": _run_diagnose,
-    "acceptance": _run_acceptance_experiment,
-}
-EXPERIMENTS = tuple(RUNNERS)
-
 # Largest grid size `n` (propagate, moller, diagnose kato and mourre), held by
-# the schema so that no packet or operator of n points is allocated first;
-# the defaults are 2**13, and 1024 for mourre.
+# the schema so that no packet or operator of n points is allocated first.
 MAX_GRID = 2**20
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM_LIST = {"type": "array", "items": _NUM, "minItems": 1}
+_COUNT = {"type": "integer", "minimum": 0}
+_GRID = {"type": "integer", "minimum": 8, "maximum": MAX_GRID}
+
+
+# Each experiment's runner and its parameters, one JSON-Schema property each
+# with its default; diagnose has one entry per check, hs first.
+EXPERIMENTS = {
+    "phaseshift": (_run_phaseshift, {
+        "k": _POS, "k_values": dict(_NUM_LIST, default=[1.0]),
+        "l_max": dict(_COUNT, default=10)}),
+    "amplitude": (_run_amplitude, {
+        "k": dict(_POS, default=1.0), "l_max": dict(_COUNT, default=20),
+        "thetas": dict(_NUM_LIST,
+                       default=np.linspace(0.1, np.pi, 30).tolist())}),
+    "born": (_run_born, {
+        "k": _POS, "k_values": dict(_NUM_LIST, default=[1.0]),
+        "theta": _NUM, "thetas": dict(_NUM_LIST, default=[np.pi / 2])}),
+    "highenergy": (_run_highenergy, {
+        "lambdas": dict(_NUM_LIST, default=[25.0, 50.0, 100.0, 200.0]),
+        "theta": dict(_NUM, default=np.pi / 2), "N": dict(_COUNT, default=0)}),
+    "eikonal": (_run_eikonal, {
+        "xi_norm": dict(_POS, default=5.0), "N0": _COUNT,
+        "N": dict(_COUNT, default=2)}),
+    "s0": (_run_s0, {
+        "lam": dict(_POS, default=100.0), "N": dict(_COUNT, default=3),
+        "thetas": dict(_NUM_LIST,
+                       default=np.deg2rad([10, 20, 30]).tolist())}),
+    "propagate": (_run_propagate, {
+        "n": dict(_GRID, default=2**13), "dx": dict(_POS, default=0.65),
+        "sigma": dict(_POS, default=6.0), "k": dict(_POS, default=2.0),
+        "center": dict(_NUM, default=0.0), "T": dict(_POS, default=10.0),
+        "dt": dict(_POS, default=0.02)}),
+    "moller": (_run_moller, {
+        "times": dict(_NUM_LIST, default=[20.0, 40.0, 80.0, 160.0, 320.0]),
+        "dt": dict(_POS, default=0.02), "sigma": dict(_POS, default=6.0),
+        "k": dict(_POS, default=2.0), "n": dict(_GRID, default=2**13),
+        "dx": dict(_POS, default=0.65),
+        "modified": dict(type="boolean", default=False)}),
+    "diagnose": {
+        "hs": (_run_hs, {"check": dict(const="hs", default="hs"),
+                         "c": dict(_POS, default=1.0)}),
+        "kato": (_run_kato, {
+            "check": dict(const="kato"), "r": dict(_POS, default=1.0),
+            "T_values": dict(_NUM_LIST, default=[25.0, 50.0, 100.0, 200.0]),
+            "n": dict(_GRID, default=2**13), "dx": dict(_POS, default=0.65),
+            "k": dict(_POS, default=2.0), "sigma": dict(_POS, default=1.0)}),
+        "mourre": (_run_mourre, {
+            "check": dict(const="mourre"), "n": dict(_GRID, default=1024),
+            "window": dict(_NUM_LIST, minItems=2, maxItems=2,
+                           default=[1.0, 2.0])}),
+        "lap": (_run_lap, {
+            "check": dict(const="lap"), "lam": dict(_POS, default=1.0),
+            "r": dict(_POS, default=1.0),
+            "epsilons": dict(_NUM_LIST, default=[1e-1, 3e-2, 1e-2, 3e-3])}),
+    },
+    "acceptance": (_run_acceptance_experiment, {
+        "criteria": dict(type="array", default=list(range(1, 16)), items=dict(
+            type="integer", minimum=1, maximum=15))}),
+}
+
+# a value and its list: the runners read the list, which a lone value becomes
+_PAIRS = (("k", "k_values"), ("theta", "thetas"))
+
+
+def resolve(experiment: str, params: dict):
+    """The runner of a validated config and its complete parameters: each
+    key of its entry that the config gives or that has a default, numbers
+    as float.  diagnose runs its check's entry, hs (the first) by default."""
+    entry = EXPERIMENTS[experiment]
+    if isinstance(entry, dict):
+        entry = entry[params.get("check", next(iter(entry)))]
+    runner, props = entry
+    given = dict(params)
+    for one, many in _PAIRS:
+        if one in given and many in props:
+            given[many] = [given.pop(one)]
+    resolved = {key: given.get(key, prop.get("default"))
+                for key, prop in props.items()
+                if key in given or "default" in prop}
+    return runner, {key: float(value) if props[key].get("type") == "number"
+                    else [float(x) for x in value]
+                    if props[key].get("items") == _NUM else value
+                    for key, value in resolved.items()}
+
+
+def _params_schema(entry) -> dict:
+    """The params schema of a table entry: its keys and no other; diagnose's
+    is that of the config's check, hs when it names none."""
+    if isinstance(entry, dict):
+        return {"properties": {"check": {"enum": list(entry)}}, "allOf": [
+            {"if": {"properties": {"check": {"const": check}},
+                    "required": ["check"] if i else []},
+             "then": _params_schema(sub)}
+            for i, (check, sub) in enumerate(entry.items())]}
+    props = entry[1]
+    clashes = [{"not": {"required": list(pair)}} for pair in _PAIRS
+               if set(pair) <= set(props)]
+    return {"type": "object", "additionalProperties": False,
+            "properties": props, **({"allOf": clashes} if clashes else {})}
+
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -298,48 +340,16 @@ SCHEMA = {
             },
         },
         "seed": {"type": "integer", "minimum": 0},
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "k": _POS,
-                "k_values": _NUM_LIST,
-                "lam": _POS,
-                "lambdas": _NUM_LIST,
-                "l_max": {"type": "integer", "minimum": 0},
-                "theta": _NUM,
-                "thetas": _NUM_LIST,
-                "N": {"type": "integer", "minimum": 0},
-                "N0": {"type": "integer", "minimum": 0},
-                "xi_norm": _POS,
-                "times": _NUM_LIST,
-                "dt": _POS,
-                "n": {"type": "integer", "minimum": 8, "maximum": MAX_GRID},
-                "dx": _POS,
-                "sigma": _POS,
-                "center": _NUM,
-                "T": _POS,
-                "modified": {"type": "boolean"},
-                "check": {"enum": ["hs", "kato", "mourre", "lap"]},
-                "c": _POS,
-                "r": _POS,
-                "window": {"type": "array", "items": _NUM,
-                           "minItems": 2, "maxItems": 2},
-                "epsilons": _NUM_LIST,
-                "T_values": _NUM_LIST,
-                "criteria": {"type": "array",
-                             "items": {"type": "integer",
-                                       "minimum": 1, "maximum": 15}},
-            },
-            # a list and its single-value form: the runners read the list
-            "allOf": [{"not": {"required": ["k", "k_values"]}},
-                      {"not": {"required": ["theta", "thetas"]}}],
-        },
+        "params": {"type": "object"},
     },
+    "allOf": [{"if": {"properties": {"experiment": {"const": name}}},
+               "then": {"properties": {"params": _params_schema(entry)}}}
+              for name, entry in EXPERIMENTS.items()],
 }
 
 
-def _write_outputs(out_dir: str, config: dict, columns, rows, extra, flags):
+def _write_outputs(out_dir: str, config: dict, params: dict, columns, rows,
+                   extra, flags):
     os.makedirs(out_dir, exist_ok=True)
     blob = json.dumps(config, sort_keys=True).encode()
     sha = hashlib.sha256(blob).hexdigest()
@@ -355,6 +365,7 @@ def _write_outputs(out_dir: str, config: dict, columns, rows, extra, flags):
     record = {
         "experiment": config["experiment"],
         "input": config,
+        "params": params,
         "columns": columns,
         "n_rows": len(rows),
         "extra": extra,
@@ -374,17 +385,6 @@ def _write_outputs(out_dir: str, config: dict, columns, rows, extra, flags):
     return csv_path, json_path
 
 
-# Errors a run can end in for an input the schema admits, with the prefix
-# that names them after "config error: ".
-_TYPED_ERRORS = {
-    propagator.ReflectionError: "reflection: ",
-    partialwave.NumericalError: "numerical: ",
-    born.ConvergenceError: "convergence: ",
-    diagnostics.WindowError: "window: ",
-    diagnostics.ResonanceProximityError: "resonance proximity: ",
-}
-
-
 def run(config_path: str, strict: bool = False, out_dir: str = ".") -> int:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -395,15 +395,15 @@ def run(config_path: str, strict: bool = False, out_dir: str = ".") -> int:
     try:
         validate_config(config)
         model = _model(config)
-        out = RUNNERS[config["experiment"]](
-            model, config.get("params", {}), config.get("seed", 0))
-    except (ConfigError, ParameterError, DomainError, *_TYPED_ERRORS) as exc:
-        prefix = _TYPED_ERRORS.get(type(exc), "")
-        print(f"config error: {prefix}{exc}", file=sys.stderr)
+        runner, params = resolve(config["experiment"],
+                                 config.get("params", {}))
+        columns, rows, extra, flags = runner(model, params,
+                                             config.get("seed", 0))
+    except ScatterlabError as exc:
+        print(f"config error: {exc.prefix}{exc}", file=sys.stderr)
         return 2
-    columns, rows, extra, flags = out
-    csv_path, json_path = _write_outputs(out_dir, config, columns, rows,
-                                         extra, flags)
+    csv_path, json_path = _write_outputs(out_dir, config, params, columns,
+                                         rows, extra, flags)
     for flag in flags:
         print(f"flag: {flag}")
     print(f"wrote {csv_path} and {json_path}")

@@ -22,17 +22,21 @@ from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .numerics import (DomainError, NumericalError, ParameterError,
-                       composite_gauss)
+                       ScatterlabError, composite_gauss)
 from .potentials import PotentialModel
 from . import propagator
 
 
-class WindowError(ValueError):
+class WindowError(ScatterlabError, ValueError):
     """Spectral window contains no eigenvalues."""
 
+    prefix = "window: "
 
-class ResonanceProximityError(ValueError):
+
+class ResonanceProximityError(ScatterlabError, ValueError):
     """lambda sits on an isolated discrete eigenvalue of the finite model."""
+
+    prefix = "resonance proximity: "
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,26 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 
-class ParameterError(ValueError):
+class ScatterlabError(Exception):
+    """Base of the errors a run can end in for an input the config schema
+    admits; the CLI prints each as "config error: " + prefix + message and
+    exits 2."""
+
+    prefix = ""
+
+
+class ParameterError(ScatterlabError, ValueError):
     """Invalid argument to a numerical routine."""
 
 
-class DomainError(ValueError):
+class DomainError(ScatterlabError, ValueError):
     """Argument outside the mathematical domain of the routine."""
 
 
-class NumericalError(RuntimeError):
+class NumericalError(ScatterlabError, RuntimeError):
     """Ill-conditioned or non-convergent numerical step."""
+
+    prefix = "numerical: "
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 # name, so it stays bound until the tracer drops it.
 from scipy.integrate import quad  # noqa: F401
 
-from .numerics import DomainError, ParameterError, dft, dft_freqs
+from .numerics import DomainError, ParameterError, ScatterlabError, dft, dft_freqs
 from .potentials import PotentialModel, line_integral
 
 EDGE_FRACTION = 0.10
@@ -29,8 +29,10 @@ EDGE_THRESHOLD = 1e-6
 MAX_POINT_STEPS = 2**31
 
 
-class ReflectionError(RuntimeError):
+class ReflectionError(ScatterlabError, RuntimeError):
     """Edge-mass monitor tripped: the run is contaminated by reflection."""
+
+    prefix = "reflection: "
 
 
 def _grid(n: int, dx: float) -> np.ndarray:

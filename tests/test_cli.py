@@ -79,25 +79,168 @@ class TestValidation:
         assert cli.run(path) == 2
         assert "'l'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment,params,pair", [
-        ("phaseshift", {"k": 1.0, "k_values": [1.0, 2.0]}, "k and k_values"),
-        ("born", {"k": 1.0, "k_values": [1.0]}, "k and k_values"),
-        ("born", {"theta": 1.0, "thetas": [1.0, 2.0]}, "theta and thetas"),
-        ("s0", {"theta": 0.2, "thetas": [0.3]}, "theta and thetas"),
+    @pytest.mark.parametrize("experiment,params,message", [
+        ("phaseshift", {"k": 1.0, "k_values": [1.0, 2.0]},
+         "k and k_values exclude each other"),
+        ("born", {"k": 1.0, "k_values": [1.0]}, "k and k_values exclude each other"),
+        ("born", {"theta": 1.0, "thetas": [1.0, 2.0]},
+         "theta and thetas exclude each other"),
+        # s0 reads thetas only, so theta is a foreign key there
+        ("s0", {"theta": 0.2, "thetas": [0.3]},
+         "Additional properties are not allowed ('theta' was unexpected)"),
     ], ids=["phaseshift-k", "born-k", "born-theta", "s0-theta"])
     def test_value_beside_its_list_refused(self, tmp_path, capsys, experiment,
-                                           params, pair):
+                                           params, message):
         # the runners read the list, so the single value would be dropped
         path = write_config(tmp_path, {"experiment": experiment, "params": params})
         out = tmp_path / "out"
         assert cli.run(path, out_dir=str(out)) == 2
         err = capsys.readouterr().err
-        assert f"config error: at params: {pair} exclude each other" in err
+        assert f"config error: at params: {message}" in err
         assert not (out / "result.json").exists()
 
     def test_schema_is_valid_jsonschema(self):
         import jsonschema
         jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
+
+
+def _entries():
+    """(experiment, check or None, parameters) of each entry of the table."""
+    for name, entry in cli.EXPERIMENTS.items():
+        if name == "diagnose":
+            for check, (_, props) in entry.items():
+                yield name, check, props
+        else:
+            yield name, None, entry[1]
+
+
+ENTRIES = list(_entries())
+ENTRY_IDS = [check or name for name, check, _ in ENTRIES]
+
+# the parameters each experiment and check runs with when a config gives none
+# (moller, for one, runs for 320 time units on 8192 points)
+DEFAULTS = {
+    "phaseshift": {"k_values": [1.0], "l_max": 10},
+    "amplitude": {"k": 1.0, "l_max": 20,
+                  "thetas": list(np.linspace(0.1, np.pi, 30))},
+    "born": {"k_values": [1.0], "thetas": [np.pi / 2]},
+    "highenergy": {"lambdas": [25.0, 50.0, 100.0, 200.0], "theta": np.pi / 2,
+                   "N": 0},
+    "eikonal": {"xi_norm": 5.0, "N": 2},
+    "s0": {"lam": 100.0, "N": 3, "thetas": list(np.deg2rad([10, 20, 30]))},
+    "propagate": {"n": 8192, "dx": 0.65, "sigma": 6.0, "k": 2.0,
+                  "center": 0.0, "T": 10.0, "dt": 0.02},
+    "moller": {"times": [20.0, 40.0, 80.0, 160.0, 320.0], "dt": 0.02,
+               "sigma": 6.0, "k": 2.0, "n": 8192, "dx": 0.65,
+               "modified": False},
+    "hs": {"check": "hs", "c": 1.0},
+    "kato": {"check": "kato", "r": 1.0, "T_values": [25.0, 50.0, 100.0, 200.0],
+             "n": 8192, "dx": 0.65, "k": 2.0, "sigma": 1.0},
+    "mourre": {"check": "mourre", "window": [1.0, 2.0], "n": 1024},
+    "lap": {"check": "lap", "lam": 1.0, "r": 1.0,
+            "epsilons": [0.1, 0.03, 0.01, 0.003]},
+    "acceptance": {"criteria": list(range(1, 16))},
+}
+
+
+def _named_check(check):
+    """The params that select a check: none for hs, which runs by default."""
+    return {"check": check} if check not in (None, "hs") else {}
+
+
+def _sample(key):
+    """A value that an entry reading `key` admits: a default, or else 1."""
+    return next((props[key]["default"] for _, _, props in ENTRIES
+                 if "default" in props.get(key, {})), 1)
+
+
+class TestExperimentTable:
+    """Each experiment (and diagnose check) admits the keys its entry lists,
+    runs with that entry's defaults and records them in result.json."""
+
+    @pytest.mark.parametrize("experiment,check,props", ENTRIES, ids=ENTRY_IDS)
+    def test_foreign_keys_refused(self, tmp_path, capsys, experiment, check,
+                                  props):
+        # each key that another entry reads, one at a time
+        foreign = sorted({key for _, _, other in ENTRIES for key in other}
+                         - set(props))
+        assert foreign
+        for key in foreign:
+            params = {**({"check": check} if check else {}), key: _sample(key)}
+            path = write_config(tmp_path, {"experiment": experiment,
+                                           "params": params})
+            out = tmp_path / key
+            assert cli.run(path, out_dir=str(out)) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("config error: at params: ") and f"'{key}'" in err
+            assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("experiment,params,foreign", [
+        ("phaseshift", {"times": [1.0, 2.0], "N": 2, "window": [1.0, 2.0],
+                        "check": "hs"}, ["times", "N", "window", "check"]),
+        ("diagnose", {"T_values": [1.0, 2.0]}, ["T_values"]),
+        ("diagnose", {"check": "mourre", "r": 1.0}, ["r"]),
+    ], ids=["phaseshift", "diagnose-default-check", "mourre"])
+    def test_keys_the_run_never_reads_refused(self, tmp_path, capsys,
+                                              experiment, params, foreign):
+        path = write_config(tmp_path, {"experiment": experiment, "params": params})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert all(f"'{key}'" in err for key in foreign)
+        assert not (out / "result.json").exists()
+
+    def test_unknown_check_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "diagnose",
+                                       "params": {"check": "weyl"}})
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 2
+        assert "at params/check: 'weyl' is not one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,check,props", ENTRIES, ids=ENTRY_IDS)
+    def test_resolver_fills_the_defaults(self, experiment, check, props):
+        runner, params = cli.resolve(experiment, _named_check(check))
+        assert params == DEFAULTS[check or experiment]
+        assert runner.__name__.startswith("_run_")
+
+    def test_resolver_casts_numbers_and_lists_a_lone_value(self):
+        _, params = cli.resolve("born", {"k": 2, "thetas": [1, 0.5]})
+        assert params == {"k_values": [2.0], "thetas": [1.0, 0.5]}
+        assert all(type(x) is float for x in params["k_values"] + params["thetas"])
+        _, params = cli.resolve("diagnose", {"check": "mourre", "n": 64,
+                                             "window": [1, 2]})
+        assert params == {"check": "mourre", "n": 64, "window": [1.0, 2.0]}
+        assert type(params["n"]) is int
+
+    def test_schema_command_shows_every_default(self, capsys):
+        assert cli.main(["schema"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        for experiment, check, props in ENTRIES:
+            [shown] = [b["then"]["properties"]["params"] for b in printed["allOf"]
+                       if b["if"]["properties"]["experiment"]["const"] == experiment]
+            if check:
+                [shown] = [b["then"] for b in shown["allOf"]
+                           if b["if"]["properties"]["check"]["const"] == check]
+            assert set(shown["properties"]) == set(props)
+            given = _named_check(check)
+            _, params = cli.resolve(experiment, given)
+            for key in params.keys() - given.keys():
+                assert shown["properties"][key]["default"] == params[key], key
+
+    @pytest.mark.parametrize("config,params", [
+        ({"experiment": "phaseshift", "params": {"k": 2, "l_max": 3}},
+         {"k_values": [2.0], "l_max": 3}),
+        ({"experiment": "diagnose",
+          "potential": {"kind": "gaussian_well", "v0": -1.0}},
+         {"check": "hs", "c": 1.0}),
+    ], ids=["phaseshift", "diagnose"])
+    def test_result_json_records_resolved_params(self, tmp_path, config, params):
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        record = json.loads((out / "result.json").read_text())
+        assert record["input"] == config
+        assert record["params"] == params
+        assert record["extra"] == {}
 
 
 class TestRun:
@@ -214,8 +357,9 @@ class TestRun:
             "s0", "hs", "mourre", "amplitude", "kato", "lap"])
     def test_integer_spelling_writes_the_same_rows(self, tmp_path, experiment,
                                                    params):
-        # the rows and the extra block hold floats however the config spells
-        # them; only the header line (the config's hash) differs
+        # the rows, the extra block and the resolved params hold floats however
+        # the config spells them; only the header line (the config's hash)
+        # differs
         floats = {key: ([float(x) for x in value] if isinstance(value, list)
                         else value if key in ("l_max", "N", "n", "check")
                         else float(value))
@@ -230,6 +374,7 @@ class TestRun:
             rows.append((tmp_path / name / "result.csv").read_text().splitlines()[1:])
             record = json.loads((tmp_path / name / "result.json").read_text())
             rows[-1].append(json.dumps(record["extra"], sort_keys=True))
+            rows[-1].append(json.dumps(record["params"], sort_keys=True))
         assert rows[0] == rows[1]
 
     def test_amplitude_angle_out_of_range(self, tmp_path):
@@ -406,7 +551,8 @@ class TestTypedErrors:
         def fail(model, params, seed):
             raise error("injected")
 
-        monkeypatch.setitem(cli.RUNNERS, "phaseshift", fail)
+        props = cli.EXPERIMENTS["phaseshift"][1]
+        monkeypatch.setitem(cli.EXPERIMENTS, "phaseshift", (fail, props))
         self._assert_typed(tmp_path, capsys, {"experiment": "phaseshift"},
                            prefix + "injected")
 
