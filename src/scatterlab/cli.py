@@ -276,7 +276,8 @@ EXPERIMENTS = {
     },
     "acceptance": (_run_acceptance_experiment, {
         "criteria": dict(type="array", default=list(range(1, 16)), items=dict(
-            type="integer", minimum=1, maximum=15))}),
+            type="integer", minimum=1, maximum=15), minItems=1,
+            uniqueItems=True)}),
 }
 
 # a value and its list: the runners read the list, which a lone value becomes

@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
@@ -208,26 +209,28 @@ class ApproximateEigenfunction:
     residual: np.ndarray        # (-Lap + v - lambda) psi, off-cone interior
     residual_norm: float
 
-    @property
-    def lam(self) -> float:
-        return self.eikonal.lam
 
-    @property
-    def sign(self) -> int:
-        return self.eikonal.sign
+def _recursion(model: PotentialModel, eikonal: EikonalData,
+               N: int) -> Iterator[np.ndarray]:
+    """b_0, f_0, ..., b_N, f_N of the amplitude recursion transport_orders,
+    ray(b_{n+1}) = -Lap b_n - 2i grad Phi . grad b_n - i (Lap Phi) b_n + q b_n,
+    on the eikonal tables."""
+    if model is not eikonal.model and model != eikonal.model:
+        raise ParameterError("model must match the eikonal data")
+    march = _cyl.march_down if eikonal.sign > 0 else _cyl.march_up
+    return transport_orders(
+        model, eikonal.grid, eikonal.q, N, march,
+        np.zeros(len(eikonal.grid.s)),
+        (eikonal.Phi_s, eikonal.Phi_z, eikonal.lap_Phi))
 
 
 def transport_series(model: PotentialModel, eikonal: EikonalData,
                      N: int) -> Iterator[ApproximateEigenfunction]:
     """The approximate eigenfunctions of orders n = 0..N from one march of
-    the amplitude recursion transport_orders,
-    ray(b_{n+1}) = -Lap b_n - 2i grad Phi . grad b_n - i (Lap Phi) b_n + q b_n,
-    each assembled with its PDE residual norm."""
-    if model is not eikonal.model and model != eikonal.model:
-        raise ParameterError("model must match the eikonal data")
+    _recursion, each assembled with its PDE residual norm."""
+    recursion = _recursion(model, eikonal, N)
     grid = eikonal.grid
     xi = eikonal.xi_norm
-    march = _cyl.march_down if eikonal.sign > 0 else _cyl.march_up
 
     ss, zz = grid.mesh()
     phase = np.exp(1j * (xi * zz + eikonal.Phi))
@@ -240,9 +243,6 @@ def transport_series(model: PotentialModel, eikonal: EikonalData,
     orders = (2j * xi) ** -np.arange(N + 1)
 
     # the recursion alternates b_n and its source f_n
-    recursion = transport_orders(
-        model, grid, eikonal.q, N, march, np.zeros(len(grid.s)),
-        (eikonal.Phi_s, eikonal.Phi_z, eikonal.lap_Phi))
     b = []
     btot = 0
     for n, (bn, f) in enumerate(zip(recursion, recursion)):
@@ -291,25 +291,25 @@ class _PsiEvaluator:
     """Evaluates psi and its derivative along a fixed space direction from
     axisymmetric tables, for any propagation direction omega.
 
-    Built from an outgoing (sign +1) solution it evaluates psi_+; its
+    Built from outgoing (sign +1) tables it evaluates psi_+; its
     time_reversed() twin evaluates psi_-(x; omega) = conj psi_+(x; -omega)
     from the same nine interpolators (reverses is then the outgoing one).
     """
 
-    def __init__(self, solution: ApproximateEigenfunction):
-        self.sol = solution
+    def __init__(self, eikonal: EikonalData, b_n: tuple[np.ndarray, ...]):
+        self.eikonal = eikonal
+        self.N = len(b_n) - 1
         self.reverses: _PsiEvaluator | None = None
-        eik = solution.eikonal
-        grid = eik.grid
-        self.xi = eik.xi_norm
-        orders = (2j * self.xi) ** -np.arange(solution.N + 1)
-        btot = sum(o * bn for o, bn in zip(orders, solution.b_n))
+        grid = eikonal.grid
+        self.xi = eikonal.xi_norm
+        orders = (2j * self.xi) ** -np.arange(self.N + 1)
+        btot = sum(o * bn for o, bn in zip(orders, b_n))
         bs = _cyl.d_ds(btot, grid)
         bz = _cyl.d_dz(btot, grid)
         self._interp = {
-            "Phi": _cyl.interpolator(grid, eik.Phi),
-            "Phi_s": _cyl.interpolator(grid, eik.Phi_s),
-            "Phi_z": _cyl.interpolator(grid, eik.Phi_z),
+            "Phi": _cyl.interpolator(grid, eikonal.Phi),
+            "Phi_s": _cyl.interpolator(grid, eikonal.Phi_s),
+            "Phi_z": _cyl.interpolator(grid, eikonal.Phi_z),
             "b_re": _cyl.interpolator(grid, btot.real),
             "b_im": _cyl.interpolator(grid, btot.imag),
             "bs_re": _cyl.interpolator(grid, bs.real),
@@ -332,29 +332,37 @@ class _PsiEvaluator:
     def __call__(self, points: np.ndarray, omega: np.ndarray,
                  deriv_dir: np.ndarray):
         """(psi, d psi / d t) along deriv_dir at the given 3D points."""
-        if self.reverses is not None:
-            psi, dpsi = self._outgoing(points, -omega, deriv_dir)
-            return np.conj(psi), np.conj(dpsi)
-        return self._outgoing(points, omega, deriv_dir)
-
-    def _outgoing(self, points, omega, deriv_dir):
         s, z = _cyl.cyl_coords(points, omega)
+        dz_dt = float(omega @ deriv_dir)
+        perp = points - np.outer(z, omega)
+        dir_perp = deriv_dir - dz_dt * omega
+        safe_s = np.where(s > 1e-12, s, 1.0)
+        ds_dt = np.where(s > 1e-12, (perp @ dir_perp) / safe_s, 0.0)
+        return self.lookup(s, z, ds_dt, dz_dt)
+
+    def lookup(self, s, z, ds_dt, dz_dt: float):
+        """(psi, d psi / d t) at cylindrical coordinates (s, z) about omega
+        moving at rates (ds_dt, dz_dt), broadcast to the shape of s.  About
+        -omega the point sits at (s, -z) and moves at (ds_dt, -dz_dt), which
+        is where the time-reversed twin reads psi_+ before conjugating."""
+        if self.reverses is not None:
+            psi, dpsi = self._outgoing(s, -z, ds_dt, -dz_dt)
+            return np.conj(psi), np.conj(dpsi)
+        return self._outgoing(s, z, ds_dt, dz_dt)
+
+    def _outgoing(self, s, z, ds_dt, dz_dt):
+        shape = np.shape(s)
+        z = np.broadcast_to(z, shape)
         # (n, 2) in Fortran order: the interpolator's per-call NaN scan
         # then runs down contiguous columns
-        pts = np.array([s, z]).T
-        get = lambda name: self._interp[name](pts)
+        pts = np.array([np.ravel(s), np.ravel(z)]).T
+        get = lambda name: self._interp[name](pts).reshape(shape)
         Phi = get("Phi")
         b = get("b_re") + 1j * get("b_im")
         b_s = get("bs_re") + 1j * get("bs_im")
         b_z = get("bz_re") + 1j * get("bz_im")
         Phi_s = get("Phi_s")
         Phi_z = get("Phi_z")
-
-        dz_dt = float(omega @ deriv_dir)
-        perp = points - np.outer(z, omega)
-        dir_perp = deriv_dir - dz_dt * omega
-        safe_s = np.where(s > 1e-12, s, 1.0)
-        ds_dt = np.where(s > 1e-12, (perp @ dir_perp) / safe_s, 0.0)
 
         phase = np.exp(1j * (self.xi * z + Phi))
         psi = phase * b
@@ -369,6 +377,23 @@ def _plane_rule(window: float, sql: float):
     n_panels = max(6, int(np.ceil(2 * window / wavelength)))
     edges = np.linspace(-window, window, n_panels + 1)
     return composite_gauss(8, edges)
+
+
+def _plane_geometry(a: np.ndarray, b: np.ndarray, omega, omega0, e1, e2):
+    """(s, z, ds/dt, dz/dt) about omega of the plane points a e1 + b e2 on
+    the (a, b) node mesh, t running along the plane's normal omega0.
+
+    With p = omega . e1, q = omega . e2 and c = omega . omega0: z = a p + b q,
+    one column when q = 0; s^2 = a^2 + b^2 - z^2 >= c^2 (a^2 + b^2), so s
+    keeps its digits in the cap; dz/dt = c and ds/dt = -c z / s, since the
+    plane point has no omega0 component.
+    """
+    p, q, c = omega @ e1, omega @ e2, float(omega @ omega0)
+    z = a[:, None] * p
+    if q != 0.0:
+        z = z + b[None, :] * q
+    s = np.sqrt(a[:, None] ** 2 + b[None, :] ** 2 - z * z)
+    return s, z, -c * z / s, c
 
 
 def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
@@ -390,36 +415,28 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
         # in b; the rule is symmetric with no node at 0 (8 per panel)
         half = len(b) // 2
         b, wb = b[half:], 2.0 * w[half:]
-    pts = (a[:, None, None] * e1[None, None, :]
-           + b[None, :, None] * e2[None, None, :]).reshape(-1, 3)
-    pp, dpp = psi_plus(pts, omega, omega0)
-    if (getattr(psi_minus, "reverses", None) is psi_plus
-            and _same_cyl_coords(pts, omega, -omega_prime)):
-        # psi_-(x; omega') = conj psi_+(x; -omega'); equal (s, z) about
-        # omega and -omega' on the plane make the pair symmetric about
-        # omega0, and d/dt along omega0 flips both s and z
+    s, zp, ds_dt, c = _plane_geometry(a, b, omega, omega0, e1, e2)
+    pp, dpp = psi_plus.lookup(s, zp, ds_dt, c)
+    sm, zm, dsm_dt, cm = _plane_geometry(a, b, omega_prime, omega0, e1, e2)
+    if (psi_minus.reverses is psi_plus and omega @ e1 == -(omega_prime @ e1)
+            and omega @ e2 == -(omega_prime @ e2) and c == cm):
+        # psi_-(x; omega') = conj psi_+(x; -omega'); about -omega' every
+        # node has omega's (s, z) bit for bit, and d/dt along omega0 flips
+        # both rates
         pm, dpm = np.conj(pp), -np.conj(dpp)
     else:
-        pm, dpm = psi_minus(pts, omega_prime, omega0)
+        pm, dpm = psi_minus.lookup(sm, zm, dsm_dt, cm)
     # subtract the free-field (v = 0) integrand: off the diagonal it
     # contributes nothing over the infinite plane, but its finite-window
     # taper leakage would otherwise swamp the scattering part
-    zp = pts @ omega
-    zm = pts @ omega_prime
     fp = np.exp(1j * sql * zp)
     fm = np.exp(1j * sql * zm)
-    dfp = 1j * sql * float(omega @ omega0) * fp
-    dfm = 1j * sql * float(omega_prime @ omega0) * fm
+    dfp = 1j * sql * c * fp
+    dfm = 1j * sql * cm * fm
     integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
                  - (np.conj(fp) * dfm - np.conj(dfp) * fm))
-    total = w @ integrand.reshape(len(a), len(b)) @ wb
+    total = w @ integrand @ wb
     return S0_SIGN * 1j * np.pi * lam ** 0.5 * (2 * np.pi) ** -3 * total
-
-
-def _same_cyl_coords(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
-    """True when every point has bit-identical (s, z) about a and about b."""
-    return all(np.array_equal(u, v) for u, v in
-               zip(_cyl.cyl_coords(points, a), _cyl.cyl_coords(points, b)))
 
 
 def s0_solutions(model: PotentialModel, lam: float,
@@ -427,12 +444,14 @@ def s0_solutions(model: PotentialModel, lam: float,
     """Reusable (psi_plus, psi_minus) evaluators at energy lam, with the
     default iteration depth default_n0(rho).
 
-    Only the outgoing (sign +1) eikonal and transport tables are built;
-    psi_minus is psi_plus.time_reversed() on the same interpolators.
+    Only the outgoing (sign +1) eikonal tables and their transport
+    amplitudes b_0..b_N are built (no psi table or residual); psi_minus is
+    psi_plus.time_reversed() on the same interpolators.
     """
     axis = np.array([0.0, 0.0, 1.0])
     eik = eikonal_iterate(model, axis, np.sqrt(lam), sign=+1)
-    psi = _PsiEvaluator(transport_solve(model, eik, N))
+    b_n = tuple(islice(_recursion(model, eik, N), 0, 2 * N + 1, 2))
+    psi = _PsiEvaluator(eik, b_n)
     return psi, psi.time_reversed()
 
 
@@ -475,9 +494,9 @@ def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
     if solutions is None:
         solutions = s0_solutions(model, lam, N)
     for psi in solutions:
-        eik = psi.sol.eikonal
+        eik = psi.eikonal
         if (model != eik.model or eik.xi_norm != np.sqrt(lam)
-                or psi.sol.N != N):
+                or psi.N != N):
             raise ParameterError("solutions were built for another model, "
                                  "lambda or N")
     psi_plus, psi_minus = solutions

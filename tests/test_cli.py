@@ -405,6 +405,24 @@ class TestRun:
         record = json.loads((out / "result.json").read_text())
         assert all(r["passed"] for r in record["extra"]["results"])
 
+    @pytest.mark.parametrize("criteria,message", [
+        ([], "should be non-empty"), ([1, 1], "has non-unique elements")])
+    def test_acceptance_empty_or_repeated_criteria_refused(
+            self, tmp_path, monkeypatch, capsys, criteria, message):
+        ran = []
+        for cid in acceptance.CRITERIA:
+            monkeypatch.setitem(acceptance.CRITERIA, cid,
+                                lambda cid=cid: ran.append(cid))
+        path = write_config(tmp_path, {
+            "experiment": "acceptance", "params": {"criteria": criteria}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: at params/criteria: ")
+        assert message in err
+        assert ran == []
+        assert not (out / "result.json").exists()
+
     def test_acceptance_values_at_full_precision(self, tmp_path):
         path = write_config(tmp_path, {
             "experiment": "acceptance", "params": {"criteria": [1, 4]}})

@@ -305,13 +305,18 @@ def _pair(theta_deg, turn_deg=0.0):
 
 
 class _CountingPsi:
+    """Counts the points of each lookup; reverses is None, so the
+    quadrature evaluates both halves of a symmetric pair."""
+
+    reverses = None
+
     def __init__(self, psi):
         self.psi = psi
         self.points = []
 
-    def __call__(self, points, omega, deriv_dir):
-        self.points.append(len(points))
-        return self.psi(points, omega, deriv_dir)
+    def lookup(self, s, z, ds_dt, dz_dt):
+        self.points.append(np.size(s))
+        return self.psi.lookup(s, z, ds_dt, dz_dt)
 
 
 class TestS0Fold:
@@ -354,10 +359,100 @@ class TestS0Fold:
         assert w[1] != 0.0
         folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
         full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
-        assert folded == full
+        # the same nodes and rule; only the geometry's rounding differs
+        # (plane mesh against 3D points)
+        assert abs(folded - full) <= 1e-12 * abs(full)
 
 
 TAIL09 = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
+
+
+class TestPlaneGeometry:
+    """The S0 quadrature's (a, b) mesh geometry against the 3D form that
+    _PsiEvaluator.__call__ takes: cyl_coords and perp . dir_perp / s."""
+
+    def test_mesh_matches_3d_points(self):
+        # s and z within 8 ulp of |x|, ds/dt (|ds/dt| <= sqrt(3) in the
+        # cap) within 16 ulp; 7.5 ulp is the worst over 400 directions
+        rng = np.random.default_rng(25)
+        eps = np.finfo(float).eps
+        for trial in range(40):
+            omega0 = eikonal._unit(rng.normal(size=3))
+            e1, e2 = _cyl.plane_basis(omega0)
+            th = rng.uniform(0.01, np.deg2rad(59.9))
+            turn = 0.0 if trial % 2 == 0 else rng.uniform(0.0, 2.0 * np.pi)
+            omega = np.cos(th) * omega0 + np.sin(th) * (
+                np.cos(turn) * e1 + np.sin(turn) * e2)
+            a = rng.uniform(-40.0, 40.0, 16)
+            b = rng.uniform(-40.0, 40.0, 11)
+            s, z, ds_dt, dz_dt = eikonal._plane_geometry(a, b, omega, omega0,
+                                                         e1, e2)
+            pts = (a[:, None, None] * e1 + b[None, :, None] * e2).reshape(-1, 3)
+            s3, z3 = _cyl.cyl_coords(pts, omega)
+            assert dz_dt == float(omega @ omega0)
+            perp = pts - np.outer(z3, omega)
+            ds3 = (perp @ (omega0 - dz_dt * omega)) / s3
+            r = np.hypot(a[:, None], b[None, :]).ravel()
+            z = np.broadcast_to(z, s.shape).ravel()
+            assert np.all(np.abs(s.ravel() - s3) <= 8 * eps * r)
+            assert np.all(np.abs(z - z3) <= 8 * eps * r)
+            assert np.all(np.abs(ds_dt.ravel() - ds3) <= 16 * eps)
+
+    def test_reversed_lookup_is_its_call(self):
+        # psi_-(x; omega) = conj psi_+(x; -omega), bit for bit
+        pp, pm = _solutions(GAUSS, 25.0, 1)
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-15.0, 15.0, size=(300, 3))
+        omega, _ = _pair(20.0, turn_deg=30.0)
+        s, z = _cyl.cyl_coords(pts, omega)
+        dz_dt = float(omega @ ZAXIS)
+        ds_dt = ((pts - np.outer(z, omega)) @ (ZAXIS - dz_dt * omega)) / s
+        got = pm.lookup(s, z, ds_dt, dz_dt)
+        called = pm(pts, omega, ZAXIS)
+        outgoing = pp(pts, -omega, ZAXIS)
+        for g, c, o in zip(got, called, outgoing):
+            assert np.array_equal(g, c)
+            assert np.array_equal(g, np.conj(o))
+
+
+class TestS0Tables:
+    """s0_solutions builds b_0..b_N only, from the recursion itself."""
+
+    @pytest.mark.parametrize("model,lam,N", [(GAUSS, 64.0, 3),
+                                             (TAIL09, 100.0, 1)])
+    def test_tables_equal_transport_solve(self, model, lam, N, monkeypatch):
+        data = eikonal.eikonal_iterate(model, ZAXIS, np.sqrt(lam))
+        ref = eikonal.transport_solve(model, data, N).b_n
+        built = []
+        init = _PsiEvaluator.__init__
+
+        def spy(self, eik, b_n):
+            built.append(b_n)
+            init(self, eik, b_n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("s0_solutions assembled a psi table")
+
+        laplacians = []
+        laplacian = _cyl.laplacian
+
+        def counting(f, grid):
+            laplacians.append(f.shape)
+            return laplacian(f, grid)
+
+        monkeypatch.setattr(_PsiEvaluator, "__init__", spy)
+        monkeypatch.setattr(eikonal, "transport_series", refuse)
+        monkeypatch.setattr(eikonal, "transport_solve", refuse)
+        monkeypatch.setattr(eikonal, "eikonal_iterate", lambda *a, **k: data)
+        monkeypatch.setattr(_cyl, "laplacian", counting)
+        pp, pm = eikonal.s0_solutions(model, lam, N)
+        [b_n] = built
+        assert pp.N == pm.N == N and len(b_n) == N + 1
+        # the sources f_1..f_{N-1} take two each (real and imaginary part);
+        # f_N, the source past b_N, is never formed
+        assert len(laplacians) == 2 * (N - 1)
+        for got, want in zip(b_n, ref):
+            assert np.array_equal(got, want)
 
 
 def _two_table_pair(model, lam, N):
@@ -367,7 +462,7 @@ def _two_table_pair(model, lam, N):
     psi_plus = _solutions(model, lam, N)[0]
     incoming = eikonal.transport_solve(
         model, eikonal.eikonal_iterate(model, ZAXIS, sql, sign=-1), N)
-    return psi_plus, _PsiEvaluator(incoming)
+    return psi_plus, _PsiEvaluator(incoming.eikonal, incoming.b_n)
 
 
 class TestTimeReversal:
@@ -398,8 +493,13 @@ class TestTimeReversal:
         assert reversed_pair[1].reverses is reversed_pair[0]
         assert two_tables[1].reverses is None
         w, wp = _pair(20.0)
+        # mirrored in e1 only: omega . e1 = -omega' . e1 and equal
+        # omega . omega0, but omega . e2 = omega' . e2 != 0, so not symmetric
+        turned = _pair(20.0, 30.0)[0]
+        mirrored = (turned, turned * np.array([-1.0, 1.0, 1.0]))
         window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
-        for omega, omega_prime in ((w, wp), (wp, w), _pair(20.0, 30.0)):
+        for omega, omega_prime in ((w, wp), (wp, w), _pair(20.0, 30.0),
+                                   mirrored):
             for win in (window, 1.25 * window):
                 got = eikonal._s0_quadrature(*reversed_pair, omega, omega_prime,
                                              ZAXIS, lam, win)
@@ -411,13 +511,13 @@ class TestTimeReversal:
         lam = 25.0
         pp, pm = _solutions(GAUSS, lam, 1)
         calls = []
-        evaluate = _PsiEvaluator.__call__
+        evaluate = _PsiEvaluator.lookup
 
-        def counting(self, points, omega, deriv_dir):
-            calls.append((self, len(points)))
-            return evaluate(self, points, omega, deriv_dir)
+        def counting(self, s, z, ds_dt, dz_dt):
+            calls.append((self, np.size(s)))
+            return evaluate(self, s, z, ds_dt, dz_dt)
 
-        monkeypatch.setattr(_PsiEvaluator, "__call__", counting)
+        monkeypatch.setattr(_PsiEvaluator, "lookup", counting)
         n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
         eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, lam, 18.0)
         assert calls == [(pp, n * n // 2)]
@@ -436,7 +536,7 @@ class TestTimeReversal:
         monkeypatch.setattr(eikonal, "eikonal_iterate", counting)
         pp, pm = eikonal.s0_solutions(GAUSS, 25.0, 1)
         assert built == [+1]
-        assert pp.sol.sign == +1 and pm.reverses is pp
+        assert pp.eikonal.sign == +1 and pm.reverses is pp
         assert pm._interp is pp._interp
         assert pm.time_reversed() is pp
 
