@@ -49,15 +49,15 @@ def d_dz(f: np.ndarray, grid: CylGrid) -> np.ndarray:
     return np.gradient(f, grid.z, axis=1, edge_order=2)
 
 
-def laplacian(f: np.ndarray, grid: CylGrid) -> np.ndarray:
-    """3D Laplacian of an axisymmetric field: f_zz + f_ss + f_s / s.
+def laplacian(fs: np.ndarray, fz: np.ndarray, grid: CylGrid) -> np.ndarray:
+    """3D Laplacian f_zz + f_ss + f_s / s of an axisymmetric field f, real or
+    complex, from the first derivatives fs = d_ds(f) and fz = d_dz(f).
 
     On the axis (s = 0) the radial part limits to 2 f_ss.
     """
-    fs = d_ds(f, grid)
     fss = d_ds(fs, grid)
-    fzz = d_dz(d_dz(f, grid), grid)
-    out = np.empty_like(f)
+    fzz = d_dz(fz, grid)
+    out = np.empty_like(fss)
     out[1:] = fzz[1:] + fss[1:] + fs[1:] / grid.s[1:, None]
     out[0] = fzz[0] + 2.0 * fss[0]
     return out

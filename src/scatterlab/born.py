@@ -32,6 +32,10 @@ from .potentials import PotentialModel, line_integral
 from . import partialwave
 
 RAY_TRUNCATION = 1e-12
+# Largest transport order N: -Lap raises table noise 1e3 to 1e4 times per
+# order, so past about 4 the orders are noise; it keeps (N + 1)-table stacks
+# to tens of MB.
+MAX_ORDER = 8
 _CELL_NODES = 4   # Gauss nodes per b_n table cell, along s and along z
 
 
@@ -127,8 +131,11 @@ def transport_orders(model: PotentialModel, grid: _cyl.CylGrid, q: np.ndarray,
     sources decay at least as fast as q and start from 0.
 
     The recursion needs a smooth q: for yukawa, b_1 = int v dt diverges
-    logarithmically on the axis, so orders N >= 1 raise DomainError.
+    logarithmically on the axis, so orders N >= 1 raise DomainError.  N
+    outside [0, MAX_ORDER] raises ParameterError.
     """
+    if not 0 <= N <= MAX_ORDER:
+        raise ParameterError(f"N must lie in [0, MAX_ORDER = {MAX_ORDER}], got {N}")
     if N >= 1 and model.kind == "yukawa":
         raise DomainError("transport orders N >= 1 need a smooth potential; "
                           "b_1 = int v dt diverges on the axis for the yukawa "
@@ -143,11 +150,10 @@ def transport_orders(model: PotentialModel, grid: _cyl.CylGrid, q: np.ndarray,
     for n in range(1, N + 1):
         b = march(f, grid, anchor if n == 1 else np.zeros(len(grid.s)))
         yield b
-        f = -_cyl.laplacian(b.real, grid)
+        bs, bz = _cyl.d_ds(b, grid), _cyl.d_dz(b, grid)
+        f = -_cyl.laplacian(bs, bz, grid)
         if phi is not None:
-            f = (f - 1j * _cyl.laplacian(b.imag, grid)
-                 - 2j * (phi_s * _cyl.d_ds(b, grid) + phi_z * _cyl.d_dz(b, grid))
-                 - 1j * lap_phi * b)
+            f = f - 2j * (phi_s * bs + phi_z * bz) - 1j * lap_phi * b
         f = f + q * b
         yield f
 
@@ -213,6 +219,8 @@ def high_energy_kernel(model: PotentialModel, lam, omega, omega_prime,
     a polynomial on every panel.  v b_n on those nodes is formed once per
     call and serves every lambda.
     """
+    if not 0 <= N <= MAX_ORDER:
+        raise ParameterError(f"N must lie in [0, MAX_ORDER = {MAX_ORDER}], got {N}")
     lams = np.asarray(lam, dtype=float)
     if not np.all(lams > 0):
         raise ParameterError(f"lambda must be positive, got lam={lam}")

@@ -221,6 +221,7 @@ _POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM_LIST = {"type": "array", "items": _NUM, "minItems": 1}
 _COUNT = {"type": "integer", "minimum": 0}
 _GRID = {"type": "integer", "minimum": 8, "maximum": MAX_GRID}
+_ORDER = dict(_COUNT, maximum=born.MAX_ORDER)
 
 
 # Each experiment's runner and its parameters, one JSON-Schema property each
@@ -238,12 +239,12 @@ EXPERIMENTS = {
         "theta": _NUM, "thetas": dict(_NUM_LIST, default=[np.pi / 2])}),
     "highenergy": (_run_highenergy, {
         "lambdas": dict(_NUM_LIST, default=[25.0, 50.0, 100.0, 200.0]),
-        "theta": dict(_NUM, default=np.pi / 2), "N": dict(_COUNT, default=0)}),
+        "theta": dict(_NUM, default=np.pi / 2), "N": dict(_ORDER, default=0)}),
     "eikonal": (_run_eikonal, {
         "xi_norm": dict(_POS, default=5.0), "N0": _COUNT,
-        "N": dict(_COUNT, default=2)}),
+        "N": dict(_ORDER, default=2)}),
     "s0": (_run_s0, {
-        "lam": dict(_POS, default=100.0), "N": dict(_COUNT, default=3),
+        "lam": dict(_POS, default=100.0), "N": dict(_ORDER, default=3),
         "thetas": dict(_NUM_LIST,
                        default=np.deg2rad([10, 20, 30]).tolist())}),
     "propagate": (_run_propagate, {

@@ -5,10 +5,10 @@ Eikonal phase corrections by the explicit ray integral
     Phi_pm(x, xi) = +/- (1/2) int_0^inf ( v(x +/- t xi) - v(+/- t xi) ) dt
 
 and by successive approximations Phi = sum_n (2|xi|)^-n phi_n; transport
-coefficients multiplying exp(i(x.xi + Phi)); assembled approximate
-eigenfunctions with their PDE residual; the plane-integral kernel of the
-scattering matrix near a reference direction; and the diagonal-singularity
-exponent probe.
+coefficients multiplying exp(i(x.xi + Phi)), each order with the PDE
+residual norm of its approximate eigenfunction; the plane-integral kernel
+of the scattering matrix near a reference direction; and the
+diagonal-singularity exponent probe.
 
 Axisymmetric (s, z) tables about the propagation direction carry all
 fields (built-in models are radial).
@@ -186,7 +186,7 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     Phi = sum(w * p for w, p in zip(weights, phi))
     Phi_s = _cyl.d_ds(Phi, grid)
     Phi_z = _cyl.d_dz(Phi, grid)
-    lap_Phi = _cyl.laplacian(Phi, grid)
+    lap_Phi = _cyl.laplacian(Phi_s, Phi_z, grid)
     q = 2.0 * xi_norm * Phi_z + Phi_z**2 + Phi_s**2 + v
     return EikonalData(
         sign=sign, model=model, xi_hat=xi_hat, xi_norm=float(xi_norm),
@@ -200,13 +200,13 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
 
 @dataclass(frozen=True)
 class ApproximateEigenfunction:
-    """psi_pm = exp(i(x.xi + Phi)) sum_n (2 i |xi|)^-n b_n on the grid."""
+    """Order N of psi_pm = exp(i(x.xi + Phi)) sum_n (2 i |xi|)^-n b_n: the
+    amplitudes b_0..b_N and the norm of the PDE residual (-Lap + v - lambda)
+    psi over the off-cone interior; no psi table (_PsiEvaluator reads psi)."""
 
     eikonal: EikonalData
     N: int
     b_n: tuple[np.ndarray, ...]
-    psi: np.ndarray
-    residual: np.ndarray        # (-Lap + v - lambda) psi, off-cone interior
     residual_norm: float
 
 
@@ -227,7 +227,7 @@ def _recursion(model: PotentialModel, eikonal: EikonalData,
 def transport_series(model: PotentialModel, eikonal: EikonalData,
                      N: int) -> Iterator[ApproximateEigenfunction]:
     """The approximate eigenfunctions of orders n = 0..N from one march of
-    _recursion, each assembled with its PDE residual norm."""
+    _recursion, each with its PDE residual norm; the last is order N."""
     recursion = _recursion(model, eikonal, N)
     grid = eikonal.grid
     xi = eikonal.xi_norm
@@ -240,33 +240,22 @@ def transport_series(model: PotentialModel, eikonal: EikonalData,
     mask[:, :3] = False
     mask[:, -3:] = False
     weight = 2.0 * np.pi * np.maximum(ss, grid.ds / 4.0)
-    orders = (2j * xi) ** -np.arange(N + 1)
+    phase, weight = phase[mask], weight[mask]
 
     # the recursion alternates b_n and its source f_n
     b = []
-    btot = 0
     for n, (bn, f) in enumerate(zip(recursion, recursion)):
         b.append(bn)
-        btot = btot + orders[n] * bn
         # (-Lap + v - lambda) psi = exp(i phi) [ q b - i (Lap Phi) b
         #   - 2i (xi e_z + grad Phi) . grad b - Lap b ];  with the recursion
         # the bracket telescopes exactly to (2 i |xi|)^-n f(b_n), which is
         # the stable form (the direct difference cancels to the differencing
         # floor)
-        residual = phase * ((2j * xi) ** -n * f)
-        norm2 = np.sum(np.abs(residual[mask]) ** 2 * weight[mask]) * grid.ds * grid.dz
+        residual = phase * ((2j * xi) ** -n * f[mask])
+        norm2 = np.sum(np.abs(residual) ** 2 * weight) * grid.ds * grid.dz
         yield ApproximateEigenfunction(
-            eikonal=eikonal, N=n, b_n=tuple(b), psi=phase * btot,
-            residual=residual, residual_norm=float(np.sqrt(norm2)),
-        )
-
-
-def transport_solve(model: PotentialModel, eikonal: EikonalData,
-                    N: int) -> ApproximateEigenfunction:
-    """The order-N approximate eigenfunction, the last of transport_series."""
-    for sol in transport_series(model, eikonal, N):
-        pass
-    return sol
+            eikonal=eikonal, N=n, b_n=tuple(b),
+            residual_norm=float(np.sqrt(norm2)))
 
 
 # ---------------------------------------------------------------------------

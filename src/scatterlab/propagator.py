@@ -287,7 +287,6 @@ def modified_moller_probe(model: PotentialModel, f0: WavePacket, times,
 def scattering_phase_from_time_domain(model: PotentialModel, k: float,
                                       packet_width: float = 20.0,
                                       n: int = 2**9, dx: float = 0.8,
-                                      r0: float | None = None,
                                       dt: float = 0.03) -> complex:
     """e^{2 i delta_0(k)} from an incoming l = 0 packet.
 
@@ -295,14 +294,13 @@ def scattering_phase_from_time_domain(model: PotentialModel, k: float,
     odd packet f(x) - f(-x) on the 2n-point grid.  An incoming packet
     reflects off the origin; after it has fully re-emerged, the
     sine-transform amplitude at momentum k relative to the same packet
-    evolved freely is e^{2 i delta_0}.
+    evolved freely is e^{2 i delta_0}.  The packet starts at r0 = 0.45 n dx.
     """
     if k <= 0:
         raise ParameterError("k must be positive")
     if 1.0 / (2 * packet_width * k) > 0.20:
         raise ParameterError("packet band too wide (relative bandwidth > 20%)")
-    if r0 is None:
-        r0 = n * dx * 0.45
+    r0 = n * dx * 0.45
     sigma = packet_width
     pk = gaussian_packet(2 * n, dx, center=r0, k0=-k, sigma=sigma)
     pk = replace(pk, values=pk.values - pk.values[-np.arange(2 * n)])

@@ -134,19 +134,22 @@ def bn_tables_loop(model, N, grid):
             anchor = line_integral(model, grid.s, -grid.z[0])
         tables[n] = _cyl.march_up(g, grid, anchor)
         if n < N:
-            g = -_cyl.laplacian(tables[n], grid) + v * tables[n]
+            g = (-_cyl.laplacian(_cyl.d_ds(tables[n], grid),
+                                 _cyl.d_dz(tables[n], grid), grid)
+                 + v * tables[n])
     return tables
 
 
-def count_laplacians(monkeypatch):
+def count_gradients(monkeypatch):
+    """The dtypes of the arrays np.gradient differentiates from now on."""
     calls = []
-    laplacian = _cyl.laplacian
+    gradient = np.gradient
 
-    def spy(f, grid):
-        calls.append(f.shape)
-        return laplacian(f, grid)
+    def spy(f, *args, **kwargs):
+        calls.append(f.dtype)
+        return gradient(f, *args, **kwargs)
 
-    monkeypatch.setattr(_cyl, "laplacian", spy)
+    monkeypatch.setattr(np, "gradient", spy)
     return calls
 
 
@@ -160,20 +163,33 @@ class TestTransport:
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_laplacians_per_build(self, monkeypatch, N):
-        # the source of b_0 is v in closed form, and b_N's source is never
-        # formed
-        calls = count_laplacians(monkeypatch)
+        # the Laplacian's derivative work: four np.gradient calls per formed
+        # source f_n (d_ds b, d_dz b and their second derivatives); the
+        # source of b_0 is v in closed form, and b_N's source is never formed
+        calls = count_gradients(monkeypatch)
         born._bn_tables(GAUSS, N, born._default_cyl_grid(GAUSS))
-        assert len(calls) == N - 1
+        assert calls == [np.dtype(float)] * 4 * (N - 1)
 
     @pytest.mark.parametrize("N", [0, 1, 2, 3])
     def test_laplacians_per_eikonal_series(self, monkeypatch, N):
-        # two per order n >= 1, for the real and imaginary parts; none for
-        # the closed-form source of b_0
+        # four np.gradient calls per order n >= 1, on complex b_n whole, not
+        # on its real and imaginary parts apart; none for the closed-form
+        # source of b_0
         data = eikonal.eikonal_iterate(GAUSS, [0.0, 0.0, 1.0], 5.0)
-        calls = count_laplacians(monkeypatch)
+        calls = count_gradients(monkeypatch)
         assert len(list(eikonal.transport_series(GAUSS, data, N))) == N + 1
-        assert len(calls) == 2 * N
+        assert calls == [np.dtype(complex)] * 4 * N
+
+    @pytest.mark.parametrize("N0", [0, 1, 2, 3, 4])
+    def test_gradients_per_eikonal_iterate(self, monkeypatch, N0):
+        # Phi_s, Phi_z and the two second derivatives of Lap Phi; phi_3's
+        # source |grad phi_1|^2 takes two more.  N0 = 0 needs rho > 1, and
+        # N0 >= 1 needs N0 rho > 1
+        model = TAIL2 if N0 <= 1 else PotentialModel(kind="power_tail",
+                                                     v0=0.5, rho=0.9)
+        calls = count_gradients(monkeypatch)
+        eikonal.eikonal_iterate(model, [0.0, 0.0, 1.0], 5.0, N0=N0)
+        assert calls == [np.dtype(float)] * (4 if N0 <= 2 else 6)
 
     def test_per_order_noise_gain(self):
         # a seeded eps U(-1, 1) field added to q grows by 1e3 to 1e4 per
@@ -203,6 +219,23 @@ class TestTransport:
     def test_b1_ray_integral_oracle(self):
         # b1(0) = int_-inf^0 v(t w') dt = v0 sqrt(pi)/2 for the unit gaussian
         assert b_at_origin(GAUSS, 1)[1] == pytest.approx(-np.sqrt(np.pi) / 2, rel=1e-3)
+
+    @pytest.mark.parametrize("N", [-1, born.MAX_ORDER + 1, 100000])
+    def test_order_outside_cap_refused(self, monkeypatch, N):
+        # before the kernel's node stack or any table is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated for a refused order")
+
+        grid = born._default_cyl_grid(GAUSS)
+        q = GAUSS.radial_values(grid.radius())
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(np, "ones", refuse)
+        with pytest.raises(ParameterError, match=f"MAX_ORDER = {born.MAX_ORDER}"):
+            born.high_energy_kernel(GAUSS, 25.0, *THETA_90, N)
+        orders = born.transport_orders(GAUSS, grid, q, N, _cyl.march_up,
+                                       np.zeros(len(grid.s)))
+        with pytest.raises(ParameterError, match="MAX_ORDER"):
+            next(orders)
 
     def test_long_range_rejected(self):
         tail = PotentialModel(kind="power_tail", v0=1.0, rho=1.0)

@@ -713,6 +713,31 @@ class TestTypedErrors:
         assert str(cli.MAX_GRID) in err
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize("experiment", ["highenergy", "eikonal", "s0"])
+    def test_huge_order_refused_before_allocation(self, tmp_path, capsys,
+                                                  monkeypatch, experiment):
+        # N = 100000 would ask high_energy_kernel for a 219 GB node stack
+        # and the eikonal runs for 1.2 MB per order; no table is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a table for a refused order")
+
+        monkeypatch.setattr(born, "high_energy_kernel", refuse)
+        monkeypatch.setattr(eikonal, "eikonal_iterate", refuse)
+        path = write_config(tmp_path, {"experiment": experiment,
+                                       "params": {"N": 100000}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: at params/N: ")
+        assert err.count("config error") == 1
+        assert str(born.MAX_ORDER) in err
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("experiment", ["highenergy", "eikonal", "s0"])
+    def test_largest_order_admitted(self, experiment):
+        cli.validate_config({"experiment": experiment,
+                             "params": {"N": born.MAX_ORDER}})
+
     @pytest.mark.parametrize("config", [
         {"experiment": "phaseshift",
          "potential": {"kind": "power_tail", "v0": 1.0, "rho": 1.5}},

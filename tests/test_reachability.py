@@ -42,9 +42,12 @@ UNPASSED = {
        "items 3 and 6 oracles vary dr"
        for fn in ("phase_shift_table", "radial_phase_shift")
        for p in ("r_max", "dr")},
+    ("propagator", "scattering_phase_from_time_domain", "packet_width"):
+        "the bandwidth-guard test passes a packet whose band is too wide",
     **{("propagator", "scattering_phase_from_time_domain", p):
-       "tests size the packet and grid; ROADMAP item 4 needs dx"
-       for p in ("packet_width", "n", "dx", "r0", "dt")},
+       "no test sizes them; ROADMAP item 4 varies them (C10's error is "
+       "the spatial step)"
+       for p in ("n", "dx", "dt")},
     **{("propagator", "modified_free_evolution", p):
        "tests size the grid; kept with the function (see ALLOWED)"
        for p in ("n", "dx")},
