@@ -1,10 +1,10 @@
 """Acceptance suite: fifteen numbered criteria covering every module.
 
-Each criterion is a function returning a CriterionResult with the
-measured quantities (rounded for the printed line), the expected contract,
-a pass flag and the same quantities (with some raw data behind them) at
-full precision as JSON data in `values`.  `run_all` executes any subset
-and records each criterion's runtime; `format_report` renders one
+Each criterion is a function returning a CriterionResult with the expected
+contract, a pass flag, its raw numbers once in `values` (floats, complex
+numbers, arrays and bools) and, in `measured`, the quantities its line
+prints, each rendered from `values` at its digits.  `run_all` executes any
+subset and records each criterion's runtime; `format_report` renders one
 pass/fail line per criterion.
 """
 
@@ -30,7 +30,7 @@ class CriterionResult:
     expected: str
     measured: dict = field(default_factory=dict)
     runtime: float = 0.0
-    values: dict = field(default_factory=dict)   # full precision, JSON-ready
+    values: dict = field(default_factory=dict)   # raw, at full precision
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -39,21 +39,28 @@ class CriterionResult:
                 f"{meas}; expected {self.expected} [{self.runtime:.1f}s]")
 
 
-def _full(x):
-    """x at full precision as JSON data: a float, a complex number as
-    [re, im], or a list of these, with NaN as None (JSON null)."""
-    if np.ndim(x) > 0:
-        return [_full(v) for v in x]
-    if np.iscomplexobj(x):
-        return [_full(x.real), _full(x.imag)]
-    x = float(x)
-    return None if np.isnan(x) else x
-
-
 def _fmt(x, nd=6):
     if isinstance(x, complex):
         return f"{x.real:.{nd}g}{x.imag:+.{nd}g}j"
     return f"{float(x):.{nd}g}"
+
+
+def _show(x, nd):
+    """x as its line prints it: a bool as it is, an array through
+    np.array2string at precision nd, a number through _fmt at nd digits."""
+    if isinstance(x, (bool, np.bool_)):
+        return x
+    if isinstance(x, np.ndarray):
+        return np.array2string(x, precision=nd)
+    return _fmt(x, nd)
+
+
+def _result(cid, name, passed, expected, values, digits) -> CriterionResult:
+    """The criterion's result; its line prints each key of digits, in order,
+    rendered from values at that key's digits (None for a bool)."""
+    return CriterionResult(cid, name, bool(passed), expected,
+                           {key: _show(values[key], nd)
+                            for key, nd in digits.items()}, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +82,9 @@ def criterion_01() -> CriterionResult:
     oracle = np.arctan(slope) - k * R
     oracle = (oracle + np.pi / 2) % np.pi - np.pi / 2
     err = abs(delta - oracle)
-    return CriterionResult(
-        1, "partial-wave exactness", bool(err < 1e-6), "|err| < 1e-6",
-        {"delta": _fmt(delta), "oracle": _fmt(oracle), "err": _fmt(err, 3)},
-        values={"delta": _full(delta), "oracle": _full(oracle),
-                "err": _full(err)})
+    return _result(1, "partial-wave exactness", err < 1e-6, "|err| < 1e-6",
+                   {"delta": delta, "oracle": oracle, "err": err},
+                   {"delta": 6, "oracle": 6, "err": 3})
 
 
 def criterion_02() -> CriterionResult:
@@ -90,12 +95,10 @@ def criterion_02() -> CriterionResult:
     unit_dev = float(np.max(np.abs(np.abs(eigs) - 1.0)))
     tail_dev = float(np.max(np.abs(eigs[ls >= 20] - 1.0)))
     ok = unit_dev < 1e-12 and tail_dev < 1e-3
-    return CriterionResult(
-        2, "S-matrix unitarity", ok,
-        "| |S_l|-1 | < 1e-12 all l; |S_l - 1| < 1e-3 for l >= 20",
-        {"unit_dev": _fmt(unit_dev, 3), "tail_dev": _fmt(tail_dev, 3)},
-        values={"unit_dev": _full(unit_dev), "tail_dev": _full(tail_dev),
-                "s_l": _full(eigs)})
+    return _result(2, "S-matrix unitarity", ok,
+                   "| |S_l|-1 | < 1e-12 all l; |S_l - 1| < 1e-3 for l >= 20",
+                   {"unit_dev": unit_dev, "tail_dev": tail_dev, "s_l": eigs},
+                   {"unit_dev": 3, "tail_dev": 3})
 
 
 def criterion_03() -> CriterionResult:
@@ -112,14 +115,11 @@ def criterion_03() -> CriterionResult:
     # of |a| here), outside what a first-order cross-check can control
     rel = abs(abs(a_born) - abs(a_pw)) / abs(a_pw)
     rel_complex = abs(a_born - a_pw) / abs(a_pw)
-    return CriterionResult(
-        3, "Born cross-validation", bool(rel < 0.05), "rel err < 5%",
-        {"born": _fmt(a_born), "closed_form": _fmt(closed),
-         "partial_wave": _fmt(a_pw), "rel": _fmt(rel, 3),
-         "rel_complex": _fmt(rel_complex, 3)},
-        values={"born": _full(a_born), "closed_form": _full(closed),
-                "partial_wave": _full(a_pw), "rel": _full(rel),
-                "rel_complex": _full(rel_complex)})
+    return _result(3, "Born cross-validation", rel < 0.05, "rel err < 5%",
+                   {"born": a_born, "closed_form": closed, "partial_wave": a_pw,
+                    "rel": rel, "rel_complex": rel_complex},
+                   {"born": 6, "closed_form": 6, "partial_wave": 6, "rel": 3,
+                    "rel_complex": 3})
 
 
 def criterion_04() -> CriterionResult:
@@ -131,15 +131,13 @@ def criterion_04() -> CriterionResult:
     fit1 = born.measure_error_order(GAUSS, lams, omega, omega_p, 1)
     ok0 = (not fit0.floor_warning) and abs(fit0.slope - (-0.5)) <= 0.3
     ok1 = (not fit1.floor_warning) and abs(fit1.slope - (-1.0)) <= 0.3
-    return CriterionResult(
-        4, "high-energy error order", bool(ok0 and ok1),
-        "slope(N=0) = -0.5 +- 0.3 and slope(N=1) = -1.0 +- 0.3",
-        {"slope_N0": _fmt(fit0.slope, 3), "slope_N1": _fmt(fit1.slope, 3),
-         "floor_N0": fit0.floor_warning, "floor_N1": fit1.floor_warning,
-         "errors_N0": np.array2string(fit0.errors, precision=2),
-         "errors_N1": np.array2string(fit1.errors, precision=2)},
-        values={"errors_N0": _full(fit0.errors), "errors_N1": _full(fit1.errors),
-                "slope_N0": _full(fit0.slope), "slope_N1": _full(fit1.slope)})
+    return _result(4, "high-energy error order", ok0 and ok1,
+                   "slope(N=0) = -0.5 +- 0.3 and slope(N=1) = -1.0 +- 0.3",
+                   {"slope_N0": fit0.slope, "slope_N1": fit1.slope,
+                    "floor_N0": fit0.floor_warning, "floor_N1": fit1.floor_warning,
+                    "errors_N0": fit0.errors, "errors_N1": fit1.errors},
+                   {"slope_N0": 3, "slope_N1": 3, "floor_N0": None,
+                    "floor_N1": None, "errors_N0": 2, "errors_N1": 2})
 
 
 def criterion_05() -> CriterionResult:
@@ -154,10 +152,8 @@ def criterion_05() -> CriterionResult:
             closed = (np.pi * model.v0 / (4 * xi)) * (
                 (1 + xn * xn) ** -0.5 - 1.0)
             worst = max(worst, abs(val - closed))
-    return CriterionResult(
-        5, "eikonal closed form", bool(worst < 1e-6), "abs err < 1e-6",
-        {"worst_abs_err": _fmt(worst, 3)},
-        values={"worst_abs_err": _full(worst)})
+    return _result(5, "eikonal closed form", worst < 1e-6, "abs err < 1e-6",
+                   {"worst_abs_err": worst}, {"worst_abs_err": 3})
 
 
 def criterion_06() -> CriterionResult:
@@ -171,14 +167,11 @@ def criterion_06() -> CriterionResult:
     drop = r0 / r2
     slope = np.log(r1_100 / r1_25) / np.log(100.0 / 25.0)
     ok = drop >= 5.0 and abs(slope - (-0.5)) <= 0.3
-    return CriterionResult(
-        6, "residual scaling", bool(ok),
-        "drop(N0->N2) >= 5 and slope(N=1) = -0.5 +- 0.3",
-        {"r_N0": _fmt(r0, 3), "r_N2": _fmt(r2, 3), "drop": _fmt(drop, 3),
-         "slope_N1": _fmt(slope, 3)},
-        values={"r_N0": _full(r0), "r_N2": _full(r2), "drop": _full(drop),
-                "slope_N1": _full(slope), "r_N1_lam25": _full(r1_25),
-                "r_N1_lam100": _full(r1_100)})
+    return _result(6, "residual scaling", ok,
+                   "drop(N0->N2) >= 5 and slope(N=1) = -0.5 +- 0.3",
+                   {"r_N0": r0, "r_N2": r2, "drop": drop, "slope_N1": slope,
+                    "r_N1_lam25": r1_25, "r_N1_lam100": r1_100},
+                   {"r_N0": 3, "r_N2": 3, "drop": 3, "slope_N1": 3})
 
 
 def criterion_07() -> CriterionResult:
@@ -186,25 +179,21 @@ def criterion_07() -> CriterionResult:
     lam = 100.0
     omega0 = np.array([0.0, 0.0, 1.0])
     sols = eikonal.s0_solutions(GAUSS, lam, 3)
-    measured, values = {}, {}
+    values, digits = {}, {}
     ok = True
-    for deg in (10.0, 20.0, 30.0):
+    for deg in (10, 20, 30):
         th = np.deg2rad(deg)
         w, wp = eikonal.coplanar_pair(omega0, th)
         sample = eikonal.s0_kernel(GAUSS, lam, w, wp, omega0, solutions=sols)
         exact = born.exact_kernel(GAUSS, lam, th)
         rel = abs(sample.value - exact) / abs(exact)
-        measured[f"rel_{int(deg)}deg"] = _fmt(rel, 3)
-        measured[f"sens_{int(deg)}deg"] = _fmt(sample.sensitivity, 2)
-        values[f"rel_{int(deg)}deg"] = _full(rel)
-        values[f"sens_{int(deg)}deg"] = _full(sample.sensitivity)
-        values[f"s0_{int(deg)}deg"] = _full(sample.value)
-        values[f"exact_{int(deg)}deg"] = _full(exact)
+        values.update({f"rel_{deg}deg": rel, f"sens_{deg}deg": sample.sensitivity,
+                       f"s0_{deg}deg": sample.value, f"exact_{deg}deg": exact})
+        digits.update({f"rel_{deg}deg": 3, f"sens_{deg}deg": 2})
         ok = ok and rel <= 0.10 and sample.sensitivity < 0.10
-    return CriterionResult(
-        7, "S0 vs exact kernel", bool(ok),
-        "rel err <= 10% and window sensitivity < 10% at 10-30 deg",
-        measured, values=values)
+    return _result(7, "S0 vs exact kernel", ok,
+                   "rel err <= 10% and window sensitivity < 10% at 10-30 deg",
+                   values, digits)
 
 
 def criterion_08() -> CriterionResult:
@@ -220,11 +209,10 @@ def criterion_08() -> CriterionResult:
         errs[t] = float(np.sqrt(np.sum(np.abs(exact.values - approx.values) ** 2)
                                 * f0.dx))
     ok = errs[100.0] <= 0.01 and errs[200.0] < errs[100.0]
-    return CriterionResult(
-        8, "free asymptotics", bool(ok),
-        "L2 err <= 0.01 at t=100, strictly smaller at t=200",
-        {"err_100": _fmt(errs[100.0], 3), "err_200": _fmt(errs[200.0], 3)},
-        values={"err_100": _full(errs[100.0]), "err_200": _full(errs[200.0])})
+    return _result(8, "free asymptotics", ok,
+                   "L2 err <= 0.01 at t=100, strictly smaller at t=200",
+                   {"err_100": errs[100.0], "err_200": errs[200.0]},
+                   {"err_100": 3, "err_200": 3})
 
 
 def criterion_09() -> CriterionResult:
@@ -243,22 +231,18 @@ def criterion_09() -> CriterionResult:
         np.max(rep_sr.increments)) < 1e-10
     ok_lr = rep_lr.decay_factor < 2.0
     ok_mod = rep_mod.decay_factor >= 10.0
-    return CriterionResult(
-        9, "short/long-range dichotomy", bool(ok_sr and ok_lr and ok_mod),
-        "short-range decay >= 10x (or below roundoff floor); unmodified "
-        "long-range < 2x; modified long-range >= 10x",
-        {"sr_max_increment": _fmt(np.max(rep_sr.increments), 3),
-         "sr_decay": _fmt(rep_sr.decay_factor, 3),
-         "lr_decay": _fmt(rep_lr.decay_factor, 3),
-         "mod_decay": _fmt(rep_mod.decay_factor, 3),
-         "mod_increments": np.array2string(rep_mod.increments, precision=2)},
-        values={"sr_max_increment": _full(np.max(rep_sr.increments)),
-                "sr_decay": _full(rep_sr.decay_factor),
-                "lr_decay": _full(rep_lr.decay_factor),
-                "mod_decay": _full(rep_mod.decay_factor),
-                "sr_increments": _full(rep_sr.increments),
-                "lr_increments": _full(rep_lr.increments),
-                "mod_increments": _full(rep_mod.increments)})
+    return _result(9, "short/long-range dichotomy", ok_sr and ok_lr and ok_mod,
+                   "short-range decay >= 10x (or below roundoff floor); "
+                   "unmodified long-range < 2x; modified long-range >= 10x",
+                   {"sr_max_increment": np.max(rep_sr.increments),
+                    "sr_decay": rep_sr.decay_factor,
+                    "lr_decay": rep_lr.decay_factor,
+                    "mod_decay": rep_mod.decay_factor,
+                    "sr_increments": rep_sr.increments,
+                    "lr_increments": rep_lr.increments,
+                    "mod_increments": rep_mod.increments},
+                   {"sr_max_increment": 3, "sr_decay": 3, "lr_decay": 3,
+                    "mod_decay": 3, "mod_increments": 2})
 
 
 def criterion_10() -> CriterionResult:
@@ -268,12 +252,9 @@ def criterion_10() -> CriterionResult:
     delta = partialwave.radial_phase_shift(GAUSS, 0, k)
     s_stat = np.exp(2j * delta)
     diff = abs(s_time - s_stat)
-    return CriterionResult(
-        10, "time-domain S-matrix", bool(diff < 1e-2), "|diff| < 1e-2",
-        {"s_time": _fmt(s_time), "s_stat": _fmt(s_stat),
-         "diff": _fmt(diff, 3)},
-        values={"s_time": _full(s_time), "s_stat": _full(s_stat),
-                "diff": _full(diff)})
+    return _result(10, "time-domain S-matrix", diff < 1e-2, "|diff| < 1e-2",
+                   {"s_time": s_time, "s_stat": s_stat, "diff": diff},
+                   {"s_time": 6, "s_stat": 6, "diff": 3})
 
 
 def criterion_11() -> CriterionResult:
@@ -284,21 +265,18 @@ def criterion_11() -> CriterionResult:
     rel = abs(val1 - target) / target
     scale_dev = abs(val16 / val1 - 0.25)
     ok = rel < 0.01 and scale_dev < 1e-12
-    return CriterionResult(
-        11, "Hilbert-Schmidt identity", bool(ok),
-        "within 1% of sqrt(pi)/8; c -> 16c divides by 4 exactly",
-        {"value": _fmt(val1, 8), "rel": _fmt(rel, 3),
-         "scale_dev": _fmt(scale_dev, 3)},
-        values={"value": _full(val1), "value_c16": _full(val16),
-                "rel": _full(rel), "scale_dev": _full(scale_dev)})
+    return _result(11, "Hilbert-Schmidt identity", ok,
+                   "within 1% of sqrt(pi)/8; c -> 16c divides by 4 exactly",
+                   {"value": val1, "value_c16": val16, "rel": rel,
+                    "scale_dev": scale_dev},
+                   {"value": 8, "rel": 3, "scale_dev": 3})
 
 
 def criterion_12() -> CriterionResult:
     """Mourre positivity for v = 0 on I = [1, 2]."""
     val = diagnostics.mourre_check(ZERO, (1.0, 2.0), n=1024)
-    return CriterionResult(
-        12, "Mourre positivity", bool(abs(val - 4.0) <= 0.1), "4.0 +- 0.1",
-        {"min_eig": _fmt(val, 5)}, values={"min_eig": _full(val)})
+    return _result(12, "Mourre positivity", abs(val - 4.0) <= 0.1, "4.0 +- 0.1",
+                   {"min_eig": val}, {"min_eig": 5})
 
 
 def criterion_13() -> CriterionResult:
@@ -311,13 +289,12 @@ def criterion_13() -> CriterionResult:
     g1 = (rep1.integrals[-1] - rep1.integrals[-2]) / rep1.integrals[-2]
     g2 = (rep2.integrals[-1] - rep2.integrals[-2]) / rep2.integrals[-2]
     ok = rep1.saturating and g2 > 0.10
-    return CriterionResult(
-        13, "Kato-smoothness threshold", bool(ok),
-        "r=1 growth < 1% on last doubling; r=0.25 growth > 10%",
-        {"growth_r1": _fmt(g1, 3), "growth_r025": _fmt(g2, 3)},
-        values={"growth_r1": _full(g1), "growth_r025": _full(g2),
-                "integrals_r1": _full(rep1.integrals),
-                "integrals_r025": _full(rep2.integrals)})
+    return _result(13, "Kato-smoothness threshold", ok,
+                   "r=1 growth < 1% on last doubling; r=0.25 growth > 10%",
+                   {"growth_r1": g1, "growth_r025": g2,
+                    "integrals_r1": rep1.integrals,
+                    "integrals_r025": rep2.integrals},
+                   {"growth_r1": 3, "growth_r025": 3})
 
 
 def criterion_14() -> CriterionResult:
@@ -326,34 +303,29 @@ def criterion_14() -> CriterionResult:
     rep1 = diagnostics.lap_probe(ZERO, 1.0, 1.0, eps)
     rep2 = diagnostics.lap_probe(ZERO, 1.0, 0.25, eps)
     ok = rep1.last_change < 0.05 and rep2.last_change > 0.20
-    return CriterionResult(
-        14, "LAP stability", bool(ok),
-        "r=1 change < 5% between eps=3e-3 and 1e-3; r=0.25 change > 20%",
-        {"change_r1": _fmt(rep1.last_change, 3),
-         "change_r025": _fmt(rep2.last_change, 3)},
-        values={"change_r1": _full(rep1.last_change),
-                "change_r025": _full(rep2.last_change),
-                "norms_r1": _full(rep1.norms), "norms_r025": _full(rep2.norms)})
+    return _result(14, "LAP stability", ok,
+                   "r=1 change < 5% between eps=3e-3 and 1e-3; r=0.25 change > 20%",
+                   {"change_r1": rep1.last_change, "change_r025": rep2.last_change,
+                    "norms_r1": rep1.norms, "norms_r025": rep2.norms},
+                   {"change_r1": 3, "change_r025": 3})
 
 
 def criterion_15() -> CriterionResult:
     """Diagonal-singularity exponent probe (informational, no tolerance)."""
     omega0 = np.array([0.0, 0.0, 1.0])
     angles = np.geomspace(0.5, 0.05, 6)
-    measured, values = {}, {}
+    values, digits = {}, {}
     for rho in (0.75, 1.0):
         model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
         probe = eikonal.diagonal_exponent_probe(model, 100.0, omega0, angles)
-        measured[f"fitted_rho{rho}"] = _fmt(probe.fitted_exponent, 3)
-        measured[f"theory_rho{rho}"] = _fmt(probe.theoretical_exponent, 3)
-        measured[f"reliable_rho{rho}"] = probe.reliable
-        values[f"fitted_rho{rho}"] = _full(probe.fitted_exponent)
-        values[f"theory_rho{rho}"] = _full(probe.theoretical_exponent)
-        values[f"reliable_rho{rho}"] = bool(probe.reliable)
-    return CriterionResult(
-        15, "diagonal-singularity probe", True,
-        "informational: fitted exponent reported vs -(1 + 1/rho)",
-        measured, values=values)
+        values.update({f"fitted_rho{rho}": probe.fitted_exponent,
+                       f"theory_rho{rho}": probe.theoretical_exponent,
+                       f"reliable_rho{rho}": probe.reliable})
+        digits.update({f"fitted_rho{rho}": 3, f"theory_rho{rho}": 3,
+                       f"reliable_rho{rho}": None})
+    return _result(15, "diagonal-singularity probe", True,
+                   "informational: fitted exponent reported vs -(1 + 1/rho)",
+                   values, digits)
 
 
 CRITERIA = {i: globals()[f"criterion_{i:02d}"] for i in range(1, 16)}

@@ -228,9 +228,13 @@ def transport_series(model: PotentialModel, eikonal: EikonalData,
                      N: int) -> Iterator[ApproximateEigenfunction]:
     """The approximate eigenfunctions of orders n = 0..N from one march of
     _recursion, each with its PDE residual norm; the last is order N."""
-    recursion = _recursion(model, eikonal, N)
     grid = eikonal.grid
     xi = eikonal.xi_norm
+    # the residual of order N carries (2 |xi|)^-N, which must stay finite
+    if N > 0 and 2.0 * xi < np.finfo(float).max ** (-1.0 / N):
+        raise ParameterError(
+            f"(2 |xi|)^-N overflows at xi_norm = {xi:g} and N = {N}")
+    recursion = _recursion(model, eikonal, N)
 
     ss, zz = grid.mesh()
     phase = np.exp(1j * (xi * zz + eikonal.Phi))

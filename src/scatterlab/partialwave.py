@@ -130,9 +130,9 @@ def _match_phase(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
     return np.where(delta > np.pi / 2, delta - np.pi, delta)
 
 
-def _phase_shifts(model: PotentialModel, ls: np.ndarray, k: float,
+def _phase_shifts(model: PotentialModel, ls: range, k: float,
                   r_max: float | None, dr: float) -> np.ndarray:
-    """delta_l(k) of every channel in ls on one shared Numerov grid."""
+    """delta_l(k) of each channel in the range ls on one shared Numerov grid."""
     # checked before any grid is sized: tail_radius puts a rho <= 1 tail
     # out at up to 1e6, a Numerov grid of up to 1e9 steps
     if model.kind == "power_tail" and model.rho <= 1.0:
@@ -143,17 +143,21 @@ def _phase_shifts(model: PotentialModel, ls: np.ndarray, k: float,
         raise ParameterError(f"momentum must be positive, got k={k}")
     if r_max is None:
         r_max = _default_r_max(model, k)
+    # before v or any array, as a quotient: the channel count may pass the
+    # float range; a zero potential takes no sweep, only its zeros
+    rows = 1.0 if model.kind == "zero" else float(np.ceil(r_max / dr))
+    channels = ls.stop - ls.start
+    if channels + 8 > MAX_SWEEP_FLOATS / rows:
+        raise ParameterError(
+            f"Numerov grid of {rows:.12g} rows x {channels} channels exceeds "
+            f"MAX_SWEEP_FLOATS = {MAX_SWEEP_FLOATS} float64 values "
+            f"(r_max={r_max:g}, dr={dr:g})")
     tail = abs(float(model.radial_values(r_max)))
     if tail > 1e-6:
         raise ParameterError(f"r_max={r_max} too small: |v(r_max)| = {tail:.2e} > 1e-6")
     if model.kind == "zero":
         return np.zeros(len(ls))
-    n = int(np.ceil(r_max / dr))
-    if n * (len(ls) + 8) > MAX_SWEEP_FLOATS:
-        raise ParameterError(
-            f"Numerov grid of {n} rows x {len(ls)} channels exceeds "
-            f"MAX_SWEEP_FLOATS = {MAX_SWEEP_FLOATS} float64 values "
-            f"(r_max={r_max:g}, dr={dr:g})")
+    ls = np.arange(ls.start, ls.stop)
     r, u = _numerov_channels(model, ls, k, r_max, dr)
     return _match_phase(u, r, ls, k)
 
@@ -161,14 +165,14 @@ def _phase_shifts(model: PotentialModel, ls: np.ndarray, k: float,
 def radial_phase_shift(model: PotentialModel, l: int, k: float,
                        r_max: float | None = None, dr: float = 1e-3) -> float:
     """delta_l at momentum k, reduced to (-pi/2, pi/2]."""
-    return float(_phase_shifts(model, np.array([l]), k, r_max, dr)[0])
+    return float(_phase_shifts(model, range(l, l + 1), k, r_max, dr)[0])
 
 
 def phase_shift_table(model: PotentialModel, k: float, l_max: int,
                       r_max: float | None = None, dr: float = 1e-3) -> PhaseShiftTable:
     """All channels 0..l_max on one shared Numerov grid."""
     return PhaseShiftTable(k=k, l_max=l_max, model=model, delta=_phase_shifts(
-        model, np.arange(l_max + 1), k, r_max, dr))
+        model, range(l_max + 1), k, r_max, dr))
 
 
 def smatrix_eigenvalues(table: PhaseShiftTable) -> tuple[np.ndarray, np.ndarray]:

@@ -70,11 +70,11 @@ class WavePacket:
         return float(edge / total) if total > 0 else 0.0
 
 
-def check_work(n_steps: int, n_points: int) -> None:
-    """ParameterError when n_steps * n_points exceeds MAX_POINT_STEPS."""
+def check_work(n_steps: float, n_points: int) -> None:
+    """ParameterError when n_steps (a float, inf too) * n_points exceeds MAX_POINT_STEPS."""
     if n_steps * n_points > MAX_POINT_STEPS:
         raise ParameterError(
-            f"{n_steps} time steps x {n_points} points exceed "
+            f"{n_steps:.12g} time steps x {n_points} points exceed "
             f"MAX_POINT_STEPS = {MAX_POINT_STEPS}; shorten the run")
 
 
@@ -139,11 +139,13 @@ def split_step_evolve(packet: WavePacket, model: PotentialModel, dt: float,
         raise ParameterError(
             f"dt * lambda_max = {dt * lam_max:.3f} >= 0.5; "
             "refine dt or coarsen the grid")
-    span = t_target - packet.t
+    span = float(t_target - packet.t)
     if span == 0.0:
         return packet
-    n_steps = max(1, int(np.ceil(abs(span) / dt)))
+    # Python floats: a tiny dt takes the quotient to inf, not to a warning
+    n_steps = max(1.0, np.ceil(abs(span) / float(dt)))
     check_work(n_steps, len(packet.values))
+    n_steps = int(n_steps)
     dt = span / n_steps
     v = model.radial_values(np.abs(packet.grid))
     half = np.exp(-0.5j * v * dt)

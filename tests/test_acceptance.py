@@ -1,17 +1,32 @@
 """Acceptance suite: one test per numbered criterion.
 
 Each test prints the criterion's pass/fail line (run pytest with -s or
-check captured output on failure) and asserts the criterion's verdict.
+check captured output on failure), checks that each quantity on it is
+rendered from the criterion's `values`, and asserts the verdict.
 """
 
-import pytest
+import numpy as np
 
 from scatterlab import acceptance
+
+
+def _renders(value, shown) -> bool:
+    """Whether the printed `shown` is `value` at some number of digits."""
+    if isinstance(shown, (bool, np.bool_)):
+        return shown is value
+    if isinstance(value, np.ndarray):
+        return any(np.array2string(value, precision=nd) == shown
+                   for nd in range(1, 18))
+    return any(acceptance._fmt(value, nd) == shown for nd in range(1, 18))
 
 
 def _check(cid: int):
     [result] = acceptance.run_all([cid])
     print(result.line())
+    # every printed quantity is one of the values, rendered from it
+    for key, shown in result.measured.items():
+        assert key in result.values, key
+        assert _renders(result.values[key], shown), (key, shown)
     assert result.passed, result.line()
 
 

@@ -436,13 +436,16 @@ class TestRun:
                             parse_constant=refuse)
         [c1, c4] = record["extra"]["results"]
         values, measured = c4["values"], c4["measured"]
-        assert set(values) == {"errors_N0", "errors_N1", "slope_N0", "slope_N1"}
+        assert set(values) == {"errors_N0", "errors_N1", "slope_N0", "slope_N1",
+                               "floor_N0", "floor_N1"}
         for key in ("errors_N0", "errors_N1"):
             assert len(values[key]) == 4
             assert np.array2string(np.array(values[key]), precision=2) == measured[key]
         for key in ("slope_N0", "slope_N1"):
             slope = np.nan if values[key] is None else values[key]
             assert f"{slope:.3g}" == measured[key]
+        for key in ("floor_N0", "floor_N1"):
+            assert values[key] is measured[key]
         values, measured = c1["values"], c1["measured"]
         assert set(values) == set(measured) == {"delta", "oracle", "err"}
         assert f"{values['delta']:.6g}" == measured["delta"]
@@ -462,6 +465,23 @@ class TestRun:
             re, im = values[key]
             assert acceptance._fmt(complex(re, im)) == measured[key]
         assert f"{values['diff']:.3g}" == measured["diff"]
+
+    def test_json_converter(self, tmp_path):
+        record = {"nested": {"z": 1 + 2j, "a": np.array([[1.5, np.nan]]),
+                             "c": np.array([3j])},
+                  "nan": float("nan"), "inf": np.float64(-np.inf),
+                  "flag": np.bool_(False), "count": np.int64(7), "n": 3,
+                  "t": (True, None, "s")}
+        converted = cli._full(record)
+        assert converted == {"nested": {"z": [1.0, 2.0], "a": [[1.5, None]],
+                                        "c": [[0.0, 3.0]]},
+                             "nan": None, "inf": None, "flag": False,
+                             "count": 7, "n": 3, "t": [True, None, "s"]}
+        assert type(converted["flag"]) is bool
+        assert type(converted["count"]) is int and type(converted["n"]) is int
+        path = tmp_path / "record.json"
+        cli._write_json(str(path), record)
+        assert json.loads(path.read_text(), parse_constant=_no_constant) == converted
 
     def test_main_schema_command(self, capsys):
         assert cli.main(["schema"]) == 0
@@ -668,10 +688,14 @@ class TestTypedErrors:
         {"experiment": "propagate",
          "potential": {"kind": "gaussian_well", "v0": -1.0},
          "params": {"T": 1e9}},
-    ], ids=["kato", "propagate"])
+        {"experiment": "propagate",
+         "potential": {"kind": "gaussian_well", "v0": -1.0},
+         "params": {"dt": 1e-320}},
+    ], ids=["kato", "propagate", "propagate-dt"])
     def test_work_bounded_before_any_transform(self, tmp_path, capsys,
                                                monkeypatch, config):
-        # 1e10 Kato samples or 5e10 Strang steps of 8192 points each
+        # 1e10 Kato samples or 5e10 Strang steps of 8192 points each; at
+        # dt = 1e-320, T / dt overflows to inf steps
         def no_dft(*args, **kwargs):
             raise AssertionError("transformed a packet for a refused run")
 
@@ -746,10 +770,25 @@ class TestTypedErrors:
         {"experiment": "phaseshift",
          "potential": {"kind": "gaussian_well", "v0": -1.0},
          "params": {"k": 1.0, "l_max": 10**6}},
-    ], ids=["phaseshift-rho1.5", "amplitude-rho1.9", "phaseshift-channels"])
+        {"experiment": "amplitude",
+         "potential": {"kind": "gaussian_well", "v0": -1.0},
+         "params": {"l_max": 10**15}},
+        {"experiment": "amplitude", "params": {"l_max": 10**15}},
+        {"experiment": "highenergy",
+         "potential": {"kind": "gaussian_well", "v0": -1.0},
+         "params": {"lambdas": [1e300, 2e300, 4e300, 1e301]}},
+        {"experiment": "amplitude",
+         "potential": {"kind": "gaussian_well", "v0": -1.0},
+         "params": {"k": 1e-300}},
+    ], ids=["phaseshift-rho1.5", "amplitude-rho1.9", "phaseshift-channels",
+            "amplitude-channels", "amplitude-zero-channels", "highenergy-lambda",
+            "amplitude-tiny-k"])
     def test_huge_numerov_grid_refused_before_allocation(self, tmp_path, capsys,
                                                          monkeypatch, config):
-        # rho < 2 puts r_max at tail_radius's 1e6 cap: 1e9 rows of dr = 1e-3
+        # rho < 2 puts r_max at tail_radius's 1e6 cap: 1e9 rows of dr = 1e-3;
+        # lambda = 1e300 asks exact_kernel for 6e149 channels, and k = 1e-300
+        # puts r_max at 3e301, where v(r_max) would overflow (a warning, an
+        # error here)
         counts = {"empty": lambda shape, *a, **k: np.prod(shape, dtype=float),
                   "zeros": lambda shape, *a, **k: np.prod(shape, dtype=float),
                   "arange": lambda *a, **k: float(a[0] if len(a) == 1 else a[1] - a[0])}
@@ -768,6 +807,20 @@ class TestTypedErrors:
         assert err.startswith("config error: Numerov grid of ")
         assert f"MAX_SWEEP_FLOATS = {partialwave.MAX_SWEEP_FLOATS}" in err
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("experiment,params,message", [
+        ("moller", {"dt": 1e-320}, "inf time steps"),
+        ("eikonal", {"xi_norm": 1e-155}, "(2 |xi|)^-N overflows"),
+        ("eikonal", {"xi_norm": 1e-300}, "(2 |xi|)^-N overflows"),
+    ], ids=["moller-dt", "eikonal-1e-155", "eikonal-1e-300"])
+    def test_tiny_step_or_momentum_refused(self, tmp_path, capsys, experiment,
+                                           params, message):
+        # the step count of a Moller gap, |T' - T| / dt, and the order's
+        # factor (2 |xi|)^-N overflow; each is refused before it is formed
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": experiment,
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": params}, message)
 
     def test_s0_outside_cap_rejected_before_tables(self, tmp_path, capsys,
                                                    monkeypatch):
