@@ -53,12 +53,16 @@ def laplacian(fs: np.ndarray, fz: np.ndarray, grid: CylGrid) -> np.ndarray:
     """3D Laplacian f_zz + f_ss + f_s / s of an axisymmetric field f, real or
     complex, from the first derivatives fs = d_ds(f) and fz = d_dz(f).
 
-    On the axis (s = 0) the radial part limits to 2 f_ss.
+    On the axis (s = 0) the radial part limits to 2 f_ss.  f_s / s is a true
+    division of each real component (numpy's complex / real multiplies by
+    1 / s), so a complex field's Laplacian is bit for bit the Laplacians of
+    its real and imaginary parts.
     """
     fss = d_ds(fs, grid)
     fzz = d_dz(fz, grid)
     out = np.empty_like(fss)
-    out[1:] = fzz[1:] + fss[1:] + fs[1:] / grid.s[1:, None]
+    np.divide(fs[1:].view(float), grid.s[1:, None], out=out[1:].view(float))
+    out[1:] += fzz[1:] + fss[1:]
     out[0] = fzz[0] + 2.0 * fss[0]
     return out
 

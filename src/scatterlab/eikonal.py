@@ -138,6 +138,21 @@ def _phi3_anchor(model: PotentialModel, s: np.ndarray, a: float, sign: int) -> n
     return sign * (line_integral(model, s, a, f=f3) - line_integral(model, 0.0, 0.0, f=f3))
 
 
+def _check_order_weight(xi_norm: float, n: int, name: str = "N") -> None:
+    """ParameterError unless (2 |xi|)^-n, the weight of order n, is finite."""
+    if n > 0 and 2.0 * xi_norm < np.finfo(float).max ** (-1.0 / n):
+        raise ParameterError(f"(2 |xi|)^-{name} overflows at xi_norm = "
+                             f"{xi_norm:g} and {name} = {n}")
+
+
+def _table_extent(model: PotentialModel) -> float:
+    """The s extent L of the eikonal tables: 40 for power tails,
+    max(3 effective_range, 20) otherwise."""
+    if model.kind == "power_tail":
+        return 40.0
+    return max(3.0 * model.effective_range, 20.0)
+
+
 def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
                     N0: int | None = None, sign: int = +1) -> EikonalData:
     """Solve the linearized ray equations by successive approximations.
@@ -146,8 +161,9 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     phi_1 solves the ray equation with source v, phi_3 the one with
     source |grad phi_1|^2.  Each table is anchored by the difference ray
     integral on the far row and marched along rays.  The grid is 161 x 481
-    nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = 40 for power
-    tails and max(3 effective_range, 20) otherwise.
+    nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = _table_extent.
+    For N0 = 0, Phi and its derivatives are one zero table, phi_0, and
+    q = v.  ParameterError when a weight (2 |xi|)^-n, n <= N0, overflows.
     """
     if model.rho <= 0.5:
         raise ConvergenceError("iteration implemented for rho > 1/2")
@@ -160,9 +176,9 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
         raise ParameterError(f"need N0 * rho > 1, got {N0 * model.rho}")
     if N0 > 4:
         raise ParameterError("N0 > 4 not supported (rho <= 1/2 regime)")
+    _check_order_weight(xi_norm, N0, "N0")
     xi_hat = _unit(xi_hat)
-    extent = 40.0 if model.kind == "power_tail" else max(
-        3.0 * model.effective_range, 20.0)
+    extent = _table_extent(model)
     grid = _cyl.make_grid(s_max=extent, z_max=1.5 * extent, n_s=161, n_z=481)
     r = grid.radius()
     v = model.radial_values(r)
@@ -182,12 +198,20 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     if N0 >= 4:
         phi.append(np.zeros_like(v))  # phi_4: sources vanish with phi_0 = phi_2 = 0
 
-    weights = (2.0 * xi_norm) ** -np.arange(N0 + 1)
-    Phi = sum(w * p for w, p in zip(weights, phi))
-    Phi_s = _cyl.d_ds(Phi, grid)
-    Phi_z = _cyl.d_dz(Phi, grid)
-    lap_Phi = _cyl.laplacian(Phi_s, Phi_z, grid)
-    q = 2.0 * xi_norm * Phi_z + Phi_z**2 + Phi_s**2 + v
+    if N0 == 0:
+        # Phi = 0: no derivative pass, and q = 2 |xi| Phi_z + |grad Phi|^2 + v
+        # is v itself.  The shared zero table stays writeable: scipy's
+        # RegularGridInterpolator skips its fast linear path on read-only
+        # values, and _PsiEvaluator interpolates Phi, Phi_s and Phi_z
+        Phi = Phi_s = Phi_z = lap_Phi = phi[0]
+        q = v
+    else:
+        weights = (2.0 * xi_norm) ** -np.arange(N0 + 1)
+        Phi = sum(w * p for w, p in zip(weights, phi))
+        Phi_s = _cyl.d_ds(Phi, grid)
+        Phi_z = _cyl.d_dz(Phi, grid)
+        lap_Phi = _cyl.laplacian(Phi_s, Phi_z, grid)
+        q = 2.0 * xi_norm * Phi_z + Phi_z**2 + Phi_s**2 + v
     return EikonalData(
         sign=sign, model=model, xi_hat=xi_hat, xi_norm=float(xi_norm),
         N0=N0, grid=grid, phi_n=tuple(phi), Phi=Phi, Phi_s=Phi_s,
@@ -214,14 +238,15 @@ def _recursion(model: PotentialModel, eikonal: EikonalData,
                N: int) -> Iterator[np.ndarray]:
     """b_0, f_0, ..., b_N, f_N of the amplitude recursion transport_orders,
     ray(b_{n+1}) = -Lap b_n - 2i grad Phi . grad b_n - i (Lap Phi) b_n + q b_n,
-    on the eikonal tables."""
+    on the eikonal tables; real for N0 = 0 (Phi = 0), complex otherwise."""
     if model is not eikonal.model and model != eikonal.model:
         raise ParameterError("model must match the eikonal data")
     march = _cyl.march_down if eikonal.sign > 0 else _cyl.march_up
-    return transport_orders(
-        model, eikonal.grid, eikonal.q, N, march,
-        np.zeros(len(eikonal.grid.s)),
-        (eikonal.Phi_s, eikonal.Phi_z, eikonal.lap_Phi))
+    phi = None
+    if eikonal.N0 > 0:
+        phi = (eikonal.Phi_s, eikonal.Phi_z, eikonal.lap_Phi)
+    return transport_orders(model, eikonal.grid, eikonal.q, N, march,
+                            np.zeros(len(eikonal.grid.s)), phi)
 
 
 def transport_series(model: PotentialModel, eikonal: EikonalData,
@@ -231,9 +256,7 @@ def transport_series(model: PotentialModel, eikonal: EikonalData,
     grid = eikonal.grid
     xi = eikonal.xi_norm
     # the residual of order N carries (2 |xi|)^-N, which must stay finite
-    if N > 0 and 2.0 * xi < np.finfo(float).max ** (-1.0 / N):
-        raise ParameterError(
-            f"(2 |xi|)^-N overflows at xi_norm = {xi:g} and N = {N}")
+    _check_order_weight(xi, N)
     recursion = _recursion(model, eikonal, N)
 
     ss, zz = grid.mesh()
@@ -365,11 +388,23 @@ class _PsiEvaluator:
         return psi, dpsi
 
 
-def _plane_rule(window: float, sql: float):
+def _s0_windows(model: PotentialModel, lam: float) -> tuple[float, float]:
+    """The half-widths of S0's plane window, max(3 effective_range,
+    60 / sqrt(lam)), and of its 25% enlargement."""
+    window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
+    return window, 1.25 * window
+
+
+def _plane_edges(window: float, sql: float) -> np.ndarray:
+    """Panel edges on [-window, window]: at least six panels, none wider
+    than a wavelength 2 pi / sql."""
     wavelength = 2.0 * np.pi / sql
     n_panels = max(6, int(np.ceil(2 * window / wavelength)))
-    edges = np.linspace(-window, window, n_panels + 1)
-    return composite_gauss(8, edges)
+    return np.linspace(-window, window, n_panels + 1)
+
+
+def _plane_rule(window: float, sql: float):
+    return composite_gauss(8, _plane_edges(window, sql))
 
 
 def _plane_geometry(a: np.ndarray, b: np.ndarray, omega, omega0, e1, e2):
@@ -439,10 +474,23 @@ def s0_solutions(model: PotentialModel, lam: float,
 
     Only the outgoing (sign +1) eikonal tables and their transport
     amplitudes b_0..b_N are built (no psi table or residual); psi_minus is
-    psi_plus.time_reversed() on the same interpolators.
+    psi_plus.time_reversed() on the same interpolators.  Before any table,
+    ParameterError when (2 sqrt(lam))^-N overflows or when a panel of
+    either plane window is wider than the tables' s extent, whose nodes
+    would then miss the tables.
     """
+    sql = np.sqrt(lam)
+    _check_order_weight(sql, N)
+    extent = _table_extent(model)
+    for window in _s0_windows(model, lam):
+        edges = _plane_edges(window, sql)
+        width = edges[1] - edges[0]
+        if width > extent:
+            raise ParameterError(
+                f"S0 plane panels of width {width:g} at lambda = {lam:g} "
+                f"exceed the tables' s extent {extent:g}")
     axis = np.array([0.0, 0.0, 1.0])
-    eik = eikonal_iterate(model, axis, np.sqrt(lam), sign=+1)
+    eik = eikonal_iterate(model, axis, sql, sign=+1)
     b_n = tuple(islice(_recursion(model, eik, N), 0, 2 * N + 1, 2))
     psi = _PsiEvaluator(eik, b_n)
     return psi, psi.time_reversed()
@@ -483,7 +531,7 @@ def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
     ParameterError.
     """
     omega, omega_prime, omega0 = s0_directions(omega, omega_prime, omega0)
-    window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
+    window, big_window = _s0_windows(model, lam)
     if solutions is None:
         solutions = s0_solutions(model, lam, N)
     for psi in solutions:
@@ -496,7 +544,7 @@ def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
     val = _s0_quadrature(psi_plus, psi_minus, omega, omega_prime, omega0,
                          lam, window)
     val_big = _s0_quadrature(psi_plus, psi_minus, omega, omega_prime, omega0,
-                             lam, 1.25 * window)
+                             lam, big_window)
     sens = abs(val_big - val) / max(abs(val), 1e-300)
     return S0Sample(value=complex(val), sensitivity=float(sens),
                     converged=bool(sens <= 0.10), N=N)

@@ -172,24 +172,35 @@ class TestTransport:
 
     @pytest.mark.parametrize("N", [0, 1, 2, 3])
     def test_laplacians_per_eikonal_series(self, monkeypatch, N):
-        # four np.gradient calls per order n >= 1, on complex b_n whole, not
-        # on its real and imaginary parts apart; none for the closed-form
-        # source of b_0
+        # four np.gradient calls per order n >= 1, on b_n whole, not on its
+        # real and imaginary parts apart; none for the closed-form source of
+        # b_0.  The Gaussian takes N0 = 0, so Phi = 0 and b_n is real
         data = eikonal.eikonal_iterate(GAUSS, [0.0, 0.0, 1.0], 5.0)
+        assert data.N0 == 0
         calls = count_gradients(monkeypatch)
         assert len(list(eikonal.transport_series(GAUSS, data, N))) == N + 1
+        assert calls == [np.dtype(float)] * 4 * N
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_laplacians_per_eikonal_series_with_phase(self, monkeypatch, N):
+        # N0 = 2 (rho = 0.9): the same four calls per order, on complex b_n
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
+        data = eikonal.eikonal_iterate(model, [0.0, 0.0, 1.0], 5.0)
+        assert data.N0 == 2
+        calls = count_gradients(monkeypatch)
+        assert len(list(eikonal.transport_series(model, data, N))) == N + 1
         assert calls == [np.dtype(complex)] * 4 * N
 
     @pytest.mark.parametrize("N0", [0, 1, 2, 3, 4])
     def test_gradients_per_eikonal_iterate(self, monkeypatch, N0):
         # Phi_s, Phi_z and the two second derivatives of Lap Phi; phi_3's
-        # source |grad phi_1|^2 takes two more.  N0 = 0 needs rho > 1, and
-        # N0 >= 1 needs N0 rho > 1
+        # source |grad phi_1|^2 takes two more.  N0 = 0 (Phi = 0) takes
+        # none.  N0 = 0 needs rho > 1, and N0 >= 1 needs N0 rho > 1
         model = TAIL2 if N0 <= 1 else PotentialModel(kind="power_tail",
                                                      v0=0.5, rho=0.9)
         calls = count_gradients(monkeypatch)
         eikonal.eikonal_iterate(model, [0.0, 0.0, 1.0], 5.0, N0=N0)
-        assert calls == [np.dtype(float)] * (4 if N0 <= 2 else 6)
+        assert calls == [np.dtype(float)] * (0 if N0 == 0 else 4 if N0 <= 2 else 6)
 
     def test_per_order_noise_gain(self):
         # a seeded eps U(-1, 1) field added to q grows by 1e3 to 1e4 per

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scatterlab import (acceptance, born, cli, diagnostics, eikonal, entry,
-                        partialwave, propagator)
+from scatterlab import (_cyl, acceptance, born, cli, diagnostics, eikonal,
+                        entry, partialwave, propagator)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -820,6 +820,29 @@ class TestTypedErrors:
         self._assert_typed(tmp_path, capsys, {
             "experiment": experiment,
             "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": params}, message)
+
+    @pytest.mark.parametrize("experiment,potential,params,message", [
+        ("eikonal", {"kind": "power_tail", "v0": 0.5, "rho": 0.9},
+         {"xi_norm": 1e-160, "N": 0}, "(2 |xi|)^-N0 overflows"),
+        ("s0", {"kind": "gaussian_well", "v0": -1.0}, {"lam": 1e-300},
+         "(2 |xi|)^-N overflows"),
+        ("s0", {"kind": "gaussian_well", "v0": -1.0}, {"lam": 1e-300, "N": 0},
+         "S0 plane panels of width 6e+150 at lambda = 1e-300 exceed the "
+         "tables' s extent 20"),
+    ], ids=["eikonal-phase-weight", "s0-order-weight", "s0-panels"])
+    def test_tiny_energy_refused_before_tables(self, tmp_path, capsys,
+                                               monkeypatch, experiment,
+                                               potential, params, message):
+        # rho = 0.9 takes N0 = 2, whose phase weight (2 |xi|)^-2 overflows
+        # even for N = 0; at lam = 1e-300 the S0 plane nodes lie 1e150
+        # apart, far outside the tables, and (2 sqrt(lam))^-3 overflows
+        def no_grid(*args, **kwargs):
+            raise AssertionError("tables built for a refused energy")
+
+        monkeypatch.setattr(_cyl, "make_grid", no_grid)
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": experiment, "potential": potential,
             "params": params}, message)
 
     def test_s0_outside_cap_rejected_before_tables(self, tmp_path, capsys,

@@ -100,9 +100,16 @@ class TestLaplacian:
             assert 3.8 <= coarse / fine <= 4.2, errors
 
     def test_complex_whole_matches_parts(self):
-        # differentiating complex f whole is linear in its parts; only the
-        # complex / real division f_s / s rounds differently
+        # differentiating complex f whole is linear in its parts
         grid, f, _ = gaussian_field(161, True)
         whole = laplacian_of(f, grid)
         parts = laplacian_of(f.real, grid) + 1j * laplacian_of(f.imag, grid)
         assert np.max(np.abs(whole - parts)) <= 1e-15 * np.max(np.abs(whole))
+
+    def test_complex_whole_equals_parts_bit_for_bit(self):
+        # f_s / s is divided per real component, as it is for a real field,
+        # so no step rounds a complex field apart from its parts
+        grid, f, _ = gaussian_field(161, True)
+        whole = laplacian_of(f, grid)
+        assert np.array_equal(whole.real, laplacian_of(f.real, grid))
+        assert np.array_equal(whole.imag, laplacian_of(f.imag, grid))

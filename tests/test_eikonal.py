@@ -23,6 +23,14 @@ def _order(model, data, N):
     return sol
 
 
+class _TablesBuilt(Exception):
+    """Raised in place of building tables: the refusals before it passed."""
+
+
+def _build_nothing(*args, **kwargs):
+    raise _TablesBuilt
+
+
 class TestPhaseIntegral:
     @pytest.mark.parametrize("s", [1.0, 5.0, 20.0])
     @pytest.mark.parametrize("xi", [1.0, 5.0])
@@ -150,6 +158,16 @@ class TestIteration:
         data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0)
         assert data.N0 == 0
         assert np.all(data.Phi == 0.0)
+
+    def test_overflowing_phase_weight_refused(self, monkeypatch):
+        # (2 |xi|)^-2 overflows at xi_norm = 1e-160 (N0 = 2 at rho = 0.9);
+        # refused before the potential is evaluated on the grid
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
+        monkeypatch.setattr(_cyl, "make_grid", _build_nothing)
+        with pytest.raises(ParameterError, match=r"\(2 \|xi\|\)\^-N0 overflows"):
+            eikonal.eikonal_iterate(model, ZAXIS, 1e-160)
+        with pytest.raises(_TablesBuilt):
+            eikonal.eikonal_iterate(model, ZAXIS, 1e-150)
 
     def test_n0_zero_rejected_for_long_range(self):
         with pytest.raises(ParameterError):
@@ -453,10 +471,40 @@ class TestS0Tables:
         [(b_n, before_evaluator)] = built
         assert pp.N == pm.N == N and len(b_n) == N + 1
         # the sources f_1..f_{N-1} take four np.gradient calls each, on
-        # complex b_n whole; f_N, the source past b_N, is never formed
-        assert gradients[:before_evaluator] == [np.dtype(complex)] * 4 * (N - 1)
+        # b_n whole: real where Phi = 0 (N0 = 0), complex otherwise; f_N,
+        # the source past b_N, is never formed
+        dtype = np.dtype(float if data.N0 == 0 else complex)
+        assert gradients[:before_evaluator] == [dtype] * 4 * (N - 1)
         for got, want in zip(b_n, ref):
             assert np.array_equal(got, want)
+
+
+class TestS0Preflight:
+    """s0_solutions refuses, before any table is built, a lambda whose plane
+    panels are wider than the tables' s extent; the lambdas that C7, C15
+    and the benchmark use pass.  The CLI tests cover lam = 1e-300."""
+
+    @pytest.mark.parametrize("N", [0, 3])
+    def test_panel_threshold(self, monkeypatch, N):
+        # the Gaussian's tables reach s = 20; below lam = 11.1 the windows
+        # are 60 / sqrt(lam) and 1.25 times that, with 20 and 24 panels, so
+        # the widest panel is 6.25 / sqrt(lam): 20 at lam = 0.09765625
+        threshold = (6.25 / 20.0) ** 2
+        monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
+        with pytest.raises(ParameterError, match="exceed the tables' s extent 20"):
+            eikonal.s0_solutions(GAUSS, threshold * (1.0 - 1e-9), N)
+        with pytest.raises(_TablesBuilt):
+            eikonal.s0_solutions(GAUSS, threshold * (1.0 + 1e-9), N)
+
+    @pytest.mark.parametrize("model,lam", [
+        (GAUSS, 60.0), (GAUSS, 68.0), (GAUSS, 100.0),
+        (PotentialModel(kind="power_tail", v0=0.5, rho=0.75), 100.0),
+        (TAIL1, 100.0)])
+    def test_acceptance_and_benchmark_lambdas_admitted(self, monkeypatch,
+                                                       model, lam):
+        monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
+        with pytest.raises(_TablesBuilt):
+            eikonal.s0_solutions(model, lam, 3)
 
 
 def _two_table_pair(model, lam, N):
@@ -640,3 +688,38 @@ class TestTransportOrders:
         assert [sol.residual_norm for sol in series] == norms
         for n, bn in enumerate(series[-1].b_n):
             assert np.array_equal(bn, b[n]), n
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("lam", [25.0, 100.0])
+    @pytest.mark.parametrize("model", [GAUSS, BUMP, TAIL2],
+                             ids=["gaussian_well", "compact_bump", "rho2"])
+    def test_real_path_equals_zero_phase_held_complex(self, model, lam, sign,
+                                                      monkeypatch):
+        # N0 = 0: _recursion passes phi = None, and its float64 b_n and the
+        # residual norms are those of the complex recursion on Phi = 0
+        data = eikonal.eikonal_iterate(model, ZAXIS, np.sqrt(lam), sign=sign)
+        assert data.N0 == 0
+        real = list(eikonal.transport_series(model, data, 3))
+        orders = eikonal.transport_orders
+        zero = np.zeros(data.q.shape, dtype=complex)
+
+        def zero_phase_held_complex(*args):
+            assert args[-1] is None
+            return orders(*args[:-1], (zero, zero, zero))
+
+        monkeypatch.setattr(eikonal, "transport_orders", zero_phase_held_complex)
+        held = list(eikonal.transport_series(model, data, 3))
+        assert ([sol.residual_norm for sol in real]
+                == [sol.residual_norm for sol in held])
+        for got, want in zip(real[-1].b_n, held[-1].b_n):
+            assert got.dtype == np.dtype(float) and want.dtype == np.dtype(complex)
+            assert np.array_equal(got, want.real)
+            assert not np.any(want.imag)
+
+    def test_phase_keeps_the_complex_recursion(self):
+        # rho = 0.9 takes N0 = 2: Phi != 0, so the tables recurse complex
+        data = eikonal.eikonal_iterate(TAIL09, ZAXIS, 10.0)
+        assert data.N0 == 2 and np.any(data.Phi)
+        b_n = _order(TAIL09, data, 2).b_n
+        assert [b.dtype for b in b_n] == [np.dtype(complex)] * 3
+        assert np.any(b_n[1].imag)
