@@ -162,11 +162,13 @@ def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid) -> np.ndarray:
     """b_0..b_N stacked (N+1, n_s, n_z) on the cylindrical grid about the
     propagation axis: transport_orders with Phi = 0 and q = v, marched up
     from z_min (incoming convention).  b_1 starts from the tail
-    int_-inf^z_min v dz unless v is negligible on that row."""
+    int_-inf^z_min v dz unless v is negligible there (DomainError if infinite)."""
     v = model.radial_values(grid.radius())
     anchor = np.zeros(len(grid.s))
     if np.max(np.abs(v[:, 0])) > RAY_TRUNCATION:
         anchor = line_integral(model, grid.s, -grid.z[0])
+        if not np.all(np.isfinite(anchor)):
+            raise DomainError("b_1's anchor int_-inf^z_min v dz diverges (rho <= 1)")
     orders = transport_orders(model, grid, v, N, _cyl.march_up, anchor)
     return np.stack(list(islice(orders, 0, 2 * N + 1, 2)))
 

@@ -26,6 +26,9 @@ from .numerics import (DomainError, NumericalError, ParameterError,
 from .potentials import PotentialModel
 from . import propagator
 
+# Most float64s (n x count) in a Mourre window's eigenvectors, and in their image.
+MAX_WINDOW_FLOATS = 2**24
+
 
 class WindowError(ScatterlabError, ValueError):
     """Spectral window contains no eigenvalues."""
@@ -157,7 +160,8 @@ def mourre_check(model: PotentialModel, window: tuple[float, float],
     exact operator identity i[H, A] = 4 H_0 - 2 x v'(x), applied to the
     window vectors as a tridiagonal product (the raw matrix commutator
     vanishes on exact eigenvectors by the virial identity, so the symbolic
-    form is the faithful discretization).
+    form is the faithful discretization).  The window is counted first:
+    WindowError when empty, ParameterError over MAX_WINDOW_FLOATS.
     """
     lo, hi = window
     if not 0 < lo < hi:
@@ -167,9 +171,13 @@ def mourre_check(model: PotentialModel, window: tuple[float, float],
     lam_max = 4.0 / dx**2
     if hi >= 0.25 * lam_max:
         raise ParameterError("window above the reliable spectral range")
-    _, vs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
-    if vs.shape[1] == 0:
+    count = _eig_count(diag, off, lo, hi)
+    if count == 0:
         raise WindowError(f"no eigenvalues in ({lo}, {hi}]")
+    if n * count > MAX_WINDOW_FLOATS:
+        raise ParameterError(f"{count} window eigenvectors x {n} points exceed "
+                             f"MAX_WINDOW_FLOATS = {MAX_WINDOW_FLOATS}")
+    _, vs = eigh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
     h = 1e-6
     xv = np.abs(x)
     dv = (model.radial_values(xv + h) - model.radial_values(np.abs(xv - h))) / (2 * h)

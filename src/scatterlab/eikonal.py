@@ -38,6 +38,10 @@ S0_CAP_DELTA = 0.5
 S0_SIGN = -1.0
 # Transport order of the S0 samples behind the diagonal-singularity probe.
 PROBE_N = 1
+# Gauss nodes per S0 plane panel, and the largest (a, b) node mesh of the
+# enlarged plane window; about 90 bytes per mesh point, 0.4 GB at the cap.
+PLANE_NODES = 8
+MAX_PLANE_POINTS = 2**22
 
 
 def _unit(v) -> np.ndarray:
@@ -395,16 +399,16 @@ def _s0_windows(model: PotentialModel, lam: float) -> tuple[float, float]:
     return window, 1.25 * window
 
 
-def _plane_edges(window: float, sql: float) -> np.ndarray:
-    """Panel edges on [-window, window]: at least six panels, none wider
-    than a wavelength 2 pi / sql."""
+def _plane_panels(window: float, sql: float) -> int:
+    """Panels on [-window, window]: at least six, none wider than a
+    wavelength 2 pi / sql."""
     wavelength = 2.0 * np.pi / sql
-    n_panels = max(6, int(np.ceil(2 * window / wavelength)))
-    return np.linspace(-window, window, n_panels + 1)
+    return max(6, int(np.ceil(2 * window / wavelength)))
 
 
 def _plane_rule(window: float, sql: float):
-    return composite_gauss(8, _plane_edges(window, sql))
+    edges = np.linspace(-window, window, _plane_panels(window, sql) + 1)
+    return composite_gauss(PLANE_NODES, edges)
 
 
 def _plane_geometry(a: np.ndarray, b: np.ndarray, omega, omega0, e1, e2):
@@ -475,20 +479,24 @@ def s0_solutions(model: PotentialModel, lam: float,
     Only the outgoing (sign +1) eikonal tables and their transport
     amplitudes b_0..b_N are built (no psi table or residual); psi_minus is
     psi_plus.time_reversed() on the same interpolators.  Before any table,
-    ParameterError when (2 sqrt(lam))^-N overflows or when a panel of
-    either plane window is wider than the tables' s extent, whose nodes
-    would then miss the tables.
+    ParameterError when (2 sqrt(lam))^-N overflows, when a panel of either
+    plane window is wider than the tables' s extent, whose nodes would
+    then miss the tables, or over MAX_PLANE_POINTS.
     """
     sql = np.sqrt(lam)
     _check_order_weight(sql, N)
     extent = _table_extent(model)
     for window in _s0_windows(model, lam):
-        edges = _plane_edges(window, sql)
-        width = edges[1] - edges[0]
+        panels = _plane_panels(window, sql)
+        width = 2 * window / panels
         if width > extent:
             raise ParameterError(
                 f"S0 plane panels of width {width:g} at lambda = {lam:g} "
                 f"exceed the tables' s extent {extent:g}")
+    points = (PLANE_NODES * panels) ** 2     # the enlarged window's mesh
+    if points > MAX_PLANE_POINTS:
+        raise ParameterError(f"S0 plane mesh of {points:.4g} points at lambda = "
+                             f"{lam:g} exceeds MAX_PLANE_POINTS = {MAX_PLANE_POINTS}")
     axis = np.array([0.0, 0.0, 1.0])
     eik = eikonal_iterate(model, axis, sql, sign=+1)
     b_n = tuple(islice(_recursion(model, eik, N), 0, 2 * N + 1, 2))

@@ -1,5 +1,6 @@
 """Time-dependent diagnostics: split-step evolution, free asymptotics,
-Moller-limit probes, modified free evolution, and the time-domain S-matrix.
+Moller-limit probes (plain and Dollard-modified), and the time-domain
+S-matrix.
 
 Every packet lives on one origin-centred periodic grid x = (i - n/2) dx.
 The l = 0 channel (half-line, Dirichlet at r = 0) is an odd packet on that
@@ -13,6 +14,7 @@ second-order in dt and unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
@@ -196,17 +198,6 @@ def _xi_potential_term(model: PotentialModel, x: np.ndarray, t: float) -> np.nda
     return t * np.where(ax > 0, mean, model.radial_values(0.0))
 
 
-def modified_free_evolution(model: PotentialModel, fhat, t: float,
-                            n: int = 2**13, dx: float = 0.65) -> WavePacket:
-    """Modified free evolution (U0(t) f)(x) = e^{i Xi(x,t)} (2it)^{-1/2}
-    fhat(x/2t) with Xi = |x|^2/4t - t int_0^1 v(sx) ds (valid for rho > 1/2)."""
-    if t == 0:
-        raise ParameterError("t must be nonzero")
-    base = free_asymptotics(fhat, t, n, dx)
-    xi_v = _xi_potential_term(model, base.grid, t)
-    return replace(base, values=base.values * np.exp(-1j * xi_v))
-
-
 # ---------------------------------------------------------------------------
 # Moller-limit probes
 # ---------------------------------------------------------------------------
@@ -231,55 +222,45 @@ class CauchyReport:
         return "plateau" if self.decay_factor < 2.0 else "inconclusive"
 
 
-def _probe(model: PotentialModel, times, dt: float, packet_at) -> CauchyReport:
-    """Shared Cauchy-increment driver.
+def _probe(model: PotentialModel, times, dt: float, packets) -> CauchyReport:
+    """Cauchy increments from packets, which yields u(T_j) for each time.
 
     Since e^{iHT} is unitary, ||g(T') - g(T)|| for g(T) = e^{iHT} u(T)
     equals ||e^{iH(T'-T)} u(T') - u(T)||, so each increment only needs an
-    interacting evolution over the gap T' - T applied to the explicit
-    packet u(T').
+    interacting evolution over the gap T' - T applied to the packet u(T').
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 3 or np.any(np.diff(times) <= 0):
         raise ParameterError("need at least three increasing times")
     incs = []
-    u0 = packet_at(times[0])
-    for t0, t1 in zip(times[:-1], times[1:]):
-        u1 = packet_at(t1)
-        back = split_step_evolve(u1, model, dt, t1 - (t1 - t0))
+    for u0, u1 in pairwise(packets):
+        back = split_step_evolve(u1, model, dt, u1.t - (u1.t - u0.t))
         # back now holds e^{-iH (t0 - t1)} u(t1) = e^{iH (t1-t0)} u(t1)
-        incs.append(float(np.sqrt(np.sum(np.abs(back.values - u0.values) ** 2)
-                                  * u0.dx)))
-        u0 = u1
-    incs = np.asarray(incs)
-    return CauchyReport(times=times, increments=incs)
+        incs.append(replace(back, values=back.values - u0.values).norm())
+    return CauchyReport(times=times, increments=np.asarray(incs))
 
 
 def moller_probe(model: PotentialModel, f0: WavePacket, times,
                  dt: float = 0.02) -> CauchyReport:
     """Cauchy increments of g(T) = e^{iHT} e^{-iH0 T} f0."""
-    def packet_at(t):
-        return free_evolve(f0, t)
-    return _probe(model, times, dt, packet_at)
+    return _probe(model, times, dt, free_evolve_series(f0, times))
 
 
 def modified_moller_probe(model: PotentialModel, f0: WavePacket, times,
                           dt: float = 0.02) -> CauchyReport:
-    """Cauchy increments of g(T) = e^{iHT} U0(T) f (modified dynamics).
+    """Cauchy increments of g(T) = e^{iHT} U0(T) f0 for Dollard's modified
+    free dynamics U0(t) = exp(-i H0 t - i int_0^t v(2sP) ds) (rho > 1/2).
 
-    The probe realizes U0(t) as e^{-i t int_0^1 v(sx) ds} e^{-iH0 t}: the
-    exact free evolution dressed with the Xi potential phase.  This agrees
-    with the explicit (2it)^{-1/2} form of modified_free_evolution to the
-    same order in 1/t but is exactly the identity probe at v = 0, so the
-    increments isolate the long-range potential effect rather than the
-    O(1/t) dispersal error of the stationary-phase formula.
+    U0 is diagonal in momentum: u(T) is f0's spectrum times
+    e^{-i (p^2 T + X(T, p))}, X(T, p) = int_0^T v(2sp) ds, the Xi term at
+    x = 2pT, and one forward transform of f0 serves every T.
     """
-    xi_1 = _xi_potential_term(model, f0.grid, 1.0)   # Xi's v term is linear in t
-
-    def packet_at(t):
-        base = free_evolve(f0, t)
-        return replace(base, values=base.values * np.exp(-1j * (t * xi_1)))
-    return _probe(model, times, dt, packet_at)
+    p = dft_freqs(len(f0.values), f0.dx)
+    spectrum = dft(f0.values)
+    packets = (replace(f0, t=t, values=dft(spectrum * np.exp(
+        -1j * (p * p * t + _xi_potential_term(model, 2 * p * t, t))), "inverse"))
+        for t in np.asarray(times, dtype=float))
+    return _probe(model, times, dt, packets)
 
 
 # ---------------------------------------------------------------------------

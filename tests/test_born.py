@@ -161,6 +161,18 @@ class TestTransport:
         assert got.dtype == float
         assert np.array_equal(got, bn_tables_loop(model, 3, grid))
 
+    @pytest.mark.parametrize("rho", [0.9, 1.0])
+    def test_long_range_anchor_refused(self, monkeypatch, rho):
+        # int_-inf^z_min v dz is infinite for rho <= 1: b_1 would be +inf at
+        # every node and b_2, b_3 NaN
+        def no_recursion(*args, **kwargs):
+            raise AssertionError("recursed from an infinite anchor")
+
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
+        monkeypatch.setattr(born, "transport_orders", no_recursion)
+        with pytest.raises(DomainError, match="anchor"):
+            born._bn_tables(model, 3, born._default_cyl_grid(model))
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_laplacians_per_build(self, monkeypatch, N):
         # the Laplacian's derivative work: four np.gradient calls per formed

@@ -845,6 +845,41 @@ class TestTypedErrors:
             "experiment": experiment, "potential": potential,
             "params": params}, message)
 
+    @pytest.mark.parametrize("lam,message", [
+        (1e6, "S0 plane mesh of 3.283e+09 points at lambda = 1e+06 exceeds "
+         "MAX_PLANE_POINTS = 4194304"),
+        (1e30, "S0 plane mesh of 3.283e+33 points at lambda = 1e+30 exceeds "
+         "MAX_PLANE_POINTS = 4194304")], ids=["1e6", "1e30"])
+    def test_large_energy_refused_before_tables(self, tmp_path, capsys,
+                                                monkeypatch, lam, message):
+        # the enlarged window's node mesh is 57296^2 points at lam = 1e6,
+        # 26 GB per complex array; at 1e30 its edge array alone would not fit
+        def no_grid(*args, **kwargs):
+            raise AssertionError("tables built for a refused energy")
+
+        monkeypatch.setattr(_cyl, "make_grid", no_grid)
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "s0", "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"lam": lam, "N": 1, "thetas": [0.3]}}, message)
+
+    def test_mourre_window_refused_before_eigenvectors(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # [1, 100] holds 916 eigenvalues on 2**20 points: 7.7 GB of
+        # eigenvectors, counted from the eigenvalues alone
+        eigh_tridiagonal = diagnostics.eigh_tridiagonal
+
+        def values_only(*args, **kwargs):
+            if not kwargs.get("eigvals_only"):
+                raise AssertionError("computed eigenvectors for a refused window")
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "eigh_tridiagonal", values_only)
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "diagnose",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"check": "mourre", "n": 2**20, "window": [1.0, 100.0]}},
+            "916 window eigenvectors x 1048576 points exceed MAX_WINDOW_FLOATS")
+
     def test_s0_outside_cap_rejected_before_tables(self, tmp_path, capsys,
                                                    monkeypatch):
         def no_tables(*args, **kwargs):

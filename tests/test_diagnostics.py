@@ -285,6 +285,37 @@ class TestMourre:
         with pytest.raises(ParameterError):
             diagnostics.mourre_check(ZERO, (2.0, 1.0), n=256)
 
+    def test_window_counted_before_eigenvectors(self, monkeypatch):
+        # an empty window and one over MAX_WINDOW_FLOATS are refused on the
+        # eigenvalue count alone
+        calls = []
+
+        def counting(*args, eigvals_only=False, **kwargs):
+            calls.append(eigvals_only)
+            return eigh_tridiagonal(*args, eigvals_only=eigvals_only, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "eigh_tridiagonal", counting)
+        with pytest.raises(diagnostics.WindowError):
+            diagnostics.mourre_check(ZERO, (1e-6, 2e-6), n=256)
+        with pytest.raises(ParameterError, match="MAX_WINDOW_FLOATS"):
+            diagnostics.mourre_check(ZERO, (1.0, 100.0), n=2**20)
+        assert calls == [True, True]
+
+    def test_window_cap_threshold(self, monkeypatch):
+        # C12's window (1, 2] holds 43 eigenvectors of 1024 points
+        monkeypatch.setattr(diagnostics, "MAX_WINDOW_FLOATS", 1024 * 43)
+        assert diagnostics.mourre_check(ZERO, (1.0, 2.0)) == pytest.approx(
+            4.0, abs=0.1)
+        monkeypatch.setattr(diagnostics, "MAX_WINDOW_FLOATS", 1024 * 43 - 1)
+        with pytest.raises(ParameterError, match="43 window eigenvectors"):
+            diagnostics.mourre_check(ZERO, (1.0, 2.0))
+
+    def test_whole_reliable_range_admitted_at_default_grid(self):
+        # every eigenvalue below a quarter of lambda_max at n = 1024 (340)
+        dx = 320.0 / 1023
+        val = diagnostics.mourre_check(GAUSS, (1e-3, 0.999 / dx**2))
+        assert np.isfinite(val)
+
     @pytest.mark.parametrize("model", [ZERO, GAUSS], ids=["zero", "gaussian"])
     @pytest.mark.parametrize("window", [(1.0, 2.0), (2.0, 3.0), (0.3, 1.7)])
     def test_matches_dense_oracle(self, model, window):

@@ -481,8 +481,9 @@ class TestS0Tables:
 
 class TestS0Preflight:
     """s0_solutions refuses, before any table is built, a lambda whose plane
-    panels are wider than the tables' s extent; the lambdas that C7, C15
-    and the benchmark use pass.  The CLI tests cover lam = 1e-300."""
+    panels are wider than the tables' s extent or whose plane node mesh
+    exceeds MAX_PLANE_POINTS; the lambdas that C7, C15 and the benchmark
+    use pass.  The CLI tests cover lam = 1e-300."""
 
     @pytest.mark.parametrize("N", [0, 3])
     def test_panel_threshold(self, monkeypatch, N):
@@ -495,6 +496,24 @@ class TestS0Preflight:
             eikonal.s0_solutions(GAUSS, threshold * (1.0 - 1e-9), N)
         with pytest.raises(_TablesBuilt):
             eikonal.s0_solutions(GAUSS, threshold * (1.0 + 1e-9), N)
+
+    def test_plane_mesh_threshold(self, monkeypatch):
+        # above lam = 11.1 the Gaussian's enlarged window is 22.5, with
+        # ceil(45 sqrt(lam) / 2 pi) panels of 8 nodes; 256 panels make
+        # 2048^2 = MAX_PLANE_POINTS nodes, and 257 make 2056^2
+        threshold = (256 * 2 * np.pi / 45) ** 2
+        monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
+        with pytest.raises(_TablesBuilt):
+            eikonal.s0_solutions(GAUSS, threshold * (1.0 - 1e-9), 3)
+        with pytest.raises(ParameterError, match="S0 plane mesh of 4.227e\\+06 "
+                           "points at lambda = 1277.66 exceeds MAX_PLANE_POINTS"):
+            eikonal.s0_solutions(GAUSS, threshold * (1.0 + 1e-9), 3)
+
+    @pytest.mark.parametrize("lam", [1e6, 1e30, 1e300])
+    def test_large_lambda_refused_before_tables(self, monkeypatch, lam):
+        monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
+        with pytest.raises(ParameterError, match="exceeds MAX_PLANE_POINTS"):
+            eikonal.s0_solutions(GAUSS, lam, 3)
 
     @pytest.mark.parametrize("model,lam", [
         (GAUSS, 60.0), (GAUSS, 68.0), (GAUSS, 100.0),

@@ -333,12 +333,6 @@ class TestAsymptotics:
         with pytest.raises(ParameterError):
             propagator.free_asymptotics(fhat, 0.0)
 
-    def test_modified_equals_free_asymptote_for_zero_potential(self):
-        fhat = propagator.gaussian_spectral_profile(0.0, 2.0, 1.0)
-        a = propagator.free_asymptotics(fhat, 60.0)
-        b = propagator.modified_free_evolution(ZERO, fhat, 60.0)
-        assert np.allclose(a.values, b.values, atol=1e-14)
-
     @pytest.mark.parametrize("width", [0.5, 1.0, 3.0])
     def test_gaussian_xi_term_matches_quadrature(self, width):
         # closed form t v0 (sqrt(pi)/2) erf(u)/u, u = |x|/width, against
@@ -416,9 +410,6 @@ class TestXiTerm:
 
         for name in ("free_evolve", "split_step_evolve"):
             monkeypatch.setattr(propagator, name, no_evolution)
-        fhat = propagator.gaussian_spectral_profile(0.0, 2.0, 1.0)
-        with pytest.raises(error):
-            propagator.modified_free_evolution(model, fhat, 60.0)
         f0 = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0, k0=2.0,
                                         sigma=3.0)
         with pytest.raises(error):
@@ -448,29 +439,74 @@ class TestMollerProbes:
             propagator.moller_probe(ZERO, f0, [10.0, 5.0, 20.0])
 
     def test_each_packet_built_once(self, monkeypatch):
-        # a 5-time probe needs the 5 free packets u(T_j) once each; every
-        # increment equals the one computed from freshly built packets
+        self._check_built_once(monkeypatch, modified=False)
+
+    def test_each_modified_packet_built_once(self, monkeypatch):
+        self._check_built_once(monkeypatch, modified=True)
+
+    def _check_built_once(self, monkeypatch, modified):
+        # a 5-time probe takes its 5 packets u(T_j) from one forward
+        # transform of f0; every increment equals the one computed from
+        # freshly built packets: e^{-iH0 T} f0 (free_evolve), and for the
+        # modified probe e^{-iX(T, P)} applied to it in momentum space
         f0 = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0, k0=0.5,
                                         sigma=3.0)
         times = [1.0, 2.0, 3.0, 4.0, 5.0]
         free_evolve = propagator.free_evolve
+        p = dft_freqs(len(f0.values), f0.dx)
+
+        def fresh(t):
+            u = free_evolve(f0, t)
+            if not modified:
+                return u
+            x = propagator._xi_potential_term(GAUSS, 2 * p * t, t)
+            return replace(u, values=dft(dft(u.values) * np.exp(-1j * x),
+                                         "inverse"))
+
         expect = []
         for t0, t1 in zip(times[:-1], times[1:]):
-            back = propagator.split_step_evolve(free_evolve(f0, t1), GAUSS,
-                                                0.02, t1 - (t1 - t0))
-            u0 = free_evolve(f0, t0)
+            back = propagator.split_step_evolve(fresh(t1), GAUSS, 0.02,
+                                                t1 - (t1 - t0))
+            u0 = fresh(t0)
             expect.append(float(np.sqrt(np.sum(np.abs(back.values - u0.values)
                                                ** 2) * u0.dx)))
-        calls = []
+        forward, inside = [], []
+        split_step = propagator.split_step_evolve
 
-        def counting(packet, t):
-            calls.append(t)
-            return free_evolve(packet, t)
+        def counting_dft(values, direction="forward"):
+            if direction == "forward" and not inside:
+                forward.append(len(values))
+            return dft(values, direction)
 
-        monkeypatch.setattr(propagator, "free_evolve", counting)
-        rep = propagator.moller_probe(GAUSS, f0, times)
-        assert calls == times
-        assert rep.increments.tolist() == expect
+        def marked_split_step(*args):
+            inside.append(True)
+            try:
+                return split_step(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(propagator, "dft", counting_dft)
+        monkeypatch.setattr(propagator, "split_step_evolve", marked_split_step)
+        probe = (propagator.modified_moller_probe if modified
+                 else propagator.moller_probe)
+        rep = probe(GAUSS, f0, times)
+        assert forward == [len(f0.values)]
+        if modified:
+            np.testing.assert_allclose(rep.increments, expect, rtol=1e-10)
+        else:
+            assert rep.increments.tolist() == expect
+
+    @pytest.mark.parametrize("rho", [0.75, 1.0, 1.5])
+    def test_modified_increments_halve_at_the_paper_rate(self, rho):
+        # under Dollard's modifier the increment over (T, 2T] falls like
+        # T^-rho, so each doubling of T divides it by 2^rho; the last of
+        # the three doublings is within 5%
+        f0 = propagator.gaussian_packet(n=2**11, dx=0.65, center=0.0, k0=2.0,
+                                        sigma=3.0)
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
+        rep = propagator.modified_moller_probe(model, f0, self.TIMES)
+        ratio = rep.increments[-2] / rep.increments[-1]
+        assert ratio == pytest.approx(2.0 ** rho, rel=0.05)
 
 
 class TestTimeDomainSMatrix:

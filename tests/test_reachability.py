@@ -28,8 +28,6 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 ALLOWED = {
     ("born", "born_first_phase_shift"): "oracle of the partial-wave tests",
     ("numerics", "gauss_legendre"): "oracle of the composite_gauss tests",
-    ("propagator", "modified_free_evolution"):
-        "explicit Dollard asymptotics, kept until the momentum-form modifier settles it",
     **{("acceptance", f"criterion_{i:02d}"): "reached through CRITERIA's globals()"
        for i in range(1, 16)},
 }
@@ -48,9 +46,6 @@ UNPASSED = {
        "no test sizes them; ROADMAP item 4 varies them (C10's error is "
        "the spatial step)"
        for p in ("n", "dx", "dt")},
-    **{("propagator", "modified_free_evolution", p):
-       "tests size the grid; kept with the function (see ALLOWED)"
-       for p in ("n", "dx")},
     ("entry", "main", "argv"): "tests pass argv; the console script passes none",
 }
 
