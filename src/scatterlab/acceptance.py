@@ -46,12 +46,14 @@ def _fmt(x, nd=6):
 
 
 def _show(x, nd):
-    """x as its line prints it: a bool as it is, an array through
-    np.array2string at precision nd, a number through _fmt at nd digits."""
+    """x as its line prints it: a bool as it is, an array entry by entry in
+    scientific notation with nd digits after the point (a small nonzero
+    entry never reads as 0), a number through _fmt at nd digits."""
     if isinstance(x, (bool, np.bool_)):
         return x
     if isinstance(x, np.ndarray):
-        return np.array2string(x, precision=nd)
+        return "[" + " ".join(np.format_float_scientific(v, precision=nd, unique=False)
+                              for v in x) + "]"
     return _fmt(x, nd)
 
 
@@ -125,10 +127,8 @@ def criterion_03() -> CriterionResult:
 def criterion_04() -> CriterionResult:
     """High-energy kernel error order in lambda for N = 0, 1."""
     lams = [25.0, 50.0, 100.0, 200.0]
-    omega = np.array([0.0, 0.0, 1.0])
-    omega_p = np.array([1.0, 0.0, 0.0])   # theta = pi/2
-    fit0 = born.measure_error_order(GAUSS, lams, omega, omega_p, 0)
-    fit1 = born.measure_error_order(GAUSS, lams, omega, omega_p, 1)
+    fit0 = born.measure_error_order(GAUSS, lams, np.pi / 2, 0)
+    fit1 = born.measure_error_order(GAUSS, lams, np.pi / 2, 1)
     ok0 = (not fit0.floor_warning) and abs(fit0.slope - (-0.5)) <= 0.3
     ok1 = (not fit1.floor_warning) and abs(fit1.slope - (-1.0)) <= 0.3
     return _result(4, "high-energy error order", ok0 and ok1,
@@ -158,12 +158,11 @@ def criterion_05() -> CriterionResult:
 
 def criterion_06() -> CriterionResult:
     """PDE residual: >= 5x drop N=0 -> N=2 at lambda=25; N=1 slope -0.5."""
-    axis = np.array([0.0, 0.0, 1.0])
-    eik25 = eikonal.eikonal_iterate(GAUSS, axis, 5.0)
+    eik25 = eikonal.eikonal_iterate(GAUSS, 5.0)
     r0, r1_25, r2 = (sol.residual_norm
-                     for sol in eikonal.transport_series(GAUSS, eik25, 2))
-    eik100 = eikonal.eikonal_iterate(GAUSS, axis, 10.0)
-    r1_100 = list(eikonal.transport_series(GAUSS, eik100, 1))[-1].residual_norm
+                     for sol in eikonal.transport_series(eik25, 2))
+    eik100 = eikonal.eikonal_iterate(GAUSS, 10.0)
+    r1_100 = list(eikonal.transport_series(eik100, 1))[-1].residual_norm
     drop = r0 / r2
     slope = np.log(r1_100 / r1_25) / np.log(100.0 / 25.0)
     ok = drop >= 5.0 and abs(slope - (-0.5)) <= 0.3
@@ -176,15 +175,12 @@ def criterion_06() -> CriterionResult:
 
 def criterion_07() -> CriterionResult:
     """Plane-integral S-matrix kernel vs the partial-wave kernel."""
-    lam = 100.0
-    omega0 = np.array([0.0, 0.0, 1.0])
-    sols = eikonal.s0_solutions(GAUSS, lam, 3)
+    lam, degs = 100.0, (10, 20, 30)
+    thetas = np.deg2rad(degs)
     values, digits = {}, {}
     ok = True
-    for deg in (10, 20, 30):
-        th = np.deg2rad(deg)
-        w, wp = eikonal.coplanar_pair(omega0, th)
-        sample = eikonal.s0_kernel(GAUSS, lam, w, wp, omega0, solutions=sols)
+    for deg, th, sample in zip(degs, thetas,
+                               eikonal.s0_samples(GAUSS, lam, 3, thetas)):
         exact = born.exact_kernel(GAUSS, lam, th)
         rel = abs(sample.value - exact) / abs(exact)
         values.update({f"rel_{deg}deg": rel, f"sens_{deg}deg": sample.sensitivity,
@@ -312,12 +308,11 @@ def criterion_14() -> CriterionResult:
 
 def criterion_15() -> CriterionResult:
     """Diagonal-singularity exponent probe (informational, no tolerance)."""
-    omega0 = np.array([0.0, 0.0, 1.0])
     angles = np.geomspace(0.5, 0.05, 6)
     values, digits = {}, {}
     for rho in (0.75, 1.0):
         model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
-        probe = eikonal.diagonal_exponent_probe(model, 100.0, omega0, angles)
+        probe = eikonal.diagonal_exponent_probe(model, 100.0, angles)
         values.update({f"fitted_rho{rho}": probe.fitted_exponent,
                        f"theory_rho{rho}": probe.theoretical_exponent,
                        f"reliable_rho{rho}": probe.reliable})

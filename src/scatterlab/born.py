@@ -202,18 +202,20 @@ def _lerp_cells(lo: np.ndarray, hi: np.ndarray, t: np.ndarray,
         out[a] += ta * hi
 
 
-def high_energy_kernel(model: PotentialModel, lam, omega, omega_prime,
+def high_energy_kernel(model: PotentialModel, lam, theta: float,
                        N: int) -> complex | np.ndarray:
-    """Truncated kernel k_N(omega, omega', lambda) at d = 3: a complex
-    number for a scalar lambda, an array for an array of energies.
+    """Truncated kernel k_N(omega, omega', lambda) at d = 3 for directions
+    at angle theta in (0, pi]: a complex number for a scalar lambda, an
+    array for an array of energies.
 
     About omega', x = z omega' + s n(phi) and b_n depends on (s, z) only, so
     the azimuth integral is 2 pi J_0(sqrt(lambda) |delta_perp| s), with
-    delta = omega' - omega and delta_perp its part normal to omega':
+    delta = omega' - omega, omega'.delta = 1 - cos theta and |delta_perp| =
+    sin theta its part normal to omega':
 
         int v b_n e^{i sqrt(lambda) x.delta} dx = 2 pi int_0^R s ds
-            int_{-R}^{R} dz v b_n J_0(sqrt(lambda) |delta_perp| s)
-            e^{i sqrt(lambda) (omega'.delta) z}.
+            int_{-R}^{R} dz v b_n J_0(sqrt(lambda) sin(theta) s)
+            e^{i sqrt(lambda) (1 - cos theta) z}.
 
     The (s, z) rule has _CELL_NODES Gauss nodes on each cell of the
     _default_cyl_grid table that meets s <= R, |z| <= R (R the support
@@ -226,15 +228,11 @@ def high_energy_kernel(model: PotentialModel, lam, omega, omega_prime,
     lams = np.asarray(lam, dtype=float)
     if not np.all(lams > 0):
         raise ParameterError(f"lambda must be positive, got lam={lam}")
-    omega = np.asarray(omega, dtype=float)
-    omega_prime = np.asarray(omega_prime, dtype=float)
-    omega = omega / np.linalg.norm(omega)
-    omega_prime = omega_prime / np.linalg.norm(omega_prime)
+    if not 0.0 < theta <= np.pi:
+        raise ParameterError(f"theta must lie in (0, pi], got {theta}")
     if model.kind == "zero":
         values = np.zeros(lams.shape, dtype=complex)
         return complex(values) if values.ndim == 0 else values
-    if np.allclose(omega, omega_prime):
-        raise ParameterError("omega must differ from omega_prime")
     R = _support_radius(model)
     grid = _default_cyl_grid(model)
 
@@ -265,9 +263,7 @@ def high_energy_kernel(model: PotentialModel, lam, omega, omega_prime,
             vb[n] *= vb[0]
 
     sql = np.sqrt(lams).ravel()
-    delta = omega_prime - omega
-    c = omega_prime @ delta
-    d_perp = np.linalg.norm(delta - c * omega_prime)
+    c, d_perp = 1.0 - np.cos(theta), np.sin(theta)
     radial = (2.0 * np.pi * s * w_s) * j0(np.outer(sql * d_perp, s))
     axial = w_z * np.exp(1j * np.outer(sql * c, z))
     # integrals[l, n] = sum_s sum_z radial[l, s] vb[n, s, z] axial[l, z]
@@ -297,7 +293,7 @@ class ErrorOrderFit:
     floor_warning: bool
 
 
-def measure_error_order(model: PotentialModel, lambdas, omega, omega_prime,
+def measure_error_order(model: PotentialModel, lambdas, theta: float,
                         N: int) -> ErrorOrderFit:
     """Fitted slope of log|k_exact - k_N| against log lambda; the pointwise
     d = 3 proxy for the expansion's O(lambda^(-N/2)) error order."""
@@ -306,11 +302,7 @@ def measure_error_order(model: PotentialModel, lambdas, omega, omega_prime,
         raise ParameterError(f"lambdas must be positive, got {lambdas}")
     if len(lambdas) < 4 or lambdas[-1] / lambdas[0] < 8.0:
         raise ParameterError("need >= 4 energies spanning close to a decade")
-    omega = np.asarray(omega, dtype=float)
-    omega_prime = np.asarray(omega_prime, dtype=float)
-    cos_theta = float(omega @ omega_prime)
-    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    approx = high_energy_kernel(model, lambdas, omega, omega_prime, N)
+    approx = high_energy_kernel(model, lambdas, theta, N)
     exact = np.array([exact_kernel(model, lam, theta) for lam in lambdas])
     errors = np.abs(exact - approx)
     floor = bool(np.any(errors < 1e-10))

@@ -124,9 +124,7 @@ def _run_born(model, p, seed):
 
 
 def _run_highenergy(model, p, seed):
-    omega = np.array([0.0, 0.0, 1.0])
-    omega_p = np.array([np.sin(p["theta"]), 0.0, np.cos(p["theta"])])
-    fit = born.measure_error_order(model, p["lambdas"], omega, omega_p, p["N"])
+    fit = born.measure_error_order(model, p["lambdas"], p["theta"], p["N"])
     rows = [[lam, err] for lam, err in zip(fit.lambdas, fit.errors)]
     # the fitted slope is NaN under the error floor
     extra = {"slope": fit.slope, "theoretical": fit.theoretical,
@@ -136,25 +134,18 @@ def _run_highenergy(model, p, seed):
 
 
 def _run_eikonal(model, p, seed):
-    axis = np.array([0.0, 0.0, 1.0])
     # without N0, eikonal_iterate takes default_n0(rho)
-    eik = eikonal.eikonal_iterate(model, axis, p["xi_norm"], N0=p.get("N0"))
+    eik = eikonal.eikonal_iterate(model, p["xi_norm"], N0=p.get("N0"))
     rows = [[sol.N, sol.residual_norm]
-            for sol in eikonal.transport_series(model, eik, p["N"])]
+            for sol in eikonal.transport_series(eik, p["N"])]
     extra = {"lambda": eik.lam, "N0": eik.N0}
     return ["N", "residual_norm"], rows, extra, []
 
 
 def _run_s0(model, p, seed):
-    omega0 = np.array([0.0, 0.0, 1.0])
-    pairs = [eikonal.coplanar_pair(omega0, th) for th in p["thetas"]]
-    for w, wp in pairs:
-        eikonal.s0_directions(w, wp, omega0)
-    sols = eikonal.s0_solutions(model, p["lam"], p["N"])
+    samples = eikonal.s0_samples(model, p["lam"], p["N"], p["thetas"])
     rows, flags = [], []
-    for th, (w, wp) in zip(p["thetas"], pairs):
-        s = eikonal.s0_kernel(model, p["lam"], w, wp, omega0, N=p["N"],
-                              solutions=sols)
+    for th, s in zip(p["thetas"], samples):
         rows.append([th] + _c(s.value) + [s.sensitivity, int(s.converged)])
         if not s.converged:
             flags.append(f"s0_not_converged theta={th:.4f}")

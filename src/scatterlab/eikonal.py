@@ -107,7 +107,6 @@ class EikonalData:
 
     sign: int
     model: PotentialModel
-    xi_hat: np.ndarray
     xi_norm: float
     N0: int
     grid: _cyl.CylGrid
@@ -157,7 +156,7 @@ def _table_extent(model: PotentialModel) -> float:
     return max(3.0 * model.effective_range, 20.0)
 
 
-def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
+def eikonal_iterate(model: PotentialModel, xi_norm: float,
                     N0: int | None = None, sign: int = +1) -> EikonalData:
     """Solve the linearized ray equations by successive approximations.
 
@@ -181,7 +180,6 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
     if N0 > 4:
         raise ParameterError("N0 > 4 not supported (rho <= 1/2 regime)")
     _check_order_weight(xi_norm, N0, "N0")
-    xi_hat = _unit(xi_hat)
     extent = _table_extent(model)
     grid = _cyl.make_grid(s_max=extent, z_max=1.5 * extent, n_s=161, n_z=481)
     r = grid.radius()
@@ -217,7 +215,7 @@ def eikonal_iterate(model: PotentialModel, xi_hat, xi_norm: float,
         lap_Phi = _cyl.laplacian(Phi_s, Phi_z, grid)
         q = 2.0 * xi_norm * Phi_z + Phi_z**2 + Phi_s**2 + v
     return EikonalData(
-        sign=sign, model=model, xi_hat=xi_hat, xi_norm=float(xi_norm),
+        sign=sign, model=model, xi_norm=float(xi_norm),
         N0=N0, grid=grid, phi_n=tuple(phi), Phi=Phi, Phi_s=Phi_s,
         Phi_z=Phi_z, lap_Phi=lap_Phi, q=q)
 
@@ -238,22 +236,19 @@ class ApproximateEigenfunction:
     residual_norm: float
 
 
-def _recursion(model: PotentialModel, eikonal: EikonalData,
-               N: int) -> Iterator[np.ndarray]:
+def _recursion(eikonal: EikonalData, N: int) -> Iterator[np.ndarray]:
     """b_0, f_0, ..., b_N, f_N of the amplitude recursion transport_orders,
     ray(b_{n+1}) = -Lap b_n - 2i grad Phi . grad b_n - i (Lap Phi) b_n + q b_n,
     on the eikonal tables; real for N0 = 0 (Phi = 0), complex otherwise."""
-    if model is not eikonal.model and model != eikonal.model:
-        raise ParameterError("model must match the eikonal data")
     march = _cyl.march_down if eikonal.sign > 0 else _cyl.march_up
     phi = None
     if eikonal.N0 > 0:
         phi = (eikonal.Phi_s, eikonal.Phi_z, eikonal.lap_Phi)
-    return transport_orders(model, eikonal.grid, eikonal.q, N, march,
+    return transport_orders(eikonal.model, eikonal.grid, eikonal.q, N, march,
                             np.zeros(len(eikonal.grid.s)), phi)
 
 
-def transport_series(model: PotentialModel, eikonal: EikonalData,
+def transport_series(eikonal: EikonalData,
                      N: int) -> Iterator[ApproximateEigenfunction]:
     """The approximate eigenfunctions of orders n = 0..N from one march of
     _recursion, each with its PDE residual norm; the last is order N."""
@@ -261,7 +256,7 @@ def transport_series(model: PotentialModel, eikonal: EikonalData,
     xi = eikonal.xi_norm
     # the residual of order N carries (2 |xi|)^-N, which must stay finite
     _check_order_weight(xi, N)
-    recursion = _recursion(model, eikonal, N)
+    recursion = _recursion(eikonal, N)
 
     ss, zz = grid.mesh()
     phase = np.exp(1j * (xi * zz + eikonal.Phi))
@@ -392,10 +387,10 @@ class _PsiEvaluator:
         return psi, dpsi
 
 
-def _s0_windows(model: PotentialModel, lam: float) -> tuple[float, float]:
+def _s0_windows(model: PotentialModel, sql: float) -> tuple[float, float]:
     """The half-widths of S0's plane window, max(3 effective_range,
-    60 / sqrt(lam)), and of its 25% enlargement."""
-    window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
+    60 / sqrt(lam)) with sql = sqrt(lam), and of its 25% enlargement."""
+    window = max(3.0 * model.effective_range, 60.0 / sql)
     return window, 1.25 * window
 
 
@@ -429,9 +424,8 @@ def _plane_geometry(a: np.ndarray, b: np.ndarray, omega, omega0, e1, e2):
 
 
 def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
-                   omega, omega_prime, omega0, lam: float,
-                   window: float) -> complex:
-    sql = np.sqrt(lam)
+                   omega, omega_prime, omega0, window: float) -> complex:
+    sql = psi_plus.xi
     rule = _plane_rule(window, sql)
     e1, e2 = _cyl.plane_basis(omega0)
 
@@ -468,7 +462,7 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
     integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
                  - (np.conj(fp) * dfm - np.conj(dfp) * fm))
     total = w @ integrand @ wb
-    return S0_SIGN * 1j * np.pi * lam ** 0.5 * (2 * np.pi) ** -3 * total
+    return S0_SIGN * 1j * np.pi * sql * (2 * np.pi) ** -3 * total
 
 
 def s0_solutions(model: PotentialModel, lam: float,
@@ -486,7 +480,7 @@ def s0_solutions(model: PotentialModel, lam: float,
     sql = np.sqrt(lam)
     _check_order_weight(sql, N)
     extent = _table_extent(model)
-    for window in _s0_windows(model, lam):
+    for window in _s0_windows(model, sql):
         panels = _plane_panels(window, sql)
         width = 2 * window / panels
         if width > extent:
@@ -497,9 +491,8 @@ def s0_solutions(model: PotentialModel, lam: float,
     if points > MAX_PLANE_POINTS:
         raise ParameterError(f"S0 plane mesh of {points:.4g} points at lambda = "
                              f"{lam:g} exceeds MAX_PLANE_POINTS = {MAX_PLANE_POINTS}")
-    axis = np.array([0.0, 0.0, 1.0])
-    eik = eikonal_iterate(model, axis, sql, sign=+1)
-    b_n = tuple(islice(_recursion(model, eik, N), 0, 2 * N + 1, 2))
+    eik = eikonal_iterate(model, sql, sign=+1)
+    b_n = tuple(islice(_recursion(eik, N), 0, 2 * N + 1, 2))
     psi = _PsiEvaluator(eik, b_n)
     return psi, psi.time_reversed()
 
@@ -526,36 +519,39 @@ def s0_directions(omega, omega_prime, omega0):
     return omega, omega_prime, omega0
 
 
-def s0_kernel(model: PotentialModel, lam: float, omega, omega_prime, omega0,
-              N: int = 3, solutions: tuple | None = None) -> S0Sample:
+def s0_kernel(solutions: tuple[_PsiEvaluator, _PsiEvaluator], omega,
+              omega_prime, omega0) -> S0Sample:
     """Plane-integral kernel sample over a tapered window of the plane
-    through the origin orthogonal to omega0 (d = 3, zero vector potential);
-    the window's half-width is max(3 effective_range, 60 / sqrt(lam)).
+    through the origin orthogonal to omega0 (d = 3, zero vector potential)
+    from the (psi_plus, psi_minus) of s0_solutions, which carry the model,
+    sqrt(lam) and N; the window's half-width is max(3 effective_range,
+    60 / sqrt(lam)).
 
     Directions must lie in the cap omega . omega0 > 0.5.  Reports the
     relative change of the value under a 25% window enlargement; the
-    sample is flagged non-converged when that exceeds 10%.  solutions from
-    s0_solutions must be built for the same model, lam and N, else
-    ParameterError.
+    sample is flagged non-converged when that exceeds 10%.
     """
     omega, omega_prime, omega0 = s0_directions(omega, omega_prime, omega0)
-    window, big_window = _s0_windows(model, lam)
-    if solutions is None:
-        solutions = s0_solutions(model, lam, N)
-    for psi in solutions:
-        eik = psi.eikonal
-        if (model != eik.model or eik.xi_norm != np.sqrt(lam)
-                or psi.N != N):
-            raise ParameterError("solutions were built for another model, "
-                                 "lambda or N")
     psi_plus, psi_minus = solutions
-    val = _s0_quadrature(psi_plus, psi_minus, omega, omega_prime, omega0,
-                         lam, window)
-    val_big = _s0_quadrature(psi_plus, psi_minus, omega, omega_prime, omega0,
-                             lam, big_window)
+    val, val_big = (
+        _s0_quadrature(psi_plus, psi_minus, omega, omega_prime, omega0, window)
+        for window in _s0_windows(psi_plus.eikonal.model, psi_plus.xi))
     sens = abs(val_big - val) / max(abs(val), 1e-300)
     return S0Sample(value=complex(val), sensitivity=float(sens),
-                    converged=bool(sens <= 0.10), N=N)
+                    converged=bool(sens <= 0.10), N=psi_plus.N)
+
+
+def s0_samples(model: PotentialModel, lam: float, N: int,
+               thetas) -> list[S0Sample]:
+    """S0 samples of transport order N at energy lam, one per angle in
+    thetas, for the coplanar_pair about e_z: every pair is checked against
+    the cap first, then one s0_solutions build serves every angle."""
+    omega0 = np.array([0.0, 0.0, 1.0])
+    pairs = [coplanar_pair(omega0, th) for th in thetas]
+    for w, wp in pairs:
+        s0_directions(w, wp, omega0)
+    solutions = s0_solutions(model, lam, N)
+    return [s0_kernel(solutions, w, wp, omega0) for w, wp in pairs]
 
 
 @dataclass(frozen=True)
@@ -568,30 +564,22 @@ class DiagonalProbe:
     reliable: bool
 
 
-def diagonal_exponent_probe(model: PotentialModel, lam: float, omega0,
+def diagonal_exponent_probe(model: PotentialModel, lam: float,
                             angles) -> DiagonalProbe:
     """Fit |s0| ~ |omega - omega'|^p near the diagonal and report p against
     the stationary-phase prediction -(1 + 1/rho) at d = 3 (informational;
-    valid regime rho < 1), from S0 samples of transport order PROBE_N."""
+    valid regime rho < 1), from the s0_samples of transport order PROBE_N
+    at the angles; |omega - omega'| = 2 sin(theta / 2)."""
     angles = np.asarray(angles, dtype=float)
     if len(angles) < 5 or angles[0] / angles[-1] < 8.0:
         raise ParameterError("need >= 5 decreasing angles spanning a decade")
-    omega0 = _unit(omega0)
-    solutions = s0_solutions(model, lam, PROBE_N)
-    vals, seps, ok = [], [], True
-    for th in angles:
-        w, wp = coplanar_pair(omega0, th)
-        sample = s0_kernel(model, lam, w, wp, omega0, N=PROBE_N,
-                           solutions=solutions)
-        vals.append(sample.value)
-        seps.append(np.linalg.norm(w - wp))
-        ok = ok and sample.converged
-    vals = np.array(vals)
-    seps = np.array(seps)
+    samples = s0_samples(model, lam, PROBE_N, angles)
+    vals = np.array([sample.value for sample in samples])
+    seps = 2.0 * np.sin(angles / 2)
     slope = float(np.polyfit(np.log(seps), np.log(np.abs(vals)), 1)[0])
     return DiagonalProbe(
         angles=angles, separations=seps, values=vals,
         fitted_exponent=slope,
         theoretical_exponent=-(1.0 + 1.0 / model.rho),
-        reliable=bool(ok),
+        reliable=all(sample.converged for sample in samples),
     )

@@ -112,14 +112,27 @@ def _power_scale(rho: float) -> float:
 def _power_primitive(rho: float, u) -> np.ndarray:
     """G(u) = int_0^u (1 + t^2)^(-rho/2) dt = u 2F1(1/2, rho/2; 3/2; -u^2)
     (asinh u at rho = 1, where scipy's 2F1 loses digits at large u), with
-    G(+-inf) = +-K_rho / (rho - 1) for rho > 1 and +-inf otherwise."""
+    G(+-inf) = +-K_rho / (rho - 1) for rho > 1 and +-inf otherwise.
+
+    For rho in [0.999, 1.001], where 2F1 is up to 1e-9 off, t = sinh x:
+    G(u) = sign(u) int_0^asinh|u| cosh(x)^(1 - rho) dx, by 32 Gauss nodes on
+    x <= 18 with ln cosh x = x - ln 2 + log1p(e^-2x), and in closed form
+    beyond, where cosh x = e^x / 2 to double precision."""
     u = np.asarray(u, dtype=float)
     if rho == 1.0:
         return np.arcsinh(u)
     uf = np.where(np.isfinite(u), u, 0.0)
     end = _power_scale(rho) / (rho - 1.0) if rho > 1.0 else np.inf
-    return np.where(np.isfinite(u), uf * hyp2f1(0.5, 0.5 * rho, 1.5, -uf * uf),
-                    np.copysign(end, u))
+    if 0.999 <= rho <= 1.001:
+        x_end, e = np.arcsinh(np.abs(uf)), 1.0 - rho
+        x, w = gauss_panels(32, 0.0, np.minimum(x_end, 18.0))
+        head = np.sum(w * np.exp(e * (x - np.log(2.0) + np.log1p(np.exp(-2.0 * x)))),
+                      axis=-1)
+        far = np.maximum(x_end - 18.0, 0.0)
+        g = np.sign(uf) * (head + np.exp(e * (18.0 - np.log(2.0))) * far * exprel(e * far))
+    else:
+        g = uf * hyp2f1(0.5, 0.5 * rho, 1.5, -uf * uf)
+    return np.where(np.isfinite(u), g, np.copysign(end, u))
 
 
 def line_integral(model: PotentialModel, s, a, b=np.inf, f=None) -> np.ndarray:

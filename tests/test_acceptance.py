@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per numbered criterion.
+"""Acceptance suite: one test per numbered criterion, and one for how the
+criterion lines render arrays.
 
 Each test prints the criterion's pass/fail line (run pytest with -s or
 check captured output on failure), checks that each quantity on it is
@@ -15,9 +16,22 @@ def _renders(value, shown) -> bool:
     if isinstance(shown, (bool, np.bool_)):
         return shown is value
     if isinstance(value, np.ndarray):
-        return any(np.array2string(value, precision=nd) == shown
+        return any("[" + " ".join(f"{v:.{nd}e}" for v in value) + "]" == shown
                    for nd in range(1, 18))
     return any(acceptance._fmt(value, nd) == shown for nd in range(1, 18))
+
+
+def test_printed_array_entry_never_reads_as_zero():
+    # C9's Dollard increments once printed as [0. 0. 0. 0.] at 2 digits
+    values = np.array([4.86e-3, 2.4e-3, 1.19e-3, 5.96e-4, 1e-300, 5e-324,
+                       -3e-7, 0.0, 12.5])
+    for nd in (1, 2, 6):
+        shown = acceptance._show(values, nd)
+        entries = [float(x) for x in shown.strip("[]").split()]
+        assert len(entries) == len(values)
+        assert [x == 0.0 for x in entries] == [v == 0.0 for v in values], shown
+    assert (acceptance._show(values[:4], 2)
+            == "[4.86e-03 2.40e-03 1.19e-03 5.96e-04]")
 
 
 def _check(cid: int):

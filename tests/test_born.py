@@ -187,20 +187,20 @@ class TestTransport:
         # four np.gradient calls per order n >= 1, on b_n whole, not on its
         # real and imaginary parts apart; none for the closed-form source of
         # b_0.  The Gaussian takes N0 = 0, so Phi = 0 and b_n is real
-        data = eikonal.eikonal_iterate(GAUSS, [0.0, 0.0, 1.0], 5.0)
+        data = eikonal.eikonal_iterate(GAUSS, 5.0)
         assert data.N0 == 0
         calls = count_gradients(monkeypatch)
-        assert len(list(eikonal.transport_series(GAUSS, data, N))) == N + 1
+        assert len(list(eikonal.transport_series(data, N))) == N + 1
         assert calls == [np.dtype(float)] * 4 * N
 
     @pytest.mark.parametrize("N", [1, 3])
     def test_laplacians_per_eikonal_series_with_phase(self, monkeypatch, N):
         # N0 = 2 (rho = 0.9): the same four calls per order, on complex b_n
         model = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
-        data = eikonal.eikonal_iterate(model, [0.0, 0.0, 1.0], 5.0)
+        data = eikonal.eikonal_iterate(model, 5.0)
         assert data.N0 == 2
         calls = count_gradients(monkeypatch)
-        assert len(list(eikonal.transport_series(model, data, N))) == N + 1
+        assert len(list(eikonal.transport_series(data, N))) == N + 1
         assert calls == [np.dtype(complex)] * 4 * N
 
     @pytest.mark.parametrize("N0", [0, 1, 2, 3, 4])
@@ -211,7 +211,7 @@ class TestTransport:
         model = TAIL2 if N0 <= 1 else PotentialModel(kind="power_tail",
                                                      v0=0.5, rho=0.9)
         calls = count_gradients(monkeypatch)
-        eikonal.eikonal_iterate(model, [0.0, 0.0, 1.0], 5.0, N0=N0)
+        eikonal.eikonal_iterate(model, 5.0, N0=N0)
         assert calls == [np.dtype(float)] * (0 if N0 == 0 else 4 if N0 <= 2 else 6)
 
     def test_per_order_noise_gain(self):
@@ -254,7 +254,7 @@ class TestTransport:
         monkeypatch.setattr(np, "empty", refuse)
         monkeypatch.setattr(np, "ones", refuse)
         with pytest.raises(ParameterError, match=f"MAX_ORDER = {born.MAX_ORDER}"):
-            born.high_energy_kernel(GAUSS, 25.0, *THETA_90, N)
+            born.high_energy_kernel(GAUSS, 25.0, THETA_90, N)
         orders = born.transport_orders(GAUSS, grid, q, N, _cyl.march_up,
                                        np.zeros(len(grid.s)))
         with pytest.raises(ParameterError, match="MAX_ORDER"):
@@ -262,18 +262,15 @@ class TestTransport:
 
     def test_long_range_rejected(self):
         tail = PotentialModel(kind="power_tail", v0=1.0, rho=1.0)
-        omega, omega_p = THETA_90
         with pytest.raises(DomainError):
-            born.high_energy_kernel(tail, 25.0, omega, omega_p, 1)
+            born.high_energy_kernel(tail, 25.0, THETA_90, 1)
 
 
 class TestKernel:
     def test_n0_matches_first_born(self):
         # k_0 = (i sqrt(lam) / 2 pi) f_1(q): an identity, not an expansion
         lam, theta = 4.0, np.pi / 3
-        omega = np.array([0.0, 0.0, 1.0])
-        omega_p = np.array([np.sin(theta), 0.0, np.cos(theta)])
-        kernel = born.high_energy_kernel(GAUSS, lam, omega, omega_p, 0)
+        kernel = born.high_energy_kernel(GAUSS, lam, theta, 0)
         k = np.sqrt(lam)
         f1 = born.born_first_amplitude(GAUSS, k, theta)
         expect = 1j * k / (2 * np.pi) * f1
@@ -281,29 +278,39 @@ class TestKernel:
 
     def test_zero_potential_kernel(self):
         kernel = born.high_energy_kernel(PotentialModel(kind="zero"), 4.0,
-                                         [0, 0, 1], [1, 0, 0], 2)
+                                         THETA_90, 2)
         assert kernel == 0.0 and isinstance(kernel, complex)
 
     @pytest.mark.parametrize("lam", [0.0, -4.0, np.nan, [25.0, -1.0]])
     def test_nonpositive_lambda_rejected(self, lam):
         with pytest.raises(ParameterError, match="lambda must be positive"):
-            born.high_energy_kernel(GAUSS, lam, [0, 0, 1], [1, 0, 0], 0)
+            born.high_energy_kernel(GAUSS, lam, THETA_90, 0)
 
     def test_coincident_directions_rejected(self):
         with pytest.raises(ParameterError):
-            born.high_energy_kernel(GAUSS, 4.0, [0, 0, 1], [0, 0, 1], 0)
+            born.high_energy_kernel(GAUSS, 4.0, 0.0, 0)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 3.5, np.nan])
+    def test_angle_outside_range_rejected(self, monkeypatch, theta):
+        # theta in (0, pi], before any b_n table, for the zero potential too
+        def no_tables(*args):
+            raise AssertionError("built b_n tables for a refused angle")
+
+        monkeypatch.setattr(born, "_bn_tables", no_tables)
+        for model in (GAUSS, PotentialModel(kind="zero")):
+            with pytest.raises(ParameterError, match=r"theta must lie in \(0, pi\]"):
+                born.high_energy_kernel(model, 25.0, theta, 1)
 
     def test_error_order_input_validation(self):
         with pytest.raises(ParameterError):
-            born.measure_error_order(GAUSS, [25.0, 50.0], [0, 0, 1],
-                                     [1, 0, 0], 0)
+            born.measure_error_order(GAUSS, [25.0, 50.0], THETA_90, 0)
 
 
 def _direction_pair(theta):
     return np.array([0.0, 0.0, 1.0]), np.array([np.sin(theta), 0.0, np.cos(theta)])
 
 
-THETA_03, THETA_90 = _direction_pair(0.3), _direction_pair(np.pi / 2)
+THETA_03, THETA_90 = 0.3, np.pi / 2
 OFF_PLANE = (np.array([0.3, -0.2, 0.9]), np.array([-0.4, 0.7, 0.2]))
 THETAS = [0.3, np.pi / 2, 2.5, np.pi]
 LAMBDAS = np.array([4.0, 25.0, 100.0, 400.0])
@@ -325,7 +332,7 @@ class TestCellRuleKernel:
         expect = _born_kernel(LAMBDAS, theta,
                               lambda k, q: -GAUSS.v0 * np.pi**1.5 / (4 * np.pi)
                               * np.exp(-q * q / 4))
-        got = born.high_energy_kernel(GAUSS, LAMBDAS, *_direction_pair(theta), 0)
+        got = born.high_energy_kernel(GAUSS, LAMBDAS, theta, 0)
         assert np.max(np.abs(got - expect)) <= 5e-11
 
     @pytest.mark.parametrize("theta", THETAS)
@@ -334,7 +341,7 @@ class TestCellRuleKernel:
         # (measured: up to 1.0e-10)
         expect = _born_kernel(LAMBDAS, theta, lambda k, q: np.array(
             [born.born_first_amplitude(BUMP, kk, theta) for kk in k]))
-        got = born.high_energy_kernel(BUMP, LAMBDAS, *_direction_pair(theta), 0)
+        got = born.high_energy_kernel(BUMP, LAMBDAS, theta, 0)
         assert np.max(np.abs(got - expect)) <= 2e-10
 
     @pytest.mark.parametrize("N", [1, 2])
@@ -343,23 +350,24 @@ class TestCellRuleKernel:
         # the panels end on the table's cell edges, where the bilinear b_n
         # has its kinks (measured: 4 against 6 nodes up to 4.4e-14)
         for theta in THETAS:
-            pair = _direction_pair(theta)
-            four = born.high_energy_kernel(model, LAMBDAS, *pair, N)
+            four = born.high_energy_kernel(model, LAMBDAS, theta, N)
             monkeypatch.setattr(born, "_CELL_NODES", 6)
-            six = born.high_energy_kernel(model, LAMBDAS, *pair, N)
+            six = born.high_energy_kernel(model, LAMBDAS, theta, N)
             monkeypatch.setattr(born, "_CELL_NODES", 4)
             assert np.max(np.abs(four - six)) <= 1e-13, theta
 
     @pytest.mark.parametrize("model", [GAUSS, BUMP], ids=lambda m: m.kind)
     def test_off_plane_pair_equals_coplanar(self, model):
-        # the kernel depends on the pair only through omega'.delta and
-        # |delta_perp|, so only the angle between them matters
+        # the kernel depends on the pair only through the angle between
+        # them: the 3-D cube rule, which takes the two vectors, on an
+        # off-plane pair agrees with the kernel at their angle within the
+        # cube rule's own error (test_matches_slice_loop's bounds; measured:
+        # up to 6.2e-11 at N = 0 and 3.8e-8 at N = 1)
         omega, omega_p = (p / np.linalg.norm(p) for p in OFF_PLANE)
-        coplanar = _direction_pair(np.arccos(omega @ omega_p))
-        for N in (0, 1, 2):
-            off = born.high_energy_kernel(model, LAMBDAS[:3], omega, omega_p, N)
-            on = born.high_energy_kernel(model, LAMBDAS[:3], *coplanar, N)
-            assert np.max(np.abs(off - on)) <= 1e-16, N
+        expected = kernel_slice_loop(model, 25.0, omega, omega_p, 1)
+        for N, tol in ((0, 2e-10), (1, 1.5e-7)):
+            got = born.high_energy_kernel(model, 25.0, np.arccos(omega @ omega_p), N)
+            assert abs(got - expected[N]) <= tol, (N, got, expected[N])
 
     @pytest.mark.parametrize("N", [0, 1, 2])
     @pytest.mark.parametrize("model", [GAUSS, BUMP, YUKAWA], ids=lambda m: m.kind)
@@ -368,40 +376,39 @@ class TestCellRuleKernel:
             # b_1 = int v dt diverges on the axis for the 1/r core
             for lam in (LAMBDAS, LAMBDAS[0]):
                 with pytest.raises(DomainError, match="smooth potential"):
-                    born.high_energy_kernel(model, lam, *THETA_03, N)
+                    born.high_energy_kernel(model, lam, THETA_03, N)
             return
-        got = born.high_energy_kernel(model, LAMBDAS, *THETA_03, N)
+        got = born.high_energy_kernel(model, LAMBDAS, THETA_03, N)
         assert isinstance(got, np.ndarray) and got.shape == LAMBDAS.shape
-        one = [born.high_energy_kernel(model, lam, *THETA_03, N) for lam in LAMBDAS]
+        one = [born.high_energy_kernel(model, lam, THETA_03, N) for lam in LAMBDAS]
         assert all(isinstance(v, complex) for v in one)
         np.testing.assert_allclose(got, one, rtol=1e-13, atol=1e-17)
 
-    @pytest.mark.parametrize("model,lam,pair", [(GAUSS, 25.0, THETA_90),
-                                                (BUMP, 100.0, THETA_03)],
+    @pytest.mark.parametrize("model,lam,theta", [(GAUSS, 25.0, THETA_90),
+                                                 (BUMP, 100.0, THETA_03)],
                              ids=["gaussian_well", "compact_bump"])
-    def test_matches_slice_loop(self, model, lam, pair):
+    def test_matches_slice_loop(self, model, lam, theta):
         # the 3-D cube rule misses the kinks of the bilinear b_n; its error
         # at N >= 1 is what this bound allows (measured: up to 1.47e-7)
-        expected = kernel_slice_loop(model, lam, *pair, 2)
+        expected = kernel_slice_loop(model, lam, *_direction_pair(theta), 2)
         for N, tol in ((0, 2e-10), (1, 1.5e-7), (2, 1.5e-7)):
-            got = born.high_energy_kernel(model, lam, *pair, N)
+            got = born.high_energy_kernel(model, lam, theta, N)
             assert abs(got - expected[N]) <= tol, (N, got, expected[N])
 
-    @pytest.mark.parametrize("lam,pair", [(25.0, THETA_90), (400.0, THETA_03)],
+    @pytest.mark.parametrize("lam,theta", [(25.0, THETA_90), (400.0, THETA_03)],
                              ids=["25-theta_90", "400-theta_03"])
-    def test_yukawa_n0_nearer_closed_form_than_cube_rule(self, lam, pair):
+    def test_yukawa_n0_nearer_closed_form_than_cube_rule(self, lam, theta):
         # v ~ 1/r at the origin limits both rules (measured: 2.6e-6 and
         # 1.1e-5 here, against 3.4e-4 and 7.5e-5 for the cube rule)
-        theta = np.arccos(pair[0] @ pair[1])
         mu = 1.0 / YUKAWA.width
         expect = _born_kernel(lam, theta, lambda k, q: -YUKAWA.v0 / (q * q + mu * mu))
-        cube = kernel_slice_loop(YUKAWA, lam, *pair, 0)[0]
-        got = born.high_energy_kernel(YUKAWA, lam, *pair, 0)
+        cube = kernel_slice_loop(YUKAWA, lam, *_direction_pair(theta), 0)[0]
+        got = born.high_energy_kernel(YUKAWA, lam, theta, 0)
         assert abs(got - expect) < abs(cube - expect)
 
     def test_zero_potential_array(self):
         got = born.high_energy_kernel(PotentialModel(kind="zero"), LAMBDAS,
-                                      [0, 0, 1], [1, 0, 0], 1)
+                                      THETA_90, 1)
         assert got.shape == LAMBDAS.shape and np.all(got == 0.0)
 
     def test_fit_makes_one_kernel_call(self, monkeypatch):
@@ -418,5 +425,5 @@ class TestCellRuleKernel:
 
         monkeypatch.setattr(born, "high_energy_kernel", kernel_spy)
         monkeypatch.setattr(born, "_bn_tables", build_spy)
-        born.measure_error_order(GAUSS, [25.0, 50.0, 100.0, 200.0], *THETA_90, 1)
+        born.measure_error_order(GAUSS, [25.0, 50.0, 100.0, 200.0], THETA_90, 1)
         assert calls == [(4,)] and builds == [1]

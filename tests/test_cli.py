@@ -328,6 +328,21 @@ class TestRun:
         assert record["extra"]["floor_warning"] is True
         assert record["extra"]["slope"] is None
 
+    def test_s0_at_an_energy_off_its_square_root(self, tmp_path):
+        # sqrt(63)^2 != 63 in floating point: the S0 solutions carry
+        # sqrt(lam), and the kernel reads it from them
+        assert np.sqrt(63.0) ** 2 != 63.0
+        path = write_config(tmp_path, {
+            "experiment": "s0",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"lam": 63.0, "N": 1, "thetas": [0.2, 0.4]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        lines = (out / "result.csv").read_text().splitlines()
+        assert lines[1] == "theta,re_s0,im_s0,sensitivity,converged"
+        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+        assert data.shape == (2, 5) and np.all(np.isfinite(data))
+
     def test_amplitude_integer_and_forward_angles(self, tmp_path):
         # integer angles are written as floats; theta = 0 is the forward
         # amplitude
@@ -654,6 +669,19 @@ class TestTypedErrors:
             "experiment": "born",
             "potential": {"kind": "gaussian_well", "v0": -1.0},
             "params": params}, message)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 3.5])
+    def test_highenergy_angle_outside_range_rejected(self, tmp_path, capsys,
+                                                     monkeypatch, theta):
+        # the kernel's angle lies in (0, pi], refused before any b_n table
+        def no_tables(*args, **kwargs):
+            raise AssertionError("b_n tables built for a refused angle")
+
+        monkeypatch.setattr(born, "_bn_tables", no_tables)
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "highenergy",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"theta": theta, "N": 1}}, "theta must lie in (0, pi]")
 
     def test_phaseshift_zero_momentum_rejected(self, tmp_path, capsys):
         # the default r_max holds 30 / k, so k is checked before it is sized

@@ -17,9 +17,9 @@ TAIL1 = PotentialModel(kind="power_tail", v0=0.5, rho=1.0)
 ZAXIS = np.array([0.0, 0.0, 1.0])
 
 
-def _order(model, data, N):
+def _order(data, N):
     """The order-N approximate eigenfunction, the last of transport_series."""
-    *_, sol = eikonal.transport_series(model, data, N)
+    *_, sol = eikonal.transport_series(data, N)
     return sol
 
 
@@ -140,22 +140,22 @@ class TestIteration:
 
     def test_phi1_solves_ray_equation(self):
         # (2|xi|)^{-1} phi_1 equals the exact ray integral Phi
-        data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0, N0=1)
+        data = eikonal.eikonal_iterate(GAUSS, 5.0, N0=1)
         phi1_scaled = data.phi_n[1] / (2 * data.xi_norm)
         assert np.max(np.abs(phi1_scaled - data.Phi)) < 1e-10
 
     def test_phi_at_matches_quadrature(self):
-        data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0, N0=1)
+        data = eikonal.eikonal_iterate(GAUSS, 5.0, N0=1)
         pts = np.array([[1.0, 0.5, 2.0], [0.2, -0.4, 0.0]])
         direct = np.array([
             eikonal.eikonal_phase_integral(GAUSS, p, 5.0 * ZAXIS, +1)
             for p in pts])
-        s, z = _cyl.cyl_coords(pts, data.xi_hat)
+        s, z = _cyl.cyl_coords(pts, ZAXIS)
         phi = _cyl.interpolator(data.grid, data.Phi)(np.column_stack([s, z]))
         assert np.allclose(phi, direct, atol=2e-4)
 
     def test_zero_n0_means_no_phase(self):
-        data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0)
+        data = eikonal.eikonal_iterate(GAUSS, 5.0)
         assert data.N0 == 0
         assert np.all(data.Phi == 0.0)
 
@@ -165,18 +165,18 @@ class TestIteration:
         model = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
         monkeypatch.setattr(_cyl, "make_grid", _build_nothing)
         with pytest.raises(ParameterError, match=r"\(2 \|xi\|\)\^-N0 overflows"):
-            eikonal.eikonal_iterate(model, ZAXIS, 1e-160)
+            eikonal.eikonal_iterate(model, 1e-160)
         with pytest.raises(_TablesBuilt):
-            eikonal.eikonal_iterate(model, ZAXIS, 1e-150)
+            eikonal.eikonal_iterate(model, 1e-150)
 
     def test_n0_zero_rejected_for_long_range(self):
         with pytest.raises(ParameterError):
-            eikonal.eikonal_iterate(TAIL1, ZAXIS, 5.0, N0=0)
+            eikonal.eikonal_iterate(TAIL1, 5.0, N0=0)
 
     def test_yukawa_refused(self):
         yukawa = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
         with pytest.raises(DomainError):
-            eikonal.eikonal_iterate(yukawa, ZAXIS, 5.0, N0=1)
+            eikonal.eikonal_iterate(yukawa, 5.0, N0=1)
 
     def test_default_n0_three_path(self):
         # rho = 0.7 takes N0 = 3: the phi_3 anchor, checked on a few rows
@@ -186,7 +186,7 @@ class TestIteration:
         model = PotentialModel(kind="power_tail", v0=0.5, rho=0.7)
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
-            data = eikonal.eikonal_iterate(model, ZAXIS, 5.0)
+            data = eikonal.eikonal_iterate(model, 5.0)
         assert data.N0 == 3
         rho, v0 = model.rho, model.v0
 
@@ -222,23 +222,22 @@ class TestIteration:
 
 class TestTransport:
     def test_zero_potential_trivial(self):
-        data = eikonal.eikonal_iterate(PotentialModel(kind="zero"),
-                                       ZAXIS, 5.0)
-        sol = _order(PotentialModel(kind="zero"), data, 2)
+        data = eikonal.eikonal_iterate(PotentialModel(kind="zero"), 5.0)
+        sol = _order(data, 2)
         assert sol.residual_norm < 1e-12
         assert np.allclose(sol.b_n[1], 0.0)
 
     def test_b0_is_one(self):
-        data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0)
-        sol = _order(GAUSS, data, 1)
+        data = eikonal.eikonal_iterate(GAUSS, 5.0)
+        sol = _order(data, 1)
         assert np.all(sol.b_n[0] == 1.0)
 
     def test_residual_lambda_scaling(self):
         # ||residual|| ~ lambda^{-N/2} at fixed N with Phi = 0
         norms = {}
         for lam in (25.0, 100.0):
-            data = eikonal.eikonal_iterate(GAUSS, ZAXIS, np.sqrt(lam))
-            norms[lam] = _order(GAUSS, data, 1).residual_norm
+            data = eikonal.eikonal_iterate(GAUSS, np.sqrt(lam))
+            norms[lam] = _order(data, 1).residual_norm
         slope = np.log(norms[100.0] / norms[25.0]) / np.log(4.0)
         assert slope == pytest.approx(-0.5, abs=0.05)
 
@@ -258,24 +257,54 @@ class TestS0:
         e1 = np.array([1.0, 0.0, 0.0])
         w = np.cos(th / 2) * ZAXIS + np.sin(th / 2) * e1
         wp = np.cos(th / 2) * ZAXIS - np.sin(th / 2) * e1
-        a = eikonal.s0_kernel(GAUSS, lam, w, wp, ZAXIS, N=1, solutions=sols)
-        b = eikonal.s0_kernel(GAUSS, lam, wp, w, ZAXIS, N=1, solutions=sols)
+        a = eikonal.s0_kernel(sols, w, wp, ZAXIS)
+        b = eikonal.s0_kernel(sols, wp, w, ZAXIS)
         assert a.value == pytest.approx(b.value, rel=1e-6)
 
     def test_cap_restriction(self):
-        sols = None
         with pytest.raises(ParameterError):
-            eikonal.s0_kernel(GAUSS, 25.0, [1, 0, 0], [0, 1, 0],
-                              ZAXIS, N=1, solutions=sols)
+            eikonal.s0_kernel(_solutions(GAUSS, 25.0, 1), [1, 0, 0], [0, 1, 0],
+                              ZAXIS)
 
     def test_coincident_directions_rejected(self):
         with pytest.raises(ParameterError):
-            eikonal.s0_kernel(GAUSS, 25.0, ZAXIS, ZAXIS, ZAXIS, N=1)
+            eikonal.s0_kernel(_solutions(GAUSS, 25.0, 1), ZAXIS, ZAXIS, ZAXIS)
 
-    def test_diagonal_probe_validation(self):
+    def test_diagonal_probe_validation(self, monkeypatch):
+        # refused before any table
+        monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
         with pytest.raises(ParameterError):
-            eikonal.diagonal_exponent_probe(TAIL1, 25.0, ZAXIS,
-                                            [0.5, 0.4, 0.3])
+            eikonal.diagonal_exponent_probe(TAIL1, 25.0, [0.5, 0.4, 0.3])
+
+
+class TestS0Samples:
+    """s0_samples, the one angle loop of the s0 experiment, C7 and the
+    diagonal probe."""
+
+    def test_every_pair_checked_before_tables(self, monkeypatch):
+        monkeypatch.setattr(eikonal, "s0_solutions", _build_nothing)
+        with pytest.raises(ParameterError, match="cap around omega0"):
+            eikonal.s0_samples(GAUSS, 25.0, 1, [0.3, np.deg2rad(130.0)])
+
+    def test_one_build_serves_every_angle(self, monkeypatch):
+        builds = []
+        solutions = eikonal.s0_solutions
+
+        def counting(*args):
+            builds.append(args)
+            return solutions(*args)
+
+        monkeypatch.setattr(eikonal, "s0_solutions", counting)
+        thetas = np.deg2rad([10.0, 20.0])
+        samples = eikonal.s0_samples(GAUSS, 25.0, 1, thetas)
+        assert builds == [(GAUSS, 25.0, 1)]
+        sols = _solutions(GAUSS, 25.0, 1)
+        for th, sample in zip(thetas, samples):
+            w, wp = eikonal.coplanar_pair(ZAXIS, th)
+            assert sample.N == 1
+            assert sample == eikonal.s0_kernel(sols, w, wp, ZAXIS)
+            # the probe's separation |omega - omega'|
+            assert np.linalg.norm(w - wp) == 2.0 * np.sin(th / 2)
 
 
 def _full_plane_s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
@@ -336,6 +365,7 @@ class _CountingPsi:
 
     def __init__(self, psi):
         self.psi = psi
+        self.xi = psi.xi
         self.points = []
 
     def lookup(self, s, z, ds_dt, dz_dt):
@@ -354,7 +384,7 @@ class TestS0Fold:
         pp, pm = _solutions(GAUSS, lam, N)
         w, wp = _pair(theta)
         window = max(3.0 * GAUSS.effective_range, 60.0 / np.sqrt(lam))
-        folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
+        folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, window)
         full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
         assert abs(folded - full) <= 1e-12 * abs(full)
 
@@ -363,7 +393,7 @@ class TestS0Fold:
         pp, pm = _solutions(TAIL1, lam, 1)
         w, wp = _pair(20.0)
         for window in (30.0, 37.5):
-            folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
+            folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, window)
             full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam,
                                              window)
             assert abs(folded - full) <= 1e-12 * abs(full)
@@ -372,8 +402,8 @@ class TestS0Fold:
         lam = 25.0
         pp, pm = (_CountingPsi(p) for p in _solutions(GAUSS, lam, 1))
         n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
-        eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, lam, 18.0)
-        eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, lam, 18.0)
+        eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, 18.0)
+        eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, 18.0)
         assert pp.points == pm.points == [n * n // 2, n * n]
 
     def test_non_coplanar_pair_unchanged(self):
@@ -381,7 +411,7 @@ class TestS0Fold:
         pp, pm = _solutions(GAUSS, lam, 1)
         w, wp = _pair(20.0, turn_deg=30.0)
         assert w[1] != 0.0
-        folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
+        folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, 18.0)
         full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
         # the same nodes and rule; only the geometry's rounding differs
         # (plane mesh against 3D points)
@@ -445,8 +475,8 @@ class TestS0Tables:
     @pytest.mark.parametrize("model,lam,N", [(GAUSS, 64.0, 3),
                                              (TAIL09, 100.0, 1)])
     def test_tables_equal_transport_series(self, model, lam, N, monkeypatch):
-        data = eikonal.eikonal_iterate(model, ZAXIS, np.sqrt(lam))
-        ref = _order(model, data, N).b_n
+        data = eikonal.eikonal_iterate(model, np.sqrt(lam))
+        ref = _order(data, N).b_n
         built = []
         gradients = []
         init = _PsiEvaluator.__init__
@@ -531,8 +561,7 @@ def _two_table_pair(model, lam, N):
     tables: the oracle of the time-reversed incoming evaluator."""
     sql = np.sqrt(lam)
     psi_plus = _solutions(model, lam, N)[0]
-    incoming = _order(
-        model, eikonal.eikonal_iterate(model, ZAXIS, sql, sign=-1), N)
+    incoming = _order(eikonal.eikonal_iterate(model, sql, sign=-1), N)
     return psi_plus, _PsiEvaluator(incoming.eikonal, incoming.b_n)
 
 
@@ -545,12 +574,12 @@ class TestTimeReversal:
     def test_incoming_tables_mirror_outgoing(self, model, lam):
         # Phi_-(s, z) = -Phi_+(s, -z), b_-,n(s, z) = (-1)^n conj b_+,n(s, -z)
         sql = np.sqrt(lam)
-        plus = eikonal.eikonal_iterate(model, ZAXIS, sql, sign=+1)
-        minus = eikonal.eikonal_iterate(model, ZAXIS, sql, sign=-1)
+        plus = eikonal.eikonal_iterate(model, sql, sign=+1)
+        minus = eikonal.eikonal_iterate(model, sql, sign=-1)
         assert np.array_equal(plus.grid.z, -plus.grid.z[::-1])
         assert np.array_equal(minus.Phi, -plus.Phi[:, ::-1])
-        b_plus = _order(model, plus, 3).b_n
-        b_minus = _order(model, minus, 3).b_n
+        b_plus = _order(plus, 3).b_n
+        b_minus = _order(minus, 3).b_n
         for n, (bp, bm) in enumerate(zip(b_plus, b_minus)):
             mirror = (-1) ** n * np.conj(bp[:, ::-1])
             np.testing.assert_allclose(bm, mirror, rtol=0.0,
@@ -573,9 +602,9 @@ class TestTimeReversal:
                                    mirrored):
             for win in (window, 1.25 * window):
                 got = eikonal._s0_quadrature(*reversed_pair, omega, omega_prime,
-                                             ZAXIS, lam, win)
+                                             ZAXIS, win)
                 ref = eikonal._s0_quadrature(*two_tables, omega, omega_prime,
-                                             ZAXIS, lam, win)
+                                             ZAXIS, win)
                 assert abs(got - ref) <= 1e-10 * abs(ref), (omega, win)
 
     def test_symmetric_pair_evaluates_psi_plus_once(self, monkeypatch):
@@ -590,10 +619,10 @@ class TestTimeReversal:
 
         monkeypatch.setattr(_PsiEvaluator, "lookup", counting)
         n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
-        eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, lam, 18.0)
+        eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, 18.0)
         assert calls == [(pp, n * n // 2)]
         calls.clear()
-        eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, lam, 18.0)
+        eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, 18.0)
         assert calls == [(pp, n * n), (pm, n * n)]
 
     def test_one_table_set(self, monkeypatch):
@@ -611,45 +640,21 @@ class TestTimeReversal:
         assert pm._interp is pp._interp
         assert pm.time_reversed() is pp
 
-    def test_mismatched_solutions_refused(self):
-        sols = _solutions(GAUSS, 25.0, 1)
-        w, wp = _pair(20.0)
-        other = PotentialModel(kind="gaussian_well", v0=-0.5, width=1.0)
-        for model, lam, N in ((other, 25.0, 1), (GAUSS, 36.0, 1),
-                              (GAUSS, 25.0, 3)):
-            with pytest.raises(ParameterError, match="another model"):
-                eikonal.s0_kernel(model, lam, w, wp, ZAXIS, N=N,
-                                  solutions=sols)
-
-    def test_matching_solutions_compare_sqrt_lambda(self):
-        # sqrt(63)^2 != 63 in floating point; the tables carry sqrt(lam)
-        lam = 63.0
-        assert np.sqrt(lam) ** 2 != lam
-        sols = eikonal.s0_solutions(GAUSS, lam, 1)
-        sample = eikonal.s0_kernel(GAUSS, lam, *_pair(20.0), ZAXIS, N=1,
-                                   solutions=sols)
-        assert sample.N == 1 and np.isfinite(sample.value)
-
 
 class TestTransportSeries:
     @pytest.mark.parametrize("model,N", [(GAUSS, 2), (TAIL09, 3)])
     def test_each_order_equals_its_own_solve(self, model, N):
         # order n of one march is bit for bit the last order of a series
         # that stops at n
-        data = eikonal.eikonal_iterate(model, ZAXIS, 5.0)
-        series = list(eikonal.transport_series(model, data, N))
+        data = eikonal.eikonal_iterate(model, 5.0)
+        series = list(eikonal.transport_series(data, N))
         assert [sol.N for sol in series] == list(range(N + 1))
         for n, sol in enumerate(series):
-            alone = _order(model, data, n)
+            alone = _order(data, n)
             assert len(sol.b_n) == n + 1
             assert sol.residual_norm == alone.residual_norm
             for got, want in zip(sol.b_n, alone.b_n):
                 assert np.array_equal(got, want)
-
-    def test_model_mismatch_refused(self):
-        data = eikonal.eikonal_iterate(GAUSS, ZAXIS, 5.0)
-        with pytest.raises(ParameterError):
-            next(eikonal.transport_series(TAIL2, data, 1))
 
 
 def transport_series_loop(model, data, N):
@@ -701,9 +706,9 @@ class TestTransportOrders:
     def test_matches_source_closure(self, model, lam, sign):
         # the closed-form source of b_0, q - i Lap Phi, is what the closure
         # formed from -Lap 1 and grad 1, exactly 0 on these grids
-        data = eikonal.eikonal_iterate(model, ZAXIS, np.sqrt(lam), sign=sign)
+        data = eikonal.eikonal_iterate(model, np.sqrt(lam), sign=sign)
         b, norms = transport_series_loop(model, data, 3)
-        series = list(eikonal.transport_series(model, data, 3))
+        series = list(eikonal.transport_series(data, 3))
         assert [sol.residual_norm for sol in series] == norms
         for n, bn in enumerate(series[-1].b_n):
             assert np.array_equal(bn, b[n]), n
@@ -716,9 +721,9 @@ class TestTransportOrders:
                                                       monkeypatch):
         # N0 = 0: _recursion passes phi = None, and its float64 b_n and the
         # residual norms are those of the complex recursion on Phi = 0
-        data = eikonal.eikonal_iterate(model, ZAXIS, np.sqrt(lam), sign=sign)
+        data = eikonal.eikonal_iterate(model, np.sqrt(lam), sign=sign)
         assert data.N0 == 0
-        real = list(eikonal.transport_series(model, data, 3))
+        real = list(eikonal.transport_series(data, 3))
         orders = eikonal.transport_orders
         zero = np.zeros(data.q.shape, dtype=complex)
 
@@ -727,7 +732,7 @@ class TestTransportOrders:
             return orders(*args[:-1], (zero, zero, zero))
 
         monkeypatch.setattr(eikonal, "transport_orders", zero_phase_held_complex)
-        held = list(eikonal.transport_series(model, data, 3))
+        held = list(eikonal.transport_series(data, 3))
         assert ([sol.residual_norm for sol in real]
                 == [sol.residual_norm for sol in held])
         for got, want in zip(real[-1].b_n, held[-1].b_n):
@@ -737,8 +742,8 @@ class TestTransportOrders:
 
     def test_phase_keeps_the_complex_recursion(self):
         # rho = 0.9 takes N0 = 2: Phi != 0, so the tables recurse complex
-        data = eikonal.eikonal_iterate(TAIL09, ZAXIS, 10.0)
+        data = eikonal.eikonal_iterate(TAIL09, 10.0)
         assert data.N0 == 2 and np.any(data.Phi)
-        b_n = _order(TAIL09, data, 2).b_n
+        b_n = _order(data, 2).b_n
         assert [b.dtype for b in b_n] == [np.dtype(complex)] * 3
         assert np.any(b_n[1].imag)

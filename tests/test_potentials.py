@@ -11,6 +11,7 @@ from scatterlab.numerics import DomainError
 from scatterlab.potentials import (
     KINDS,
     PotentialModel,
+    _power_primitive,
     line_integral,
     model_from_config,
     ray_difference,
@@ -148,6 +149,26 @@ class TestLineIntegral:
         for rho in (1.0 - 1e-7, 1.0 + 1e-7):
             near = ray_difference(PotentialModel(kind="power_tail", v0=0.5, rho=rho), s, a)
             np.testing.assert_allclose(near, at_one, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("rho", [1 + 1e-3, 1 - 1e-3, 1 - 1e-4, 1 + 1e-5,
+                                     1 - 1e-6, 1 + 1e-7])
+    def test_primitive_near_rho_one_against_mpmath(self, rho):
+        # scipy's 2F1 is up to 3.6e-13 (rho = 0.999) to 1.7e-9 (rho = 1 + 1e-7)
+        # off on these points, where u^2 does not overflow
+        mpmath = pytest.importorskip("mpmath")
+        u = np.concatenate([np.geomspace(0.1, 1e6, 25), [3e7, 1e12, 1e300]])
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rho)
+            ref = np.array([float(mpmath.mpf(x) * mpmath.hyp2f1(
+                0.5, r / 2, 1.5, -mpmath.mpf(x) ** 2)) for x in u])
+        np.testing.assert_allclose(_power_primitive(rho, np.concatenate([u, -u])),
+                                   np.concatenate([ref, -ref]), rtol=5e-16, atol=0.0)
+
+    def test_ray_difference_near_rho_one_against_quadrature(self):
+        # 4.6e-10 off while G came from 2F1
+        model = PotentialModel(kind="power_tail", v0=1.0, rho=0.999999)
+        ref = _quad_line(model, 0.5, -100.0, np.inf, shift=-100.0)
+        assert ray_difference(model, 0.5, -100.0) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("rho", [0.9, 1.0])
     def test_divergent_tail_is_infinite(self, rho):
