@@ -5,7 +5,9 @@ contract, a pass flag, its raw numbers once in `values` (floats, complex
 numbers, arrays and bools) and, in `measured`, the quantities its line
 prints, each rendered from `values` at its digits.  `run_all` executes any
 subset and records each criterion's runtime; `format_report` renders one
-pass/fail line per criterion.
+pass/fail line per criterion.  Each result also carries its `reference`:
+what its numbers are checked against (REFERENCES), or that nothing
+independent checks them.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class CriterionResult:
     measured: dict = field(default_factory=dict)
     runtime: float = 0.0
     values: dict = field(default_factory=dict)   # raw, at full precision
+    reference: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -57,12 +60,35 @@ def _show(x, nd):
     return _fmt(x, nd)
 
 
+# "<kind>: <what>", the kind one of closed form, independent solver (at its
+# own noise), true by construction, or none.
+REFERENCES = {
+    1: "closed form: the square-well matching formula",
+    2: "true by construction: |S_l| = 1 from real phase shifts",
+    3: "independent solver: the Born amplitude against partial waves",
+    4: "independent solver at its own noise: the partial-wave kernel, "
+       "at its floor for lambda >= 100",
+    5: "closed form: the phase integral of v0 <x>^-2",
+    6: "none: the tables' own PDE residual",
+    7: "independent solver: S0 against the partial-wave kernel",
+    8: "independent solver: FFT evolution against the free asymptote",
+    9: "none: the Moller increments' own decay",
+    10: "independent solver: the time-domain S_0 against Numerov",
+    11: "closed form: sqrt(pi)/8 and the exact c-scaling",
+    12: "closed form: i[H_0, A] = 4 H_0, at least 4 inf I",
+    13: "none: the Kato integrals' own growth",
+    14: "none: the weighted resolvent norms' own change",
+    15: "none: the fitted exponent beside the stationary-phase prediction",
+}
+
+
 def _result(cid, name, passed, expected, values, digits) -> CriterionResult:
     """The criterion's result; its line prints each key of digits, in order,
     rendered from values at that key's digits (None for a bool)."""
     return CriterionResult(cid, name, bool(passed), expected,
                            {key: _show(values[key], nd)
-                            for key, nd in digits.items()}, values=values)
+                            for key, nd in digits.items()}, values=values,
+                           reference=REFERENCES[cid])
 
 
 # ---------------------------------------------------------------------------

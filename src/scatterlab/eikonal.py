@@ -39,9 +39,12 @@ S0_SIGN = -1.0
 # Transport order of the S0 samples behind the diagonal-singularity probe.
 PROBE_N = 1
 # Gauss nodes per S0 plane panel, and the largest (a, b) node mesh of the
-# enlarged plane window; about 90 bytes per mesh point, 0.4 GB at the cap.
+# enlarged plane window.  The quadrature walks the mesh in row blocks of
+# about _PLANE_BLOCK points and holds no full-mesh array: about 5 MB of block
+# temporaries at any mesh size, plus 16 bytes per row (33 kB at the cap).
 PLANE_NODES = 8
 MAX_PLANE_POINTS = 2**22
+_PLANE_BLOCK = 2**14
 
 
 def _unit(v) -> np.ndarray:
@@ -425,6 +428,9 @@ def _plane_geometry(a: np.ndarray, b: np.ndarray, omega, omega0, e1, e2):
 
 def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
                    omega, omega_prime, omega0, window: float) -> complex:
+    """The tapered plane sum over the (a, b) node mesh, in blocks of
+    _PLANE_BLOCK // len(b) rows of a: each block's integrand is summed
+    against the b weights, and the a weights finish the row sums."""
     sql = psi_plus.xi
     rule = _plane_rule(window, sql)
     e1, e2 = _cyl.plane_basis(omega0)
@@ -441,27 +447,35 @@ def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
         # in b; the rule is symmetric with no node at 0 (8 per panel)
         half = len(b) // 2
         b, wb = b[half:], 2.0 * w[half:]
-    s, zp, ds_dt, c = _plane_geometry(a, b, omega, omega0, e1, e2)
-    pp, dpp = psi_plus.lookup(s, zp, ds_dt, c)
-    sm, zm, dsm_dt, cm = _plane_geometry(a, b, omega_prime, omega0, e1, e2)
-    if (psi_minus.reverses is psi_plus and omega @ e1 == -(omega_prime @ e1)
-            and omega @ e2 == -(omega_prime @ e2) and c == cm):
-        # psi_-(x; omega') = conj psi_+(x; -omega'); about -omega' every
-        # node has omega's (s, z) bit for bit, and d/dt along omega0 flips
-        # both rates
-        pm, dpm = np.conj(pp), -np.conj(dpp)
-    else:
-        pm, dpm = psi_minus.lookup(sm, zm, dsm_dt, cm)
-    # subtract the free-field (v = 0) integrand: off the diagonal it
-    # contributes nothing over the infinite plane, but its finite-window
-    # taper leakage would otherwise swamp the scattering part
-    fp = np.exp(1j * sql * zp)
-    fm = np.exp(1j * sql * zm)
-    dfp = 1j * sql * c * fp
-    dfm = 1j * sql * cm * fm
-    integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
-                 - (np.conj(fp) * dfm - np.conj(dfp) * fm))
-    total = w @ integrand @ wb
+    # psi_-(x; omega') = conj psi_+(x; -omega'); about -omega' every node
+    # has omega's (s, z) bit for bit, and d/dt along omega0 flips both rates
+    mirrored = (psi_minus.reverses is psi_plus
+                and omega @ e1 == -(omega_prime @ e1)
+                and omega @ e2 == -(omega_prime @ e2)
+                and omega @ omega0 == omega_prime @ omega0)
+    rows = max(1, _PLANE_BLOCK // len(b))
+    row_sums = np.empty(len(a), dtype=complex)
+    for i in range(0, len(a), rows):
+        block = a[i:i + rows]
+        s, zp, ds_dt, c = _plane_geometry(block, b, omega, omega0, e1, e2)
+        pp, dpp = psi_plus.lookup(s, zp, ds_dt, c)
+        sm, zm, dsm_dt, cm = _plane_geometry(block, b, omega_prime, omega0,
+                                             e1, e2)
+        if mirrored:
+            pm, dpm = np.conj(pp), -np.conj(dpp)
+        else:
+            pm, dpm = psi_minus.lookup(sm, zm, dsm_dt, cm)
+        # subtract the free-field (v = 0) integrand: off the diagonal it
+        # contributes nothing over the infinite plane, but its finite-window
+        # taper leakage would otherwise swamp the scattering part
+        fp = np.exp(1j * sql * zp)
+        fm = np.exp(1j * sql * zm)
+        dfp = 1j * sql * c * fp
+        dfm = 1j * sql * cm * fm
+        integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
+                     - (np.conj(fp) * dfm - np.conj(dfp) * fm))
+        row_sums[i:i + rows] = integrand @ wb
+    total = w @ row_sums
     return S0_SIGN * 1j * np.pi * sql * (2 * np.pi) ** -3 * total
 
 

@@ -117,12 +117,17 @@ def _power_primitive(rho: float, u) -> np.ndarray:
     For rho in [0.999, 1.001], where 2F1 is up to 1e-9 off, t = sinh x:
     G(u) = sign(u) int_0^asinh|u| cosh(x)^(1 - rho) dx, by 32 Gauss nodes on
     x <= 18 with ln cosh x = x - ln 2 + log1p(e^-2x), and in closed form
-    beyond, where cosh x = e^x / 2 to double precision."""
+    beyond, where cosh x = e^x / 2 to double precision.
+
+    Elsewhere, past |u| = 1e154, where u^2 overflows, the asymptote
+    G(u) = sign(u) (K_rho / (rho - 1) + |u|^(1 - rho) / (1 - rho)), whose
+    next term is a factor |u|^-2 smaller."""
     u = np.asarray(u, dtype=float)
     if rho == 1.0:
         return np.arcsinh(u)
     uf = np.where(np.isfinite(u), u, 0.0)
-    end = _power_scale(rho) / (rho - 1.0) if rho > 1.0 else np.inf
+    k = _power_scale(rho) / (rho - 1.0)
+    end = k if rho > 1.0 else np.inf
     if 0.999 <= rho <= 1.001:
         x_end, e = np.arcsinh(np.abs(uf)), 1.0 - rho
         x, w = gauss_panels(32, 0.0, np.minimum(x_end, 18.0))
@@ -131,7 +136,10 @@ def _power_primitive(rho: float, u) -> np.ndarray:
         far = np.maximum(x_end - 18.0, 0.0)
         g = np.sign(uf) * (head + np.exp(e * (18.0 - np.log(2.0))) * far * exprel(e * far))
     else:
-        g = uf * hyp2f1(0.5, 0.5 * rho, 1.5, -uf * uf)
+        far = np.abs(uf) > 1e154
+        un, ua = np.where(far, 0.0, uf), np.where(far, np.abs(uf), 1.0)
+        g = np.where(far, np.sign(uf) * (k + ua ** (1.0 - rho) / (1.0 - rho)),
+                     un * hyp2f1(0.5, 0.5 * rho, 1.5, -un * un))
     return np.where(np.isfinite(u), g, np.copysign(end, u))
 
 

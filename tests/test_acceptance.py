@@ -34,9 +34,20 @@ def test_printed_array_entry_never_reads_as_zero():
             == "[4.86e-03 2.40e-03 1.19e-03 5.96e-04]")
 
 
+def test_every_criterion_names_its_reference():
+    assert sorted(acceptance.REFERENCES) == sorted(acceptance.CRITERIA)
+    for cid, ref in acceptance.REFERENCES.items():
+        kind, _, what = ref.partition(": ")
+        assert kind in ("closed form", "independent solver",
+                        "independent solver at its own noise",
+                        "true by construction", "none"), (cid, ref)
+        assert what, (cid, ref)
+
+
 def _check(cid: int):
     [result] = acceptance.run_all([cid])
     print(result.line())
+    assert result.reference == acceptance.REFERENCES[cid]
     # every printed quantity is one of the values, rendered from it
     for key, shown in result.measured.items():
         assert key in result.values, key

@@ -450,6 +450,8 @@ class TestRun:
         record = json.loads((out / "result.json").read_text(),
                             parse_constant=refuse)
         [c1, c4] = record["extra"]["results"]
+        assert c1["reference"] == acceptance.REFERENCES[1]
+        assert c4["reference"] == acceptance.REFERENCES[4]
         values, measured = c4["values"], c4["measured"]
         assert set(values) == {"errors_N0", "errors_N1", "slope_N0", "slope_N1",
                                "floor_N0", "floor_N1"}

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,7 +376,8 @@ class _CountingPsi:
 
 class TestS0Fold:
     """Coplanar pairs are summed over the b >= 0 half of the plane rule with
-    doubled weights; the full-plane quadrature is the oracle."""
+    doubled weights, every pair in row blocks of the node mesh; the
+    full-plane quadrature is the oracle."""
 
     @pytest.mark.parametrize("N", [1, 3])
     @pytest.mark.parametrize("theta", [10.0, 30.0])
@@ -399,12 +401,47 @@ class TestS0Fold:
             assert abs(folded - full) <= 1e-12 * abs(full)
 
     def test_folded_rule_halves_the_points(self):
+        # totals over the row blocks' lookups, none larger than a block
         lam = 25.0
         pp, pm = (_CountingPsi(p) for p in _solutions(GAUSS, lam, 1))
         n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
-        eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, 18.0)
-        eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, 18.0)
-        assert pp.points == pm.points == [n * n // 2, n * n]
+        totals = []
+        for pair in (_pair(20.0), _pair(20.0, 30.0)):
+            pp.points.clear()
+            pm.points.clear()
+            eikonal._s0_quadrature(pp, pm, *pair, ZAXIS, 18.0)
+            assert pp.points == pm.points
+            assert max(pp.points) <= eikonal._PLANE_BLOCK
+            totals.append(sum(pp.points))
+        assert totals == [n * n // 2, n * n]
+
+    @pytest.mark.parametrize("turn", [0.0, 30.0], ids=["coplanar", "turned"])
+    def test_short_last_block_matches_full_plane(self, turn):
+        # the 1/r tail keeps the integrand off zero out to the window's
+        # edge, where the last block of rows lies
+        lam, window = 25.0, 16.5
+        pp, pm = _solutions(TAIL1, lam, 1)
+        w, wp = _pair(20.0, turn)
+        n = len(_plane_rule(window, np.sqrt(lam)).nodes)
+        n_b = n // 2 if turn == 0.0 else n
+        rows = eikonal._PLANE_BLOCK // n_b
+        # several blocks of rows, the last one short and reaching past the
+        # taper (216 rows in blocks of 151 or 75, the last of 65 or 66)
+        assert n > rows and 0.2 * n < n % rows
+        blocked = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, window)
+        full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
+        assert abs(blocked - full) <= 1e-12 * abs(full)
+
+    def test_samples_repeat_bit_for_bit(self):
+        # the blocked sums must not depend on where the allocator puts the
+        # block temporaries: a large array allocated and freed in between
+        # moves glibc's mmap threshold and with it their addresses
+        thetas = np.deg2rad([10.0, 30.0])
+        first = eikonal.s0_samples(GAUSS, 25.0, 1, thetas)
+        big = np.ones(2**21)
+        big[::4096] = 2.0
+        del big
+        assert eikonal.s0_samples(GAUSS, 25.0, 1, thetas) == first
 
     def test_non_coplanar_pair_unchanged(self):
         lam = 25.0
@@ -416,6 +453,26 @@ class TestS0Fold:
         # the same nodes and rule; only the geometry's rounding differs
         # (plane mesh against 3D points)
         assert abs(folded - full) <= 1e-12 * abs(full)
+
+    @pytest.mark.parametrize("turn", [0.0, 30.0], ids=["coplanar", "turned"])
+    def test_peak_memory_is_a_few_blocks(self, turn):
+        # at C7's lambda = 100: about 20 complex block arrays (5 MB), where
+        # the whole-mesh form held 19 MB (coplanar) and 50 MB (turned) and
+        # grew with the mesh; doubling the window makes 4x the mesh
+        lam = 100.0
+        pp, pm = _solutions(GAUSS, lam, 3)
+        w, wp = _pair(30.0, turn)
+        window = max(3.0 * GAUSS.effective_range, 60.0 / np.sqrt(lam))
+        peaks = []
+        for win in (window, 2.0 * window):
+            tracemalloc.start()
+            try:
+                eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, win)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 32 * 16 * eikonal._PLANE_BLOCK
+        assert peaks[1] <= 1.05 * peaks[0]
 
 
 TAIL09 = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
@@ -617,13 +674,20 @@ class TestTimeReversal:
             calls.append((self, np.size(s)))
             return evaluate(self, s, z, ds_dt, dz_dt)
 
+        def totals():
+            # points per evaluator, summed over the row blocks' lookups
+            points = {}
+            for psi, size in calls:
+                points[psi] = points.get(psi, 0) + size
+            calls.clear()
+            return points
+
         monkeypatch.setattr(_PsiEvaluator, "lookup", counting)
         n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
         eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, 18.0)
-        assert calls == [(pp, n * n // 2)]
-        calls.clear()
+        assert totals() == {pp: n * n // 2}
         eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, 18.0)
-        assert calls == [(pp, n * n), (pm, n * n)]
+        assert totals() == {pp: n * n, pm: n * n}
 
     def test_one_table_set(self, monkeypatch):
         built = []

@@ -164,6 +164,36 @@ class TestLineIntegral:
         np.testing.assert_allclose(_power_primitive(rho, np.concatenate([u, -u])),
                                    np.concatenate([ref, -ref]), rtol=5e-16, atol=0.0)
 
+    @pytest.mark.parametrize("rho", [0.75, 1.5, 3.0])
+    def test_primitive_past_u_squared_overflow_against_mpmath(self, rho):
+        # u^2 overflows above about 1.3e154; the asymptote takes over there
+        mpmath = pytest.importorskip("mpmath")
+        u = np.array([1e155, 1e200, 1e300])
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rho)
+            ref = np.array([float(mpmath.mpf(x) * mpmath.hyp2f1(
+                0.5, r / 2, 1.5, -mpmath.mpf(x) ** 2)) for x in u])
+        np.testing.assert_allclose(_power_primitive(rho, np.concatenate([u, -u])),
+                                   np.concatenate([ref, -ref]), rtol=2e-16, atol=0.0)
+
+    def test_finite_end_past_u_squared_overflow_against_mpmath(self):
+        # read 0.0 with an overflow warning while G formed u^2 at every u
+        mpmath = pytest.importorskip("mpmath")
+        model = PotentialModel(kind="power_tail", v0=1.0, rho=1.5)
+        s = np.array([0.0, 2.0, 1.0])
+        a = np.array([0.0, -3.0, -1e300])
+        b = np.array([1e200, 1e300, 1e250])
+        with mpmath.workdps(40):
+            def G(x):
+                x = mpmath.mpf(x)
+                return x * mpmath.hyp2f1(0.5, 0.75, 1.5, -x**2)
+            ref = []
+            for si, ai, bi in zip(s, a, b):
+                c = mpmath.sqrt(1 + mpmath.mpf(si) ** 2)
+                ref.append(float(c ** -0.5 * (G(bi / c) - G(ai / c))))
+        np.testing.assert_allclose(line_integral(model, s, a, b), ref,
+                                   rtol=1e-15, atol=0.0)
+
     def test_ray_difference_near_rho_one_against_quadrature(self):
         # 4.6e-10 off while G came from 2F1
         model = PotentialModel(kind="power_tail", v0=1.0, rho=0.999999)
