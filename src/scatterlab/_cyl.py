@@ -94,18 +94,6 @@ def cyl_coords(points: np.ndarray, axis: np.ndarray):
     return s, z
 
 
-def plane_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal e1, e2 spanning the plane orthogonal to the unit vector
-    axis, with e1 from the x axis (the y axis when axis is near x);
-    (e1, e2, axis) is right-handed."""
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(ref @ axis) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    e1 = ref - (ref @ axis) * axis
-    e1 = e1 / np.linalg.norm(e1)
-    return e1, np.cross(axis, e1)
-
-
 def off_cone_mask(grid: CylGrid, bad_z_sign: int, half_angle: float) -> np.ndarray:
     """True where the direction of (s, z) is outside the cone around the
     bad axis direction (z < 0 axis for bad_z_sign=-1, z > 0 for +1)."""

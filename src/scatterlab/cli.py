@@ -18,6 +18,7 @@ numerical-flag failure in strict mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -38,13 +39,29 @@ class ConfigError(ScatterlabError, ValueError):
     "config error: "."""
 
 
-def validate_config(config: dict) -> None:
+@functools.cache
+def _validator(experiment: str | None = None):
+    """The validator, built once, of a config without SCHEMA's per-experiment
+    allOf (experiment None) or of an experiment's params."""
     import jsonschema
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))
+    return jsonschema.Draft202012Validator(
+        {key: value for key, value in SCHEMA.items() if key != "allOf"}
+        if experiment is None else _params_schema(EXPERIMENTS[experiment]))
+
+
+def validate_config(config: dict) -> None:
+    """ConfigError at the first error by path against SCHEMA, whose allOf
+    is the params check of the config's experiment; then at the first
+    non-finite number."""
+    errors = [(list(e.path), e) for e in _validator().iter_errors(config)]
+    if isinstance(config, dict) and isinstance(config.get("params"), dict):
+        experiment = config.get("experiment")
+        if isinstance(experiment, str) and experiment in EXPERIMENTS:
+            errors += [(["params", *e.path], e) for e in
+                       _validator(experiment).iter_errors(config["params"])]
     if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.path) or "<root>"
+        path, e = min(errors, key=lambda item: item[0])
+        where = "/".join(str(p) for p in path) or "<root>"
         message = e.message
         if e.validator == "not":   # a list beside its single-value form
             message = " and ".join(e.validator_value["required"]) + " exclude each other"

@@ -409,69 +409,48 @@ def _plane_rule(window: float, sql: float):
     return composite_gauss(PLANE_NODES, edges)
 
 
-def _plane_geometry(a: np.ndarray, b: np.ndarray, omega, omega0, e1, e2):
-    """(s, z, ds/dt, dz/dt) about omega of the plane points a e1 + b e2 on
-    the (a, b) node mesh, t running along the plane's normal omega0.
+def _plane_geometry(a: np.ndarray, b: np.ndarray, p: float, c: float):
+    """(s, z, ds/dt) about omega = (p, 0, c) of the plane points (a, b, 0) on
+    the (a, b) node mesh, t running along the plane's normal e_z.
 
-    With p = omega . e1, q = omega . e2 and c = omega . omega0: z = a p + b q,
-    one column when q = 0; s^2 = a^2 + b^2 - z^2 >= c^2 (a^2 + b^2), so s
-    keeps its digits in the cap; dz/dt = c and ds/dt = -c z / s, since the
-    plane point has no omega0 component.
+    z = a p, one column; s^2 = a^2 + b^2 - z^2 >= c^2 (a^2 + b^2), so s keeps
+    its digits in the cap; ds/dt = -c z / s and dz/dt = c, since the plane
+    point has no e_z component.
     """
-    p, q, c = omega @ e1, omega @ e2, float(omega @ omega0)
     z = a[:, None] * p
-    if q != 0.0:
-        z = z + b[None, :] * q
     s = np.sqrt(a[:, None] ** 2 + b[None, :] ** 2 - z * z)
-    return s, z, -c * z / s, c
+    return s, z, -c * z / s
 
 
-def _s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
-                   omega, omega_prime, omega0, window: float) -> complex:
-    """The tapered plane sum over the (a, b) node mesh, in blocks of
-    _PLANE_BLOCK // len(b) rows of a: each block's integrand is summed
-    against the b weights, and the a weights finish the row sums."""
-    sql = psi_plus.xi
+def _s0_quadrature(psi: _PsiEvaluator, theta: float, window: float) -> complex:
+    """The tapered sum over the plane z = 0 for omega, omega' =
+    (+-sin(theta/2), 0, cos(theta/2)) from psi = psi_+.  The integrand is
+    even in b, so the b >= 0 half of the rule (symmetric, 8 nodes per panel)
+    is summed with doubled weights, in blocks of _PLANE_BLOCK // len(b) rows
+    of a: each block against the b weights, the row sums against the a's."""
+    sql = psi.xi
     rule = _plane_rule(window, sql)
-    e1, e2 = _cyl.plane_basis(omega0)
-
     taper = _taper_profile(
         (np.abs(rule.nodes) - window * (1 - TAPER_FRACTION))
         / (window * TAPER_FRACTION))
     w = rule.weights * taper
-    a = b = rule.nodes
-    wb = w
-    if omega @ e2 == 0.0 and omega_prime @ e2 == 0.0:
-        # b -> -b maps every node's (s, z) about omega and omega' and its
-        # derivative along omega0 onto themselves, so the integrand is even
-        # in b; the rule is symmetric with no node at 0 (8 per panel)
-        half = len(b) // 2
-        b, wb = b[half:], 2.0 * w[half:]
-    # psi_-(x; omega') = conj psi_+(x; -omega'); about -omega' every node
-    # has omega's (s, z) bit for bit, and d/dt along omega0 flips both rates
-    mirrored = (psi_minus.reverses is psi_plus
-                and omega @ e1 == -(omega_prime @ e1)
-                and omega @ e2 == -(omega_prime @ e2)
-                and omega @ omega0 == omega_prime @ omega0)
+    half = len(w) // 2
+    a, b, wb = rule.nodes, rule.nodes[half:], 2.0 * w[half:]
+    # omega = (p, 0, c), normalised as every 3-D direction is
+    p, _, c = _unit([np.sin(theta / 2), 0.0, np.cos(theta / 2)])
     rows = max(1, _PLANE_BLOCK // len(b))
     row_sums = np.empty(len(a), dtype=complex)
     for i in range(0, len(a), rows):
-        block = a[i:i + rows]
-        s, zp, ds_dt, c = _plane_geometry(block, b, omega, omega0, e1, e2)
-        pp, dpp = psi_plus.lookup(s, zp, ds_dt, c)
-        sm, zm, dsm_dt, cm = _plane_geometry(block, b, omega_prime, omega0,
-                                             e1, e2)
-        if mirrored:
-            pm, dpm = np.conj(pp), -np.conj(dpp)
-        else:
-            pm, dpm = psi_minus.lookup(sm, zm, dsm_dt, cm)
-        # subtract the free-field (v = 0) integrand: off the diagonal it
-        # contributes nothing over the infinite plane, but its finite-window
-        # taper leakage would otherwise swamp the scattering part
-        fp = np.exp(1j * sql * zp)
-        fm = np.exp(1j * sql * zm)
-        dfp = 1j * sql * c * fp
-        dfm = 1j * sql * cm * fm
+        s, z, ds_dt = _plane_geometry(a[i:i + rows], b, p, c)
+        pp, dpp = psi.lookup(s, z, ds_dt, c)
+        # psi_-(x; omega') = conj psi_+(x; -omega'), and about -omega' each
+        # node has omega's (s, z) while d/dt along e_z flips both rates.  The
+        # free-field (v = 0) integrand, psi_+- = exp(+-i sql z), adds nothing
+        # over the infinite plane off the diagonal, but its taper leakage
+        # would swamp the scattering part, so it is subtracted
+        pm, dpm = np.conj(pp), -np.conj(dpp)
+        fp, fm = np.exp(1j * sql * z), np.exp(-1j * sql * z)
+        dfp, dfm = 1j * sql * c * fp, 1j * sql * c * fm
         integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
                      - (np.conj(fp) * dfm - np.conj(dfp) * fm))
         row_sums[i:i + rows] = integrand @ wb
@@ -511,67 +490,41 @@ def s0_solutions(model: PotentialModel, lam: float,
     return psi, psi.time_reversed()
 
 
-def coplanar_pair(omega0: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, omega') = cos(theta/2) omega0 +- sin(theta/2) e1: the pair at
-    angle theta symmetric about the unit vector omega0, in the plane of
-    omega0 and e1 from _cyl.plane_basis(omega0)."""
-    e1, _ = _cyl.plane_basis(omega0)
-    return (np.cos(theta / 2) * omega0 + np.sin(theta / 2) * e1,
-            np.cos(theta / 2) * omega0 - np.sin(theta / 2) * e1)
-
-
-def s0_directions(omega, omega_prime, omega0):
-    """Unit (omega, omega', omega0) for the S0 kernel; ParameterError when a
-    direction leaves the cap omega . omega0 > 0.5 or the two coincide."""
-    omega = _unit(omega)
-    omega_prime = _unit(omega_prime)
-    omega0 = _unit(omega0)
-    if omega @ omega0 <= S0_CAP_DELTA or omega_prime @ omega0 <= S0_CAP_DELTA:
-        raise ParameterError("directions must lie in the cap around omega0")
-    if np.allclose(omega, omega_prime):
-        raise ParameterError("omega must differ from omega_prime")
-    return omega, omega_prime, omega0
-
-
-def s0_kernel(solutions: tuple[_PsiEvaluator, _PsiEvaluator], omega,
-              omega_prime, omega0) -> S0Sample:
-    """Plane-integral kernel sample over a tapered window of the plane
-    through the origin orthogonal to omega0 (d = 3, zero vector potential)
-    from the (psi_plus, psi_minus) of s0_solutions, which carry the model,
-    sqrt(lam) and N; the window's half-width is max(3 effective_range,
-    60 / sqrt(lam)).
-
-    Directions must lie in the cap omega . omega0 > 0.5.  Reports the
-    relative change of the value under a 25% window enlargement; the
-    sample is flagged non-converged when that exceeds 10%.
-    """
-    omega, omega_prime, omega0 = s0_directions(omega, omega_prime, omega0)
-    psi_plus, psi_minus = solutions
-    val, val_big = (
-        _s0_quadrature(psi_plus, psi_minus, omega, omega_prime, omega0, window)
-        for window in _s0_windows(psi_plus.eikonal.model, psi_plus.xi))
+def s0_kernel(psi: _PsiEvaluator, theta: float) -> S0Sample:
+    """Plane-integral kernel sample (d = 3, zero vector potential) at the
+    angle theta between omega, omega' = (+-sin(theta/2), 0, cos(theta/2)),
+    over a tapered window of the plane z = 0 of half-width max(3
+    effective_range, 60 / sqrt(lam)), from the psi_plus of s0_solutions,
+    which carries the model, sqrt(lam) and N.  Both directions lie in the
+    cap omega . e_z > S0_CAP_DELTA for 0 < theta < 2 arccos(S0_CAP_DELTA),
+    which s0_samples checks.  Reports the relative change of the value
+    under a 25% window enlargement; the sample is flagged non-converged
+    when that exceeds 10%."""
+    val, val_big = (_s0_quadrature(psi, theta, window)
+                    for window in _s0_windows(psi.eikonal.model, psi.xi))
     sens = abs(val_big - val) / max(abs(val), 1e-300)
     return S0Sample(value=complex(val), sensitivity=float(sens),
-                    converged=bool(sens <= 0.10), N=psi_plus.N)
+                    converged=bool(sens <= 0.10), N=psi.N)
 
 
 def s0_samples(model: PotentialModel, lam: float, N: int,
                thetas) -> list[S0Sample]:
-    """S0 samples of transport order N at energy lam, one per angle in
-    thetas, for the coplanar_pair about e_z: every pair is checked against
-    the cap first, then one s0_solutions build serves every angle."""
-    omega0 = np.array([0.0, 0.0, 1.0])
-    pairs = [coplanar_pair(omega0, th) for th in thetas]
-    for w, wp in pairs:
-        s0_directions(w, wp, omega0)
-    solutions = s0_solutions(model, lam, N)
-    return [s0_kernel(solutions, w, wp, omega0) for w, wp in pairs]
+    """S0 kernel samples of transport order N at energy lam, one per angle
+    in thetas: every angle is checked against the cap first, then one
+    s0_solutions build serves every angle."""
+    limit = 2.0 * np.arccos(S0_CAP_DELTA)
+    for th in thetas:
+        if not 0.0 < th < limit:
+            raise ParameterError(
+                f"directions must lie in the cap around omega0 and differ: "
+                f"theta = {th:g} is outside (0, {limit:.6g})")
+    psi, _ = s0_solutions(model, lam, N)
+    return [s0_kernel(psi, th) for th in thetas]
 
 
 @dataclass(frozen=True)
 class DiagonalProbe:
     angles: np.ndarray
-    separations: np.ndarray
     values: np.ndarray
     fitted_exponent: float
     theoretical_exponent: float
@@ -589,10 +542,10 @@ def diagonal_exponent_probe(model: PotentialModel, lam: float,
         raise ParameterError("need >= 5 decreasing angles spanning a decade")
     samples = s0_samples(model, lam, PROBE_N, angles)
     vals = np.array([sample.value for sample in samples])
-    seps = 2.0 * np.sin(angles / 2)
-    slope = float(np.polyfit(np.log(seps), np.log(np.abs(vals)), 1)[0])
+    slope = float(np.polyfit(np.log(2.0 * np.sin(angles / 2)),
+                             np.log(np.abs(vals)), 1)[0])
     return DiagonalProbe(
-        angles=angles, separations=seps, values=vals,
+        angles=angles, values=vals,
         fitted_exponent=slope,
         theoretical_exponent=-(1.0 + 1.0 / model.rho),
         reliable=all(sample.converged for sample in samples),

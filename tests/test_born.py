@@ -13,6 +13,17 @@ BUMP = PotentialModel(kind="compact_bump", v0=-2.0, width=2.0)
 YUKAWA = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
 
 
+def _plane_basis(axis):
+    """Orthonormal e2, e3 spanning the plane orthogonal to the unit vector
+    axis, e2 from the x axis (the y axis when axis is near x)."""
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(ref @ axis) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    e2 = ref - (ref @ axis) * axis
+    e2 = e2 / np.linalg.norm(e2)
+    return e2, np.cross(axis, e2)
+
+
 def kernel_slice_loop(model, lam, omega, omega_prime, N, grid=None):
     """The 3-D cube rule that the (s, z) kernel replaced, kept as an
     independent oracle: Gauss panels along e1 = delta/|delta| times a
@@ -29,7 +40,7 @@ def kernel_slice_loop(model, lam, omega, omega_prime, N, grid=None):
 
     # orthonormal frame with e1 along the oscillation direction
     e1 = delta / np.linalg.norm(delta)
-    e2, e3 = _cyl.plane_basis(e1)
+    e2, e3 = _plane_basis(e1)
 
     n1 = max(96, int(np.ceil(2 * R * kappa / (2 * np.pi)) * 10))
     nt = max(96, int(np.ceil(8 * R)))

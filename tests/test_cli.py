@@ -103,6 +103,25 @@ class TestValidation:
         import jsonschema
         jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
 
+    @pytest.mark.parametrize("config", [
+        {"experiment": "phaseshift", "potential": {"kind": "teleport"},
+         "seed": -1, "params": {"l_max": "x"}},
+        {"experiment": "diagnose", "params": {"check": "kato", "r": -1.0,
+                                              "c": 1.0}},
+        {"experiment": "s0", "params": [0.3]},
+        [],
+    ], ids=["params-first", "diagnose-check", "params-not-object", "not-object"])
+    def test_first_error_is_the_whole_schemas(self, config):
+        # params are validated apart from the rest of the config; the error
+        # reported is still the first by path against the whole SCHEMA
+        import jsonschema
+        errors = jsonschema.Draft202012Validator(cli.SCHEMA).iter_errors(config)
+        first = min(errors, key=lambda e: list(e.path))
+        where = "/".join(str(p) for p in first.path) or "<root>"
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.validate_config(config)
+        assert str(exc.value) == f"at {where}: {first.message}"
+
 
 def _entries():
     """(experiment, check or None, parameters) of each entry of the table."""
@@ -916,11 +935,14 @@ class TestTypedErrors:
             raise AssertionError("s0 tables built for a rejected pair")
 
         monkeypatch.setattr(eikonal, "s0_solutions", no_tables)
-        self._assert_typed(tmp_path, capsys, {
-            "experiment": "s0",
-            "potential": {"kind": "gaussian_well", "v0": -1.0},
-            "params": {"lam": 64.0, "N": 1, "thetas": [np.deg2rad(130.0)]}},
-            "directions must lie in the cap around omega0")
+        # -0.35 and 4 pi + 0.35 name the pair of theta = 0.35; theta = 0
+        # makes omega = omega'
+        for theta in (np.deg2rad(130.0), -0.35, 4 * np.pi + 0.35, 0.0):
+            self._assert_typed(tmp_path, capsys, {
+                "experiment": "s0",
+                "potential": {"kind": "gaussian_well", "v0": -1.0},
+                "params": {"lam": 64.0, "N": 1, "thetas": [theta]}},
+                "directions must lie in the cap around omega0")
 
     def test_eikonal_on_yukawa_rejected(self, tmp_path, capsys):
         # the phi_1 anchor's reference ray int_0^inf v runs through the core

@@ -16,6 +16,11 @@ GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
 TAIL2 = PotentialModel(kind="power_tail", v0=1.0, rho=2.0)
 TAIL1 = PotentialModel(kind="power_tail", v0=0.5, rho=1.0)
 ZAXIS = np.array([0.0, 0.0, 1.0])
+# the S0 plane z = 0 and its basis; the angles 0 < theta < CAP_LIMIT keep
+# both directions of the pair in the cap omega . e_z > S0_CAP_DELTA
+EX = np.array([1.0, 0.0, 0.0])
+EY = np.array([0.0, 1.0, 0.0])
+CAP_LIMIT = 2.0 * np.arccos(eikonal.S0_CAP_DELTA)
 
 
 def _order(data, N):
@@ -251,25 +256,31 @@ class TestS0:
         assert np.all(np.diff(vals) <= 1e-14)
 
     def test_reciprocity(self):
-        # radial v: s0(omega, omega') = s0(omega', omega)
-        lam = 25.0
-        sols = eikonal.s0_solutions(GAUSS, lam, 1)
-        th = np.deg2rad(20.0)
-        e1 = np.array([1.0, 0.0, 0.0])
-        w = np.cos(th / 2) * ZAXIS + np.sin(th / 2) * e1
-        wp = np.cos(th / 2) * ZAXIS - np.sin(th / 2) * e1
-        a = eikonal.s0_kernel(sols, w, wp, ZAXIS)
-        b = eikonal.s0_kernel(sols, wp, w, ZAXIS)
-        assert a.value == pytest.approx(b.value, rel=1e-6)
+        # radial v: s0(omega, omega') = s0(omega', omega); the swapped pair
+        # on the whole plane, with psi_- from the sign -1 tables
+        lam, window = 25.0, 18.0
+        w, wp = _pair(20.0)
+        a = eikonal._s0_quadrature(_solutions(GAUSS, lam, 1)[0],
+                                   np.deg2rad(20.0), window)
+        b = _full_plane_s0_quadrature(*_two_table_pair(GAUSS, lam, 1), wp, w,
+                                      lam, window)
+        assert abs(a - b) <= 1e-10 * abs(b)
 
-    def test_cap_restriction(self):
-        with pytest.raises(ParameterError):
-            eikonal.s0_kernel(_solutions(GAUSS, 25.0, 1), [1, 0, 0], [0, 1, 0],
-                              ZAXIS)
+    def test_cap_restriction(self, monkeypatch):
+        # only 0 < theta < 2 arccos(0.5) puts both directions in the cap:
+        # -0.35 and 4 pi + 0.35 are the pair of 0.35, under another label
+        monkeypatch.setattr(eikonal, "s0_solutions", _build_nothing)
+        for theta in (np.deg2rad(130.0), -0.35, 4 * np.pi + 0.35, CAP_LIMIT,
+                      np.nan):
+            with pytest.raises(ParameterError, match="cap around omega0"):
+                eikonal.s0_samples(GAUSS, 25.0, 1, [theta])
+        with pytest.raises(_TablesBuilt):
+            eikonal.s0_samples(GAUSS, 25.0, 1, [np.nextafter(CAP_LIMIT, 0.0)])
 
-    def test_coincident_directions_rejected(self):
-        with pytest.raises(ParameterError):
-            eikonal.s0_kernel(_solutions(GAUSS, 25.0, 1), ZAXIS, ZAXIS, ZAXIS)
+    def test_coincident_directions_rejected(self, monkeypatch):
+        monkeypatch.setattr(eikonal, "s0_solutions", _build_nothing)
+        with pytest.raises(ParameterError, match="differ: theta = 0 is outside"):
+            eikonal.s0_samples(GAUSS, 25.0, 1, [0.0])
 
     def test_diagonal_probe_validation(self, monkeypatch):
         # refused before any table
@@ -299,33 +310,30 @@ class TestS0Samples:
         thetas = np.deg2rad([10.0, 20.0])
         samples = eikonal.s0_samples(GAUSS, 25.0, 1, thetas)
         assert builds == [(GAUSS, 25.0, 1)]
-        sols = _solutions(GAUSS, 25.0, 1)
+        psi = _solutions(GAUSS, 25.0, 1)[0]
         for th, sample in zip(thetas, samples):
-            w, wp = eikonal.coplanar_pair(ZAXIS, th)
             assert sample.N == 1
-            assert sample == eikonal.s0_kernel(sols, w, wp, ZAXIS)
-            # the probe's separation |omega - omega'|
-            assert np.linalg.norm(w - wp) == 2.0 * np.sin(th / 2)
+            assert sample == eikonal.s0_kernel(psi, th)
 
 
 def _full_plane_s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
-                              omega, omega_prime, omega0, lam: float,
+                              omega, omega_prime, lam: float,
                               window: float) -> complex:
-    """The S0 plane quadrature on the whole n x n tensor rule, kept as it
-    was before coplanar pairs were folded over b -> -b."""
+    """The S0 quadrature over the plane z = 0 for any pair (omega, omega'):
+    psi_+ and psi_- looked up at 3D points on the whole n x n tensor rule,
+    with no fold over b -> -b."""
     sql = np.sqrt(lam)
     rule = _plane_rule(window, sql)
-    e1, e2 = _cyl.plane_basis(omega0)
 
     taper = _taper_profile(
         (np.abs(rule.nodes) - window * (1 - TAPER_FRACTION))
         / (window * TAPER_FRACTION))
     w = rule.weights * taper
     n = len(rule.nodes)
-    pts = (rule.nodes[:, None, None] * e1[None, None, :]
-           + rule.nodes[None, :, None] * e2[None, None, :]).reshape(-1, 3)
-    pp, dpp = psi_plus(pts, omega, omega0)
-    pm, dpm = psi_minus(pts, omega_prime, omega0)
+    pts = (rule.nodes[:, None, None] * EX[None, None, :]
+           + rule.nodes[None, :, None] * EY[None, None, :]).reshape(-1, 3)
+    pp, dpp = psi_plus(pts, omega, ZAXIS)
+    pm, dpm = psi_minus(pts, omega_prime, ZAXIS)
     # subtract the free-field (v = 0) integrand: off the diagonal it
     # contributes nothing over the infinite plane, but its finite-window
     # taper leakage would otherwise swamp the scattering part
@@ -333,8 +341,8 @@ def _full_plane_s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
     zm = pts @ omega_prime
     fp = np.exp(1j * sql * zp)
     fm = np.exp(1j * sql * zm)
-    dfp = 1j * sql * float(omega @ omega0) * fp
-    dfm = 1j * sql * float(omega_prime @ omega0) * fm
+    dfp = 1j * sql * float(omega @ ZAXIS) * fp
+    dfm = 1j * sql * float(omega_prime @ ZAXIS) * fm
     integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
                  - (np.conj(fp) * dfm - np.conj(dfp) * fm)).reshape(n, n)
     total = w @ integrand @ w
@@ -347,22 +355,19 @@ def _solutions(model, lam, N):
 
 
 def _pair(theta_deg, turn_deg=0.0):
-    """(omega, omega') at angle theta in the (z, x) plane, omega then turned
-    by turn_deg about the z axis."""
+    """(omega, omega') at angle theta in the (z, x) plane, unit vectors as
+    _s0_quadrature rounds them, omega then turned by turn_deg about the z
+    axis."""
     th = np.deg2rad(theta_deg)
-    e1 = np.array([1.0, 0.0, 0.0])
-    w = np.cos(th / 2) * ZAXIS + np.sin(th / 2) * e1
-    wp = np.cos(th / 2) * ZAXIS - np.sin(th / 2) * e1
+    w = eikonal._unit(np.cos(th / 2) * ZAXIS + np.sin(th / 2) * EX)
+    wp = eikonal._unit(np.cos(th / 2) * ZAXIS - np.sin(th / 2) * EX)
     c, s = np.cos(np.deg2rad(turn_deg)), np.sin(np.deg2rad(turn_deg))
     turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     return turn @ w, wp
 
 
 class _CountingPsi:
-    """Counts the points of each lookup; reverses is None, so the
-    quadrature evaluates both halves of a symmetric pair."""
-
-    reverses = None
+    """Counts the points of each lookup."""
 
     def __init__(self, psi):
         self.psi = psi
@@ -375,61 +380,51 @@ class _CountingPsi:
 
 
 class TestS0Fold:
-    """Coplanar pairs are summed over the b >= 0 half of the plane rule with
-    doubled weights, every pair in row blocks of the node mesh; the
-    full-plane quadrature is the oracle."""
+    """The pair is summed over the b >= 0 half of the plane rule with
+    doubled weights, in row blocks of the node mesh; the full-plane
+    quadrature is the oracle."""
 
     @pytest.mark.parametrize("N", [1, 3])
     @pytest.mark.parametrize("theta", [10.0, 30.0])
     @pytest.mark.parametrize("lam", [25.0, 64.0])
     def test_gaussian_matches_full_plane(self, lam, theta, N):
         pp, pm = _solutions(GAUSS, lam, N)
-        w, wp = _pair(theta)
         window = max(3.0 * GAUSS.effective_range, 60.0 / np.sqrt(lam))
-        folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, window)
-        full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
+        folded = eikonal._s0_quadrature(pp, np.deg2rad(theta), window)
+        full = _full_plane_s0_quadrature(pp, pm, *_pair(theta), lam, window)
         assert abs(folded - full) <= 1e-12 * abs(full)
 
     def test_power_tail_matches_full_plane(self):
         lam = 25.0
         pp, pm = _solutions(TAIL1, lam, 1)
-        w, wp = _pair(20.0)
         for window in (30.0, 37.5):
-            folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, window)
-            full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam,
+            folded = eikonal._s0_quadrature(pp, np.deg2rad(20.0), window)
+            full = _full_plane_s0_quadrature(pp, pm, *_pair(20.0), lam,
                                              window)
             assert abs(folded - full) <= 1e-12 * abs(full)
 
     def test_folded_rule_halves_the_points(self):
         # totals over the row blocks' lookups, none larger than a block
         lam = 25.0
-        pp, pm = (_CountingPsi(p) for p in _solutions(GAUSS, lam, 1))
+        pp = _CountingPsi(_solutions(GAUSS, lam, 1)[0])
         n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
-        totals = []
-        for pair in (_pair(20.0), _pair(20.0, 30.0)):
-            pp.points.clear()
-            pm.points.clear()
-            eikonal._s0_quadrature(pp, pm, *pair, ZAXIS, 18.0)
-            assert pp.points == pm.points
-            assert max(pp.points) <= eikonal._PLANE_BLOCK
-            totals.append(sum(pp.points))
-        assert totals == [n * n // 2, n * n]
+        eikonal._s0_quadrature(pp, np.deg2rad(20.0), 18.0)
+        assert max(pp.points) <= eikonal._PLANE_BLOCK
+        assert sum(pp.points) == n * n // 2
 
-    @pytest.mark.parametrize("turn", [0.0, 30.0], ids=["coplanar", "turned"])
-    def test_short_last_block_matches_full_plane(self, turn):
+    @pytest.mark.parametrize("theta", [20.0], ids=["coplanar"])
+    def test_short_last_block_matches_full_plane(self, theta):
         # the 1/r tail keeps the integrand off zero out to the window's
         # edge, where the last block of rows lies
         lam, window = 25.0, 16.5
         pp, pm = _solutions(TAIL1, lam, 1)
-        w, wp = _pair(20.0, turn)
         n = len(_plane_rule(window, np.sqrt(lam)).nodes)
-        n_b = n // 2 if turn == 0.0 else n
-        rows = eikonal._PLANE_BLOCK // n_b
+        rows = eikonal._PLANE_BLOCK // (n // 2)
         # several blocks of rows, the last one short and reaching past the
-        # taper (216 rows in blocks of 151 or 75, the last of 65 or 66)
+        # taper (216 rows in blocks of 151, the last of 65)
         assert n > rows and 0.2 * n < n % rows
-        blocked = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, window)
-        full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, window)
+        blocked = eikonal._s0_quadrature(pp, np.deg2rad(theta), window)
+        full = _full_plane_s0_quadrature(pp, pm, *_pair(theta), lam, window)
         assert abs(blocked - full) <= 1e-12 * abs(full)
 
     def test_samples_repeat_bit_for_bit(self):
@@ -443,31 +438,19 @@ class TestS0Fold:
         del big
         assert eikonal.s0_samples(GAUSS, 25.0, 1, thetas) == first
 
-    def test_non_coplanar_pair_unchanged(self):
-        lam = 25.0
-        pp, pm = _solutions(GAUSS, lam, 1)
-        w, wp = _pair(20.0, turn_deg=30.0)
-        assert w[1] != 0.0
-        folded = eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, 18.0)
-        full = _full_plane_s0_quadrature(pp, pm, w, wp, ZAXIS, lam, 18.0)
-        # the same nodes and rule; only the geometry's rounding differs
-        # (plane mesh against 3D points)
-        assert abs(folded - full) <= 1e-12 * abs(full)
-
-    @pytest.mark.parametrize("turn", [0.0, 30.0], ids=["coplanar", "turned"])
-    def test_peak_memory_is_a_few_blocks(self, turn):
+    @pytest.mark.parametrize("theta", [30.0], ids=["coplanar"])
+    def test_peak_memory_is_a_few_blocks(self, theta):
         # at C7's lambda = 100: about 20 complex block arrays (5 MB), where
-        # the whole-mesh form held 19 MB (coplanar) and 50 MB (turned) and
-        # grew with the mesh; doubling the window makes 4x the mesh
+        # the whole-mesh form held 19 MB and grew with the mesh; doubling
+        # the window makes 4x the mesh
         lam = 100.0
-        pp, pm = _solutions(GAUSS, lam, 3)
-        w, wp = _pair(30.0, turn)
+        pp = _solutions(GAUSS, lam, 3)[0]
         window = max(3.0 * GAUSS.effective_range, 60.0 / np.sqrt(lam))
         peaks = []
         for win in (window, 2.0 * window):
             tracemalloc.start()
             try:
-                eikonal._s0_quadrature(pp, pm, w, wp, ZAXIS, win)
+                eikonal._s0_quadrature(pp, np.deg2rad(theta), win)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -483,26 +466,23 @@ class TestPlaneGeometry:
     _PsiEvaluator.__call__ takes: cyl_coords and perp . dir_perp / s."""
 
     def test_mesh_matches_3d_points(self):
-        # s and z within 8 ulp of |x|, ds/dt (|ds/dt| <= sqrt(3) in the
-        # cap) within 16 ulp; 7.5 ulp is the worst over 400 directions
+        # omega = (+-sin(theta/2), 0, cos(theta/2)), the two directions of
+        # the pair, over the plane z = 0: s and z within 8 ulp of |x|,
+        # ds/dt (|ds/dt| <= sqrt(3) in the cap) within 16 ulp
         rng = np.random.default_rng(25)
         eps = np.finfo(float).eps
         for trial in range(40):
-            omega0 = eikonal._unit(rng.normal(size=3))
-            e1, e2 = _cyl.plane_basis(omega0)
-            th = rng.uniform(0.01, np.deg2rad(59.9))
-            turn = 0.0 if trial % 2 == 0 else rng.uniform(0.0, 2.0 * np.pi)
-            omega = np.cos(th) * omega0 + np.sin(th) * (
-                np.cos(turn) * e1 + np.sin(turn) * e2)
+            th = rng.uniform(0.01, CAP_LIMIT)
+            p = (-1) ** trial * np.sin(th / 2)
+            c = np.cos(th / 2)
+            omega = np.array([p, 0.0, c])
             a = rng.uniform(-40.0, 40.0, 16)
             b = rng.uniform(-40.0, 40.0, 11)
-            s, z, ds_dt, dz_dt = eikonal._plane_geometry(a, b, omega, omega0,
-                                                         e1, e2)
-            pts = (a[:, None, None] * e1 + b[None, :, None] * e2).reshape(-1, 3)
+            s, z, ds_dt = eikonal._plane_geometry(a, b, p, c)
+            pts = (a[:, None, None] * EX + b[None, :, None] * EY).reshape(-1, 3)
             s3, z3 = _cyl.cyl_coords(pts, omega)
-            assert dz_dt == float(omega @ omega0)
             perp = pts - np.outer(z3, omega)
-            ds3 = (perp @ (omega0 - dz_dt * omega)) / s3
+            ds3 = (perp @ (ZAXIS - c * omega)) / s3
             r = np.hypot(a[:, None], b[None, :]).ravel()
             z = np.broadcast_to(z, s.shape).ravel()
             assert np.all(np.abs(s.ravel() - s3) <= 8 * eps * r)
@@ -645,49 +625,30 @@ class TestTimeReversal:
     @pytest.mark.parametrize("model,lam,N", [(GAUSS, 64.0, 3),
                                              (TAIL09, 25.0, 1)])
     def test_quadrature_matches_two_tables(self, model, lam, N):
+        # the folded sum reads psi_- off psi_+; the whole-plane sum of the
+        # pair and of its swap, with psi_- from its own tables, is the oracle
         reversed_pair = _solutions(model, lam, N)
         two_tables = _two_table_pair(model, lam, N)
         assert reversed_pair[1].reverses is reversed_pair[0]
         assert two_tables[1].reverses is None
         w, wp = _pair(20.0)
-        # mirrored in e1 only: omega . e1 = -omega' . e1 and equal
-        # omega . omega0, but omega . e2 = omega' . e2 != 0, so not symmetric
-        turned = _pair(20.0, 30.0)[0]
-        mirrored = (turned, turned * np.array([-1.0, 1.0, 1.0]))
         window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
-        for omega, omega_prime in ((w, wp), (wp, w), _pair(20.0, 30.0),
-                                   mirrored):
-            for win in (window, 1.25 * window):
-                got = eikonal._s0_quadrature(*reversed_pair, omega, omega_prime,
-                                             ZAXIS, win)
-                ref = eikonal._s0_quadrature(*two_tables, omega, omega_prime,
-                                             ZAXIS, win)
+        for win in (window, 1.25 * window):
+            got = eikonal._s0_quadrature(reversed_pair[0], np.deg2rad(20.0),
+                                         win)
+            for omega, omega_prime in ((w, wp), (wp, w)):
+                ref = _full_plane_s0_quadrature(*two_tables, omega,
+                                                omega_prime, lam, win)
                 assert abs(got - ref) <= 1e-10 * abs(ref), (omega, win)
 
-    def test_symmetric_pair_evaluates_psi_plus_once(self, monkeypatch):
+    def test_symmetric_pair_evaluates_psi_plus_once(self):
+        # one psi_+ lookup per row block, which psi_- reuses
         lam = 25.0
-        pp, pm = _solutions(GAUSS, lam, 1)
-        calls = []
-        evaluate = _PsiEvaluator.lookup
-
-        def counting(self, s, z, ds_dt, dz_dt):
-            calls.append((self, np.size(s)))
-            return evaluate(self, s, z, ds_dt, dz_dt)
-
-        def totals():
-            # points per evaluator, summed over the row blocks' lookups
-            points = {}
-            for psi, size in calls:
-                points[psi] = points.get(psi, 0) + size
-            calls.clear()
-            return points
-
-        monkeypatch.setattr(_PsiEvaluator, "lookup", counting)
+        pp = _CountingPsi(_solutions(GAUSS, lam, 1)[0])
         n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
-        eikonal._s0_quadrature(pp, pm, *_pair(20.0), ZAXIS, 18.0)
-        assert totals() == {pp: n * n // 2}
-        eikonal._s0_quadrature(pp, pm, *_pair(20.0, 30.0), ZAXIS, 18.0)
-        assert totals() == {pp: n * n, pm: n * n}
+        rows = eikonal._PLANE_BLOCK // (n // 2)
+        eikonal._s0_quadrature(pp, np.deg2rad(20.0), 18.0)
+        assert len(pp.points) == -(-n // rows)
 
     def test_one_table_set(self, monkeypatch):
         built = []

@@ -1,11 +1,19 @@
 """The benchmark's traced run wraps scipy entry points by module attribute
-(perfbench/tracing.py `SCIPY`).  A name there that a module stops binding
-breaks only the traced run, which the package's tests do not collect, so
-this checks every binding here."""
+(perfbench/tracing.py `SCIPY`), subclasses `_cyl.RegularGridInterpolator`
+in place, and its interpolator check calls the psi_plus of
+`eikonal.s0_solutions` on 3D points.  A package change that breaks one of
+these breaks only the traced run, which the package's tests do not collect,
+so this checks each of them here."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from scatterlab import _cyl, eikonal
+from scatterlab.potentials import PotentialModel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -26,3 +34,20 @@ def test_traced_scipy_names_still_bound():
             fn = getattr(module, name, None)
             assert callable(fn), f"scatterlab.{short}.{name} is not bound"
             assert fn.__module__.startswith("scipy"), (short, name)
+
+
+def test_traced_interpolator_bound():
+    # Tracer.install rebinds this name to a subclass of what it holds
+    rgi = getattr(_cyl, "RegularGridInterpolator", None)
+    assert isinstance(rgi, type) and rgi.__module__.startswith("scipy")
+
+
+def test_psi_plus_called_on_points():
+    # the check's call: psi_plus(points, omega, deriv_dir) -> (psi, dpsi);
+    # outside the tables b = 1 and Phi = 0
+    model = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
+    psi_plus = eikonal.s0_solutions(model, 64.0, 1)[0]
+    psi, dpsi = psi_plus(np.array([[0.0, 500.0, 0.0]]),
+                         np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    assert psi.shape == dpsi.shape == (1,)
+    assert psi[0] == pytest.approx(1.0)
