@@ -40,8 +40,9 @@ S0_SIGN = -1.0
 PROBE_N = 1
 # Gauss nodes per S0 plane panel, and the largest (a, b) node mesh of the
 # enlarged plane window.  The quadrature walks the mesh in row blocks of
-# about _PLANE_BLOCK points and holds no full-mesh array: about 5 MB of block
-# temporaries at any mesh size, plus 16 bytes per row (33 kB at the cap).
+# about _PLANE_BLOCK points and holds no full-mesh array: at most about 4.7 MB
+# of block temporaries (tracemalloc peak) with 6 psi planes and 5.3 MB with 9,
+# at any mesh size, plus 16 bytes per row (33 kB at the cap).
 PLANE_NODES = 8
 MAX_PLANE_POINTS = 2**22
 _PLANE_BLOCK = 2**14
@@ -207,7 +208,8 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
         # Phi = 0: no derivative pass, and q = 2 |xi| Phi_z + |grad Phi|^2 + v
         # is v itself.  The shared zero table stays writeable: scipy's
         # RegularGridInterpolator skips its fast linear path on read-only
-        # values, and _PsiEvaluator interpolates Phi, Phi_s and Phi_z
+        # values, and _PsiEvaluator.__call__ interpolates Phi, Phi_s and
+        # Phi_z (lookup's stack has no Phi planes for N0 = 0)
         Phi = Phi_s = Phi_z = lap_Phi = phi[0]
         q = v
     else:
@@ -305,13 +307,41 @@ class S0Sample:
     N: int
 
 
+def _cells(nodes: np.ndarray):
+    """(edges, origins, widths) of the cells of a node axis x_0 < ... <
+    x_{n-1} in a table padded with one fill entry before x_0 and two after
+    x_{n-1}.  The point x lies in cell j = searchsorted(edges, x, "right"),
+    between padded entries j and j + 1, at the fraction clip((x - origins[j])
+    / widths[j], 0, 1): inside, (x - x_{j-1}) / (x_j - x_{j-1}) as scipy's
+    RegularGridInterpolator takes it; x = x_{n-1} reads the last node;
+    before x_0 or past x_{n-1} it reads the fill."""
+    edges = np.append(nodes, np.nextafter(nodes[-1], np.inf))
+    origins = np.concatenate([nodes[:1], edges])
+    widths = np.concatenate([[1.0], np.diff(nodes), [1.0, 1.0]])
+    return edges, origins, widths
+
+
+def _locate(cells, x):
+    """The cell index and fraction of each x (see _cells); NaN stays NaN."""
+    edges, origins, widths = cells
+    j = np.searchsorted(edges, x, side="right")
+    t = np.subtract(x, origins[j])
+    t /= widths[j]
+    return j, np.clip(t, 0.0, 1.0, out=t)
+
+
 class _PsiEvaluator:
     """Evaluates psi and its derivative along a fixed space direction from
     axisymmetric tables, for any propagation direction omega.
 
+    One real stack holds the tables as planes: the real and imaginary parts
+    of b, d_s b and d_z b, then Phi, Phi_s and Phi_z when N0 >= 1 (6 or 9
+    planes), each padded with its value outside the grid (b = 1, all else
+    0).  lookup reads them bilinearly, with one cell search per axis.
+
     Built from outgoing (sign +1) tables it evaluates psi_+; its
     time_reversed() twin evaluates psi_-(x; omega) = conj psi_+(x; -omega)
-    from the same nine interpolators (reverses is then the outgoing one).
+    from the same stack (reverses is then the outgoing one).
     """
 
     def __init__(self, eikonal: EikonalData, b_n: tuple[np.ndarray, ...]):
@@ -324,19 +354,20 @@ class _PsiEvaluator:
         btot = sum(o * bn for o, bn in zip(orders, b_n))
         bs = _cyl.d_ds(btot, grid)
         bz = _cyl.d_dz(btot, grid)
-        self._interp = {
-            "Phi": _cyl.interpolator(grid, eikonal.Phi),
-            "Phi_s": _cyl.interpolator(grid, eikonal.Phi_s),
-            "Phi_z": _cyl.interpolator(grid, eikonal.Phi_z),
-            "b_re": _cyl.interpolator(grid, btot.real),
-            "b_im": _cyl.interpolator(grid, btot.imag),
-            "bs_re": _cyl.interpolator(grid, bs.real),
-            "bs_im": _cyl.interpolator(grid, bs.imag),
-            "bz_re": _cyl.interpolator(grid, bz.real),
-            "bz_im": _cyl.interpolator(grid, bz.imag),
-        }
-        # outside the table b = 1, Phi = 0
-        self._interp["b_re"].fill_value = 1.0
+        planes = [btot.real, btot.imag, bs.real, bs.imag, bz.real, bz.imag]
+        if eikonal.N0 >= 1:
+            planes += [eikonal.Phi, eikonal.Phi_s, eikonal.Phi_z]
+        # (plane, z, s): a z row of each plane is contiguous
+        stack = np.zeros((len(planes), len(grid.z) + 3, len(grid.s) + 3))
+        stack[0] = 1.0
+        for plane, table in zip(stack, planes):
+            plane[1:-2, 1:-2] = table.T
+        self._stack = stack
+        self._s_cells = _cells(grid.s)
+        self._z_cells = _cells(grid.z)
+        # the nine scipy interpolators of __call__, built on its first call
+        # and shared with the twin
+        self._interp: list = []
 
     def time_reversed(self) -> _PsiEvaluator:
         """psi_- for a real radial potential: time reversal maps psi_+(x; w)
@@ -349,43 +380,83 @@ class _PsiEvaluator:
 
     def __call__(self, points: np.ndarray, omega: np.ndarray,
                  deriv_dir: np.ndarray):
-        """(psi, d psi / d t) along deriv_dir at the given 3D points."""
+        """(psi, d psi / d t) along deriv_dir at the given 3D points, read
+        off the tables by nine scipy RegularGridInterpolators: lookup's
+        oracle, and what the benchmark's traced check counts."""
         s, z = _cyl.cyl_coords(points, omega)
         dz_dt = float(omega @ deriv_dir)
         perp = points - np.outer(z, omega)
         dir_perp = deriv_dir - dz_dt * omega
         safe_s = np.where(s > 1e-12, s, 1.0)
         ds_dt = np.where(s > 1e-12, (perp @ dir_perp) / safe_s, 0.0)
-        return self.lookup(s, z, ds_dt, dz_dt)
+        return self._evaluate(self._scipy_planes, s, z, ds_dt, dz_dt)
 
     def lookup(self, s, z, ds_dt, dz_dt: float):
         """(psi, d psi / d t) at cylindrical coordinates (s, z) about omega
-        moving at rates (ds_dt, dz_dt), broadcast to the shape of s.  About
+        moving at rates (ds_dt, dz_dt), broadcast to the shape of s.  z may
+        hold one value per row of s (the S0 mesh's rows): it is looked up
+        at its own shape, so each of its values costs a table row."""
+        return self._evaluate(self._planes, s, z, ds_dt, dz_dt)
+
+    def _evaluate(self, read, s, z, ds_dt, dz_dt):
+        """(psi, d psi / d t) from the plane values read(s, z).  About
         -omega the point sits at (s, -z) and moves at (ds_dt, -dz_dt), which
         is where the time-reversed twin reads psi_+ before conjugating."""
-        if self.reverses is not None:
-            psi, dpsi = self._outgoing(s, -z, ds_dt, -dz_dt)
-            return np.conj(psi), np.conj(dpsi)
-        return self._outgoing(s, z, ds_dt, dz_dt)
+        if self.reverses is None:
+            return self._assemble(read(s, z), z, ds_dt, dz_dt)
+        psi, dpsi = self._assemble(read(s, -z), -z, ds_dt, -dz_dt)
+        return np.conj(psi), np.conj(dpsi)
 
-    def _outgoing(self, s, z, ds_dt, dz_dt):
+    def _planes(self, s, z):
+        """The stack's planes at (s, z): blended along z at z's own shape,
+        then along s at each point.  Each axis blends f0 (1 - t) + f1 t, as
+        scipy's bilinear rule does, so on a node line of the grid the value
+        is scipy's bit for bit."""
+        stack = self._stack
+        jz, tz = _locate(self._z_cells, np.ravel(z))
+        tz = tz[:, None]
+        rows = stack[:, jz] * (1.0 - tz) + stack[:, jz + 1] * tz
+        rows = rows.reshape(len(stack), -1)
+        js, ts = _locate(self._s_cells, s)
+        width = stack.shape[2]
+        js += width * np.arange(np.size(z)).reshape(np.shape(z))
+        out = np.take(rows, js, axis=1)
+        out *= 1.0 - ts
+        hi = np.take(rows, js + 1, axis=1)
+        hi *= ts
+        out += hi
+        return out
+
+    def _scipy_planes(self, s, z):
+        """The nine tables at (s, z) from scipy's RegularGridInterpolators,
+        in the stack's order (the Phi planes are the zero table for N0 = 0)."""
+        if not self._interp:
+            grid, eik = self.eikonal.grid, self.eikonal
+            inner = [plane[1:-2, 1:-2].T for plane in self._stack[:6]]
+            tables = inner + [eik.Phi, eik.Phi_s, eik.Phi_z]
+            self._interp.extend(_cyl.interpolator(grid, t) for t in tables)
+            # outside the table b = 1, Phi = 0
+            self._interp[0].fill_value = 1.0
         shape = np.shape(s)
-        z = np.broadcast_to(z, shape)
         # (n, 2) in Fortran order: the interpolator's per-call NaN scan
         # then runs down contiguous columns
-        pts = np.array([np.ravel(s), np.ravel(z)]).T
-        get = lambda name: self._interp[name](pts).reshape(shape)
-        Phi = get("Phi")
-        b = get("b_re") + 1j * get("b_im")
-        b_s = get("bs_re") + 1j * get("bs_im")
-        b_z = get("bz_re") + 1j * get("bz_im")
-        Phi_s = get("Phi_s")
-        Phi_z = get("Phi_z")
+        pts = np.array([np.ravel(s), np.ravel(np.broadcast_to(z, shape))]).T
+        return np.array([f(pts).reshape(shape) for f in self._interp])
 
-        phase = np.exp(1j * (self.xi * z + Phi))
+    def _assemble(self, planes, z, ds_dt, dz_dt):
+        """(psi, d psi / d t) from the plane values; without Phi planes the
+        phase exp(i xi z) is taken at z's own shape."""
+        b = planes[0] + 1j * planes[1]
+        db_dt = (planes[2] + 1j * planes[3]) * ds_dt \
+            + (planes[4] + 1j * planes[5]) * dz_dt
+        if len(planes) > 6:
+            Phi, Phi_s, Phi_z = planes[6:]
+            phase = np.exp(1j * (self.xi * z + Phi))
+            dphi_dt = self.xi * dz_dt + Phi_s * ds_dt + Phi_z * dz_dt
+        else:
+            phase = np.exp(1j * (self.xi * z))
+            dphi_dt = self.xi * dz_dt
         psi = phase * b
-        dphi_dt = self.xi * dz_dt + Phi_s * ds_dt + Phi_z * dz_dt
-        db_dt = b_s * ds_dt + b_z * dz_dt
         dpsi = phase * (1j * dphi_dt * b + db_dt)
         return psi, dpsi
 
@@ -435,7 +506,10 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float, window: float) -> complex:
         / (window * TAPER_FRACTION))
     w = rule.weights * taper
     half = len(w) // 2
-    a, b, wb = rule.nodes, rule.nodes[half:], 2.0 * w[half:]
+    a, b = rule.nodes, rule.nodes[half:]
+    # complex, so the row sums are complex @ complex products: numpy's
+    # complex @ float64 matmul can take milliseconds under threaded BLAS
+    wb = (2.0 * w[half:]).astype(complex)
     # omega = (p, 0, c), normalised as every 3-D direction is
     p, _, c = _unit([np.sin(theta / 2), 0.0, np.cos(theta / 2)])
     rows = max(1, _PLANE_BLOCK // len(b))
@@ -465,7 +539,7 @@ def s0_solutions(model: PotentialModel, lam: float,
 
     Only the outgoing (sign +1) eikonal tables and their transport
     amplitudes b_0..b_N are built (no psi table or residual); psi_minus is
-    psi_plus.time_reversed() on the same interpolators.  Before any table,
+    psi_plus.time_reversed() on the same stack.  Before any table,
     ParameterError when (2 sqrt(lam))^-N overflows, when a panel of either
     plane window is wider than the tables' s extent, whose nodes would
     then miss the tables, or over MAX_PLANE_POINTS.
@@ -524,8 +598,6 @@ def s0_samples(model: PotentialModel, lam: float, N: int,
 
 @dataclass(frozen=True)
 class DiagonalProbe:
-    angles: np.ndarray
-    values: np.ndarray
     fitted_exponent: float
     theoretical_exponent: float
     reliable: bool
@@ -545,7 +617,6 @@ def diagonal_exponent_probe(model: PotentialModel, lam: float,
     slope = float(np.polyfit(np.log(2.0 * np.sin(angles / 2)),
                              np.log(np.abs(vals)), 1)[0])
     return DiagonalProbe(
-        angles=angles, values=vals,
         fitted_exponent=slope,
         theoretical_exponent=-(1.0 + 1.0 / model.rho),
         reliable=all(sample.converged for sample in samples),

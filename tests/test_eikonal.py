@@ -490,7 +490,9 @@ class TestPlaneGeometry:
             assert np.all(np.abs(ds_dt.ravel() - ds3) <= 16 * eps)
 
     def test_reversed_lookup_is_its_call(self):
-        # psi_-(x; omega) = conj psi_+(x; -omega), bit for bit
+        # psi_-(x; omega) = conj psi_+(x; -omega): bit for bit between the
+        # lookups, and the reversed lookup against the reversed __call__ (the
+        # scipy interpolators) within the stacked lookup's rounding
         pp, pm = _solutions(GAUSS, 25.0, 1)
         rng = np.random.default_rng(7)
         pts = rng.uniform(-15.0, 15.0, size=(300, 3))
@@ -499,11 +501,92 @@ class TestPlaneGeometry:
         dz_dt = float(omega @ ZAXIS)
         ds_dt = ((pts - np.outer(z, omega)) @ (ZAXIS - dz_dt * omega)) / s
         got = pm.lookup(s, z, ds_dt, dz_dt)
+        outgoing = pp.lookup(s, -z, ds_dt, -dz_dt)
         called = pm(pts, omega, ZAXIS)
-        outgoing = pp(pts, -omega, ZAXIS)
-        for g, c, o in zip(got, called, outgoing):
-            assert np.array_equal(g, c)
+        for g, o, c in zip(got, outgoing, called):
             assert np.array_equal(g, np.conj(o))
+            assert np.max(np.abs(g - c)) <= 1e-13 * np.max(np.abs(c))
+
+
+class TestStackedLookup:
+    """lookup reads one stack of planes with one cell search per axis;
+    __call__, on nine scipy RegularGridInterpolators of the same tables,
+    is its oracle."""
+
+    @staticmethod
+    def _probe_points(grid, rng):
+        """(s, z) off the grid on every side, on nodes and on node lines,
+        on s = s_max and z = +-z_max, one ulp past each of them, and random
+        inside."""
+        s_max, z_max = grid.s[-1], grid.z[-1]
+        s = rng.uniform(0.0, s_max + 5.0, 600)
+        z = rng.uniform(-z_max - 5.0, z_max + 5.0, 600)
+        s[:60] = grid.s[rng.integers(0, len(grid.s), 60)]
+        z[:60] = grid.z[rng.integers(0, len(grid.z), 60)]
+        s[60:80] = s_max
+        z[80:100] = z_max
+        z[100:120] = -z_max
+        s[120:130] = np.nextafter(s_max, np.inf)
+        z[130:140] = np.nextafter(z_max, np.inf)
+        z[140:150] = np.nextafter(-z_max, -np.inf)
+        s[150:160], z[150:160] = s_max, z_max
+        s[160:170] = 0.0
+        s[170:230] = grid.s[rng.integers(0, len(grid.s), 60)]
+        z[230:290] = grid.z[rng.integers(0, len(grid.z), 60)]
+        return s, z
+
+    @pytest.mark.parametrize("model", [GAUSS, TAIL09], ids=["N0=0", "N0=2"])
+    def test_matches_scipy(self, model):
+        psi = _solutions(model, 25.0, 1)[0]
+        grid = psi.eikonal.grid
+        assert len(psi._stack) == (6 if psi.eikonal.N0 == 0 else 9)
+        s, z = self._probe_points(grid, np.random.default_rng(33))
+        # the points (s, 0, z) about e_z, moving along d, with the rates
+        # __call__ forms
+        pts = np.column_stack([s, np.zeros_like(s), z])
+        d = eikonal._unit([0.6, 0.3, 0.8])
+        s3, z3 = _cyl.cyl_coords(pts, ZAXIS)
+        assert np.array_equal(s3, s) and np.array_equal(z3, z)
+        dz_dt = float(d @ ZAXIS)
+        ds_dt = np.where(s > 1e-12, s * d[0] / np.where(s > 1e-12, s, 1.0), 0.0)
+        got = psi.lookup(s, z, ds_dt, dz_dt)
+        ref = psi(pts, ZAXIS, d)
+        # each axis blends f0 (1 - t) + f1 t as scipy does, so the two agree
+        # bit for bit on the node lines; elsewhere they round differently,
+        # and at lam = 25 the phase xi z + Phi rounds at ulp(5 z_max) =
+        # 5.7e-14, so a Phi one bit off scipy's stays inside
+        on_line = np.isin(s, grid.s) | np.isin(z, grid.z)
+        assert on_line.sum() >= 250
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+            assert np.array_equal(g[on_line], r[on_line])
+        # outside the grid b = 1 and Phi = 0
+        outside = (s > grid.s[-1]) | (np.abs(z) > grid.z[-1])
+        assert 60 < outside.sum() < len(s) - 60
+        free = np.exp(1j * (psi.xi * z[outside]))
+        assert np.array_equal(got[0][outside], free)
+        assert np.array_equal(ref[0][outside], free)
+
+    def test_row_z_equals_point_z(self):
+        # z given once per row reads what z given at every point reads
+        psi = _solutions(TAIL09, 25.0, 1)[0]
+        rng = np.random.default_rng(5)
+        s = rng.uniform(0.0, 45.0, (7, 50))
+        z = rng.uniform(-65.0, 65.0, (7, 1))
+        ds_dt = rng.uniform(-1.0, 1.0, (7, 50))
+        rows = psi.lookup(s, z, ds_dt, 0.8)
+        points = psi.lookup(s, np.broadcast_to(z, s.shape).copy(), ds_dt, 0.8)
+        for r, p in zip(rows, points):
+            assert np.array_equal(r, p)
+
+    def test_s0_runs_without_scipy_interpolator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the S0 path built a RegularGridInterpolator")
+
+        monkeypatch.setattr(_cyl, "RegularGridInterpolator", refuse)
+        theta = np.deg2rad(20.0)
+        [sample] = eikonal.s0_samples(GAUSS, 25.0, 1, [theta])
+        assert sample == eikonal.s0_kernel(_solutions(GAUSS, 25.0, 1)[0], theta)
 
 
 class TestS0Tables:
@@ -662,7 +745,7 @@ class TestTimeReversal:
         pp, pm = eikonal.s0_solutions(GAUSS, 25.0, 1)
         assert built == [+1]
         assert pp.eikonal.sign == +1 and pm.reverses is pp
-        assert pm._interp is pp._interp
+        assert pm._stack is pp._stack
         assert pm.time_reversed() is pp
 
 

@@ -18,15 +18,15 @@ from scatterlab.potentials import PotentialModel
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _scipy_bindings():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.SCIPY
+    return tracing
 
 
 def test_traced_scipy_names_still_bound():
-    bindings = _scipy_bindings()
+    bindings = _tracing().SCIPY
     assert bindings
     for short, names in bindings.items():
         module = importlib.import_module(f"scatterlab.{short}")
@@ -51,3 +51,20 @@ def test_psi_plus_called_on_points():
                          np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     assert psi.shape == dpsi.shape == (1,)
     assert psi[0] == pytest.approx(1.0)
+
+
+def test_psi_plus_call_makes_nine_interpolator_calls():
+    # the check counts at least 10 traced RegularGridInterpolator calls:
+    # one of its own and those of one psi_plus(points, omega, deriv_dir)
+    # call on a Gaussian, which must make 9
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
+        psi_plus = eikonal.s0_solutions(model, 64.0, 1)[0]
+        psi_plus(np.array([[0.0, 500.0, 0.0]]), np.array([0.0, 0.0, 1.0]),
+                 np.array([1.0, 0.0, 0.0]))
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()["spans"]
+    assert spans.get("scipy.rgi", {"calls": 0})["calls"] >= 9
