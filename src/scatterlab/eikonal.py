@@ -39,10 +39,12 @@ S0_SIGN = -1.0
 # Transport order of the S0 samples behind the diagonal-singularity probe.
 PROBE_N = 1
 # Gauss nodes per S0 plane panel, and the largest (a, b) node mesh of the
-# enlarged plane window.  The quadrature walks the mesh in row blocks of
-# about _PLANE_BLOCK points and holds no full-mesh array: at most about 4.7 MB
-# of block temporaries (tracemalloc peak) with 6 psi planes and 5.3 MB with 9,
-# at any mesh size, plus 16 bytes per row (33 kB at the cap).
+# nested plane rule (the window's and its enlargement's in one).  The
+# quadrature walks the mesh in row blocks of about _PLANE_BLOCK points and
+# holds no full-mesh array: at most about 4.0 MB of block temporaries
+# (tracemalloc peak of s0_kernel at lam = 100) with 6 psi planes and 4.8 MB
+# with 9, at any mesh size, plus 32 bytes per row for the two windows' row
+# sums (66 kB at the cap).
 PLANE_NODES = 8
 MAX_PLANE_POINTS = 2**22
 _PLANE_BLOCK = 2**14
@@ -475,8 +477,22 @@ def _plane_panels(window: float, sql: float) -> int:
     return max(6, int(np.ceil(2 * window / wavelength)))
 
 
-def _plane_rule(window: float, sql: float):
-    edges = np.linspace(-window, window, _plane_panels(window, sql) + 1)
+def _extension_panels(panels: int) -> int:
+    """Panels on each side of a window of the given panels out to 1.25
+    times its half-width: ceil(panels / 8), so none is wider than the
+    window's own."""
+    return -(-panels // 8)
+
+
+def _plane_rule(window: float, sql: float, reach: float | None = None):
+    """The Gauss rule of PLANE_NODES nodes per panel on the _plane_panels
+    panels of [-window, window]; given reach = 1.25 window, nested in
+    _extension_panels equal panels on each side out to exactly +-reach."""
+    panels = _plane_panels(window, sql)
+    edges = np.linspace(-window, window, panels + 1)
+    if reach is not None:
+        outer = np.linspace(window, reach, _extension_panels(panels) + 1)
+        edges = np.concatenate([-outer[:0:-1], edges, outer[1:]])
     return composite_gauss(PLANE_NODES, edges)
 
 
@@ -493,27 +509,44 @@ def _plane_geometry(a: np.ndarray, b: np.ndarray, p: float, c: float):
     return s, z, -c * z / s
 
 
-def _s0_quadrature(psi: _PsiEvaluator, theta: float, window: float) -> complex:
-    """The tapered sum over the plane z = 0 for omega, omega' =
-    (+-sin(theta/2), 0, cos(theta/2)) from psi = psi_+.  The integrand is
-    even in b, so the b >= 0 half of the rule (symmetric, 8 nodes per panel)
-    is summed with doubled weights, in blocks of _PLANE_BLOCK // len(b) rows
-    of a: each block against the b weights, the row sums against the a's."""
+def _s0_quadrature(psi: _PsiEvaluator, theta: float,
+                   windows: tuple[float, float]) -> tuple[complex, complex]:
+    """The tapered sums over the plane z = 0 for omega, omega' =
+    (+-sin(theta/2), 0, cos(theta/2)) from psi = psi_+, over the window and
+    over its enlargement, windows = (window, reach) as _s0_windows gives
+    them.  Both come from one integrand on the nested rule
+    _plane_rule(window, sql, reach), whose middle nodes are those of
+    _plane_rule(window, sql), so each node is looked up once.  The
+    integrand is even in b, so the b >= 0 half of the rule (symmetric, 8
+    nodes per panel) is summed with doubled weights, in blocks of
+    _PLANE_BLOCK // len(b) rows of a: each block against the b weights of
+    each window, the row sums against its a weights."""
     sql = psi.xi
-    rule = _plane_rule(window, sql)
-    taper = _taper_profile(
-        (np.abs(rule.nodes) - window * (1 - TAPER_FRACTION))
-        / (window * TAPER_FRACTION))
-    w = rule.weights * taper
-    half = len(w) // 2
-    a, b = rule.nodes, rule.nodes[half:]
+    window, reach = windows
+    rule = _plane_rule(window, sql, reach)
+    nodes = rule.nodes
+    # the window's own nodes are nodes[inner]
+    edge = np.searchsorted(nodes, -window)
+    inner = slice(edge, len(nodes) - edge)
+
+    def tapered(part, win):
+        taper = _taper_profile((np.abs(nodes[part]) - win * (1 - TAPER_FRACTION))
+                               / (win * TAPER_FRACTION))
+        return rule.weights[part] * taper
+
+    w, w_big = tapered(inner, window), tapered(slice(None), reach)
+    half = len(nodes) // 2
+    a, b = nodes, nodes[half:]
     # complex, so the row sums are complex @ complex products: numpy's
-    # complex @ float64 matmul can take milliseconds under threaded BLAS
-    wb = (2.0 * w[half:]).astype(complex)
+    # complex @ float64 matmul can take milliseconds under threaded BLAS;
+    # the window's b weights are those of b[:m]
+    wb = (2.0 * w[len(w) // 2:]).astype(complex)
+    wb_big = (2.0 * w_big[half:]).astype(complex)
+    m = len(wb)
     # omega = (p, 0, c), normalised as every 3-D direction is
     p, _, c = _unit([np.sin(theta / 2), 0.0, np.cos(theta / 2)])
     rows = max(1, _PLANE_BLOCK // len(b))
-    row_sums = np.empty(len(a), dtype=complex)
+    row_sums = np.empty((2, len(a)), dtype=complex)
     for i in range(0, len(a), rows):
         s, z, ds_dt = _plane_geometry(a[i:i + rows], b, p, c)
         pp, dpp = psi.lookup(s, z, ds_dt, c)
@@ -527,9 +560,10 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float, window: float) -> complex:
         dfp, dfm = 1j * sql * c * fp, 1j * sql * c * fm
         integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
                      - (np.conj(fp) * dfm - np.conj(dfp) * fm))
-        row_sums[i:i + rows] = integrand @ wb
-    total = w @ row_sums
-    return S0_SIGN * 1j * np.pi * sql * (2 * np.pi) ** -3 * total
+        row_sums[0, i:i + rows] = integrand[:, :m] @ wb
+        row_sums[1, i:i + rows] = integrand @ wb_big
+    scale = S0_SIGN * 1j * np.pi * sql * (2 * np.pi) ** -3
+    return scale * (w @ row_sums[0, inner]), scale * (w_big @ row_sums[1])
 
 
 def s0_solutions(model: PotentialModel, lam: float,
@@ -540,21 +574,23 @@ def s0_solutions(model: PotentialModel, lam: float,
     Only the outgoing (sign +1) eikonal tables and their transport
     amplitudes b_0..b_N are built (no psi table or residual); psi_minus is
     psi_plus.time_reversed() on the same stack.  Before any table,
-    ParameterError when (2 sqrt(lam))^-N overflows, when a panel of either
-    plane window is wider than the tables' s extent, whose nodes would
-    then miss the tables, or over MAX_PLANE_POINTS.
+    ParameterError when (2 sqrt(lam))^-N overflows, when a panel of the
+    nested plane rule is wider than the tables' s extent, whose nodes would
+    then miss the tables, or when its node mesh exceeds MAX_PLANE_POINTS.
     """
     sql = np.sqrt(lam)
     _check_order_weight(sql, N)
+    # the nested rule of _s0_quadrature, counted without building it: the
+    # window's panels, the widest, and the extension panels on both sides
+    window, _ = _s0_windows(model, sql)
+    panels = _plane_panels(window, sql)
+    width = 2 * window / panels
     extent = _table_extent(model)
-    for window in _s0_windows(model, sql):
-        panels = _plane_panels(window, sql)
-        width = 2 * window / panels
-        if width > extent:
-            raise ParameterError(
-                f"S0 plane panels of width {width:g} at lambda = {lam:g} "
-                f"exceed the tables' s extent {extent:g}")
-    points = (PLANE_NODES * panels) ** 2     # the enlarged window's mesh
+    if width > extent:
+        raise ParameterError(
+            f"S0 plane panels of width {width:g} at lambda = {lam:g} "
+            f"exceed the tables' s extent {extent:g}")
+    points = (PLANE_NODES * (panels + 2 * _extension_panels(panels))) ** 2
     if points > MAX_PLANE_POINTS:
         raise ParameterError(f"S0 plane mesh of {points:.4g} points at lambda = "
                              f"{lam:g} exceeds MAX_PLANE_POINTS = {MAX_PLANE_POINTS}")
@@ -571,11 +607,13 @@ def s0_kernel(psi: _PsiEvaluator, theta: float) -> S0Sample:
     effective_range, 60 / sqrt(lam)), from the psi_plus of s0_solutions,
     which carries the model, sqrt(lam) and N.  Both directions lie in the
     cap omega . e_z > S0_CAP_DELTA for 0 < theta < 2 arccos(S0_CAP_DELTA),
-    which s0_samples checks.  Reports the relative change of the value
-    under a 25% window enlargement; the sample is flagged non-converged
-    when that exceeds 10%."""
-    val, val_big = (_s0_quadrature(psi, theta, window)
-                    for window in _s0_windows(psi.eikonal.model, psi.xi))
+    which s0_samples checks.  One pass over a nested plane rule gives two
+    tapered sums, over the window and over its 25% enlargement, on the same
+    nodes; the sensitivity is their relative change, the window's effect
+    alone (the nodes do not move), and the sample is flagged non-converged
+    when it exceeds 10%."""
+    val, val_big = _s0_quadrature(psi, theta,
+                                  _s0_windows(psi.eikonal.model, psi.xi))
     sens = abs(val_big - val) / max(abs(val), 1e-300)
     return S0Sample(value=complex(val), sensitivity=float(sens),
                     converged=bool(sens <= 0.10), N=psi.N)

@@ -143,12 +143,46 @@ def _power_primitive(rho: float, u) -> np.ndarray:
     return np.where(np.isfinite(u), g, np.copysign(end, u))
 
 
+def _power_segment(rho: float, lo, hi) -> np.ndarray:
+    """G(hi) - G(lo), the integral of (1 + t^2)^(-rho/2) over [lo, hi].
+
+    Where both ends lie on one side past |t| = 1e4, the difference of G
+    would cancel G's constant and lose digits, so the integral is taken
+    from the tail directly: between u = min and v = max of |lo|, |hi|,
+    (1 + t^2)^(-rho/2) = sum_k binom(-rho/2, k) t^(-rho - 2k), whose terms
+    after k = 2 are below u^-6 relative, each integrated in closed form:
+    (v^e - u^e) / e with e = 1 - rho - 2k, or u^e L exprel(e L) with L =
+    ln(v / u) where |e L| <= 1 and that difference would cancel."""
+    out = _power_primitive(rho, hi) - _power_primitive(rho, lo)
+    u, v = np.minimum(np.abs(lo), np.abs(hi)), np.maximum(np.abs(lo), np.abs(hi))
+    far = (u >= 1e4) & np.isfinite(u) & (np.sign(lo) == np.sign(hi))
+    if not np.any(far):
+        return out
+    u, v = u[far], v[far]
+    ln = np.log1p((v - u) / u)
+    tail, coeff = 0.0, 1.0
+    for k in range(3):
+        e = 1.0 - rho - 2 * k
+        if e == 0.0:
+            term = ln
+        else:
+            near = np.abs(e * ln) <= 1.0
+            term = np.where(near, u ** e * ln * exprel(np.where(near, e * ln, 0.0)),
+                            (v ** e - u ** e) / e)
+        tail = tail + coeff * term
+        coeff *= -(0.5 * rho + k) / (k + 1)
+    out = np.array(out)
+    out[far] = np.sign(hi - lo)[far] * tail
+    return out
+
+
 def line_integral(model: PotentialModel, s, a, b=np.inf, f=None) -> np.ndarray:
     """int_a^b f(s, w) dw along the lines at distances s from the origin,
     vectorized over s, a and b (broadcast); f defaults to v(sqrt(s^2 + w^2)).
 
     For v itself, power_tail is in closed form, v0 c^(1-rho) (G(b/c) - G(a/c))
-    with c = sqrt(1 + s^2); an infinite end diverges to +-inf for rho <= 1.
+    with c = sqrt(1 + s^2), taken by _power_segment; an infinite end
+    diverges to +-inf for rho <= 1.
     Otherwise: running sums of 8-node Gauss panels between the crossings of
     radial levels (64 panels over [0, width], then ratio 1.25) along each
     distinct line, plus a partial panel to each end.  The levels end where
@@ -162,8 +196,7 @@ def line_integral(model: PotentialModel, s, a, b=np.inf, f=None) -> np.ndarray:
         return np.zeros(s.shape)
     if model.kind == "power_tail" and f is None:
         c = np.sqrt(1.0 + s * s)
-        return model.v0 * c ** (1.0 - model.rho) * (
-            _power_primitive(model.rho, b / c) - _power_primitive(model.rho, a / c))
+        return model.v0 * c ** (1.0 - model.rho) * _power_segment(model.rho, a / c, b / c)
     if model.kind == "yukawa" and np.any(np.hypot(s, np.clip(0.0, a, b)) < model.width / 64):
         raise DomainError("the line passes through the yukawa 1/r core, where int v diverges")
     if f is None:

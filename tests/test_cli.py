@@ -895,13 +895,13 @@ class TestTypedErrors:
             "params": params}, message)
 
     @pytest.mark.parametrize("lam,message", [
-        (1e6, "S0 plane mesh of 3.283e+09 points at lambda = 1e+06 exceeds "
+        (1e6, "S0 plane mesh of 3.285e+09 points at lambda = 1e+06 exceeds "
          "MAX_PLANE_POINTS = 4194304"),
         (1e30, "S0 plane mesh of 3.283e+33 points at lambda = 1e+30 exceeds "
          "MAX_PLANE_POINTS = 4194304")], ids=["1e6", "1e30"])
     def test_large_energy_refused_before_tables(self, tmp_path, capsys,
                                                 monkeypatch, lam, message):
-        # the enlarged window's node mesh is 57296^2 points at lam = 1e6,
+        # the nested plane rule's node mesh is 57312^2 points at lam = 1e6,
         # 26 GB per complex array; at 1e30 its edge array alone would not fit
         def no_grid(*args, **kwargs):
             raise AssertionError("tables built for a refused energy")

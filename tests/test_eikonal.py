@@ -260,8 +260,8 @@ class TestS0:
         # on the whole plane, with psi_- from the sign -1 tables
         lam, window = 25.0, 18.0
         w, wp = _pair(20.0)
-        a = eikonal._s0_quadrature(_solutions(GAUSS, lam, 1)[0],
-                                   np.deg2rad(20.0), window)
+        a, _ = eikonal._s0_quadrature(_solutions(GAUSS, lam, 1)[0],
+                                      np.deg2rad(20.0), (window, 1.25 * window))
         b = _full_plane_s0_quadrature(*_two_table_pair(GAUSS, lam, 1), wp, w,
                                       lam, window)
         assert abs(a - b) <= 1e-10 * abs(b)
@@ -318,12 +318,14 @@ class TestS0Samples:
 
 def _full_plane_s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
                               omega, omega_prime, lam: float,
-                              window: float) -> complex:
+                              window: float, rule=None) -> complex:
     """The S0 quadrature over the plane z = 0 for any pair (omega, omega'):
     psi_+ and psi_- looked up at 3D points on the whole n x n tensor rule,
-    with no fold over b -> -b."""
+    with no fold over b -> -b, tapered at window; the rule defaults to
+    _plane_rule(window, sqrt(lam))."""
     sql = np.sqrt(lam)
-    rule = _plane_rule(window, sql)
+    if rule is None:
+        rule = _plane_rule(window, sql)
 
     taper = _taper_profile(
         (np.abs(rule.nodes) - window * (1 - TAPER_FRACTION))
@@ -379,53 +381,65 @@ class _CountingPsi:
         return self.psi.lookup(s, z, ds_dt, dz_dt)
 
 
+def _both_full_plane(psi_plus, psi_minus, omega, omega_prime, lam, windows):
+    """The full-plane oracles of _s0_quadrature's pair: the window's sum on
+    _plane_rule(window) and the enlarged window's on the nested rule."""
+    window, reach = windows
+    nested = _plane_rule(window, np.sqrt(lam), reach)
+    args = (psi_plus, psi_minus, omega, omega_prime, lam)
+    return (_full_plane_s0_quadrature(*args, window),
+            _full_plane_s0_quadrature(*args, reach, nested))
+
+
 class TestS0Fold:
-    """The pair is summed over the b >= 0 half of the plane rule with
+    """The pair is summed over the b >= 0 half of the nested plane rule with
     doubled weights, in row blocks of the node mesh; the full-plane
-    quadrature is the oracle."""
+    quadrature is the oracle of both windows' sums."""
 
     @pytest.mark.parametrize("N", [1, 3])
     @pytest.mark.parametrize("theta", [10.0, 30.0])
     @pytest.mark.parametrize("lam", [25.0, 64.0])
     def test_gaussian_matches_full_plane(self, lam, theta, N):
         pp, pm = _solutions(GAUSS, lam, N)
-        window = max(3.0 * GAUSS.effective_range, 60.0 / np.sqrt(lam))
-        folded = eikonal._s0_quadrature(pp, np.deg2rad(theta), window)
-        full = _full_plane_s0_quadrature(pp, pm, *_pair(theta), lam, window)
-        assert abs(folded - full) <= 1e-12 * abs(full)
+        windows = eikonal._s0_windows(GAUSS, np.sqrt(lam))
+        folded = eikonal._s0_quadrature(pp, np.deg2rad(theta), windows)
+        full = _both_full_plane(pp, pm, *_pair(theta), lam, windows)
+        for got, ref in zip(folded, full):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_power_tail_matches_full_plane(self):
         lam = 25.0
         pp, pm = _solutions(TAIL1, lam, 1)
-        for window in (30.0, 37.5):
-            folded = eikonal._s0_quadrature(pp, np.deg2rad(20.0), window)
-            full = _full_plane_s0_quadrature(pp, pm, *_pair(20.0), lam,
-                                             window)
-            assert abs(folded - full) <= 1e-12 * abs(full)
+        folded = eikonal._s0_quadrature(pp, np.deg2rad(20.0), (30.0, 37.5))
+        full = _both_full_plane(pp, pm, *_pair(20.0), lam, (30.0, 37.5))
+        for got, ref in zip(folded, full):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_folded_rule_halves_the_points(self):
         # totals over the row blocks' lookups, none larger than a block
         lam = 25.0
         pp = _CountingPsi(_solutions(GAUSS, lam, 1)[0])
-        n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
-        eikonal._s0_quadrature(pp, np.deg2rad(20.0), 18.0)
+        n = len(_plane_rule(18.0, np.sqrt(lam), 22.5).nodes)
+        eikonal._s0_quadrature(pp, np.deg2rad(20.0), (18.0, 22.5))
         assert max(pp.points) <= eikonal._PLANE_BLOCK
         assert sum(pp.points) == n * n // 2
 
     @pytest.mark.parametrize("theta", [20.0], ids=["coplanar"])
     def test_short_last_block_matches_full_plane(self, theta):
-        # the 1/r tail keeps the integrand off zero out to the window's
-        # edge, where the last block of rows lies
-        lam, window = 25.0, 16.5
+        # the 1/r tail keeps the integrand off zero out to the enlarged
+        # window's edge, where the last block of rows lies
+        lam, windows = 25.0, (18.0, 22.5)
         pp, pm = _solutions(TAIL1, lam, 1)
-        n = len(_plane_rule(window, np.sqrt(lam)).nodes)
+        n = len(_plane_rule(18.0, np.sqrt(lam), 22.5).nodes)
         rows = eikonal._PLANE_BLOCK // (n // 2)
-        # several blocks of rows, the last one short and reaching past the
-        # taper (216 rows in blocks of 151, the last of 65)
+        # several blocks of rows, the last one short and holding both the
+        # window's last rows and the extension past it (296 rows in blocks
+        # of 110, the last of 76; the window's rows end at 264)
         assert n > rows and 0.2 * n < n % rows
-        blocked = eikonal._s0_quadrature(pp, np.deg2rad(theta), window)
-        full = _full_plane_s0_quadrature(pp, pm, *_pair(theta), lam, window)
-        assert abs(blocked - full) <= 1e-12 * abs(full)
+        blocked = eikonal._s0_quadrature(pp, np.deg2rad(theta), windows)
+        full = _both_full_plane(pp, pm, *_pair(theta), lam, windows)
+        for got, ref in zip(blocked, full):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_samples_repeat_bit_for_bit(self):
         # the blocked sums must not depend on where the allocator puts the
@@ -445,17 +459,99 @@ class TestS0Fold:
         # the window makes 4x the mesh
         lam = 100.0
         pp = _solutions(GAUSS, lam, 3)[0]
-        window = max(3.0 * GAUSS.effective_range, 60.0 / np.sqrt(lam))
+        window, _ = eikonal._s0_windows(GAUSS, np.sqrt(lam))
         peaks = []
         for win in (window, 2.0 * window):
             tracemalloc.start()
             try:
-                eikonal._s0_quadrature(pp, np.deg2rad(theta), win)
+                eikonal._s0_quadrature(pp, np.deg2rad(theta),
+                                       (win, 1.25 * win))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 32 * 16 * eikonal._PLANE_BLOCK
         assert peaks[1] <= 1.05 * peaks[0]
+
+
+# (window, lam): 46, 29, 96 and 6 window panels, of which 96 is C15's
+NESTED_CASES = [(18.0, 64.0), (18.0, 25.0), (30.0, 100.0), (1.0, 25.0)]
+
+
+class TestNestedPlaneRule:
+    """_plane_rule(window, sql, reach): the window's own rule in the middle,
+    nested in ceil(P / 8) panels on each side out to reach = 1.25 window,
+    so that one pass over its nodes gives both of s0_kernel's sums."""
+
+    @pytest.mark.parametrize("window,lam", NESTED_CASES)
+    def test_inner_rule_is_the_windows(self, window, lam):
+        sql = np.sqrt(lam)
+        plain = _plane_rule(window, sql)
+        nested = _plane_rule(window, sql, 1.25 * window)
+        panels = eikonal._plane_panels(window, sql)
+        edge = eikonal.PLANE_NODES * -(-panels // 8)
+        assert len(nested.nodes) == len(plain.nodes) + 2 * edge
+        assert np.array_equal(nested.nodes[edge:-edge], plain.nodes)
+        assert np.array_equal(nested.weights[edge:-edge], plain.weights)
+        assert np.all(nested.nodes[:edge] < -window)
+        assert np.all(nested.nodes[-edge:] > window)
+
+    @pytest.mark.parametrize("window,lam", NESTED_CASES)
+    def test_ends_at_reach_within_a_wavelength(self, window, lam):
+        sql = np.sqrt(lam)
+        reach = 1.25 * window
+        nested = _plane_rule(window, sql, reach)
+        assert nested.interval == (-reach, reach)
+        # a panel's weights sum to its width, none wider than the window's
+        # own panels, which are no wider than a wavelength
+        widths = nested.weights.reshape(-1, eikonal.PLANE_NODES).sum(axis=1)
+        own = 2 * window / eikonal._plane_panels(window, sql)
+        assert own <= 2 * np.pi / sql
+        assert np.max(widths) <= own * (1 + 1e-14)
+        assert np.sum(widths) == pytest.approx(2 * reach, rel=1e-14)
+
+    def test_one_lookup_per_node(self, monkeypatch):
+        # one s0_kernel call reads each node of the nested half-mesh once:
+        # 464 x 232 = 107 648 points at lam = 64, where separate rules of
+        # the window (368 nodes) and of its enlargement (464) read 175 360
+        lam = 64.0
+        psi = _solutions(GAUSS, lam, 1)[0]
+        window, reach = eikonal._s0_windows(GAUSS, np.sqrt(lam))
+        n = len(_plane_rule(window, np.sqrt(lam), reach).nodes)
+        points = []
+        lookup = _PsiEvaluator.lookup
+
+        def counting(self, s, z, ds_dt, dz_dt):
+            points.append(np.size(s))
+            return lookup(self, s, z, ds_dt, dz_dt)
+
+        monkeypatch.setattr(_PsiEvaluator, "lookup", counting)
+        eikonal.s0_kernel(psi, np.deg2rad(20.0))
+        assert n == 464
+        assert sum(points) == n * n // 2 == 107_648
+
+    def test_gaussian_sensitivity_is_the_windows_effect(self):
+        # C7's samples: past |x| of about 14 the Gaussian's integrand is
+        # exactly 0 (b = 1 off the tables, or b_n underflowed to 0), so on
+        # shared nodes the enlarged window adds nothing
+        psi = _solutions(GAUSS, 100.0, 3)[0]
+        for theta in np.deg2rad([10.0, 20.0, 30.0]):
+            sample = eikonal.s0_kernel(psi, theta)
+            assert sample.sensitivity == 0.0 and sample.converged
+
+    def test_c15_sensitivity_is_the_two_rule_value(self):
+        # at C15's lam = 100 the power tail's window 30 has 96 panels, a
+        # multiple of 8, so the nested rule is the enlarged window's own
+        # rule bit for bit, and the sensitivity at theta = 0.5 is the one
+        # that separate rules for the two windows gave
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=0.75)
+        sql = 10.0
+        window, reach = eikonal._s0_windows(model, sql)
+        nested = _plane_rule(window, sql, reach)
+        enlarged = _plane_rule(reach, sql)
+        assert np.array_equal(nested.nodes, enlarged.nodes)
+        assert np.array_equal(nested.weights, enlarged.weights)
+        sample = eikonal.s0_kernel(_solutions(model, 100.0, 1)[0], 0.5)
+        assert sample.sensitivity == 1.2778992430880411
 
 
 TAIL09 = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
@@ -637,10 +733,11 @@ class TestS0Preflight:
 
     @pytest.mark.parametrize("N", [0, 3])
     def test_panel_threshold(self, monkeypatch, N):
-        # the Gaussian's tables reach s = 20; below lam = 11.1 the windows
-        # are 60 / sqrt(lam) and 1.25 times that, with 20 and 24 panels, so
-        # the widest panel is 6.25 / sqrt(lam): 20 at lam = 0.09765625
-        threshold = (6.25 / 20.0) ** 2
+        # the Gaussian's tables reach s = 20; below lam = 11.1 the window is
+        # 60 / sqrt(lam), with 20 panels, and the nested rule adds 3 panels
+        # of 5 / sqrt(lam) on each side, so the widest panel is the
+        # window's 6 / sqrt(lam): 20 at lam = 0.09
+        threshold = (6.0 / 20.0) ** 2
         monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
         with pytest.raises(ParameterError, match="exceed the tables' s extent 20"):
             eikonal.s0_solutions(GAUSS, threshold * (1.0 - 1e-9), N)
@@ -648,16 +745,36 @@ class TestS0Preflight:
             eikonal.s0_solutions(GAUSS, threshold * (1.0 + 1e-9), N)
 
     def test_plane_mesh_threshold(self, monkeypatch):
-        # above lam = 11.1 the Gaussian's enlarged window is 22.5, with
-        # ceil(45 sqrt(lam) / 2 pi) panels of 8 nodes; 256 panels make
-        # 2048^2 = MAX_PLANE_POINTS nodes, and 257 make 2056^2
-        threshold = (256 * 2 * np.pi / 45) ** 2
+        # above lam = 11.1 the Gaussian's window is 18, with P =
+        # ceil(36 sqrt(lam) / 2 pi) panels, and the nested rule has P +
+        # 2 ceil(P / 8) panels of 8 nodes: P = 204 makes 256 panels and
+        # 2048^2 = MAX_PLANE_POINTS nodes, and P = 205 makes 2056^2
+        threshold = (204 * 2 * np.pi / 36) ** 2
         monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
         with pytest.raises(_TablesBuilt):
             eikonal.s0_solutions(GAUSS, threshold * (1.0 - 1e-9), 3)
         with pytest.raises(ParameterError, match="S0 plane mesh of 4.227e\\+06 "
-                           "points at lambda = 1277.66 exceeds MAX_PLANE_POINTS"):
+                           "points at lambda = 1267.7 exceeds MAX_PLANE_POINTS"):
             eikonal.s0_solutions(GAUSS, threshold * (1.0 + 1e-9), 3)
+
+    def test_mesh_counted_on_the_nested_rule(self, monkeypatch):
+        # a window of 6 panels (the minimum) is nested in 8: 64^2 = 4096
+        # nodes, where a 6-panel enlarged window alone would be 48^2
+        sql = 5.0
+        window = 0.5 * 2 * np.pi / sql
+        assert eikonal._plane_panels(window, sql) == 6
+        assert eikonal._plane_panels(1.25 * window, sql) == 6
+        assert len(_plane_rule(window, sql, 1.25 * window).nodes) ** 2 == 4096
+        monkeypatch.setattr(eikonal, "_s0_windows",
+                            lambda model, sql: (window, 1.25 * window))
+        monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
+        monkeypatch.setattr(eikonal, "MAX_PLANE_POINTS", 4096)
+        with pytest.raises(_TablesBuilt):
+            eikonal.s0_solutions(GAUSS, sql**2, 1)
+        monkeypatch.setattr(eikonal, "MAX_PLANE_POINTS", 4095)
+        with pytest.raises(ParameterError, match="S0 plane mesh of 4096 points "
+                           "at lambda = 25 exceeds MAX_PLANE_POINTS = 4095"):
+            eikonal.s0_solutions(GAUSS, sql**2, 1)
 
     @pytest.mark.parametrize("lam", [1e6, 1e30, 1e300])
     def test_large_lambda_refused_before_tables(self, monkeypatch, lam):
@@ -715,22 +832,21 @@ class TestTimeReversal:
         assert reversed_pair[1].reverses is reversed_pair[0]
         assert two_tables[1].reverses is None
         w, wp = _pair(20.0)
-        window = max(3.0 * model.effective_range, 60.0 / np.sqrt(lam))
-        for win in (window, 1.25 * window):
-            got = eikonal._s0_quadrature(reversed_pair[0], np.deg2rad(20.0),
-                                         win)
-            for omega, omega_prime in ((w, wp), (wp, w)):
-                ref = _full_plane_s0_quadrature(*two_tables, omega,
-                                                omega_prime, lam, win)
-                assert abs(got - ref) <= 1e-10 * abs(ref), (omega, win)
+        windows = eikonal._s0_windows(model, np.sqrt(lam))
+        got = eikonal._s0_quadrature(reversed_pair[0], np.deg2rad(20.0), windows)
+        for omega, omega_prime in ((w, wp), (wp, w)):
+            refs = _both_full_plane(*two_tables, omega, omega_prime, lam,
+                                    windows)
+            for value, ref, win in zip(got, refs, windows):
+                assert abs(value - ref) <= 1e-10 * abs(ref), (omega, win)
 
     def test_symmetric_pair_evaluates_psi_plus_once(self):
         # one psi_+ lookup per row block, which psi_- reuses
         lam = 25.0
         pp = _CountingPsi(_solutions(GAUSS, lam, 1)[0])
-        n = len(_plane_rule(18.0, np.sqrt(lam)).nodes)
+        n = len(_plane_rule(18.0, np.sqrt(lam), 22.5).nodes)
         rows = eikonal._PLANE_BLOCK // (n // 2)
-        eikonal._s0_quadrature(pp, np.deg2rad(20.0), 18.0)
+        eikonal._s0_quadrature(pp, np.deg2rad(20.0), (18.0, 22.5))
         assert len(pp.points) == -(-n // rows)
 
     def test_one_table_set(self, monkeypatch):

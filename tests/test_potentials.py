@@ -194,6 +194,21 @@ class TestLineIntegral:
         np.testing.assert_allclose(line_integral(model, s, a, b), ref,
                                    rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("a,b", [(1e4, 2e4), (1e8, 2e8), (1e160, 1e300)])
+    def test_far_segment_against_mpmath(self, a, b):
+        # G(b) - G(a) cancelled G's constant there: 5.6e-15 and 5.8e-12
+        # off, and 0.0 for the 2e-80 of the last segment
+        mpmath = pytest.importorskip("mpmath")
+        model = PotentialModel(kind="power_tail", v0=1.0, rho=1.5)
+        with mpmath.workdps(400):
+            def G(x):
+                x = mpmath.mpf(x)
+                return x * mpmath.hyp2f1(0.5, 0.75, 1.5, -x**2)
+            ref = float(G(b) - G(a))
+        for lo, hi, sign in ((a, b, 1.0), (-b, -a, 1.0), (b, a, -1.0)):
+            got = float(line_integral(model, 0.0, lo, hi))
+            assert got == pytest.approx(sign * ref, rel=2e-16, abs=0.0)
+
     def test_ray_difference_near_rho_one_against_quadrature(self):
         # 4.6e-10 off while G came from 2F1
         model = PotentialModel(kind="power_tail", v0=1.0, rho=0.999999)
