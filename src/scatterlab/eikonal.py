@@ -41,8 +41,8 @@ PROBE_N = 1
 # Gauss nodes per S0 plane panel, and the largest (a, b) node mesh of the
 # nested plane rule (the window's and its enlargement's in one).  The
 # quadrature walks the mesh in row blocks of about _PLANE_BLOCK points and
-# holds no full-mesh array: at most about 4.0 MB of block temporaries
-# (tracemalloc peak of s0_kernel at lam = 100) with 6 psi planes and 4.8 MB
+# holds no full-mesh array: at most about 3.5 MB of block temporaries
+# (tracemalloc peak of s0_kernel at lam = 100) with 6 psi planes and 4.3 MB
 # with 9, at any mesh size, plus 32 bytes per row for the two windows' row
 # sums (66 kB at the cap).
 PLANE_NODES = 8
@@ -106,9 +106,9 @@ class EikonalData:
     (cone around the positive axis).  Tables are (n_s, n_z) on grid.
 
     The package builds sign +1 only: for a real radial potential the
-    sign -1 tables are the mirror Phi_-(s, z) = -Phi_+(s, -z), and S0 takes
-    psi_- as the time reversal of psi_+ (_PsiEvaluator.time_reversed).
-    sign -1 stays as the tests' independent oracle of that identity.
+    sign -1 tables are the mirror Phi_-(s, z) = -Phi_+(s, -z), and S0 needs
+    psi_+ alone.  sign -1 stays as the tests' oracle of the time reversal
+    _PsiEvaluator.time_reversed, which serves only __call__ and the tests.
     """
 
     sign: int
@@ -211,7 +211,7 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
         # is v itself.  The shared zero table stays writeable: scipy's
         # RegularGridInterpolator skips its fast linear path on read-only
         # values, and _PsiEvaluator.__call__ interpolates Phi, Phi_s and
-        # Phi_z (lookup's stack has no Phi planes for N0 = 0)
+        # Phi_z (the amplitudes' stack has no Phi planes for N0 = 0)
         Phi = Phi_s = Phi_z = lap_Phi = phi[0]
         q = v
     else:
@@ -265,26 +265,23 @@ def transport_series(eikonal: EikonalData,
     _check_order_weight(xi, N)
     recursion = _recursion(eikonal, N)
 
-    ss, zz = grid.mesh()
-    phase = np.exp(1j * (xi * zz + eikonal.Phi))
     mask = eikonal.off_cone()
     mask[:3, :] = False
     mask[-3:, :] = False
     mask[:, :3] = False
     mask[:, -3:] = False
-    weight = 2.0 * np.pi * np.maximum(ss, grid.ds / 4.0)
-    phase, weight = phase[mask], weight[mask]
+    weight = 2.0 * np.pi * np.maximum(grid.s, grid.ds / 4.0)[mask.nonzero()[0]]
 
     # the recursion alternates b_n and its source f_n
     b = []
     for n, (bn, f) in enumerate(zip(recursion, recursion)):
         b.append(bn)
-        # (-Lap + v - lambda) psi = exp(i phi) [ q b - i (Lap Phi) b
+        # (-Lap + v - lambda) psi = exp(i(xi z + Phi)) [ q b - i (Lap Phi) b
         #   - 2i (xi e_z + grad Phi) . grad b - Lap b ];  with the recursion
         # the bracket telescopes exactly to (2 i |xi|)^-n f(b_n), which is
         # the stable form (the direct difference cancels to the differencing
-        # floor)
-        residual = phase * ((2j * xi) ** -n * f[mask])
+        # floor).  Phi is real, so the phase has modulus 1
+        residual = (2.0 * xi) ** -n * f[mask]
         norm2 = np.sum(np.abs(residual) ** 2 * weight) * grid.ds * grid.dz
         yield ApproximateEigenfunction(
             eikonal=eikonal, N=n, b_n=tuple(b),
@@ -339,11 +336,12 @@ class _PsiEvaluator:
     One real stack holds the tables as planes: the real and imaginary parts
     of b, d_s b and d_z b, then Phi, Phi_s and Phi_z when N0 >= 1 (6 or 9
     planes), each padded with its value outside the grid (b = 1, all else
-    0).  lookup reads them bilinearly, with one cell search per axis.
+    0).  amplitudes reads them bilinearly, with one cell search per axis,
+    and leaves the plane wave exp(i xi z) out.
 
-    Built from outgoing (sign +1) tables it evaluates psi_+; its
-    time_reversed() twin evaluates psi_-(x; omega) = conj psi_+(x; -omega)
-    from the same stack (reverses is then the outgoing one).
+    Built from outgoing (sign +1) tables it evaluates psi_+; the __call__
+    of its time_reversed() twin, which shares the stack (reverses is then
+    the outgoing one), evaluates psi_-(x; omega) = conj psi_+(x; -omega).
     """
 
     def __init__(self, eikonal: EikonalData, b_n: tuple[np.ndarray, ...]):
@@ -382,32 +380,29 @@ class _PsiEvaluator:
 
     def __call__(self, points: np.ndarray, omega: np.ndarray,
                  deriv_dir: np.ndarray):
-        """(psi, d psi / d t) along deriv_dir at the given 3D points, read
-        off the tables by nine scipy RegularGridInterpolators: lookup's
-        oracle, and what the benchmark's traced check counts."""
+        """(psi, d psi / d t) along deriv_dir at the given 3D points:
+        exp(i xi z) times the amplitudes read off the tables by nine scipy
+        RegularGridInterpolators.  It is amplitudes' oracle, and what the
+        benchmark's traced check counts."""
+        if self.reverses is not None:
+            psi, dpsi = self.reverses(points, -omega, deriv_dir)
+            return np.conj(psi), np.conj(dpsi)
         s, z = _cyl.cyl_coords(points, omega)
         dz_dt = float(omega @ deriv_dir)
         perp = points - np.outer(z, omega)
         dir_perp = deriv_dir - dz_dt * omega
         safe_s = np.where(s > 1e-12, s, 1.0)
         ds_dt = np.where(s > 1e-12, (perp @ dir_perp) / safe_s, 0.0)
-        return self._evaluate(self._scipy_planes, s, z, ds_dt, dz_dt)
+        wave = np.exp(1j * (self.xi * z))
+        amp, damp = self._assemble(self._scipy_planes(s, z), ds_dt, dz_dt)
+        return wave * amp, wave * damp
 
-    def lookup(self, s, z, ds_dt, dz_dt: float):
-        """(psi, d psi / d t) at cylindrical coordinates (s, z) about omega
-        moving at rates (ds_dt, dz_dt), broadcast to the shape of s.  z may
-        hold one value per row of s (the S0 mesh's rows): it is looked up
-        at its own shape, so each of its values costs a table row."""
-        return self._evaluate(self._planes, s, z, ds_dt, dz_dt)
-
-    def _evaluate(self, read, s, z, ds_dt, dz_dt):
-        """(psi, d psi / d t) from the plane values read(s, z).  About
-        -omega the point sits at (s, -z) and moves at (ds_dt, -dz_dt), which
-        is where the time-reversed twin reads psi_+ before conjugating."""
-        if self.reverses is None:
-            return self._assemble(read(s, z), z, ds_dt, dz_dt)
-        psi, dpsi = self._assemble(read(s, -z), -z, ds_dt, -dz_dt)
-        return np.conj(psi), np.conj(dpsi)
+    def amplitudes(self, s, z, ds_dt, dz_dt: float):
+        """(A, D) = exp(-i xi z) (psi, d psi / d t) of the stack's tables at
+        (s, z) about omega moving at rates (ds_dt, dz_dt), broadcast to the
+        shape of s.  z may hold one value per row of s (the S0 mesh's rows):
+        it is looked up at its own shape, so each value costs a table row."""
+        return self._assemble(self._planes(s, z), ds_dt, dz_dt)
 
     def _planes(self, s, z):
         """The stack's planes at (s, z): blended along z at z's own shape,
@@ -445,22 +440,21 @@ class _PsiEvaluator:
         pts = np.array([np.ravel(s), np.ravel(np.broadcast_to(z, shape))]).T
         return np.array([f(pts).reshape(shape) for f in self._interp])
 
-    def _assemble(self, planes, z, ds_dt, dz_dt):
-        """(psi, d psi / d t) from the plane values; without Phi planes the
-        phase exp(i xi z) is taken at z's own shape."""
-        b = planes[0] + 1j * planes[1]
+    def _assemble(self, planes, ds_dt, dz_dt):
+        """(A, D) from the plane values: A = exp(i Phi) b and D = i (xi
+        dz_dt + d Phi / d t) A + exp(i Phi) d b / d t, without the plane
+        wave exp(i xi z)."""
+        amp = planes[0] + 1j * planes[1]
         db_dt = (planes[2] + 1j * planes[3]) * ds_dt \
             + (planes[4] + 1j * planes[5]) * dz_dt
+        dphi_dt = self.xi * dz_dt
         if len(planes) > 6:
             Phi, Phi_s, Phi_z = planes[6:]
-            phase = np.exp(1j * (self.xi * z + Phi))
-            dphi_dt = self.xi * dz_dt + Phi_s * ds_dt + Phi_z * dz_dt
-        else:
-            phase = np.exp(1j * (self.xi * z))
-            dphi_dt = self.xi * dz_dt
-        psi = phase * b
-        dpsi = phase * (1j * dphi_dt * b + db_dt)
-        return psi, dpsi
+            phase = np.exp(1j * Phi)
+            amp *= phase
+            db_dt *= phase
+            dphi_dt = dphi_dt + Phi_s * ds_dt + Phi_z * dz_dt
+        return amp, 1j * dphi_dt * amp + db_dt
 
 
 def _s0_windows(model: PotentialModel, sql: float) -> tuple[float, float]:
@@ -516,11 +510,11 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float,
     over its enlargement, windows = (window, reach) as _s0_windows gives
     them.  Both come from one integrand on the nested rule
     _plane_rule(window, sql, reach), whose middle nodes are those of
-    _plane_rule(window, sql), so each node is looked up once.  The
-    integrand is even in b, so the b >= 0 half of the rule (symmetric, 8
-    nodes per panel) is summed with doubled weights, in blocks of
-    _PLANE_BLOCK // len(b) rows of a: each block against the b weights of
-    each window, the row sums against its a weights."""
+    _plane_rule(window, sql), so each node is read once.  The integrand is
+    even in b, so the b >= 0 half of the rule (symmetric, 8 nodes per
+    panel) is summed with doubled weights, in blocks of _PLANE_BLOCK //
+    len(b) rows of a: each block's A D - i sql c against each window's b
+    weights, the row sums, times their plane-wave factor, against its a."""
     sql = psi.xi
     window, reach = windows
     rule = _plane_rule(window, sql, reach)
@@ -549,19 +543,17 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float,
     row_sums = np.empty((2, len(a)), dtype=complex)
     for i in range(0, len(a), rows):
         s, z, ds_dt = _plane_geometry(a[i:i + rows], b, p, c)
-        pp, dpp = psi.lookup(s, z, ds_dt, c)
-        # psi_-(x; omega') = conj psi_+(x; -omega'), and about -omega' each
-        # node has omega's (s, z) while d/dt along e_z flips both rates.  The
-        # free-field (v = 0) integrand, psi_+- = exp(+-i sql z), adds nothing
-        # over the infinite plane off the diagonal, but its taper leakage
-        # would swamp the scattering part, so it is subtracted
-        pm, dpm = np.conj(pp), -np.conj(dpp)
-        fp, fm = np.exp(1j * sql * z), np.exp(-1j * sql * z)
-        dfp, dfm = 1j * sql * c * fp, 1j * sql * c * fm
-        integrand = (np.conj(pp) * dpm - np.conj(dpp) * pm
-                     - (np.conj(fp) * dfm - np.conj(dfp) * fm))
-        row_sums[0, i:i + rows] = integrand[:, :m] @ wb
-        row_sums[1, i:i + rows] = integrand @ wb_big
+        amp, damp = psi.amplitudes(s, z, ds_dt, c)
+        q = amp * damp
+        q -= 1j * (sql * c)
+        row_sums[0, i:i + rows] = q[:, :m] @ wb
+        row_sums[1, i:i + rows] = q @ wb_big
+    # psi_-(x; omega') = conj psi_+(x; -omega'): about -omega' each node has
+    # omega's (s, z) while d/dt flips both rates, so the pair's integrand is
+    # -2 conj(psi_+ d psi_+ / dt).  The free field's (psi = exp(i sql z)),
+    # whose taper leakage would swamp the scattering part, is subtracted:
+    # -2 exp(-2 i sql z) conj(A D - i sql c), with z = a p one per row
+    row_sums = -2.0 * np.exp(-2j * sql * (a * p)) * np.conj(row_sums)
     scale = S0_SIGN * 1j * np.pi * sql * (2 * np.pi) ** -3
     return scale * (w @ row_sums[0, inner]), scale * (w_big @ row_sums[1])
 

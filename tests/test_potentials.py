@@ -209,6 +209,30 @@ class TestLineIntegral:
             got = float(line_integral(model, 0.0, lo, hi))
             assert got == pytest.approx(sign * ref, rel=2e-16, abs=0.0)
 
+    @pytest.mark.parametrize("rho,a,b", [
+        (3.0, 5000.0, np.inf), (3.0, 9000.0, 2e4), (3.0, 200.0, np.inf),
+        (1.5, 5000.0, np.inf), (40.0, 100.0, 200.0), (153.0, 100.0, np.inf)])
+    def test_segment_past_100_against_mpmath(self, rho, a, b):
+        # G(b) - G(a) below the tail series' old start |t| = 1e4: 1.7e-9,
+        # 3.7e-9, 8.1e-12 and 2.1e-14 off, -2.2e-16 for the 2.6e-80 at
+        # rho = 40 and -1.4e-16 for the 6.5e-307 at rho = 153, whose series
+        # terms past k = 0 lie below the normal range
+        mpmath = pytest.importorskip("mpmath")
+        model = PotentialModel(kind="power_tail", v0=1.0, rho=rho)
+        with mpmath.workdps(100):
+            r = mpmath.mpf(rho)
+
+            def tail(x):  # int_x^inf (1 + t^2)^(-rho/2) dt
+                if x == np.inf:
+                    return 0
+                x = mpmath.mpf(x)
+                return x ** (1 - r) / (r - 1) * mpmath.hyp2f1(
+                    r / 2, (r - 1) / 2, (r + 1) / 2, -1 / x**2)
+            ref = float(tail(a) - tail(b))
+        for lo, hi, sign in ((a, b, 1.0), (-b, -a, 1.0), (b, a, -1.0)):
+            got = float(line_integral(model, 0.0, lo, hi))
+            assert got == pytest.approx(sign * ref, rel=2e-16, abs=0.0)
+
     def test_ray_difference_near_rho_one_against_quadrature(self):
         # 4.6e-10 off while G came from 2F1
         model = PotentialModel(kind="power_tail", v0=1.0, rho=0.999999)
