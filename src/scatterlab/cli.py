@@ -153,8 +153,7 @@ def _run_highenergy(model, p, seed):
 def _run_eikonal(model, p, seed):
     # without N0, eikonal_iterate takes default_n0(rho)
     eik = eikonal.eikonal_iterate(model, p["xi_norm"], N0=p.get("N0"))
-    rows = [[sol.N, sol.residual_norm]
-            for sol in eikonal.transport_series(eik, p["N"])]
+    rows = [[n, r] for n, r in enumerate(eikonal.residual_norms(eik, p["N"]))]
     extra = {"lambda": eik.lam, "N0": eik.N0}
     return ["N", "residual_norm"], rows, extra, []
 

@@ -5,8 +5,8 @@ Eikonal phase corrections by the explicit ray integral
     Phi_pm(x, xi) = +/- (1/2) int_0^inf ( v(x +/- t xi) - v(+/- t xi) ) dt
 
 and by successive approximations Phi = sum_n (2|xi|)^-n phi_n; transport
-coefficients multiplying exp(i(x.xi + Phi)), each order with the PDE
-residual norm of its approximate eigenfunction; the plane-integral kernel
+coefficients multiplying exp(i(x.xi + Phi)) and the PDE residual norm of
+the approximate eigenfunction of each order; the plane-integral kernel
 of the scattering matrix near a reference direction; and the
 diagonal-singularity exponent probe.
 
@@ -228,20 +228,8 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
 
 
 # ---------------------------------------------------------------------------
-# transport coefficients and approximate eigenfunctions
+# transport coefficients and the residual norms of approximate eigenfunctions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ApproximateEigenfunction:
-    """Order N of psi_pm = exp(i(x.xi + Phi)) sum_n (2 i |xi|)^-n b_n: the
-    amplitudes b_0..b_N and the norm of the PDE residual (-Lap + v - lambda)
-    psi over the off-cone interior; no psi table (_PsiEvaluator reads psi)."""
-
-    eikonal: EikonalData
-    N: int
-    b_n: tuple[np.ndarray, ...]
-    residual_norm: float
-
 
 def _recursion(eikonal: EikonalData, N: int) -> Iterator[np.ndarray]:
     """b_0, f_0, ..., b_N, f_N of the amplitude recursion transport_orders,
@@ -255,16 +243,15 @@ def _recursion(eikonal: EikonalData, N: int) -> Iterator[np.ndarray]:
                             np.zeros(len(eikonal.grid.s)), phi)
 
 
-def transport_series(eikonal: EikonalData,
-                     N: int) -> Iterator[ApproximateEigenfunction]:
-    """The approximate eigenfunctions of orders n = 0..N from one march of
-    _recursion, each with its PDE residual norm; the last is order N."""
+def residual_norms(eikonal: EikonalData, N: int) -> list[float]:
+    """The norms of the PDE residuals (-Lap + v - lambda) psi over the
+    off-cone interior of the approximate eigenfunctions psi_pm =
+    exp(i(x.xi + Phi)) sum_n (2 i |xi|)^-n b_n of orders n = 0..N, from one
+    march of _recursion."""
     grid = eikonal.grid
     xi = eikonal.xi_norm
     # the residual of order N carries (2 |xi|)^-N, which must stay finite
     _check_order_weight(xi, N)
-    recursion = _recursion(eikonal, N)
-
     mask = eikonal.off_cone()
     mask[:3, :] = False
     mask[-3:, :] = False
@@ -272,20 +259,17 @@ def transport_series(eikonal: EikonalData,
     mask[:, -3:] = False
     weight = 2.0 * np.pi * np.maximum(grid.s, grid.ds / 4.0)[mask.nonzero()[0]]
 
-    # the recursion alternates b_n and its source f_n
-    b = []
-    for n, (bn, f) in enumerate(zip(recursion, recursion)):
-        b.append(bn)
-        # (-Lap + v - lambda) psi = exp(i(xi z + Phi)) [ q b - i (Lap Phi) b
-        #   - 2i (xi e_z + grad Phi) . grad b - Lap b ];  with the recursion
-        # the bracket telescopes exactly to (2 i |xi|)^-n f(b_n), which is
-        # the stable form (the direct difference cancels to the differencing
-        # floor).  Phi is real, so the phase has modulus 1
+    # (-Lap + v - lambda) psi = exp(i(xi z + Phi)) [ q b - i (Lap Phi) b
+    #   - 2i (xi e_z + grad Phi) . grad b - Lap b ];  with the recursion the
+    # bracket of order n telescopes exactly to (2 i |xi|)^-n f_n, the source
+    # of b_n, which is the stable form (the direct difference cancels to the
+    # differencing floor).  Phi is real, so the phase has modulus 1
+    norms = []
+    for n, f in enumerate(islice(_recursion(eikonal, N), 1, None, 2)):
         residual = (2.0 * xi) ** -n * f[mask]
         norm2 = np.sum(np.abs(residual) ** 2 * weight) * grid.ds * grid.dz
-        yield ApproximateEigenfunction(
-            eikonal=eikonal, N=n, b_n=tuple(b),
-            residual_norm=float(np.sqrt(norm2)))
+        norms.append(float(np.sqrt(norm2)))
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import tracemalloc
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,10 +24,9 @@ EY = np.array([0.0, 1.0, 0.0])
 CAP_LIMIT = 2.0 * np.arccos(eikonal.S0_CAP_DELTA)
 
 
-def _order(data, N):
-    """The order-N approximate eigenfunction, the last of transport_series."""
-    *_, sol = eikonal.transport_series(data, N)
-    return sol
+def _amplitudes(data, N):
+    """b_0..b_N from one march of the recursion on the tables data."""
+    return tuple(islice(eikonal._recursion(data, N), 0, 2 * N + 1, 2))
 
 
 class _TablesBuilt(Exception):
@@ -229,21 +229,19 @@ class TestIteration:
 class TestTransport:
     def test_zero_potential_trivial(self):
         data = eikonal.eikonal_iterate(PotentialModel(kind="zero"), 5.0)
-        sol = _order(data, 2)
-        assert sol.residual_norm < 1e-12
-        assert np.allclose(sol.b_n[1], 0.0)
+        assert eikonal.residual_norms(data, 2)[-1] < 1e-12
+        assert np.allclose(_amplitudes(data, 2)[1], 0.0)
 
     def test_b0_is_one(self):
         data = eikonal.eikonal_iterate(GAUSS, 5.0)
-        sol = _order(data, 1)
-        assert np.all(sol.b_n[0] == 1.0)
+        assert np.all(_amplitudes(data, 1)[0] == 1.0)
 
     def test_residual_lambda_scaling(self):
         # ||residual|| ~ lambda^{-N/2} at fixed N with Phi = 0
         norms = {}
         for lam in (25.0, 100.0):
             data = eikonal.eikonal_iterate(GAUSS, np.sqrt(lam))
-            norms[lam] = _order(data, 1).residual_norm
+            norms[lam] = eikonal.residual_norms(data, 1)[-1]
         slope = np.log(norms[100.0] / norms[25.0]) / np.log(4.0)
         assert slope == pytest.approx(-0.5, abs=0.05)
 
@@ -776,7 +774,7 @@ class TestS0Tables:
                                              (TAIL09, 100.0, 1)])
     def test_tables_equal_transport_series(self, model, lam, N, monkeypatch):
         data = eikonal.eikonal_iterate(model, np.sqrt(lam))
-        ref = _order(data, N).b_n
+        ref = _amplitudes(data, N)
         built = []
         gradients = []
         init = _PsiEvaluator.__init__
@@ -794,7 +792,7 @@ class TestS0Tables:
             return gradient(f, *args, **kwargs)
 
         monkeypatch.setattr(_PsiEvaluator, "__init__", spy)
-        monkeypatch.setattr(eikonal, "transport_series", refuse)
+        monkeypatch.setattr(eikonal, "residual_norms", refuse)
         monkeypatch.setattr(eikonal, "eikonal_iterate", lambda *a, **k: data)
         monkeypatch.setattr(np, "gradient", counting)
         pp, pm = eikonal.s0_solutions(model, lam, N)
@@ -882,8 +880,8 @@ def _two_table_pair(model, lam, N):
     tables: the oracle of the time-reversed incoming evaluator."""
     sql = np.sqrt(lam)
     psi_plus = _solutions(model, lam, N)[0]
-    incoming = _order(eikonal.eikonal_iterate(model, sql, sign=-1), N)
-    return psi_plus, _PsiEvaluator(incoming.eikonal, incoming.b_n)
+    incoming = eikonal.eikonal_iterate(model, sql, sign=-1)
+    return psi_plus, _PsiEvaluator(incoming, _amplitudes(incoming, N))
 
 
 class TestTimeReversal:
@@ -899,8 +897,8 @@ class TestTimeReversal:
         minus = eikonal.eikonal_iterate(model, sql, sign=-1)
         assert np.array_equal(plus.grid.z, -plus.grid.z[::-1])
         assert np.array_equal(minus.Phi, -plus.Phi[:, ::-1])
-        b_plus = _order(plus, 3).b_n
-        b_minus = _order(minus, 3).b_n
+        b_plus = _amplitudes(plus, 3)
+        b_minus = _amplitudes(minus, 3)
         for n, (bp, bm) in enumerate(zip(b_plus, b_minus)):
             mirror = (-1) ** n * np.conj(bp[:, ::-1])
             np.testing.assert_allclose(bm, mirror, rtol=0.0,
@@ -956,19 +954,18 @@ class TestTransportSeries:
         # order n of one march is bit for bit the last order of a series
         # that stops at n
         data = eikonal.eikonal_iterate(model, 5.0)
-        series = list(eikonal.transport_series(data, N))
-        assert [sol.N for sol in series] == list(range(N + 1))
-        for n, sol in enumerate(series):
-            alone = _order(data, n)
-            assert len(sol.b_n) == n + 1
-            assert sol.residual_norm == alone.residual_norm
-            for got, want in zip(sol.b_n, alone.b_n):
+        norms = eikonal.residual_norms(data, N)
+        b_n = _amplitudes(data, N)
+        assert len(norms) == len(b_n) == N + 1
+        for n in range(N + 1):
+            assert norms[n] == eikonal.residual_norms(data, n)[-1]
+            for got, want in zip(b_n[:n + 1], _amplitudes(data, n)):
                 assert np.array_equal(got, want)
 
 
 def transport_series_loop(model, data, N):
-    """(b_n, residual_norm) per order from the source closure and march
-    that transport_series ran before it took its orders from
+    """(b_n, residual norm) per order from the source closure and march
+    that the residual series ran before it took its orders from
     born.transport_orders, kept as a bit-for-bit oracle; -Lap b is formed
     from complex b whole, as the recursion forms it."""
     grid = data.grid
@@ -1006,7 +1003,8 @@ BUMP = PotentialModel(kind="compact_bump", v0=-2.0, width=2.0)
 
 
 class TestTransportOrders:
-    """transport_series on the shared recursion born.transport_orders."""
+    """residual_norms and the amplitudes on the shared recursion
+    born.transport_orders."""
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("lam", [25.0, 100.0])
@@ -1016,14 +1014,13 @@ class TestTransportOrders:
         # the closed-form source of b_0, q - i Lap Phi, is what the closure
         # formed from -Lap 1 and grad 1, exactly 0 on these grids.  The
         # closure multiplies by the phase exp(i(xi z + Phi)), whose modulus
-        # is 1 up to rounding, where transport_series leaves it out: the
+        # is 1 up to rounding, where residual_norms leaves it out: the
         # residual norms agree to rounding, not bit for bit
         data = eikonal.eikonal_iterate(model, np.sqrt(lam), sign=sign)
         b, norms = transport_series_loop(model, data, 3)
-        series = list(eikonal.transport_series(data, 3))
-        got = [sol.residual_norm for sol in series]
+        got = eikonal.residual_norms(data, 3)
         np.testing.assert_allclose(got, norms, rtol=1e-15, atol=0.0)
-        for n, bn in enumerate(series[-1].b_n):
+        for n, bn in enumerate(_amplitudes(data, 3)):
             assert np.array_equal(bn, b[n]), n
 
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -1036,7 +1033,7 @@ class TestTransportOrders:
         # residual norms are those of the complex recursion on Phi = 0
         data = eikonal.eikonal_iterate(model, np.sqrt(lam), sign=sign)
         assert data.N0 == 0
-        real = list(eikonal.transport_series(data, 3))
+        real = eikonal.residual_norms(data, 3), _amplitudes(data, 3)
         orders = eikonal.transport_orders
         zero = np.zeros(data.q.shape, dtype=complex)
 
@@ -1045,10 +1042,9 @@ class TestTransportOrders:
             return orders(*args[:-1], (zero, zero, zero))
 
         monkeypatch.setattr(eikonal, "transport_orders", zero_phase_held_complex)
-        held = list(eikonal.transport_series(data, 3))
-        assert ([sol.residual_norm for sol in real]
-                == [sol.residual_norm for sol in held])
-        for got, want in zip(real[-1].b_n, held[-1].b_n):
+        held = eikonal.residual_norms(data, 3), _amplitudes(data, 3)
+        assert real[0] == held[0]
+        for got, want in zip(real[1], held[1]):
             assert got.dtype == np.dtype(float) and want.dtype == np.dtype(complex)
             assert np.array_equal(got, want.real)
             assert not np.any(want.imag)
@@ -1057,6 +1053,6 @@ class TestTransportOrders:
         # rho = 0.9 takes N0 = 2: Phi != 0, so the tables recurse complex
         data = eikonal.eikonal_iterate(TAIL09, 10.0)
         assert data.N0 == 2 and np.any(data.Phi)
-        b_n = _order(data, 2).b_n
+        b_n = _amplitudes(data, 2)
         assert [b.dtype for b in b_n] == [np.dtype(complex)] * 3
         assert np.any(b_n[1].imag)

@@ -3,7 +3,8 @@
 in place, and its interpolator check calls the psi_plus of
 `eikonal.s0_solutions` on 3D points.  A package change that breaks one of
 these breaks only the traced run, which the package's tests do not collect,
-so this checks each of them here."""
+so this checks each of them here, and that a traced eikonal residual series
+holds its marches."""
 
 import importlib
 import importlib.util
@@ -68,3 +69,21 @@ def test_psi_plus_call_makes_nine_interpolator_calls():
         tracer.uninstall()
     spans = tracer.summary()["spans"]
     assert spans.get("scipy.rgi", {"calls": 0})["calls"] >= 9
+
+
+def test_residual_norms_span_holds_the_marches():
+    # a span closes when its function returns: residual_norms is a plain
+    # function, so the recursion's marches of b_1 and b_2 run inside it
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
+        eikonal.residual_norms(eikonal.eikonal_iterate(model, 5.0), 2)
+    finally:
+        tracer.uninstall()
+    nid, parent, *_ = tracer.arrays()
+    names = np.array(tracer.names)[nid]
+    [span] = np.nonzero(names == "eikonal.residual_norms")[0]
+    marches = np.nonzero(names == "_cyl.march")[0]
+    assert len(marches) == 2
+    assert np.all(parent[marches] == span)
