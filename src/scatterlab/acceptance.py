@@ -73,8 +73,10 @@ REFERENCES = {
        "sources of the unit Gaussian (TestCriterion06ClosedForm) put at 0.945",
     7: "independent solver: S0 against the partial-wave kernel",
     8: "independent solver: FFT evolution against the free asymptote",
-    9: "none: the Moller increments' own decay",
-    10: "independent solver: the time-domain S_0 against Numerov",
+    9: "none: the Moller increments' own decay, their gap evolutions "
+       "time-exact (Chebyshev)",
+    10: "independent solver: the time-domain S_0, its evolution time-exact "
+        "(Chebyshev), against Numerov",
     11: "closed form: sqrt(pi)/8 and the exact c-scaling",
     12: "closed form: i[H_0, A] = 4 H_0, at least 4 inf I",
     13: "none: the Kato integrals' own growth",

@@ -188,7 +188,7 @@ def _run_moller(model, p, seed):
                                     k0=p["k"], sigma=p["sigma"])
     probe = (propagator.modified_moller_probe if p["modified"]
              else propagator.moller_probe)
-    rep = probe(model, f0, p["times"], dt=p["dt"])
+    rep = probe(model, f0, p["times"])
     rows = [[t, inc] for t, inc in zip(rep.times[1:], rep.increments)]
     extra = {"verdict": rep.verdict, "decay_factor": rep.decay_factor}
     flags = [] if rep.verdict == "converging" else [f"verdict_{rep.verdict}"]
@@ -283,7 +283,7 @@ EXPERIMENTS = {
         "dt": dict(_POS, default=0.02)}),
     "moller": (_run_moller, {
         "times": dict(_NUM_LIST, default=[20.0, 40.0, 80.0, 160.0, 320.0]),
-        "dt": dict(_POS, default=0.02), "sigma": dict(_POS, default=6.0),
+        "sigma": dict(_POS, default=6.0),
         "k": dict(_POS, default=2.0), "n": dict(_GRID, default=2**13),
         "dx": dict(_POS, default=0.65),
         "modified": dict(type="boolean", default=False)}),

@@ -257,7 +257,7 @@ def residual_norms(eikonal: EikonalData, N: int) -> list[float]:
     mask[-3:, :] = False
     mask[:, :3] = False
     mask[:, -3:] = False
-    weight = 2.0 * np.pi * np.maximum(grid.s, grid.ds / 4.0)[mask.nonzero()[0]]
+    weight = 2.0 * np.pi * grid.s[mask.nonzero()[0]]
 
     # (-Lap + v - lambda) psi = exp(i(xi z + Phi)) [ q b - i (Lap Phi) b
     #   - 2i (xi e_z + grad Phi) . grad b - Lap b ];  with the recursion the

@@ -1,6 +1,6 @@
-"""Time-dependent diagnostics: split-step evolution, free asymptotics,
-Moller-limit probes (plain and Dollard-modified), and the time-domain
-S-matrix.
+"""Time-dependent diagnostics: split-step and Chebyshev evolution, free
+asymptotics, Moller-limit probes (plain and Dollard-modified), and the
+time-domain S-matrix.
 
 Every packet lives on one origin-centred periodic grid x = (i - n/2) dx.
 The l = 0 channel (half-line, Dirichlet at r = 0) is an odd packet on that
@@ -8,7 +8,8 @@ grid: v(|x|) is even there and the kinetic factor is even in k, so the
 evolution keeps the packet odd and both Dirichlet nodes (x = 0 and the
 self-mirrored x = -n dx / 2) stay zero.  The kinetic factor is exact in
 Fourier space; Strang splitting e^{-iV dt/2} e^{-iH0 dt} e^{-iV dt/2} is
-second-order in dt and unitary.
+second-order in dt and unitary.  The Chebyshev expansion of e^{-iHt} is
+exact to roundoff; the Moller probes and the time-domain S-matrix use it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
 # name, so it stays bound until the tracer drops it.
 from scipy.integrate import quad  # noqa: F401
+from scipy.special import jv
 
 from .numerics import DomainError, ParameterError, ScatterlabError, dft, dft_freqs
 from .potentials import PotentialModel, line_integral
@@ -29,6 +31,11 @@ EDGE_THRESHOLD = 1e-6
 # Largest work (time steps or samples, times grid points) a run may ask for;
 # checked before anything is allocated.
 MAX_POINT_STEPS = 2**31
+# The Chebyshev series ends where its coefficients |J_k(b tau)| stay below
+# CHEBYSHEV_TOL; b tau is at most MAX_SPAN_PHASE per span, so the coefficient
+# array stays small whatever the potential's range.
+CHEBYSHEV_TOL = 1e-17
+MAX_SPAN_PHASE = 2.0**12
 
 
 class ReflectionError(ScatterlabError, RuntimeError):
@@ -40,6 +47,11 @@ class ReflectionError(ScatterlabError, RuntimeError):
 def _grid(n: int, dx: float) -> np.ndarray:
     """The origin-centred grid x = (i - n/2) dx, i = 0 .. n - 1."""
     return (np.arange(n) - n // 2) * dx
+
+
+def _edge_width(n: int) -> int:
+    """Samples in each of the two edge strips of an n-point grid."""
+    return max(1, int(round(EDGE_FRACTION * n / 2)))
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,7 @@ class WavePacket:
 
     def edge_mass(self) -> float:
         """Squared-norm fraction in the outer EDGE_FRACTION of the grid."""
-        n = len(self.values)
-        m = max(1, int(round(EDGE_FRACTION * n / 2)))
+        m = _edge_width(len(self.values))
         p = np.abs(self.values) ** 2
         edge = p[:m].sum() + p[-m:].sum()
         total = p.sum()
@@ -168,6 +179,83 @@ def split_step_evolve(packet: WavePacket, model: PotentialModel, dt: float,
     return out
 
 
+def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
+                     t_target: float) -> WavePacket:
+    """e^{-iH (t_target - t)} to roundoff by its Chebyshev expansion
+    (H. Tal-Ezer and R. Kosloff, J. Chem. Phys. 81 (1984) 3967):
+
+        e^{-iH tau} = e^{-ia tau} sum_k (2 - delta_k0) (-i)^k J_k(b tau) T_k(G),
+
+    G = (H - a) / b, over [a - b, a + b] = [min v, (pi/dx)^2 + max v], which
+    holds the spectrum of the grid's H = k^2 + v; J_k(-z) = (-1)^k J_k(z)
+    for a backward run.  Each term applies H once, through one forward and
+    one inverse transform.
+
+    The run is split into equal spans, none longer than m dx^2 / (2 pi), the
+    time the fastest grid mode (group velocity 2 pi / dx) takes to cross an
+    edge strip of m samples, so no mass crosses the strip between two
+    checks, and none with b tau above MAX_SPAN_PHASE; ReflectionError at
+    the end of the first span whose edge mass exceeds EDGE_THRESHOLD.  The
+    work, estimated terms times spans times points, is checked against
+    MAX_POINT_STEPS before any coefficient is computed.
+    """
+    span = float(t_target - packet.t)
+    if span == 0.0:
+        return packet
+    n, dx = len(packet.values), packet.dx
+    v = model.radial_values(np.abs(packet.grid))
+    lo, hi = float(np.min(v)), (np.pi / dx) ** 2 + float(np.max(v))
+    a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    tau_max = min(_edge_width(n) * dx * dx / (2 * np.pi), MAX_SPAN_PHASE / b)
+    # Python floats, so that t = 1e300 is refused here, before any allocation
+    n_spans = max(1.0, float(np.ceil(abs(span) / tau_max)))
+    z = b * min(abs(span), tau_max)
+    n_terms = z + 10.0 * z ** (1 / 3) + 30.0
+    check_work(n_terms * n_spans, n)
+    n_spans = int(n_spans)
+    tau = span / n_spans
+    bessel = jv(np.arange(int(n_terms)), b * abs(tau))
+    bessel = bessel[:max(2, np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1] + 1)]
+    # (2 - delta_k0) (-i)^k; i^k for a backward run
+    order = np.arange(len(bessel))
+    unit = np.array([1, -1j, -1, 1j] if tau > 0 else [1, 1j, -1, -1j])
+    coef = (np.where(order == 0, 1.0, 2.0) * unit[order % 4] * bessel
+            * np.exp(-1j * a * tau))
+    # 2G = 2 (k^2 + v - a) / b; every term after the first needs 2G.  Held
+    # complex: numpy multiplies complex by complex several times faster than
+    # by real
+    kin = (dft_freqs(n, dx) ** 2 * (2.0 / b)).astype(complex)
+    pot = ((v - a) * (2.0 / b)).astype(complex)
+    work = np.empty(n, dtype=complex)
+
+    def twice_g(phi):
+        spectrum = dft(phi)
+        spectrum *= kin
+        out = dft(spectrum, "inverse")
+        np.multiply(pot, phi, out=work)
+        out += work
+        return out
+
+    vals = packet.values
+    for i in range(n_spans):
+        # T_0 = 1, T_1 = G, T_{k+1} = 2G T_k - T_{k-1}
+        prev, cur = vals, 0.5 * twice_g(vals)
+        acc = coef[0] * prev + coef[1] * cur
+        for c in coef[2:]:
+            nxt = twice_g(cur)
+            nxt -= prev
+            np.multiply(nxt, c, out=work)
+            acc += work
+            prev, cur = cur, nxt
+        vals = acc
+        out = replace(packet, values=vals, t=packet.t + (i + 1) * tau)
+        if out.edge_mass() > EDGE_THRESHOLD:
+            raise ReflectionError(
+                f"edge mass {out.edge_mass():.2e} exceeds "
+                f"{EDGE_THRESHOLD:.1e} at span {i + 1}")
+    return replace(out, t=t_target)
+
+
 # ---------------------------------------------------------------------------
 # explicit large-time formulas
 # ---------------------------------------------------------------------------
@@ -222,32 +310,32 @@ class CauchyReport:
         return "plateau" if self.decay_factor < 2.0 else "inconclusive"
 
 
-def _probe(model: PotentialModel, times, dt: float, packets) -> CauchyReport:
+def _probe(model: PotentialModel, times, packets) -> CauchyReport:
     """Cauchy increments from packets, which yields u(T_j) for each time.
 
     Since e^{iHT} is unitary, ||g(T') - g(T)|| for g(T) = e^{iHT} u(T)
     equals ||e^{iH(T'-T)} u(T') - u(T)||, so each increment only needs an
-    interacting evolution over the gap T' - T applied to the packet u(T').
+    interacting evolution over the gap T' - T applied to the packet u(T'),
+    by chebyshev_evolve.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 3 or np.any(np.diff(times) <= 0):
         raise ParameterError("need at least three increasing times")
     incs = []
     for u0, u1 in pairwise(packets):
-        back = split_step_evolve(u1, model, dt, u1.t - (u1.t - u0.t))
+        back = chebyshev_evolve(u1, model, u1.t - (u1.t - u0.t))
         # back now holds e^{-iH (t0 - t1)} u(t1) = e^{iH (t1-t0)} u(t1)
         incs.append(replace(back, values=back.values - u0.values).norm())
     return CauchyReport(times=times, increments=np.asarray(incs))
 
 
-def moller_probe(model: PotentialModel, f0: WavePacket, times,
-                 dt: float = 0.02) -> CauchyReport:
+def moller_probe(model: PotentialModel, f0: WavePacket, times) -> CauchyReport:
     """Cauchy increments of g(T) = e^{iHT} e^{-iH0 T} f0."""
-    return _probe(model, times, dt, free_evolve_series(f0, times))
+    return _probe(model, times, free_evolve_series(f0, times))
 
 
-def modified_moller_probe(model: PotentialModel, f0: WavePacket, times,
-                          dt: float = 0.02) -> CauchyReport:
+def modified_moller_probe(model: PotentialModel, f0: WavePacket,
+                          times) -> CauchyReport:
     """Cauchy increments of g(T) = e^{iHT} U0(T) f0 for Dollard's modified
     free dynamics U0(t) = exp(-i H0 t - i int_0^t v(2sP) ds) (rho > 1/2).
 
@@ -260,7 +348,7 @@ def modified_moller_probe(model: PotentialModel, f0: WavePacket, times,
     packets = (replace(f0, t=t, values=dft(spectrum * np.exp(
         -1j * (p * p * t + _xi_potential_term(model, 2 * p * t, t))), "inverse"))
         for t in np.asarray(times, dtype=float))
-    return _probe(model, times, dt, packets)
+    return _probe(model, times, packets)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +357,8 @@ def modified_moller_probe(model: PotentialModel, f0: WavePacket, times,
 
 def scattering_phase_from_time_domain(model: PotentialModel, k: float,
                                       packet_width: float = 20.0,
-                                      n: int = 2**9, dx: float = 0.8,
-                                      dt: float = 0.03) -> complex:
+                                      n: int = 2**9,
+                                      dx: float = 0.8) -> complex:
     """e^{2 i delta_0(k)} from an incoming l = 0 packet.
 
     The half-line r in (0, n dx] with Dirichlet nodes at both ends is the
@@ -292,7 +380,7 @@ def scattering_phase_from_time_domain(model: PotentialModel, k: float,
     if model.kind == "zero":
         u_v = u_0
     else:
-        u_v = split_step_evolve(pk, model, dt, t_out)
+        u_v = chebyshev_evolve(pk, model, t_out)
     # sine-transform coefficients over r = x > 0 pick out the outgoing
     # e^{ikr} component
     sin_k = np.sin(k * pk.grid[n + 1:])

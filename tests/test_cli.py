@@ -149,9 +149,8 @@ DEFAULTS = {
     "s0": {"lam": 100.0, "N": 3, "thetas": list(np.deg2rad([10, 20, 30]))},
     "propagate": {"n": 8192, "dx": 0.65, "sigma": 6.0, "k": 2.0,
                   "center": 0.0, "T": 10.0, "dt": 0.02},
-    "moller": {"times": [20.0, 40.0, 80.0, 160.0, 320.0], "dt": 0.02,
-               "sigma": 6.0, "k": 2.0, "n": 8192, "dx": 0.65,
-               "modified": False},
+    "moller": {"times": [20.0, 40.0, 80.0, 160.0, 320.0], "sigma": 6.0,
+               "k": 2.0, "n": 8192, "dx": 0.65, "modified": False},
     "hs": {"check": "hs", "c": 1.0},
     "kato": {"check": "kato", "r": 1.0, "T_values": [25.0, 50.0, 100.0, 200.0],
              "n": 8192, "dx": 0.65, "k": 2.0, "sigma": 1.0},
@@ -857,15 +856,33 @@ class TestTypedErrors:
         assert f"MAX_SWEEP_FLOATS = {partialwave.MAX_SWEEP_FLOATS}" in err
         assert not (out / "result.json").exists()
 
+    def test_huge_moller_times_refused_before_coefficients(
+            self, tmp_path, capsys, monkeypatch):
+        # gaps of 1e300 would take about 1e300 Chebyshev spans; the work
+        # cap refuses them before any Bessel coefficient is computed
+        def no_bessel(*args, **kwargs):
+            raise AssertionError("computed coefficients for a refused run")
+
+        monkeypatch.setattr(propagator, "jv", no_bessel)
+        path = write_config(tmp_path, {
+            "experiment": "moller",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"times": [1e300, 2e300, 3e300]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "exceed MAX_POINT_STEPS" in err
+        assert not (out / "result.json").exists()
+
     @pytest.mark.parametrize("experiment,params,message", [
-        ("moller", {"dt": 1e-320}, "inf time steps"),
         ("eikonal", {"xi_norm": 1e-155}, "(2 |xi|)^-N overflows"),
         ("eikonal", {"xi_norm": 1e-300}, "(2 |xi|)^-N overflows"),
-    ], ids=["moller-dt", "eikonal-1e-155", "eikonal-1e-300"])
+    ], ids=["eikonal-1e-155", "eikonal-1e-300"])
     def test_tiny_step_or_momentum_refused(self, tmp_path, capsys, experiment,
                                            params, message):
-        # the step count of a Moller gap, |T' - T| / dt, and the order's
-        # factor (2 |xi|)^-N overflow; each is refused before it is formed
+        # the order's factor (2 |xi|)^-N overflows; it is refused before it
+        # is formed
         self._assert_typed(tmp_path, capsys, {
             "experiment": experiment,
             "potential": {"kind": "gaussian_well", "v0": -1.0},

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -215,6 +216,15 @@ def _l2_rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def _reflection_case(case):
+    """(packet, dt, t) of a run whose packet reaches the edge strip."""
+    if case == "line":   # test_reflection_detected's case
+        return (propagator.gaussian_packet(n=2**8, dx=0.65, center=0.0,
+                                           k0=2.0, sigma=2.0), 0.012, 40.0)
+    # an outgoing radial packet runs into the wall
+    return _radial_packet(n=2**9, center=150.0, k0=1.5), 0.02, 60.0
+
+
 class TestStrangOnPeriodicArray:
     @pytest.mark.parametrize("model", [GAUSS, TAIL])
     def test_line_matches_oracle_exactly(self, model):
@@ -258,17 +268,11 @@ class TestStrangOnPeriodicArray:
 
     @pytest.mark.parametrize("case", ["line", "radial"])
     def test_reflection_same_step_and_message(self, case):
-        if case == "line":   # test_reflection_detected's case
-            pk = propagator.gaussian_packet(n=2**8, dx=0.65, center=0.0,
-                                            k0=2.0, sigma=2.0)
-            dt = 0.012
-            t = 40.0
+        pk, dt, t = _reflection_case(case)
+        if case == "line":
             with pytest.raises(propagator.ReflectionError) as expect:
                 split_step_oracle(pk, GAUSS, dt, t)
-        else:                # outgoing radial packet runs into the wall
-            pk = _radial_packet(n=2**9, center=150.0, k0=1.5)
-            dt = 0.02
-            t = 60.0
+        else:
             with pytest.raises(propagator.ReflectionError) as expect:
                 split_step_oracle(_radial_samples(pk), GAUSS, dt, t, "radial")
         with pytest.raises(propagator.ReflectionError) as got:
@@ -311,6 +315,79 @@ class TestStrangOnPeriodicArray:
         width = 2**9 * (2 if geometry == "radial" else 1)
         assert kinetic == [width] * n_steps
         assert transforms == ["forward", "inverse"] * n_steps
+
+
+class TestChebyshev:
+    def test_zero_potential_matches_free_evolve(self):
+        f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=0.0, k0=1.0,
+                                        sigma=2.0)
+        out = propagator.chebyshev_evolve(f0, ZERO, 5.0)
+        assert out.t == 5.0
+        assert _l2_rel(out.values, propagator.free_evolve(f0, 5.0).values) <= 1e-13
+
+    def test_strang_converges_to_it_at_second_order(self):
+        # C10's setting: each halving of Strang's dt divides its gap to the
+        # time-exact evolution by 4 (gaps about 4.6e-5, 1.15e-5, 2.9e-6)
+        pk, dt, t_out = _time_domain_setting()
+        exact = propagator.chebyshev_evolve(pk, GAUSS, t_out).values
+        gaps = [_l2_rel(propagator.split_step_evolve(pk, GAUSS, h, t_out).values,
+                        exact) for h in (dt, dt / 2, dt / 4)]
+        assert gaps[0] < 1e-4
+        for coarse, fine in pairwise(gaps):
+            assert coarse / fine == pytest.approx(4.0, abs=0.2)
+
+    @pytest.mark.parametrize("model", [GAUSS, TAIL])
+    def test_norm_conserved(self, model):
+        f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=-20.0,
+                                        k0=1.5, sigma=3.0)
+        out = propagator.chebyshev_evolve(f0, model, 12.0)
+        assert abs(out.norm() - f0.norm()) <= 1e-12
+
+    @pytest.mark.parametrize("model", [GAUSS, TAIL])
+    def test_odd_packet_dirichlet_nodes_stay_zero(self, model):
+        pk = _radial_packet()
+        n = len(pk.values) // 2
+        out = propagator.chebyshev_evolve(pk, model, 60.0)
+        scale = np.max(np.abs(out.values))
+        assert abs(out.values[n]) <= 1e-13 * scale
+        assert abs(out.values[0]) <= 1e-13 * scale
+
+    def test_forward_then_back_round_trip(self):
+        f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=-20.0,
+                                        k0=1.5, sigma=3.0)
+        there = propagator.chebyshev_evolve(f0, GAUSS, 12.0)
+        back = propagator.chebyshev_evolve(there, GAUSS, 0.0)
+        assert back.t == 0.0
+        assert _l2_rel(back.values, f0.values) <= 1e-13
+
+    def test_deep_well_spans_keep_the_coefficients_few(self, monkeypatch):
+        # b tau = 1e4 in one edge span; MAX_SPAN_PHASE cuts it into three,
+        # so no coefficient array grows with the depth of the well
+        well = PotentialModel(kind="square_well", v0=-1e9, width=1.0)
+        f0 = propagator.gaussian_packet(n=64, dx=1.0, center=0.0, k0=0.0,
+                                        sigma=2.0)
+        sizes = []
+        jv = propagator.jv
+
+        def sized_jv(order, z):
+            sizes.append(len(order))
+            return jv(order, z)
+
+        monkeypatch.setattr(propagator, "jv", sized_jv)
+        out = propagator.chebyshev_evolve(f0, well, 2e-5)
+        cap = propagator.MAX_SPAN_PHASE
+        assert len(sizes) == 1 and sizes[0] <= cap + 10 * cap ** (1 / 3) + 30
+        assert abs(out.norm() - f0.norm()) <= 1e-10
+
+    @pytest.mark.parametrize("case,span", [("line", 9), ("radial", 11)])
+    def test_reflection_at_the_end_of_a_span(self, case, span):
+        # Strang's cases (test_reflection_same_step_and_message); the spans
+        # are no longer than the edge strip's crossing time at the top
+        # group velocity, so the monitor cannot miss the crossing
+        pk, _, t = _reflection_case(case)
+        with pytest.raises(propagator.ReflectionError,
+                           match=f"exceeds 1.0e-06 at span {span}$"):
+            propagator.chebyshev_evolve(pk, GAUSS, t)
 
 
 class TestAsymptotics:
@@ -408,7 +485,7 @@ class TestXiTerm:
         def no_evolution(*args, **kwargs):
             raise AssertionError("evolved a packet for a refused model")
 
-        for name in ("free_evolve", "split_step_evolve"):
+        for name in ("free_evolve", "split_step_evolve", "chebyshev_evolve"):
             monkeypatch.setattr(propagator, name, no_evolution)
         f0 = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0, k0=2.0,
                                         sigma=3.0)
@@ -465,28 +542,27 @@ class TestMollerProbes:
 
         expect = []
         for t0, t1 in zip(times[:-1], times[1:]):
-            back = propagator.split_step_evolve(fresh(t1), GAUSS, 0.02,
-                                                t1 - (t1 - t0))
+            back = propagator.chebyshev_evolve(fresh(t1), GAUSS, t1 - (t1 - t0))
             u0 = fresh(t0)
             expect.append(float(np.sqrt(np.sum(np.abs(back.values - u0.values)
                                                ** 2) * u0.dx)))
         forward, inside = [], []
-        split_step = propagator.split_step_evolve
+        chebyshev = propagator.chebyshev_evolve
 
         def counting_dft(values, direction="forward"):
             if direction == "forward" and not inside:
                 forward.append(len(values))
             return dft(values, direction)
 
-        def marked_split_step(*args):
+        def marked_chebyshev(*args):
             inside.append(True)
             try:
-                return split_step(*args)
+                return chebyshev(*args)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(propagator, "dft", counting_dft)
-        monkeypatch.setattr(propagator, "split_step_evolve", marked_split_step)
+        monkeypatch.setattr(propagator, "chebyshev_evolve", marked_chebyshev)
         probe = (propagator.modified_moller_probe if modified
                  else propagator.moller_probe)
         rep = probe(GAUSS, f0, times)

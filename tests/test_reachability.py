@@ -45,7 +45,7 @@ UNPASSED = {
     **{("propagator", "scattering_phase_from_time_domain", p):
        "no test sizes them; ROADMAP item 4 varies them (C10's error is "
        "the spatial step)"
-       for p in ("n", "dx", "dt")},
+       for p in ("n", "dx")},
     ("entry", "main", "argv"): "tests pass argv; the console script passes none",
 }
 
