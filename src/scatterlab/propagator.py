@@ -10,10 +10,13 @@ self-mirrored x = -n dx / 2) stay zero.  The kinetic factor is exact in
 Fourier space; Strang splitting e^{-iV dt/2} e^{-iH0 dt} e^{-iV dt/2} is
 second-order in dt and unitary.  The Chebyshev expansion of e^{-iHt} is
 exact to roundoff; the Moller probes and the time-domain S-matrix use it.
+One expansion covers many of its edge-mass checks, which are read from the
+expansion's own terms rather than by restarting it at each one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import pairwise
 
@@ -32,10 +35,21 @@ EDGE_THRESHOLD = 1e-6
 # checked before anything is allocated.
 MAX_POINT_STEPS = 2**31
 # The Chebyshev series ends where its coefficients |J_k(b tau)| stay below
-# CHEBYSHEV_TOL; b tau is at most MAX_SPAN_PHASE per span, so the coefficient
-# array stays small whatever the potential's range.
+# CHEBYSHEV_TOL; b tau is at most MAX_SPAN_PHASE per expansion, so the
+# coefficient array stays small whatever the potential's range.
 CHEBYSHEV_TOL = 1e-17
 MAX_SPAN_PHASE = 2.0**12
+# Terms gathered at most before their edge samples are folded into the
+# checks inside an expansion.  The table of check coefficients (checks times
+# transform points) holds at most _CHECK_TABLE complex entries (4 MB), and at
+# most _TABLE_SHARE of the expansion's terms times grid points, so that
+# building it costs a few percent of the terms it is read from: on 64 points
+# the refused first gap of a `moller` run (100 checks) takes 0.34 ms in
+# expansions of 4 checks, and 5 ms in one of 100, whose 99 table rows each
+# cost a 1024-point transform.
+_BLOCK = 32
+_CHECK_TABLE = 2**18
+_TABLE_SHARE = 1 / 8
 
 
 class ReflectionError(ScatterlabError, RuntimeError):
@@ -83,11 +97,12 @@ class WavePacket:
         return float(edge / total) if total > 0 else 0.0
 
 
-def check_work(n_steps: float, n_points: int) -> None:
-    """ParameterError when n_steps (a float, inf too) * n_points exceeds MAX_POINT_STEPS."""
+def check_work(n_steps: float, n_points: int, unit: str = "time steps") -> None:
+    """ParameterError when n_steps (a float, inf too) * n_points exceeds
+    MAX_POINT_STEPS; `unit` names the steps in the message."""
     if n_steps * n_points > MAX_POINT_STEPS:
         raise ParameterError(
-            f"{n_steps:.12g} time steps x {n_points} points exceed "
+            f"{n_steps:.12g} {unit} x {n_points} points exceed "
             f"MAX_POINT_STEPS = {MAX_POINT_STEPS}; shorten the run")
 
 
@@ -135,8 +150,11 @@ def free_evolve_series(packet: WavePacket, times):
     """free_evolve(packet, t) for each t in turn, lazily, from one forward
     transform of the packet."""
     spectrum = dft(packet.values)
+    k = dft_freqs(len(packet.values), packet.dx)
+    # _kinetic_phase's exponent, formed once: the same bits for every t
+    exponent = -1j * k * k
     for t in times:
-        out = dft(spectrum * _kinetic_phase(packet, t - packet.t), "inverse")
+        out = dft(spectrum * np.exp(exponent * (t - packet.t)), "inverse")
         yield replace(packet, values=out, t=t)
 
 
@@ -179,6 +197,118 @@ def split_step_evolve(packet: WavePacket, model: PotentialModel, dt: float,
     return out
 
 
+def _check_edge(mass: float, span: int) -> None:
+    """ReflectionError when the edge mass at the end of span `span` trips
+    the monitor."""
+    if mass > EDGE_THRESHOLD:
+        raise ReflectionError(
+            f"edge mass {mass:.2e} exceeds {EDGE_THRESHOLD:.1e} at span {span}")
+
+
+def _terms(z: float) -> float:
+    """Chebyshev terms for a phase b tau = z: beyond them |J_k(z)| stays
+    below CHEBYSHEV_TOL (checked against jv for z up to about 3.4e4)."""
+    return z + 10.0 * z ** (1 / 3) + 30.0
+
+
+def _table_points(z: float) -> int:
+    """Transform length for the check coefficients of an expansion of phase
+    z: a power of two at least twice its terms, so that no coefficient the
+    expansion uses is aliased by one above CHEBYSHEV_TOL."""
+    return 1 << (2 * int(_terms(z)) - 1).bit_length()
+
+
+def _count(z: float) -> int:
+    """The terms of a series of phase z trimmed at CHEBYSHEV_TOL: one past
+    the last order k with |J_k(z)| >= CHEBYSHEV_TOL.  Past k = z, |J_k(z)|
+    falls monotonically, below CHEBYSHEV_TOL by k = _terms(z), so a
+    bisection between the two finds it from a few jv values."""
+    lo, hi = int(z), int(_terms(z))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if abs(jv(mid, z)) >= CHEBYSHEV_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _expansion(a: float, b: float, tau: float, size: int):
+    """One expansion of e^{-iH t} over t = size * tau: the final state's
+    coefficients (2 - delta_k0) (-i)^k J_k(b |t|) e^{-iat} from jv, trimmed
+    at CHEBYSHEV_TOL (i^k for a backward run), and, for the interior checks
+    t_j = j tau, j = 1 .. size - 1, the same coefficients at b t_j as a
+    table, with the terms of each check's own trimmed series (_count).
+
+    By Jacobi-Anger, e^{-i (a + b cos theta) t_j} = e^{-ia t_j} sum_k
+    (-i)^k J_k(b t_j) e^{ik theta}, so each table row is one transform of
+    it, sampled on a power-of-two ring of angles (row j is the first to the
+    j-th power): no Bessel function is evaluated there.  Rows are
+    transformed one at a time, so no temporary outgrows a row.  The rows'
+    transform roundoff (about 1e-15 at C10's setting) lies above
+    CHEBYSHEV_TOL, so the rows cannot be trimmed by it themselves.
+    """
+    t = size * tau
+    z = size * (b * abs(tau))
+    bessel = jv(np.arange(int(_terms(z))), z)
+    bessel = bessel[:max(2, np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1] + 1)]
+    order = np.arange(len(bessel))
+    unit = np.array([1, -1j, -1, 1j] if tau > 0 else [1, 1j, -1, -1j])
+    coef = (np.where(order == 0, 1.0, 2.0) * unit[order % 4] * bessel
+            * np.exp(-1j * a * t))
+    points = _table_points(z)
+    ring = np.exp(-1j * tau * (a + b * np.cos(2 * np.pi / points * np.arange(points))))
+    table = np.empty((size - 1, len(coef)), dtype=complex)
+    row = ring
+    for j in range(size - 1):
+        table[j] = dft(row)[:len(coef)]
+        row = row * ring
+    table *= points ** -0.5
+    table[:, 1:] *= 2.0
+    counts = [min(_count(j * (b * abs(tau))), len(coef)) for j in range(1, size)]
+    return coef, table, counts
+
+
+class _EdgeChecks:
+    """The edge masses at one expansion's interior checks, read from its
+    terms: each term's 2m edge samples are gathered into a block of at most
+    _BLOCK rows, which is folded into every open check's edge samples by
+    one matrix product when it is full or when it completes the terms of
+    the next check.  That check is then decided, so a failing run stops
+    after its failing check's own terms; its mass is over the initial
+    packet's squared norm, which the evolution conserves to roundoff.  Once
+    every check is decided, no more samples are gathered."""
+
+    def __init__(self, table, counts, edge, total: float, first: int):
+        self.table, self.counts, self.edge = table, counts, edge
+        self.total, self.first = total, first
+        self.samples = np.zeros((len(table), len(edge)), dtype=complex)
+        self.block = np.empty((_BLOCK, len(edge)), dtype=complex)
+        self.rows = self.done = self.decided = 0
+
+    def add(self, term: np.ndarray) -> None:
+        if self.decided == len(self.counts):
+            return
+        term.take(self.edge, out=self.block[self.rows])
+        self.rows += 1
+        if (self.rows == _BLOCK
+                or self.done + self.rows == self.counts[self.decided]):
+            self.fold()
+
+    def fold(self) -> None:
+        """Fold the block in, then decide the checks whose terms are in."""
+        j, k = self.decided, self.done
+        self.samples[j:] += self.table[j:, k:k + self.rows] @ self.block[:self.rows]
+        self.done += self.rows
+        self.rows = 0
+        while j < len(self.counts) and self.counts[j] <= self.done:
+            edge = float(np.sum(np.abs(self.samples[j]) ** 2))
+            _check_edge(edge / self.total if self.total > 0 else 0.0,
+                        self.first + j + 1)
+            j += 1
+        self.decided = j
+
+
 def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
                      t_target: float) -> WavePacket:
     """e^{-iH (t_target - t)} to roundoff by its Chebyshev expansion
@@ -191,13 +321,20 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     for a backward run.  Each term applies H once, through one forward and
     one inverse transform.
 
-    The run is split into equal spans, none longer than m dx^2 / (2 pi), the
-    time the fastest grid mode (group velocity 2 pi / dx) takes to cross an
-    edge strip of m samples, so no mass crosses the strip between two
-    checks, and none with b tau above MAX_SPAN_PHASE; ReflectionError at
-    the end of the first span whose edge mass exceeds EDGE_THRESHOLD.  The
-    work, estimated terms times spans times points, is checked against
-    MAX_POINT_STEPS before any coefficient is computed.
+    The edge-mass monitor is checked at the ends of equal spans, none
+    longer than m dx^2 / (2 pi), the time the fastest grid mode (group
+    velocity 2 pi / dx) takes to cross an edge strip of m samples, so no
+    mass crosses the strip between two checks; ReflectionError at the
+    first span whose edge mass exceeds EDGE_THRESHOLD.  One expansion
+    covers as many consecutive spans as keep its b tau within
+    MAX_SPAN_PHASE and its table of check coefficients within
+    _CHECK_TABLE entries and _TABLE_SHARE of its term samples.  The checks
+    inside it are read from its own terms (_EdgeChecks), each as soon as
+    the terms of its own trimmed series are in, so a failing run stops
+    early; the one at its end is the state's edge_mass.  A run of one span
+    is one expansion with an empty table, bit for bit the series above.
+    The work, the estimated terms of every expansion times the points, is
+    checked against MAX_POINT_STEPS before any coefficient is computed.
     """
     span = float(t_target - packet.t)
     if span == 0.0:
@@ -206,21 +343,24 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     v = model.radial_values(np.abs(packet.grid))
     lo, hi = float(np.min(v)), (np.pi / dx) ** 2 + float(np.max(v))
     a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    tau_max = min(_edge_width(n) * dx * dx / (2 * np.pi), MAX_SPAN_PHASE / b)
+    m = _edge_width(n)
+    tau_max = min(m * dx * dx / (2 * np.pi), MAX_SPAN_PHASE / b)
     # Python floats, so that t = 1e300 is refused here, before any allocation
     n_spans = max(1.0, float(np.ceil(abs(span) / tau_max)))
-    z = b * min(abs(span), tau_max)
-    n_terms = z + 10.0 * z ** (1 / 3) + 30.0
-    check_work(n_terms * n_spans, n)
-    n_spans = int(n_spans)
     tau = span / n_spans
-    bessel = jv(np.arange(int(n_terms)), b * abs(tau))
-    bessel = bessel[:max(2, np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1] + 1)]
-    # (2 - delta_k0) (-i)^k; i^k for a backward run
-    order = np.arange(len(bessel))
-    unit = np.array([1, -1j, -1, 1j] if tau > 0 else [1, 1j, -1, -1j])
-    coef = (np.where(order == 0, 1.0, 2.0) * unit[order % 4] * bessel
-            * np.exp(-1j * a * tau))
+    q = b * abs(tau)
+    per = 1
+    if n_spans > 1:
+        # spans per expansion: the most that keep b tau within MAX_SPAN_PHASE
+        # and the check table within its two caps
+        top = max(1, int(min(n_spans, MAX_SPAN_PHASE // q)))
+        per = bisect_right(range(1, top + 1), 1.0, key=lambda size: (
+            (size - 1) * _table_points(size * q)
+            / min(_CHECK_TABLE, _TABLE_SHARE * n * _terms(size * q))))
+    whole, rest = divmod(n_spans, per)
+    check_work(whole * _terms(per * q) + (_terms(rest * q) if rest else 0.0), n,
+               f"Chebyshev terms (spectral interval [{lo:.6g}, {hi:.6g}])")
+    n_spans = int(n_spans)
     # 2G = 2 (k^2 + v - a) / b; every term after the first needs 2G.  Held
     # complex: numpy multiplies complex by complex several times faster than
     # by real
@@ -236,23 +376,32 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
         out += work
         return out
 
-    vals = packet.values
-    for i in range(n_spans):
+    edge = np.r_[:m, n - m:n]
+    total = float(np.sum(np.abs(packet.values) ** 2))
+    expansions = {}
+    vals, done = packet.values, 0
+    while done < n_spans:
+        size = min(per, n_spans - done)
+        if size not in expansions:
+            expansions[size] = _expansion(a, b, tau, size)
+        coef, table, counts = expansions[size]
+        checks = _EdgeChecks(table, counts, edge, total, done)
         # T_0 = 1, T_1 = G, T_{k+1} = 2G T_k - T_{k-1}
         prev, cur = vals, 0.5 * twice_g(vals)
         acc = coef[0] * prev + coef[1] * cur
+        checks.add(prev)
+        checks.add(cur)
         for c in coef[2:]:
             nxt = twice_g(cur)
             nxt -= prev
             np.multiply(nxt, c, out=work)
             acc += work
             prev, cur = cur, nxt
+            checks.add(cur)
         vals = acc
-        out = replace(packet, values=vals, t=packet.t + (i + 1) * tau)
-        if out.edge_mass() > EDGE_THRESHOLD:
-            raise ReflectionError(
-                f"edge mass {out.edge_mass():.2e} exceeds "
-                f"{EDGE_THRESHOLD:.1e} at span {i + 1}")
+        done += size
+        out = replace(packet, values=vals, t=packet.t + done * tau)
+        _check_edge(out.edge_mass(), done)
     return replace(out, t=t_target)
 
 

@@ -875,6 +875,28 @@ class TestTypedErrors:
         assert "exceed MAX_POINT_STEPS" in err
         assert not (out / "result.json").exists()
 
+    def test_yukawa_moller_refusal_names_its_spectral_interval(
+            self, tmp_path, capsys, monkeypatch):
+        # the 1/r core is clipped to about 5e7 at the grid node x = 0, the
+        # top of H's spectral interval, so a 20-unit gap would take about
+        # 5e8 Chebyshev terms; the message shows both before any Bessel
+        # coefficient is computed
+        def no_bessel(*args, **kwargs):
+            raise AssertionError("computed coefficients for a refused run")
+
+        monkeypatch.setattr(propagator, "jv", no_bessel)
+        path = write_config(tmp_path, {
+            "experiment": "moller",
+            "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
+            "params": {"n": 512, "times": [20.0, 40.0, 60.0]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Chebyshev terms (spectral interval [" in err
+        assert ", 5e+07]) x 512 points exceed MAX_POINT_STEPS" in err
+        assert not (out / "result.json").exists()
+
     @pytest.mark.parametrize("experiment,params,message", [
         ("eikonal", {"xi_norm": 1e-155}, "(2 |xi|)^-N overflows"),
         ("eikonal", {"xi_norm": 1e-300}, "(2 |xi|)^-N overflows"),

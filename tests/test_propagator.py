@@ -4,7 +4,7 @@ from itertools import pairwise
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import erf, jv
 
 from scatterlab import propagator
 from scatterlab.numerics import DomainError, ParameterError, dft, dft_freqs
@@ -86,6 +86,56 @@ def split_step_oracle(packet, model, dt, t_target, geometry="line"):
     return replace(out, values=vals)
 
 
+# ---------------------------------------------------------------------------
+# oracle: the Chebyshev propagator as a chain of expansions, one per
+# edge-check span, each restarted from the state at the end of the last
+# and checked on that full state.  `masses` collects each span's edge mass.
+# ---------------------------------------------------------------------------
+
+def chebyshev_span_oracle(packet, model, t_target, masses=None):
+    span = float(t_target - packet.t)
+    n, dx = len(packet.values), packet.dx
+    v = model.radial_values(np.abs(packet.grid))
+    lo, hi = float(np.min(v)), (np.pi / dx) ** 2 + float(np.max(v))
+    a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    tau_max = min(propagator._edge_width(n) * dx * dx / (2 * np.pi),
+                  propagator.MAX_SPAN_PHASE / b)
+    n_spans = int(max(1.0, np.ceil(abs(span) / tau_max)))
+    z = b * min(abs(span), tau_max)
+    tau = span / n_spans
+    bessel = jv(np.arange(int(z + 10.0 * z ** (1 / 3) + 30.0)), b * abs(tau))
+    bessel = bessel[:max(2, np.flatnonzero(
+        np.abs(bessel) >= propagator.CHEBYSHEV_TOL)[-1] + 1)]
+    order = np.arange(len(bessel))
+    unit = np.array([1, -1j, -1, 1j] if tau > 0 else [1, 1j, -1, -1j])
+    coef = (np.where(order == 0, 1.0, 2.0) * unit[order % 4] * bessel
+            * np.exp(-1j * a * tau))
+    kin = (dft_freqs(n, dx) ** 2 * (2.0 / b)).astype(complex)
+    pot = ((v - a) * (2.0 / b)).astype(complex)
+
+    def twice_g(phi):
+        return dft(dft(phi) * kin, "inverse") + pot * phi
+
+    vals = packet.values
+    for i in range(n_spans):
+        prev, cur = vals, 0.5 * twice_g(vals)
+        acc = coef[0] * prev + coef[1] * cur
+        for c in coef[2:]:
+            nxt = twice_g(cur) - prev
+            acc += nxt * c
+            prev, cur = cur, nxt
+        vals = acc
+        out = replace(packet, values=vals, t=packet.t + (i + 1) * tau)
+        edge = out.edge_mass()
+        if masses is not None:
+            masses.append(edge)
+        if edge > propagator.EDGE_THRESHOLD:
+            raise propagator.ReflectionError(
+                f"edge mass {edge:.2e} exceeds "
+                f"{propagator.EDGE_THRESHOLD:.1e} at span {i + 1}")
+    return replace(out, t=t_target)
+
+
 def _odd_packet(n, dx, center, k0, sigma):
     """The l = 0 packet on (0, n dx] as the odd packet f(x) - f(-x) of 2n
     points, as scattering_phase_from_time_domain builds it."""
@@ -143,6 +193,19 @@ class TestFreeEvolution:
         for t, ev in zip(times, series):
             step = propagator._apply_kinetic(
                 f0.values, propagator._kinetic_phase(f0, t))
+            assert np.array_equal(ev.values, step)
+
+
+    def test_series_phases_are_the_kinetic_step_bit_for_bit(self):
+        # the Kato and Moller grid (n = 8192), a packet at t = 2.5 and 97
+        # times over [-50, 320]: each sample's phase is formed from one
+        # exponent per call, with the bits of _kinetic_phase
+        f0 = replace(propagator.gaussian_packet(n=2**13, dx=0.65, center=0.0,
+                                                k0=2.0, sigma=1.0), t=2.5)
+        times = np.linspace(-50.0, 320.0, 97)
+        for t, ev in zip(times, propagator.free_evolve_series(f0, times)):
+            step = propagator._apply_kinetic(
+                f0.values, propagator._kinetic_phase(f0, t - f0.t))
             assert np.array_equal(ev.values, step)
 
 
@@ -388,6 +451,142 @@ class TestChebyshev:
         with pytest.raises(propagator.ReflectionError,
                            match=f"exceeds 1.0e-06 at span {span}$"):
             propagator.chebyshev_evolve(pk, GAUSS, t)
+
+
+    @pytest.mark.parametrize("t0,t1", [(4.0, 2.0), (2.0, 4.0)],
+                             ids=["backward", "forward"])
+    def test_one_check_run_is_the_span_chain_bit_for_bit(self, t0, t1):
+        # a Moller gap of the benchmark's probes (n = 4096): the edge strip's
+        # crossing time, 13.8, is longer than the gap, so the run is one
+        # span and one expansion, whose check table is empty
+        f0 = propagator.gaussian_packet(n=2**12, dx=0.65, center=0.0, k0=2.0,
+                                        sigma=6.0)
+        u = propagator.free_evolve(f0, t0)
+        out = propagator.chebyshev_evolve(u, GAUSS, t1)
+        assert out.t == t1
+        assert np.array_equal(out.values,
+                              chebyshev_span_oracle(u, GAUSS, t1).values)
+
+    @pytest.mark.parametrize("case", ["time_domain", "backward_gap",
+                                      "three_expansions"])
+    def test_checks_read_from_the_terms_match_the_span_chain(self, monkeypatch,
+                                                             case):
+        # C10's evolution (36 checks) and a backward gap of 12 checks, each
+        # one expansion, and 19 checks on 256 points, which the table's
+        # share of the terms cuts into expansions of 16 and 3.  Every check's
+        # edge part, the last one's (the final state's edge_mass) too, lies
+        # within 1e-13 of the norm of the span chain's: |sqrt(m) - sqrt(m')|
+        # is at most the relative L2 gap of the two states' edges.  The
+        # final states lie 3.8e-13 apart at C10 (b t = 1513), where jv's
+        # own error is 3e-13; with 40-digit coefficients the one expansion
+        # lies 2.3e-14 from the chain.
+        if case == "time_domain":
+            pk, _, t = _time_domain_setting()
+        elif case == "backward_gap":
+            pk = replace(propagator.gaussian_packet(
+                n=2**10, dx=0.65, center=-20.0, k0=1.5, sigma=3.0), t=60.0)
+            t = 20.0
+        else:
+            pk = propagator.gaussian_packet(n=2**8, dx=0.65, center=-30.0,
+                                            k0=0.0, sigma=6.0)
+            t = 30.0
+        expect_masses = []
+        expect = chebyshev_span_oracle(pk, GAUSS, t, expect_masses)
+        got, sizes = [], []
+        check_edge, expansion = propagator._check_edge, propagator._expansion
+
+        def recorded(mass, span):
+            got.append((span, mass))
+            check_edge(mass, span)
+
+        def sized(a, b, tau, size):
+            sizes.append(size)
+            return expansion(a, b, tau, size)
+
+        monkeypatch.setattr(propagator, "_check_edge", recorded)
+        monkeypatch.setattr(propagator, "_expansion", sized)
+        out = propagator.chebyshev_evolve(pk, GAUSS, t)
+        assert sizes == {"time_domain": [36], "backward_gap": [12],
+                         "three_expansions": [16, 3]}[case]
+        assert [span for span, _ in got] == list(range(1, len(expect_masses) + 1))
+        assert _l2_rel(out.values, expect.values) <= 5e-13
+        for (_, mass), ref in zip(got, expect_masses, strict=True):
+            assert abs(np.sqrt(mass) - np.sqrt(ref)) <= 1e-13
+
+    def test_check_tables_stay_within_their_cap(self, monkeypatch):
+        # 44 checks of b tau = 84 on 2048 points: one expansion would need a
+        # table of 43 x 8192 entries, so _CHECK_TABLE (4 MB) cuts it in two
+        pk = propagator.gaussian_packet(n=2**11, dx=0.65, center=-100.0, k0=0.0,
+                                        sigma=8.0)
+        tables = []
+        expansion = propagator._expansion
+
+        def recorded(a, b, tau, size):
+            coef, table, counts = expansion(a, b, tau, size)
+            tables.append(len(table) * propagator._table_points(size * (b * abs(tau))))
+            return coef, table, counts
+
+        monkeypatch.setattr(propagator, "_expansion", recorded)
+        out = propagator.chebyshev_evolve(pk, GAUSS, 300.0)
+        assert len(tables) == 2 and max(tables) <= propagator._CHECK_TABLE
+        assert abs(out.norm() - pk.norm()) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [3.3, -3.3], ids=["forward", "backward"])
+    def test_check_table_holds_the_bessel_coefficients(self, tau):
+        # row j: (2 - delta_k0) (-i)^k J_k(b t_j) e^{-i a t_j} at t_j = j tau
+        # (i^k backward), from transforms where jv is the oracle; check j's
+        # count is the length of its own series trimmed at CHEBYSHEV_TOL
+        a, b = 7.2, 8.2
+        coef, table, counts = propagator._expansion(a, b, tau, 12)
+        assert table.shape == (11, len(coef))
+        k = np.arange(len(coef))
+        for j, row in enumerate(table, start=1):
+            t = j * tau
+            bessel = jv(k, b * abs(t))
+            expect = (np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(t)) ** k
+                      * bessel * np.exp(-1j * a * t))
+            assert np.max(np.abs(row - expect)) <= 1e-13
+            assert counts[j - 1] == np.flatnonzero(
+                np.abs(bessel) >= propagator.CHEBYSHEV_TOL)[-1] + 1
+
+    @pytest.mark.parametrize("case", ["edge_moller_n64", "line"])
+    def test_failing_run_stops_at_its_first_failing_check(self, monkeypatch,
+                                                          case):
+        # edge.moller.n64's first gap (100 checks; the packet already fills
+        # the edge strips) and Strang's line reflection case (46 checks, the
+        # ninth fails inside the first expansion): the same span as the
+        # span chain, after no more terms than that check's own trimmed
+        # series (two transforms each) and one transform per table row
+        if case == "line":
+            pk, _, t = _reflection_case("line")
+        else:
+            f0 = propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=2.0,
+                                            sigma=6.0)
+            pk, t = propagator.free_evolve(f0, 40.0), 20.0
+        with pytest.raises(propagator.ReflectionError) as expect:
+            chebyshev_span_oracle(pk, GAUSS, t)
+        span = int(str(expect.value).rsplit(" ", 1)[1])
+        calls, built = [], []
+        expansion = propagator._expansion
+
+        def counting_dft(values, direction="forward"):
+            calls.append(direction)
+            return dft(values, direction)
+
+        def recorded(a, b, tau, size):
+            built.append((b * abs(tau), size))
+            return expansion(a, b, tau, size)
+
+        monkeypatch.setattr(propagator, "dft", counting_dft)
+        monkeypatch.setattr(propagator, "_expansion", recorded)
+        with pytest.raises(propagator.ReflectionError,
+                           match=f"at span {span}$"):
+            propagator.chebyshev_evolve(pk, GAUSS, t)
+        (q, size), = built
+        assert span < size
+        bessel = jv(np.arange(200), q * span)
+        terms = np.flatnonzero(np.abs(bessel) >= propagator.CHEBYSHEV_TOL)[-1] + 1
+        assert len(calls) <= 2 * terms + size - 1
 
 
 class TestAsymptotics:
