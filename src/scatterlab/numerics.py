@@ -1,5 +1,5 @@
 """Shared numerical kernels: quadrature, special functions, the unitary
-discrete Fourier transform and the chunked three-term recurrence (LAPACK
+discrete Fourier transform and the chunked monic three-term recurrence (LAPACK
 dtbtrs).
 
 The DFT calls pocketfft's ``c2c`` binding (``scipy.fft._pocketfft``), the
@@ -166,14 +166,15 @@ _CHUNK = 8192
 
 
 def banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]:
-    """Fill x[2:] from the seeds x[0], x[1] by the three-term recurrence
-    band[i-2, 2] x[i-2] + band[i-1, 1] x[i-1] + band[i, 0] x[i] = 0.
+    """Fill x[2:] from the seeds x[0], x[1] by the monic three-term
+    recurrence x[i] + band[i-1, 1] x[i-1] + band[i-2, 2] x[i-2] = 0.
 
     band (len(x) rows) is the lower band storage ab[d, j] = A[j+d, j] of
-    the recurrence matrix, held transposed.  Each chunk of rows is one
-    lower-triangular banded solve (LAPACK dtbtrs, bandwidth 2) whose first
-    two rows are identity rows carrying the last two values; band is
-    overwritten there.  Chunks start at _CHUNK rows, are halved on
+    the recurrence matrix, held transposed, with a unit diagonal: column 0
+    is never read.  Each chunk of rows is one unit lower-triangular banded
+    solve (LAPACK dtbtrs, bandwidth 2, diag="U"), so no row divides; the
+    first two rows are identity rows carrying the last two values, and
+    band is overwritten there.  Chunks start at _CHUNK rows, are halved on
     overflow and double back after each finite solve.  Each is solved in
     place on its slice of x, which must therefore be a contiguous float64
     vector (ParameterError otherwise).
@@ -184,8 +185,8 @@ def banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]
     max |solution| < 2**peak.  Power-of-two scaling is exact, so the
     solution does not depend on where chunks end.
 
-    Returns (starts, scales, peak).  A singular band, or a single row whose
-    value is not finite, raises NumericalError.
+    Returns (starts, scales, peak).  A single row whose value is not
+    finite raises NumericalError.
     """
     if not (isinstance(x, np.ndarray) and x.dtype == np.float64
             and x.ndim == 1 and x.flags.c_contiguous):
@@ -203,16 +204,14 @@ def banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]
         scales.append(scale)
         # rows s-2 and s-1 become identity rows; a later chunk either starts
         # past them or uses them as identity rows too
-        band[s - 2, :2] = (1.0, 0.0)
-        band[s - 1, 0] = 1.0
+        band[s - 2, 1] = 0.0
         while True:
             e = min(n, s + m)
             # the identity rows leave x[s-2:s] as they are, so a redone
             # chunk only needs its right-hand side zeroed again
             x[s:e] = 0.0
-            y, info = dtbtrs(band[s - 2:e].T, x[s - 2:e], uplo="L", overwrite_b=1)
-            if info != 0:
-                raise NumericalError(f"recurrence band is singular (dtbtrs info={info})")
+            y, _ = dtbtrs(band[s - 2:e].T, x[s - 2:e], uplo="L", diag="U",
+                          overwrite_b=1)
             size = max(y.max(), -y.min())
             if math.isfinite(size):
                 break

@@ -10,6 +10,7 @@ S(lambda) - Id on the sphere equals (i k / 2 pi) * a at d = 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ def _default_r_max(model: PotentialModel, k: float) -> float:
 
 
 # Largest Numerov sweep, in float64 values: rows x (channels + 8), the 8
-# being the per-row arrays (r, v, r^2, v - k^2, f, the 3-column band).
+# being the per-row arrays (r, (dr^2/12)/r^2, (dr^2/12)(v - k^2), a, f, the
+# 3-column band; v is dropped once used).
 # 2**27 values is 1 GiB; tier-1, the acceptance suite and the benchmark
 # reach at most 4.4e6.  tail_radius puts a power tail with rho <= 2 at
 # 1.1e8 rows or more, 1e9 at its r = 1e6 cap (rho <= 5/3).
@@ -49,29 +51,55 @@ MAX_SWEEP_FLOATS = 2**27
 _MAX_EXP = 830
 
 
-def _sweep(f: np.ndarray, u: np.ndarray) -> None:
+def _sweep(a: np.ndarray, f: np.ndarray, band: np.ndarray, u: np.ndarray) -> None:
     """Fill u[2:] from the seeds u[0], u[1] by the Numerov recursion
-    f[i-1] u[i-1] - (12 - 10 f[i]) u[i] + f[i+1] u[i+1] = 0, solved by
-    numerics.banded_recurrence (chunks start at its cap, halve on overflow
-    and double back; each is solved in place in u, a contiguous float64
-    vector); then one in-place ldexp per chunk brings the channel onto a
-    common scale.
+    f[i-1] u[i-1] - (12 - 10 f[i]) u[i] + f[i+1] u[i+1] = 0, f = 1 - a,
+    run as Johnson's renormalized Numerov (B. R. Johnson, J. Chem. Phys. 67
+    (1977) 4086): in w = f u the same scheme is the monic recurrence
+    w[i+1] - d[i] w[i] + w[i-1] = 0 with d = 2 + 12 a / f, formed from a
+    so that d keeps the digits of its small part 12 a / f.
+
+    numerics.banded_recurrence solves it in place in u, a contiguous
+    float64 vector (chunks start at its cap, halve on overflow and double
+    back).  Then u[2:] = w[2:] / f[2:] and the seed rows go back to the
+    seeds, so f[0] = 0 is harmless (its d is never read); f = 0 on a later
+    row raises NumericalError before any division.  One in-place ldexp per
+    chunk brings the channel onto a common scale with max |u| < 2**_MAX_EXP.
+
+    band's columns 0 and 2 hold the unit coefficients; column 1 and a are
+    overwritten.
     """
-    # lower band storage, transposed: row j is f[j] on the diagonal,
-    # -(12 - 10 f[j]) one row down, f[j] two rows down
-    band = np.empty((len(u), 3))
-    band[:, 0] = f
-    band[:, 1] = 10.0 * f - 12.0
-    band[:, 2] = f
-    starts, scales, peak = banded_recurrence(band, u)
+    if not f[1:].all():
+        row = 1 + int(np.argmin(f[1:] != 0.0))
+        raise NumericalError(f"Numerov coefficient f = 1 - a is 0 on row {row}")
+    # band[i, 1] = -d[i] = -2 - 12 a[i] / f[i]; row 0 is an identity row
+    np.divide(a[1:], f[1:], out=a[1:])
+    np.multiply(a[1:], -12.0, out=a[1:])
+    np.subtract(a[1:], 2.0, out=band[1:, 1])
+    seeds = u[:2].copy()
+    u[:2] *= f[:2]  # the seeds of w
+    starts, scales, _ = banded_recurrence(band, u)
+    # u = w / f in each chunk's scale.  It stays finite: where |f| < 1,
+    # 0 < a < 2 and |u[i]| = |w[i+1] + w[i-1]| / |2 + 10 a[i]| is at most
+    # the mean of two rows of the same finite solve (at r_max, f is near 1)
+    np.divide(u[2:], f[2:], out=u[2:])
+    u[:2] = np.ldexp(seeds, -scales[0]) if scales else seeds
+    ends = starts[1:] + [len(u)]
+    peak = max((scale + math.frexp(max(u[lo:hi].max(), -u[lo:hi].min()))[1]
+                for lo, hi, scale in zip(starts, ends, scales)), default=0)
     shift = max(0, peak - _MAX_EXP)
-    for a, z, scale in zip(starts, starts[1:] + [len(u)], scales):
-        np.ldexp(u[a:z], scale - shift, out=u[a:z])
+    for lo, hi, scale in zip(starts, ends, scales):
+        np.ldexp(u[lo:hi], scale - shift, out=u[lo:hi])
 
 
 def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
                       r_max: float, dr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate every channel in ls from r = dr.
+    """Integrate every channel in ls from r = dr by the renormalized
+    Numerov sweep (_sweep).
+
+    a = (dr^2/12)(l(l+1)/r^2 + v - k^2) is formed per channel from
+    (dr^2/12)/r^2 and (dr^2/12)(v - k^2), both computed once per grid; the
+    band and the a and f vectors are allocated once per call.
 
     Returns (r_grid, u) with u of shape (n_r, n_channels); regular solution
     normalization u ~ r^(l+1) at the origin, except that a channel whose
@@ -85,9 +113,11 @@ def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
         # second order instead of first
         on_edge = np.abs(r - model.width) < 0.5 * dr
         v = np.where(on_edge, 0.5 * model.v0, v)
+    c = dr * dr / 12.0
+    p = c / (r * r)
+    q = c * (v - k * k)
+    del v
     ll = ls * (ls + 1.0)
-    rr = r * r
-    vk = v - k * k
     u = np.empty((n, len(ls)), order="F")
     # series seed u = r^(l+1) (1 + (v(0)-k^2) r^2/(4l+6)); underflowed
     # channels start from a tiny representable value instead
@@ -98,9 +128,18 @@ def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
     with np.errstate(under="ignore"):
         u[0] = np.where(ls * np.log(r[0]) > -250, r[0] ** (ls + 1.0) * corr0, 1e-250)
         u[1] = np.where(ls * np.log(r[1]) > -250, r[1] ** (ls + 1.0) * corr1, 2e-250)
+    # lower band storage of the monic recurrence, transposed: row j holds
+    # the unit diagonal (never read), -d[j] one row down, 1 two rows down
+    band = np.empty((n, 3))
+    band[:, 0] = 1.0
+    band[:, 2] = 1.0
+    a = np.empty(n)
+    f = np.empty(n)
     for j in range(len(ls)):
-        # f = 1 - dr^2/12 (l(l+1)/r^2 + v(r) - k^2)
-        _sweep(1.0 - (dr * dr / 12.0) * (ll[j] / rr + vk), u[:, j])
+        np.multiply(p, ll[j], out=a)
+        a += q
+        np.subtract(1.0, a, out=f)
+        _sweep(a, f, band, u[:, j])
     return r, u
 
 

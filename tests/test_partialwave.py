@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,10 +29,14 @@ def square_well_delta0(v0: float, R: float, k: float) -> float:
     return (delta + np.pi / 2) % np.pi - np.pi / 2
 
 
-def numerov_step_loop(model, ls, k, r_max, dr):
-    """The per-step Numerov recursion that the banded sweep replaced, kept
-    as the reference: same grid, seeds and square-well edge averaging, with
-    a 1e-250 rescale of any channel that passes 1e250."""
+def numerov_step_loop(model, ls, k, r_max, dr, dtype=np.float64):
+    """The renormalized Numerov recursion w[i+1] = d[i] w[i] - w[i-1] in
+    w = f u, with a = (dr^2/12)(l(l+1)/r^2 + v - k^2), f = 1 - a and
+    d = 2 + 12 a / f, one step at a time: the reference for the banded
+    sweep, with the same grid, seeds and square-well edge averaging, u = w/f
+    past the two seed rows and a 1e-250 rescale of any channel whose w
+    passes 1e250.  a, f, d, w and u are formed in dtype from the same double
+    grid, potential values and seeds."""
     n = int(np.ceil(r_max / dr))
     r = dr * np.arange(1, n + 1)
     v = model.radial_values(r)
@@ -40,11 +45,15 @@ def numerov_step_loop(model, ls, k, r_max, dr):
         # second order instead of first
         on_edge = np.abs(r - model.width) < 0.5 * dr
         v = np.where(on_edge, 0.5 * model.v0, v)
-    ll = ls * (ls + 1.0)
-    # W[i, j] = l_j(l_j+1)/r_i^2 + v(r_i) - k^2
-    w = ll[None, :] / (r * r)[:, None] + (v - k * k)[:, None]
-    f = 1.0 - (dr * dr / 12.0) * w
-    u = np.empty((n, len(ls)))
+    ll = (ls * (ls + 1.0)).astype(dtype)
+    rr = r.astype(dtype) ** 2
+    vk = v.astype(dtype) - dtype(k) ** 2
+    # a[i, j] = (dr^2/12)(l_j(l_j+1)/r_i^2 + v(r_i) - k^2)
+    a = dtype(dr) ** 2 / 12 * (ll[None, :] / rr[:, None] + vk[:, None])
+    f = 1 - a
+    # d on row 0 is never used, and f may be 0 there
+    d = 2 + 12 * a[1:] / f[1:]
+    u = np.empty((n, len(ls)), dtype)
     # series seed u = r^(l+1) (1 + (v(0)-k^2) r^2/(4l+6)); underflowed
     # channels start from a tiny representable value instead
     v0 = float(model.radial_values(0.0)) if model.kind != "yukawa" else float(
@@ -54,11 +63,15 @@ def numerov_step_loop(model, ls, k, r_max, dr):
     with np.errstate(under="ignore"):
         u[0] = np.where(ls * np.log(r[0]) > -250, r[0] ** (ls + 1.0) * corr0, 1e-250)
         u[1] = np.where(ls * np.log(r[1]) > -250, r[1] ** (ls + 1.0) * corr1, 2e-250)
+    w = np.empty_like(u)
+    w[:2] = f[:2] * u[:2]
     for i in range(1, n - 1):
-        u[i + 1] = ((12.0 - 10.0 * f[i]) * u[i] - f[i - 1] * u[i - 1]) / f[i + 1]
-        big = np.abs(u[i + 1]) > 1e250
+        w[i + 1] = d[i - 1] * w[i] - w[i - 1]
+        big = np.abs(w[i + 1]) > 1e250
         if np.any(big):
-            u[: i + 2, big] *= 1e-250
+            w[: i + 2, big] *= 1e-250
+            u[:2, big] *= 1e-250
+    u[2:] = w[2:] / f[2:]
     return r, u
 
 
@@ -174,10 +187,54 @@ class TestNumerovSweep:
             partialwave._match_phase(u, r, ls, 60.0)[0], abs=1e-10)
 
 
+    def test_seed_row_with_zero_f(self):
+        # a = (dr^2/12)(12/r^2 + v - k^2) rounds to exactly 1 on row 0 at
+        # l = 3 where v = k^2: f[0] = 0, whose d is never used, and u[0]
+        # stays the seed r^4
+        model = PotentialModel(kind="square_well", v0=1.0, width=1.0)
+        dr = 1e-3
+        c = dr * dr / 12.0
+        assert 12.0 * (c / (dr * dr)) + c * (model.v0 - 1.0) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, u = partialwave._numerov_channels(
+                model, np.arange(7), 1.0, partialwave._default_r_max(model, 1.0), dr)
+        assert np.all(np.isfinite(u))
+        assert u[0, 3] == r[0] ** 4.0
+
+    def test_zero_f_past_the_seeds_raises(self):
+        # (2l+1)^2 - 48 m^2 = 1 gives l(l+1)/12 = m^2, so where v = k^2,
+        # a = (dr^2/12) l(l+1)/r^2 is 1 on row m - 1; at l = 48, m = 14 and
+        # dr = 2^-10 it rounds to exactly 1, inside the well
+        model = PotentialModel(kind="square_well", v0=1.0, width=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="is 0 on row 13"):
+                partialwave.radial_phase_shift(model, 48, 1.0, dr=2.0 ** -10)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="np.longdouble is no wider than float64")
+    @pytest.mark.parametrize("model,k", [
+        (PotentialModel(kind="square_well", v0=1.0, width=1.0), 1.0),
+        (GAUSS, 1.0),
+        (PotentialModel(kind="yukawa", v0=0.1, width=1.0), 2.0),
+    ], ids=["square-well", "gaussian", "yukawa"])
+    def test_rounding_matches_long_double(self, model, k):
+        # the same scheme in long double arithmetic; forming d as 12 - 10 f
+        # put delta_l about 5e-9 from it
+        ls = np.arange(3)
+        r, u = numerov_step_loop(model, ls, k, partialwave._default_r_max(model, k),
+                                 1e-3, np.longdouble)
+        expected = partialwave._match_phase(u.astype(float), r, ls, k)
+        table = partialwave.phase_shift_table(model, k, 2)
+        assert np.max(np.abs(table.delta - expected)) < 1e-9
+
+
 def ramp_banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]:
     """numerics.banded_recurrence as it was before chunks started at the
     cap, kept as the reference for the chunk schedule: every call ramps up
-    from a 2-row chunk and solves each chunk on a fresh right-hand side."""
+    from a 2-row chunk and solves each chunk of the monic band on a fresh
+    right-hand side."""
     n = len(x)
     starts, scales = [], []
     scale = 0
@@ -191,15 +248,12 @@ def ramp_banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list,
         scales.append(scale)
         # rows s-2 and s-1 become identity rows; a later chunk either starts
         # past them or uses them as identity rows too
-        band[s - 2, :2] = (1.0, 0.0)
-        band[s - 1, 0] = 1.0
+        band[s - 2, 1] = 0.0
         while True:
             e = min(n, s + m)
             b = np.zeros(e - s + 2)
             b[:2] = x[s - 2:s]
-            y, info = dtbtrs(band[s - 2:e].T, b, uplo="L", overwrite_b=1)
-            if info != 0:
-                raise NumericalError(f"recurrence band is singular (dtbtrs info={info})")
+            y, _ = dtbtrs(band[s - 2:e].T, b, uplo="L", diag="U", overwrite_b=1)
             size = float(np.max(np.abs(y)))
             if math.isfinite(size):
                 break
