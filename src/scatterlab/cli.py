@@ -175,7 +175,7 @@ def _run_propagate(model, p, seed):
     if model.kind == "zero":
         out = propagator.free_evolve(f0, p["T"])
     else:
-        out = propagator.split_step_evolve(f0, model, p["dt"], p["T"])
+        out = propagator.chebyshev_evolve(f0, model, p["T"])
     stride = max(1, p["n"] // 1024)
     rows = [[x, v.real, v.imag]
             for x, v in zip(out.grid[::stride], out.values[::stride])]
@@ -279,8 +279,7 @@ EXPERIMENTS = {
     "propagate": (_run_propagate, {
         "n": dict(_GRID, default=2**13), "dx": dict(_POS, default=0.65),
         "sigma": dict(_POS, default=6.0), "k": dict(_POS, default=2.0),
-        "center": dict(_NUM, default=0.0), "T": dict(_POS, default=10.0),
-        "dt": dict(_POS, default=0.02)}),
+        "center": dict(_NUM, default=0.0), "T": dict(_POS, default=10.0)}),
     "moller": (_run_moller, {
         "times": dict(_NUM_LIST, default=[20.0, 40.0, 80.0, 160.0, 320.0]),
         "sigma": dict(_POS, default=6.0),

@@ -5,8 +5,9 @@ dtbtrs).
 The DFT calls pocketfft's ``c2c`` binding (``scipy.fft._pocketfft``), the
 routine ``scipy.fft.fft``/``ifft`` dispatch to.  On a 1024-point transform
 the uarray dispatch in front of it was about half of the call, and the
-split-step propagator makes tens of thousands of such calls.  The results
-are bit-identical to ``scipy.fft`` with ``norm="ortho"``.
+Chebyshev propagator makes two such calls per term, about 8000 in a
+default ``moller`` run.  The results are bit-identical to ``scipy.fft`` with
+``norm="ortho"``.
 
 All routines are pure functions; units are hbar = 1, 2m = 1 so that the
 Hamiltonian is -Laplacian + v and energy = k**2.

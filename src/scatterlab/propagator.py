@@ -1,4 +1,4 @@
-"""Time-dependent diagnostics: split-step and Chebyshev evolution, free
+"""Time-dependent diagnostics: Chebyshev and free evolution, free
 asymptotics, Moller-limit probes (plain and Dollard-modified), and the
 time-domain S-matrix.
 
@@ -6,12 +6,11 @@ Every packet lives on one origin-centred periodic grid x = (i - n/2) dx.
 The l = 0 channel (half-line, Dirichlet at r = 0) is an odd packet on that
 grid: v(|x|) is even there and the kinetic factor is even in k, so the
 evolution keeps the packet odd and both Dirichlet nodes (x = 0 and the
-self-mirrored x = -n dx / 2) stay zero.  The kinetic factor is exact in
-Fourier space; Strang splitting e^{-iV dt/2} e^{-iH0 dt} e^{-iV dt/2} is
-second-order in dt and unitary.  The Chebyshev expansion of e^{-iHt} is
-exact to roundoff; the Moller probes and the time-domain S-matrix use it.
-One expansion covers many of its edge-mass checks, which are read from the
-expansion's own terms rather than by restarting it at each one.
+self-mirrored x = -n dx / 2) stay zero.  Free evolution is exact in Fourier
+space; the Chebyshev expansion of e^{-iHt} is exact to roundoff, and every
+interacting evolution uses it.  One expansion covers many of its edge-mass
+checks, which are read from the expansion's own terms rather than by
+restarting it at each one.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .potentials import PotentialModel, line_integral
 
 EDGE_FRACTION = 0.10
 EDGE_THRESHOLD = 1e-6
-# Largest work (time steps or samples, times grid points) a run may ask for;
-# checked before anything is allocated.
+# Largest work (Chebyshev terms or time samples, times grid points) a run may
+# ask for; checked before anything is allocated.
 MAX_POINT_STEPS = 2**31
 # The Chebyshev series ends where its coefficients |J_k(b tau)| stay below
 # CHEBYSHEV_TOL; b tau is at most MAX_SPAN_PHASE per expansion, so the
@@ -124,23 +123,6 @@ def gaussian_spectral_profile(center: float, k0: float, sigma: float):
     return fhat
 
 
-# ---------------------------------------------------------------------------
-# kinetic step (exact in Fourier space)
-# ---------------------------------------------------------------------------
-
-def _kinetic_phase(packet: WavePacket, t: float) -> np.ndarray:
-    k = dft_freqs(len(packet.values), packet.dx)
-    return np.exp(-1j * k * k * t)
-
-
-def _apply_kinetic(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """e^{-iH0 t} through one forward and one inverse transform; `phase` is
-    _kinetic_phase's multiplier."""
-    spectrum = dft(values)
-    spectrum *= phase
-    return dft(spectrum, "inverse")
-
-
 def free_evolve(packet: WavePacket, t_target: float) -> WavePacket:
     """Exact e^{-i H0 (t_target - t)} on the grid (single Fourier multiply)."""
     return next(free_evolve_series(packet, [t_target]))
@@ -151,50 +133,11 @@ def free_evolve_series(packet: WavePacket, times):
     transform of the packet."""
     spectrum = dft(packet.values)
     k = dft_freqs(len(packet.values), packet.dx)
-    # _kinetic_phase's exponent, formed once: the same bits for every t
+    # the exponent -i k^2, formed once for every t
     exponent = -1j * k * k
     for t in times:
         out = dft(spectrum * np.exp(exponent * (t - packet.t)), "inverse")
         yield replace(packet, values=out, t=t)
-
-
-def split_step_evolve(packet: WavePacket, model: PotentialModel, dt: float,
-                      t_target: float) -> WavePacket:
-    """Strang-split e^{-iH (t_target - t)} in steps of at most dt, guarded by
-    dt * lambda_max < 0.5; raises ReflectionError when the edge-mass monitor
-    trips (result would be contaminated)."""
-    lam_max = (np.pi / packet.dx) ** 2
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    if dt * lam_max >= 0.5:
-        raise ParameterError(
-            f"dt * lambda_max = {dt * lam_max:.3f} >= 0.5; "
-            "refine dt or coarsen the grid")
-    span = float(t_target - packet.t)
-    if span == 0.0:
-        return packet
-    # Python floats: a tiny dt takes the quotient to inf, not to a warning
-    n_steps = max(1.0, np.ceil(abs(span) / float(dt)))
-    check_work(n_steps, len(packet.values))
-    n_steps = int(n_steps)
-    dt = span / n_steps
-    v = model.radial_values(np.abs(packet.grid))
-    half = np.exp(-0.5j * v * dt)
-    full = half * half
-    kin = _kinetic_phase(packet, dt)
-    vals = packet.values * half
-    check_every = max(1, n_steps // 64)
-    for i in range(n_steps):
-        vals = _apply_kinetic(vals, kin)
-        last = i == n_steps - 1
-        vals *= half if last else full
-        if (i + 1) % check_every == 0 or last:
-            out = replace(packet, values=vals, t=t_target)
-            if out.edge_mass() > EDGE_THRESHOLD:
-                raise ReflectionError(
-                    f"edge mass {out.edge_mass():.2e} exceeds "
-                    f"{EDGE_THRESHOLD:.1e} at step {i + 1}")
-    return out
 
 
 def _check_edge(mass: float, span: int) -> None:

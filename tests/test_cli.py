@@ -79,6 +79,18 @@ class TestValidation:
         assert cli.run(path) == 2
         assert "'l'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["propagate", "moller"])
+    def test_param_dt_refused(self, tmp_path, capsys, experiment):
+        # both evolve by chebyshev_evolve, which is exact in time and takes
+        # no step size
+        path = write_config(tmp_path, {"experiment": experiment,
+                                       "params": {"dt": 0.02}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        assert ("config error: at params: Additional properties are not "
+                "allowed ('dt' was unexpected)") in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
     @pytest.mark.parametrize("experiment,params,message", [
         ("phaseshift", {"k": 1.0, "k_values": [1.0, 2.0]},
          "k and k_values exclude each other"),
@@ -148,7 +160,7 @@ DEFAULTS = {
     "eikonal": {"xi_norm": 5.0, "N": 2},
     "s0": {"lam": 100.0, "N": 3, "thetas": list(np.deg2rad([10, 20, 30]))},
     "propagate": {"n": 8192, "dx": 0.65, "sigma": 6.0, "k": 2.0,
-                  "center": 0.0, "T": 10.0, "dt": 0.02},
+                  "center": 0.0, "T": 10.0},
     "moller": {"times": [20.0, 40.0, 80.0, 160.0, 320.0], "sigma": 6.0,
                "k": 2.0, "n": 8192, "dx": 0.65, "modified": False},
     "hs": {"check": "hs", "c": 1.0},
@@ -276,6 +288,20 @@ class TestRun:
                          for ln in lines[2:]])
         assert np.all(data[:, 2] == 0.0)      # all shifts zero
         assert np.all(data[:, 3] == 1.0)      # S = 1
+
+    def test_propagate_state_is_the_chebyshev_evolution(self):
+        # bit for bit chebyshev_evolve(f0, model, T), at the benchmark's
+        # gaussian_well setting (n 4096, T 2)
+        model = cli._model({"potential": {"kind": "gaussian_well", "v0": -1.0}})
+        runner, params = cli.resolve("propagate", {"n": 4096, "T": 2.0})
+        _, rows, extra, flags = runner(model, params, 0)
+        f0 = propagator.gaussian_packet(n=4096, dx=0.65, center=0.0, k0=2.0,
+                                        sigma=6.0)
+        out = propagator.chebyshev_evolve(f0, model, 2.0)
+        assert rows == [[x, v.real, v.imag]
+                        for x, v in zip(out.grid[::4], out.values[::4])]
+        assert extra == {"norm": out.norm(), "edge_mass": out.edge_mass()}
+        assert flags == []
 
     def test_reproducible_csv(self, tmp_path):
         cfg = {"experiment": "born",
@@ -591,6 +617,12 @@ class TestReflection:
             "potential": {"kind": "gaussian_well", "v0": -1.0},
             "params": {"n": 64}})
 
+    def test_propagate_small_grid(self, tmp_path, capsys):
+        self._assert_reflection(tmp_path, capsys, {
+            "experiment": "propagate",
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": {"n": 64}})
+
     def test_kato_small_grid(self, tmp_path, capsys):
         self._assert_reflection(tmp_path, capsys, {
             "experiment": "diagnose",
@@ -736,14 +768,10 @@ class TestTypedErrors:
         {"experiment": "propagate",
          "potential": {"kind": "gaussian_well", "v0": -1.0},
          "params": {"T": 1e9}},
-        {"experiment": "propagate",
-         "potential": {"kind": "gaussian_well", "v0": -1.0},
-         "params": {"dt": 1e-320}},
-    ], ids=["kato", "propagate", "propagate-dt"])
+    ], ids=["kato", "propagate"])
     def test_work_bounded_before_any_transform(self, tmp_path, capsys,
                                                monkeypatch, config):
-        # 1e10 Kato samples or 5e10 Strang steps of 8192 points each; at
-        # dt = 1e-320, T / dt overflows to inf steps
+        # 1e10 Kato samples, or about 1.3e10 Chebyshev terms, of 8192 points
         def no_dft(*args, **kwargs):
             raise AssertionError("transformed a packet for a refused run")
 
@@ -877,18 +905,28 @@ class TestTypedErrors:
 
     def test_yukawa_moller_refusal_names_its_spectral_interval(
             self, tmp_path, capsys, monkeypatch):
+        self._assert_yukawa_refused(tmp_path, capsys, monkeypatch, "moller",
+                                    {"n": 512, "times": [20.0, 40.0, 60.0]})
+
+    def test_yukawa_propagate_refusal_names_its_spectral_interval(
+            self, tmp_path, capsys, monkeypatch):
+        self._assert_yukawa_refused(tmp_path, capsys, monkeypatch, "propagate",
+                                    {"n": 512, "T": 20.0})
+
+    def _assert_yukawa_refused(self, tmp_path, capsys, monkeypatch,
+                               experiment, params):
         # the 1/r core is clipped to about 5e7 at the grid node x = 0, the
-        # top of H's spectral interval, so a 20-unit gap would take about
-        # 5e8 Chebyshev terms; the message shows both before any Bessel
-        # coefficient is computed
+        # top of H's spectral interval, so a 20-unit gap or run would take
+        # about 5e8 Chebyshev terms; the message shows both before any
+        # Bessel coefficient is computed
         def no_bessel(*args, **kwargs):
             raise AssertionError("computed coefficients for a refused run")
 
         monkeypatch.setattr(propagator, "jv", no_bessel)
         path = write_config(tmp_path, {
-            "experiment": "moller",
+            "experiment": experiment,
             "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
-            "params": {"n": 512, "times": [20.0, 40.0, 60.0]}})
+            "params": params})
         out = tmp_path / "out"
         assert cli.run(path, out_dir=str(out)) == 2
         err = capsys.readouterr().err

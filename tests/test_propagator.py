@@ -16,74 +16,23 @@ TAIL = PotentialModel(kind="power_tail", v0=0.5, rho=1.0)
 
 
 # ---------------------------------------------------------------------------
-# oracle: the Strang loop that extends and restricts the packet around every
-# kinetic step.  Its "radial" geometry is the l = 0 channel as n samples at
-# r = dx..n dx: samples 0..n-2 are mirrored into an odd array of 2n points
-# for each kinetic step, and the last one (the wall node) is passed through.
+# oracle: Strang splitting e^{-iV dt/2} e^{-iH0 dt} e^{-iV dt/2}, second order
+# in dt and unitary, with the kinetic factor exact in Fourier space
 # ---------------------------------------------------------------------------
 
-def _oracle_extend(values, geometry):
-    if geometry == "line":
-        return values
-    n = len(values)
-    ext = np.zeros(2 * n, dtype=complex)
-    ext[1:n] = values[: n - 1]
-    ext[n + 1:] = -values[n - 2::-1]
-    return ext
-
-
-def _oracle_restrict(out, values, geometry):
-    if geometry == "line":
-        return out
-    n = len(values)
-    res = out[1:n + 1].copy()
-    res[n - 1] = values[n - 1]
-    return res
-
-
-def _oracle_apply_kinetic(values, phase, geometry):
-    out = dft(dft(_oracle_extend(values, geometry)) * phase, "inverse")
-    return _oracle_restrict(out, values, geometry)
-
-
-def _oracle_edge_mass(values, geometry):
-    if geometry == "line":
-        return propagator.WavePacket(values, 1.0).edge_mass()
-    m = max(1, int(round(propagator.EDGE_FRACTION * len(values) / 2)))
-    p = np.abs(values) ** 2
-    return float(p[-2 * m:].sum() / p.sum())
-
-
-def split_step_oracle(packet, model, dt, t_target, geometry="line"):
+def split_step_oracle(packet, model, dt, t_target):
     span = t_target - packet.t
-    if span == 0.0:
-        return packet
     n_steps = max(1, int(np.ceil(abs(span) / dt)))
     dt = span / n_steps
-    n = len(packet.values)
-    if geometry == "line":
-        r = np.abs(packet.grid)
-        kin = propagator._kinetic_phase(packet, dt)
-    else:
-        r = (np.arange(n) + 1.0) * packet.dx
-        k = dft_freqs(2 * n, packet.dx)
-        kin = np.exp(-1j * k * k * dt)
-    v = model.radial_values(r)
-    half = np.exp(-0.5j * v * dt)
+    k = dft_freqs(len(packet.values), packet.dx)
+    kin = np.exp(-1j * k * k * dt)
+    half = np.exp(-0.5j * model.radial_values(np.abs(packet.grid)) * dt)
     full = half * half
     vals = packet.values * half
-    check_every = max(1, n_steps // 64)
-    out = replace(packet, values=vals, t=t_target)
     for i in range(n_steps):
-        vals = _oracle_apply_kinetic(vals, kin, geometry)
+        vals = dft(dft(vals) * kin, "inverse")
         vals *= full if i < n_steps - 1 else half
-        if (i + 1) % check_every == 0 or i == n_steps - 1:
-            edge = _oracle_edge_mass(vals, geometry)
-            if edge > propagator.EDGE_THRESHOLD:
-                raise propagator.ReflectionError(
-                    f"edge mass {edge:.2e} exceeds "
-                    f"{propagator.EDGE_THRESHOLD:.1e} at step {i + 1}")
-    return replace(out, values=vals)
+    return replace(packet, values=vals, t=t_target)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +93,10 @@ def _odd_packet(n, dx, center, k0, sigma):
     return replace(pk, values=pk.values - pk.values[-np.arange(2 * n)])
 
 
-def _radial_samples(odd):
-    """The oracle's radial samples of an odd packet: x = dx..(n-1) dx, then
-    the wall node x = n dx (the self-mirrored x = -n dx), which is 0."""
-    n = len(odd.values) // 2
-    return replace(odd, values=np.append(odd.values[n + 1:], odd.values[0]))
+def kinetic_oracle(packet, t):
+    """e^{-iH0 t} on the grid: one forward transform, the phase, one inverse."""
+    k = dft_freqs(len(packet.values), packet.dx)
+    return dft(dft(packet.values) * np.exp(-1j * k * k * t), "inverse")
 
 
 def fourier_oracle(fhat, x, t):
@@ -191,63 +139,17 @@ class TestFreeEvolution:
         series = list(propagator.free_evolve_series(f0, times))
         assert [ev.t for ev in series] == times
         for t, ev in zip(times, series):
-            step = propagator._apply_kinetic(
-                f0.values, propagator._kinetic_phase(f0, t))
-            assert np.array_equal(ev.values, step)
-
+            assert np.array_equal(ev.values, kinetic_oracle(f0, t))
 
     def test_series_phases_are_the_kinetic_step_bit_for_bit(self):
         # the Kato and Moller grid (n = 8192), a packet at t = 2.5 and 97
         # times over [-50, 320]: each sample's phase is formed from one
-        # exponent per call, with the bits of _kinetic_phase
+        # exponent per call, with the bits of the phase formed at each time
         f0 = replace(propagator.gaussian_packet(n=2**13, dx=0.65, center=0.0,
                                                 k0=2.0, sigma=1.0), t=2.5)
         times = np.linspace(-50.0, 320.0, 97)
         for t, ev in zip(times, propagator.free_evolve_series(f0, times)):
-            step = propagator._apply_kinetic(
-                f0.values, propagator._kinetic_phase(f0, t - f0.t))
-            assert np.array_equal(ev.values, step)
-
-
-class TestSplitStep:
-    def test_matches_free_for_zero_potential(self):
-        f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=0.0, k0=1.0,
-                                        sigma=2.0)
-        a = propagator.split_step_evolve(f0, ZERO, 0.02, 2.0)
-        b = propagator.free_evolve(f0, 2.0)
-        assert np.allclose(a.values, b.values, atol=1e-10)
-
-    def test_norm_conserved(self):
-        f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=0.0, k0=1.0,
-                                        sigma=2.0)
-        out = propagator.split_step_evolve(f0, GAUSS, 0.02, 5.0)
-        assert out.norm() == pytest.approx(f0.norm(), rel=1e-11)
-
-    def test_second_order_in_dt(self):
-        f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=-4.0,
-                                        k0=1.5, sigma=2.0)
-        ref = propagator.split_step_evolve(f0, GAUSS, 0.0025, 2.0)
-        errs = []
-        for dt in (0.02, 0.01):
-            out = propagator.split_step_evolve(f0, GAUSS, dt, 2.0)
-            errs.append(np.linalg.norm(out.values - ref.values)
-                        * np.sqrt(f0.dx))
-        order = np.log2(errs[0] / errs[1])
-        assert order == pytest.approx(2.0, abs=0.3)
-
-    def test_stability_guard(self):
-        f0 = propagator.gaussian_packet(n=2**9, dx=0.2, center=0.0, k0=1.0,
-                                        sigma=2.0)
-        with pytest.raises(ParameterError, match=r"dt \* lambda_max = "):
-            propagator.split_step_evolve(f0, GAUSS, 0.05, 1.0)
-        with pytest.raises(ParameterError, match="dt must be positive"):
-            propagator.split_step_evolve(f0, GAUSS, 0.0, 1.0)
-
-    def test_reflection_detected(self):
-        f0 = propagator.gaussian_packet(n=2**8, dx=0.65, center=0.0, k0=2.0,
-                                        sigma=2.0)
-        with pytest.raises(propagator.ReflectionError):
-            propagator.split_step_evolve(f0, GAUSS, 0.012, 40.0)
+            assert np.array_equal(ev.values, kinetic_oracle(f0, t - f0.t))
 
     def test_radial_dirichlet_origin(self):
         # l = 0 channel = odd packet on (-n dx, n dx]: a sine mode with a
@@ -268,11 +170,11 @@ def _radial_packet(n=2**10, dx=0.65, center=150.0, k0=-1.0, sigma=8.0):
 
 def _time_domain_setting():
     # scattering_phase_from_time_domain(GAUSS, 1.0) with its defaults:
-    # n 512, dx 0.8, r0 = 0.45 n dx, 6145 Strang steps of dt ~ 0.03
+    # n 512, dx 0.8, r0 = 0.45 n dx, evolved to t = r0 / k
     n, dx, k = 2**9, 0.8, 1.0
     r0 = n * dx * 0.45
     pk = _odd_packet(n, dx, center=r0, k0=-k, sigma=20.0)
-    return pk, 0.03, r0 / k
+    return pk, r0 / k
 
 
 def _l2_rel(a, b):
@@ -280,104 +182,12 @@ def _l2_rel(a, b):
 
 
 def _reflection_case(case):
-    """(packet, dt, t) of a run whose packet reaches the edge strip."""
-    if case == "line":   # test_reflection_detected's case
+    """(packet, t) of a run whose packet reaches the edge strip."""
+    if case == "line":
         return (propagator.gaussian_packet(n=2**8, dx=0.65, center=0.0,
-                                           k0=2.0, sigma=2.0), 0.012, 40.0)
+                                           k0=2.0, sigma=2.0), 40.0)
     # an outgoing radial packet runs into the wall
-    return _radial_packet(n=2**9, center=150.0, k0=1.5), 0.02, 60.0
-
-
-class TestStrangOnPeriodicArray:
-    @pytest.mark.parametrize("model", [GAUSS, TAIL])
-    def test_line_matches_oracle_exactly(self, model):
-        # line geometry has no extension: the arithmetic is unchanged
-        f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=-20.0,
-                                        k0=1.5, sigma=3.0)
-        out = propagator.split_step_evolve(f0, model, 0.02, 12.0)
-        ref = split_step_oracle(f0, model, 0.02, 12.0)
-        assert out.t == ref.t
-        assert np.array_equal(out.values, ref.values)
-
-    @pytest.mark.parametrize("model", [GAUSS, TAIL])
-    def test_radial_matches_oracle(self, model):
-        # the odd packet's samples at x > 0 against the oracle's radial
-        # samples 0..n-2
-        pk = _radial_packet()
-        n = len(pk.values) // 2
-        out = propagator.split_step_evolve(pk, model, 0.02, 60.0)
-        ref = split_step_oracle(_radial_samples(pk), model, 0.02, 60.0,
-                                "radial")
-        assert out.t == ref.t and len(out.values) == 2 * len(ref.values)
-        assert _l2_rel(out.values[n + 1:], ref.values[:n - 1]) <= 1e-12
-
-    def test_time_domain_setting_matches_oracle(self):
-        pk, dt, t_out = _time_domain_setting()
-        n = len(pk.values) // 2
-        assert int(np.ceil(t_out / dt)) == 6145
-        out = propagator.split_step_evolve(pk, GAUSS, dt, t_out)
-        ref = split_step_oracle(_radial_samples(pk), GAUSS, dt, t_out, "radial")
-        assert _l2_rel(out.values[n + 1:], ref.values[:n - 1]) <= 1e-12
-
-    @pytest.mark.parametrize("model", [GAUSS, TAIL])
-    def test_odd_packet_dirichlet_nodes_stay_zero(self, model):
-        # x = 0 and the self-mirrored x = -n dx are the two Dirichlet nodes
-        pk = _radial_packet()
-        n = len(pk.values) // 2
-        out = propagator.split_step_evolve(pk, model, 0.02, 60.0)
-        scale = np.max(np.abs(out.values))
-        assert abs(out.values[n]) <= 1e-13 * scale
-        assert abs(out.values[0]) <= 1e-13 * scale
-
-    @pytest.mark.parametrize("case", ["line", "radial"])
-    def test_reflection_same_step_and_message(self, case):
-        pk, dt, t = _reflection_case(case)
-        if case == "line":
-            with pytest.raises(propagator.ReflectionError) as expect:
-                split_step_oracle(pk, GAUSS, dt, t)
-        else:
-            with pytest.raises(propagator.ReflectionError) as expect:
-                split_step_oracle(_radial_samples(pk), GAUSS, dt, t, "radial")
-        with pytest.raises(propagator.ReflectionError) as got:
-            propagator.split_step_evolve(pk, GAUSS, dt, t)
-        if case == "line":
-            assert str(got.value) == str(expect.value)
-        else:
-            # the edge strips differ by a sample (51 of 1024 points on each
-            # side against the oracle's 52 of 512), so only the step agrees
-            step = str(expect.value).rsplit(" at ", 1)[1]
-            assert step == "step 1794"
-            assert str(got.value).endswith(" at " + step)
-
-    @pytest.mark.parametrize("geometry", ["line", "radial"])
-    def test_one_kinetic_step_two_transforms_per_step(self, monkeypatch,
-                                                      geometry):
-        if geometry == "line":
-            pk = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0,
-                                            k0=1.0, sigma=2.0)
-        else:
-            pk = _radial_packet(n=2**9)
-        dt = 0.02
-        n_steps = int(np.ceil(3.0 / dt))
-        kinetic, transforms = [], []
-        apply_kinetic = propagator._apply_kinetic
-
-        def counted_kinetic(values, phase):
-            kinetic.append(len(values))
-            return apply_kinetic(values, phase)
-
-        def counted_dft(values, direction="forward"):
-            transforms.append(direction)
-            return dft(values, direction)
-
-        monkeypatch.setattr(propagator, "_apply_kinetic", counted_kinetic)
-        monkeypatch.setattr(propagator, "dft", counted_dft)
-        propagator.split_step_evolve(pk, GAUSS, dt, 3.0)
-        # each kinetic step acts on the whole packet: 2n points for the
-        # l = 0 channel on (0, n dx]
-        width = 2**9 * (2 if geometry == "radial" else 1)
-        assert kinetic == [width] * n_steps
-        assert transforms == ["forward", "inverse"] * n_steps
+    return _radial_packet(n=2**9, center=150.0, k0=1.5), 60.0
 
 
 class TestChebyshev:
@@ -390,11 +200,12 @@ class TestChebyshev:
 
     def test_strang_converges_to_it_at_second_order(self):
         # C10's setting: each halving of Strang's dt divides its gap to the
-        # time-exact evolution by 4 (gaps about 4.6e-5, 1.15e-5, 2.9e-6)
-        pk, dt, t_out = _time_domain_setting()
+        # time-exact evolution by 4 (gaps about 4.6e-5, 1.15e-5, 2.9e-6 from
+        # dt = 0.03, 6145 steps)
+        pk, t_out = _time_domain_setting()
         exact = propagator.chebyshev_evolve(pk, GAUSS, t_out).values
-        gaps = [_l2_rel(propagator.split_step_evolve(pk, GAUSS, h, t_out).values,
-                        exact) for h in (dt, dt / 2, dt / 4)]
+        gaps = [_l2_rel(split_step_oracle(pk, GAUSS, dt, t_out).values, exact)
+                for dt in (0.03, 0.015, 0.0075)]
         assert gaps[0] < 1e-4
         for coarse, fine in pairwise(gaps):
             assert coarse / fine == pytest.approx(4.0, abs=0.2)
@@ -444,10 +255,10 @@ class TestChebyshev:
 
     @pytest.mark.parametrize("case,span", [("line", 9), ("radial", 11)])
     def test_reflection_at_the_end_of_a_span(self, case, span):
-        # Strang's cases (test_reflection_same_step_and_message); the spans
-        # are no longer than the edge strip's crossing time at the top
-        # group velocity, so the monitor cannot miss the crossing
-        pk, _, t = _reflection_case(case)
+        # a line packet and an outgoing radial one; the spans are no longer
+        # than the edge strip's crossing time at the top group velocity, so
+        # the monitor cannot miss the crossing
+        pk, t = _reflection_case(case)
         with pytest.raises(propagator.ReflectionError,
                            match=f"exceeds 1.0e-06 at span {span}$"):
             propagator.chebyshev_evolve(pk, GAUSS, t)
@@ -481,7 +292,7 @@ class TestChebyshev:
         # own error is 3e-13; with 40-digit coefficients the one expansion
         # lies 2.3e-14 from the chain.
         if case == "time_domain":
-            pk, _, t = _time_domain_setting()
+            pk, t = _time_domain_setting()
         elif case == "backward_gap":
             pk = replace(propagator.gaussian_packet(
                 n=2**10, dx=0.65, center=-20.0, k0=1.5, sigma=3.0), t=60.0)
@@ -553,12 +364,12 @@ class TestChebyshev:
     def test_failing_run_stops_at_its_first_failing_check(self, monkeypatch,
                                                           case):
         # edge.moller.n64's first gap (100 checks; the packet already fills
-        # the edge strips) and Strang's line reflection case (46 checks, the
+        # the edge strips) and the line reflection case (46 checks, the
         # ninth fails inside the first expansion): the same span as the
         # span chain, after no more terms than that check's own trimmed
         # series (two transforms each) and one transform per table row
         if case == "line":
-            pk, _, t = _reflection_case("line")
+            pk, t = _reflection_case("line")
         else:
             f0 = propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=2.0,
                                             sigma=6.0)
@@ -684,7 +495,7 @@ class TestXiTerm:
         def no_evolution(*args, **kwargs):
             raise AssertionError("evolved a packet for a refused model")
 
-        for name in ("free_evolve", "split_step_evolve", "chebyshev_evolve"):
+        for name in ("free_evolve", "chebyshev_evolve"):
             monkeypatch.setattr(propagator, name, no_evolution)
         f0 = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0, k0=2.0,
                                         sigma=3.0)
