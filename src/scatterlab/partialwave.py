@@ -10,7 +10,6 @@ S(lambda) - Id on the sphere equals (i k / 2 pi) * a at d = 3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,39 +34,50 @@ class PhaseShiftTable:
 
 
 def _default_r_max(model: PotentialModel, k: float) -> float:
-    return max(model.tail_radius(1e-10), 30.0 / k + model.effective_range)
+    """End of the Numerov grid: half a wavelength past where |v| drops below
+    1e-17, so that both match rows lie where v has died out and the match
+    with j_l and y_l is exact, but never past max(tail_radius(1e-10),
+    30/k + effective_range), which power tails keep."""
+    return min(model.tail_radius(1e-17) + np.pi / k,
+               max(model.tail_radius(1e-10), 30.0 / k + model.effective_range))
 
 
-# Largest Numerov sweep, in float64 values: rows x (channels + 8), the 8
-# being the per-row arrays (r, (dr^2/12)/r^2, (dr^2/12)(v - k^2), a, f, the
-# 3-column band; v is dropped once used).
+# Largest Numerov sweep, in float64 values: rows x (channels + 8), an upper
+# bound (but for 3 values at one channel) on what a sweep holds: nine per-row
+# arrays (r, (dr^2/12)/r^2, (dr^2/12)(v - k^2), a, f, the work vector w and
+# the 3-column band; v is dropped once used) and u on the three rows per
+# channel that the match reads.
 # 2**27 values is 1 GiB; tier-1, the acceptance suite and the benchmark
 # reach at most 4.4e6.  tail_radius puts a power tail with rho <= 2 at
 # 1.1e8 rows or more, 1e9 at its r = 1e6 cap (rho <= 5/3).
 MAX_SWEEP_FLOATS = 2**27
 
-# A channel whose solution would reach 2**_MAX_EXP (about 1e250) is scaled
-# down by a power of two so that max |u| < 2**_MAX_EXP.
+# A channel whose w would reach 2**_MAX_EXP (about 1e250) is scaled down by
+# a power of two so that max |w| < 2**_MAX_EXP.
 _MAX_EXP = 830
 
 
-def _sweep(a: np.ndarray, f: np.ndarray, band: np.ndarray, u: np.ndarray) -> None:
-    """Fill u[2:] from the seeds u[0], u[1] by the Numerov recursion
+def _sweep(a: np.ndarray, f: np.ndarray, band: np.ndarray, w: np.ndarray,
+           seeds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> None:
+    """Set u to the solution on rows of the Numerov recursion
     f[i-1] u[i-1] - (12 - 10 f[i]) u[i] + f[i+1] u[i+1] = 0, f = 1 - a,
-    run as Johnson's renormalized Numerov (B. R. Johnson, J. Chem. Phys. 67
-    (1977) 4086): in w = f u the same scheme is the monic recurrence
-    w[i+1] - d[i] w[i] + w[i-1] = 0 with d = 2 + 12 a / f, formed from a
-    so that d keeps the digits of its small part 12 a / f.
+    from seeds = (u[0], u[1]), run as Johnson's renormalized Numerov (B. R.
+    Johnson, J. Chem. Phys. 67 (1977) 4086): in w = f u the same scheme is
+    the monic recurrence w[i+1] - d[i] w[i] + w[i-1] = 0 with
+    d = 2 + 12 a / f.  d is formed from a, but the sum with 2 rounds to
+    ulp(2) = 4.4e-16, a relative 4e-10 of 12 a / f at k dr = 1e-3.
 
-    numerics.banded_recurrence solves it in place in u, a contiguous
-    float64 vector (chunks start at its cap, halve on overflow and double
-    back).  Then u[2:] = w[2:] / f[2:] and the seed rows go back to the
-    seeds, so f[0] = 0 is harmless (its d is never read); f = 0 on a later
-    row raises NumericalError before any division.  One in-place ldexp per
-    chunk brings the channel onto a common scale with max |u| < 2**_MAX_EXP.
+    numerics.banded_recurrence solves it in place in the work vector w, a
+    contiguous float64 vector of the grid's length (chunks start at its cap,
+    halve on overflow and double back).  u = w / f is formed only on rows,
+    each in its chunk's scale shifted by the channel's common power of two
+    that keeps max |w| < 2**_MAX_EXP, which banded_recurrence reports.  The
+    seed rows divide by 1 instead of f, so f[0] = 0 is harmless (its d is
+    never read); f = 0 on a later row raises NumericalError before any
+    division.
 
-    band's columns 0 and 2 hold the unit coefficients; column 1 and a are
-    overwritten.
+    band's columns 0 and 2 hold the unit coefficients; column 1, a, f and w
+    are overwritten.
     """
     if not f[1:].all():
         row = 1 + int(np.argmin(f[1:] != 0.0))
@@ -76,37 +86,37 @@ def _sweep(a: np.ndarray, f: np.ndarray, band: np.ndarray, u: np.ndarray) -> Non
     np.divide(a[1:], f[1:], out=a[1:])
     np.multiply(a[1:], -12.0, out=a[1:])
     np.subtract(a[1:], 2.0, out=band[1:, 1])
-    seeds = u[:2].copy()
-    u[:2] *= f[:2]  # the seeds of w
-    starts, scales, _ = banded_recurrence(band, u)
-    # u = w / f in each chunk's scale.  It stays finite: where |f| < 1,
-    # 0 < a < 2 and |u[i]| = |w[i+1] + w[i-1]| / |2 + 10 a[i]| is at most
-    # the mean of two rows of the same finite solve (at r_max, f is near 1)
-    np.divide(u[2:], f[2:], out=u[2:])
-    u[:2] = np.ldexp(seeds, -scales[0]) if scales else seeds
-    ends = starts[1:] + [len(u)]
-    peak = max((scale + math.frexp(max(u[lo:hi].max(), -u[lo:hi].min()))[1]
-                for lo, hi, scale in zip(starts, ends, scales)), default=0)
-    shift = max(0, peak - _MAX_EXP)
-    for lo, hi, scale in zip(starts, ends, scales):
-        np.ldexp(u[lo:hi], scale - shift, out=u[lo:hi])
+    np.multiply(seeds, f[:2], out=w[:2])  # the seeds of w
+    starts, scales, peak = banded_recurrence(band, w)
+    # the seed rows go back to the seeds, in the first chunk's scale
+    w[:2] = np.ldexp(seeds, -scales[0]) if scales else seeds
+    f[:2] = 1.0
+    # each row's chunk scale; a row before any chunk keeps scale 0.  u stays
+    # finite: where |f| < 1, 0 < a < 2 and |u[i]| = |w[i+1] + w[i-1]| /
+    # |2 + 10 a[i]| is at most the mean of two rows of the same finite solve
+    # (at r_max, f is near 1)
+    exps = np.array([0, *scales])[np.searchsorted(starts, rows, side="right")]
+    np.ldexp(w[rows] / f[rows], exps - max(0, peak - _MAX_EXP), out=u)
 
 
 def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
-                      r_max: float, dr: float) -> tuple[np.ndarray, np.ndarray]:
+                      r_max: float, dr: float,
+                      rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate every channel in ls from r = dr by the renormalized
-    Numerov sweep (_sweep).
+    Numerov sweep (_sweep), on the grid r = dr, 2 dr, .. up to r_max.
 
     a = (dr^2/12)(l(l+1)/r^2 + v - k^2) is formed per channel from
     (dr^2/12)/r^2 and (dr^2/12)(v - k^2), both computed once per grid; the
-    band and the a and f vectors are allocated once per call.
+    band and the a, f and w vectors are allocated once per call.
 
-    Returns (r_grid, u) with u of shape (n_r, n_channels); regular solution
-    normalization u ~ r^(l+1) at the origin, except that a channel whose
-    solution would reach about 1e250 is scaled down by a power of two.
+    Returns (r, u) on rows, the grid's row indices (every row if None): u
+    of shape (len(rows), n_channels); regular solution normalization
+    u ~ r^(l+1) at the origin, except that a channel whose solution would
+    reach about 1e250 is scaled down by a power of two.
     """
     n = int(np.ceil(r_max / dr))
     r = dr * np.arange(1, n + 1)
+    rows = np.arange(n) if rows is None else np.asarray(rows)
     v = model.radial_values(r)
     if model.kind == "square_well":
         # average the jump when the edge lands on a node; keeps the scheme
@@ -118,16 +128,16 @@ def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
     q = c * (v - k * k)
     del v
     ll = ls * (ls + 1.0)
-    u = np.empty((n, len(ls)), order="F")
     # series seed u = r^(l+1) (1 + (v(0)-k^2) r^2/(4l+6)); underflowed
     # channels start from a tiny representable value instead
     v0 = float(model.radial_values(0.0)) if model.kind != "yukawa" else float(
         model.radial_values(dr))
     corr0 = 1.0 + (v0 - k * k) * r[0] ** 2 / (4.0 * ls + 6.0)
     corr1 = 1.0 + (v0 - k * k) * r[1] ** 2 / (4.0 * ls + 6.0)
+    seeds = np.empty((2, len(ls)), order="F")
     with np.errstate(under="ignore"):
-        u[0] = np.where(ls * np.log(r[0]) > -250, r[0] ** (ls + 1.0) * corr0, 1e-250)
-        u[1] = np.where(ls * np.log(r[1]) > -250, r[1] ** (ls + 1.0) * corr1, 2e-250)
+        seeds[0] = np.where(ls * np.log(r[0]) > -250, r[0] ** (ls + 1.0) * corr0, 1e-250)
+        seeds[1] = np.where(ls * np.log(r[1]) > -250, r[1] ** (ls + 1.0) * corr1, 2e-250)
     # lower band storage of the monic recurrence, transposed: row j holds
     # the unit diagonal (never read), -d[j] one row down, 1 two rows down
     band = np.empty((n, 3))
@@ -135,31 +145,36 @@ def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
     band[:, 2] = 1.0
     a = np.empty(n)
     f = np.empty(n)
+    w = np.empty(n)
+    u = np.empty((len(rows), len(ls)), order="F")
     for j in range(len(ls)):
         np.multiply(p, ll[j], out=a)
         a += q
         np.subtract(1.0, a, out=f)
-        _sweep(a, f, band, u[:, j])
-    return r, u
+        _sweep(a, f, band, w, seeds[:, j], rows, u[:, j])
+    return r[rows], u
 
 
-def _match_phase(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
-                 k: float) -> np.ndarray:
-    """Phase shifts of all channels (columns of u, orders ls) from
-    two-point matching near the end of the grid.
-
-    The radii are a quarter wavelength apart (k dr ~ pi/2) to avoid
-    simultaneous zeros of the matched combinations.
-    """
-    i2 = len(r) - 2
-    sep = max(1, int(round((np.pi / 2.0) / (k * (r[1] - r[0])))))
+def _match_rows(n: int, dr: float, k: float) -> np.ndarray:
+    """The rows (i1, i2 - 1, i2) that the match reads on an n-row grid of
+    step dr: i2 = n - 2 and i1 a quarter wavelength (k dr ~ pi/2) before
+    it, to avoid simultaneous zeros of the matched combinations."""
+    i2 = n - 2
+    sep = max(1, int(round((np.pi / 2.0) / (k * dr))))
     i1 = i2 - sep
     if i1 < 1:
         raise ParameterError("grid too short for quarter-wavelength matching")
+    return np.array([i1, i2 - 1, i2])
+
+
+def _match_at(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
+              k: float) -> np.ndarray:
+    """Phase shifts of all channels (columns of u, orders ls) from
+    two-point matching, u and r on the rows of _match_rows."""
     # a channel whose solution vanishes at i2 matches one node earlier
-    i2 = np.where(u[i2] == 0.0, i2 - 1, i2)
-    r1, r2 = r[i1], r[i2]
-    u1, u2 = u[i1], u[i2, np.arange(u.shape[1])]
+    at_node = u[2] == 0.0
+    r1, r2 = r[0], np.where(at_node, r[1], r[2])
+    u1, u2 = u[0], np.where(at_node, u[1], u[2])
     j1, y1 = spherical_bessel(ls, k * r1)
     j2, y2 = spherical_bessel(ls, k * r2)
     big_k = (r2 * u1) / (r1 * u2)
@@ -167,6 +182,13 @@ def _match_phase(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
     # arctan2 lands in (-pi, pi]; reduce mod pi into (-pi/2, pi/2]
     delta = np.where(delta <= -np.pi / 2, delta + np.pi, delta)
     return np.where(delta > np.pi / 2, delta - np.pi, delta)
+
+
+def _match_phase(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
+                 k: float) -> np.ndarray:
+    """_match_at on a solution given on every row of the grid r."""
+    rows = _match_rows(len(r), r[1] - r[0], k)
+    return _match_at(u[rows], r[rows], ls, k)
 
 
 def _phase_shifts(model: PotentialModel, ls: range, k: float,
@@ -184,11 +206,11 @@ def _phase_shifts(model: PotentialModel, ls: range, k: float,
         r_max = _default_r_max(model, k)
     # before v or any array, as a quotient: the channel count may pass the
     # float range; a zero potential takes no sweep, only its zeros
-    rows = 1.0 if model.kind == "zero" else float(np.ceil(r_max / dr))
+    n_rows = 1.0 if model.kind == "zero" else float(np.ceil(r_max / dr))
     channels = ls.stop - ls.start
-    if channels + 8 > MAX_SWEEP_FLOATS / rows:
+    if channels + 8 > MAX_SWEEP_FLOATS / n_rows:
         raise ParameterError(
-            f"Numerov grid of {rows:.12g} rows x {channels} channels exceeds "
+            f"Numerov grid of {n_rows:.12g} rows x {channels} channels exceeds "
             f"MAX_SWEEP_FLOATS = {MAX_SWEEP_FLOATS} float64 values "
             f"(r_max={r_max:g}, dr={dr:g})")
     tail = abs(float(model.radial_values(r_max)))
@@ -197,8 +219,9 @@ def _phase_shifts(model: PotentialModel, ls: range, k: float,
     if model.kind == "zero":
         return np.zeros(len(ls))
     ls = np.arange(ls.start, ls.stop)
-    r, u = _numerov_channels(model, ls, k, r_max, dr)
-    return _match_phase(u, r, ls, k)
+    rows = _match_rows(int(n_rows), dr, k)
+    r, u = _numerov_channels(model, ls, k, r_max, dr, rows)
+    return _match_at(u, r, ls, k)
 
 
 def radial_phase_shift(model: PotentialModel, l: int, k: float,

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dtbtrs
 
-from scatterlab import born, numerics, partialwave
+from scatterlab import born, cli, numerics, partialwave
 from scatterlab.numerics import _CHUNK, DomainError, NumericalError, ParameterError
 from scatterlab.potentials import PotentialModel
 
@@ -311,7 +313,128 @@ class TestChunkSchedule:
             bound += len(ls) * -(-(n - 2) // _CHUNK)
             born.exact_kernel(GAUSS, k * k, np.pi / 2)
         assert all(finite)
-        assert len(finite) <= bound == 442
+        assert len(finite) <= bound == 270
+
+
+def long_r_max(model, k):
+    """The grid end before the sweeps stopped where v has died out; it
+    still caps _default_r_max, and power tails keep it."""
+    return max(model.tail_radius(1e-10), 30.0 / k + model.effective_range)
+
+
+def dop853_delta0(model, k, r_end):
+    """delta_0 from a direct DOP853 solve of u'' = (v - k^2) u from u(0) = 0,
+    u'(0) = 1, matched to sin(k r + delta_0) at r_end, where v has died
+    out; reduced to [-pi/2, pi/2)."""
+    sol = solve_ivp(
+        lambda r, y: [y[1], (float(model.radial_values(r)) - k * k) * y[0]],
+        (0.0, r_end), [0.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-15)
+    u, du = sol.y[:, -1]
+    delta = np.arctan2(k * u, du) - k * r_end
+    return (delta + np.pi / 2) % np.pi - np.pi / 2
+
+
+GRID_END_MODELS = {
+    "gaussian": GAUSS,
+    "yukawa": PotentialModel(kind="yukawa", v0=-1.0, width=1.0),
+    "square-well": PotentialModel(kind="square_well", v0=1.0, width=1.0),
+    "compact-bump": PotentialModel(kind="compact_bump", v0=2.0, width=1.5),
+}
+GRID_END_KS = [0.5, 1.0, 2.0, 5.0, 14.14]
+TAIL3 = PotentialModel(kind="power_tail", v0=1.0, rho=3.0)
+
+
+class TestGridEnd:
+    """_default_r_max ends half a wavelength past where |v| < 1e-17, never
+    past the long rule."""
+
+    @pytest.mark.parametrize("k", GRID_END_KS)
+    @pytest.mark.parametrize("model", [*GRID_END_MODELS.values(), TAIL3],
+                             ids=[*GRID_END_MODELS, "power-tail"])
+    def test_never_past_the_long_rule(self, model, k):
+        assert partialwave._default_r_max(model, k) <= long_r_max(model, k)
+
+    @pytest.mark.parametrize("k", GRID_END_KS)
+    @pytest.mark.parametrize("name", GRID_END_MODELS)
+    def test_match_rows_where_v_has_died_out(self, name, k):
+        model, dr = GRID_END_MODELS[name], 1e-3
+        n = int(np.ceil(partialwave._default_r_max(model, k) / dr))
+        rows = partialwave._match_rows(n, dr, k)
+        assert np.all(np.abs(model.radial_values(dr * (rows + 1.0))) < 1e-17)
+
+    @pytest.mark.parametrize("k", GRID_END_KS)
+    def test_power_tail_keeps_the_long_rule(self, k):
+        assert partialwave._default_r_max(TAIL3, k) == long_r_max(TAIL3, k)
+
+    def test_power_tail_phaseshift_runs(self, tmp_path):
+        # its grid ends at tail_radius(1e-10) = 265: 2.6e5 rows
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "experiment": "phaseshift",
+            "potential": {"kind": "power_tail", "v0": 1e-3, "rho": 3.0},
+            "params": {"k_values": [1.0], "l_max": 2}}))
+        assert cli.run(str(path), out_dir=str(tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("k", [10.0, 14.142135623730951])
+    def test_no_farther_from_dop853(self, k):
+        # the dr^4 error of the default dr is 1.9e-9 at k = 10 and 9.6e-9
+        # at k = 14.14 on the long grid; the shorter one adds no error
+        oracle = dop853_delta0(GAUSS, k, 8.0)
+        short = partialwave.radial_phase_shift(GAUSS, 0, k)
+        long = partialwave.radial_phase_shift(GAUSS, 0, k, r_max=long_r_max(GAUSS, k))
+        assert abs(short - oracle) <= abs(long - oracle) < 1e-8
+
+    def test_square_well_within_closed_form(self):
+        # criterion 1's setting; its bound is 1e-6
+        model = PotentialModel(kind="square_well", v0=1.0, width=1.0)
+        oracle = square_well_delta0(1.0, 1.0, 1.0)
+        short = partialwave.radial_phase_shift(model, 0, 1.0)
+        long = partialwave.radial_phase_shift(model, 0, 1.0,
+                                              r_max=long_r_max(model, 1.0))
+        assert abs(short - oracle) <= abs(long - oracle) < 1e-6
+
+    def test_high_l_rounding_floor(self):
+        # criterion 2's setting: |S_l - 1| of l >= 16 is below 1e-12, which
+        # the rounding of the long grid's sweep passed (up to 1.9e-11)
+        table = partialwave.phase_shift_table(GAUSS, 2.0, 25)
+        eigs, _ = partialwave.smatrix_eigenvalues(table)
+        assert np.max(np.abs(eigs[16:] - 1.0)) < 1e-12
+
+
+class TestRequestedRows:
+    """u formed on the requested rows only is the all-rows u there, and the
+    phase shifts read from the match rows alone are those of the all-rows
+    solution, bit for bit."""
+
+    CASES = [
+        *[(GAUSS, ls, k, None) for ls, k in HIGHENERGY_GRIDS],
+        # the first chunk overflows and is halved
+        (GAUSS, np.array([1200]), 60.0, 30.0),
+        # f = 0 on seed row 0 at l = 3
+        (PotentialModel(kind="square_well", v0=1.0, width=1.0), np.arange(7), 1.0, None),
+    ]
+    IDS = ["he25", "he50", "he100", "he200", "l1200", "seed-row-f0"]
+
+    @pytest.mark.parametrize("model,ls,k,r_max", CASES, ids=IDS)
+    def test_rows_match_all_rows(self, model, ls, k, r_max):
+        dr = 1e-3
+        r_max = partialwave._default_r_max(model, k) if r_max is None else r_max
+        r, u = partialwave._numerov_channels(model, ls, k, r_max, dr)
+        rows = np.concatenate([[0, 1, 2, len(r) // 2],
+                               partialwave._match_rows(len(r), dr, k)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_rows, u_rows = partialwave._numerov_channels(model, ls, k, r_max, dr, rows)
+        assert np.array_equal(r_rows, r[rows])
+        assert np.array_equal(u_rows, u[rows])
+
+    @pytest.mark.parametrize("model,ls,k,r_max", CASES, ids=IDS)
+    def test_phase_shifts_match_all_rows(self, model, ls, k, r_max):
+        dr = 1e-3
+        r_max = partialwave._default_r_max(model, k) if r_max is None else r_max
+        r, u = partialwave._numerov_channels(model, ls, k, r_max, dr)
+        delta = partialwave._phase_shifts(model, range(ls[0], ls[-1] + 1), k, r_max, dr)
+        assert np.array_equal(delta, partialwave._match_phase(u, r, ls, k))
 
 
 class TestSMatrix:
