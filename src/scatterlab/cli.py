@@ -10,9 +10,12 @@ parameters with their defaults; `SCHEMA` and `resolve` are built on it.
 
 Exit codes: 0 success, 1 acceptance failure, 2 config/validation error or
 any other `numerics.ScatterlabError` (a packet that reaches the grid edge,
-a non-finite or ill-conditioned result, a quadrature that does not
-converge, an empty eigenvalue window, an energy on a resonance), 3
-numerical-flag failure in strict mode.
+a non-finite or ill-conditioned result, a non-finite output row, a
+quadrature that does not converge, an empty eigenvalue window, an energy on
+a resonance), 3 numerical-flag failure in strict mode.
+
+Thread pools follow OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS as set before the process starts; result.json records them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, born, diagnostics, eikonal, partialwave, propagator
-from .numerics import ScatterlabError
+from .numerics import NumericalError, ScatterlabError
 from .potentials import KINDS, PotentialModel, model_from_config
 
 
@@ -173,7 +176,12 @@ def _run_propagate(model, p, seed):
     f0 = propagator.gaussian_packet(n=p["n"], dx=p["dx"], center=p["center"],
                                     k0=p["k"], sigma=p["sigma"])
     if model.kind == "zero":
-        out = propagator.free_evolve(f0, p["T"])
+        # exact, with chebyshev_evolve's edge checks at the ends of its spans
+        spans = propagator.edge_spans(f0, p["T"])
+        propagator.check_work(spans, p["n"], "edge-check spans")
+        for i, out in enumerate(propagator.free_evolve_series(
+                f0, np.linspace(0.0, p["T"], int(spans) + 1)[1:]), 1):
+            propagator.check_edge(out.edge_mass(), i)
     else:
         out = propagator.chebyshev_evolve(f0, model, p["T"])
     stride = max(1, p["n"] // 1024)
@@ -404,7 +412,8 @@ def _write_outputs(out_dir: str, config: dict, params: dict, columns, rows,
             "version": __version__,
             "config_sha256": sha,
             "seed": config.get("seed", 0),
-            "threads": os.environ.get("SCATTERLAB_THREADS", "0"),
+            "threads": {var: os.environ.get(var) for var in (
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
             "flags": flags,
         },
     }
@@ -427,6 +436,10 @@ def run(config_path: str, strict: bool = False, out_dir: str = ".") -> int:
                                  config.get("params", {}))
         columns, rows, extra, flags = runner(model, params,
                                              config.get("seed", 0))
+        for i, row in enumerate(rows):
+            for column, x in zip(columns, row):
+                if not math.isfinite(x):
+                    raise NumericalError(f"row {i}, column {column}: {x} is not finite")
     except ScatterlabError as exc:
         print(f"config error: {exc.prefix}{exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from scipy.integrate import quad  # noqa: F401
 from scipy.special import jv
 
 from .numerics import DomainError, ParameterError, ScatterlabError, dft, dft_freqs
-from .potentials import PotentialModel, line_integral
+from .potentials import YUKAWA_R_MIN, PotentialModel, line_integral
 
 EDGE_FRACTION = 0.10
 EDGE_THRESHOLD = 1e-6
@@ -140,12 +140,23 @@ def free_evolve_series(packet: WavePacket, times):
         yield replace(packet, values=out, t=t)
 
 
-def _check_edge(mass: float, span: int) -> None:
+def check_edge(mass: float, span: int) -> None:
     """ReflectionError when the edge mass at the end of span `span` trips
     the monitor."""
     if mass > EDGE_THRESHOLD:
         raise ReflectionError(
             f"edge mass {mass:.2e} exceeds {EDGE_THRESHOLD:.1e} at span {span}")
+
+
+def edge_spans(packet: WavePacket, t_target: float, longest: float = np.inf) -> float:
+    """The number of equal spans from packet.t to t_target, none longer than
+    `longest` nor than m dx^2 / (2 pi), the time the fastest grid mode (group
+    velocity 2 pi / dx) takes to cross an edge strip of m samples, so no mass
+    crosses the strip between two checks at span ends.  A float, so that a run
+    of 1e300 is counted, and refused by check_work, before any allocation."""
+    n, dx = len(packet.values), packet.dx
+    tau = min(_edge_width(n) * dx * dx / (2 * np.pi), longest)
+    return max(1.0, float(np.ceil(abs(t_target - packet.t) / tau)))
 
 
 def _terms(z: float) -> float:
@@ -246,8 +257,8 @@ class _EdgeChecks:
         self.rows = 0
         while j < len(self.counts) and self.counts[j] <= self.done:
             edge = float(np.sum(np.abs(self.samples[j]) ** 2))
-            _check_edge(edge / self.total if self.total > 0 else 0.0,
-                        self.first + j + 1)
+            check_edge(edge / self.total if self.total > 0 else 0.0,
+                       self.first + j + 1)
             j += 1
         self.decided = j
 
@@ -264,21 +275,24 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     for a backward run.  Each term applies H once, through one forward and
     one inverse transform.
 
-    The edge-mass monitor is checked at the ends of equal spans, none
-    longer than m dx^2 / (2 pi), the time the fastest grid mode (group
-    velocity 2 pi / dx) takes to cross an edge strip of m samples, so no
-    mass crosses the strip between two checks; ReflectionError at the
-    first span whose edge mass exceeds EDGE_THRESHOLD.  One expansion
-    covers as many consecutive spans as keep its b tau within
-    MAX_SPAN_PHASE and its table of check coefficients within
-    _CHECK_TABLE entries and _TABLE_SHARE of its term samples.  The checks
-    inside it are read from its own terms (_EdgeChecks), each as soon as
-    the terms of its own trimmed series are in, so a failing run stops
+    The edge-mass monitor is checked at the ends of equal spans
+    (edge_spans); ReflectionError at the first span whose edge mass exceeds
+    EDGE_THRESHOLD.  One expansion covers as many consecutive spans as keep
+    its b tau within MAX_SPAN_PHASE and its table of check coefficients
+    within _CHECK_TABLE entries and _TABLE_SHARE of its term samples.  The
+    checks inside it are read from its own terms (_EdgeChecks), each as soon
+    as the terms of its own trimmed series are in, so a failing run stops
     early; the one at its end is the state's edge_mass.  A run of one span
     is one expansion with an empty table, bit for bit the series above.
     The work, the estimated terms of every expansion times the points, is
     checked against MAX_POINT_STEPS before any coefficient is computed.
+    yukawa is refused first: its clipped core would set b.
     """
+    if model.kind == "yukawa":
+        raise DomainError(
+            "yukawa is refused on the line: its 1/r core, sampled at the grid "
+            f"node x = 0 as v = {float(model.radial_values(0.0)):.6g} (r clipped "
+            f"to {YUKAWA_R_MIN:g}), would top the spectral interval")
     span = float(t_target - packet.t)
     if span == 0.0:
         return packet
@@ -287,9 +301,7 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     lo, hi = float(np.min(v)), (np.pi / dx) ** 2 + float(np.max(v))
     a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
     m = _edge_width(n)
-    tau_max = min(m * dx * dx / (2 * np.pi), MAX_SPAN_PHASE / b)
-    # Python floats, so that t = 1e300 is refused here, before any allocation
-    n_spans = max(1.0, float(np.ceil(abs(span) / tau_max)))
+    n_spans = edge_spans(packet, t_target, MAX_SPAN_PHASE / b)
     tau = span / n_spans
     q = b * abs(tau)
     per = 1
@@ -344,7 +356,7 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
         vals = acc
         done += size
         out = replace(packet, values=vals, t=packet.t + done * tau)
-        _check_edge(out.edge_mass(), done)
+        check_edge(out.edge_mass(), done)
     return replace(out, t=t_target)
 
 

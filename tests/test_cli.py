@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scatterlab import (_cyl, acceptance, born, cli, diagnostics, eikonal,
-                        entry, partialwave, propagator)
+                        partialwave, propagator)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -568,37 +568,29 @@ class TestRun:
 
 
 class TestThreadCap:
-    """SCATTERLAB_THREADS reaches the BLAS/OpenMP variables before numpy
-    loads, which is when the thread pools read them."""
+    """The thread pools follow the standard BLAS/OpenMP variables, set before
+    the process starts, and result.json records them as the run saw them."""
 
-    SPY = (
-        "import json, os, sys\n"
-        "seen = {}\n"
-        "class Spy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'numpy' and not seen:\n"
-        "            seen.update({v: os.environ.get(v) for v in VARS})\n"
-        "sys.meta_path.insert(0, Spy())\n"
-        "from scatterlab import entry\n"
-        "VARS = entry.THREAD_VARS\n"
-        "assert 'numpy' not in sys.modules\n"
-        "assert entry.main(['schema']) == 0\n"
-        "sys.stderr.write(json.dumps(seen))\n")
+    VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-    def test_variables_set_before_numpy_loads(self):
-        env = {k: v for k, v in os.environ.items() if k not in entry.THREAD_VARS}
-        env["SCATTERLAB_THREADS"] = "3"
+    @pytest.mark.parametrize("value", ["2", None], ids=["set", "unset"])
+    def test_provenance_records_the_thread_variables(self, tmp_path, value):
+        path = write_config(tmp_path, {"experiment": "born"})
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update({var: value for var in self.VARS if value is not None})
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        proc = subprocess.run([sys.executable, "-c", self.SPY], env=env,
+        code = f"from scatterlab import cli; raise SystemExit(cli.run({path!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stderr) == {v: "3" for v in entry.THREAD_VARS}
+        record = json.loads((tmp_path / "result.json").read_text())
+        assert record["provenance"]["threads"] == {var: value for var in self.VARS}
 
     def test_console_script_uses_entry(self):
         tomllib = pytest.importorskip("tomllib")
         meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
-        assert meta["project"]["scripts"]["scatterlab"] == "scatterlab.entry:main"
+        assert meta["project"]["scripts"]["scatterlab"] == "scatterlab.cli:main"
 
 
 class TestReflection:
@@ -608,7 +600,9 @@ class TestReflection:
         path = write_config(tmp_path, config)
         out = tmp_path / "out"
         assert cli.run(path, out_dir=str(out)) == 2
-        assert "config error: reflection:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: reflection: edge mass " in err
+        assert " exceeds 1.0e-06 at span " in err
         assert not (out / "result.json").exists()
 
     def test_moller_small_grid(self, tmp_path, capsys):
@@ -622,6 +616,30 @@ class TestReflection:
             "experiment": "propagate",
             "potential": {"kind": "gaussian_well", "v0": -1.0},
             "params": {"n": 64}})
+
+    @pytest.mark.parametrize("params", [
+        {"n": 64, "T": 100.0},
+        {"n": 8, "T": 1e-300},
+    ], ids=["long", "tiny-grid"])
+    def test_free_propagate_small_grid(self, tmp_path, capsys, params):
+        # the free run is exact, and checked at the same span ends as the
+        # interacting one
+        self._assert_reflection(tmp_path, capsys, {
+            "experiment": "propagate", "potential": {"kind": "zero"},
+            "params": params})
+
+    def test_free_propagate_work_refused_before_any_transform(
+            self, tmp_path, capsys, monkeypatch):
+        def no_dft(*args, **kwargs):
+            raise AssertionError("transformed a packet for a refused run")
+
+        monkeypatch.setattr(propagator, "dft", no_dft)
+        path = write_config(tmp_path, {
+            "experiment": "propagate", "potential": {"kind": "zero"},
+            "params": {"n": 1024, "T": 1e300}})
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 2
+        assert "edge-check spans x 1024 points exceed MAX_POINT_STEPS" in (
+            capsys.readouterr().err)
 
     def test_kato_small_grid(self, tmp_path, capsys):
         self._assert_reflection(tmp_path, capsys, {
@@ -913,27 +931,27 @@ class TestTypedErrors:
         self._assert_yukawa_refused(tmp_path, capsys, monkeypatch, "propagate",
                                     {"n": 512, "T": 20.0})
 
+    def test_yukawa_short_propagate_refused(self, tmp_path, capsys, monkeypatch):
+        # within the work cap, yet the core would still set the run
+        self._assert_yukawa_refused(tmp_path, capsys, monkeypatch, "propagate",
+                                    {"n": 512, "T": 1e-4})
+
     def _assert_yukawa_refused(self, tmp_path, capsys, monkeypatch,
                                experiment, params):
         # the 1/r core is clipped to about 5e7 at the grid node x = 0, the
-        # top of H's spectral interval, so a 20-unit gap or run would take
-        # about 5e8 Chebyshev terms; the message shows both before any
-        # Bessel coefficient is computed
+        # top of H's spectral interval; refused however short the run, before
+        # any Bessel coefficient is computed
         def no_bessel(*args, **kwargs):
             raise AssertionError("computed coefficients for a refused run")
 
         monkeypatch.setattr(propagator, "jv", no_bessel)
-        path = write_config(tmp_path, {
+        self._assert_typed(tmp_path, capsys, {
             "experiment": experiment,
             "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
-            "params": params})
-        out = tmp_path / "out"
-        assert cli.run(path, out_dir=str(out)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ")
-        assert "Chebyshev terms (spectral interval [" in err
-        assert ", 5e+07]) x 512 points exceed MAX_POINT_STEPS" in err
-        assert not (out / "result.json").exists()
+            "params": params},
+            "yukawa is refused on the line: its 1/r core, sampled at the grid "
+            "node x = 0 as v = 5e+07 (r clipped to 1e-08), would top the "
+            "spectral interval")
 
     @pytest.mark.parametrize("experiment,params,message", [
         ("eikonal", {"xi_norm": 1e-155}, "(2 |xi|)^-N overflows"),
@@ -1045,6 +1063,26 @@ class TestTypedErrors:
         path = write_config(tmp_path, {**config, "params": {**params, "N": 0}},
                             "order0.json")
         assert cli.run(path, out_dir=str(tmp_path / "order0")) == 0
+
+    # the overflow behind each non-finite row is what these runs are about
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    @pytest.mark.parametrize("config,message", [
+        ({"experiment": "diagnose",
+          "potential": {"kind": "gaussian_well", "v0": -1.0},
+          "params": {"check": "hs", "c": 1e-300}},
+         "row 0, column hs_norm_sq: inf is not finite"),
+        ({"experiment": "eikonal",
+          "potential": {"kind": "power_tail", "v0": 1e300, "rho": 0.9}},
+         "row 0, column residual_norm: inf is not finite"),
+        ({"experiment": "s0",
+          "potential": {"kind": "power_tail", "v0": 1e300, "rho": 0.9},
+          "params": {"lam": 100.0, "thetas": [0.3]}},
+         "row 0, column re_s0: nan is not finite"),
+    ], ids=["hs", "eikonal", "s0"])
+    def test_non_finite_output_row_refused(self, tmp_path, capsys, config,
+                                           message):
+        self._assert_typed(tmp_path, capsys, config, "numerical: " + message)
 
     def test_modified_moller_on_yukawa_rejected(self, tmp_path, capsys):
         # int_0 v dr diverges for the 1/r core, so the Dollard phase does too

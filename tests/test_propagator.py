@@ -304,7 +304,7 @@ class TestChebyshev:
         expect_masses = []
         expect = chebyshev_span_oracle(pk, GAUSS, t, expect_masses)
         got, sizes = [], []
-        check_edge, expansion = propagator._check_edge, propagator._expansion
+        check_edge, expansion = propagator.check_edge, propagator._expansion
 
         def recorded(mass, span):
             got.append((span, mass))
@@ -314,7 +314,7 @@ class TestChebyshev:
             sizes.append(size)
             return expansion(a, b, tau, size)
 
-        monkeypatch.setattr(propagator, "_check_edge", recorded)
+        monkeypatch.setattr(propagator, "check_edge", recorded)
         monkeypatch.setattr(propagator, "_expansion", sized)
         out = propagator.chebyshev_evolve(pk, GAUSS, t)
         assert sizes == {"time_domain": [36], "backward_gap": [12],
@@ -604,6 +604,12 @@ class TestTimeDomainSMatrix:
         with pytest.raises(ParameterError):
             propagator.scattering_phase_from_time_domain(GAUSS, 1.0,
                                                          packet_width=1.0)
+
+    def test_yukawa_refused_by_its_core(self):
+        # at its defaults the clipped core would ask for 4.8e9 terms
+        yukawa = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
+        with pytest.raises(DomainError, match="its 1/r core, sampled at the grid"):
+            propagator.scattering_phase_from_time_domain(yukawa, 1.0)
 
     def test_zero_potential_evolves_freely_once(self, monkeypatch):
         # the reference and the "interacting" packet are one free evolution

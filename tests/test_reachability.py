@@ -46,7 +46,7 @@ UNPASSED = {
        "no test sizes them; ROADMAP item 4 varies them (C10's error is "
        "the spatial step)"
        for p in ("n", "dx")},
-    ("entry", "main", "argv"): "tests pass argv; the console script passes none",
+    ("cli", "main", "argv"): "tests pass argv; the console script passes none",
 }
 
 
