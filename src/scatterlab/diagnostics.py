@@ -20,6 +20,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 # numerics.dtbtrs, the one dtbtrs binding in the package.
 from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.special import beta
 
 from .numerics import (DomainError, NumericalError, ParameterError,
                        ScatterlabError, composite_gauss)
@@ -66,26 +67,29 @@ def hs_norm_resolvent_weight(model: PotentialModel, c: float) -> float:
     """Squared HS norm of (H_0 + c)^{-1} |v|^{1/2} at d = 3:
     (2 pi)^{-3} ||v||_1 * int (|xi|^2 + c)^{-2} d^3 xi  =  ||v||_1 / (8 pi sqrt(c)).
 
-    Both factors are computed by quadrature; the closed form is the
-    contract, not the computation.
+    The closed form is the contract, not the computation.  ||v||_1 is a
+    quadrature up to tail_radius(1e-14), except on power tails, whose tail
+    past that radius is not small: there it is 2 pi |v0| B(3/2, (rho-3)/2).
+    The xi integral is a quadrature after the map |xi| = sqrt(c) u/(1 - u),
+    4 pi c^{-1/2} int_0^1 u^2 (u^2 + (1 - u)^2)^{-2} du, in which c enters
+    only as c^{-1/2}, so no positive float c overflows it.
     """
     if c <= 0:
         raise ParameterError("c must be positive")
-    if model.kind == "power_tail" and model.rho <= 3.0:
-        raise DomainError(
-            "v is not integrable in d = 3 (rho <= 3): the trace-class "
-            "weight is divergent")
-    r_cut = max(model.tail_radius(1e-14), 1.0)
-    rule = composite_gauss(16, np.linspace(0.0, r_cut, max(8, int(r_cut) + 1)))
-    v_l1 = 4.0 * np.pi * float(np.dot(
-        rule.weights, np.abs(model.radial_values(rule.nodes)) * rule.nodes**2))
-    # xi integral: 4 pi int_0^inf q^2 (q^2+c)^-2 dq, mapped q = sqrt(c) u/(1-u)
-    urule = composite_gauss(16, np.linspace(0.0, 1.0, 33))
-    u = urule.nodes
-    q = np.sqrt(c) * u / (1.0 - u)
-    dq = np.sqrt(c) / (1.0 - u) ** 2
-    xi_int = 4.0 * np.pi * float(np.dot(
-        urule.weights, q * q * (q * q + c) ** -2.0 * dq))
+    if model.kind == "power_tail":
+        if model.rho <= 3.0:
+            raise DomainError(
+                "v is not integrable in d = 3 (rho <= 3): the trace-class "
+                "weight is divergent")
+        # Gamma((rho - 3)/2) / Gamma(rho/2) as a Beta, which stays finite
+        # past rho = 343, where Gamma(rho/2) overflows
+        v_l1 = 2.0 * np.pi * abs(model.v0) * float(beta(1.5, 0.5 * (model.rho - 3.0)))
+    else:
+        r_cut = max(model.tail_radius(1e-14), 1.0)
+        r, w = composite_gauss(16, np.linspace(0.0, r_cut, max(8, int(r_cut) + 1)))
+        v_l1 = 4.0 * np.pi * float(np.dot(w, np.abs(model.radial_values(r)) * r**2))
+    u, w = composite_gauss(16, np.linspace(0.0, 1.0, 33))
+    xi_int = 4.0 * np.pi * float(np.dot(w, c**-0.5 * u * u / (u * u + (1.0 - u) ** 2) ** 2))
     return (2.0 * np.pi) ** -3 * v_l1 * xi_int
 
 

@@ -17,6 +17,7 @@ fields (built-in models are radial).
 from __future__ import annotations
 
 import copy
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 
 from . import _cyl
-from .numerics import DomainError, ParameterError, composite_gauss
+from .numerics import DomainError, NumericalError, ParameterError, composite_gauss
 from .potentials import PotentialModel, line_integral, ray_difference
 from .born import ConvergenceError, transport_orders
 
@@ -172,7 +173,9 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
     integral on the far row and marched along rays.  The grid is 161 x 481
     nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = _table_extent.
     For N0 = 0, Phi and its derivatives are one zero table, phi_0, and
-    q = v.  ParameterError when a weight (2 |xi|)^-n, n <= N0, overflows.
+    q = v.  ParameterError when a weight (2 |xi|)^-n, n <= N0, overflows;
+    NumericalError when q is not finite (|grad Phi|^2 overflows on a
+    strong enough v), before any transport order is marched on it.
     """
     if model.rho <= 0.5:
         raise ConvergenceError("iteration implemented for rho > 1/2")
@@ -220,7 +223,11 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
         Phi_s = _cyl.d_ds(Phi, grid)
         Phi_z = _cyl.d_dz(Phi, grid)
         lap_Phi = _cyl.laplacian(Phi_s, Phi_z, grid)
-        q = 2.0 * xi_norm * Phi_z + Phi_z**2 + Phi_s**2 + v
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = 2.0 * xi_norm * Phi_z + Phi_z**2 + Phi_s**2 + v
+    if not np.isfinite(q).all():
+        raise NumericalError("q = 2 |xi| Phi_z + |grad Phi|^2 + v is not finite "
+                             "on the eikonal tables")
     return EikonalData(
         sign=sign, model=model, xi_norm=float(xi_norm),
         N0=N0, grid=grid, phi_n=tuple(phi), Phi=Phi, Phi_s=Phi_s,
@@ -462,16 +469,22 @@ def _extension_panels(panels: int) -> int:
     return -(-panels // 8)
 
 
-def _plane_rule(window: float, sql: float, reach: float | None = None):
-    """The Gauss rule of PLANE_NODES nodes per panel on the _plane_panels
-    panels of [-window, window]; given reach = 1.25 window, nested in
-    _extension_panels equal panels on each side out to exactly +-reach."""
+# the benchmark's eikonal.plane recorder (perfbench/tracing.py) reads the
+# nodes of a _plane_rule by name
+_PlaneRule = namedtuple("_PlaneRule", "nodes weights")
+
+
+def _plane_rule(window: float, sql: float, reach: float | None = None) -> _PlaneRule:
+    """(nodes, weights) of the Gauss rule of PLANE_NODES nodes per panel on
+    the _plane_panels panels of [-window, window]; given reach = 1.25
+    window, nested in _extension_panels equal panels on each side out to
+    exactly +-reach."""
     panels = _plane_panels(window, sql)
     edges = np.linspace(-window, window, panels + 1)
     if reach is not None:
         outer = np.linspace(window, reach, _extension_panels(panels) + 1)
         edges = np.concatenate([-outer[:0:-1], edges, outer[1:]])
-    return composite_gauss(PLANE_NODES, edges)
+    return _PlaneRule(*composite_gauss(PLANE_NODES, edges))
 
 
 def _plane_geometry(a: np.ndarray, b: np.ndarray, p: float, c: float):
@@ -501,8 +514,7 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float,
     weights, the row sums, times their plane-wave factor, against its a."""
     sql = psi.xi
     window, reach = windows
-    rule = _plane_rule(window, sql, reach)
-    nodes = rule.nodes
+    nodes, weights = _plane_rule(window, sql, reach)
     # the window's own nodes are nodes[inner]
     edge = np.searchsorted(nodes, -window)
     inner = slice(edge, len(nodes) - edge)
@@ -510,7 +522,7 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float,
     def tapered(part, win):
         taper = _taper_profile((np.abs(nodes[part]) - win * (1 - TAPER_FRACTION))
                                / (win * TAPER_FRACTION))
-        return rule.weights[part] * taper
+        return weights[part] * taper
 
     w, w_big = tapered(inner, window), tapered(slice(None), reach)
     half = len(nodes) // 2

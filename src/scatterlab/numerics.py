@@ -16,7 +16,6 @@ Hamiltonian is -Laplacian + v and energy = k**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft._pocketfft.pypocketfft import c2c
@@ -46,45 +45,17 @@ class NumericalError(ScatterlabError, RuntimeError):
     prefix = "numerical: "
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integration over a finite interval."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    interval: tuple[float, float]
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
-
-def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with n nodes mapped to (a, b).
-
-    Exact for polynomials of degree <= 2n - 1.
-    """
-    if n < 1:
-        raise ParameterError(f"need at least one node, got n={n}")
-    if not a < b:
-        raise ParameterError(f"degenerate interval [{a}, {b}]")
-    nodes, weights = gauss_panels(n, a, b)
-    return QuadratureRule(nodes=nodes, weights=weights, interval=(a, b))
-
-
-def composite_gauss(n_per_panel: int, edges) -> QuadratureRule:
-    """Concatenation of Gauss-Legendre panels between consecutive edges.
-
-    One reference rule mapped to every panel at once; each node and weight
-    comes from the same float operations as gauss_legendre on its panel.
-    """
+def composite_gauss(n_per_panel: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (nodes, weights) of the n_per_panel-point Gauss-Legendre rules
+    on the panels between consecutive edges (gauss_panels on every panel
+    at once)."""
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ParameterError("edges must be strictly increasing, at least two")
     if n_per_panel < 1:
         raise ParameterError(f"need at least one node, got n={n_per_panel}")
     nodes, weights = gauss_panels(n_per_panel, edges[:-1], edges[1:])
-    return QuadratureRule(nodes=nodes.ravel(), weights=weights.ravel(),
-                          interval=(float(edges[0]), float(edges[-1])))
+    return nodes.ravel(), weights.ravel()
 
 
 def gauss_panels(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -99,27 +70,15 @@ def gauss_panels(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def _bessel_arg(l, x) -> np.ndarray:
+def spherical_bessel(l, x) -> tuple[np.ndarray, np.ndarray]:
+    """Spherical Bessel functions (j_l(x), y_l(x)) from scipy.special,
+    broadcast over l >= 0 and x > 0; y_l is singular at x = 0."""
     if np.any(np.asarray(l) < 0):
         raise ParameterError("l must be >= 0")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("x must be positive")
-    return x
-
-
-def spherical_bessel(l, x) -> tuple[np.ndarray, np.ndarray]:
-    """Spherical Bessel functions (j_l(x), y_l(x)) from scipy.special,
-    broadcast over l and x.  y_l is singular at x = 0."""
-    x = _bessel_arg(l, x)
-    if np.any(x == 0):
-        raise DomainError("y_l is singular at x = 0")
+    if np.any(x <= 0):
+        raise DomainError("x must be positive: y_l is singular at x = 0")
     return spherical_jn(l, x), spherical_yn(l, x)
-
-
-def spherical_jl(l, x) -> np.ndarray:
-    """j_l(x) alone; finite at x = 0."""
-    return spherical_jn(l, _bessel_arg(l, x))
 
 
 def legendre_p_all(l_max: int, t) -> np.ndarray:

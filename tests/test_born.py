@@ -46,19 +46,17 @@ def kernel_slice_loop(model, lam, omega, omega_prime, N, grid=None):
 
     n1 = max(96, int(np.ceil(2 * R * kappa / (2 * np.pi)) * 10))
     nt = max(96, int(np.ceil(8 * R)))
-    rule1 = composite_gauss(12, np.linspace(-R, R, max(2, n1 // 12 + 1)))
-    rule_t = composite_gauss(12, np.linspace(-R, R, max(2, nt // 12 + 1)))
+    nodes1, weights1 = composite_gauss(12, np.linspace(-R, R, max(2, n1 // 12 + 1)))
+    ut, wt = composite_gauss(12, np.linspace(-R, R, max(2, nt // 12 + 1)))
 
     expansion_grid = grid or born._default_cyl_grid(model)
     tables = born._bn_tables(model, N, expansion_grid)
     interps = [None] + [_cyl.interpolator(expansion_grid, t) for t in tables[1:]]
 
-    u2, w2 = rule_t.nodes, rule_t.weights
-    u3, w3 = rule_t.nodes, rule_t.weights
     integrals = np.zeros(N + 1, dtype=complex)
-    Y2, Y3 = np.meshgrid(u2, u3, indexing="ij")
-    W23 = np.outer(w2, w3)
-    for u1, w1 in zip(rule1.nodes, rule1.weights):
+    Y2, Y3 = np.meshgrid(ut, ut, indexing="ij")
+    W23 = np.outer(wt, wt)
+    for u1, w1 in zip(nodes1, weights1):
         x = (u1 * e1)[None, None, :] + Y2[..., None] * e2 + Y3[..., None] * e3
         r = np.sqrt(np.sum(x * x, axis=-1))
         v = model.radial_values(r)

@@ -1064,25 +1064,44 @@ class TestTypedErrors:
                             "order0.json")
         assert cli.run(path, out_dir=str(tmp_path / "order0")) == 0
 
-    # the overflow behind each non-finite row is what these runs are about
-    @pytest.mark.filterwarnings("ignore:overflow encountered",
-                                "ignore:invalid value encountered")
-    @pytest.mark.parametrize("config,message", [
-        ({"experiment": "diagnose",
-          "potential": {"kind": "gaussian_well", "v0": -1.0},
-          "params": {"check": "hs", "c": 1e-300}},
-         "row 0, column hs_norm_sq: inf is not finite"),
-        ({"experiment": "eikonal",
-          "potential": {"kind": "power_tail", "v0": 1e300, "rho": 0.9}},
-         "row 0, column residual_norm: inf is not finite"),
-        ({"experiment": "s0",
-          "potential": {"kind": "power_tail", "v0": 1e300, "rho": 0.9},
-          "params": {"lam": 100.0, "thetas": [0.3]}},
-         "row 0, column re_s0: nan is not finite"),
+    @pytest.mark.parametrize("experiment,params,module,name,value,message", [
+        ("diagnose", {"check": "hs"}, diagnostics, "hs_norm_resolvent_weight",
+         lambda model, c: np.inf, "row 0, column hs_norm_sq: inf is not finite"),
+        ("eikonal", {"N": 1}, eikonal, "residual_norms",
+         lambda eik, N: [0.5, np.nan], "row 1, column residual_norm: nan is not finite"),
+        ("s0", {"thetas": [0.3]}, eikonal, "s0_samples",
+         lambda model, lam, N, thetas: [eikonal.S0Sample(complex(np.inf, 0.0), 0.0, True, N)],
+         "row 0, column re_s0: inf is not finite"),
     ], ids=["hs", "eikonal", "s0"])
-    def test_non_finite_output_row_refused(self, tmp_path, capsys, config,
-                                           message):
-        self._assert_typed(tmp_path, capsys, config, "numerical: " + message)
+    def test_non_finite_output_row_refused(self, tmp_path, capsys, monkeypatch,
+                                           experiment, params, module, name,
+                                           value, message):
+        # cli.run's last check: no known input reaches it, so the runners
+        # are replaced
+        monkeypatch.setattr(module, name, value)
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": experiment,
+            "potential": {"kind": "gaussian_well", "v0": -1.0},
+            "params": params}, "numerical: " + message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("experiment,params", [
+        ("eikonal", {}), ("s0", {"lam": 100.0, "thetas": [0.3]})],
+        ids=["eikonal", "s0"])
+    def test_overflowing_q_refused_before_transport(self, tmp_path, capsys,
+                                                    monkeypatch, experiment, params):
+        # |grad Phi|^2 overflows in q on v0 = 1e300 while Phi itself stays
+        # finite (max |Phi_z| near 1e299); no overflow warning escapes
+        def no_march(*args, **kwargs):
+            raise AssertionError("transport orders marched on a non-finite q")
+
+        monkeypatch.setattr(born, "transport_orders", no_march)
+        monkeypatch.setattr(eikonal, "transport_orders", no_march)
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": experiment,
+            "potential": {"kind": "power_tail", "v0": 1e300, "rho": 0.9},
+            "params": params},
+            "numerical: q = 2 |xi| Phi_z + |grad Phi|^2 + v is not finite")
 
     def test_modified_moller_on_yukawa_rejected(self, tmp_path, capsys):
         # int_0 v dr diverges for the 1/r core, so the Dollard phase does too

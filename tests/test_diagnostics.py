@@ -171,6 +171,29 @@ class TestHsNorm:
         v16 = diagnostics.hs_norm_resolvent_weight(GAUSS, 16.0)
         assert v16 / v1 == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-155, 1e300])
+    def test_c_scaling_at_extreme_c(self, c):
+        # q^2 (q^2 + c)^-2 dq over- or underflows in parts at these c;
+        # c^(-1/2) u^2 (u^2 + (1 - u)^2)^-2 du does not
+        v1 = diagnostics.hs_norm_resolvent_weight(GAUSS, 1.0)
+        vc = diagnostics.hs_norm_resolvent_weight(GAUSS, c)
+        assert vc * np.sqrt(c) == pytest.approx(v1, rel=1e-14)
+
+    @pytest.mark.parametrize("rho", [3.1, 3.5, 4.0, 6.0])
+    def test_power_tail_whole_tail(self, rho):
+        # ||v||_1 = 4 pi (sqrt(pi)/4) Gamma((rho-3)/2) / Gamma(rho/2); the
+        # tail past tail_radius(1e-14), about R^(3-rho) / (rho - 3), was
+        # 36% of it at rho = 3.1
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            l1 = float(mpmath.pi ** 1.5 * mpmath.gamma((mpmath.mpf(rho) - 3) / 2)
+                       / mpmath.gamma(mpmath.mpf(rho) / 2))
+        tail = PotentialModel(kind="power_tail", v0=1.0, rho=rho)
+        val = diagnostics.hs_norm_resolvent_weight(tail, 1.0)
+        assert val == pytest.approx(l1 / (8 * np.pi), rel=1e-12)
+        if rho == 3.1:
+            assert val == pytest.approx(4.8530566664727, rel=1e-12)
+
     def test_non_integrable_rejected(self):
         tail = PotentialModel(kind="power_tail", v0=1.0, rho=2.0)
         with pytest.raises(DomainError):

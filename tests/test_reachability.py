@@ -10,6 +10,10 @@ module.  Tests do not count, and neither do docstrings or strings.  What
 only tests reach is either wired into the package or deleted; the few
 exceptions are listed in ALLOWED with the reason each stays.
 
+Every module-level import of the package is used in its module, except
+the scipy names that the benchmark tracer wraps (`SCIPY` in
+`perfbench/tracing.py`), which stay bound for it.
+
 A parameter with a default counts as passed when some call in the same
 sources names it as a keyword or reaches it by position.  A call resolves
 through the names above, through both branches of `(f if c else g)(...)`,
@@ -27,7 +31,6 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 ALLOWED = {
     ("born", "born_first_phase_shift"): "oracle of the partial-wave tests",
-    ("numerics", "gauss_legendre"): "oracle of the composite_gauss tests",
     **{("acceptance", f"criterion_{i:02d}"): "reached through CRITERIA's globals()"
        for i in range(1, 16)},
 }
@@ -216,3 +219,29 @@ def test_unpassed_allowlist_is_current():
     passed = passed_parameters()
     stale = sorted(key for key in UNPASSED if key not in defaulted or key in passed)
     assert not stale, f"UNPASSED entries to drop: {stale}"
+
+
+def _tracer_scipy_names() -> dict[str, tuple[str, ...]]:
+    """SCIPY of perfbench/tracing.py: module -> the scipy names it wraps there."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["SCIPY"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py binds no SCIPY")
+
+
+def test_every_import_is_used():
+    exempt = _tracer_scipy_names()
+    unused = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in bound
+                   if name not in used and name not in exempt.get(path.stem, ())]
+    assert not unused, f"imports nothing in their module uses: {sorted(unused)}"
