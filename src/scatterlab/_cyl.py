@@ -42,7 +42,12 @@ def make_grid(s_max: float, z_max: float, n_s: int, n_z: int) -> CylGrid:
 
 
 def d_ds(f: np.ndarray, grid: CylGrid) -> np.ndarray:
-    return np.gradient(f, grid.s, axis=0, edge_order=2)
+    """f_s of a field even in s, as every axisymmetric field is: central
+    differences, and 0 on the axis row, where the mirrored row
+    f(-ds) = f(ds) cancels the central difference."""
+    out = np.gradient(f, grid.s, axis=0, edge_order=2)
+    out[0] = 0.0
+    return out
 
 
 def d_dz(f: np.ndarray, grid: CylGrid) -> np.ndarray:
@@ -53,17 +58,21 @@ def laplacian(fs: np.ndarray, fz: np.ndarray, grid: CylGrid) -> np.ndarray:
     """3D Laplacian f_zz + f_ss + f_s / s of an axisymmetric field f, real or
     complex, from the first derivatives fs = d_ds(f) and fz = d_dz(f).
 
-    On the axis (s = 0) the radial part limits to 2 f_ss.  f_s / s is a true
-    division of each real component (numpy's complex / real multiplies by
-    1 / s), so a complex field's Laplacian is bit for bit the Laplacians of
-    its real and imaginary parts.
+    The Laplacian is even in s, and on the axis (s = 0) it is the even fit
+    L(0) + c s^2 through rows 1 and 2, (4 L_1 - L_2) / 3, whose truncation
+    error continues the other rows' (d_ds(fs) on the axis, which would take
+    fs as even, is not read).  f_s / s and the / 3 are true divisions of
+    each real component (numpy's complex / real multiplies by the
+    reciprocal), so a complex field's Laplacian is bit for bit the
+    Laplacians of its real and imaginary parts.
     """
     fss = d_ds(fs, grid)
     fzz = d_dz(fz, grid)
     out = np.empty_like(fss)
     np.divide(fs[1:].view(float), grid.s[1:, None], out=out[1:].view(float))
     out[1:] += fzz[1:] + fss[1:]
-    out[0] = fzz[0] + 2.0 * fss[0]
+    axis = 4.0 * out[1] - out[2]
+    np.divide(axis.view(float), 3.0, out=out[0].view(float))
     return out
 
 

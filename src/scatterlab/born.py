@@ -23,7 +23,7 @@ import numpy as np
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
 # name, so it stays bound until the tracer drops it.
 from scipy.integrate import quad  # noqa: F401
-from scipy.special import j0, spherical_jn
+from scipy.special import beta, gammaln, j0, kve, spherical_jn
 
 from . import _cyl
 from .numerics import (DomainError, ParameterError, ScatterlabError, composite_gauss,
@@ -49,12 +49,71 @@ class ConvergenceError(ScatterlabError, RuntimeError):
 # first Born order
 # ---------------------------------------------------------------------------
 
+def _log_large_order(nu: float, q: float) -> float:
+    """ln(-f1 / v0) for _power_tail_amplitude's f1 at nu >= 20 and q >= 0,
+    where Gamma(rho/2) and K_nu(q) may overflow,
+    from K_nu(q) = int_0^inf e^{-q cosh t} cosh(nu t) dt about its saddle
+    t* = asinh(nu / q): with t = t* + x, c = sqrt(nu^2 + q^2) and
+    d = c - nu = q^2 / (c + nu), Stirling's series for Gamma(rho/2) =
+    Gamma(nu + 3/2) leaves
+
+        ln(-f1 / v0) = 3/2 - ln(2 sqrt(2) nu) - (nu + 1) ln(1 + 3 / 2nu)
+                       - R(nu + 3/2) + nu ln(1 + d / 2nu) - d + ln I,
+        I = int e^{nu (x - sinh x) - 2c sinh^2(x/2)} (1 + e^{-2 nu t}) / 2 dx,
+
+    R(y) = 1/12y - 1/360y^3 + 1/1260y^5 - 1/1680y^7 (the next term is below
+    1e-15 at y = 21.5), so no term is much larger than the result, whatever
+    nu.  At q = 0, t* is infinite and this is ln(B(3/2, nu) / 2).  The
+    exponent is 0 at x = 0 and below -50 outside |x| < 16 / sqrt(c), the
+    window of 8 Gauss panels of 16 nodes."""
+    c = np.hypot(nu, q)
+    d = q * (q / (c + nu))
+    t_star = np.log(nu) + np.log1p(c / nu) - np.log(q) if q > 0.0 else np.inf
+    reach = 16.0 / np.sqrt(c)
+    x, w = composite_gauss(16, np.linspace(max(-t_star, -reach), reach, 9))
+    g = (np.exp(nu * (x - np.sinh(x)) - 2.0 * c * np.sinh(0.5 * x) ** 2)
+         * (0.5 + 0.5 * np.exp(-2.0 * nu * (t_star + x))))
+    y2 = (nu + 1.5) ** -2
+    stirling = (1 / 12 - (1 / 360 - (1 / 1260 - y2 / 1680) * y2) * y2) / (nu + 1.5)
+    return (1.5 - np.log(2.0 * np.sqrt(2.0) * nu) - (nu + 1.0) * np.log1p(1.5 / nu)
+            - stirling + nu * np.log1p(0.5 * d / nu) - d + np.log(float(np.dot(w, g))))
+
+
+def _power_tail_amplitude(model: PotentialModel, q: float) -> float:
+    """The first Born amplitude of v = v0 (1 + r^2)^(-rho/2) in closed form,
+    the Fourier transform of a Bessel potential: for q > 0,
+
+        f1(q) = -v0 sqrt(2 pi) 2^(-rho/2) / Gamma(rho/2) q^nu K_nu(q),
+
+    nu = (rho - 3)/2, and for q < 1e-12 its q -> 0 limit -(v0/2) B(3/2, nu),
+    which needs rho > 3.  For nu >= 20 both come from _log_large_order.
+    Below, f1(q) is formed in logs with K_nu(q) from kve; past q = 2e3 it
+    is below 1e-320 for any finite v0, and kve turns NaN past q = 1e9, so
+    it is 0 there.  ConvergenceError for rho <= 1, where r v(r) does not
+    decay and the Born integral diverges."""
+    rho, v0, nu = model.rho, model.v0, 0.5 * (model.rho - 3.0)
+    if rho <= 1.0:
+        raise ConvergenceError(
+            f"Born integral diverges for power tail rho = {rho:g} <= 1")
+    if q < 1e-12:
+        if rho <= 3.0:
+            raise ConvergenceError("int |v| diverges for power tail rho <= 3")
+        q = 0.0
+    if nu >= 20.0:
+        return -v0 * float(np.exp(_log_large_order(nu, q)))
+    if q == 0.0:
+        return -0.5 * v0 * float(beta(1.5, nu))
+    if q > 2e3:
+        return 0.0
+    log_qk = nu * np.log(q) + np.log(kve(abs(nu), q)) - q
+    return -v0 * float(np.exp(0.5 * np.log(2.0 * np.pi) - 0.5 * rho * np.log(2.0)
+                              - gammaln(0.5 * rho) + log_qk))
+
+
 def _radial_fourier(model: PotentialModel, q: float) -> float:
     """(1/q) int_0^inf r v(r) sin(qr) dr with an oscillatory tail check
     (relative tolerance 1e-9)."""
     r_cut = model.tail_radius(1e-13)
-    if model.kind == "power_tail":
-        r_cut = min(r_cut, 2000.0)
     panel = np.pi / max(q, 1e-3)
     n_panels = max(8, int(np.ceil(r_cut / panel)))
     if n_panels > 200000:
@@ -72,7 +131,8 @@ def _radial_fourier(model: PotentialModel, q: float) -> float:
 
 def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> complex:
     """First Born amplitude f1(q) = -(4 pi)^-1 int exp(-i q.x) v(x) dx,
-    q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr.
+    q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr, and
+    for a power tail its closed form (_power_tail_amplitude).
     ParameterError unless k > 0 and theta lies in [0, pi]."""
     if not k > 0:
         raise ParameterError(f"momentum must be positive, got k={k}")
@@ -81,10 +141,10 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     if model.kind == "zero":
         return 0.0
     q = 2.0 * k * np.sin(theta / 2.0)
+    if model.kind == "power_tail":
+        return complex(_power_tail_amplitude(model, q))
     if q < 1e-12:
         # q -> 0 limit: -(4 pi)^-1 int v = - int_0^inf r^2 v dr
-        if model.kind == "power_tail" and model.rho <= 3.0:
-            raise ConvergenceError("int |v| diverges for power tail rho <= 3")
         r_cut = model.tail_radius(1e-13)
         r, w = composite_gauss(16, np.linspace(0.0, r_cut, 64))
         return complex(-float(np.dot(w, r * r * model.radial_values(r))))

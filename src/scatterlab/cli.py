@@ -175,15 +175,7 @@ def _run_s0(model, p, seed):
 def _run_propagate(model, p, seed):
     f0 = propagator.gaussian_packet(n=p["n"], dx=p["dx"], center=p["center"],
                                     k0=p["k"], sigma=p["sigma"])
-    if model.kind == "zero":
-        # exact, with chebyshev_evolve's edge checks at the ends of its spans
-        spans = propagator.edge_spans(f0, p["T"])
-        propagator.check_work(spans, p["n"], "edge-check spans")
-        for i, out in enumerate(propagator.free_evolve_series(
-                f0, np.linspace(0.0, p["T"], int(spans) + 1)[1:]), 1):
-            propagator.check_edge(out.edge_mass(), i)
-    else:
-        out = propagator.chebyshev_evolve(f0, model, p["T"])
+    out = propagator.chebyshev_evolve(f0, model, p["T"])
     stride = max(1, p["n"] // 1024)
     rows = [[x, v.real, v.imag]
             for x, v in zip(out.grid[::stride], out.values[::stride])]

@@ -184,13 +184,6 @@ def _match_at(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
     return np.where(delta > np.pi / 2, delta - np.pi, delta)
 
 
-def _match_phase(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
-                 k: float) -> np.ndarray:
-    """_match_at on a solution given on every row of the grid r."""
-    rows = _match_rows(len(r), r[1] - r[0], k)
-    return _match_at(u[rows], r[rows], ls, k)
-
-
 def _phase_shifts(model: PotentialModel, ls: range, k: float,
                   r_max: float | None, dr: float) -> np.ndarray:
     """delta_l(k) of each channel in the range ls on one shared Numerov grid."""

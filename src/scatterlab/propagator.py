@@ -148,7 +148,7 @@ def check_edge(mass: float, span: int) -> None:
             f"edge mass {mass:.2e} exceeds {EDGE_THRESHOLD:.1e} at span {span}")
 
 
-def edge_spans(packet: WavePacket, t_target: float, longest: float = np.inf) -> float:
+def _edge_spans(packet: WavePacket, t_target: float, longest: float = np.inf) -> float:
     """The number of equal spans from packet.t to t_target, none longer than
     `longest` nor than m dx^2 / (2 pi), the time the fastest grid mode (group
     velocity 2 pi / dx) takes to cross an edge strip of m samples, so no mass
@@ -276,7 +276,7 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     one inverse transform.
 
     The edge-mass monitor is checked at the ends of equal spans
-    (edge_spans); ReflectionError at the first span whose edge mass exceeds
+    (_edge_spans); ReflectionError at the first span whose edge mass exceeds
     EDGE_THRESHOLD.  One expansion covers as many consecutive spans as keep
     its b tau within MAX_SPAN_PHASE and its table of check coefficients
     within _CHECK_TABLE entries and _TABLE_SHARE of its term samples.  The
@@ -286,6 +286,9 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     is one expansion with an empty table, bit for bit the series above.
     The work, the estimated terms of every expansion times the points, is
     checked against MAX_POINT_STEPS before any coefficient is computed.
+    Where v is zero on every node the series sums to e^{-ik^2 t}, which
+    free_evolve_series runs instead to each span end of _edge_spans(packet,
+    t_target), with the same checks and work cap (spans times points).
     yukawa is refused first: its clipped core would set b.
     """
     if model.kind == "yukawa":
@@ -298,10 +301,17 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
         return packet
     n, dx = len(packet.values), packet.dx
     v = model.radial_values(np.abs(packet.grid))
+    if not np.any(v):
+        n_spans = _edge_spans(packet, t_target)
+        check_work(n_spans, n, "edge-check spans")
+        times = np.linspace(packet.t, t_target, int(n_spans) + 1)[1:]
+        for i, out in enumerate(free_evolve_series(packet, times), 1):
+            check_edge(out.edge_mass(), i)
+        return out
     lo, hi = float(np.min(v)), (np.pi / dx) ** 2 + float(np.max(v))
     a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
     m = _edge_width(n)
-    n_spans = edge_spans(packet, t_target, MAX_SPAN_PHASE / b)
+    n_spans = _edge_spans(packet, t_target, MAX_SPAN_PHASE / b)
     tau = span / n_spans
     q = b * abs(tau)
     per = 1
@@ -481,10 +491,7 @@ def scattering_phase_from_time_domain(model: PotentialModel, k: float,
     pk = replace(pk, values=pk.values - pk.values[-np.arange(2 * n)])
     t_out = r0 / k  # round trip at group velocity 2k
     u_0 = free_evolve(pk, t_out)
-    if model.kind == "zero":
-        u_v = u_0
-    else:
-        u_v = chebyshev_evolve(pk, model, t_out)
+    u_v = chebyshev_evolve(pk, model, t_out)
     # sine-transform coefficients over r = x > 0 pick out the outgoing
     # e^{ikr} component
     sin_k = np.sin(k * pk.grid[n + 1:])

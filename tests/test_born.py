@@ -99,6 +99,55 @@ class TestFirstBorn:
         val = born.born_first_amplitude(GAUSS, 1.0, 0.0)
         assert val == pytest.approx(-(-1.0) * np.sqrt(np.pi) / 4, rel=1e-8)
 
+    @pytest.mark.parametrize("rho,theta,expect", [
+        (1.5, np.pi / 2, -0.0128822561866151),
+        (2.5, np.pi / 2, -0.0191871262104199),
+        (3.5, np.pi / 2, -0.022503157304408),
+        (3.5, 0.0, -0.87401918476404)])
+    def test_power_tail_closed_form(self, rho, theta, expect):
+        # v0 = 0.5, k = 2: -(1/q) int r v sin(qr) dr by mpmath's quadosc,
+        # and forward -int r^2 v dr.  The radial quadrature cut at r = 2000
+        # refused theta = pi/2 at rho 2.5 and 3.5 and read 4% low forward
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
+        val = born.born_first_amplitude(model, 2.0, theta)
+        assert val.imag == 0.0 and abs(val.real - expect) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [42.9, 43.0, 100.0, 400.0, 1e4])
+    @pytest.mark.parametrize("q", [0.0, 1e-6, 1.0, 30.0, 300.0])
+    def test_power_tail_large_order(self, rho, q):
+        # either side of nu = (rho - 3)/2 = 20, where the form turns from kve
+        # to the saddle integral; Gamma(rho/2) overflows past rho = 343 and
+        # kve (rho = 400, q = 1) too.  Against mpmath at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            r, nu = mpmath.mpf(rho), (mpmath.mpf(rho) - 3) / 2
+            if q == 0.0:
+                ref = -mpmath.beta(1.5, nu) / 2
+            else:
+                ref = (-mpmath.sqrt(2 * mpmath.pi) * mpmath.power(2, -r / 2)
+                       / mpmath.gamma(r / 2) * mpmath.power(q, nu) * mpmath.besselk(nu, q))
+            ref = float(ref)
+        model = PotentialModel(kind="power_tail", v0=1.0, rho=rho)
+        k, theta = (1.0, 0.0) if q == 0.0 else (0.5 * q, np.pi)
+        val = born.born_first_amplitude(model, k, theta).real
+        assert val == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_power_tail_divergent_refused_before_any_quadrature(self, monkeypatch, rho):
+        def no_rule(*args):
+            raise AssertionError("built a quadrature rule for a refused tail")
+
+        monkeypatch.setattr(born, "composite_gauss", no_rule)
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
+        with pytest.raises(born.ConvergenceError, match="rho = .* <= 1"):
+            born.born_first_amplitude(model, 2.0, np.pi / 2)
+
+    @pytest.mark.parametrize("q", [2.5e3, 1e10, 1e300])
+    def test_power_tail_far_momentum_is_zero(self, q):
+        # below 1e-320 for any finite v0; kve itself is NaN past q = 1e9
+        model = PotentialModel(kind="power_tail", v0=1e300, rho=1.5)
+        assert born.born_first_amplitude(model, 0.5 * q, np.pi) == 0.0
+
     def test_zero_potential(self):
         assert born.born_first_amplitude(PotentialModel(kind="zero"),
                                          1.0, 1.0) == 0.0
@@ -325,10 +374,10 @@ class TestGaussianOrdersClosedForm:
     closed-form f_2 on a z mesh 64 times finer than 1x: each order's error
     falls by about 4 per halving, row by row.
 
-    Measured: max |b_1 error| 1.43e-4 -> 3.57e-5, max |b_2 error| 0.499 ->
-    0.126 (0.0999 on the 2x rows over 1x rows), and b_3's over s >= 0.2,
-    43.7 -> 11.0.  On the axis b_3's error stays at 1123 -> 1107 (1103 at
-    4x)."""
+    Measured: max |b_1 error| 1.43e-4 -> 3.57e-5, max |b_2 error| 0.409 ->
+    0.102 (on the axis row), and b_3's over s >= 0.2,
+    43.7 -> 11.0.  On the axis, where the Laplacian's row is the even fit
+    through rows 1 and 2, b_3's error falls 64.8 -> 16.3 (4.07 at 4x)."""
 
     REFINE = 64
 
@@ -375,13 +424,6 @@ class TestGaussianOrdersClosedForm:
         assert np.count_nonzero(dip) <= 2 and np.count_nonzero(checked) >= 20
         assert np.all(err[checked] >= 3.0 * err_fine[checked])
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "b_3 does not converge on the axis: d_ds takes a one-sided "
-        "edge_order=2 difference at s = 0, whose truncation error in the "
-        "axis row's 2 f_ss is not the continuation of the other rows' (on "
-        "f = s^4: 16 h^2 against 12 h^2), so b_2's error has a kink over the "
-        "first rows, the next Laplacian makes it an O(1) error in f_2, and "
-        "b_3's axis error stays near 1.1e3 on every grid"))
     def test_b3_second_order_on_the_axis(self, tables):
         err, err_fine = self.b3_errors(tables, np.array([0]))
         assert err[0] >= 3.0 * err_fine[0]

@@ -303,6 +303,15 @@ class TestRun:
         assert extra == {"norm": out.norm(), "edge_mass": out.edge_mass()}
         assert flags == []
 
+    def test_default_moller_increments_vanish(self):
+        # the default config has no potential, so H = H0 and every gap of
+        # the probe is the exact free multiply: the increments are roundoff
+        model = cli._model({})
+        runner, params = cli.resolve("moller", {})
+        _, rows, extra, flags = runner(model, params, 0)
+        assert len(rows) == 4 and max(inc for _, inc in rows) < 1e-14
+        assert extra["verdict"] == "converging" and flags == []
+
     def test_reproducible_csv(self, tmp_path):
         cfg = {"experiment": "born",
                "potential": {"kind": "yukawa", "v0": 0.1, "width": 1.0},

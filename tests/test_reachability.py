@@ -1,5 +1,6 @@
-"""Every public module-level function and class of the package is reached,
-and every parameter with a default of a public function is passed.
+"""Every module-level function and class of the package, public or
+private, is reached, and every parameter with a default of a public
+function is passed.
 
 A name counts as reached when the source of the package or of the
 benchmark (`perfbench/`) refers to it outside its own definition: through
@@ -88,12 +89,12 @@ def references(tree: ast.Module, home: str | None = None) -> set[tuple[str, str]
     return found
 
 
-def public_definitions() -> set[tuple[str, str]]:
+def definitions() -> set[tuple[str, str]]:
+    """(module, name) of every module-level function and class."""
     return {(path.stem, node.name)
             for path in PACKAGE.glob("*.py")
             for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def reached() -> set[tuple[str, str]]:
@@ -106,13 +107,21 @@ def reached() -> set[tuple[str, str]]:
 
 
 def test_every_public_definition_is_reached():
-    unreached = sorted(public_definitions() - reached() - set(ALLOWED))
+    unreached = sorted(name for name in definitions() - reached() - set(ALLOWED)
+                       if not name[1].startswith("_"))
     assert not unreached, f"reached only from tests, if at all: {unreached}"
+
+
+def test_every_private_definition_is_reached():
+    # a private helper that only tests call is a test helper in the package
+    unreached = sorted(name for name in definitions() - reached() - set(ALLOWED)
+                       if name[1].startswith("_"))
+    assert not unreached, f"private, and reached only from tests, if at all: {unreached}"
 
 
 def test_allowlist_is_current():
     # an entry for a deleted or since-reached name would hide nothing
-    defined, found = public_definitions(), reached()
+    defined, found = definitions(), reached()
     stale = sorted(name for name in ALLOWED if name not in defined or name in found)
     assert not stale, f"ALLOWED entries to drop: {stale}"
 
