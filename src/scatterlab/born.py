@@ -144,8 +144,9 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     if model.kind == "power_tail":
         return complex(_power_tail_amplitude(model, q))
     if q < 1e-12:
-        # q -> 0 limit: -(4 pi)^-1 int v = - int_0^inf r^2 v dr
-        r_cut = model.tail_radius(1e-13)
+        # q -> 0 limit: -(4 pi)^-1 int v = - int_0^inf r^2 v dr, to where
+        # |v| < 1e-18 |v0|
+        r_cut = model.tail_radius(1e-18 * abs(model.v0))
         r, w = composite_gauss(16, np.linspace(0.0, r_cut, 64))
         return complex(-float(np.dot(w, r * r * model.radial_values(r))))
     return complex(-_radial_fourier(model, q))

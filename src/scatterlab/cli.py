@@ -2,17 +2,18 @@
 
 `scatterlab run <config.json> [--strict] [--out DIR]` executes one
 experiment described by a JSON config, writing `result.json` and (for
-tabular outputs) `result.csv`.  `scatterlab acceptance [--out DIR]` runs
-the full acceptance suite.  `scatterlab schema` prints the config schema.
+tabular outputs) `result.csv`; `{"experiment": "acceptance"}` runs the
+acceptance suite.  `scatterlab schema` prints the config schema.
 
 `EXPERIMENTS`, the experiment table, holds each experiment's runner and its
 parameters with their defaults; `SCHEMA` and `resolve` are built on it.
 
-Exit codes: 0 success, 1 acceptance failure, 2 config/validation error or
-any other `numerics.ScatterlabError` (a packet that reaches the grid edge,
-a non-finite or ill-conditioned result, a non-finite output row, a
-quadrature that does not converge, an empty eigenvalue window, an energy on
-a resonance), 3 numerical-flag failure in strict mode.
+Exit codes: 0 success, 2 config/validation error or any other
+`numerics.ScatterlabError` (a packet that reaches the grid edge, a
+non-finite or ill-conditioned result, a non-finite output row, a quadrature
+that does not converge, an empty eigenvalue window, an energy on a
+resonance), 3 numerical-flag failure in strict mode (a failed acceptance
+criterion flags `criterion_N_failed`).
 
 Thread pools follow OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS as set before the process starts; result.json records them.
@@ -110,9 +111,9 @@ def _full(x):
     return x
 
 
-def _write_json(path: str, data, sort_keys: bool = False) -> None:
+def _write_json(path: str, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_full(data), fh, indent=2, sort_keys=sort_keys)
+        json.dump(_full(data), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -227,7 +228,7 @@ def _run_lap(model, p, seed):
     return ["epsilon", "norm"], rows, extra, flags
 
 
-def _run_acceptance_experiment(model, p, seed):
+def _run_acceptance(model, p, seed):
     from . import acceptance
     results = acceptance.run_all(p["criteria"])
     rows = [[r.cid, int(r.passed), r.runtime] for r in results]
@@ -303,7 +304,7 @@ EXPERIMENTS = {
             "r": dict(_POS, default=1.0),
             "epsilons": dict(_NUM_LIST, default=[1e-1, 3e-2, 1e-2, 3e-3])}),
     },
-    "acceptance": (_run_acceptance_experiment, {
+    "acceptance": (_run_acceptance, {
         "criteria": dict(type="array", default=list(range(1, 16)), items=dict(
             type="integer", minimum=1, maximum=15), minItems=1,
             uniqueItems=True)}),
@@ -410,7 +411,7 @@ def _write_outputs(out_dir: str, config: dict, params: dict, columns, rows,
         },
     }
     json_path = os.path.join(out_dir, "result.json")
-    _write_json(json_path, record, sort_keys=True)
+    _write_json(json_path, record)
     return csv_path, json_path
 
 
@@ -446,17 +447,6 @@ def run(config_path: str, strict: bool = False, out_dir: str = ".") -> int:
     return 0
 
 
-def run_acceptance(out_dir: str = ".") -> int:
-    _, params = resolve("acceptance", {})
-    _, rows, extra, _ = _run_acceptance_experiment(None, params, 0)
-    print(extra["report"])
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "acceptance_report.json")
-    _write_json(path, extra["results"])
-    print(f"wrote {path}")
-    return 0 if all(passed for _, passed, _ in rows) else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="scatterlab",
@@ -468,14 +458,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--strict", action="store_true",
                        help="exit 3 when any numerical flag is raised")
     p_run.add_argument("--out", default=".", help="output directory")
-    p_acc = sub.add_parser("acceptance", help="run the acceptance suite")
-    p_acc.add_argument("--out", default=".", help="output directory")
     sub.add_parser("schema", help="print the config JSON schema")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, strict=args.strict, out_dir=args.out)
-    if args.command == "acceptance":
-        return run_acceptance(out_dir=args.out)
     print(json.dumps(SCHEMA, indent=2))
     return 0
 

@@ -20,12 +20,11 @@ from scipy.linalg import eigh, eigh_tridiagonal
 # numerics.dtbtrs, the one dtbtrs binding in the package.
 from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.special import beta
 
 from .numerics import (DomainError, NumericalError, ParameterError,
                        ScatterlabError, composite_gauss)
 from .potentials import PotentialModel
-from . import propagator
+from . import born, propagator
 
 # Most float64s (n x count) in a Mourre window's eigenvectors, and in their image.
 MAX_WINDOW_FLOATS = 2**24
@@ -67,27 +66,20 @@ def hs_norm_resolvent_weight(model: PotentialModel, c: float) -> float:
     """Squared HS norm of (H_0 + c)^{-1} |v|^{1/2} at d = 3:
     (2 pi)^{-3} ||v||_1 * int (|xi|^2 + c)^{-2} d^3 xi  =  ||v||_1 / (8 pi sqrt(c)).
 
-    The closed form is the contract, not the computation.  ||v||_1 is a
-    quadrature up to tail_radius(1e-14), except on power tails, whose tail
-    past that radius is not small: there it is 2 pi |v0| B(3/2, (rho-3)/2).
+    The closed form is the contract, not the computation.  Every kind is v0
+    times a nonnegative profile, so ||v||_1 = |int v| = 4 pi |f1(0)|, the
+    forward first Born amplitude (born.born_first_amplitude).
     The xi integral is a quadrature after the map |xi| = sqrt(c) u/(1 - u),
     4 pi c^{-1/2} int_0^1 u^2 (u^2 + (1 - u)^2)^{-2} du, in which c enters
     only as c^{-1/2}, so no positive float c overflows it.
     """
     if c <= 0:
         raise ParameterError("c must be positive")
-    if model.kind == "power_tail":
-        if model.rho <= 3.0:
-            raise DomainError(
-                "v is not integrable in d = 3 (rho <= 3): the trace-class "
-                "weight is divergent")
-        # Gamma((rho - 3)/2) / Gamma(rho/2) as a Beta, which stays finite
-        # past rho = 343, where Gamma(rho/2) overflows
-        v_l1 = 2.0 * np.pi * abs(model.v0) * float(beta(1.5, 0.5 * (model.rho - 3.0)))
-    else:
-        r_cut = max(model.tail_radius(1e-14), 1.0)
-        r, w = composite_gauss(16, np.linspace(0.0, r_cut, max(8, int(r_cut) + 1)))
-        v_l1 = 4.0 * np.pi * float(np.dot(w, np.abs(model.radial_values(r)) * r**2))
+    if model.kind == "power_tail" and model.rho <= 3.0:
+        raise DomainError(
+            "v is not integrable in d = 3 (rho <= 3): the trace-class "
+            "weight is divergent")
+    v_l1 = 4.0 * np.pi * abs(born.born_first_amplitude(model, 1.0, 0.0))
     u, w = composite_gauss(16, np.linspace(0.0, 1.0, 33))
     xi_int = 4.0 * np.pi * float(np.dot(w, c**-0.5 * u * u / (u * u + (1.0 - u) ** 2) ** 2))
     return (2.0 * np.pi) ** -3 * v_l1 * xi_int

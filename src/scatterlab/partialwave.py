@@ -26,7 +26,6 @@ class PhaseShiftTable:
     k: float
     l_max: int
     delta: np.ndarray  # radians, each in (-pi/2, pi/2]
-    model: PotentialModel
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.delta)):
@@ -226,7 +225,7 @@ def radial_phase_shift(model: PotentialModel, l: int, k: float,
 def phase_shift_table(model: PotentialModel, k: float, l_max: int,
                       r_max: float | None = None, dr: float = 1e-3) -> PhaseShiftTable:
     """All channels 0..l_max on one shared Numerov grid."""
-    return PhaseShiftTable(k=k, l_max=l_max, model=model, delta=_phase_shifts(
+    return PhaseShiftTable(k=k, l_max=l_max, delta=_phase_shifts(
         model, range(l_max + 1), k, r_max, dr))
 
 

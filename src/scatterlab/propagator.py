@@ -437,7 +437,7 @@ def _probe(model: PotentialModel, times, packets) -> CauchyReport:
         raise ParameterError("need at least three increasing times")
     incs = []
     for u0, u1 in pairwise(packets):
-        back = chebyshev_evolve(u1, model, u1.t - (u1.t - u0.t))
+        back = chebyshev_evolve(u1, model, u0.t)
         # back now holds e^{-iH (t0 - t1)} u(t1) = e^{iH (t1-t0)} u(t1)
         incs.append(replace(back, values=back.values - u0.values).norm())
     return CauchyReport(times=times, increments=np.asarray(incs))

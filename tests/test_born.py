@@ -99,6 +99,26 @@ class TestFirstBorn:
         val = born.born_first_amplitude(GAUSS, 1.0, 0.0)
         assert val == pytest.approx(-(-1.0) * np.sqrt(np.pi) / 4, rel=1e-8)
 
+    @pytest.mark.parametrize("g,width", [(0.1, 1.0), (-1.0, 0.5), (0.5, 0.3)])
+    def test_yukawa_forward_closed_form(self, g, width):
+        # -(4 pi)^-1 int v = -g width^2 for v = g e^{-r/width} / r
+        model = PotentialModel(kind="yukawa", v0=g, width=width)
+        val = born.born_first_amplitude(model, 1.0, 0.0)
+        assert val.imag == 0.0
+        assert val.real == pytest.approx(-g * width**2, rel=2e-15)
+
+    @pytest.mark.parametrize("v0,width", [(-1.0, 1.0), (-2.0, 2.0), (0.5, 0.7)])
+    def test_compact_bump_forward_closed_form(self, v0, width):
+        # -int r^2 v dr = -v0 width^3 int_0^1 u^2 e^{1 - 1/(1 - u^2)} du
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            moment = mpmath.quad(lambda u: u * u * mpmath.exp(1 - 1 / (1 - u * u)), [0, 1])
+            expect = float(-v0 * mpmath.mpf(width) ** 3 * moment)
+        model = PotentialModel(kind="compact_bump", v0=v0, width=width)
+        val = born.born_first_amplitude(model, 1.0, 0.0)
+        assert val.imag == 0.0
+        assert val.real == pytest.approx(expect, rel=2e-15)
+
     @pytest.mark.parametrize("rho,theta,expect", [
         (1.5, np.pi / 2, -0.0128822561866151),
         (2.5, np.pi / 2, -0.0191871262104199),

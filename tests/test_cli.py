@@ -473,6 +473,32 @@ class TestRun:
         record = json.loads((out / "result.json").read_text())
         assert all(r["passed"] for r in record["extra"]["results"])
 
+    def test_acceptance_failure_exits_3_under_strict(self, tmp_path, capsys):
+        # C4 is a standing failure; the suite runs only as an experiment,
+        # and a failed criterion is a flag like any other
+        path = write_config(tmp_path, {
+            "experiment": "acceptance", "params": {"criteria": [4]}})
+        out = tmp_path / "out"
+        assert cli.run(path, strict=True, out_dir=str(out)) == 3
+        assert "flag: criterion_4_failed" in capsys.readouterr().out
+        record = json.loads((out / "result.json").read_text())
+        assert record["provenance"]["flags"] == ["criterion_4_failed"]
+        assert record["provenance"]["config_sha256"]
+        assert "[FAIL] criterion  4" in record["extra"]["report"]
+        [c4] = record["extra"]["results"]
+        assert c4["cid"] == 4 and c4["passed"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["result.csv", "result.json"]
+
+    def test_no_acceptance_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["acceptance"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'acceptance'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "{run,schema}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("criteria,message", [
         ([], "should be non-empty"), ([1, 1], "has non-unique elements")])
     def test_acceptance_empty_or_repeated_criteria_refused(

@@ -194,6 +194,39 @@ class TestHsNorm:
         if rho == 3.1:
             assert val == pytest.approx(4.8530566664727, rel=1e-12)
 
+    @pytest.mark.parametrize("model", [
+        GAUSS,
+        PotentialModel(kind="gaussian_well", v0=-0.7, width=2.0),
+        PotentialModel(kind="square_well", v0=-1.0, width=1.0),
+        PotentialModel(kind="square_well", v0=2.5, width=0.7),
+        PotentialModel(kind="yukawa", v0=0.1, width=1.0),
+        PotentialModel(kind="yukawa", v0=-1.0, width=0.5),
+        PotentialModel(kind="compact_bump", v0=-1.0, width=1.0),
+        PotentialModel(kind="compact_bump", v0=0.5, width=2.0),
+        *(PotentialModel(kind="power_tail", v0=1.0, rho=rho)
+          for rho in (3.1, 6.0, 344.0, 1000.0, 1e4)),
+        PotentialModel(kind="zero"),
+    ], ids=lambda m: f"{m.kind}-{m.v0:g}-{m.width:g}-{m.rho:g}")
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    def test_every_kind_against_closed_form(self, model, c):
+        # ||v||_1 / (8 pi sqrt(c)), with ||v||_1 at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        v0, w = abs(model.v0), model.width
+        with mpmath.workdps(40):
+            l1 = {
+                "gaussian_well": lambda: mpmath.pi ** 1.5 * w**3,
+                "square_well": lambda: 4 * mpmath.pi / 3 * w**3,
+                "yukawa": lambda: 4 * mpmath.pi * w**2,
+                "compact_bump": lambda: 4 * mpmath.pi * w**3 * mpmath.quad(
+                    lambda u: u * u * mpmath.exp(1 - 1 / (1 - u * u)), [0, 1]),
+                "power_tail": lambda: mpmath.pi ** 1.5 * mpmath.gamma(
+                    (mpmath.mpf(model.rho) - 3) / 2) / mpmath.gamma(mpmath.mpf(model.rho) / 2),
+                "zero": lambda: 0,
+            }[model.kind]()
+            expect = float(v0 * l1 / (8 * mpmath.pi * mpmath.sqrt(c)))
+        val = diagnostics.hs_norm_resolvent_weight(model, c)
+        assert val == pytest.approx(expect, rel=2e-15, abs=0.0)
+
     def test_non_integrable_rejected(self):
         tail = PotentialModel(kind="power_tail", v0=1.0, rho=2.0)
         with pytest.raises(DomainError):

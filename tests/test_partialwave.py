@@ -512,7 +512,6 @@ class TestAmplitude:
             partialwave.amplitude(table, thetas)
 
     def test_kernel_rejects_empty_table(self):
-        table = partialwave.PhaseShiftTable(k=1.0, l_max=-1,
-                                            delta=np.zeros(0), model=GAUSS)
+        table = partialwave.PhaseShiftTable(k=1.0, l_max=-1, delta=np.zeros(0))
         with pytest.raises(ParameterError):
             partialwave.amplitude(table, [1.0])

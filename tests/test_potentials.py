@@ -114,6 +114,16 @@ class TestConfig:
         bound = abs(v0) * max(1.0, 1.0 / (0.5 * width))  # yukawa 1/r factor
         assert np.all(vals <= bound + 1e-12)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_profile_has_the_sign_of_v0(self, kind):
+        # every kind is v0 times a nonnegative profile, so ||v||_1 = |int v|,
+        # which diagnostics.hs_norm_resolvent_weight reads from born
+        r = np.linspace(0.0, 50.0, 5001)
+        for v0 in (-1.3, 0.4):
+            for width in (0.3, 1.0, 4.0):
+                m = PotentialModel(kind=kind, v0=v0, width=width)
+                assert np.all(m.radial_values(r) / v0 >= 0.0)
+
 
 def _quad_line(model, s, a, b, shift=None):
     """int_a^b v(sqrt(s^2 + w^2)) dw (minus int_0^inf v(w) dw at the same
