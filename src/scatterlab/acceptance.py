@@ -351,7 +351,10 @@ def criterion_15() -> CriterionResult:
                    values, digits)
 
 
-CRITERIA = {i: globals()[f"criterion_{i:02d}"] for i in range(1, 16)}
+CRITERIA = dict(enumerate((
+    criterion_01, criterion_02, criterion_03, criterion_04, criterion_05,
+    criterion_06, criterion_07, criterion_08, criterion_09, criterion_10,
+    criterion_11, criterion_12, criterion_13, criterion_14, criterion_15), start=1))
 
 
 def _timed(criterion) -> CriterionResult:

@@ -131,8 +131,9 @@ def _radial_fourier(model: PotentialModel, q: float) -> float:
 
 def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> complex:
     """First Born amplitude f1(q) = -(4 pi)^-1 int exp(-i q.x) v(x) dx,
-    q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr, and
-    for a power tail its closed form (_power_tail_amplitude).
+    q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr, for
+    q effective_range <= 1 in the form -int r^2 v sinc(qr) dr, and for a
+    power tail its closed form (_power_tail_amplitude).
     ParameterError unless k > 0 and theta lies in [0, pi]."""
     if not k > 0:
         raise ParameterError(f"momentum must be positive, got k={k}")
@@ -143,12 +144,14 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     q = 2.0 * k * np.sin(theta / 2.0)
     if model.kind == "power_tail":
         return complex(_power_tail_amplitude(model, q))
-    if q < 1e-12:
-        # q -> 0 limit: -(4 pi)^-1 int v = - int_0^inf r^2 v dr, to where
-        # |v| < 1e-18 |v0|
+    if q * model.effective_range <= 1.0:
+        # small q, where the tail bound of _radial_fourier grows like 1/q:
+        # - int_0^inf r^2 v sinc(qr) dr to where |v| < 1e-18 |v0|, which at
+        # q = 0 (sinc = 1) is the forward limit -(4 pi)^-1 int v
         r_cut = model.tail_radius(1e-18 * abs(model.v0))
         r, w = composite_gauss(16, np.linspace(0.0, r_cut, 64))
-        return complex(-float(np.dot(w, r * r * model.radial_values(r))))
+        return complex(-float(np.dot(w, r * r * model.radial_values(r)
+                                     * np.sinc(q / np.pi * r))))
     return complex(-_radial_fourier(model, q))
 
 
@@ -306,7 +309,7 @@ def high_energy_kernel(model: PotentialModel, lam, theta: float,
                                                grid.s[1:i_s + 1]))
     z, w_z = (a.ravel() for a in gauss_panels(_CELL_NODES, grid.z[j_lo:j_hi],
                                                grid.z[j_lo + 1:j_hi + 1]))
-    t = 0.5 * (np.polynomial.legendre.leggauss(_CELL_NODES)[0] + 1.0)
+    t = gauss_panels(_CELL_NODES, 0.0, 1.0)[0]  # the nodes' cell fractions
 
     # v b_n on the nodes, n = 0..N, each order written in place into one stack
     vb = np.empty((N + 1, len(s), len(z)))

@@ -17,7 +17,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh, eigh_tridiagonal
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
 # name, so it stays bound until the tracer follows zgttrs and
-# numerics.dtbtrs, the one dtbtrs binding in the package.
+# partialwave.dtbtrs, the one dtbtrs binding in the package.
 from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgttrf, zgttrs
 

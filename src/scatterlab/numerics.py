@@ -1,6 +1,5 @@
-"""Shared numerical kernels: quadrature, special functions, the unitary
-discrete Fourier transform and the chunked monic three-term recurrence (LAPACK
-dtbtrs).
+"""Shared numerical kernels: quadrature, special functions and the unitary
+discrete Fourier transform.
 
 The DFT calls pocketfft's ``c2c`` binding (``scipy.fft._pocketfft``), the
 routine ``scipy.fft.fft``/``ifft`` dispatch to.  On a 1024-point transform
@@ -15,11 +14,10 @@ Hamiltonian is -Laplacian + v and energy = k**2.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 from scipy.fft._pocketfft.pypocketfft import c2c
-from scipy.linalg.lapack import dtbtrs
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 
@@ -62,12 +60,21 @@ def gauss_panels(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, shape (..., n), of the n-point Gauss-Legendre rule
     on every panel [lo, hi] (broadcast arrays; a zero-width panel gets zero
     weights)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return mid + half * x, half * w
+
+
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] (numpy's leggauss), built
+    once per n and returned as read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def spherical_bessel(l, x) -> tuple[np.ndarray, np.ndarray]:
@@ -117,67 +124,3 @@ def dft_freqs(n: int, dx: float) -> np.ndarray:
     k = np.arange(n, dtype=float)
     k[n // 2:] -= n
     return 2.0 * np.pi * k / (n * dx)
-
-
-# Rows per banded solve.  Each call starts at this cap; a chunk that
-# overflows is halved and redone, down to a single row, and the length
-# doubles back towards the cap after each solve that stays finite.
-_CHUNK = 8192
-
-
-def banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]:
-    """Fill x[2:] from the seeds x[0], x[1] by the monic three-term
-    recurrence x[i] + band[i-1, 1] x[i-1] + band[i-2, 2] x[i-2] = 0.
-
-    band (len(x) rows) is the lower band storage ab[d, j] = A[j+d, j] of
-    the recurrence matrix, held transposed, with a unit diagonal: column 0
-    is never read.  Each chunk of rows is one unit lower-triangular banded
-    solve (LAPACK dtbtrs, bandwidth 2, diag="U"), so no row divides; the
-    first two rows are identity rows carrying the last two values, and
-    band is overwritten there.  Chunks start at _CHUNK rows, are halved on
-    overflow and double back after each finite solve.  Each is solved in
-    place on its slice of x, which must therefore be a contiguous float64
-    vector (ParameterError otherwise).
-
-    Before each chunk the two carried values are scaled below 1 in
-    magnitude by a power of two, and the rows keep that scale:
-    x[starts[i]:starts[i+1]] * 2**scales[i] is the solution, and
-    max |solution| < 2**peak.  Power-of-two scaling is exact, so the
-    solution does not depend on where chunks end.
-
-    Returns (starts, scales, peak).  A single row whose value is not
-    finite raises NumericalError.
-    """
-    if not (isinstance(x, np.ndarray) and x.dtype == np.float64
-            and x.ndim == 1 and x.flags.c_contiguous):
-        raise ParameterError("x must be a contiguous float64 vector")
-    n = len(x)
-    starts, scales = [], []
-    scale = 0
-    peak = math.frexp(max(abs(x[0]), abs(x[1])))[1]
-    s, m = 2, _CHUNK
-    while s < n:
-        top = math.frexp(max(abs(x[s - 2]), abs(x[s - 1])))[1]
-        np.ldexp(x[s - 2:s], -top, out=x[s - 2:s])
-        scale += top
-        starts.append(s - 2)
-        scales.append(scale)
-        # rows s-2 and s-1 become identity rows; a later chunk either starts
-        # past them or uses them as identity rows too
-        band[s - 2, 1] = 0.0
-        while True:
-            e = min(n, s + m)
-            # the identity rows leave x[s-2:s] as they are, so a redone
-            # chunk only needs its right-hand side zeroed again
-            x[s:e] = 0.0
-            y, _ = dtbtrs(band[s - 2:e].T, x[s - 2:e], uplo="L", diag="U",
-                          overwrite_b=1)
-            size = max(y.max(), -y.min())
-            if math.isfinite(size):
-                break
-            if m == 1:
-                raise NumericalError(f"recurrence overflows or is not finite at row {s}")
-            m //= 2
-        peak = max(peak, scale + math.frexp(size)[1])
-        s, m = e, min(2 * m, _CHUNK)
-    return starts, scales, peak

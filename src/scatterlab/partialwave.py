@@ -10,12 +10,14 @@ S(lambda) - Id on the sphere equals (i k / 2 pi) * a at d = 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
-from .numerics import (DomainError, NumericalError, ParameterError,
-                       banded_recurrence, legendre_p_all, spherical_bessel)
+from .numerics import (DomainError, NumericalError, ParameterError, legendre_p_all,
+                       spherical_bessel)
 from .potentials import PotentialModel
 
 
@@ -56,6 +58,11 @@ MAX_SWEEP_FLOATS = 2**27
 _MAX_EXP = 830
 
 
+# Rows per banded solve: a sweep's first chunk, and the cap its chunks
+# double back to after a halving.
+_CHUNK = 8192
+
+
 def _sweep(a: np.ndarray, f: np.ndarray, band: np.ndarray, w: np.ndarray,
            seeds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> None:
     """Set u to the solution on rows of the Numerov recursion
@@ -66,14 +73,17 @@ def _sweep(a: np.ndarray, f: np.ndarray, band: np.ndarray, w: np.ndarray,
     d = 2 + 12 a / f.  d is formed from a, but the sum with 2 rounds to
     ulp(2) = 4.4e-16, a relative 4e-10 of 12 a / f at k dr = 1e-3.
 
-    numerics.banded_recurrence solves it in place in the work vector w, a
-    contiguous float64 vector of the grid's length (chunks start at its cap,
-    halve on overflow and double back).  u = w / f is formed only on rows,
-    each in its chunk's scale shifted by the channel's common power of two
-    that keeps max |w| < 2**_MAX_EXP, which banded_recurrence reports.  The
-    seed rows divide by 1 instead of f, so f[0] = 0 is harmless (its d is
-    never read); f = 0 on a later row raises NumericalError before any
-    division.
+    w is filled in place by unit lower-triangular banded solves (LAPACK
+    dtbtrs, diag="U", so no row divides) on band, the transposed lower band
+    storage ab[d, j] = A[j+d, j] whose column 0 is never read: chunks start
+    at _CHUNK rows, halve on a non-finite row and double back, and each
+    starts from its two carried values scaled below 1 by a power of two,
+    which is exact, so u does not depend on where chunks end.  u = w / f is
+    formed only on rows, each in its chunk's scale shifted by the channel's
+    common power of two that keeps max |w| < 2**_MAX_EXP.  The seed rows
+    divide by 1 instead of f, so f[0] = 0 is harmless (its d is never
+    read); f = 0 on a later row, or a single row that is not finite, raises
+    NumericalError.
 
     band's columns 0 and 2 hold the unit coefficients; column 1, a, f and w
     are overwritten.
@@ -86,15 +96,42 @@ def _sweep(a: np.ndarray, f: np.ndarray, band: np.ndarray, w: np.ndarray,
     np.multiply(a[1:], -12.0, out=a[1:])
     np.subtract(a[1:], 2.0, out=band[1:, 1])
     np.multiply(seeds, f[:2], out=w[:2])  # the seeds of w
-    starts, scales, peak = banded_recurrence(band, w)
+    n = len(w)
+    # w[i] * 2**exps on the requested rows is the solution, whose magnitude
+    # stays below 2**peak; a row before any chunk keeps exponent 0
+    exps = np.zeros(len(rows), dtype=int)
+    scale = 0
+    peak = first = math.frexp(max(abs(w[0]), abs(w[1])))[1]
+    s, m = 2, _CHUNK
+    while s < n:
+        top = math.frexp(max(abs(w[s - 2]), abs(w[s - 1])))[1]
+        np.ldexp(w[s - 2:s], -top, out=w[s - 2:s])
+        scale += top
+        exps[rows >= s - 2] = scale
+        # rows s-2 and s-1 become identity rows; a later chunk either starts
+        # past them or uses them as identity rows too
+        band[s - 2, 1] = 0.0
+        while True:
+            e = min(n, s + m)
+            # the identity rows leave w[s-2:s] as they are, so a redone
+            # chunk only needs its right-hand side zeroed again
+            w[s:e] = 0.0
+            y, _ = dtbtrs(band[s - 2:e].T, w[s - 2:e], uplo="L", diag="U",
+                          overwrite_b=1)
+            size = max(y.max(), -y.min())
+            if math.isfinite(size):
+                break
+            if m == 1:
+                raise NumericalError(f"recurrence overflows or is not finite at row {s}")
+            m //= 2
+        peak = max(peak, scale + math.frexp(size)[1])
+        s, m = e, min(2 * m, _CHUNK)
     # the seed rows go back to the seeds, in the first chunk's scale
-    w[:2] = np.ldexp(seeds, -scales[0]) if scales else seeds
+    w[:2] = np.ldexp(seeds, -first) if n > 2 else seeds
     f[:2] = 1.0
-    # each row's chunk scale; a row before any chunk keeps scale 0.  u stays
-    # finite: where |f| < 1, 0 < a < 2 and |u[i]| = |w[i+1] + w[i-1]| /
-    # |2 + 10 a[i]| is at most the mean of two rows of the same finite solve
-    # (at r_max, f is near 1)
-    exps = np.array([0, *scales])[np.searchsorted(starts, rows, side="right")]
+    # u stays finite: where |f| < 1, 0 < a < 2 and |u[i]| = |w[i+1] + w[i-1]|
+    # / |2 + 10 a[i]| is at most the mean of two rows of the same finite
+    # solve (at r_max, f is near 1)
     np.ldexp(w[rows] / f[rows], exps - max(0, peak - _MAX_EXP), out=u)
 
 

@@ -79,6 +79,12 @@ class WavePacket:
         n = len(self.values)
         if n & (n - 1) or n < 8:
             raise ParameterError("grid size must be a power of two >= 8")
+        # chebyshev_evolve's kinetic bound (pi/dx)**2 is finite exactly when
+        # pi/dx < 2**512
+        if not (self.dx > 0 and np.pi / self.dx < 2.0 ** 512):
+            raise ParameterError(
+                f"grid step dx={self.dx!r} must be positive with (pi/dx)**2 "
+                f"finite (dx above about 2.34e-154)")
 
     @property
     def grid(self) -> np.ndarray:

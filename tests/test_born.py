@@ -107,6 +107,21 @@ class TestFirstBorn:
         assert val.imag == 0.0
         assert val.real == pytest.approx(-g * width**2, rel=2e-15)
 
+    @pytest.mark.parametrize("kind,theta", [
+        *[("gaussian_well", theta) for theta in (1e-11, 1e-8, 1e-6)],
+        *[("yukawa", theta) for theta in (1e-11, 1e-8, 1e-6, 1e-4)]])
+    def test_small_angle_closed_form(self, kind, theta):
+        # k = 1, unit v0 and width: -sqrt(pi)/4 e^{-q^2/4} for the Gaussian
+        # and -1/(1 + q^2) for yukawa.  The radial form's tail bound grows
+        # like 1/q and refused these angles
+        model = PotentialModel(kind=kind, v0=1.0, width=1.0)
+        q = 2.0 * np.sin(theta / 2.0)
+        expect = (-np.sqrt(np.pi) / 4.0 * np.exp(-q * q / 4.0) if kind == "gaussian_well"
+                  else -1.0 / (1.0 + q * q))
+        val = born.born_first_amplitude(model, 1.0, theta)
+        assert val.imag == 0.0
+        assert val.real == pytest.approx(expect, rel=1e-14)
+
     @pytest.mark.parametrize("v0,width", [(-1.0, 1.0), (-2.0, 2.0), (0.5, 0.7)])
     def test_compact_bump_forward_closed_form(self, v0, width):
         # -int r^2 v dr = -v0 width^3 int_0^1 u^2 e^{1 - 1/(1 - u^2)} du

@@ -751,6 +751,21 @@ class TestTypedErrors:
         assert f"config error: {prefix}" in err and "finite" in err
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize("experiment,params", [
+        ("propagate", {}), ("moller", {}), ("diagnose", {"check": "kato"}),
+    ], ids=["propagate", "moller", "kato"])
+    def test_grid_step_too_fine_for_the_float_range(self, tmp_path, capsys,
+                                                    experiment, params):
+        # the Chebyshev bound (pi/dx)**2 overflows the float range below
+        # dx = 2.34e-154; warnings are errors here
+        path = write_config(tmp_path, {"experiment": experiment, "params": {
+            **params, "dx": 1e-300, "n": 64}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "dx=1e-300" in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("params", [
         {"lambdas": [-1, -2, -4, -16]},
         {"lambdas": [0, 2, 4, 16]},

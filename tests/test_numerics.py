@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 import scipy.fft
@@ -5,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
-from scatterlab import numerics
+from scatterlab import numerics, partialwave
 from scatterlab.numerics import (
     DomainError,
     NumericalError,
     ParameterError,
-    banded_recurrence,
     composite_gauss,
     dft,
     dft_freqs,
@@ -47,6 +47,33 @@ class TestQuadrature:
             composite_gauss(4, [0.0, 1.0, 1.0])
         with pytest.raises(ParameterError):
             composite_gauss(4, [0.0])
+
+    def test_rule_built_once_per_n(self, monkeypatch):
+        # leggauss runs once per n over repeated calls; the panels are the
+        # uncached rule mapped onto them, bit for bit, and the shared rule
+        # cannot be written through
+        leggauss = np.polynomial.legendre.leggauss
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+        numerics._legendre_rule.cache_clear()
+        for n in (3, 16, 8, 3, 16, 8):
+            x, w = leggauss(n)
+            nodes, weights = gauss_panels(n, [0.0, -2.0], [1.0, 5.0])
+            assert np.array_equal(nodes, np.array([0.5 + 0.5 * x, 1.5 + 3.5 * x]))
+            assert np.array_equal(weights, np.array([0.5 * w, 3.5 * w]))
+            nodes, weights = composite_gauss(n, [-2.0, 5.0])
+            assert np.array_equal(nodes, 1.5 + 3.5 * x)
+            assert np.array_equal(weights, 3.5 * w)
+        assert sorted(calls) == [3, 8, 16]
+        x, w = numerics._legendre_rule(16)
+        assert not (x.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
 
     def test_weights_positive(self):
         _, w = composite_gauss(12, [-1.0, 1.0])
@@ -223,110 +250,106 @@ class TestDft:
                                                        rel=1e-12)
 
 
-def recurrence_loop(band, x0, x1):
-    """The monic recurrence x[i] + band[i-1, 1] x[i-1] + band[i-2, 2] x[i-2]
-    = 0 one row at a time, unscaled."""
-    x = [x0, x1]
-    for i in range(2, len(band)):
-        x.append(-(band[i - 2, 2] * x[i - 2] + band[i - 1, 1] * x[i - 1]))
-    return np.array(x)
+def sweep(a, seeds, band=None, w=None):
+    """partialwave._sweep of the Numerov coefficients a (f = 1 - a) from
+    seeds, u on every row; band and w default to fresh arrays with the unit
+    columns that _numerov_channels fills."""
+    n = len(a)
+    if band is None:
+        band = np.ones((n, 3))
+    w = np.empty(n) if w is None else w
+    u = np.empty(n)
+    partialwave._sweep(np.array(a, dtype=float), 1.0 - np.asarray(a, dtype=float),
+                       band, w, np.asarray(seeds, dtype=float), np.arange(n), u)
+    return u
 
 
-def random_band(rng, n):
-    """A monic recurrence x[i] = g (w x[i-1] + (1 - w) x[i-2]) with random
-    weights w and gains g: a positive solution that grows by about 1e100
-    over 3000 rows, free of cancellation.  The diagonal column is NaN,
-    which a solve that reads it would carry into every row."""
-    w = rng.uniform(0.2, 0.8, n)
-    g = rng.uniform(0.95, 1.25, n)
-    band = np.empty((n, 3))
-    band[:, 0] = np.nan
-    band[:-1, 1] = -(w * g)[1:]
-    band[:-2, 2] = -((1.0 - w) * g)[2:]
-    band[-1, 1:] = band[-2, 2] = 0.0
-    return band
+def sweep_loop(a, seeds):
+    """The same Numerov recurrence one row at a time, unscaled:
+    w[i+1] = d[i] w[i] - w[i-1], d = 2 + 12 a / f formed as _sweep forms
+    it, and u = w / f past the seed rows."""
+    f = 1.0 - a
+    d = -((a / f) * -12.0 - 2.0)
+    w = [seeds[0] * f[0], seeds[1] * f[1]]
+    for i in range(2, len(a)):
+        w.append(d[i - 1] * w[i - 1] - w[i - 2])
+    u = np.array(w) / f
+    u[:2] = seeds
+    return u
+
+
+def random_numerov(rng, n, scale):
+    """Numerov coefficients a in [scale, 3 scale], so that d > 2 on every
+    row: from increasing positive seeds an increasing solution, free of
+    cancellation, that grows by about 1e100 over 3000 rows at
+    scale = 2.5e-4 and by about 1e266 at 1.75e-3."""
+    return rng.uniform(scale, 3.0 * scale, n)
 
 
 class TestBandedRecurrence:
-    @pytest.mark.parametrize("chunk", [3, 64, numerics._CHUNK])
+    """The chunked monic recurrence that partialwave._sweep solves in place
+    with LAPACK dtbtrs: chunks of at most _CHUNK rows, each started from its
+    two carried values scaled below 1 by a power of two."""
+
+    @pytest.mark.parametrize("chunk", [3, 64, partialwave._CHUNK])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_step_loop(self, monkeypatch, chunk, seed):
-        monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        # the result does not depend on the chunk length; the band's
+        # diagonal column is NaN, which a solve that read it would carry
+        # into every row
+        monkeypatch.setattr(partialwave, "_CHUNK", chunk)
         rng = np.random.default_rng(seed)
         n = 3000
-        band = random_band(rng, n)
-        x = np.zeros(n)
-        x[:2] = rng.uniform(0.5, 3.0, 2)
-        expected = recurrence_loop(band, x[0], x[1])
-        starts, scales, peak = banded_recurrence(band.copy(), x)
-        assert starts[0] == 0 and np.all(np.diff(starts + [n]) > 0)
-        assert np.max(np.diff(starts), initial=0) <= chunk
-        for a, z, scale in zip(starts, starts[1:] + [n], scales):
-            x[a:z] = np.ldexp(x[a:z], scale)
-        assert np.max(np.abs(x)) > 1e50
-        assert np.allclose(x, expected, rtol=1e-11, atol=0.0)
-        assert 2.0 ** (peak - 1) <= np.max(np.abs(x)) < 2.0 ** peak
+        a = random_numerov(rng, n, 2.5e-4)
+        seeds = np.cumsum(rng.uniform(0.5, 1.5, 2))
+        band = np.ones((n, 3))
+        band[:, 0] = np.nan
+        u = sweep(a, seeds, band)
+        expected = sweep_loop(a, seeds)
+        assert np.max(u) > 1e50
+        assert np.allclose(u, expected, rtol=1e-11, atol=0.0)
 
     def test_negative_solution_peak(self):
-        # the chunk size is the largest magnitude of either sign
+        # the chunk size is the largest magnitude of either sign: a negative
+        # solution that passes 2**830 is shifted down by the power of two
+        # that its own largest magnitude calls for
         rng = np.random.default_rng(3)
         n = 3000
-        band = random_band(rng, n)
-        x = np.zeros(n)
-        x[:2] = -rng.uniform(0.5, 3.0, 2)
-        expected = recurrence_loop(band, x[0], x[1])
-        starts, scales, peak = banded_recurrence(band.copy(), x)
-        for a, z, scale in zip(starts, starts[1:] + [n], scales):
-            x[a:z] = np.ldexp(x[a:z], scale)
-        assert np.max(x) < -1.0 and np.min(x) < -1e50
-        assert np.allclose(x, expected, rtol=1e-11, atol=0.0)
-        assert 2.0 ** (peak - 1) <= np.max(np.abs(x)) < 2.0 ** peak
-
-    @pytest.mark.parametrize("make", [
-        lambda: np.zeros(80)[::2],
-        lambda: np.zeros((40, 2))[:, 0],
-        lambda: np.zeros(40, dtype=np.float32),
-        lambda: np.zeros((40, 1)),
-        lambda: [0.0] * 40,
-    ], ids=["strided", "c-order-column", "float32", "2d", "list"])
-    def test_x_must_be_contiguous_float64_vector(self, make):
-        band = np.ones((40, 3))
-        band[:, 1] = -2.0
-        x = make()
-        with pytest.raises(ParameterError, match="contiguous float64 vector"):
-            banded_recurrence(band, x)
+        a = random_numerov(rng, n, 1.75e-3)
+        seeds = -np.cumsum(rng.uniform(0.5, 1.5, 2))
+        u = sweep(a, seeds)
+        expected = sweep_loop(a, seeds)
+        w = expected * (1.0 - a)
+        peak = math.frexp(np.max(np.abs(w[2:])))[1]
+        assert peak > partialwave._MAX_EXP and np.all(np.isfinite(w))
+        expected[2:] = np.ldexp(expected[2:], partialwave._MAX_EXP - peak)
+        assert np.max(u[2:]) < 0.0
+        assert 2.0 ** 829 <= np.max(np.abs(u[2:] * (1.0 - a[2:])))
+        assert np.allclose(u[2:], expected[2:], rtol=1e-11, atol=0.0)
 
     def test_solves_in_place(self, monkeypatch):
-        # x[i] = i + 1; every solve's right-hand side is a view into x
-        views = []
-        solve = numerics.dtbtrs
+        # u[i] = i + 1 (a = 0, so d = 2); every solve's right-hand side is
+        # a view into w, and chunks start at the cap
+        sizes = []
+        w = np.empty(100)
+        solve = partialwave.dtbtrs
 
         def spy(ab, b, **kwargs):
-            views.append(np.shares_memory(b, x) and kwargs.get("overwrite_b") == 1)
+            assert np.shares_memory(b, w) and kwargs.get("overwrite_b") == 1
+            sizes.append(len(b))
             return solve(ab, b, **kwargs)
 
-        monkeypatch.setattr(numerics, "dtbtrs", spy)
-        monkeypatch.setattr(numerics, "_CHUNK", 16)
-        band = np.ones((100, 3))
-        band[:, 1] = -2.0
-        x = np.zeros(100)
-        x[:2] = (1.0, 2.0)
-        starts, scales, _ = banded_recurrence(band, x)
-        assert views and all(views)
-        assert starts == list(range(0, 98, 16))
-        for a, z, scale in zip(starts, starts[1:] + [100], scales):
-            x[a:z] = np.ldexp(x[a:z], scale)
-        assert np.array_equal(x, np.arange(1.0, 101.0))
+        monkeypatch.setattr(partialwave, "dtbtrs", spy)
+        monkeypatch.setattr(partialwave, "_CHUNK", 16)
+        u = sweep(np.zeros(100), (1.0, 2.0), w=w)
+        assert sizes == [18] * 6 + [4]
+        assert np.array_equal(u, np.arange(1.0, 101.0))
 
     def test_row_overflow_raises(self):
-        # x[i] = i + 1 up to row 10, whose huge coefficients take it past
-        # the float range however short the chunk: the carried x[8], x[9]
-        # are scaled to 9/16 and 10/16, and their sum times the largest
-        # float overflows
-        band = np.ones((40, 3))
-        band[:, 1] = -2.0
-        band[9, 1] = band[8, 2] = -np.finfo(float).max
-        x = np.zeros(40)
-        x[:2] = (1.0, 2.0)
-        with pytest.raises(NumericalError, match="row 10"):
-            banded_recurrence(band, x)
+        # u[i] = i + 1 up to row 10, which is not finite however short the
+        # chunk: a = inf on row 9 makes its d NaN
+        a = np.zeros(40)
+        a[9] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="row 10"):
+                sweep(a, (1.0, 2.0))

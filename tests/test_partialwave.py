@@ -10,7 +10,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dtbtrs
 
 from scatterlab import born, cli, numerics, partialwave
-from scatterlab.numerics import _CHUNK, DomainError, NumericalError, ParameterError
+from scatterlab.numerics import DomainError, NumericalError, ParameterError
+from scatterlab.partialwave import _CHUNK
 from scatterlab.potentials import PotentialModel
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
@@ -168,8 +169,8 @@ class TestNumerovSweep:
         # rows to subnormal numbers or zero; l = 0, 3 and 60 keep u ~ r^(l+1)
         ls = np.array([0, 3, 60, 250])
         runs = []
-        for chunk in (3, 64, 1000, numerics._CHUNK):
-            monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        for chunk in (3, 64, 1000, _CHUNK):
+            monkeypatch.setattr(partialwave, "_CHUNK", chunk)
             runs.append(partialwave._numerov_channels(GAUSS, ls, 2.0, 8.0, 1e-3)[1])
         assert 2.0 ** 829 <= np.max(np.abs(runs[0][:, 3])) < 2.0 ** 830
         for u in runs[1:]:
@@ -177,14 +178,14 @@ class TestNumerovSweep:
 
     def test_large_l_splits_chunk(self, monkeypatch):
         finite = []
-        solve = numerics.dtbtrs
+        solve = partialwave.dtbtrs
 
         def spy(*args, **kwargs):
             x, info = solve(*args, **kwargs)
             finite.append(bool(np.all(np.isfinite(x))))
             return x, info
 
-        monkeypatch.setattr(numerics, "dtbtrs", spy)
+        monkeypatch.setattr(partialwave, "dtbtrs", spy)
         # u ~ r^1201 grows by 2^1201 over the first 2-row chunk
         delta = partialwave.radial_phase_shift(GAUSS, 1200, 60.0, r_max=30.0)
         assert not all(finite)
@@ -239,29 +240,31 @@ class TestNumerovSweep:
         assert np.max(np.abs(table.delta - expected)) < 1e-9
 
 
-def ramp_banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list, int]:
-    """numerics.banded_recurrence as it was before chunks started at the
-    cap, kept as the reference for the chunk schedule: every call ramps up
-    from a 2-row chunk and solves each chunk of the monic band on a fresh
-    right-hand side."""
-    n = len(x)
+def ramp_sweep(a, f, band, w, seeds, rows, u) -> None:
+    """partialwave._sweep as it was before chunks started at the cap, kept
+    as the reference for the chunk schedule: every sweep ramps up from a
+    2-row chunk, solves each chunk of the monic band on a fresh right-hand
+    side, and maps the rows back to their chunks' scales afterwards."""
+    np.divide(a[1:], f[1:], out=a[1:])
+    np.multiply(a[1:], -12.0, out=a[1:])
+    np.subtract(a[1:], 2.0, out=band[1:, 1])
+    w[:2] = seeds * f[:2]
+    n = len(w)
     starts, scales = [], []
     scale = 0
-    peak = math.frexp(max(abs(x[0]), abs(x[1])))[1]
+    peak = math.frexp(max(abs(w[0]), abs(w[1])))[1]
     s, m = 2, 2
     while s < n:
-        top = math.frexp(max(abs(x[s - 2]), abs(x[s - 1])))[1]
-        x[s - 2:s] = np.ldexp(x[s - 2:s], -top)
+        top = math.frexp(max(abs(w[s - 2]), abs(w[s - 1])))[1]
+        w[s - 2:s] = np.ldexp(w[s - 2:s], -top)
         scale += top
         starts.append(s - 2)
         scales.append(scale)
-        # rows s-2 and s-1 become identity rows; a later chunk either starts
-        # past them or uses them as identity rows too
         band[s - 2, 1] = 0.0
         while True:
             e = min(n, s + m)
             b = np.zeros(e - s + 2)
-            b[:2] = x[s - 2:s]
+            b[:2] = w[s - 2:s]
             y, _ = dtbtrs(band[s - 2:e].T, b, uplo="L", diag="U", overwrite_b=1)
             size = float(np.max(np.abs(y)))
             if math.isfinite(size):
@@ -269,10 +272,13 @@ def ramp_banded_recurrence(band: np.ndarray, x: np.ndarray) -> tuple[list, list,
             if m == 1:
                 raise NumericalError(f"recurrence overflows or is not finite at row {s}")
             m //= 2
-        x[s:e] = y[2:]
+        w[s:e] = y[2:]
         peak = max(peak, scale + math.frexp(size)[1])
         s, m = e, min(2 * m, _CHUNK)
-    return starts, scales, peak
+    w[:2] = np.ldexp(seeds, -scales[0]) if scales else seeds
+    f[:2] = 1.0
+    exps = np.array([0, *scales])[np.searchsorted(starts, rows, side="right")]
+    np.ldexp(w[rows] / f[rows], exps - max(0, peak - partialwave._MAX_EXP), out=u)
 
 
 # the grids of born.exact_kernel behind the highenergy CLI defaults:
@@ -300,20 +306,20 @@ class TestChunkSchedule:
     def test_numerov_matches_ramp(self, monkeypatch, model, ls, k, r_max):
         r_max = partialwave._default_r_max(model, k) if r_max is None else r_max
         new = partialwave._numerov_channels(model, ls, k, r_max, 1e-3)[1]
-        monkeypatch.setattr(partialwave, "banded_recurrence", ramp_banded_recurrence)
+        monkeypatch.setattr(partialwave, "_sweep", ramp_sweep)
         old = partialwave._numerov_channels(model, ls, k, r_max, 1e-3)[1]
         assert np.array_equal(new, old)
 
     def test_highenergy_solve_count(self, monkeypatch):
         finite = []
-        solve = numerics.dtbtrs
+        solve = partialwave.dtbtrs
 
         def spy(*args, **kwargs):
             x, info = solve(*args, **kwargs)
             finite.append(bool(np.all(np.isfinite(x))))
             return x, info
 
-        monkeypatch.setattr(numerics, "dtbtrs", spy)
+        monkeypatch.setattr(partialwave, "dtbtrs", spy)
         bound = 0
         for ls, k in HIGHENERGY_GRIDS:
             n = int(np.ceil(partialwave._default_r_max(GAUSS, k) / 1e-3))

@@ -32,8 +32,6 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 ALLOWED = {
     ("born", "born_first_phase_shift"): "oracle of the partial-wave tests",
-    **{("acceptance", f"criterion_{i:02d}"): "reached through CRITERIA's globals()"
-       for i in range(1, 16)},
 }
 
 
