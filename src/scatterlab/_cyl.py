@@ -4,6 +4,14 @@ Radial potentials make every quantity built from rays along a fixed unit
 vector axisymmetric about that axis, so fields live on an (s, z) grid:
 s >= 0 the distance from the axis, z the coordinate along it.  Arrays are
 shaped (n_s, n_z).
+
+The table kernels d_ds, d_dz, laplacian, march_up and march_down take an
+optional out=: a C-contiguous array of the result's shape and dtype that
+shares no memory with the inputs.  They write the result into it with
+numpy ufuncs and return it; without out they return a new array.  Either
+way the result is bit for bit numpy's gradient (edge_order=2) and scipy's
+cumulative_trapezoid: each element takes the same operations in the same
+order.
 """
 
 from __future__ import annotations
@@ -11,8 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RegularGridInterpolator
+
+# Largest temporary, in elements, of the non-uniform difference rule, which
+# forms its rows a block at a time
+_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -28,12 +39,9 @@ class CylGrid:
     def dz(self) -> float:
         return float(self.z[1] - self.z[0])
 
-    def mesh(self):
-        return np.meshgrid(self.s, self.z, indexing="ij")
-
     def radius(self) -> np.ndarray:
-        ss, zz = self.mesh()
-        return np.sqrt(ss * ss + zz * zz)
+        r = np.add(self.s[:, None] ** 2, self.z**2)
+        return np.sqrt(r, out=r)
 
 
 def make_grid(s_max: float, z_max: float, n_s: int, n_z: int) -> CylGrid:
@@ -41,22 +49,64 @@ def make_grid(s_max: float, z_max: float, n_s: int, n_z: int) -> CylGrid:
                    z=np.linspace(-z_max, z_max, n_z))
 
 
-def d_ds(f: np.ndarray, grid: CylGrid) -> np.ndarray:
+def _gradient(f: np.ndarray, x: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """np.gradient(f, x, axis=axis, edge_order=2) written into out, operation
+    for operation.  Where x is exactly uniform, numpy takes the two-point
+    rule (f[i+1] - f[i-1]) / 2h; elsewhere its three-coefficient rule
+    a f[i-1] + b f[i] + c f[i+1], formed here a block of rows at a time."""
+    f, res = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    dx = np.diff(x)
+    if (dx == dx[0]).all():
+        h = dx[0]
+        np.subtract(f[2:], f[:-2], out=res[1:-1])
+        res[1:-1] /= 2.0 * h
+        first, last = (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
+    else:
+        dx1, dx2 = dx[:-1, None], dx[1:, None]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+        rows = max(1, _BLOCK // f[0].size)
+        tmp = np.empty((min(rows, len(a)),) + f.shape[1:], dtype=out.dtype)
+        for i in range(0, len(a), rows):
+            j = min(i + rows, len(a))
+            mid, t = res[i + 1:j + 1], tmp[:j - i]
+            np.multiply(a[i:j], f[i:j], out=mid)
+            np.multiply(b[i:j], f[i + 1:j + 1], out=t)
+            mid += t
+            np.multiply(c[i:j], f[i + 2:j + 2], out=t)
+            mid += t
+        h1, h2 = dx[0], dx[1]
+        first = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+                 -h1 / (h2 * (h1 + h2)))
+        h1, h2 = dx[-2], dx[-1]
+        last = (h2 / (h1 * (h1 + h2)), -(h2 + h1) / (h1 * h2),
+                (2.0 * h2 + h1) / (h2 * (h1 + h2)))
+    res[0] = first[0] * f[0] + first[1] * f[1] + first[2] * f[2]
+    res[-1] = last[0] * f[-3] + last[1] * f[-2] + last[2] * f[-1]
+
+
+def d_ds(f: np.ndarray, grid: CylGrid, out: np.ndarray | None = None) -> np.ndarray:
     """f_s of a field even in s, as every axisymmetric field is: central
     differences, and 0 on the axis row, where the mirrored row
     f(-ds) = f(ds) cancels the central difference."""
-    out = np.gradient(f, grid.s, axis=0, edge_order=2)
+    out = np.empty_like(f) if out is None else out
+    _gradient(f, grid.s, 0, out)
     out[0] = 0.0
     return out
 
 
-def d_dz(f: np.ndarray, grid: CylGrid) -> np.ndarray:
-    return np.gradient(f, grid.z, axis=1, edge_order=2)
+def d_dz(f: np.ndarray, grid: CylGrid, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty_like(f) if out is None else out
+    _gradient(f, grid.z, 1, out)
+    return out
 
 
-def laplacian(fs: np.ndarray, fz: np.ndarray, grid: CylGrid) -> np.ndarray:
+def laplacian(fs: np.ndarray, fz: np.ndarray, grid: CylGrid,
+              out: np.ndarray | None = None) -> np.ndarray:
     """3D Laplacian f_zz + f_ss + f_s / s of an axisymmetric field f, real or
-    complex, from the first derivatives fs = d_ds(f) and fz = d_dz(f).
+    complex, from the first derivatives fs = d_ds(f) and fz = d_dz(f), with
+    one work array.
 
     The Laplacian is even in s, and on the axis (s = 0) it is the even fit
     L(0) + c s^2 through rows 1 and 2, (4 L_1 - L_2) / 3, whose truncation
@@ -66,25 +116,42 @@ def laplacian(fs: np.ndarray, fz: np.ndarray, grid: CylGrid) -> np.ndarray:
     reciprocal), so a complex field's Laplacian is bit for bit the
     Laplacians of its real and imaginary parts.
     """
-    fss = d_ds(fs, grid)
-    fzz = d_dz(fz, grid)
-    out = np.empty_like(fss)
-    np.divide(fs[1:].view(float), grid.s[1:, None], out=out[1:].view(float))
-    out[1:] += fzz[1:] + fss[1:]
+    out = np.empty_like(fs) if out is None else out
+    work = d_ds(fs, grid)
+    d_dz(fz, grid, out=out)
+    out[1:] += work[1:]
+    np.divide(fs[1:].view(float), grid.s[1:, None], out=work[1:].view(float))
+    out[1:] += work[1:]
     axis = 4.0 * out[1] - out[2]
     np.divide(axis.view(float), 3.0, out=out[0].view(float))
     return out
 
 
-def march_up(g: np.ndarray, grid: CylGrid, anchor: np.ndarray) -> np.ndarray:
+def _cumulative_trapezoid(g: np.ndarray, dz: float, out: np.ndarray) -> None:
+    """scipy's cumulative_trapezoid(g, dx=dz, initial=0) along z, written
+    into out: 0, then the running sums of dz (g_j + g_{j+1}) / 2."""
+    out[:, 0] = 0.0
+    cells = out[:, 1:]
+    np.add(g[:, 1:], g[:, :-1], out=cells)
+    cells *= dz
+    cells /= 2.0
+    np.cumsum(cells, axis=1, out=cells)
+
+
+def march_up(g: np.ndarray, grid: CylGrid, anchor: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """F(s, z) = anchor(s) + int_{z_min}^{z} g(s, z') dz' (trapezoid)."""
-    return anchor[:, None] + cumulative_trapezoid(g, dx=grid.dz, initial=0)
+    out = np.empty(g.shape, np.result_type(g, anchor)) if out is None else out
+    _cumulative_trapezoid(g, grid.dz, out)
+    return np.add(anchor[:, None], out, out=out)
 
 
-def march_down(g: np.ndarray, grid: CylGrid, anchor: np.ndarray) -> np.ndarray:
+def march_down(g: np.ndarray, grid: CylGrid, anchor: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """F(s, z) = anchor(s) - int_{z}^{z_max} g(s, z') dz' (trapezoid)."""
-    rev = cumulative_trapezoid(g[:, ::-1], dx=grid.dz, initial=0)[:, ::-1]
-    return anchor[:, None] - rev
+    out = np.empty(g.shape, np.result_type(g, anchor)) if out is None else out
+    _cumulative_trapezoid(g[:, ::-1], grid.dz, out[:, ::-1])
+    return np.subtract(anchor[:, None], out, out=out)
 
 
 def interpolator(grid: CylGrid, f: np.ndarray):
@@ -106,8 +173,7 @@ def cyl_coords(points: np.ndarray, axis: np.ndarray):
 def off_cone_mask(grid: CylGrid, bad_z_sign: int, half_angle: float) -> np.ndarray:
     """True where the direction of (s, z) is outside the cone around the
     bad axis direction (z < 0 axis for bad_z_sign=-1, z > 0 for +1)."""
-    ss, zz = grid.mesh()
-    r = np.sqrt(ss * ss + zz * zz)
+    r = grid.radius()
     with np.errstate(invalid="ignore"):
-        cos_to_bad = bad_z_sign * zz / np.where(r > 0, r, 1.0)
+        cos_to_bad = bad_z_sign * grid.z / np.where(r > 0, r, 1.0)
     return ~((r > 0) & (cos_to_bad > np.cos(half_angle)))

@@ -112,10 +112,13 @@ def _power_tail_amplitude(model: PotentialModel, q: float) -> float:
 
 def _radial_fourier(model: PotentialModel, q: float) -> float:
     """(1/q) int_0^inf r v(r) sin(qr) dr with an oscillatory tail check
-    (relative tolerance 1e-9)."""
-    r_cut = model.tail_radius(1e-13)
+    (relative tolerance 1e-9), by 12 Gauss nodes per panel to where
+    |v| < 1e-18 |v0|, as the forward rule ends: at least 64 panels there,
+    so each is small on v's own scale (a compact bump's support, a decay
+    length), and none longer than half a wavelength pi / q."""
+    r_cut = model.tail_radius(1e-18 * abs(model.v0))
     panel = np.pi / max(q, 1e-3)
-    n_panels = max(8, int(np.ceil(r_cut / panel)))
+    n_panels = max(64, int(np.ceil(r_cut / panel)))
     if n_panels > 200000:
         raise ConvergenceError("oscillatory quadrature would need too many panels")
     r, w = composite_gauss(12, np.linspace(0.0, r_cut, n_panels + 1))
@@ -192,7 +195,9 @@ def transport_orders(model: PotentialModel, grid: _cyl.CylGrid, q: np.ndarray,
     phi is (Phi_s, Phi_z, Lap Phi), or None for Phi = 0 (real tables, the
     kernel's b_n with q = v).  The source of b_0 = 1 is q - i Lap Phi in
     closed form.  b_1 starts from anchor on the march's first row; higher
-    sources decay at least as fast as q and start from 0.
+    sources decay at least as fast as q and start from 0.  Each b_n and f_n
+    is a new array, which no later order writes to; i Lap Phi is formed once,
+    and each source in place.
 
     The recursion needs a smooth q: for yukawa, b_1 = int v dt diverges
     logarithmically on the axis, so orders N >= 1 raise DomainError.  N
@@ -208,17 +213,31 @@ def transport_orders(model: PotentialModel, grid: _cyl.CylGrid, q: np.ndarray,
     f = q
     if phi is not None:
         phi_s, phi_z, lap_phi = phi
-        f = q - 1j * lap_phi
+        i_lap_phi = 1j * lap_phi
+        f = q - i_lap_phi
     yield b
     yield f
+    zeros = np.zeros(len(grid.s))
     for n in range(1, N + 1):
-        b = march(f, grid, anchor if n == 1 else np.zeros(len(grid.s)))
+        b = march(f, grid, anchor if n == 1 else zeros)
+        del f  # the caller's now: not held while the next source is formed
         yield b
-        bs, bz = _cyl.d_ds(b, grid), _cyl.d_dz(b, grid)
-        f = -_cyl.laplacian(bs, bz, grid)
+        if n == 1:
+            # the derivatives of b_n, then the terms of its source, in two
+            # work arrays that every order reuses
+            bs, bz = np.empty_like(b), np.empty_like(b)
+        f = _cyl.laplacian(_cyl.d_ds(b, grid, out=bs), _cyl.d_dz(b, grid, out=bz), grid)
+        np.negative(f, out=f)
         if phi is not None:
-            f = f - 2j * (phi_s * bs + phi_z * bz) - 1j * lap_phi * b
-        f = f + q * b
+            np.multiply(phi_s, bs, out=bs)
+            np.multiply(phi_z, bz, out=bz)
+            bs += bz
+            np.multiply(2j, bs, out=bs)
+            f -= bs
+            np.multiply(i_lap_phi, b, out=bs)
+            f -= bs
+        np.multiply(q, b, out=bs)
+        f += bs
         yield f
 
 
@@ -234,7 +253,10 @@ def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid) -> np.ndarray:
         if not np.all(np.isfinite(anchor)):
             raise DomainError("b_1's anchor int_-inf^z_min v dz diverges (rho <= 1)")
     orders = transport_orders(model, grid, v, N, _cyl.march_up, anchor)
-    return np.stack(list(islice(orders, 0, 2 * N + 1, 2)))
+    tables = np.empty((N + 1,) + v.shape)
+    for n, b in enumerate(islice(orders, 0, 2 * N + 1, 2)):
+        tables[n] = b
+    return tables
 
 
 def _default_cyl_grid(model: PotentialModel) -> _cyl.CylGrid:

@@ -41,8 +41,8 @@ S0_SIGN = -1.0
 PROBE_N = 1
 # Gauss nodes per S0 plane panel, and the largest (a, b) node mesh of the
 # nested plane rule (the window's and its enlargement's in one).  The
-# quadrature walks the mesh in row blocks of about _PLANE_BLOCK points and
-# holds no full-mesh array: at most about 3.5 MB of block temporaries
+# quadrature walks the mesh in row blocks of about _PLANE_BLOCK points, in
+# one workspace per call, and holds no full-mesh array: at most about 3.5 MB
 # (tracemalloc peak of s0_kernel at lam = 100) with 6 psi planes and 4.3 MB
 # with 9, at any mesh size, plus 32 bytes per row for the two windows' row
 # sums (66 kB at the cap).
@@ -191,23 +191,25 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
     _check_order_weight(xi_norm, N0, "N0")
     extent = _table_extent(model)
     grid = _cyl.make_grid(s_max=extent, z_max=1.5 * extent, n_s=161, n_z=481)
-    r = grid.radius()
-    v = model.radial_values(r)
+    v = model.radial_values(grid.radius())
 
     # the tables are anchored on the far row (z_max for sign +, z_min for
-    # sign -), whose rays x + sign t e_z run along w = sign z from a outward
+    # sign -), whose rays x + sign t e_z run along w = sign z from a outward.
+    # phi_n, n = 0..N0, are the rows of one stack, marched into it; the even
+    # orders stay 0: phi_0 = 0 for zero vector potential, and the sources of
+    # phi_2 (2 grad phi_0 . grad phi_1) and phi_4 vanish with phi_0 = phi_2 = 0
     march = _cyl.march_down if sign > 0 else _cyl.march_up
     a = grid.z[-1] if sign > 0 else -grid.z[0]
-    phi = [np.zeros_like(v)]  # phi_0 = 0 for zero vector potential
+    phi = np.zeros((N0 + 1,) + v.shape)
     if N0 >= 1:
-        phi.append(march(-v, grid, sign * ray_difference(model, grid.s, a)))
-    if N0 >= 2:
-        phi.append(np.zeros_like(v))  # phi_2: source 2 grad phi_0 . grad phi_1 = 0
+        source = np.negative(v)
+        march(source, grid, sign * ray_difference(model, grid.s, a), out=phi[1])
     if N0 >= 3:
-        f3 = _cyl.d_ds(phi[1], grid) ** 2 + _cyl.d_dz(phi[1], grid) ** 2
-        phi.append(march(-f3, grid, _phi3_anchor(model, grid.s, a, sign)))
-    if N0 >= 4:
-        phi.append(np.zeros_like(v))  # phi_4: sources vanish with phi_0 = phi_2 = 0
+        # the source -|grad phi_1|^2, with d_dz phi_1 formed in phi_3's row
+        f3 = np.square(_cyl.d_ds(phi[1], grid, out=source), out=source)
+        f3 += np.square(_cyl.d_dz(phi[1], grid, out=phi[3]), out=phi[3])
+        np.negative(f3, out=f3)
+        march(f3, grid, _phi3_anchor(model, grid.s, a, sign), out=phi[3])
 
     if N0 == 0:
         # Phi = 0: no derivative pass, and q = 2 |xi| Phi_z + |grad Phi|^2 + v
@@ -218,13 +220,21 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
         Phi = Phi_s = Phi_z = lap_Phi = phi[0]
         q = v
     else:
+        # Phi and its derivatives are the rows of one stack; Lap Phi's row
+        # holds each weighted order until Phi is summed
+        Phi, Phi_s, Phi_z, lap_Phi = np.empty((4,) + v.shape)
         weights = (2.0 * xi_norm) ** -np.arange(N0 + 1)
-        Phi = sum(w * p for w, p in zip(weights, phi))
-        Phi_s = _cyl.d_ds(Phi, grid)
-        Phi_z = _cyl.d_dz(Phi, grid)
-        lap_Phi = _cyl.laplacian(Phi_s, Phi_z, grid)
+        np.multiply(weights[0], phi[0], out=Phi)
+        for w, p in zip(weights[1:], phi[1:]):
+            Phi += np.multiply(w, p, out=lap_Phi)
+        _cyl.laplacian(_cyl.d_ds(Phi, grid, out=Phi_s), _cyl.d_dz(Phi, grid, out=Phi_z),
+                       grid, out=lap_Phi)
+        # q = 2 |xi| Phi_z + Phi_z^2 + Phi_s^2 + v, summed left to right
         with np.errstate(over="ignore", invalid="ignore"):
-            q = 2.0 * xi_norm * Phi_z + Phi_z**2 + Phi_s**2 + v
+            q = np.multiply(2.0 * xi_norm, Phi_z)
+            q += np.square(Phi_z, out=source)
+            q += np.square(Phi_s, out=source)
+            q += v
     if not np.isfinite(q).all():
         raise NumericalError("q = 2 |xi| Phi_z + |grad Phi|^2 + v is not finite "
                              "on the eikonal tables")
@@ -276,6 +286,7 @@ def residual_norms(eikonal: EikonalData, N: int) -> list[float]:
         residual = (2.0 * xi) ** -n * f[mask]
         norm2 = np.sum(np.abs(residual) ** 2 * weight) * grid.ds * grid.dz
         norms.append(float(np.sqrt(norm2)))
+        del f, residual  # not held while the recursion forms the next source
     return norms
 
 
@@ -342,17 +353,23 @@ class _PsiEvaluator:
         grid = eikonal.grid
         self.xi = eikonal.xi_norm
         orders = (2j * self.xi) ** -np.arange(self.N + 1)
-        btot = sum(o * bn for o, bn in zip(orders, b_n))
-        bs = _cyl.d_ds(btot, grid)
-        bz = _cyl.d_dz(btot, grid)
-        planes = [btot.real, btot.imag, bs.real, bs.imag, bz.real, bz.imag]
-        if eikonal.N0 >= 1:
-            planes += [eikonal.Phi, eikonal.Phi_s, eikonal.Phi_z]
+        # b = sum_n orders[n] b_n whole, then d_s b and d_z b in one work
+        # table, each written straight into its planes
+        btot = np.multiply(orders[0], b_n[0])
+        work = np.empty_like(btot)
+        for o, bn in zip(orders[1:], b_n[1:]):
+            btot += np.multiply(o, bn, out=work)
         # (plane, z, s): a z row of each plane is contiguous
-        stack = np.zeros((len(planes), len(grid.z) + 3, len(grid.s) + 3))
+        stack = np.zeros((9 if eikonal.N0 >= 1 else 6, len(grid.z) + 3, len(grid.s) + 3))
         stack[0] = 1.0
-        for plane, table in zip(stack, planes):
-            plane[1:-2, 1:-2] = table.T
+        inner = stack[:, 1:-2, 1:-2].transpose(0, 2, 1)
+        inner[0], inner[1] = btot.real, btot.imag
+        _cyl.d_ds(btot, grid, out=work)
+        inner[2], inner[3] = work.real, work.imag
+        _cyl.d_dz(btot, grid, out=work)
+        inner[4], inner[5] = work.real, work.imag
+        if eikonal.N0 >= 1:
+            inner[6], inner[7], inner[8] = eikonal.Phi, eikonal.Phi_s, eikonal.Phi_z
         self._stack = stack
         self._s_cells = _cells(grid.s)
         self._z_cells = _cells(grid.z)
@@ -388,30 +405,51 @@ class _PsiEvaluator:
         amp, damp = self._assemble(self._scipy_planes(s, z), ds_dt, dz_dt)
         return wave * amp, wave * damp
 
-    def amplitudes(self, s, z, ds_dt, dz_dt: float):
+    def workspace(self, rows: int, points: int) -> _Workspace:
+        """Work arrays for amplitudes(..., out=) at up to rows z values and
+        points points, which the caller owns: amplitudes writes its lookups
+        and its (A, D) into them and keeps no state between calls."""
+        planes, _, width = self._stack.shape
+        return _Workspace(*(np.empty(n, dtype) for n, dtype in (
+            (planes * rows * width, float), (planes * points, float),
+            (planes * max(rows * width, points), float),
+            (points, complex), (points, complex), (points, complex))))
+
+    def amplitudes(self, s, z, ds_dt, dz_dt: float, out: _Workspace | None = None):
         """(A, D) = exp(-i xi z) (psi, d psi / d t) of the stack's tables at
         (s, z) about omega moving at rates (ds_dt, dz_dt), broadcast to the
         shape of s.  z may hold one value per row of s (the S0 mesh's rows):
-        it is looked up at its own shape, so each value costs a table row."""
-        return self._assemble(self._planes(s, z), ds_dt, dz_dt)
+        it is looked up at its own shape, so each value costs a table row.
+        With out, a workspace() large enough, every lookup and sum is
+        written into it, and A and D are views into it until its next use."""
+        return self._assemble(self._planes(s, z, out), ds_dt, dz_dt, out)
 
-    def _planes(self, s, z):
-        """The stack's planes at (s, z): blended along z at z's own shape,
-        then along s at each point.  Each axis blends f0 (1 - t) + f1 t, as
-        scipy's bilinear rule does, so on a node line of the grid the value
-        is scipy's bit for bit."""
+    def _planes(self, s, z, work: _Workspace | None = None):
+        """The stack's planes at (s, z), in work (a new workspace without
+        it): blended along z at z's own shape, then along s at each point.
+        Each axis blends f0 (1 - t) + f1 t, as scipy's bilinear rule does,
+        so on a node line of the grid the value is scipy's bit for bit."""
+        if work is None:
+            work = self.workspace(np.size(z), np.size(s))
         stack = self._stack
+        planes, _, width = stack.shape
         jz, tz = _locate(self._z_cells, np.ravel(z))
         tz = tz[:, None]
-        rows = stack[:, jz] * (1.0 - tz) + stack[:, jz + 1] * tz
-        rows = rows.reshape(len(stack), -1)
+        shape = (planes, len(jz), width)
+        rows = np.take(stack, jz, axis=1, out=_carve(work.rows, shape), mode="clip")
+        rows *= 1.0 - tz
+        hi = np.take(stack, jz + 1, axis=1, out=_carve(work.hi, shape), mode="clip")
+        hi *= tz
+        rows += hi
+        rows = rows.reshape(planes, -1)
         js, ts = _locate(self._s_cells, s)
-        width = stack.shape[2]
         js += width * np.arange(np.size(z)).reshape(np.shape(z))
-        out = np.take(rows, js, axis=1)
-        out *= 1.0 - ts
-        hi = np.take(rows, js + 1, axis=1)
+        shape = (planes,) + js.shape
+        out = np.take(rows, js, axis=1, out=_carve(work.lo, shape), mode="clip")
+        js += 1
+        hi = np.take(rows, js, axis=1, out=_carve(work.hi, shape), mode="clip")
         hi *= ts
+        out *= np.subtract(1.0, ts, out=ts)
         out += hi
         return out
 
@@ -431,21 +469,44 @@ class _PsiEvaluator:
         pts = np.array([np.ravel(s), np.ravel(np.broadcast_to(z, shape))]).T
         return np.array([f(pts).reshape(shape) for f in self._interp])
 
-    def _assemble(self, planes, ds_dt, dz_dt):
+    def _assemble(self, planes, ds_dt, dz_dt, work: _Workspace | None = None):
         """(A, D) from the plane values: A = exp(i Phi) b and D = i (xi
         dz_dt + d Phi / d t) A + exp(i Phi) d b / d t, without the plane
-        wave exp(i xi z)."""
-        amp = planes[0] + 1j * planes[1]
-        db_dt = (planes[2] + 1j * planes[3]) * ds_dt \
-            + (planes[4] + 1j * planes[5]) * dz_dt
+        wave exp(i xi z), in work's complex arrays (new ones without work).
+        The Phi_s and Phi_z planes are overwritten."""
+        shape = planes[0].shape
+        if work is None:
+            amp, db_dt, w = (np.empty(shape, complex) for _ in range(3))
+        else:
+            amp, db_dt, w = (_carve(a, shape) for a in (work.amp, work.damp, work.scratch))
+        np.add(planes[0], np.multiply(1j, planes[1], out=amp), out=amp)
+        np.add(planes[2], np.multiply(1j, planes[3], out=db_dt), out=db_dt)
+        db_dt *= ds_dt
+        np.add(planes[4], np.multiply(1j, planes[5], out=w), out=w)
+        w *= dz_dt
+        db_dt += w
         dphi_dt = self.xi * dz_dt
         if len(planes) > 6:
             Phi, Phi_s, Phi_z = planes[6:]
-            phase = np.exp(1j * Phi)
+            phase = np.exp(np.multiply(1j, Phi, out=w), out=w)
             amp *= phase
             db_dt *= phase
-            dphi_dt = dphi_dt + Phi_s * ds_dt + Phi_z * dz_dt
-        return amp, 1j * dphi_dt * amp + db_dt
+            dphi_dt = np.add(dphi_dt, np.multiply(Phi_s, ds_dt, out=Phi_s), out=Phi_s)
+            dphi_dt += np.multiply(Phi_z, dz_dt, out=Phi_z)
+        # D = (i d Phi / d t) A + d b / d t, in d b / d t's array
+        db_dt += np.multiply(np.multiply(1j, dphi_dt, out=w), amp, out=w)
+        return amp, db_dt
+
+
+# the work arrays of _PsiEvaluator.amplitudes: the z-blended rows of the
+# stack, the planes at the points (lower and upper; the upper first holds the
+# stack's upper rows), and A, D and a complex scratch
+_Workspace = namedtuple("_Workspace", "rows lo hi amp damp scratch")
+
+
+def _carve(buf: np.ndarray, shape) -> np.ndarray:
+    """The leading elements of a flat buffer as a C-contiguous array of shape."""
+    return buf[:np.prod(shape, dtype=int)].reshape(shape)
 
 
 def _s0_windows(model: PotentialModel, sql: float) -> tuple[float, float]:
@@ -536,11 +597,13 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float,
     # omega = (p, 0, c), normalised as every 3-D direction is
     p, _, c = _unit([np.sin(theta / 2), 0.0, np.cos(theta / 2)])
     rows = max(1, _PLANE_BLOCK // len(b))
+    work = psi.workspace(rows, rows * len(b))
     row_sums = np.empty((2, len(a)), dtype=complex)
     for i in range(0, len(a), rows):
         s, z, ds_dt = _plane_geometry(a[i:i + rows], b, p, c)
-        amp, damp = psi.amplitudes(s, z, ds_dt, c)
-        q = amp * damp
+        # q = A D - i sql c, in A's array
+        q, damp = psi.amplitudes(s, z, ds_dt, c, out=work)
+        q *= damp
         q -= 1j * (sql * c)
         row_sums[0, i:i + rows] = q[:, :m] @ wb
         row_sums[1, i:i + rows] = q @ wb_big

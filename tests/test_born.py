@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -122,6 +123,31 @@ class TestFirstBorn:
         assert val.imag == 0.0
         assert val.real == pytest.approx(expect, rel=1e-14)
 
+    def test_yukawa_radial_form_small_q(self):
+        # q = 0.05 against -1/(1 + q^2), on the radial form (q
+        # effective_range = 2): its rule ends where |v| < 1e-18 |v0|, where
+        # ending at |v| < 1e-13 left 9.0e-12
+        model = PotentialModel(kind="yukawa", v0=1.0, width=1.0)
+        q = 0.05
+        assert q * model.effective_range > 1.0
+        val = born.born_first_amplitude(model, 0.5 * q, np.pi)
+        expect = -1.0 / (1.0 + q * q)
+        assert abs(val.real - expect) <= 1e-13 * abs(expect)
+
+    def test_compact_bump_radial_form(self):
+        # q = 1.5 against mpmath at 30 digits: at least 64 panels on the
+        # bump's support, where 8 panels left 2.1e-10
+        mpmath = pytest.importorskip("mpmath")
+        model = PotentialModel(kind="compact_bump", v0=1.0, width=1.0)
+        q = 1.5
+        assert q * model.effective_range > 1.0
+        with mpmath.workdps(30):
+            moment = mpmath.quad(lambda r: r * mpmath.exp(1 - 1 / (1 - r * r))
+                                 * mpmath.sin(q * r), mpmath.linspace(0, 1, 9))
+            expect = float(-moment / q)
+        val = born.born_first_amplitude(model, 0.5 * q, np.pi)
+        assert abs(val.real - expect) <= 1e-13 * abs(expect)
+
     @pytest.mark.parametrize("v0,width", [(-1.0, 1.0), (-2.0, 2.0), (0.5, 0.7)])
     def test_compact_bump_forward_closed_form(self, v0, width):
         # -int r^2 v dr = -v0 width^3 int_0^1 u^2 e^{1 - 1/(1 - u^2)} du
@@ -235,16 +261,19 @@ def bn_tables_loop(model, N, grid):
     return tables
 
 
-def count_gradients(monkeypatch):
-    """The dtypes of the arrays np.gradient differentiates from now on."""
+def count_derivatives(monkeypatch):
+    """The dtypes of the arrays _cyl.d_ds and _cyl.d_dz differentiate from
+    now on, the Laplacian's second derivatives included."""
     calls = []
-    gradient = np.gradient
 
-    def spy(f, *args, **kwargs):
-        calls.append(f.dtype)
-        return gradient(f, *args, **kwargs)
+    def spy(derivative):
+        def counting(f, *args, **kwargs):
+            calls.append(f.dtype)
+            return derivative(f, *args, **kwargs)
+        return counting
 
-    monkeypatch.setattr(np, "gradient", spy)
+    monkeypatch.setattr(_cyl, "d_ds", spy(_cyl.d_ds))
+    monkeypatch.setattr(_cyl, "d_dz", spy(_cyl.d_dz))
     return calls
 
 
@@ -270,21 +299,21 @@ class TestTransport:
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_laplacians_per_build(self, monkeypatch, N):
-        # the Laplacian's derivative work: four np.gradient calls per formed
+        # the Laplacian's derivative work: four derivative calls per formed
         # source f_n (d_ds b, d_dz b and their second derivatives); the
         # source of b_0 is v in closed form, and b_N's source is never formed
-        calls = count_gradients(monkeypatch)
+        calls = count_derivatives(monkeypatch)
         born._bn_tables(GAUSS, N, born._default_cyl_grid(GAUSS))
         assert calls == [np.dtype(float)] * 4 * (N - 1)
 
     @pytest.mark.parametrize("N", [0, 1, 2, 3])
     def test_laplacians_per_eikonal_series(self, monkeypatch, N):
-        # four np.gradient calls per order n >= 1, on b_n whole, not on its
+        # four derivative calls per order n >= 1, on b_n whole, not on its
         # real and imaginary parts apart; none for the closed-form source of
         # b_0.  The Gaussian takes N0 = 0, so Phi = 0 and b_n is real
         data = eikonal.eikonal_iterate(GAUSS, 5.0)
         assert data.N0 == 0
-        calls = count_gradients(monkeypatch)
+        calls = count_derivatives(monkeypatch)
         assert len(eikonal.residual_norms(data, N)) == N + 1
         assert calls == [np.dtype(float)] * 4 * N
 
@@ -294,7 +323,7 @@ class TestTransport:
         model = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
         data = eikonal.eikonal_iterate(model, 5.0)
         assert data.N0 == 2
-        calls = count_gradients(monkeypatch)
+        calls = count_derivatives(monkeypatch)
         assert len(eikonal.residual_norms(data, N)) == N + 1
         assert calls == [np.dtype(complex)] * 4 * N
 
@@ -305,9 +334,37 @@ class TestTransport:
         # none.  N0 = 0 needs rho > 1, and N0 >= 1 needs N0 rho > 1
         model = TAIL2 if N0 <= 1 else PotentialModel(kind="power_tail",
                                                      v0=0.5, rho=0.9)
-        calls = count_gradients(monkeypatch)
+        calls = count_derivatives(monkeypatch)
         eikonal.eikonal_iterate(model, 5.0, N0=N0)
         assert calls == [np.dtype(float)] * (0 if N0 == 0 else 4 if N0 <= 2 else 6)
+
+    # tracemalloc peaks at N = 3 in tables of the grid (float64 entries),
+    # measured: 10.30 for _bn_tables, and 7.32 (the Gaussian, N0 = 0, real)
+    # and 15.64 (rho = 0.9, N0 = 2, complex) for residual_norms; with each
+    # order's derivatives and source formed through fresh temporaries they
+    # were 12.01, 9.85 and 18.70
+    def test_bn_tables_peak_memory(self):
+        grid = born._default_cyl_grid(GAUSS)
+        tracemalloc.start()
+        try:
+            born._bn_tables(GAUSS, 3, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.75 * 8 * len(grid.s) * len(grid.z)
+
+    @pytest.mark.parametrize("model,tables", [
+        (GAUSS, 7.75), (PotentialModel(kind="power_tail", v0=0.5, rho=0.9), 16.1)],
+        ids=["real", "complex"])
+    def test_residual_norms_peak_memory(self, model, tables):
+        data = eikonal.eikonal_iterate(model, 5.0)
+        tracemalloc.start()
+        try:
+            eikonal.residual_norms(data, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables * data.q.nbytes
 
     def test_per_order_noise_gain(self):
         # a seeded eps U(-1, 1) field added to q grows by 1e3 to 1e4 per

@@ -372,11 +372,12 @@ class _CountingPsi:
     def __init__(self, psi):
         self.psi = psi
         self.xi = psi.xi
+        self.workspace = psi.workspace
         self.points = []
 
-    def amplitudes(self, s, z, ds_dt, dz_dt):
+    def amplitudes(self, s, z, ds_dt, dz_dt, out=None):
         self.points.append(np.size(s))
-        return self.psi.amplitudes(s, z, ds_dt, dz_dt)
+        return self.psi.amplitudes(s, z, ds_dt, dz_dt, out=out)
 
 
 def _both_full_plane(psi_plus, psi_minus, omega, omega_prime, lam, windows):
@@ -588,9 +589,9 @@ class TestNestedPlaneRule:
         points = []
         amplitudes = _PsiEvaluator.amplitudes
 
-        def counting(self, s, z, ds_dt, dz_dt):
+        def counting(self, s, z, ds_dt, dz_dt, out=None):
             points.append(np.size(s))
-            return amplitudes(self, s, z, ds_dt, dz_dt)
+            return amplitudes(self, s, z, ds_dt, dz_dt, out=out)
 
         monkeypatch.setattr(_PsiEvaluator, "amplitudes", counting)
         eikonal.s0_kernel(psi, np.deg2rad(20.0))
@@ -776,33 +777,36 @@ class TestS0Tables:
         data = eikonal.eikonal_iterate(model, np.sqrt(lam))
         ref = _amplitudes(data, N)
         built = []
-        gradients = []
+        derivatives = []
         init = _PsiEvaluator.__init__
-        gradient = np.gradient
 
         def spy(self, eik, b_n):
-            built.append((b_n, len(gradients)))
+            built.append((b_n, len(derivatives)))
             init(self, eik, b_n)
 
         def refuse(*args, **kwargs):
             raise AssertionError("s0_solutions ran the residual series")
 
-        def counting(f, *args, **kwargs):
-            gradients.append(f.dtype)
-            return gradient(f, *args, **kwargs)
+        def counting(derivative):
+            def count(f, *args, **kwargs):
+                derivatives.append(f.dtype)
+                return derivative(f, *args, **kwargs)
+            return count
 
         monkeypatch.setattr(_PsiEvaluator, "__init__", spy)
         monkeypatch.setattr(eikonal, "residual_norms", refuse)
         monkeypatch.setattr(eikonal, "eikonal_iterate", lambda *a, **k: data)
-        monkeypatch.setattr(np, "gradient", counting)
+        monkeypatch.setattr(_cyl, "d_ds", counting(_cyl.d_ds))
+        monkeypatch.setattr(_cyl, "d_dz", counting(_cyl.d_dz))
         pp, pm = eikonal.s0_solutions(model, lam, N)
         [(b_n, before_evaluator)] = built
         assert pp.N == pm.N == N and len(b_n) == N + 1
-        # the sources f_1..f_{N-1} take four np.gradient calls each, on
+        # the sources f_1..f_{N-1} take four derivative calls each (d_ds and
+        # d_dz of b_n and of its Laplacian's second derivatives), on
         # b_n whole: real where Phi = 0 (N0 = 0), complex otherwise; f_N,
         # the source past b_N, is never formed
         dtype = np.dtype(float if data.N0 == 0 else complex)
-        assert gradients[:before_evaluator] == [dtype] * 4 * (N - 1)
+        assert derivatives[:before_evaluator] == [dtype] * 4 * (N - 1)
         for got, want in zip(b_n, ref):
             assert np.array_equal(got, want)
 
@@ -979,7 +983,7 @@ def transport_series_loop(model, data, N):
                 - 1j * data.lap_Phi * bn
                 + data.q * bn)
 
-    ss, zz = grid.mesh()
+    ss, zz = np.meshgrid(grid.s, grid.z, indexing="ij")
     phase = np.exp(1j * (xi * zz + data.Phi))
     mask = data.off_cone()
     mask[:3, :] = False
