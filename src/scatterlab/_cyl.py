@@ -9,9 +9,8 @@ The table kernels d_ds, d_dz, laplacian, march_up and march_down take an
 optional out=: a C-contiguous array of the result's shape and dtype that
 shares no memory with the inputs.  They write the result into it with
 numpy ufuncs and return it; without out they return a new array.  Either
-way the result is bit for bit numpy's gradient (edge_order=2) and scipy's
-cumulative_trapezoid: each element takes the same operations in the same
-order.
+way the result is bit for bit np.gradient(f, h, edge_order=2) and
+cumulative_trapezoid(dx=h), with h the grid's step ds or dz.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-
-# Largest temporary, in elements, of the non-uniform difference rule, which
-# forms its rows a block at a time
-_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -49,41 +44,15 @@ def make_grid(s_max: float, z_max: float, n_s: int, n_z: int) -> CylGrid:
                    z=np.linspace(-z_max, z_max, n_z))
 
 
-def _gradient(f: np.ndarray, x: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """np.gradient(f, x, axis=axis, edge_order=2) written into out, operation
-    for operation.  Where x is exactly uniform, numpy takes the two-point
-    rule (f[i+1] - f[i-1]) / 2h; elsewhere its three-coefficient rule
-    a f[i-1] + b f[i] + c f[i+1], formed here a block of rows at a time."""
+def _gradient(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> None:
+    """np.gradient(f, h, axis=axis, edge_order=2) written into out, operation
+    for operation: (f[i+1] - f[i-1]) / 2h inside and the second-order
+    one-sided rules at both ends."""
     f, res = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-    dx = np.diff(x)
-    if (dx == dx[0]).all():
-        h = dx[0]
-        np.subtract(f[2:], f[:-2], out=res[1:-1])
-        res[1:-1] /= 2.0 * h
-        first, last = (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
-    else:
-        dx1, dx2 = dx[:-1, None], dx[1:, None]
-        a = -dx2 / (dx1 * (dx1 + dx2))
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * (dx1 + dx2))
-        rows = max(1, _BLOCK // f[0].size)
-        tmp = np.empty((min(rows, len(a)),) + f.shape[1:], dtype=out.dtype)
-        for i in range(0, len(a), rows):
-            j = min(i + rows, len(a))
-            mid, t = res[i + 1:j + 1], tmp[:j - i]
-            np.multiply(a[i:j], f[i:j], out=mid)
-            np.multiply(b[i:j], f[i + 1:j + 1], out=t)
-            mid += t
-            np.multiply(c[i:j], f[i + 2:j + 2], out=t)
-            mid += t
-        h1, h2 = dx[0], dx[1]
-        first = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
-                 -h1 / (h2 * (h1 + h2)))
-        h1, h2 = dx[-2], dx[-1]
-        last = (h2 / (h1 * (h1 + h2)), -(h2 + h1) / (h1 * h2),
-                (2.0 * h2 + h1) / (h2 * (h1 + h2)))
-    res[0] = first[0] * f[0] + first[1] * f[1] + first[2] * f[2]
-    res[-1] = last[0] * f[-3] + last[1] * f[-2] + last[2] * f[-1]
+    np.subtract(f[2:], f[:-2], out=res[1:-1])
+    res[1:-1] /= 2.0 * h
+    res[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+    res[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
 
 
 def d_ds(f: np.ndarray, grid: CylGrid, out: np.ndarray | None = None) -> np.ndarray:
@@ -91,14 +60,14 @@ def d_ds(f: np.ndarray, grid: CylGrid, out: np.ndarray | None = None) -> np.ndar
     differences, and 0 on the axis row, where the mirrored row
     f(-ds) = f(ds) cancels the central difference."""
     out = np.empty_like(f) if out is None else out
-    _gradient(f, grid.s, 0, out)
+    _gradient(f, grid.ds, 0, out)
     out[0] = 0.0
     return out
 
 
 def d_dz(f: np.ndarray, grid: CylGrid, out: np.ndarray | None = None) -> np.ndarray:
     out = np.empty_like(f) if out is None else out
-    _gradient(f, grid.z, 1, out)
+    _gradient(f, grid.dz, 1, out)
     return out
 
 

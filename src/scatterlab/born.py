@@ -386,7 +386,7 @@ def measure_error_order(model: PotentialModel, lambdas, theta: float,
     lambdas = np.asarray(lambdas, dtype=float)
     if not np.all(lambdas > 0):
         raise ParameterError(f"lambdas must be positive, got {lambdas}")
-    if len(lambdas) < 4 or lambdas[-1] / lambdas[0] < 8.0:
+    if len(lambdas) < 4 or lambdas.max() < 8.0 * lambdas.min():
         raise ParameterError("need >= 4 energies spanning close to a decade")
     approx = high_energy_kernel(model, lambdas, theta, N)
     exact = np.array([exact_kernel(model, lam, theta) for lam in lambdas])

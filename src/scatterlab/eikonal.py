@@ -699,8 +699,8 @@ def diagonal_exponent_probe(model: PotentialModel, lam: float,
     valid regime rho < 1), from the s0_samples of transport order PROBE_N
     at the angles; |omega - omega'| = 2 sin(theta / 2)."""
     angles = np.asarray(angles, dtype=float)
-    if len(angles) < 5 or angles[0] / angles[-1] < 8.0:
-        raise ParameterError("need >= 5 decreasing angles spanning a decade")
+    if len(angles) < 5 or angles.max() < 8.0 * angles.min():
+        raise ParameterError("need >= 5 angles spanning a decade")
     samples = s0_samples(model, lam, PROBE_N, angles)
     vals = np.array([sample.value for sample in samples])
     slope = float(np.polyfit(np.log(2.0 * np.sin(angles / 2)),

@@ -381,6 +381,29 @@ class TestRun:
         assert record["extra"]["floor_warning"] is True
         assert record["extra"]["slope"] is None
 
+    @pytest.mark.parametrize("lambdas", [[32.0, 16.0, 8.0, 4.0],
+                                         [4.0, 32.0, 8.0, 16.0]],
+                             ids=["descending", "shuffled"])
+    def test_highenergy_energies_in_any_order(self, tmp_path, lambdas):
+        # the span is max / min and the fit does not depend on the order:
+        # the same rows, slope and floor flag as the ascending run
+        def run(lams, name):
+            path = write_config(tmp_path, {
+                "experiment": "highenergy",
+                "potential": {"kind": "gaussian_well", "v0": -1.0},
+                "params": {"lambdas": lams, "N": 1}}, f"{name}.json")
+            out = tmp_path / name
+            assert cli.run(path, out_dir=str(out)) == 0
+            rows = (out / "result.csv").read_text().splitlines()[2:]
+            return json.loads((out / "result.json").read_text()), rows
+
+        (want, want_rows), (got, got_rows) = (run(sorted(lambdas), "ascending"),
+                                              run(lambdas, "given"))
+        assert sorted(got_rows) == sorted(want_rows)
+        assert got["provenance"]["flags"] == want["provenance"]["flags"] == []
+        assert got["extra"]["floor_warning"] is want["extra"]["floor_warning"] is False
+        assert got["extra"]["slope"] == pytest.approx(want["extra"]["slope"], rel=1e-12)
+
     def test_s0_at_an_energy_off_its_square_root(self, tmp_path):
         # sqrt(63)^2 != 63 in floating point: the S0 solutions carry
         # sqrt(lam), and the kernel reads it from them

@@ -65,18 +65,19 @@ class TestMarch:
 
 
 # ---------------------------------------------------------------------------
-# bit-for-bit oracles of the in-place kernels: numpy's gradient, scipy's
-# cumulative_trapezoid, and the Laplacian as it was formed from them
+# bit-for-bit oracles of the in-place kernels: numpy's gradient on the
+# grid's step, scipy's cumulative_trapezoid, and the Laplacian as it was
+# formed from them
 # ---------------------------------------------------------------------------
 
 def d_ds_gradient(f, grid):
-    out = np.gradient(f, grid.s, axis=0, edge_order=2)
+    out = np.gradient(f, grid.ds, axis=0, edge_order=2)
     out[0] = 0.0
     return out
 
 
 def d_dz_gradient(f, grid):
-    return np.gradient(f, grid.z, axis=1, edge_order=2)
+    return np.gradient(f, grid.dz, axis=1, edge_order=2)
 
 
 def laplacian_gradient(fs, fz, grid):
@@ -119,15 +120,24 @@ def exactly_uniform(x):
     return bool((dx == dx[0]).all())
 
 
-def test_grids_cover_both_difference_rules():
-    # numpy takes its two-point rule on the gaussian's and the eikonal
-    # grids, exactly uniform, and its three-coefficient rule on the
-    # asymmetric and the bump's linspace axes; the bump's rows take several
-    # blocks of the in-place rule along both axes
-    uniform = [(exactly_uniform(g.s), exactly_uniform(g.z)) for g in MARCH_GRIDS]
-    assert uniform == [(True, True)] * 3 + [(False, False)] * 2
-    bump = MARCH_GRIDS[-1]
-    assert min(len(bump.s), len(bump.z)) * max(len(bump.s), len(bump.z)) > 4 * _cyl._BLOCK
+def test_acceptance_and_eikonal_grids_are_exactly_uniform():
+    # C4's born grid (the unit gaussian's) and the eikonal grids of the
+    # unit gaussian (extent 20, step 0.125) and of a power tail (extent 40,
+    # step 0.25) have equal linspace steps, so the kernels' single step ds
+    # or dz is numpy's step on every node there, and no acceptance value or
+    # benchmark output moves with it.  The asymmetric and the bump's axes,
+    # whose steps differ by an ulp, keep the kernel tests sensitive to
+    # which step the rule divides by
+    grids = [born._default_cyl_grid(
+                 PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0))]
+    grids += [eikonal.eikonal_iterate(model, 5.0).grid for model in (
+        PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0),
+        PotentialModel(kind="power_tail", v0=0.5, rho=0.9))]
+    assert [(g.ds, g.dz) for g in grids[1:]] == [(0.125, 0.125), (0.25, 0.25)]
+    for grid in grids:
+        assert exactly_uniform(grid.s) and exactly_uniform(grid.z)
+    assert not any(exactly_uniform(g.s) or exactly_uniform(g.z)
+                   for g in MARCH_GRIDS[3:])
 
 
 class TestKernelsBitForBit:
@@ -203,10 +213,10 @@ class TestKernelsBitForBit:
     @pytest.mark.parametrize("g", [1, 4], ids=["uniform", "non-uniform"])
     def test_out_allocates_no_table(self, g):
         # given out=, the derivatives and marches form no table-sized
-        # temporary, only numpy's ufunc buffers, the edge rows and the
-        # non-uniform rule's blocks of rows; the Laplacian adds one work
-        # table.  So on the grid with its cells halved (4x the table) the
-        # peaks grow by at most a few rows (measured: at most 23 kB)
+        # temporary, only numpy's ufunc buffers and the edge rows; the
+        # Laplacian adds one work table.  So on the grid with its cells
+        # halved (4x the table) the peaks grow by at most a few rows
+        # (measured: at most 23 kB)
         grid = MARCH_GRIDS[g]
         fine = _cyl.make_grid(s_max=grid.s[-1], z_max=grid.z[-1],
                               n_s=2 * len(grid.s) - 1, n_z=2 * len(grid.z) - 1)

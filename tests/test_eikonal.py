@@ -286,6 +286,21 @@ class TestS0:
         with pytest.raises(ParameterError):
             eikonal.diagonal_exponent_probe(TAIL1, 25.0, [0.5, 0.4, 0.3])
 
+    def test_diagonal_probe_angles_in_any_order(self, monkeypatch):
+        # the span is read from the extremes and the fit does not depend on
+        # the order; samples |omega - omega'|^-2 fit the exponent -2
+        def samples(model, lam, N, thetas):
+            return [eikonal.S0Sample((2.0 * np.sin(th / 2)) ** -2.0, 0.0, True, N)
+                    for th in thetas]
+
+        monkeypatch.setattr(eikonal, "s0_samples", samples)
+        angles = np.geomspace(0.5, 0.05, 6)
+        fits = [eikonal.diagonal_exponent_probe(TAIL1, 25.0, order).fitted_exponent
+                for order in (angles, angles[::-1], angles[[3, 0, 5, 1, 4, 2]])]
+        assert fits == pytest.approx([-2.0] * 3, rel=1e-12)
+        with pytest.raises(ParameterError, match="spanning a decade"):
+            eikonal.diagonal_exponent_probe(TAIL1, 25.0, [0.1, 0.2, 0.3, 0.4, 0.5])
+
 
 class TestS0Samples:
     """s0_samples, the one angle loop of the s0 experiment, C7 and the

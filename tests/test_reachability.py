@@ -11,6 +11,10 @@ module.  Tests do not count, and neither do docstrings or strings.  What
 only tests reach is either wired into the package or deleted; the few
 exceptions are listed in ALLOWED with the reason each stays.
 
+Every name a package module assigns at top level, dunders excepted, is
+read: loaded by its bare name in its own module, or imported or reached as
+`module.name` from the package or the benchmark.
+
 Every module-level import of the package is used in its module, except
 the scipy names that the benchmark tracer wraps (`SCIPY` in
 `perfbench/tracing.py`), which stay bound for it.
@@ -122,6 +126,45 @@ def test_allowlist_is_current():
     defined, found = definitions(), reached()
     stale = sorted(name for name in ALLOWED if name not in defined or name in found)
     assert not stale, f"ALLOWED entries to drop: {stale}"
+
+
+def constants() -> set[tuple[str, str]]:
+    """(module, name) of every name a package module assigns at top level,
+    dunders excepted."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            found.update((path.stem, name.id) for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name)
+                         and not (name.id.startswith("__") and name.id.endswith("__")))
+    return found
+
+
+def read_constants() -> set[tuple[str, str]]:
+    """(module, name) pairs the package or the benchmark reads: a bare name
+    loaded in its own module, or an import or `module.name` elsewhere."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        found |= references(tree)
+        found.update((path.stem, node.id) for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        found |= references(ast.parse(path.read_text()))
+    return found
+
+
+def test_every_constant_is_read():
+    # a constant left behind by a deleted path is assigned and never read
+    unread = sorted(constants() - read_constants())
+    assert not unread, f"module-level names nothing reads: {unread}"
 
 
 def defaulted_parameters() -> dict[tuple[str, str], tuple[list[str], list[str]]]:
