@@ -10,15 +10,25 @@ optional out=: a C-contiguous array of the result's shape and dtype that
 shares no memory with the inputs.  They write the result into it with
 numpy ufuncs and return it; without out they return a new array.  Either
 way the result is bit for bit np.gradient(f, h, edge_order=2) and
-cumulative_trapezoid(dx=h), with h the grid's step ds or dz.
+scipy's cumulative_trapezoid(dx=h), with h the grid's step ds or dz.
+cumulative_trapezoid here is the package's one running trapezoid rule; the
+Kato integrals of diagnostics use it too.
+
+scipy.interpolate is not imported with the module: RegularGridInterpolator,
+which only interpolator (the amplitudes' oracle) builds, is imported on its
+first read (numerics.lazy_names).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+
+from .numerics import lazy_names
+
+__getattr__ = lazy_names(globals(), RegularGridInterpolator="scipy.interpolate")
 
 
 @dataclass(frozen=True)
@@ -96,13 +106,14 @@ def laplacian(fs: np.ndarray, fz: np.ndarray, grid: CylGrid,
     return out
 
 
-def _cumulative_trapezoid(g: np.ndarray, dz: float, out: np.ndarray) -> None:
-    """scipy's cumulative_trapezoid(g, dx=dz, initial=0) along z, written
-    into out: 0, then the running sums of dz (g_j + g_{j+1}) / 2."""
+def cumulative_trapezoid(g: np.ndarray, dx: float, out: np.ndarray) -> None:
+    """scipy's cumulative_trapezoid(g, dx=dx, initial=0) along the last
+    axis of a 2-D g, written into out: 0, then the running sums of
+    dx (g_j + g_{j+1}) / 2."""
     out[:, 0] = 0.0
     cells = out[:, 1:]
     np.add(g[:, 1:], g[:, :-1], out=cells)
-    cells *= dz
+    cells *= dx
     cells /= 2.0
     np.cumsum(cells, axis=1, out=cells)
 
@@ -111,7 +122,7 @@ def march_up(g: np.ndarray, grid: CylGrid, anchor: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """F(s, z) = anchor(s) + int_{z_min}^{z} g(s, z') dz' (trapezoid)."""
     out = np.empty(g.shape, np.result_type(g, anchor)) if out is None else out
-    _cumulative_trapezoid(g, grid.dz, out)
+    cumulative_trapezoid(g, grid.dz, out)
     return np.add(anchor[:, None], out, out=out)
 
 
@@ -119,13 +130,15 @@ def march_down(g: np.ndarray, grid: CylGrid, anchor: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """F(s, z) = anchor(s) - int_{z}^{z_max} g(s, z') dz' (trapezoid)."""
     out = np.empty(g.shape, np.result_type(g, anchor)) if out is None else out
-    _cumulative_trapezoid(g[:, ::-1], grid.dz, out[:, ::-1])
+    cumulative_trapezoid(g[:, ::-1], grid.dz, out[:, ::-1])
     return np.subtract(anchor[:, None], out, out=out)
 
 
 def interpolator(grid: CylGrid, f: np.ndarray):
-    """scipy's bilinear RegularGridInterpolator of f, 0 outside the grid."""
-    return RegularGridInterpolator(
+    """scipy's bilinear RegularGridInterpolator of f, 0 outside the grid,
+    built by the module's current binding of the class (the benchmark
+    tracer rebinds it to a subclass)."""
+    return sys.modules[__name__].RegularGridInterpolator(
         (grid.s, grid.z), f, bounds_error=False, fill_value=0.0
     )
 

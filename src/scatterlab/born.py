@@ -20,16 +20,18 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
-# name, so it stays bound until the tracer drops it.
-from scipy.integrate import quad  # noqa: F401
 from scipy.special import beta, gammaln, j0, kve, spherical_jn
 
 from . import _cyl
 from .numerics import (DomainError, ParameterError, ScatterlabError, composite_gauss,
-                       gauss_panels)
+                       gauss_panels, lazy_names)
 from .potentials import PotentialModel, line_integral
 from . import partialwave
+
+# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
+# name, so it stays bound, and scipy.integrate is imported only when it is
+# first read, until the tracer drops it.
+__getattr__ = lazy_names(globals(), quad="scipy.integrate")
 
 RAY_TRUNCATION = 1e-12
 # Largest transport order N: -Lap raises table noise 1e3 to 1e4 times per
@@ -136,13 +138,14 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     """First Born amplitude f1(q) = -(4 pi)^-1 int exp(-i q.x) v(x) dx,
     q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr, for
     q effective_range <= 1 in the form -int r^2 v sinc(qr) dr, and for a
-    power tail its closed form (_power_tail_amplitude).
+    power tail its closed form (_power_tail_amplitude).  Every kind is v0
+    times a profile, so v0 = 0 gives 0, as kind zero does.
     ParameterError unless k > 0 and theta lies in [0, pi]."""
     if not k > 0:
         raise ParameterError(f"momentum must be positive, got k={k}")
     if not 0.0 <= theta <= np.pi:   # partialwave.amplitude's rule
         raise ParameterError(f"theta must lie in [0, pi], got {theta}")
-    if model.kind == "zero":
+    if model.kind == "zero" or model.v0 == 0.0:
         return 0.0
     q = 2.0 * k * np.sin(theta / 2.0)
     if model.kind == "power_tail":

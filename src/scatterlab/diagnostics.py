@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh, eigh_tridiagonal
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
 # name, so it stays bound until the tracer follows zgttrs and
@@ -24,7 +23,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from .numerics import (DomainError, NumericalError, ParameterError,
                        ScatterlabError, composite_gauss)
 from .potentials import PotentialModel
-from . import born, propagator
+from . import _cyl, born, propagator
 
 # Most float64s (n x count) in a Mourre window's eigenvectors, and in their image.
 MAX_WINDOW_FLOATS = 2**24
@@ -102,7 +101,8 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
     """I(T) = int_0^T ||<x>^{-r} e^{-iH0 t} f||^2 dt on the free 1D grid,
     for each r in rs, from one free evolution: |e^{-iH0 t} f|^2 and its
     edge check are formed once per sample time and summed against each
-    <x>^{-2r}.
+    <x>^{-2r}.  The running time integral is _cyl.cumulative_trapezoid,
+    scipy's cumulative_trapezoid(dx=dt, initial=0) operation for operation.
 
     Saturation verdict compares the last two T values, which are expected
     to be a doubling apart.
@@ -132,8 +132,10 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
         density = np.abs(ev.values) ** 2
         for j, w in enumerate(w2):
             g[j, i] = np.sum(w * density) * f.dx
+    cums = np.empty_like(g)
+    _cyl.cumulative_trapezoid(g, dt, cums)
     reports = []
-    for r, cum in zip(rs, cumulative_trapezoid(g, dx=dt, initial=0)):
+    for r, cum in zip(rs, cums):
         integrals = np.interp(T_values, ts, cum) / norm2
         growth = (integrals[-1] - integrals[-2]) / max(integrals[-2], 1e-300)
         reports.append(KatoReport(r=r, T_values=T_values, integrals=integrals,

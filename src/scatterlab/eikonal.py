@@ -23,14 +23,17 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
-# name, so it stays bound until the tracer drops it.
-from scipy.integrate import quad  # noqa: F401
 
 from . import _cyl
-from .numerics import DomainError, NumericalError, ParameterError, composite_gauss
+from .numerics import (DomainError, NumericalError, ParameterError, composite_gauss,
+                       lazy_names)
 from .potentials import PotentialModel, line_integral, ray_difference
 from .born import ConvergenceError, transport_orders
+
+# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
+# name, so it stays bound, and scipy.integrate is imported only when it is
+# first read, until the tracer drops it.
+__getattr__ = lazy_names(globals(), quad="scipy.integrate")
 
 CONE_HALF_ANGLE = np.deg2rad(15.0)
 TAPER_FRACTION = 0.2

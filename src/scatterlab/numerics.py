@@ -15,6 +15,7 @@ Hamiltonian is -Laplacian + v and energy = k**2.
 from __future__ import annotations
 
 import functools
+import importlib
 
 import numpy as np
 from scipy.fft._pocketfft.pypocketfft import c2c
@@ -41,6 +42,22 @@ class NumericalError(ScatterlabError, RuntimeError):
     """Ill-conditioned or non-convergent numerical step."""
 
     prefix = "numerical: "
+
+
+def lazy_names(namespace: dict, **homes: str):
+    """A module __getattr__ (PEP 562) that serves each name in homes from
+    its module, imported on first access and then bound in namespace, the
+    module's globals, so that later lookups find it there directly.  A
+    module binds it by assignment, __getattr__ = lazy_names(globals(), ...),
+    and imports nothing until a name is asked for."""
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(homes[name]), name)
+        return value
+
+    return __getattr__
 
 
 def composite_gauss(n_per_panel: int, edges) -> tuple[np.ndarray, np.ndarray]:

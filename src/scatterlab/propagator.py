@@ -20,13 +20,16 @@ from dataclasses import dataclass, replace
 from itertools import pairwise
 
 import numpy as np
-# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
-# name, so it stays bound until the tracer drops it.
-from scipy.integrate import quad  # noqa: F401
 from scipy.special import jv
 
-from .numerics import DomainError, ParameterError, ScatterlabError, dft, dft_freqs
+from .numerics import (DomainError, ParameterError, ScatterlabError, dft, dft_freqs,
+                       lazy_names)
 from .potentials import YUKAWA_R_MIN, PotentialModel, line_integral
+
+# Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
+# name, so it stays bound, and scipy.integrate is imported only when it is
+# first read, until the tracer drops it.
+__getattr__ = lazy_names(globals(), quad="scipy.integrate")
 
 EDGE_FRACTION = 0.10
 EDGE_THRESHOLD = 1e-6

@@ -213,6 +213,15 @@ class TestFirstBorn:
         assert born.born_first_amplitude(PotentialModel(kind="zero"),
                                          1.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa", "square_well",
+                                      "compact_bump", "power_tail"])
+    def test_zero_strength_is_zero(self, kind, theta):
+        # every kind is v0 times a profile; at v0 = 0 the cutoff radius
+        # tail_radius(1e-18 |v0|) ran to its cap and the radial form refused
+        model = PotentialModel(kind=kind, v0=0.0)
+        assert born.born_first_amplitude(model, 1.0, theta) == 0.0
+
     @pytest.mark.parametrize("k,theta", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0),
                                          (1.0, 3.5), (1.0, np.nan)])
     def test_bad_momentum_or_angle_rejected(self, k, theta):

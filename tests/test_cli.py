@@ -312,6 +312,17 @@ class TestRun:
         assert len(rows) == 4 and max(inc for _, inc in rows) < 1e-14
         assert extra["verdict"] == "converging" and flags == []
 
+    def test_default_born_on_a_kind_is_zero(self, tmp_path):
+        # v0 defaults to 0, so the amplitude is 0 on every kind; a
+        # gaussian_well exited 2 with a convergence error
+        path = write_config(tmp_path, {"experiment": "born",
+                                       "potential": {"kind": "gaussian_well"}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        lines = (out / "result.csv").read_text().splitlines()
+        assert lines[1:] == ["k,theta,re_a_born,im_a_born",
+                             f"1.0,{np.pi / 2!r},0.0,0.0"]
+
     def test_reproducible_csv(self, tmp_path):
         cfg = {"experiment": "born",
                "potential": {"kind": "yukawa", "v0": 0.1, "width": 1.0},
@@ -649,6 +660,35 @@ class TestThreadCap:
         tomllib = pytest.importorskip("tomllib")
         meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
         assert meta["project"]["scripts"]["scatterlab"] == "scatterlab.cli:main"
+
+
+class TestImportGraph:
+    """scipy.integrate and scipy.interpolate back only the names the
+    benchmark tracer wraps and the amplitudes' scipy oracle, which import
+    them when first read; neither the CLI module nor a run loads them."""
+
+    LAZY = ("scipy.integrate", "scipy.interpolate")
+
+    def test_cli_import_and_kato_run_leave_them_unloaded(self, tmp_path):
+        path = write_config(tmp_path, {"experiment": "diagnose",
+                                       "params": {"check": "kato"}})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        code = (
+            "import json, sys\n"
+            "import scatterlab.cli\n"
+            f"lazy = {self.LAZY!r}\n"
+            "loaded = [[m for m in lazy if m in sys.modules]]\n"
+            f"status = scatterlab.cli.run({path!r}, out_dir={str(tmp_path)!r})\n"
+            "loaded.append([m for m in lazy if m in sys.modules])\n"
+            "print(json.dumps([status, loaded]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        status, (after_import, after_run) = json.loads(proc.stdout.splitlines()[-1])
+        assert status == 0
+        assert after_import == [] and after_run == []
 
 
 class TestReflection:
