@@ -121,7 +121,7 @@ def criterion_01() -> CriterionResult:
 def criterion_02() -> CriterionResult:
     """S-matrix unitarity and accumulation at 1 for large l."""
     table = partialwave.phase_shift_table(GAUSS, 2.0, 25)
-    eigs, _mult = partialwave.smatrix_eigenvalues(table)
+    eigs = partialwave.smatrix_eigenvalues(table)
     ls = np.arange(table.l_max + 1)
     unit_dev = float(np.max(np.abs(np.abs(eigs) - 1.0)))
     tail_dev = float(np.max(np.abs(eigs[ls >= 20] - 1.0)))

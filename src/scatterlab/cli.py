@@ -124,7 +124,7 @@ def _run_phaseshift(model, p, seed):
     rows = []
     for k in p["k_values"]:
         table = partialwave.phase_shift_table(model, k, p["l_max"])
-        eigs, _ = partialwave.smatrix_eigenvalues(table)
+        eigs = partialwave.smatrix_eigenvalues(table)
         for l in range(p["l_max"] + 1):
             rows.append([k, l, table.delta[l], eigs[l].real, eigs[l].imag])
     return ["k", "l", "delta", "re_s", "im_s"], rows, {}, []

@@ -176,7 +176,8 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
     integral on the far row and marched along rays.  The grid is 161 x 481
     nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = _table_extent.
     For N0 = 0, Phi and its derivatives are one zero table, phi_0, and
-    q = v.  ParameterError when a weight (2 |xi|)^-n, n <= N0, overflows;
+    q = v.  ParameterError when lambda = xi_norm^2 or a weight
+    (2 |xi|)^-n, n <= N0, overflows, before any table;
     NumericalError when q is not finite (|grad Phi|^2 overflows on a
     strong enough v), before any transport order is marched on it.
     """
@@ -192,6 +193,11 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
     if N0 > 4:
         raise ParameterError("N0 > 4 not supported (rho <= 1/2 regime)")
     _check_order_weight(xi_norm, N0, "N0")
+    # lam = xi_norm**2 is read off every result; a product overflows to inf
+    # where ** raises
+    if float(xi_norm) * float(xi_norm) == np.inf:
+        raise ParameterError(f"lambda = xi_norm**2 overflows at xi_norm = {xi_norm:g} "
+                             f"(above about 1.34e154)")
     extent = _table_extent(model)
     grid = _cyl.make_grid(s_max=extent, z_max=1.5 * extent, n_s=161, n_z=481)
     v = model.radial_values(grid.radius())

@@ -137,7 +137,7 @@ def _sweep(a: np.ndarray, f: np.ndarray, band: np.ndarray, w: np.ndarray,
 
 def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
                       r_max: float, dr: float,
-                      rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integrate every channel in ls from r = dr by the renormalized
     Numerov sweep (_sweep), on the grid r = dr, 2 dr, .. up to r_max.
 
@@ -145,14 +145,13 @@ def _numerov_channels(model: PotentialModel, ls: np.ndarray, k: float,
     (dr^2/12)/r^2 and (dr^2/12)(v - k^2), both computed once per grid; the
     band and the a, f and w vectors are allocated once per call.
 
-    Returns (r, u) on rows, the grid's row indices (every row if None): u
-    of shape (len(rows), n_channels); regular solution normalization
+    Returns (r, u) on rows, an array of the grid's row indices: u of
+    shape (len(rows), n_channels); regular solution normalization
     u ~ r^(l+1) at the origin, except that a channel whose solution would
     reach about 1e250 is scaled down by a power of two.
     """
     n = int(np.ceil(r_max / dr))
     r = dr * np.arange(1, n + 1)
-    rows = np.arange(n) if rows is None else np.asarray(rows)
     v = model.radial_values(r)
     if model.kind == "square_well":
         # average the jump when the edge lands on a node; keeps the scheme
@@ -221,8 +220,9 @@ def _match_at(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
 
 
 def _phase_shifts(model: PotentialModel, ls: range, k: float,
-                  r_max: float | None, dr: float) -> np.ndarray:
-    """delta_l(k) of each channel in the range ls on one shared Numerov grid."""
+                  r_max: float | None = None, dr: float = 1e-3) -> np.ndarray:
+    """delta_l(k) of each channel in the range ls on one shared Numerov grid
+    of step dr up to r_max, _default_r_max(model, k) if None."""
     # checked before any grid is sized: tail_radius puts a rho <= 1 tail
     # out at up to 1e6, a Numerov grid of up to 1e9 steps
     if model.kind == "power_tail" and model.rho <= 1.0:
@@ -242,9 +242,6 @@ def _phase_shifts(model: PotentialModel, ls: range, k: float,
             f"Numerov grid of {n_rows:.12g} rows x {channels} channels exceeds "
             f"MAX_SWEEP_FLOATS = {MAX_SWEEP_FLOATS} float64 values "
             f"(r_max={r_max:g}, dr={dr:g})")
-    tail = abs(float(model.radial_values(r_max)))
-    if tail > 1e-6:
-        raise ParameterError(f"r_max={r_max} too small: |v(r_max)| = {tail:.2e} > 1e-6")
     if model.kind == "zero":
         return np.zeros(len(ls))
     ls = np.arange(ls.start, ls.stop)
@@ -253,24 +250,23 @@ def _phase_shifts(model: PotentialModel, ls: range, k: float,
     return _match_at(u, r, ls, k)
 
 
-def radial_phase_shift(model: PotentialModel, l: int, k: float,
-                       r_max: float | None = None, dr: float = 1e-3) -> float:
-    """delta_l at momentum k, reduced to (-pi/2, pi/2]."""
-    return float(_phase_shifts(model, range(l, l + 1), k, r_max, dr)[0])
+def radial_phase_shift(model: PotentialModel, l: int, k: float) -> float:
+    """delta_l at momentum k, reduced to (-pi/2, pi/2], from the Numerov
+    sweep of step 1e-3 up to _default_r_max(model, k)."""
+    return float(_phase_shifts(model, range(l, l + 1), k)[0])
 
 
-def phase_shift_table(model: PotentialModel, k: float, l_max: int,
-                      r_max: float | None = None, dr: float = 1e-3) -> PhaseShiftTable:
-    """All channels 0..l_max on one shared Numerov grid."""
+def phase_shift_table(model: PotentialModel, k: float, l_max: int) -> PhaseShiftTable:
+    """All channels 0..l_max on one shared Numerov grid, that of
+    radial_phase_shift."""
     return PhaseShiftTable(k=k, l_max=l_max, delta=_phase_shifts(
-        model, range(l_max + 1), k, r_max, dr))
+        model, range(l_max + 1), k))
 
 
-def smatrix_eigenvalues(table: PhaseShiftTable) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-modulus eigenvalues exp(2 i delta_l) with multiplicities 2l+1."""
-    values = np.exp(2j * table.delta)
-    mult = 2 * np.arange(table.l_max + 1) + 1
-    return values, mult
+def smatrix_eigenvalues(table: PhaseShiftTable) -> np.ndarray:
+    """Unit-modulus eigenvalues exp(2 i delta_l), l = 0..l_max; the l-th has
+    multiplicity 2l+1."""
+    return np.exp(2j * table.delta)
 
 
 def amplitude(table: PhaseShiftTable, theta) -> complex | np.ndarray:

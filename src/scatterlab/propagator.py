@@ -22,8 +22,8 @@ from itertools import pairwise
 import numpy as np
 from scipy.special import jv
 
-from .numerics import (DomainError, ParameterError, ScatterlabError, dft, dft_freqs,
-                       lazy_names)
+from .numerics import (DomainError, NumericalError, ParameterError, ScatterlabError,
+                       dft, dft_freqs, lazy_names)
 from .potentials import YUKAWA_R_MIN, PotentialModel, line_integral
 
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
@@ -116,10 +116,21 @@ def check_work(n_steps: float, n_points: int, unit: str = "time steps") -> None:
 
 def gaussian_packet(n: int, dx: float, center: float, k0: float,
                     sigma: float) -> WavePacket:
-    """L2-normalized Gaussian exp(-(x-x0)^2/(4 sigma^2) + i k0 x)."""
+    """L2-normalized Gaussian exp(-(x-x0)^2/(4 sigma^2) + i k0 x).
+    ParameterError, before any sample, unless 2 pi sigma^2 is a positive
+    finite float: sigma from about 1.6e-162 to 5.3e153."""
+    # sigma**2 raises past |sigma| = 2**512; 2 pi sigma**2 is inf from 2**511
+    var = 2 * np.pi * sigma**2 if abs(sigma) < 2.0**511 else np.inf
+    if not 0.0 < var < np.inf:
+        raise ParameterError(
+            f"packet width sigma={sigma!r} out of range: 2 pi sigma**2 = {var!r} "
+            f"is not a positive finite float")
     x = _grid(n, dx)
-    vals = ((2 * np.pi * sigma**2) ** -0.25
-            * np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k0 * x))
+    # on a narrow packet the exponent overflows to -inf, where exp gives
+    # the 0 it tends to
+    with np.errstate(over="ignore"):
+        vals = (var ** -0.25
+                * np.exp(-((x - center) ** 2) / (4 * sigma**2) + 1j * k0 * x))
     return WavePacket(values=vals.astype(complex), dx=dx)
 
 
@@ -298,7 +309,9 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     Where v is zero on every node the series sums to e^{-ik^2 t}, which
     free_evolve_series runs instead to each span end of _edge_spans(packet,
     t_target), with the same checks and work cap (spans times points).
-    yukawa is refused first: its clipped core would set b.
+    yukawa is refused first: its clipped core would set b.  A b that is not
+    a positive float (v far above (pi/dx)^2 and nearly constant) is a
+    NumericalError before any coefficient.
     """
     if model.kind == "yukawa":
         raise DomainError(
@@ -319,6 +332,10 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
         return out
     lo, hi = float(np.min(v)), (np.pi / dx) ** 2 + float(np.max(v))
     a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    if not b > 0.0:
+        raise NumericalError(
+            f"spectral interval [{lo!r}, {hi!r}] has half-width {b!r}, not a "
+            f"positive float, at (pi/dx)**2 = {(np.pi / dx) ** 2:.6g}")
     m = _edge_width(n)
     n_spans = _edge_spans(packet, t_target, MAX_SPAN_PHASE / b)
     tau = span / n_spans
@@ -478,24 +495,24 @@ def modified_moller_probe(model: PotentialModel, f0: WavePacket,
 # time-domain S-matrix (l = 0 channel)
 # ---------------------------------------------------------------------------
 
-def scattering_phase_from_time_domain(model: PotentialModel, k: float,
-                                      packet_width: float = 20.0,
-                                      n: int = 2**9,
-                                      dx: float = 0.8) -> complex:
-    """e^{2 i delta_0(k)} from an incoming l = 0 packet.
+def scattering_phase_from_time_domain(model: PotentialModel, k: float) -> complex:
+    """e^{2 i delta_0(k)} from an incoming l = 0 packet of width sigma = 20.
 
-    The half-line r in (0, n dx] with Dirichlet nodes at both ends is the
-    odd packet f(x) - f(-x) on the 2n-point grid.  An incoming packet
-    reflects off the origin; after it has fully re-emerged, the
-    sine-transform amplitude at momentum k relative to the same packet
+    The half-line r in (0, n dx], n = 2^9 and dx = 0.8, with Dirichlet nodes
+    at both ends is the odd packet f(x) - f(-x) on the 2n-point grid.  An
+    incoming packet reflects off the origin; after it has fully re-emerged,
+    the sine-transform amplitude at momentum k relative to the same packet
     evolved freely is e^{2 i delta_0}.  The packet starts at r0 = 0.45 n dx.
+    Its relative bandwidth 1 / (2 sigma k) passes 20% below k = 0.125,
+    which is refused.
     """
+    n, dx, sigma = 2**9, 0.8, 20.0
     if k <= 0:
         raise ParameterError("k must be positive")
-    if 1.0 / (2 * packet_width * k) > 0.20:
-        raise ParameterError("packet band too wide (relative bandwidth > 20%)")
+    if 1.0 / (2 * sigma * k) > 0.20:
+        raise ParameterError(
+            f"packet band too wide at k={k:g} (relative bandwidth > 20%, k < 0.125)")
     r0 = n * dx * 0.45
-    sigma = packet_width
     pk = gaussian_packet(2 * n, dx, center=r0, k0=-k, sigma=sigma)
     pk = replace(pk, values=pk.values - pk.values[-np.arange(2 * n)])
     t_out = r0 / k  # round trip at group velocity 2k

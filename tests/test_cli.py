@@ -1068,6 +1068,70 @@ class TestTypedErrors:
             "node x = 0 as v = 5e+07 (r clipped to 1e-08), would top the "
             "spectral interval")
 
+    @pytest.mark.parametrize("sigma,width", [(1e-300, "0.0"), (1e200, "inf")],
+                             ids=["narrow", "wide"])
+    @pytest.mark.parametrize("experiment,params", [
+        ("propagate", {}), ("moller", {}), ("diagnose", {"check": "kato"})],
+        ids=["propagate", "moller", "kato"])
+    def test_packet_width_outside_float_range_refused(
+            self, tmp_path, capsys, experiment, params, sigma, width):
+        # 2 pi sigma**2 underflows to 0 or overflows: refused before the
+        # packet is sampled, and no output is written
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": experiment, "params": dict(params, sigma=sigma)},
+            f"packet width sigma={sigma!r} out of range: 2 pi sigma**2 = {width} "
+            f"is not a positive finite float")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,params,rc", [
+        ("propagate", {}, 0), ("moller", {}, 2), ("diagnose", {"check": "kato"}, 2)],
+        ids=["propagate", "moller", "kato"])
+    def test_narrow_packet_within_float_range_runs(
+            self, tmp_path, capsys, experiment, params, rc):
+        # 2 pi sigma**2 = 6.3e-320 is subnormal but positive: propagate
+        # runs, and the probes end at the edge monitor, not at the width
+        path = write_config(tmp_path, {
+            "experiment": experiment, "params": dict(params, sigma=1e-160)})
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == rc
+        if rc:
+            assert "config error: reflection: " in capsys.readouterr().err
+
+    def test_eikonal_lambda_overflow_refused_before_tables(
+            self, tmp_path, capsys, monkeypatch):
+        # lambda = xi_norm**2 passes the float range above about 1.34e154
+        config = {"experiment": "eikonal",
+                  "potential": {"kind": "gaussian_well", "v0": -1},
+                  "params": {"xi_norm": 1e154}}
+        assert cli.run(write_config(tmp_path, config),
+                       out_dir=str(tmp_path / "ok")) == 0
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("tables built for a refused xi_norm")
+
+        monkeypatch.setattr(_cyl, "make_grid", no_grid)
+        config["params"]["xi_norm"] = 1e155
+        self._assert_typed(tmp_path, capsys, config,
+                           "lambda = xi_norm**2 overflows at xi_norm = 1e+155")
+
+    @pytest.mark.parametrize("experiment,potential", [
+        ("propagate", {"kind": "gaussian_well", "v0": 1e300, "width": 1e300}),
+        ("moller", {"kind": "gaussian_well", "v0": 1e20, "width": 1e300}),
+    ], ids=["propagate-1e300", "moller-1e20"])
+    def test_zero_spectral_width_refused(self, tmp_path, capsys, monkeypatch,
+                                         experiment, potential):
+        # v is constant to the last bit and (pi/dx)**2 = 23 is below its
+        # ulp, so min v and (pi/dx)**2 + max v round to one number; refused
+        # before any Bessel coefficient is computed
+        def no_bessel(*args, **kwargs):
+            raise AssertionError("computed coefficients for a refused run")
+
+        monkeypatch.setattr(propagator, "jv", no_bessel)
+        v0 = potential["v0"]
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": experiment, "potential": potential,
+            "params": {"n": 64}},
+            f"numerical: spectral interval [{v0!r}, {v0!r}] has half-width 0.0")
+
     @pytest.mark.parametrize("experiment,params,message", [
         ("eikonal", {"xi_norm": 1e-155}, "(2 |xi|)^-N overflows"),
         ("eikonal", {"xi_norm": 1e-300}, "(2 |xi|)^-N overflows"),

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import erf, jv
 
 from scatterlab import propagator
-from scatterlab.numerics import DomainError, ParameterError, dft, dft_freqs
+from scatterlab.numerics import DomainError, NumericalError, ParameterError, dft, dft_freqs
 from scatterlab.potentials import PotentialModel
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
@@ -190,6 +190,22 @@ def _reflection_case(case):
     return _radial_packet(n=2**9, center=150.0, k0=1.5), 60.0
 
 
+class TestPacketWidth:
+    @pytest.mark.parametrize("sigma", [1e-300, 1.5e-162, 6e153, 1e200, np.nan])
+    def test_width_outside_float_range_refused(self, sigma):
+        # 2 pi sigma**2 underflows to 0 or overflows, where sigma**2 alone
+        # is still finite at 6e153
+        with pytest.raises(ParameterError, match="packet width sigma="):
+            propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=1.0,
+                                       sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1.6e-162, 5.3e153])
+    def test_width_at_the_float_range_ends_accepted(self, sigma):
+        packet = propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=1.0,
+                                            sigma=sigma)
+        assert np.all(np.isfinite(packet.values))
+
+
 class TestChebyshev:
     def test_zero_potential_matches_free_evolve(self):
         f0 = propagator.gaussian_packet(n=2**10, dx=0.65, center=0.0, k0=1.0,
@@ -211,6 +227,14 @@ class TestChebyshev:
         out = propagator.chebyshev_evolve(f0, model, t1)
         assert out.t == t1
         assert np.array_equal(out.values, propagator.free_evolve(f0, t1).values)
+
+    def test_non_finite_spectral_width_refused(self):
+        # an infinite v makes hi - lo NaN; refused before any coefficient
+        model = PotentialModel(kind="gaussian_well", v0=np.inf, width=1e300)
+        f0 = propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=1.0,
+                                        sigma=6.0)
+        with pytest.raises(NumericalError, match=r"\[inf, inf\] has half-width nan"):
+            propagator.chebyshev_evolve(f0, model, 1.0)
 
     def test_strang_converges_to_it_at_second_order(self):
         # C10's setting: each halving of Strang's dt divides its gap to the
@@ -616,9 +640,10 @@ class TestTimeDomainSMatrix:
         assert propagator.scattering_phase_from_time_domain(ZERO, 1.0) == 1.0
 
     def test_bandwidth_guard(self):
-        with pytest.raises(ParameterError):
-            propagator.scattering_phase_from_time_domain(GAUSS, 1.0,
-                                                         packet_width=1.0)
+        # the width-20 packet's relative bandwidth 1 / (40 k) passes 20%
+        # below k = 0.125
+        with pytest.raises(ParameterError, match="packet band too wide"):
+            propagator.scattering_phase_from_time_domain(GAUSS, 0.124)
 
     def test_yukawa_refused_by_its_core(self):
         # at its defaults the clipped core would ask for 4.8e9 terms

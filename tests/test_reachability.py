@@ -42,16 +42,6 @@ ALLOWED = {
 UNPASSED = {
     **{("diagnostics", "lap_probe", p): "tests shrink the LAP grid"
        for p in ("n", "extent")},
-    **{("partialwave", fn, p): "tests vary the Numerov grid; the ROADMAP "
-       "items 3 and 6 oracles vary dr"
-       for fn in ("phase_shift_table", "radial_phase_shift")
-       for p in ("r_max", "dr")},
-    ("propagator", "scattering_phase_from_time_domain", "packet_width"):
-        "the bandwidth-guard test passes a packet whose band is too wide",
-    **{("propagator", "scattering_phase_from_time_domain", p):
-       "no test sizes them; ROADMAP item 4 varies them (C10's error is "
-       "the spatial step)"
-       for p in ("n", "dx")},
     ("cli", "main", "argv"): "tests pass argv; the console script passes none",
 }
 
