@@ -6,11 +6,12 @@ s >= 0 the distance from the axis, z the coordinate along it.  Arrays are
 shaped (n_s, n_z).
 
 The table kernels d_ds, d_dz, laplacian, march_up and march_down take an
-optional out=: a C-contiguous array of the result's shape and dtype that
-shares no memory with the inputs.  They write the result into it with
-numpy ufuncs and return it; without out they return a new array.  Either
-way the result is bit for bit np.gradient(f, h, edge_order=2) and
-scipy's cumulative_trapezoid(dx=h), with h the grid's step ds or dz.
+out: a C-contiguous array of the result's shape and dtype that shares no
+memory with the inputs, optional except for d_dz.  They write the result
+into it with numpy ufuncs and return it; without out they return a new
+array.  Either way the result is bit for bit np.gradient(f, h,
+edge_order=2) and scipy's cumulative_trapezoid(dx=h), with h the grid's
+step ds or dz.
 cumulative_trapezoid here is the package's one running trapezoid rule; the
 Kato integrals of diagnostics use it too.
 
@@ -75,8 +76,7 @@ def d_ds(f: np.ndarray, grid: CylGrid, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def d_dz(f: np.ndarray, grid: CylGrid, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty_like(f) if out is None else out
+def d_dz(f: np.ndarray, grid: CylGrid, out: np.ndarray) -> np.ndarray:
     _gradient(f, grid.dz, 1, out)
     return out
 

@@ -42,7 +42,7 @@ class CriterionResult:
                 f"{meas}; expected {self.expected} [{self.runtime:.1f}s]")
 
 
-def _fmt(x, nd=6):
+def _fmt(x, nd):
     if isinstance(x, complex):
         return f"{x.real:.{nd}g}{x.imag:+.{nd}g}j"
     return f"{float(x):.{nd}g}"
@@ -99,18 +99,12 @@ def _result(cid, name, passed, expected, values, digits) -> CriterionResult:
 def criterion_01() -> CriterionResult:
     """Square-well s-wave phase shift vs the closed matching formula."""
     model = PotentialModel(kind="square_well", v0=1.0, width=1.0)
-    k, R, v0 = 1.0, 1.0, 1.0
+    k, R = 1.0, 1.0
     delta = partialwave.radial_phase_shift(model, 0, k)
-    k1sq = k * k - v0
-    if abs(k1sq) < 1e-12:
-        slope = k * R                     # lim (k/k1) tan(k1 R)
-    elif k1sq > 0:
-        k1 = np.sqrt(k1sq)
-        slope = (k / k1) * np.tan(k1 * R)
-    else:
-        kap = np.sqrt(-k1sq)
-        slope = (k / kap) * np.tanh(kap * R)
-    oracle = np.arctan(slope) - k * R
+    # k^2 = v0 exactly, so the interior wavenumber k1 = sqrt(k^2 - v0) is 0:
+    # the matching slope (k / k1) tan(k1 R) (tanh for k^2 < v0) takes its
+    # limit k R, and no other branch of the closed formula can run here
+    oracle = np.arctan(k * R) - k * R
     oracle = (oracle + np.pi / 2) % np.pi - np.pi / 2
     err = abs(delta - oracle)
     return _result(1, "partial-wave exactness", err < 1e-6, "|err| < 1e-6",
@@ -363,9 +357,8 @@ def _timed(criterion) -> CriterionResult:
     return replace(result, runtime=time.perf_counter() - t0)
 
 
-def run_all(ids=None) -> list[CriterionResult]:
-    ids = sorted(ids) if ids else sorted(CRITERIA)
-    return [_timed(CRITERIA[i]) for i in ids]
+def run_all(ids) -> list[CriterionResult]:
+    return [_timed(CRITERIA[i]) for i in sorted(ids)]
 
 
 def format_report(results) -> str:

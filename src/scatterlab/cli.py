@@ -224,7 +224,7 @@ def _run_lap(model, p, seed):
                                    ("lap_not_converged", rep.converged))
              if not ok]
     extra = {"stable": rep.stable, "converged": rep.converged,
-             "solves": rep.solves}
+             "solves": rep.solves, "residuals": rep.residuals}
     return ["epsilon", "norm"], rows, extra, flags
 
 

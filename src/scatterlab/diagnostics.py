@@ -148,7 +148,7 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
 # ---------------------------------------------------------------------------
 
 def mourre_check(model: PotentialModel, window: tuple[float, float],
-                 n: int = 1024) -> float:
+                 n: int) -> float:
     """Minimal eigenvalue of E(I) i[H, A] E(I), H on n points of [-160, 160].
 
     E(I) projects onto the eigenvectors of the discrete H with eigenvalue

@@ -415,7 +415,7 @@ class _PsiEvaluator:
         return wave * amp, wave * damp
 
     def workspace(self, rows: int, points: int) -> _Workspace:
-        """Work arrays for amplitudes(..., out=) at up to rows z values and
+        """Work arrays for amplitudes(..., out) at up to rows z values and
         points points, which the caller owns: amplitudes writes its lookups
         and its (A, D) into them and keeps no state between calls."""
         planes, _, width = self._stack.shape
@@ -424,22 +424,20 @@ class _PsiEvaluator:
             (planes * max(rows * width, points), float),
             (points, complex), (points, complex), (points, complex))))
 
-    def amplitudes(self, s, z, ds_dt, dz_dt: float, out: _Workspace | None = None):
+    def amplitudes(self, s, z, ds_dt, dz_dt: float, out: _Workspace):
         """(A, D) = exp(-i xi z) (psi, d psi / d t) of the stack's tables at
         (s, z) about omega moving at rates (ds_dt, dz_dt), broadcast to the
         shape of s.  z may hold one value per row of s (the S0 mesh's rows):
         it is looked up at its own shape, so each value costs a table row.
-        With out, a workspace() large enough, every lookup and sum is
-        written into it, and A and D are views into it until its next use."""
+        Every lookup and sum is written into out, a workspace() large
+        enough, and A and D are views into it until its next use."""
         return self._assemble(self._planes(s, z, out), ds_dt, dz_dt, out)
 
-    def _planes(self, s, z, work: _Workspace | None = None):
-        """The stack's planes at (s, z), in work (a new workspace without
-        it): blended along z at z's own shape, then along s at each point.
-        Each axis blends f0 (1 - t) + f1 t, as scipy's bilinear rule does,
-        so on a node line of the grid the value is scipy's bit for bit."""
-        if work is None:
-            work = self.workspace(np.size(z), np.size(s))
+    def _planes(self, s, z, work: _Workspace):
+        """The stack's planes at (s, z), in work: blended along z at z's own
+        shape, then along s at each point.  Each axis blends f0 (1 - t) +
+        f1 t, as scipy's bilinear rule does, so on a node line of the grid
+        the value is scipy's bit for bit."""
         stack = self._stack
         planes, _, width = stack.shape
         jz, tz = _locate(self._z_cells, np.ravel(z))
@@ -544,16 +542,15 @@ def _extension_panels(panels: int) -> int:
 _PlaneRule = namedtuple("_PlaneRule", "nodes weights")
 
 
-def _plane_rule(window: float, sql: float, reach: float | None = None) -> _PlaneRule:
+def _plane_rule(window: float, sql: float, reach: float) -> _PlaneRule:
     """(nodes, weights) of the Gauss rule of PLANE_NODES nodes per panel on
-    the _plane_panels panels of [-window, window]; given reach = 1.25
-    window, nested in _extension_panels equal panels on each side out to
-    exactly +-reach."""
+    the _plane_panels panels of [-window, window], nested in
+    _extension_panels equal panels on each side out to exactly +-reach
+    (1.25 window)."""
     panels = _plane_panels(window, sql)
-    edges = np.linspace(-window, window, panels + 1)
-    if reach is not None:
-        outer = np.linspace(window, reach, _extension_panels(panels) + 1)
-        edges = np.concatenate([-outer[:0:-1], edges, outer[1:]])
+    inner = np.linspace(-window, window, panels + 1)
+    outer = np.linspace(window, reach, _extension_panels(panels) + 1)
+    edges = np.concatenate([-outer[:0:-1], inner, outer[1:]])
     return _PlaneRule(*composite_gauss(PLANE_NODES, edges))
 
 

@@ -83,7 +83,7 @@ class PotentialModel:
             return self.width * 40.0
         return 10.0  # power_tail: no compact range; scale only
 
-    def tail_radius(self, tol: float = 1e-10) -> float:
+    def tail_radius(self, tol: float) -> float:
         """Radius where |v| first drops below tol (grid search; inf-like
         values capped at 1e6 for power tails)."""
         if self.kind == "zero":

@@ -118,13 +118,21 @@ def gaussian_packet(n: int, dx: float, center: float, k0: float,
                     sigma: float) -> WavePacket:
     """L2-normalized Gaussian exp(-(x-x0)^2/(4 sigma^2) + i k0 x).
     ParameterError, before any sample, unless 2 pi sigma^2 is a positive
-    finite float: sigma from about 1.6e-162 to 5.3e153."""
+    finite float (sigma from about 1.6e-162 to 5.3e153), and then unless
+    sigma >= dx.  The continuum factor (2 pi sigma^2)^(-1/4) normalizes the
+    samples only on a grid that resolves the packet: by Poisson summation
+    their squared norm misses 1 by at most 2 exp(-2 pi^2 sigma^2 / dx^2),
+    5.4e-9 at sigma = dx."""
     # sigma**2 raises past |sigma| = 2**512; 2 pi sigma**2 is inf from 2**511
     var = 2 * np.pi * sigma**2 if abs(sigma) < 2.0**511 else np.inf
     if not 0.0 < var < np.inf:
         raise ParameterError(
             f"packet width sigma={sigma!r} out of range: 2 pi sigma**2 = {var!r} "
             f"is not a positive finite float")
+    if sigma < dx:
+        raise ParameterError(
+            f"packet width sigma={sigma!r} below the grid step dx={dx!r}: the "
+            f"grid does not resolve the packet")
     x = _grid(n, dx)
     # on a narrow packet the exponent overflows to -inf, where exp gives
     # the 0 it tends to
@@ -192,27 +200,13 @@ def _table_points(z: float) -> int:
     return 1 << (2 * int(_terms(z)) - 1).bit_length()
 
 
-def _count(z: float) -> int:
-    """The terms of a series of phase z trimmed at CHEBYSHEV_TOL: one past
-    the last order k with |J_k(z)| >= CHEBYSHEV_TOL.  Past k = z, |J_k(z)|
-    falls monotonically, below CHEBYSHEV_TOL by k = _terms(z), so a
-    bisection between the two finds it from a few jv values."""
-    lo, hi = int(z), int(_terms(z))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if abs(jv(mid, z)) >= CHEBYSHEV_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _expansion(a: float, b: float, tau: float, size: int):
     """One expansion of e^{-iH t} over t = size * tau: the final state's
     coefficients (2 - delta_k0) (-i)^k J_k(b |t|) e^{-iat} from jv, trimmed
     at CHEBYSHEV_TOL (i^k for a backward run), and, for the interior checks
     t_j = j tau, j = 1 .. size - 1, the same coefficients at b t_j as a
-    table, with the terms of each check's own trimmed series (_count).
+    table, with the terms each check reads: _terms(b t_j), past which its
+    coefficients are below CHEBYSHEV_TOL, within the table's length.
 
     By Jacobi-Anger, e^{-i (a + b cos theta) t_j} = e^{-ia t_j} sum_k
     (-i)^k J_k(b t_j) e^{ik theta}, so each table row is one transform of
@@ -239,7 +233,7 @@ def _expansion(a: float, b: float, tau: float, size: int):
         row = row * ring
     table *= points ** -0.5
     table[:, 1:] *= 2.0
-    counts = [min(_count(j * (b * abs(tau))), len(coef)) for j in range(1, size)]
+    counts = [min(int(_terms(j * (b * abs(tau)))), len(coef)) for j in range(1, size)]
     return coef, table, counts
 
 
@@ -249,7 +243,7 @@ class _EdgeChecks:
     _BLOCK rows, which is folded into every open check's edge samples by
     one matrix product when it is full or when it completes the terms of
     the next check.  That check is then decided, so a failing run stops
-    after its failing check's own terms; its mass is over the initial
+    after the terms its failing check reads; its mass is over the initial
     packet's squared norm, which the evolution conserves to roundoff.  Once
     every check is decided, no more samples are gathered."""
 
@@ -301,8 +295,8 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     its b tau within MAX_SPAN_PHASE and its table of check coefficients
     within _CHECK_TABLE entries and _TABLE_SHARE of its term samples.  The
     checks inside it are read from its own terms (_EdgeChecks), each as soon
-    as the terms of its own trimmed series are in, so a failing run stops
-    early; the one at its end is the state's edge_mass.  A run of one span
+    as the _terms of its own phase are in, so a failing run stops early;
+    the one at its end is the state's edge_mass.  A run of one span
     is one expansion with an empty table, bit for bit the series above.
     The work, the estimated terms of every expansion times the points, is
     checked against MAX_POINT_STEPS before any coefficient is computed.
@@ -400,8 +394,7 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
 # explicit large-time formulas
 # ---------------------------------------------------------------------------
 
-def free_asymptotics(fhat, t: float, n: int = 2**13,
-                     dx: float = 0.65) -> WavePacket:
+def free_asymptotics(fhat, t: float, n: int, dx: float) -> WavePacket:
     """Explicit free-evolution asymptote
     (e^{-itH0} f)(x) ~ e^{i|x|^2/4t} (2it)^{-1/2} fhat(x/2t) (d = 1)."""
     if t == 0:

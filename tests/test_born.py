@@ -265,7 +265,8 @@ def bn_tables_loop(model, N, grid):
         tables[n] = _cyl.march_up(g, grid, anchor)
         if n < N:
             g = (-_cyl.laplacian(_cyl.d_ds(tables[n], grid),
-                                 _cyl.d_dz(tables[n], grid), grid)
+                                 _cyl.d_dz(tables[n], grid, np.empty_like(tables[n])),
+                                 grid)
                  + v * tables[n])
     return tables
 

@@ -10,6 +10,7 @@ import pytest
 
 from scatterlab import (_cyl, acceptance, born, cli, diagnostics, eikonal,
                         partialwave, propagator)
+from scatterlab.potentials import PotentialModel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -379,6 +380,20 @@ class TestRun:
         assert record["extra"]["converged"] is False
         assert record["extra"]["solves"] == 2 * 2 * 2 * 2
 
+    def test_lap_reports_its_residuals(self, tmp_path):
+        # ||B*B v - s v|| / s at the last power step, per epsilon and block,
+        # at full precision
+        path = write_config(tmp_path, {
+            "experiment": "diagnose", "potential": {"kind": "zero"},
+            "params": {"check": "lap", "lam": 1.0, "r": 1.0,
+                       "epsilons": [3e-3, 1e-3]}})
+        out = tmp_path / "out"
+        assert cli.run(path, out_dir=str(out)) == 0
+        record = json.loads((out / "result.json").read_text())
+        rep = diagnostics.lap_probe(PotentialModel(kind="zero"), 1.0, 1.0,
+                                    [3e-3, 1e-3], seed=0)
+        assert record["extra"]["residuals"] == rep.residuals.tolist()
+
     def test_highenergy_floor_slope_is_null(self, tmp_path):
         # every error lies under the floor at N = 0, so no slope is fitted
         path = write_config(tmp_path, {
@@ -593,7 +608,7 @@ class TestRun:
         assert set(values) == {"s_time", "s_stat", "diff"}
         for key in ("s_time", "s_stat"):
             re, im = values[key]
-            assert acceptance._fmt(complex(re, im)) == measured[key]
+            assert acceptance._fmt(complex(re, im), 6) == measured[key]
         assert f"{values['diff']:.3g}" == measured["diff"]
 
     def test_json_converter(self, tmp_path):
@@ -1083,18 +1098,24 @@ class TestTypedErrors:
             f"is not a positive finite float")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("experiment,params,rc", [
-        ("propagate", {}, 0), ("moller", {}, 2), ("diagnose", {"check": "kato"}, 2)],
+    @pytest.mark.parametrize("sigma", [0.1, 1e-160])
+    @pytest.mark.parametrize("experiment,params", [
+        ("propagate", {}), ("moller", {}), ("diagnose", {"check": "kato"})],
         ids=["propagate", "moller", "kato"])
-    def test_narrow_packet_within_float_range_runs(
-            self, tmp_path, capsys, experiment, params, rc):
-        # 2 pi sigma**2 = 6.3e-320 is subnormal but positive: propagate
-        # runs, and the probes end at the edge monitor, not at the width
+    def test_unresolved_packet_refused(self, tmp_path, capsys, experiment, params,
+                                       sigma):
+        # within the float range, but narrower than the default grid step
+        # 0.65: sampled with the continuum factor, propagate's packet had
+        # norm 1.61 at sigma = 0.1 and 5.1e79 at 1e-160.  Refused before
+        # any sample, and no output is written
         path = write_config(tmp_path, {
-            "experiment": experiment, "params": dict(params, sigma=1e-160)})
-        assert cli.run(path, out_dir=str(tmp_path / "out")) == rc
-        if rc:
-            assert "config error: reflection: " in capsys.readouterr().err
+            "experiment": experiment, "params": dict(params, sigma=sigma)})
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: packet width sigma={sigma!r} below the grid step "
+                f"dx=0.65: the grid does not resolve the packet") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_eikonal_lambda_overflow_refused_before_tables(
             self, tmp_path, capsys, monkeypatch):

@@ -360,22 +360,23 @@ class TestMourre:
     def test_window_cap_threshold(self, monkeypatch):
         # C12's window (1, 2] holds 43 eigenvectors of 1024 points
         monkeypatch.setattr(diagnostics, "MAX_WINDOW_FLOATS", 1024 * 43)
-        assert diagnostics.mourre_check(ZERO, (1.0, 2.0)) == pytest.approx(
+        assert diagnostics.mourre_check(ZERO, (1.0, 2.0), n=1024) == pytest.approx(
             4.0, abs=0.1)
         monkeypatch.setattr(diagnostics, "MAX_WINDOW_FLOATS", 1024 * 43 - 1)
         with pytest.raises(ParameterError, match="43 window eigenvectors"):
-            diagnostics.mourre_check(ZERO, (1.0, 2.0))
+            diagnostics.mourre_check(ZERO, (1.0, 2.0), n=1024)
 
     def test_whole_reliable_range_admitted_at_default_grid(self):
-        # every eigenvalue below a quarter of lambda_max at n = 1024 (340)
+        # every eigenvalue below a quarter of lambda_max at the config's
+        # default n = 1024 (340)
         dx = 320.0 / 1023
-        val = diagnostics.mourre_check(GAUSS, (1e-3, 0.999 / dx**2))
+        val = diagnostics.mourre_check(GAUSS, (1e-3, 0.999 / dx**2), n=1024)
         assert np.isfinite(val)
 
     @pytest.mark.parametrize("model", [ZERO, GAUSS], ids=["zero", "gaussian"])
     @pytest.mark.parametrize("window", [(1.0, 2.0), (2.0, 3.0), (0.3, 1.7)])
     def test_matches_dense_oracle(self, model, window):
-        val = diagnostics.mourre_check(model, window)
+        val = diagnostics.mourre_check(model, window, n=1024)
         assert val == pytest.approx(dense_mourre_check(model, window),
                                     rel=1e-12)
 

@@ -10,7 +10,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scatterlab import _cyl, eikonal
 from scatterlab.eikonal import (S0_SIGN, TAPER_FRACTION, _PsiEvaluator,
                                 _plane_rule, _taper_profile)
-from scatterlab.numerics import DomainError, ParameterError
+from scatterlab.numerics import DomainError, ParameterError, composite_gauss
 from scatterlab.potentials import PotentialModel
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
@@ -335,10 +335,10 @@ def _full_plane_s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
     """The S0 quadrature over the plane z = 0 for any pair (omega, omega'):
     psi_+ and psi_- looked up at 3D points on the whole n x n tensor rule,
     with no fold over b -> -b, tapered at window; the rule defaults to
-    _plane_rule(window, sqrt(lam))."""
+    _window_rule(window, sqrt(lam))."""
     sql = np.sqrt(lam)
     if rule is None:
-        rule = _plane_rule(window, sql)
+        rule = _window_rule(window, sql)
 
     taper = _taper_profile(
         (np.abs(rule.nodes) - window * (1 - TAPER_FRACTION))
@@ -362,6 +362,13 @@ def _full_plane_s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
                  - (np.conj(fp) * dfm - np.conj(dfp) * fm)).reshape(n, n)
     total = w @ integrand @ w
     return S0_SIGN * 1j * np.pi * lam ** 0.5 * (2 * np.pi) ** -3 * total
+
+
+def _window_rule(window, sql):
+    """The Gauss rule of PLANE_NODES nodes per panel on the _plane_panels
+    panels of [-window, window] alone, which _plane_rule nests."""
+    edges = np.linspace(-window, window, eikonal._plane_panels(window, sql) + 1)
+    return eikonal._PlaneRule(*composite_gauss(eikonal.PLANE_NODES, edges))
 
 
 @functools.cache
@@ -390,14 +397,14 @@ class _CountingPsi:
         self.workspace = psi.workspace
         self.points = []
 
-    def amplitudes(self, s, z, ds_dt, dz_dt, out=None):
+    def amplitudes(self, s, z, ds_dt, dz_dt, out):
         self.points.append(np.size(s))
-        return self.psi.amplitudes(s, z, ds_dt, dz_dt, out=out)
+        return self.psi.amplitudes(s, z, ds_dt, dz_dt, out)
 
 
 def _both_full_plane(psi_plus, psi_minus, omega, omega_prime, lam, windows):
     """The full-plane oracles of _s0_quadrature's pair: the window's sum on
-    _plane_rule(window) and the enlarged window's on the nested rule."""
+    _window_rule(window) and the enlarged window's on the nested rule."""
     window, reach = windows
     nested = _plane_rule(window, np.sqrt(lam), reach)
     args = (psi_plus, psi_minus, omega, omega_prime, lam)
@@ -513,7 +520,7 @@ def _long_double_s0_quadrature(psi, theta, windows):
     sums = []
     for i in range(0, len(nodes), 64):
         s, z, ds_dt = eikonal._plane_geometry(nodes[i:i + 64], nodes[half:], p, c)
-        planes = psi._planes(s, z).astype(ld)
+        planes = psi._planes(s, z, psi.workspace(np.size(z), np.size(s))).astype(ld)
         z, ds_dt = z.astype(ld), ds_dt.astype(ld)
         b = planes[0] + 1j * planes[1].astype(cld)
         db_dt = ((planes[2] + 1j * planes[3].astype(cld)) * ds_dt
@@ -569,7 +576,7 @@ class TestNestedPlaneRule:
     @pytest.mark.parametrize("window,lam", NESTED_CASES)
     def test_inner_rule_is_the_windows(self, window, lam):
         sql = np.sqrt(lam)
-        plain = _plane_rule(window, sql)
+        plain = _window_rule(window, sql)
         nested = _plane_rule(window, sql, 1.25 * window)
         panels = eikonal._plane_panels(window, sql)
         edge = eikonal.PLANE_NODES * -(-panels // 8)
@@ -604,9 +611,9 @@ class TestNestedPlaneRule:
         points = []
         amplitudes = _PsiEvaluator.amplitudes
 
-        def counting(self, s, z, ds_dt, dz_dt, out=None):
+        def counting(self, s, z, ds_dt, dz_dt, out):
             points.append(np.size(s))
-            return amplitudes(self, s, z, ds_dt, dz_dt, out=out)
+            return amplitudes(self, s, z, ds_dt, dz_dt, out)
 
         monkeypatch.setattr(_PsiEvaluator, "amplitudes", counting)
         eikonal.s0_kernel(psi, np.deg2rad(20.0))
@@ -635,7 +642,7 @@ class TestNestedPlaneRule:
         sql = 10.0
         window, reach = eikonal._s0_windows(model, sql)
         nested = _plane_rule(window, sql, reach)
-        enlarged = _plane_rule(reach, sql)
+        enlarged = _window_rule(reach, sql)
         assert np.array_equal(nested.nodes, enlarged.nodes)
         assert np.array_equal(nested.weights, enlarged.weights)
         psi = _solutions(model, 100.0, 1)[0]
@@ -692,7 +699,7 @@ class TestPlaneGeometry:
         dz_dt = float(omega @ ZAXIS)
         ds_dt = ((pts - np.outer(z, omega)) @ (ZAXIS - dz_dt * omega)) / s
         wave = np.exp(1j * (pp.xi * -z))
-        outgoing = pp.amplitudes(s, -z, ds_dt, -dz_dt)
+        outgoing = pp.amplitudes(s, -z, ds_dt, -dz_dt, pp.workspace(len(z), len(s)))
         called = pm(pts, omega, ZAXIS)
         reversed_call = pp(pts, -omega, ZAXIS)
         for o, c, r in zip(outgoing, called, reversed_call):
@@ -742,7 +749,8 @@ class TestStackedLookup:
         dz_dt = float(d @ ZAXIS)
         ds_dt = np.where(s > 1e-12, s * d[0] / np.where(s > 1e-12, s, 1.0), 0.0)
         wave = np.exp(1j * (psi.xi * z))
-        got = [wave * f for f in psi.amplitudes(s, z, ds_dt, dz_dt)]
+        got = [wave * f for f in psi.amplitudes(s, z, ds_dt, dz_dt,
+                                                psi.workspace(len(z), len(s)))]
         ref = psi(pts, ZAXIS, d)
         # each axis blends f0 (1 - t) + f1 t as scipy does, so the two agree
         # bit for bit on the node lines; elsewhere they round differently,
@@ -767,9 +775,9 @@ class TestStackedLookup:
         s = rng.uniform(0.0, 45.0, (7, 50))
         z = rng.uniform(-65.0, 65.0, (7, 1))
         ds_dt = rng.uniform(-1.0, 1.0, (7, 50))
-        rows = psi.amplitudes(s, z, ds_dt, 0.8)
+        rows = psi.amplitudes(s, z, ds_dt, 0.8, psi.workspace(z.size, s.size))
         points = psi.amplitudes(s, np.broadcast_to(z, s.shape).copy(), ds_dt,
-                                0.8)
+                                0.8, psi.workspace(s.size, s.size))
         for r, p in zip(rows, points):
             assert np.array_equal(r, p)
 
@@ -992,7 +1000,7 @@ def transport_series_loop(model, data, N):
     march = _cyl.march_down if data.sign > 0 else _cyl.march_up
 
     def source(bn):
-        bs, bz = _cyl.d_ds(bn, grid), _cyl.d_dz(bn, grid)
+        bs, bz = _cyl.d_ds(bn, grid), _cyl.d_dz(bn, grid, np.empty_like(bn))
         return (-_cyl.laplacian(bs, bz, grid)
                 - 2j * (data.Phi_s * bs + data.Phi_z * bz)
                 - 1j * data.lap_Phi * bn

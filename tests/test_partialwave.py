@@ -489,6 +489,51 @@ class TestSMatrix:
         assert ratio == pytest.approx(np.exp(2j * delta), abs=1e-5)
 
 
+def trace_sum(v0, k, dr):
+    """sum_l (2l + 1) delta_l(k) on the width-1 Gaussian v0 exp(-r^2), over
+    l <= 7k + 40, on a Numerov grid of step dr."""
+    model = PotentialModel(kind="gaussian_well", v0=v0, width=1.0)
+    delta = partialwave._phase_shifts(model, range(int(7 * k + 40) + 1), k, dr=dr)
+    return float(np.sum((2 * np.arange(len(delta)) + 1) * delta))
+
+
+def trace_asymptote(v0, k):
+    """The sum's high-energy expansion through k^-3 (the trace formula's
+    heat invariants): -(k / 4 pi) int v + int v^2 / (16 pi k)
+    - a_3 / (16 pi k^3), a_3 = -int v^3 / 6 - int |grad v|^2 / 12, with the
+    Gaussian's integrals in closed form; the rest is O(k^-5)."""
+    int_v = v0 * np.pi ** 1.5
+    int_v2 = v0**2 * (np.pi / 2) ** 1.5
+    int_v3 = v0**3 * (np.pi / 3) ** 1.5
+    int_grad2 = 3 * v0**2 * (np.pi / 2) ** 1.5
+    a3 = -int_v3 / 6 - int_grad2 / 12
+    return (-k / (4 * np.pi) * int_v + int_v2 / (16 * np.pi * k)
+            - a3 / (16 * np.pi * k**3))
+
+
+class TestTraceSumRule:
+    """Sum_l (2l + 1) delta_l(k) against its high-energy expansion: an
+    oracle for the Numerov reference over all channels at once."""
+
+    @pytest.mark.parametrize("v0", [-1.0, 0.5])
+    def test_gap_is_the_k5_remainder(self, v0):
+        # measured at dr = 2.5e-4: 9.45e-7 and 3.63e-8 at k = 5 and 10 for
+        # v0 = -1, 8.66e-7 and 3.26e-8 for v0 = 0.5.  A gap falling more
+        # than 16-fold as k doubles is past the k^-3 term, which would fall
+        # 8-fold, so each term of the expansion is in
+        gaps = [abs(trace_sum(v0, k, 2.5e-4) - trace_asymptote(v0, k))
+                for k in (5.0, 10.0)]
+        assert gaps[0] <= 2e-6 and gaps[1] <= 1e-7
+        assert gaps[0] / gaps[1] > 16.0
+
+    def test_gap_falls_at_fourth_order_in_dr(self):
+        # at k = 40 the k^-5 remainder is below 1e-9, so the gap is the
+        # Numerov grid's own error: 9.908e-3 at dr = 1e-3, 6.193e-4 at 5e-4
+        exact = trace_asymptote(-1.0, 40.0)
+        gaps = [abs(trace_sum(-1.0, 40.0, dr) - exact) for dr in (1e-3, 5e-4)]
+        assert gaps[0] / gaps[1] == pytest.approx(16.0, abs=2.0)
+
+
 class TestAmplitude:
     def test_optical_theorem(self):
         # Im a(0) = (k / 4 pi) sigma_tot for a unitary truncated sum

@@ -199,11 +199,30 @@ class TestPacketWidth:
             propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=1.0,
                                        sigma=sigma)
 
-    @pytest.mark.parametrize("sigma", [1.6e-162, 5.3e153])
+    @pytest.mark.parametrize("sigma", [5.3e153])
     def test_width_at_the_float_range_ends_accepted(self, sigma):
         packet = propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=1.0,
                                             sigma=sigma)
         assert np.all(np.isfinite(packet.values))
+
+    @pytest.mark.parametrize("sigma", [1.6e-162, 0.1, 0.6499])
+    def test_width_below_the_grid_step_refused(self, sigma):
+        # inside the float range (1.6e-162 is its lower end), but the grid
+        # does not resolve the packet, so the continuum factor would not
+        # normalize its samples
+        with pytest.raises(ParameterError, match=(
+                rf"sigma={sigma!r} below the grid step dx=0\.65: the grid does "
+                r"not resolve the packet")):
+            propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=1.0,
+                                       sigma=sigma)
+
+    def test_width_at_the_grid_step_normalized(self):
+        # by Poisson summation the samples' squared norm misses 1 by at most
+        # 2 exp(-2 pi^2 sigma^2 / dx^2) = 5.4e-9 at sigma = dx; a packet
+        # centred on a node misses by about that
+        packet = propagator.gaussian_packet(n=64, dx=0.65, center=0.0, k0=1.0,
+                                            sigma=0.65)
+        assert 5e-9 < abs(packet.norm() ** 2 - 1.0) <= 5.4e-9
 
 
 class TestChebyshev:
@@ -383,8 +402,9 @@ class TestChebyshev:
     @pytest.mark.parametrize("tau", [3.3, -3.3], ids=["forward", "backward"])
     def test_check_table_holds_the_bessel_coefficients(self, tau):
         # row j: (2 - delta_k0) (-i)^k J_k(b t_j) e^{-i a t_j} at t_j = j tau
-        # (i^k backward), from transforms where jv is the oracle; check j's
-        # count is the length of its own series trimmed at CHEBYSHEV_TOL
+        # (i^k backward), from transforms where jv is the oracle; check j
+        # reads the _terms bound of its phase, within the table, and past
+        # that count its series lies below CHEBYSHEV_TOL
         a, b = 7.2, 8.2
         coef, table, counts = propagator._expansion(a, b, tau, 12)
         assert table.shape == (11, len(coef))
@@ -395,8 +415,10 @@ class TestChebyshev:
             expect = (np.where(k == 0, 1.0, 2.0) * (-1j * np.sign(t)) ** k
                       * bessel * np.exp(-1j * a * t))
             assert np.max(np.abs(row - expect)) <= 1e-13
-            assert counts[j - 1] == np.flatnonzero(
-                np.abs(bessel) >= propagator.CHEBYSHEV_TOL)[-1] + 1
+            phase = j * (b * abs(tau))
+            assert counts[j - 1] == min(int(propagator._terms(phase)), len(coef))
+            past = jv(np.arange(counts[j - 1], 2 * len(coef)), phase)
+            assert np.max(np.abs(past)) < propagator.CHEBYSHEV_TOL
 
     @pytest.mark.parametrize("case", ["edge_moller_n64", "line"])
     def test_failing_run_stops_at_its_first_failing_check(self, monkeypatch,
@@ -404,8 +426,9 @@ class TestChebyshev:
         # edge.moller.n64's first gap (100 checks; the packet already fills
         # the edge strips) and the line reflection case (46 checks, the
         # ninth fails inside the first expansion): the same span as the
-        # span chain, after no more terms than that check's own trimmed
-        # series (two transforms each) and one transform per table row
+        # span chain, after no more terms than the _terms bound of that
+        # check's phase (two transforms each), past which its series lies
+        # below CHEBYSHEV_TOL, and one transform per table row
         if case == "line":
             pk, t = _reflection_case("line")
         else:
@@ -433,9 +456,29 @@ class TestChebyshev:
             propagator.chebyshev_evolve(pk, GAUSS, t)
         (q, size), = built
         assert span < size
-        bessel = jv(np.arange(200), q * span)
-        terms = np.flatnonzero(np.abs(bessel) >= propagator.CHEBYSHEV_TOL)[-1] + 1
+        terms = int(propagator._terms(span * q))
+        past = jv(np.arange(terms, terms + 200), span * q)
+        assert np.max(np.abs(past)) < propagator.CHEBYSHEV_TOL
         assert len(calls) <= 2 * terms + size - 1
+
+    def test_one_bessel_array_per_expansion(self, monkeypatch):
+        # C10's evolution, one expansion of 36 checks: jv gives its final
+        # coefficients, and no check calls it
+        calls, built = [], []
+        bessel, expansion = propagator.jv, propagator._expansion
+
+        def counting_jv(order, z):
+            calls.append(z)
+            return bessel(order, z)
+
+        def recorded(a, b, tau, size):
+            built.append(size)
+            return expansion(a, b, tau, size)
+
+        monkeypatch.setattr(propagator, "jv", counting_jv)
+        monkeypatch.setattr(propagator, "_expansion", recorded)
+        propagator.scattering_phase_from_time_domain(GAUSS, 1.0)
+        assert built == [36] and len(calls) == 1
 
 
 class TestAsymptotics:
@@ -456,7 +499,7 @@ class TestAsymptotics:
     def test_zero_time_rejected(self):
         fhat = propagator.gaussian_spectral_profile(0.0, 2.0, 1.0)
         with pytest.raises(ParameterError):
-            propagator.free_asymptotics(fhat, 0.0)
+            propagator.free_asymptotics(fhat, 0.0, n=2**13, dx=0.65)
 
     @pytest.mark.parametrize("width", [0.5, 1.0, 3.0])
     def test_gaussian_xi_term_matches_quadrature(self, width):

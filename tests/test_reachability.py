@@ -20,11 +20,18 @@ the scipy names that the benchmark tracer wraps (`SCIPY` in
 `perfbench/tracing.py`), which stay bound for it.
 
 A parameter with a default counts as passed when some call in the same
-sources names it as a keyword or reaches it by position.  A call resolves
-through the names above, through both branches of `(f if c else g)(...)`,
-and through a one-line alias `probe = f` (or `= f if c else g`) in the same
-top-level definition.  A parameter no call passes is a constant in
-disguise; the exceptions are listed in UNPASSED with the reason each stays.
+sources names it as a keyword or reaches it by position, and as taken when
+some call leaves it out.  A call resolves through the names above, through
+both branches of `(f if c else g)(...)`, through a one-line alias
+`probe = f` (or `= f if c else g`) in the same top-level definition, and
+through a parameter that a call passes a package function to, such as
+`transport_orders`' `march`.  A class call resolves to its `__init__`, and
+`x.method(...)` to every package method of that name, unless x is bound by
+a non-package import.  A public function's parameter that no call passes is
+a constant in disguise; the exceptions are listed in UNPASSED.  A default
+of any function or method that every call overrides is a required
+parameter in disguise, whose default branch no result depends on; the
+exceptions are listed in OVERRIDDEN.  Each entry gives the reason it stays.
 """
 
 import ast
@@ -43,6 +50,12 @@ UNPASSED = {
     **{("diagnostics", "lap_probe", p): "tests shrink the LAP grid"
        for p in ("n", "extent")},
     ("cli", "main", "argv"): "tests pass argv; the console script passes none",
+}
+
+
+OVERRIDDEN = {
+    ("cli", "run", "out_dir"): "an output path, set where the package is "
+                               "deployed; main passes its --out",
 }
 
 
@@ -157,32 +170,47 @@ def test_every_constant_is_read():
     assert not unread, f"module-level names nothing reads: {unread}"
 
 
-def defaulted_parameters() -> dict[tuple[str, str], tuple[list[str], list[str]]]:
+def signatures() -> dict[tuple[str, str], tuple[list[str], list[str]]]:
     """(module, function) -> (positional parameter names, names of the
-    parameters with a default) for every public module-level function with
-    at least one default."""
+    parameters with a default) for every function of the package: a
+    module-level one by its name, a method as `Class.method`, whose
+    positional names leave out self.  Properties take no arguments and are
+    left out."""
     found = {}
     for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node, 0) for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{node.name}", node, 1) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)
+                 and not any(getattr(d, "id", None) == "property"
+                             for d in node.decorator_list)]
+        for name, node, bound in defs:
             args = node.args
             positional = [a.arg for a in args.posonlyargs + args.args]
             defaulted = positional[len(positional) - len(args.defaults):]
             defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                           if d is not None]
-            if defaulted:
-                found[(path.stem, node.name)] = (positional, defaulted)
+            found[(path.stem, name)] = (positional[bound:], defaulted)
     return found
 
 
+def defaults(public: bool = False) -> set[tuple[str, str, str]]:
+    """(module, function, parameter) for every parameter with a default;
+    with public, of public module-level functions only."""
+    return {key + (name,) for key, (_, names) in signatures().items()
+            for name in names
+            if not public or not (key[1].startswith("_") or "." in key[1])}
+
+
 def _functions(tree: ast.Module, home: str | None) -> dict[str, tuple[str, str]]:
-    """Bare names that denote a package function in this source: imported
-    ones, and for a package module its own top-level functions."""
+    """Bare names that denote a package function or class in this source:
+    imported ones, and for a package module its own top-level ones."""
     names = {}
     if home is not None:
         names.update({node.name: (home, node.name) for node in tree.body
-                      if isinstance(node, ast.FunctionDef)})
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (mod := _package_module(node)):
             for alias in node.names:
@@ -198,67 +226,134 @@ def _modules(tree: ast.Module) -> dict[str, str]:
             for alias in node.names if alias.name in MODULES}
 
 
+def _calls(tree, home, sigs, methods, passed_in) -> list:
+    """The resolved calls of one source (see resolved_calls); each function
+    passed as an argument to a package function is added to passed_in."""
+    functions, modules = _functions(tree, home), _modules(tree)
+    foreign = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names} - functions.keys() - modules.keys()
+
+    def targets(expr, local):
+        if isinstance(expr, ast.IfExp):
+            return targets(expr.body, local) | targets(expr.orelse, local)
+        if isinstance(expr, ast.Name):
+            if expr.id in local:
+                return local[expr.id]
+            found = {functions[expr.id]} if expr.id in functions else set()
+        elif (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+                and expr.value.id in modules):
+            found = {(modules[expr.value.id], expr.attr)}
+        elif isinstance(expr, ast.Attribute):
+            base = expr.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in foreign:
+                return set()
+            return methods.get(expr.attr, set())
+        else:
+            return set()
+        # a class stands for its __init__
+        return {(mod, f"{name}.__init__") if (mod, f"{name}.__init__") in sigs
+                else (mod, name) for mod, name in found}
+
+    found = []
+    for top in tree.body:
+        scopes = ([top.name] if isinstance(top, ast.FunctionDef) else
+                  [f"{top.name}.{node.name}" for node in top.body
+                   if isinstance(node, ast.FunctionDef)]
+                  if isinstance(top, ast.ClassDef) else [])
+        local = {}
+        for (mod, name, param), passed in passed_in.items():
+            if mod == home and name in scopes:
+                local.setdefault(param, set()).update(passed)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and (aliased := targets(node.value, {}))):
+                local[node.targets[0].id] = aliased
+        for call in ast.walk(top):
+            if not isinstance(call, ast.Call):
+                continue
+            for target in targets(call.func, local) & sigs.keys():
+                positional, _ = sigs[target]
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    found.append((target, None))
+                    continue
+                found.append((target, set(positional[:len(call.args)])
+                              | {k.arg for k in call.keywords}))
+                for param, arg in [*zip(positional, call.args),
+                                   *((k.arg, k.value) for k in call.keywords)]:
+                    passed = {f for f in targets(arg, local) if "." not in f[1]}
+                    if passed:
+                        passed_in.setdefault(target + (param,), set()).update(passed)
+    return found
+
+
+def resolved_calls() -> list[tuple[tuple[str, str], set[str] | None]]:
+    """(function, the parameters the call names, or None for a call that
+    spreads *args or **kwargs) for every call in the package or the
+    benchmark that resolves to a package function.  Resolution repeats
+    until the functions passed as arguments, which a callee calls by its
+    parameter's name, stop growing."""
+    sigs = signatures()
+    methods = {}
+    for key in sigs:
+        if "." in key[1]:
+            methods.setdefault(key[1].rsplit(".", 1)[1], set()).add(key)
+    trees = [(ast.parse(path.read_text()), path.stem) for path in PACKAGE.glob("*.py")]
+    trees += [(ast.parse(path.read_text()), None)
+              for path in (ROOT / "perfbench").rglob("*.py")]
+    passed_in = {}
+    while True:
+        before = {key: set(value) for key, value in passed_in.items()}
+        found = [call for tree, home in trees
+                 for call in _calls(tree, home, sigs, methods, passed_in)]
+        if passed_in == before:
+            return found
+
+
 def passed_parameters() -> set[tuple[str, str, str]]:
     """(module, function, parameter) for every defaulted parameter that a
     call in the package or the benchmark passes."""
-    signatures = defaulted_parameters()
-    passed = set()
-    sources = [(path, path.stem) for path in PACKAGE.glob("*.py")]
-    sources += [(path, None) for path in (ROOT / "perfbench").rglob("*.py")]
-    for path, home in sources:
-        tree = ast.parse(path.read_text())
-        functions, modules = _functions(tree, home), _modules(tree)
+    sigs = signatures()
+    return {target + (name,) for target, names in resolved_calls()
+            for name in sigs[target][1] if names is None or name in names}
 
-        def targets(expr, local):
-            if isinstance(expr, ast.IfExp):
-                return targets(expr.body, local) | targets(expr.orelse, local)
-            if isinstance(expr, ast.Name):
-                if expr.id in local:
-                    return local[expr.id]
-                return {functions[expr.id]} if expr.id in functions else set()
-            if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
-                    and expr.value.id in modules):
-                return {(modules[expr.value.id], expr.attr)}
-            return set()
 
-        for top in tree.body:
-            local = {}
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)
-                        and (found := targets(node.value, {}))):
-                    local[node.targets[0].id] = found
-            for call in ast.walk(top):
-                if not isinstance(call, ast.Call):
-                    continue
-                for target in targets(call.func, local) & signatures.keys():
-                    positional, defaulted = signatures[target]
-                    if (any(isinstance(a, ast.Starred) for a in call.args)
-                            or any(k.arg is None for k in call.keywords)):
-                        names = set(defaulted)
-                    else:
-                        names = set(positional[:len(call.args)])
-                        names |= {k.arg for k in call.keywords}
-                    passed |= {target + (name,) for name in names
-                               if name in defaulted}
-    return passed
+def omitted_parameters() -> set[tuple[str, str, str]]:
+    """(module, function, parameter) for every defaulted parameter that a
+    call in the package or the benchmark leaves out, so takes its default."""
+    sigs = signatures()
+    return {target + (name,) for target, names in resolved_calls()
+            if names is not None for name in sigs[target][1] if name not in names}
 
 
 def test_every_defaulted_parameter_is_passed():
-    defaulted = {key + (name,) for key, (_, names)
-                 in defaulted_parameters().items() for name in names}
-    unpassed = sorted(defaulted - passed_parameters() - set(UNPASSED))
+    unpassed = sorted(defaults(public=True) - passed_parameters() - set(UNPASSED))
     assert not unpassed, f"defaults no call in the package overrides: {unpassed}"
 
 
 def test_unpassed_allowlist_is_current():
     # an entry for a deleted, default-free or since-passed parameter would
     # hide nothing
-    defaulted = {key + (name,) for key, (_, names)
-                 in defaulted_parameters().items() for name in names}
-    passed = passed_parameters()
+    defaulted, passed = defaults(public=True), passed_parameters()
     stale = sorted(key for key in UNPASSED if key not in defaulted or key in passed)
     assert not stale, f"UNPASSED entries to drop: {stale}"
+
+
+def test_every_default_is_taken():
+    # a default that every call overrides is a required parameter in
+    # disguise, and the branch that handles it is code no result depends on
+    untaken = sorted(defaults() - omitted_parameters() - set(OVERRIDDEN))
+    assert not untaken, f"defaults every call in the package overrides: {untaken}"
+
+
+def test_overridden_allowlist_is_current():
+    defaulted, omitted = defaults(), omitted_parameters()
+    stale = sorted(key for key in OVERRIDDEN if key not in defaulted or key in omitted)
+    assert not stale, f"OVERRIDDEN entries to drop: {stale}"
 
 
 def _tracer_scipy_names() -> dict[str, tuple[str, ...]]:
