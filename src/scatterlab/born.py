@@ -112,35 +112,28 @@ def _power_tail_amplitude(model: PotentialModel, q: float) -> float:
                               - gammaln(0.5 * rho) + log_qk))
 
 
-def _radial_fourier(model: PotentialModel, q: float) -> float:
-    """(1/q) int_0^inf r v(r) sin(qr) dr with an oscillatory tail check
-    (relative tolerance 1e-9), by 12 Gauss nodes per panel to where
-    |v| < 1e-18 |v0|, as the forward rule ends: at least 64 panels there,
-    so each is small on v's own scale (a compact bump's support, a decay
-    length), and none longer than half a wavelength pi / q."""
+def _radial_rule(model: PotentialModel,
+                 wavenumber: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(R, nodes, weights): 16 Gauss nodes on each of at least 64 equal
+    panels of [0, R], none longer than pi / wavenumber, R where |v| < 1e-18
+    |v0| (at most 5000 on a power tail).  ConvergenceError past 200 000
+    panels, before any node is built."""
     r_cut = model.tail_radius(1e-18 * abs(model.v0))
-    panel = np.pi / max(q, 1e-3)
-    n_panels = max(64, int(np.ceil(r_cut / panel)))
-    if n_panels > 200000:
-        raise ConvergenceError("oscillatory quadrature would need too many panels")
-    r, w = composite_gauss(12, np.linspace(0.0, r_cut, n_panels + 1))
-    val = float(np.dot(w, r * model.radial_values(r) * np.sin(q * r)))
-    # integration-by-parts bound on the tail |int_R^inf (r v) sin(qr) dr|
-    g = r_cut * abs(float(model.radial_values(r_cut)))
-    tail = 2.0 * g / q
-    if tail > 1e-9 * (1.0 + abs(val)):
-        raise ConvergenceError(
-            f"tail estimate {tail:.2e} at r={r_cut:.1f} exceeds tolerance")
-    return val / q
+    if model.kind == "power_tail":
+        r_cut = min(r_cut, 5000.0)
+    panels = max(64.0, np.ceil(r_cut * wavenumber / np.pi))
+    if not panels <= 200000:
+        raise ConvergenceError(f"the radial rule would need {panels:.3g} panels, over 200000")
+    return (r_cut,) + composite_gauss(16, np.linspace(0.0, r_cut, int(panels) + 1))
 
 
 def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> complex:
     """First Born amplitude f1(q) = -(4 pi)^-1 int exp(-i q.x) v(x) dx,
-    q = 2 k sin(theta/2); radial reduction -(1/q) int r v sin(qr) dr, for
-    q effective_range <= 1 in the form -int r^2 v sinc(qr) dr, and for a
-    power tail its closed form (_power_tail_amplitude).  Every kind is v0
-    times a profile, so v0 = 0 gives 0, as kind zero does.
-    ParameterError unless k > 0 and theta lies in [0, pi]."""
+    q = 2 k sin(theta/2): -int r^2 v sinc(qr) dr on _radial_rule, where
+    q effective_range > 1 with the bound 2 R |v(R)| / q on the tail
+    |int_R^inf r v sin(qr) dr| below 1e-9 (|v0| + |q f1|), and for a power
+    tail the closed form (_power_tail_amplitude).  v0 = 0 gives 0, as kind
+    zero does.  ParameterError unless k > 0 and theta lies in [0, pi]."""
     if not k > 0:
         raise ParameterError(f"momentum must be positive, got k={k}")
     if not 0.0 <= theta <= np.pi:   # partialwave.amplitude's rule
@@ -150,35 +143,28 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     q = 2.0 * k * np.sin(theta / 2.0)
     if model.kind == "power_tail":
         return complex(_power_tail_amplitude(model, q))
-    if q * model.effective_range <= 1.0:
-        # small q, where the tail bound of _radial_fourier grows like 1/q:
-        # - int_0^inf r^2 v sinc(qr) dr to where |v| < 1e-18 |v0|, which at
-        # q = 0 (sinc = 1) is the forward limit -(4 pi)^-1 int v
-        r_cut = model.tail_radius(1e-18 * abs(model.v0))
-        r, w = composite_gauss(16, np.linspace(0.0, r_cut, 64))
-        return complex(-float(np.dot(w, r * r * model.radial_values(r)
-                                     * np.sinc(q / np.pi * r))))
-    return complex(-_radial_fourier(model, q))
+    r_cut, r, w = _radial_rule(model, q)
+    val = -float(np.dot(w, r * r * model.radial_values(r) * np.sinc(q / np.pi * r)))
+    if q * model.effective_range > 1.0:   # below, the bound grows like 1/q
+        tail = 2.0 * r_cut * abs(float(model.radial_values(r_cut))) / q
+        if tail > 1e-9 * (abs(model.v0) + abs(q * val)):
+            raise ConvergenceError(
+                f"tail estimate {tail:.2e} at r={r_cut:.1f} exceeds tolerance")
+    return complex(val)
 
 
 def born_first_phase_shift(model: PotentialModel, k: float, l: int) -> float:
-    """delta_l^1 = -k int_0^inf v(r) j_l(kr)^2 r^2 dr, with a tail check
-    (relative tolerance 1e-8)."""
-    if model.kind == "zero":
+    """delta_l^1 = -k int_0^inf v(r) j_l(kr)^2 r^2 dr on _radial_rule with
+    panels of at most pi / k, with a tail check (relative tolerance 1e-8 of
+    |v0| + |delta_l^1|).  v0 = 0 gives 0, as kind zero does."""
+    if model.kind == "zero" or model.v0 == 0.0:
         return 0.0
-    r_cut = model.tail_radius(1e-13)
-    if model.kind == "power_tail":
-        r_cut = min(r_cut, 5000.0)
-    panel = np.pi / k
-    n_panels = max(8, int(np.ceil(r_cut / panel)))
-    if n_panels > 200000:
-        raise ConvergenceError("quadrature would need too many panels")
-    r, w = composite_gauss(12, np.linspace(0.0, r_cut, n_panels + 1))
+    r_cut, r, w = _radial_rule(model, k)
     jl = spherical_jn(l, k * r)
     val = -k * float(np.dot(w, model.radial_values(r) * jl * jl * r**2))
     # averaged tail: j_l(kr)^2 r^2 ~ 1/(2 k^2) gives -int_R v dr / (2k)
     tail = abs(float(line_integral(model, 0.0, r_cut))) / (2.0 * k)
-    if tail > 1e-8 * (1.0 + abs(val)):
+    if tail > 1e-8 * (abs(model.v0) + abs(val)):
         raise ConvergenceError(f"tail estimate {tail:.2e} exceeds tolerance")
     return val
 
@@ -247,11 +233,11 @@ def transport_orders(model: PotentialModel, grid: _cyl.CylGrid, q: np.ndarray,
 def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid) -> np.ndarray:
     """b_0..b_N stacked (N+1, n_s, n_z) on the cylindrical grid about the
     propagation axis: transport_orders with Phi = 0 and q = v, marched up
-    from z_min (incoming convention).  b_1 starts from the tail
-    int_-inf^z_min v dz unless v is negligible there (DomainError if infinite)."""
+    from z_min (incoming convention).  b_1 starts from int_-inf^z_min v dz
+    unless |v| <= RAY_TRUNCATION |v0| there (DomainError if infinite)."""
     v = model.radial_values(grid.radius())
     anchor = np.zeros(len(grid.s))
-    if np.max(np.abs(v[:, 0])) > RAY_TRUNCATION:
+    if np.max(np.abs(v[:, 0])) > RAY_TRUNCATION * abs(model.v0):
         anchor = line_integral(model, grid.s, -grid.z[0])
         if not np.all(np.isfinite(anchor)):
             raise DomainError("b_1's anchor int_-inf^z_min v dz diverges (rho <= 1)")
@@ -264,8 +250,8 @@ def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid) -> np.ndarray:
 
 def _default_cyl_grid(model: PotentialModel) -> _cyl.CylGrid:
     """181 x 481 nodes on s in [0, 1.8 r_eff], z in [-1.8 r_eff, 1.8 r_eff],
-    with r_eff the radius where |v| < 1e-10, kept within [2, 80]."""
-    r_eff = min(max(model.tail_radius(1e-10), 2.0), 80.0)
+    with r_eff the radius where |v| < 1e-10 |v0|, kept within [2, 80]."""
+    r_eff = min(max(model.tail_radius(1e-10 * abs(model.v0)), 2.0), 80.0)
     return _cyl.make_grid(s_max=r_eff * 1.8, z_max=r_eff * 1.8, n_s=181, n_z=481)
 
 
@@ -274,7 +260,7 @@ def _default_cyl_grid(model: PotentialModel) -> _cyl.CylGrid:
 # ---------------------------------------------------------------------------
 
 def _support_radius(model: PotentialModel) -> float:
-    r = model.tail_radius(1e-9)
+    r = model.tail_radius(1e-9 * abs(model.v0))
     if r > 60.0:
         raise DomainError(
             f"support radius {r:.1f} too large; kernel quadrature requires "
@@ -310,7 +296,8 @@ def high_energy_kernel(model: PotentialModel, lam, theta: float,
     _default_cyl_grid table that meets s <= R, |z| <= R (R the support
     radius), so b_n, the bilinear interpolant of the _bn_tables values, is
     a polynomial on every panel.  v b_n on those nodes is formed once per
-    call and serves every lambda.
+    call and serves every lambda.  Every cut is relative to |v0|, so k_0 is
+    linear in v0, and v0 = 0 gives zeros, as kind zero does.
     """
     if not 0 <= N <= MAX_ORDER:
         raise ParameterError(f"N must lie in [0, MAX_ORDER = {MAX_ORDER}], got {N}")
@@ -319,7 +306,7 @@ def high_energy_kernel(model: PotentialModel, lam, theta: float,
         raise ParameterError(f"lambda must be positive, got lam={lam}")
     if not 0.0 < theta <= np.pi:
         raise ParameterError(f"theta must lie in (0, pi], got {theta}")
-    if model.kind == "zero":
+    if model.kind == "zero" or model.v0 == 0.0:
         values = np.zeros(lams.shape, dtype=complex)
         return complex(values) if values.ndim == 0 else values
     R = _support_radius(model)
@@ -395,9 +382,6 @@ def measure_error_order(model: PotentialModel, lambdas, theta: float,
     exact = np.array([exact_kernel(model, lam, theta) for lam in lambdas])
     errors = np.abs(exact - approx)
     floor = bool(np.any(errors < 1e-10))
-    if floor:
-        slope = np.nan
-    else:
-        slope = float(np.polyfit(np.log(lambdas), np.log(errors), 1)[0])
+    slope = np.nan if floor else float(np.polyfit(np.log(lambdas), np.log(errors), 1)[0])
     return ErrorOrderFit(lambdas=lambdas, errors=errors, slope=slope,
                          theoretical=-N / 2.0, floor_warning=floor)

@@ -185,11 +185,8 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
         raise ConvergenceError("iteration implemented for rho > 1/2")
     if N0 is None:
         N0 = default_n0(model.rho)
-    if N0 == 0:
-        if model.rho <= 1.0:
-            raise ParameterError("N0 = 0 (no phase correction) needs rho > 1")
-    elif N0 * model.rho <= 1.0:
-        raise ParameterError(f"need N0 * rho > 1, got {N0 * model.rho}")
+    if N0 == 0 and model.rho <= 1.0:
+        raise ParameterError("N0 = 0 (no phase correction) needs rho > 1")
     if N0 > 4:
         raise ParameterError("N0 > 4 not supported (rho <= 1/2 regime)")
     _check_order_weight(xi_norm, N0, "N0")

@@ -218,9 +218,10 @@ class TestFirstBorn:
                                       "compact_bump", "power_tail"])
     def test_zero_strength_is_zero(self, kind, theta):
         # every kind is v0 times a profile; at v0 = 0 the cutoff radius
-        # tail_radius(1e-18 |v0|) ran to its cap and the radial form refused
+        # tail_radius(1e-18 |v0|) runs to its cap, past the panel cap
         model = PotentialModel(kind=kind, v0=0.0)
         assert born.born_first_amplitude(model, 1.0, theta) == 0.0
+        assert born.born_first_phase_shift(model, 1.0, 0) == 0.0
 
     @pytest.mark.parametrize("k,theta", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0),
                                          (1.0, 3.5), (1.0, np.nan)])
@@ -242,6 +243,51 @@ class TestFirstBorn:
             born.born_first_phase_shift(model, 1.0, 0)
 
 
+    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa", "square_well",
+                                      "compact_bump"])
+    @pytest.mark.parametrize("q_range", [0.5, 2.0])
+    def test_first_order_linear_in_strength(self, kind, q_range):
+        # f1 and delta_l^1 are the first order in v, so f1 / v0 and
+        # delta_l^1 / v0 are one number at every strength.  A cut at an
+        # absolute |v| read delta_0^1 / v0 of the unit Gaussian 7.8% off at
+        # v0 = -1e-12 and 43% off at -1e-20.  theta = pi/3 puts q at k, on
+        # either side of q effective_range = 1
+        q = q_range / PotentialModel(kind=kind, v0=1.0).effective_range
+        ratios = []
+        for v0 in (-1.0, -1e-6, -1e-12, -1e-20):
+            model = PotentialModel(kind=kind, v0=v0)
+            f1 = born.born_first_amplitude(model, q, np.pi / 3)
+            assert f1.imag == 0.0
+            ratios.append([f1.real / v0] + [born.born_first_phase_shift(model, q, l) / v0
+                                            for l in (0, 2)])
+        np.testing.assert_allclose(ratios, [ratios[0]] * 4, rtol=1e-14, atol=0.0)
+
+    def test_panel_cap_refused_before_any_quadrature(self, monkeypatch):
+        # the unit Gaussian's rule ends at r = 7.45: q = 2e5 and k = 2e5 ask
+        # for 4.7e5 panels of pi / 2e5, past the cap of 200 000
+        def no_rule(*args):
+            raise AssertionError("built a quadrature rule past the panel cap")
+
+        monkeypatch.setattr(born, "composite_gauss", no_rule)
+        with pytest.raises(born.ConvergenceError, match="over 200000"):
+            born.born_first_amplitude(GAUSS, 1e5, np.pi)
+        with pytest.raises(born.ConvergenceError, match="over 200000"):
+            born.born_first_phase_shift(GAUSS, 2e5, 0)
+
+    def test_power_tail_large_l_phase_shift(self):
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=4.0)
+        delta = born.born_first_phase_shift(model, 1.0, 40)
+        assert np.isfinite(delta) and delta < 0.0
+
+    def test_yukawa_large_l_phase_shift(self):
+        # against a composite Gauss sum to r = 400, stable from r = 60.  The
+        # channel's weight lies near r = l / k; a cut at |v| < 1e-13, r = 28.4
+        # here, read -1.57e-22
+        model = PotentialModel(kind="yukawa", v0=0.1, width=1.0)
+        delta = born.born_first_phase_shift(model, 1.0, 40)
+        assert abs(delta / -1.0947e-19 - 1.0) < 1e-2
+
+
 def b_at_origin(model, N):
     """b_0..b_N at x = 0, read from the _bn_tables the kernel uses."""
     grid = born._default_cyl_grid(model)
@@ -260,7 +306,7 @@ def bn_tables_loop(model, N, grid):
     g = v.copy()  # -Lap b_0 + v b_0
     for n in range(1, N + 1):
         anchor = np.zeros(len(grid.s))
-        if n == 1 and np.max(np.abs(g[:, 0])) > born.RAY_TRUNCATION:
+        if n == 1 and np.max(np.abs(g[:, 0])) > born.RAY_TRUNCATION * abs(model.v0):
             anchor = line_integral(model, grid.s, -grid.z[0])
         tables[n] = _cyl.march_up(g, grid, anchor)
         if n < N:
@@ -582,6 +628,28 @@ class TestKernel:
         f1 = born.born_first_amplitude(GAUSS, k, theta)
         expect = 1j * k / (2 * np.pi) * f1
         assert kernel == pytest.approx(expect, rel=1e-4)
+
+    def test_n0_kernel_linear_in_strength(self):
+        # k_0 is the first Born kernel, linear in v; with the support radius,
+        # the grid and the anchor cut at absolute |v|, k_0 / v0 read -8.70e-4i
+        # at v0 = -1e-9 and -1e-12 against -1.3141e-6i at v0 = -1
+        ratios = [born.high_energy_kernel(
+                      PotentialModel(kind="gaussian_well", v0=v0), 25.0, THETA_90, 0) / v0
+                  for v0 in (-1.0, -1e-3, -1e-9, -1e-12)]
+        assert abs(ratios[0].imag + 1.3141e-6) < 1e-10
+        np.testing.assert_allclose(ratios, [ratios[0]] * 4, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa", "square_well",
+                                      "compact_bump", "power_tail"])
+    def test_zero_strength_kernel(self, kind, monkeypatch):
+        # zeros as for kind zero, before any table or radius is sized
+        def no_radius(*args):
+            raise AssertionError("sized a support radius for v0 = 0")
+
+        monkeypatch.setattr(born, "_support_radius", no_radius)
+        kernel = born.high_energy_kernel(PotentialModel(kind=kind, v0=0.0),
+                                         [25.0, 50.0], THETA_90, 1)
+        assert np.array_equal(kernel, np.zeros(2, dtype=complex))
 
     def test_zero_potential_kernel(self):
         kernel = born.high_energy_kernel(PotentialModel(kind="zero"), 4.0,

@@ -179,6 +179,15 @@ class TestIteration:
         with pytest.raises(ParameterError):
             eikonal.eikonal_iterate(TAIL1, 5.0, N0=0)
 
+    def test_odd_depths_carry_the_even_tables(self):
+        # with zero vector potential phi_2 = phi_4 = 0, so N0 = 1 builds the
+        # tables of N0 = 2; both run at rho = 0.6, where N0 rho <= 1
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=0.6)
+        one, two = (eikonal.eikonal_iterate(model, 5.0, N0=n) for n in (1, 2))
+        assert np.array_equal(one.Phi, two.Phi) and np.array_equal(one.q, two.q)
+        assert np.array_equal(eikonal.residual_norms(one, 1),
+                              eikonal.residual_norms(two, 1))
+
     def test_yukawa_refused(self):
         yukawa = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
         with pytest.raises(DomainError):
