@@ -156,7 +156,12 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
 def born_first_phase_shift(model: PotentialModel, k: float, l: int) -> float:
     """delta_l^1 = -k int_0^inf v(r) j_l(kr)^2 r^2 dr on _radial_rule with
     panels of at most pi / k, with a tail check (relative tolerance 1e-8 of
-    |v0| + |delta_l^1|).  v0 = 0 gives 0, as kind zero does."""
+    |v0| + |delta_l^1|).  v0 = 0 gives 0, as kind zero does.  ParameterError
+    unless k is a positive finite float and l a non-negative integer."""
+    if not 0.0 < k < np.inf:
+        raise ParameterError(f"momentum must be positive and finite, got k={k}")
+    if not (isinstance(l, (int, np.integer)) and l >= 0):
+        raise ParameterError(f"l must be a non-negative integer, got l={l!r}")
     if model.kind == "zero" or model.v0 == 0.0:
         return 0.0
     r_cut, r, w = _radial_rule(model, k)

@@ -234,15 +234,17 @@ def _phase_shifts(model: PotentialModel, ls: range, k: float,
     if r_max is None:
         r_max = _default_r_max(model, k)
     # before v or any array, as a quotient: the channel count may pass the
-    # float range; a zero potential takes no sweep, only its zeros
-    n_rows = 1.0 if model.kind == "zero" else float(np.ceil(r_max / dr))
+    # float range; a zero potential (kind zero or v0 = 0) takes no sweep,
+    # only its zeros
+    zero = model.kind == "zero" or model.v0 == 0.0
+    n_rows = 1.0 if zero else float(np.ceil(r_max / dr))
     channels = ls.stop - ls.start
     if channels + 8 > MAX_SWEEP_FLOATS / n_rows:
         raise ParameterError(
             f"Numerov grid of {n_rows:.12g} rows x {channels} channels exceeds "
             f"MAX_SWEEP_FLOATS = {MAX_SWEEP_FLOATS} float64 values "
             f"(r_max={r_max:g}, dr={dr:g})")
-    if model.kind == "zero":
+    if zero:
         return np.zeros(len(ls))
     ls = np.arange(ls.start, ls.stop)
     rows = _match_rows(int(n_rows), dr, k)

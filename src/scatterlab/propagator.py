@@ -10,7 +10,8 @@ self-mirrored x = -n dx / 2) stay zero.  Free evolution is exact in Fourier
 space; the Chebyshev expansion of e^{-iHt} is exact to roundoff, and every
 interacting evolution uses it.  One expansion covers many of its edge-mass
 checks, which are read from the expansion's own terms rather than by
-restarting it at each one.
+restarting it at each one.  Every coefficient, the final state's and the
+checks', comes from one Jacobi-Anger transform.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, replace
 from itertools import pairwise
 
 import numpy as np
-from scipy.special import jv
 
 from .numerics import (DomainError, NumericalError, ParameterError, ScatterlabError,
                        dft, dft_freqs, lazy_names)
@@ -36,10 +36,8 @@ EDGE_THRESHOLD = 1e-6
 # Largest work (Chebyshev terms or time samples, times grid points) a run may
 # ask for; checked before anything is allocated.
 MAX_POINT_STEPS = 2**31
-# The Chebyshev series ends where its coefficients |J_k(b tau)| stay below
-# CHEBYSHEV_TOL; b tau is at most MAX_SPAN_PHASE per expansion, so the
-# coefficient array stays small whatever the potential's range.
-CHEBYSHEV_TOL = 1e-17
+# b tau is at most MAX_SPAN_PHASE per expansion, so its coefficient array
+# (_terms) stays small whatever the potential's range.
 MAX_SPAN_PHASE = 2.0**12
 # Terms gathered at most before their edge samples are folded into the
 # checks inside an expansion.  The table of check coefficients (checks times
@@ -188,53 +186,45 @@ def _edge_spans(packet: WavePacket, t_target: float, longest: float = np.inf) ->
 
 
 def _terms(z: float) -> float:
-    """Chebyshev terms for a phase b tau = z: beyond them |J_k(z)| stays
-    below CHEBYSHEV_TOL (checked against jv for z up to about 3.4e4)."""
-    return z + 10.0 * z ** (1 / 3) + 30.0
+    """Chebyshev terms for a phase b tau = z: every k with |J_k(z)| >= 1e-17
+    and at most 3 past the last of them, for z up to MAX_SPAN_PHASE."""
+    return z + 11.0 * z ** (1 / 3) + 5.0
 
 
 def _table_points(z: float) -> int:
-    """Transform length for the check coefficients of an expansion of phase
-    z: a power of two at least twice its terms, so that no coefficient the
-    expansion uses is aliased by one above CHEBYSHEV_TOL."""
+    """Transform length for the coefficients of an expansion of phase z: a
+    power of two at least twice its terms, so that no coefficient the
+    expansion uses is aliased by one above 1e-17."""
     return 1 << (2 * int(_terms(z)) - 1).bit_length()
 
 
 def _expansion(a: float, b: float, tau: float, size: int):
-    """One expansion of e^{-iH t} over t = size * tau: the final state's
-    coefficients (2 - delta_k0) (-i)^k J_k(b |t|) e^{-iat} from jv, trimmed
-    at CHEBYSHEV_TOL (i^k for a backward run), and, for the interior checks
-    t_j = j tau, j = 1 .. size - 1, the same coefficients at b t_j as a
-    table, with the terms each check reads: _terms(b t_j), past which its
-    coefficients are below CHEBYSHEV_TOL, within the table's length.
+    """One expansion of e^{-iH t} over t = size * tau: the coefficients
+    (2 - delta_k0) (-i)^k J_k(b t_j) e^{-ia t_j}, k < _terms(b |t|), at
+    t_j = j tau, j = 1 .. size; the last row is the final state's, the
+    others are the table of the interior checks, with the terms each check
+    reads, _terms(b |t_j|).
 
     By Jacobi-Anger, e^{-i (a + b cos theta) t_j} = e^{-ia t_j} sum_k
-    (-i)^k J_k(b t_j) e^{ik theta}, so each table row is one transform of
-    it, sampled on a power-of-two ring of angles (row j is the first to the
-    j-th power): no Bessel function is evaluated there.  Rows are
-    transformed one at a time, so no temporary outgrows a row.  The rows'
-    transform roundoff (about 1e-15 at C10's setting) lies above
-    CHEBYSHEV_TOL, so the rows cannot be trimmed by it themselves.
+    (-i)^k J_k(b t_j) e^{ik theta} for either sign of t_j, so each row is
+    one transform of it, sampled on a power-of-two ring of angles (row j is
+    the first to the j-th power): no Bessel function is evaluated.  Rows
+    are transformed one at a time, so no temporary outgrows a row.  Their
+    values carry 1e-16 to 1e-14 of roundoff, so the series lengths come
+    from _terms alone, not from a trim by magnitude.
     """
-    t = size * tau
-    z = size * (b * abs(tau))
-    bessel = jv(np.arange(int(_terms(z))), z)
-    bessel = bessel[:max(2, np.flatnonzero(np.abs(bessel) >= CHEBYSHEV_TOL)[-1] + 1)]
-    order = np.arange(len(bessel))
-    unit = np.array([1, -1j, -1, 1j] if tau > 0 else [1, 1j, -1, -1j])
-    coef = (np.where(order == 0, 1.0, 2.0) * unit[order % 4] * bessel
-            * np.exp(-1j * a * t))
-    points = _table_points(z)
+    q = b * abs(tau)
+    terms = int(_terms(size * q))
+    points = _table_points(size * q)
     ring = np.exp(-1j * tau * (a + b * np.cos(2 * np.pi / points * np.arange(points))))
-    table = np.empty((size - 1, len(coef)), dtype=complex)
+    rows = np.empty((size, terms), dtype=complex)
     row = ring
-    for j in range(size - 1):
-        table[j] = dft(row)[:len(coef)]
+    for j in range(size):
+        rows[j] = dft(row)[:terms]
         row = row * ring
-    table *= points ** -0.5
-    table[:, 1:] *= 2.0
-    counts = [min(int(_terms(j * (b * abs(tau)))), len(coef)) for j in range(1, size)]
-    return coef, table, counts
+    rows *= points ** -0.5
+    rows[:, 1:] *= 2.0
+    return rows[-1], rows[:-1], [int(_terms(j * q)) for j in range(1, size)]
 
 
 class _EdgeChecks:
@@ -285,9 +275,9 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
         e^{-iH tau} = e^{-ia tau} sum_k (2 - delta_k0) (-i)^k J_k(b tau) T_k(G),
 
     G = (H - a) / b, over [a - b, a + b] = [min v, (pi/dx)^2 + max v], which
-    holds the spectrum of the grid's H = k^2 + v; J_k(-z) = (-1)^k J_k(z)
-    for a backward run.  Each term applies H once, through one forward and
-    one inverse transform.
+    holds the spectrum of the grid's H = k^2 + v.  Each term applies H
+    once, through one forward and one inverse transform; the coefficients
+    come from _expansion's transform, for a backward run too.
 
     The edge-mass monitor is checked at the ends of equal spans
     (_edge_spans); ReflectionError at the first span whose edge mass exceeds
@@ -297,7 +287,7 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     checks inside it are read from its own terms (_EdgeChecks), each as soon
     as the _terms of its own phase are in, so a failing run stops early;
     the one at its end is the state's edge_mass.  A run of one span
-    is one expansion with an empty table, bit for bit the series above.
+    is one expansion with an empty table.
     The work, the estimated terms of every expansion times the points, is
     checked against MAX_POINT_STEPS before any coefficient is computed.
     Where v is zero on every node the series sums to e^{-ik^2 t}, which

@@ -230,6 +230,18 @@ class TestFirstBorn:
         with pytest.raises(ParameterError):
             born.born_first_amplitude(GAUSS, k, theta)
 
+    @pytest.mark.parametrize("k,l", [(0.0, 0), (-1.0, 0), (np.nan, 0),
+                                     (np.inf, 0), (1.0, -1), (1.0, 1.5)])
+    def test_phase_shift_bad_momentum_or_channel_rejected(self, monkeypatch, k, l):
+        # at the unit Gaussian k = 0 divided by zero, k = -1 gave +0.2801
+        # (-delta_0^1 at k = 1), and k = nan or l = -1 gave nan
+        def no_rule(*args, **kwargs):
+            raise AssertionError("quadrature for refused input")
+
+        monkeypatch.setattr(born, "_radial_rule", no_rule)
+        with pytest.raises(ParameterError, match="^(momentum|l) must be"):
+            born.born_first_phase_shift(GAUSS, k, l)
+
     def test_phase_shift_zero_potential(self):
         assert born.born_first_phase_shift(PotentialModel(kind="zero"),
                                            1.0, 0) == 0.0

@@ -1035,11 +1035,11 @@ class TestTypedErrors:
     def test_huge_moller_times_refused_before_coefficients(
             self, tmp_path, capsys, monkeypatch):
         # gaps of 1e300 would take about 1e300 Chebyshev spans; the work
-        # cap refuses them before any Bessel coefficient is computed
-        def no_bessel(*args, **kwargs):
+        # cap refuses them before any coefficient is computed
+        def no_coefficients(*args, **kwargs):
             raise AssertionError("computed coefficients for a refused run")
 
-        monkeypatch.setattr(propagator, "jv", no_bessel)
+        monkeypatch.setattr(propagator, "_expansion", no_coefficients)
         path = write_config(tmp_path, {
             "experiment": "moller",
             "potential": {"kind": "gaussian_well", "v0": -1.0},
@@ -1070,11 +1070,11 @@ class TestTypedErrors:
                                experiment, params):
         # the 1/r core is clipped to about 5e7 at the grid node x = 0, the
         # top of H's spectral interval; refused however short the run, before
-        # any Bessel coefficient is computed
-        def no_bessel(*args, **kwargs):
+        # any coefficient is computed
+        def no_coefficients(*args, **kwargs):
             raise AssertionError("computed coefficients for a refused run")
 
-        monkeypatch.setattr(propagator, "jv", no_bessel)
+        monkeypatch.setattr(propagator, "_expansion", no_coefficients)
         self._assert_typed(tmp_path, capsys, {
             "experiment": experiment,
             "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
@@ -1142,11 +1142,11 @@ class TestTypedErrors:
                                          experiment, potential):
         # v is constant to the last bit and (pi/dx)**2 = 23 is below its
         # ulp, so min v and (pi/dx)**2 + max v round to one number; refused
-        # before any Bessel coefficient is computed
-        def no_bessel(*args, **kwargs):
+        # before any coefficient is computed
+        def no_coefficients(*args, **kwargs):
             raise AssertionError("computed coefficients for a refused run")
 
-        monkeypatch.setattr(propagator, "jv", no_bessel)
+        monkeypatch.setattr(propagator, "_expansion", no_coefficients)
         v0 = potential["v0"]
         self._assert_typed(tmp_path, capsys, {
             "experiment": experiment, "potential": potential,

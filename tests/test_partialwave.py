@@ -105,6 +105,21 @@ class TestPhaseShift:
         table = partialwave.phase_shift_table(model, 1.3, 8)
         assert np.all(table.delta == 0.0)
 
+    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa", "square_well",
+                                      "power_tail", "compact_bump", "zero"])
+    def test_zero_strength_is_zero(self, monkeypatch, kind):
+        # every kind is v0 times a profile: at v0 = 0 no sweep runs (the
+        # sweep read delta_0 = -2.5e-11 on the Gaussian), as for the Born
+        # routines
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept a zero potential")
+
+        monkeypatch.setattr(partialwave, "_numerov_channels", no_sweep)
+        table = partialwave.phase_shift_table(PotentialModel(kind=kind, v0=0.0),
+                                              1.0, 3)
+        assert np.all(table.delta == 0.0)
+        assert partialwave.amplitude(table, 0.7) == 0.0
+
     def test_weak_coupling_matches_born(self):
         model = PotentialModel(kind="gaussian_well", v0=-0.01, width=1.0)
         for l in (0, 1, 2):

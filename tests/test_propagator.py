@@ -13,6 +13,8 @@ from scatterlab.potentials import PotentialModel
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
 ZERO = PotentialModel(kind="zero")
 TAIL = PotentialModel(kind="power_tail", v0=0.5, rho=1.0)
+# the size below which a Chebyshev coefficient |J_k(b tau)| is dropped
+JV_TOL = 1e-17
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +55,7 @@ def chebyshev_span_oracle(packet, model, t_target, masses=None):
     z = b * min(abs(span), tau_max)
     tau = span / n_spans
     bessel = jv(np.arange(int(z + 10.0 * z ** (1 / 3) + 30.0)), b * abs(tau))
-    bessel = bessel[:max(2, np.flatnonzero(
-        np.abs(bessel) >= propagator.CHEBYSHEV_TOL)[-1] + 1)]
+    bessel = bessel[:max(2, np.flatnonzero(np.abs(bessel) >= JV_TOL)[-1] + 1)]
     order = np.arange(len(bessel))
     unit = np.array([1, -1j, -1, 1j] if tau > 0 else [1, 1j, -1, -1j])
     coef = (np.where(order == 0, 1.0, 2.0) * unit[order % 4] * bessel
@@ -298,16 +299,17 @@ class TestChebyshev:
         f0 = propagator.gaussian_packet(n=64, dx=1.0, center=0.0, k0=0.0,
                                         sigma=2.0)
         sizes = []
-        jv = propagator.jv
+        expansion = propagator._expansion
 
-        def sized_jv(order, z):
-            sizes.append(len(order))
-            return jv(order, z)
+        def sized(a, b, tau, size):
+            coef, table, counts = expansion(a, b, tau, size)
+            sizes.append(len(coef))
+            return coef, table, counts
 
-        monkeypatch.setattr(propagator, "jv", sized_jv)
+        monkeypatch.setattr(propagator, "_expansion", sized)
         out = propagator.chebyshev_evolve(f0, well, 2e-5)
-        cap = propagator.MAX_SPAN_PHASE
-        assert len(sizes) == 1 and sizes[0] <= cap + 10 * cap ** (1 / 3) + 30
+        cap = propagator._terms(propagator.MAX_SPAN_PHASE)
+        assert len(sizes) == 1 and sizes[0] <= cap
         assert abs(out.norm() - f0.norm()) <= 1e-10
 
     @pytest.mark.parametrize("case,span", [("line", 9), ("radial", 11)])
@@ -323,31 +325,30 @@ class TestChebyshev:
 
     @pytest.mark.parametrize("t0,t1", [(4.0, 2.0), (2.0, 4.0)],
                              ids=["backward", "forward"])
-    def test_one_check_run_is_the_span_chain_bit_for_bit(self, t0, t1):
+    def test_one_check_run_is_within_1e14_of_the_span_chain(self, t0, t1):
         # a Moller gap of the benchmark's probes (n = 4096): the edge strip's
         # crossing time, 13.8, is longer than the gap, so the run is one
-        # span and one expansion, whose check table is empty
+        # span and one expansion, whose check table is empty.  Its
+        # coefficients come from the transform, the chain's from jv
         f0 = propagator.gaussian_packet(n=2**12, dx=0.65, center=0.0, k0=2.0,
                                         sigma=6.0)
         u = propagator.free_evolve(f0, t0)
         out = propagator.chebyshev_evolve(u, GAUSS, t1)
         assert out.t == t1
-        assert np.array_equal(out.values,
-                              chebyshev_span_oracle(u, GAUSS, t1).values)
+        assert _l2_rel(out.values, chebyshev_span_oracle(u, GAUSS, t1).values) <= 1e-14
 
     @pytest.mark.parametrize("case", ["time_domain", "backward_gap",
                                       "three_expansions"])
     def test_checks_read_from_the_terms_match_the_span_chain(self, monkeypatch,
                                                              case):
         # C10's evolution (36 checks) and a backward gap of 12 checks, each
-        # one expansion, and 19 checks on 256 points, which the table's
-        # share of the terms cuts into expansions of 16 and 3.  Every check's
-        # edge part, the last one's (the final state's edge_mass) too, lies
-        # within 1e-13 of the norm of the span chain's: |sqrt(m) - sqrt(m')|
-        # is at most the relative L2 gap of the two states' edges.  The
-        # final states lie 3.8e-13 apart at C10 (b t = 1513), where jv's
-        # own error is 3e-13; with 40-digit coefficients the one expansion
-        # lies 2.3e-14 from the chain.
+        # one expansion, and 35 checks on 256 points, which the table's
+        # share of the terms cuts into expansions of 14, 14 and 7.  Every
+        # check's edge part, the last one's (the final state's edge_mass)
+        # too, lies within 1e-13 of the norm of the span chain's:
+        # |sqrt(m) - sqrt(m')| is at most the relative L2 gap of the two
+        # states' edges.  The chain's coefficients come from jv, whose own
+        # error at C10 (b t = 1513) is 3e-13.
         if case == "time_domain":
             pk, t = _time_domain_setting()
         elif case == "backward_gap":
@@ -375,7 +376,7 @@ class TestChebyshev:
         monkeypatch.setattr(propagator, "_expansion", sized)
         out = propagator.chebyshev_evolve(pk, GAUSS, t)
         assert sizes == {"time_domain": [36], "backward_gap": [12],
-                         "three_expansions": [16, 3]}[case]
+                         "three_expansions": [14, 7]}[case]
         assert [span for span, _ in got] == list(range(1, len(expect_masses) + 1))
         assert _l2_rel(out.values, expect.values) <= 5e-13
         for (_, mass), ref in zip(got, expect_masses, strict=True):
@@ -403,8 +404,8 @@ class TestChebyshev:
     def test_check_table_holds_the_bessel_coefficients(self, tau):
         # row j: (2 - delta_k0) (-i)^k J_k(b t_j) e^{-i a t_j} at t_j = j tau
         # (i^k backward), from transforms where jv is the oracle; check j
-        # reads the _terms bound of its phase, within the table, and past
-        # that count its series lies below CHEBYSHEV_TOL
+        # reads the _terms bound of its phase, and past that count its
+        # series lies below JV_TOL
         a, b = 7.2, 8.2
         coef, table, counts = propagator._expansion(a, b, tau, 12)
         assert table.shape == (11, len(coef))
@@ -416,9 +417,44 @@ class TestChebyshev:
                       * bessel * np.exp(-1j * a * t))
             assert np.max(np.abs(row - expect)) <= 1e-13
             phase = j * (b * abs(tau))
-            assert counts[j - 1] == min(int(propagator._terms(phase)), len(coef))
+            assert counts[j - 1] == int(propagator._terms(phase))
             past = jv(np.arange(counts[j - 1], 2 * len(coef)), phase)
-            assert np.max(np.abs(past)) < propagator.CHEBYSHEV_TOL
+            assert np.max(np.abs(past)) < JV_TOL
+
+    def test_terms_reach_the_last_coefficient_above_jv_tol(self):
+        # the series of phase z keeps every k with |J_k(z)| >= JV_TOL, and
+        # at most 3 terms past the last of them
+        for z in np.geomspace(1e-10, propagator.MAX_SPAN_PHASE, 1000):
+            terms = int(propagator._terms(z))
+            bessel = jv(np.arange(terms + 40), z)
+            needed = max(2, np.flatnonzero(np.abs(bessel) >= JV_TOL)[-1] + 1)
+            assert needed <= terms <= needed + 3, z
+
+    @pytest.mark.parametrize("a", [7.2, -3.0])
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["forward", "backward"])
+    def test_final_coefficients_match_jv(self, a, size, sign):
+        # (2 - delta_k0) (-i)^k J_k(b |t|) e^{-iat} (i^k backward) at
+        # t = size * tau, within a few ulps of the largest coefficient, 2,
+        # plus the rounding of the ring's phase, about z eps
+        b = 8.2
+        for z in np.geomspace(1e-6, propagator.MAX_SPAN_PHASE, 25):
+            tau = sign * z / (size * b)
+            coef, _, _ = propagator._expansion(a, b, tau, size)
+            k = np.arange(len(coef))
+            expect = (np.where(k == 0, 1.0, 2.0) * (-1j * sign) ** k * jv(k, z)
+                      * np.exp(-1j * a * size * tau))
+            assert np.max(np.abs(coef - expect)) <= 2e-15 + 1e-16 * z, z
+
+    def test_final_coefficients_match_40_digit_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        a, b, tau = 7.2, 8.2, 2.5 / 8.2
+        coef, _, _ = propagator._expansion(a, b, tau, 1)
+        with mpmath.workdps(40):
+            expect = [complex((2 if k else 1) * (-1j) ** k * mpmath.besselj(k, 2.5)
+                              * mpmath.expj(-a * mpmath.mpf(tau)))
+                      for k in range(len(coef))]
+        assert np.max(np.abs(coef - np.array(expect))) <= 1e-15
 
     @pytest.mark.parametrize("case", ["edge_moller_n64", "line"])
     def test_failing_run_stops_at_its_first_failing_check(self, monkeypatch,
@@ -428,7 +464,7 @@ class TestChebyshev:
         # ninth fails inside the first expansion): the same span as the
         # span chain, after no more terms than the _terms bound of that
         # check's phase (two transforms each), past which its series lies
-        # below CHEBYSHEV_TOL, and one transform per table row
+        # below JV_TOL, and one transform per coefficient row
         if case == "line":
             pk, t = _reflection_case("line")
         else:
@@ -458,27 +494,25 @@ class TestChebyshev:
         assert span < size
         terms = int(propagator._terms(span * q))
         past = jv(np.arange(terms, terms + 200), span * q)
-        assert np.max(np.abs(past)) < propagator.CHEBYSHEV_TOL
+        assert np.max(np.abs(past)) < JV_TOL
         assert len(calls) <= 2 * terms + size - 1
 
     def test_one_bessel_array_per_expansion(self, monkeypatch):
-        # C10's evolution, one expansion of 36 checks: jv gives its final
-        # coefficients, and no check calls it
-        calls, built = [], []
-        bessel, expansion = propagator.jv, propagator._expansion
-
-        def counting_jv(order, z):
-            calls.append(z)
-            return bessel(order, z)
+        # C10's evolution, one expansion of 36 checks: one array of final
+        # coefficients, no longer than the _terms bound at MAX_SPAN_PHASE
+        built = []
+        expansion = propagator._expansion
 
         def recorded(a, b, tau, size):
-            built.append(size)
-            return expansion(a, b, tau, size)
+            coef, table, counts = expansion(a, b, tau, size)
+            built.append((size, len(coef)))
+            return coef, table, counts
 
-        monkeypatch.setattr(propagator, "jv", counting_jv)
         monkeypatch.setattr(propagator, "_expansion", recorded)
         propagator.scattering_phase_from_time_domain(GAUSS, 1.0)
-        assert built == [36] and len(calls) == 1
+        (size, terms), = built
+        assert size == 36
+        assert terms <= propagator._terms(propagator.MAX_SPAN_PHASE)
 
 
 class TestAsymptotics:
