@@ -133,12 +133,13 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     q effective_range > 1 with the bound 2 R |v(R)| / q on the tail
     |int_R^inf r v sin(qr) dr| below 1e-9 (|v0| + |q f1|), and for a power
     tail the closed form (_power_tail_amplitude).  v0 = 0 gives 0, as kind
-    zero does.  ParameterError unless k > 0 and theta lies in [0, pi]."""
-    if not k > 0:
-        raise ParameterError(f"momentum must be positive, got k={k}")
+    zero does.  ParameterError unless k is a positive finite float and
+    theta lies in [0, pi]."""
+    if not 0.0 < k < np.inf:
+        raise ParameterError(f"momentum must be positive and finite, got k={k}")
     if not 0.0 <= theta <= np.pi:   # partialwave.amplitude's rule
         raise ParameterError(f"theta must lie in [0, pi], got {theta}")
-    if model.kind == "zero" or model.v0 == 0.0:
+    if model.v0 == 0.0:
         return 0.0
     q = 2.0 * k * np.sin(theta / 2.0)
     if model.kind == "power_tail":
@@ -162,7 +163,7 @@ def born_first_phase_shift(model: PotentialModel, k: float, l: int) -> float:
         raise ParameterError(f"momentum must be positive and finite, got k={k}")
     if not (isinstance(l, (int, np.integer)) and l >= 0):
         raise ParameterError(f"l must be a non-negative integer, got l={l!r}")
-    if model.kind == "zero" or model.v0 == 0.0:
+    if model.v0 == 0.0:
         return 0.0
     r_cut, r, w = _radial_rule(model, k)
     jl = spherical_jn(l, k * r)
@@ -307,11 +308,11 @@ def high_energy_kernel(model: PotentialModel, lam, theta: float,
     if not 0 <= N <= MAX_ORDER:
         raise ParameterError(f"N must lie in [0, MAX_ORDER = {MAX_ORDER}], got {N}")
     lams = np.asarray(lam, dtype=float)
-    if not np.all(lams > 0):
-        raise ParameterError(f"lambda must be positive, got lam={lam}")
+    if not np.all((lams > 0) & (lams < np.inf)):
+        raise ParameterError(f"lambda must be positive and finite, got lam={lam}")
     if not 0.0 < theta <= np.pi:
         raise ParameterError(f"theta must lie in (0, pi], got {theta}")
-    if model.kind == "zero" or model.v0 == 0.0:
+    if model.v0 == 0.0:
         values = np.zeros(lams.shape, dtype=complex)
         return complex(values) if values.ndim == 0 else values
     R = _support_radius(model)
@@ -357,7 +358,10 @@ def high_energy_kernel(model: PotentialModel, lam, theta: float,
 
 def exact_kernel(model: PotentialModel, lam: float, theta: float) -> complex:
     """(i k / 2 pi) a(theta) from the partial-wave reference solver, with
-    channels up to k * effective_range + 12."""
+    channels up to k * effective_range + 12.  ParameterError unless lam is
+    a positive finite float."""
+    if not 0.0 < lam < np.inf:
+        raise ParameterError(f"lambda must be positive and finite, got lam={lam}")
     k = np.sqrt(lam)
     l_max = int(np.ceil(k * model.effective_range)) + 12
     table = partialwave.phase_shift_table(model, k, l_max)
@@ -379,8 +383,8 @@ def measure_error_order(model: PotentialModel, lambdas, theta: float,
     """Fitted slope of log|k_exact - k_N| against log lambda; the pointwise
     d = 3 proxy for the expansion's O(lambda^(-N/2)) error order."""
     lambdas = np.asarray(lambdas, dtype=float)
-    if not np.all(lambdas > 0):
-        raise ParameterError(f"lambdas must be positive, got {lambdas}")
+    if not np.all((lambdas > 0) & (lambdas < np.inf)):
+        raise ParameterError(f"lambdas must be positive and finite, got {lambdas}")
     if len(lambdas) < 4 or lambdas.max() < 8.0 * lambdas.min():
         raise ParameterError("need >= 4 energies spanning close to a decade")
     approx = high_energy_kernel(model, lambdas, theta, N)

@@ -367,7 +367,6 @@ SCHEMA = {
                 "v0": _NUM,
                 "width": _POS,
                 "rho": _POS,
-                "radial": {"const": True},
             },
         },
         "seed": {"type": "integer", "minimum": 0},

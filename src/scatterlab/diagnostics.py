@@ -70,11 +70,12 @@ def hs_norm_resolvent_weight(model: PotentialModel, c: float) -> float:
     forward first Born amplitude (born.born_first_amplitude).
     The xi integral is a quadrature after the map |xi| = sqrt(c) u/(1 - u),
     4 pi c^{-1/2} int_0^1 u^2 (u^2 + (1 - u)^2)^{-2} du, in which c enters
-    only as c^{-1/2}, so no positive float c overflows it.
+    only as c^{-1/2}, so no positive finite c overflows it.  ParameterError
+    for any other c.
     """
-    if c <= 0:
-        raise ParameterError("c must be positive")
-    if model.kind == "power_tail" and model.rho <= 3.0:
+    if not 0.0 < c < np.inf:
+        raise ParameterError(f"c must be positive and finite, got c={c}")
+    if model.rho <= 3.0:
         raise DomainError(
             "v is not integrable in d = 3 (rho <= 3): the trace-class "
             "weight is divergent")

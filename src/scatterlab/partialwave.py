@@ -222,21 +222,24 @@ def _match_at(u: np.ndarray, r: np.ndarray, ls: np.ndarray,
 def _phase_shifts(model: PotentialModel, ls: range, k: float,
                   r_max: float | None = None, dr: float = 1e-3) -> np.ndarray:
     """delta_l(k) of each channel in the range ls on one shared Numerov grid
-    of step dr up to r_max, _default_r_max(model, k) if None."""
+    of step dr up to r_max, _default_r_max(model, k) if None; ParameterError
+    unless k is positive and finite and ls a non-empty range of l >= 0."""
     # checked before any grid is sized: tail_radius puts a rho <= 1 tail
     # out at up to 1e6, a Numerov grid of up to 1e9 steps
-    if model.kind == "power_tail" and model.rho <= 1.0:
+    if model.rho <= 1.0:
         raise DomainError(
             f"partial-wave phase shifts do not exist for a long-range "
             f"power tail (rho={model.rho} <= 1)")
-    if k <= 0:
-        raise ParameterError(f"momentum must be positive, got k={k}")
+    if not 0.0 < k < np.inf:
+        raise ParameterError(f"momentum must be positive and finite, got k={k}")
+    if not 0 <= ls.start < ls.stop:
+        raise ParameterError(f"need at least one channel, all l >= 0, got l in {ls}")
     if r_max is None:
         r_max = _default_r_max(model, k)
     # before v or any array, as a quotient: the channel count may pass the
     # float range; a zero potential (kind zero or v0 = 0) takes no sweep,
     # only its zeros
-    zero = model.kind == "zero" or model.v0 == 0.0
+    zero = model.v0 == 0.0
     n_rows = 1.0 if zero else float(np.ceil(r_max / dr))
     channels = ls.stop - ls.start
     if channels + 8 > MAX_SWEEP_FLOATS / n_rows:

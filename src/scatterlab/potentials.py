@@ -1,7 +1,8 @@
 """Potential catalog with decay classification and line integrals of v.
 
 Decay convention: |v(x)| <= C <x>^{-rho} with <x> = (1 + |x|^2)^{1/2};
-rho > 1 is short range, 0 < rho <= 1 long range.
+rho > 1 is short range, 0 < rho <= 1 long range.  Every kind but
+power_tail decays faster than any power, so its rho is inf.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from scipy.special import exprel, gamma, hyp2f1
 
 from .numerics import DomainError, gauss_panels
 
-KINDS = ("gaussian_well", "yukawa", "square_well", "power_tail", "compact_bump", "zero")
+# The parameters each kind takes.  power_tail's length scale is the 1 of
+# 1 + r^2, so its width is fixed at 1; zero takes nothing.
+PARAMETERS = {"gaussian_well": ("v0", "width"), "yukawa": ("v0", "width"),
+              "square_well": ("v0", "width"), "power_tail": ("v0", "rho"),
+              "compact_bump": ("v0", "width"), "zero": ()}
+KINDS = tuple(PARAMETERS)
 
 # Pointwise regularization radius for the yukawa 1/r singularity; quadratures
 # over the radial measure r^2 dr never see it (the integrand r*v is bounded).
@@ -24,20 +30,30 @@ YUKAWA_R_MIN = 1e-8
 class PotentialModel:
     """Radial scalar potential v(|x|) with decay metadata.
 
-    kind:      one of KINDS
-    v0:        overall strength (sign included; wells are negative)
-    width:     range parameter (gaussian/bump width, yukawa 1/mu, well radius)
-    rho:       claimed decay exponent
+    kind:      one of KINDS; a parameter outside PARAMETERS[kind] is a ValueError
+    v0:        overall strength (sign included; wells are negative), default 0
+    width:     range parameter (gaussian/bump width, yukawa 1/mu, well radius),
+               default 1; 1 for power_tail and zero
+    rho:       decay exponent of v: power_tail's, default 2; inf for the rest
     """
 
     kind: str
-    v0: float = 0.0
-    width: float = 1.0
-    rho: float = 2.0
+    v0: float | None = None
+    width: float | None = None
+    rho: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PARAMETERS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        takes = PARAMETERS[self.kind]
+        defaults = {"v0": 0.0, "width": 1.0,
+                    "rho": 2.0 if self.kind == "power_tail" else np.inf}
+        for name, default in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+            elif name not in takes:
+                raise ValueError(f"{self.kind} takes no {name}; it takes "
+                                 f"{', '.join(takes) or 'no parameter'}")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.width <= 0:
@@ -191,7 +207,7 @@ def line_integral(model: PotentialModel, s, a, b=np.inf, f=None) -> np.ndarray:
     """
     s, a, b = np.broadcast_arrays(np.abs(np.asarray(s, dtype=float)),
                                   np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if model.kind == "zero" or model.v0 == 0.0:
+    if model.v0 == 0.0:
         return np.zeros(s.shape)
     if model.kind == "power_tail" and f is None:
         c = np.sqrt(1.0 + s * s)
@@ -241,10 +257,8 @@ def ray_difference(model: PotentialModel, s, a) -> np.ndarray:
 
 
 def model_from_config(spec: dict) -> PotentialModel:
-    """Build a model from a config mapping (kind + parameters)."""
+    """Build a model from a config mapping: kind and the parameters its
+    kind takes (PARAMETERS), each as a float."""
     kind = spec["kind"]
-    kwargs = {}
-    for key in ("v0", "width", "rho"):
-        if key in spec:
-            kwargs[key] = float(spec[key])
-    return PotentialModel(kind=kind, **kwargs)
+    return PotentialModel(kind, **{key: float(value) for key, value in spec.items()
+                                   if key != "kind"})

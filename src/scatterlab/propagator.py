@@ -399,7 +399,7 @@ def free_asymptotics(fhat, t: float, n: int, dx: float) -> WavePacket:
 def _xi_potential_term(model: PotentialModel, x: np.ndarray, t: float) -> np.ndarray:
     """t * int_0^1 v(s x) ds = t * (1/|x|) int_0^|x| v(r) dr (t * v(0) at x = 0),
     from potentials.line_integral along the line through the origin."""
-    if model.kind == "power_tail" and model.rho <= 0.5:
+    if model.rho <= 0.5:
         raise ParameterError("Xi formula requires rho > 1/2")
     if model.kind == "yukawa":
         raise DomainError("Xi term diverges for yukawa: int_0 v dr is "
@@ -490,8 +490,8 @@ def scattering_phase_from_time_domain(model: PotentialModel, k: float) -> comple
     which is refused.
     """
     n, dx, sigma = 2**9, 0.8, 20.0
-    if k <= 0:
-        raise ParameterError("k must be positive")
+    if not 0.0 < k < np.inf:
+        raise ParameterError(f"momentum must be positive and finite, got k={k}")
     if 1.0 / (2 * sigma * k) > 0.20:
         raise ParameterError(
             f"packet band too wide at k={k:g} (relative bandwidth > 20%, k < 0.125)")

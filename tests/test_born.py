@@ -224,9 +224,15 @@ class TestFirstBorn:
         assert born.born_first_phase_shift(model, 1.0, 0) == 0.0
 
     @pytest.mark.parametrize("k,theta", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0),
-                                         (1.0, 3.5), (1.0, np.nan)])
-    def test_bad_momentum_or_angle_rejected(self, k, theta):
-        # q = 2k sin(theta/2) <= 0 would take the forward (q -> 0) branch
+                                         (1.0, 3.5), (1.0, np.nan),
+                                         (np.inf, 1.0), (np.nan, 1.0)])
+    def test_bad_momentum_or_angle_rejected(self, monkeypatch, k, theta):
+        # q = 2k sin(theta/2) <= 0 would take the forward (q -> 0) branch;
+        # k = inf ended in a ConvergenceError over inf panels
+        def no_rule(*args, **kwargs):
+            raise AssertionError("quadrature for refused input")
+
+        monkeypatch.setattr(born, "_radial_rule", no_rule)
         with pytest.raises(ParameterError):
             born.born_first_amplitude(GAUSS, k, theta)
 
@@ -668,10 +674,30 @@ class TestKernel:
                                          THETA_90, 2)
         assert kernel == 0.0 and isinstance(kernel, complex)
 
-    @pytest.mark.parametrize("lam", [0.0, -4.0, np.nan, [25.0, -1.0]])
-    def test_nonpositive_lambda_rejected(self, lam):
+    @pytest.mark.parametrize("lam", [0.0, -4.0, np.nan, [25.0, -1.0],
+                                     np.inf, [25.0, np.inf]])
+    def test_nonpositive_lambda_rejected(self, monkeypatch, lam):
+        # lambda = inf returned nan
+        def no_radius(*args):
+            raise AssertionError("sized a support radius for a refused lambda")
+
+        monkeypatch.setattr(born, "_support_radius", no_radius)
         with pytest.raises(ParameterError, match="lambda must be positive"):
             born.high_energy_kernel(GAUSS, lam, THETA_90, 0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_oracle_and_error_order_refuse_non_finite_lambda(self, monkeypatch, lam):
+        # exact_kernel ended in a bare ValueError or OverflowError, and
+        # measure_error_order read nan from the kernel at lambda = inf
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed at a refused lambda")
+
+        monkeypatch.setattr(born.partialwave, "phase_shift_table", no_work)
+        monkeypatch.setattr(born, "high_energy_kernel", no_work)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            born.exact_kernel(GAUSS, lam, THETA_90)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            born.measure_error_order(GAUSS, [25.0, 50.0, 100.0, lam], THETA_90, 0)
 
     def test_coincident_directions_rejected(self):
         with pytest.raises(ParameterError):

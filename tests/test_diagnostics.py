@@ -194,6 +194,7 @@ class TestHsNorm:
         if rho == 3.1:
             assert val == pytest.approx(4.8530566664727, rel=1e-12)
 
+    # the ids keep their established names, in which rho = inf reads 2
     @pytest.mark.parametrize("model", [
         GAUSS,
         PotentialModel(kind="gaussian_well", v0=-0.7, width=2.0),
@@ -206,7 +207,7 @@ class TestHsNorm:
         *(PotentialModel(kind="power_tail", v0=1.0, rho=rho)
           for rho in (3.1, 6.0, 344.0, 1000.0, 1e4)),
         PotentialModel(kind="zero"),
-    ], ids=lambda m: f"{m.kind}-{m.v0:g}-{m.width:g}-{m.rho:g}")
+    ], ids=lambda m: f"{m.kind}-{m.v0:g}-{m.width:g}-{2.0 if m.rho == np.inf else m.rho:g}")
     @pytest.mark.parametrize("c", [1.0, 2.5])
     def test_every_kind_against_closed_form(self, model, c):
         # ||v||_1 / (8 pi sqrt(c)), with ||v||_1 at 40 digits
@@ -235,6 +236,16 @@ class TestHsNorm:
     def test_bad_c_rejected(self):
         with pytest.raises(ParameterError):
             diagnostics.hs_norm_resolvent_weight(GAUSS, 0.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_c_refused(self, monkeypatch, c):
+        # c = nan returned nan
+        def no_amplitude(*args, **kwargs):
+            raise AssertionError("integrated v for a refused c")
+
+        monkeypatch.setattr(diagnostics.born, "born_first_amplitude", no_amplitude)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            diagnostics.hs_norm_resolvent_weight(GAUSS, c)
 
 
 class TestKato:

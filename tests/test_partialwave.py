@@ -115,8 +115,8 @@ class TestPhaseShift:
             raise AssertionError("swept a zero potential")
 
         monkeypatch.setattr(partialwave, "_numerov_channels", no_sweep)
-        table = partialwave.phase_shift_table(PotentialModel(kind=kind, v0=0.0),
-                                              1.0, 3)
+        # v0 = 0 is every kind's default strength, and zero's only one
+        table = partialwave.phase_shift_table(PotentialModel(kind=kind), 1.0, 3)
         assert np.all(table.delta == 0.0)
         assert partialwave.amplitude(table, 0.7) == 0.0
 
@@ -136,6 +136,21 @@ class TestPhaseShift:
             partialwave.radial_phase_shift(GAUSS, 0, -1.0)
         with pytest.raises(ParameterError):
             partialwave.radial_phase_shift(GAUSS, -1, 1.0)
+
+    @pytest.mark.parametrize("k,l_max", [(np.nan, 3), (np.inf, 3), (1.0, -1)])
+    def test_non_finite_momentum_or_no_channel_refused(self, monkeypatch, k, l_max):
+        # k = nan ended in a bare ValueError from int(), k = inf in a
+        # NumericalError after a sweep, and l_max = -1 in an empty table
+        def no_grid(*args, **kwargs):
+            raise AssertionError("sized a grid for refused input")
+
+        monkeypatch.setattr(partialwave, "_default_r_max", no_grid)
+        monkeypatch.setattr(partialwave, "_numerov_channels", no_grid)
+        with pytest.raises(ParameterError, match="positive and finite|at least one channel"):
+            partialwave.phase_shift_table(GAUSS, k, l_max)
+        if l_max >= 0:
+            with pytest.raises(ParameterError, match="positive and finite"):
+                partialwave.radial_phase_shift(GAUSS, l_max, k)
 
     @given(st.floats(0.5, 3.0), st.integers(0, 4))
     @settings(max_examples=15, deadline=None)

@@ -10,12 +10,23 @@ from scatterlab import cli
 from scatterlab.numerics import DomainError
 from scatterlab.potentials import (
     KINDS,
+    PARAMETERS,
     PotentialModel,
     _power_primitive,
     line_integral,
     model_from_config,
     ray_difference,
 )
+
+
+def _own(kind, **values):
+    """The values among those given that kind takes, per PARAMETERS."""
+    return {name: values[name] for name in PARAMETERS[kind] if name in values}
+
+
+OUTSIDE = [(kind, name) for kind in KINDS for name in ("v0", "width", "rho")
+           if name not in PARAMETERS[kind]]
+INSIDE = [(kind, name) for kind in KINDS for name in PARAMETERS[kind]]
 
 
 class TestModel:
@@ -29,10 +40,39 @@ class TestModel:
         with pytest.raises(ValueError):
             PotentialModel(kind="power_tail", rho=-1.0)
 
-    def test_zero_kind_needs_positive_width(self):
-        # the Xi term's panel edges scale with width for every kind
-        with pytest.raises(ValueError):
-            PotentialModel(kind="zero", width=0.0)
+    @pytest.mark.parametrize("kind,name", OUTSIDE)
+    def test_parameter_outside_its_kind_refused(self, tmp_path, capsys, kind, name):
+        # power_tail's width is the fixed 1 of 1 + r^2 and zero has no
+        # strength; a value the profile never read still moved results
+        with pytest.raises(ValueError, match=f"{kind} takes no {name}"):
+            PotentialModel(kind=kind, **{name: 0.5})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "born",
+                                    "potential": {"kind": kind, name: 0.5}}))
+        out = tmp_path / "out"
+        assert cli.run(str(path), out_dir=str(out)) == 2
+        assert "config error: at potential:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,name", INSIDE)
+    def test_every_parameter_moves_the_profile(self, kind, name):
+        # no parameter a kind takes is inert
+        r = np.linspace(0.0, 3.0, 61)
+        base = _own(kind, v0=-0.5, width=1.0, rho=2.0)
+        moved = dict(base, **{name: 1.3 * base[name]})
+        assert not np.array_equal(PotentialModel(kind, **base).radial_values(r),
+                                  PotentialModel(kind, **moved).radial_values(r))
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "power_tail"])
+    def test_non_power_kinds_decay_faster_than_any_power(self, kind):
+        # rho = inf; <x>^-8 stands in for every power: |v| <x>^8 falls
+        # through the far range to below 1e-9 |v0|
+        m = PotentialModel(kind, **_own(kind, v0=-0.5, width=1.0))
+        assert m.rho == np.inf
+        r = np.linspace(20.0, 60.0, 41)
+        weighted = np.abs(m.radial_values(r)) * (1.0 + r * r) ** 4
+        assert np.all(np.diff(weighted) <= 0.0)
+        assert weighted[-1] <= 1e-9 * 0.5
 
     def test_zero_everywhere(self):
         m = PotentialModel(kind="zero")
@@ -71,8 +111,11 @@ class TestDecay:
                                           ("power_tail", 1.0)])
     def test_claimed_decay_verified(self, kind, rho):
         # |d^a v| <x>^(rho + a), a = 0, 1, 2 (central differences), shows no
-        # growth beyond 5% from the first to the second half of the radii
-        m = PotentialModel(kind=kind, v0=-0.5, width=1.0, rho=rho)
+        # growth beyond 5% from the first to the second half of the radii.
+        # rho is power_tail's own exponent, at which |v| <x>^rho is |v0|
+        # itself, and a finite one below the inf of the other kinds
+        m = PotentialModel(kind=kind, **_own(kind, v0=-0.5, width=1.0, rho=rho))
+        assert m.rho == (rho if kind == "power_tail" else np.inf)
         r, h = np.linspace(1.0, 30.0, 40), 1e-3
         v = m.radial_values
         derivs = [np.abs(v(r)), np.abs(v(r + h) - v(r - h)) / (2 * h),
@@ -80,6 +123,9 @@ class TestDecay:
         for a, d in enumerate(derivs):
             weighted = d * (1.0 + r * r) ** ((rho + a) / 2.0)
             assert np.max(weighted[20:]) <= 1.05 * max(np.max(weighted[:20]), 1e-300)
+        if kind == "power_tail":
+            np.testing.assert_allclose(derivs[0] * (1.0 + r * r) ** (rho / 2.0), 0.5,
+                                       rtol=1e-14)
 
 
 class TestConfig:
@@ -91,38 +137,40 @@ class TestConfig:
         with pytest.raises(KeyError):
             model_from_config({"v0": 1.0})
 
-    def test_radial_schema_accepts_only_true(self, tmp_path):
-        # every kind is radial: the key stays valid for `true` only
+    def test_radial_key_refused(self, tmp_path):
+        # every kind is radial, and nothing read the key
         config = {"experiment": "born",
                   "potential": {"kind": "zero", "radial": True}}
-        cli.validate_config(config)
-        assert model_from_config(config["potential"]) == PotentialModel("zero")
-        config["potential"]["radial"] = False
+        with pytest.raises(cli.ConfigError, match="radial"):
+            cli.validate_config(config)
+        with pytest.raises(TypeError, match="radial"):
+            model_from_config(config["potential"])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert cli.run(str(path), out_dir=str(out)) == 2
-        assert not (out / "result.json").exists()
+        assert not out.exists()
 
     @given(st.sampled_from([k for k in KINDS if k != "zero"]),
-           st.floats(-2.0, 2.0), st.floats(0.1, 5.0))
+           st.floats(-2.0, 2.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0))
     @settings(max_examples=40, deadline=None)
-    def test_profile_bounded_by_v0(self, kind, v0, width):
-        m = PotentialModel(kind=kind, v0=v0, width=width)
-        r = np.linspace(0.5 * width, 10.0 * width, 50)
+    def test_profile_bounded_by_v0(self, kind, v0, width, rho):
+        m = PotentialModel(kind=kind, **_own(kind, v0=v0, width=width, rho=rho))
+        r = np.linspace(0.5 * m.width, 10.0 * m.width, 50)
         vals = np.abs(m.radial_values(r))
-        bound = abs(v0) * max(1.0, 1.0 / (0.5 * width))  # yukawa 1/r factor
+        bound = abs(v0) * max(1.0, 1.0 / (0.5 * m.width))  # yukawa 1/r factor
         assert np.all(vals <= bound + 1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_profile_has_the_sign_of_v0(self, kind):
         # every kind is v0 times a nonnegative profile, so ||v||_1 = |int v|,
         # which diagnostics.hs_norm_resolvent_weight reads from born
+        # (zero is 0 times any profile)
         r = np.linspace(0.0, 50.0, 5001)
         for v0 in (-1.3, 0.4):
-            for width in (0.3, 1.0, 4.0):
-                m = PotentialModel(kind=kind, v0=v0, width=width)
-                assert np.all(m.radial_values(r) / v0 >= 0.0)
+            for scale in (0.3, 1.0, 4.0):
+                m = PotentialModel(kind=kind, **_own(kind, v0=v0, width=scale, rho=scale))
+                assert np.all(m.radial_values(r) * m.v0 >= 0.0)
 
 
 def _quad_line(model, s, a, b, shift=None):

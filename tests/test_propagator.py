@@ -716,6 +716,16 @@ class TestTimeDomainSMatrix:
         # the free reference, so the amplitudes' ratio is 1 to the last bit
         assert propagator.scattering_phase_from_time_domain(ZERO, 1.0) == 1.0
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_non_finite_momentum_refused(self, monkeypatch, k):
+        # k = nan ended in a bare ValueError, and k = inf returned nan + nan j
+        def no_packet(*args, **kwargs):
+            raise AssertionError("built a packet for a refused k")
+
+        monkeypatch.setattr(propagator, "gaussian_packet", no_packet)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            propagator.scattering_phase_from_time_domain(GAUSS, k)
+
     def test_bandwidth_guard(self):
         # the width-20 packet's relative bandwidth 1 / (40 k) passes 20%
         # below k = 0.125
