@@ -42,7 +42,9 @@ _CELL_NODES = 4   # Gauss nodes per b_n table cell, along s and along z
 
 
 class ConvergenceError(ScatterlabError, RuntimeError):
-    """Integral tail estimate exceeds the requested tolerance."""
+    """A quadrature that fails: its panel budget or its tail estimate.  An
+    integral that diverges for the decay of v is a DomainError instead
+    (PotentialModel.require_decay)."""
 
     prefix = "convergence: "
 
@@ -91,15 +93,13 @@ def _power_tail_amplitude(model: PotentialModel, q: float) -> float:
     which needs rho > 3.  For nu >= 20 both come from _log_large_order.
     Below, f1(q) is formed in logs with K_nu(q) from kve; past q = 2e3 it
     is below 1e-320 for any finite v0, and kve turns NaN past q = 1e9, so
-    it is 0 there.  ConvergenceError for rho <= 1, where r v(r) does not
-    decay and the Born integral diverges."""
+    it is 0 there.  DomainError for rho <= 1, where r v(r) does not decay
+    and the Born integral diverges, and at q < 1e-12 for rho <= 3, where
+    int |v| does."""
     rho, v0, nu = model.rho, model.v0, 0.5 * (model.rho - 3.0)
-    if rho <= 1.0:
-        raise ConvergenceError(
-            f"Born integral diverges for power tail rho = {rho:g} <= 1")
+    model.require_decay(1.0, "the first Born amplitude")
     if q < 1e-12:
-        if rho <= 3.0:
-            raise ConvergenceError("int |v| diverges for power tail rho <= 3")
+        model.require_decay(3.0, "the forward first Born amplitude")
         q = 0.0
     if nu >= 20.0:
         return -v0 * float(np.exp(_log_large_order(nu, q)))
@@ -240,13 +240,13 @@ def _bn_tables(model: PotentialModel, N: int, grid: _cyl.CylGrid) -> np.ndarray:
     """b_0..b_N stacked (N+1, n_s, n_z) on the cylindrical grid about the
     propagation axis: transport_orders with Phi = 0 and q = v, marched up
     from z_min (incoming convention).  b_1 starts from int_-inf^z_min v dz
-    unless |v| <= RAY_TRUNCATION |v0| there (DomainError if infinite)."""
+    unless |v| <= RAY_TRUNCATION |v0| there; that anchor is finite, since
+    high_energy_kernel's _support_radius refuses every power tail with rho
+    up to about 5.1 before a grid is built."""
     v = model.radial_values(grid.radius())
     anchor = np.zeros(len(grid.s))
     if np.max(np.abs(v[:, 0])) > RAY_TRUNCATION * abs(model.v0):
         anchor = line_integral(model, grid.s, -grid.z[0])
-        if not np.all(np.isfinite(anchor)):
-            raise DomainError("b_1's anchor int_-inf^z_min v dz diverges (rho <= 1)")
     orders = transport_orders(model, grid, v, N, _cyl.march_up, anchor)
     tables = np.empty((N + 1,) + v.shape)
     for n, b in enumerate(islice(orders, 0, 2 * N + 1, 2)):

@@ -20,8 +20,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .numerics import (DomainError, NumericalError, ParameterError,
-                       ScatterlabError, composite_gauss)
+from .numerics import NumericalError, ParameterError, ScatterlabError, composite_gauss
 from .potentials import PotentialModel
 from . import _cyl, born, propagator
 
@@ -75,10 +74,7 @@ def hs_norm_resolvent_weight(model: PotentialModel, c: float) -> float:
     """
     if not 0.0 < c < np.inf:
         raise ParameterError(f"c must be positive and finite, got c={c}")
-    if model.rho <= 3.0:
-        raise DomainError(
-            "v is not integrable in d = 3 (rho <= 3): the trace-class "
-            "weight is divergent")
+    model.require_decay(3.0, "the Hilbert-Schmidt weight ||v||_1")
     v_l1 = 4.0 * np.pi * abs(born.born_first_amplitude(model, 1.0, 0.0))
     u, w = composite_gauss(16, np.linspace(0.0, 1.0, 33))
     xi_int = 4.0 * np.pi * float(np.dot(w, c**-0.5 * u * u / (u * u + (1.0 - u) ** 2) ** 2))

@@ -28,7 +28,7 @@ from . import _cyl
 from .numerics import (DomainError, NumericalError, ParameterError, composite_gauss,
                        lazy_names)
 from .potentials import PotentialModel, line_integral, ray_difference
-from .born import ConvergenceError, transport_orders
+from .born import transport_orders
 
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
 # name, so it stays bound, and scipy.integrate is imported only when it is
@@ -76,14 +76,12 @@ def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int) -> float:
     power tails, a composite Gauss rule on the support crossings otherwise).
 
     Requires rho > 1/2 for absolute convergence of the difference
-    integrand; x must avoid the CONE_HALF_ANGLE cone around the -sign * xi
-    direction.  yukawa raises DomainError: the reference ray int_0^inf v
-    diverges at the core.
+    integrand (ray_difference's DomainError); x must avoid the
+    CONE_HALF_ANGLE cone around the -sign * xi direction.  yukawa raises
+    DomainError: the reference ray int_0^inf v diverges at the core.
     """
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
-    if model.rho <= 0.5:
-        raise ConvergenceError("difference ray integral requires rho > 1/2")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     xi_hat = _unit(xi)
@@ -176,13 +174,12 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
     integral on the far row and marched along rays.  The grid is 161 x 481
     nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = _table_extent.
     For N0 = 0, Phi and its derivatives are one zero table, phi_0, and
-    q = v.  ParameterError when lambda = xi_norm^2 or a weight
-    (2 |xi|)^-n, n <= N0, overflows, before any table;
-    NumericalError when q is not finite (|grad Phi|^2 overflows on a
-    strong enough v), before any transport order is marched on it.
+    q = v.  DomainError for rho <= 1/2, first; ParameterError when
+    lambda = xi_norm^2 or a weight (2 |xi|)^-n, n <= N0, overflows, before
+    any table; NumericalError when q is not finite (|grad Phi|^2 overflows
+    on a strong enough v), before any transport order is marched on it.
     """
-    if model.rho <= 0.5:
-        raise ConvergenceError("iteration implemented for rho > 1/2")
+    model.require_decay(0.5, "the eikonal iteration")
     if N0 is None:
         N0 = default_n0(model.rho)
     if N0 == 0 and model.rho <= 1.0:

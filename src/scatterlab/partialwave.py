@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .numerics import (DomainError, NumericalError, ParameterError, legendre_p_all,
-                       spherical_bessel)
+from .numerics import NumericalError, ParameterError, legendre_p_all, spherical_bessel
 from .potentials import PotentialModel
 
 
@@ -223,13 +222,11 @@ def _phase_shifts(model: PotentialModel, ls: range, k: float,
                   r_max: float | None = None, dr: float = 1e-3) -> np.ndarray:
     """delta_l(k) of each channel in the range ls on one shared Numerov grid
     of step dr up to r_max, _default_r_max(model, k) if None; ParameterError
-    unless k is positive and finite and ls a non-empty range of l >= 0."""
+    unless k is positive and finite and ls a non-empty range of l >= 0,
+    DomainError for rho <= 1, where no phase shift exists."""
     # checked before any grid is sized: tail_radius puts a rho <= 1 tail
     # out at up to 1e6, a Numerov grid of up to 1e9 steps
-    if model.rho <= 1.0:
-        raise DomainError(
-            f"partial-wave phase shifts do not exist for a long-range "
-            f"power tail (rho={model.rho} <= 1)")
+    model.require_decay(1.0, "a partial-wave phase shift")
     if not 0.0 < k < np.inf:
         raise ParameterError(f"momentum must be positive and finite, got k={k}")
     if not 0 <= ls.start < ls.stop:
@@ -257,13 +254,18 @@ def _phase_shifts(model: PotentialModel, ls: range, k: float,
 
 def radial_phase_shift(model: PotentialModel, l: int, k: float) -> float:
     """delta_l at momentum k, reduced to (-pi/2, pi/2], from the Numerov
-    sweep of step 1e-3 up to _default_r_max(model, k)."""
+    sweep of step 1e-3 up to _default_r_max(model, k); ParameterError
+    unless l is a non-negative integer (a numpy one included)."""
+    if not isinstance(l, (int, np.integer)):
+        raise ParameterError(f"l must be a non-negative integer, got l={l!r}")
     return float(_phase_shifts(model, range(l, l + 1), k)[0])
 
 
 def phase_shift_table(model: PotentialModel, k: float, l_max: int) -> PhaseShiftTable:
     """All channels 0..l_max on one shared Numerov grid, that of
-    radial_phase_shift."""
+    radial_phase_shift; l_max as radial_phase_shift's l."""
+    if not isinstance(l_max, (int, np.integer)):
+        raise ParameterError(f"l must be a non-negative integer, got l_max={l_max!r}")
     return PhaseShiftTable(k=k, l_max=l_max, delta=_phase_shifts(
         model, range(l_max + 1), k))
 

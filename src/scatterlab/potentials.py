@@ -35,6 +35,10 @@ class PotentialModel:
     width:     range parameter (gaussian/bump width, yukawa 1/mu, well radius),
                default 1; 1 for power_tail and zero
     rho:       decay exponent of v: power_tail's, default 2; inf for the rest
+
+    v0 must be finite, width positive and finite, and power_tail's rho
+    positive and finite; any other value is a ValueError.  require_decay is
+    the one refusal of a routine that needs v to decay faster than r^-rho.
     """
 
     kind: str
@@ -54,10 +58,19 @@ class PotentialModel:
             elif name not in takes:
                 raise ValueError(f"{self.kind} takes no {name}; it takes "
                                  f"{', '.join(takes) or 'no parameter'}")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not np.isfinite(self.v0):
+            raise ValueError(f"v0 must be finite, got {self.v0}")
+        if not 0.0 < self.width < np.inf:
+            raise ValueError(f"width must be positive and finite, got {self.width}")
+        if "rho" in takes and not 0.0 < self.rho < np.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+
+    def require_decay(self, rho: float, what: str) -> None:
+        """DomainError unless v decays faster than r^-rho, self.rho > rho
+        (a nan self.rho is refused): what needs that decay to exist."""
+        if not self.rho > rho:
+            raise DomainError(f"{what} needs rho > {rho:g}; this {self.kind} "
+                              f"has rho = {self.rho:g}")
 
     # -- radial profile -------------------------------------------------
 
@@ -246,10 +259,9 @@ def ray_difference(model: PotentialModel, s, a) -> np.ndarray:
     -v0 (L + asinh(a/c)) at rho = 1.  Other kinds by line_integral
     (DomainError on yukawa: the reference ray runs through the core).
     """
+    model.require_decay(0.5, "the difference ray integral")
     if model.kind != "power_tail":
         return line_integral(model, s, a) - line_integral(model, 0.0, 0.0)
-    if model.rho <= 0.5:
-        raise DomainError("difference ray integral diverges for rho <= 1/2")
     log_c = 0.5 * np.log1p(np.square(s))
     g = _power_primitive(model.rho, np.asarray(a, dtype=float) / np.exp(log_c))
     x = (1.0 - model.rho) * log_c

@@ -399,8 +399,7 @@ def free_asymptotics(fhat, t: float, n: int, dx: float) -> WavePacket:
 def _xi_potential_term(model: PotentialModel, x: np.ndarray, t: float) -> np.ndarray:
     """t * int_0^1 v(s x) ds = t * (1/|x|) int_0^|x| v(r) dr (t * v(0) at x = 0),
     from potentials.line_integral along the line through the origin."""
-    if model.rho <= 0.5:
-        raise ParameterError("Xi formula requires rho > 1/2")
+    model.require_decay(0.5, "the Xi term of the modified free dynamics")
     if model.kind == "yukawa":
         raise DomainError("Xi term diverges for yukawa: int_0 v dr is "
                           "infinite for a 1/r core")

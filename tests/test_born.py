@@ -200,7 +200,8 @@ class TestFirstBorn:
 
         monkeypatch.setattr(born, "composite_gauss", no_rule)
         model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
-        with pytest.raises(born.ConvergenceError, match="rho = .* <= 1"):
+        with pytest.raises(DomainError,
+                           match=f"needs rho > 1; this power_tail has rho = {rho:g}"):
             born.born_first_amplitude(model, 2.0, np.pi / 2)
 
     @pytest.mark.parametrize("q", [2.5e3, 1e10, 1e300])
@@ -359,17 +360,17 @@ class TestTransport:
         assert got.dtype == float
         assert np.array_equal(got, bn_tables_loop(model, 3, grid))
 
-    @pytest.mark.parametrize("rho", [0.9, 1.0])
-    def test_long_range_anchor_refused(self, monkeypatch, rho):
-        # int_-inf^z_min v dz is infinite for rho <= 1: b_1 would be +inf at
-        # every node and b_2, b_3 NaN
-        def no_recursion(*args, **kwargs):
-            raise AssertionError("recursed from an infinite anchor")
+    @pytest.mark.parametrize("rho", [0.9, 1.0, 3.0, 5.1])
+    def test_power_tails_refused_before_any_table(self, monkeypatch, rho):
+        # _support_radius refuses every power tail up to rho ~ 5.1, so b_1's
+        # anchor int_-inf^z_min v dz, infinite for rho <= 1, is never formed
+        def no_tables(*args):
+            raise AssertionError("built b_n tables for a power tail")
 
+        monkeypatch.setattr(born, "_bn_tables", no_tables)
         model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
-        monkeypatch.setattr(born, "transport_orders", no_recursion)
-        with pytest.raises(DomainError, match="anchor"):
-            born._bn_tables(model, 3, born._default_cyl_grid(model))
+        with pytest.raises(DomainError, match="support radius"):
+            born.high_energy_kernel(model, 25.0, 0.3, 2)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_laplacians_per_build(self, monkeypatch, N):

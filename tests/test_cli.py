@@ -775,7 +775,8 @@ class TestTypedErrors:
         self._assert_typed(tmp_path, capsys, {
             "experiment": "born",
             "potential": {"kind": "power_tail", "v0": 0.5, "rho": 0.5},
-            "params": {"k": 2.0}}, "convergence: ")
+            "params": {"k": 2.0}},
+            "the first Born amplitude needs rho > 1; this power_tail has rho = 0.5")
 
     @pytest.mark.parametrize("error,prefix", [
         (partialwave.NumericalError, "numerical: "),

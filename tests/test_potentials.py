@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from scatterlab import cli
+from scatterlab import (_cyl, born, cli, diagnostics, eikonal, partialwave, potentials,
+                        propagator)
 from scatterlab.numerics import DomainError
 from scatterlab.potentials import (
     KINDS,
@@ -39,6 +41,19 @@ class TestModel:
             PotentialModel(kind="gaussian_well", width=0.0)
         with pytest.raises(ValueError):
             PotentialModel(kind="power_tail", rho=-1.0)
+
+    @pytest.mark.parametrize("kind,name,value", [
+        ("gaussian_well", "v0", np.nan), ("gaussian_well", "v0", np.inf),
+        ("yukawa", "v0", -np.inf), ("power_tail", "v0", np.nan),
+        ("gaussian_well", "width", np.nan), ("square_well", "width", np.inf),
+        ("power_tail", "rho", np.nan), ("power_tail", "rho", np.inf),
+        ("power_tail", "rho", 0.0)])
+    def test_non_finite_parameter_refused(self, kind, name, value):
+        # a nan passed the width <= 0 and rho <= 0 tests and ended far from
+        # its cause, in the Born rule's panel cap or the Numerov sweep cap;
+        # cli._model reports this ValueError as "config error: at potential"
+        with pytest.raises(ValueError, match=f"{name} must be .*finite, got {value}"):
+            PotentialModel(kind=kind, **{name: value})
 
     @pytest.mark.parametrize("kind,name", OUTSIDE)
     def test_parameter_outside_its_kind_refused(self, tmp_path, capsys, kind, name):
@@ -126,6 +141,83 @@ class TestDecay:
         if kind == "power_tail":
             np.testing.assert_allclose(derivs[0] * (1.0 + r * r) ** (rho / 2.0), 0.5,
                                        rtol=1e-14)
+
+
+_PACKET = propagator.gaussian_packet(n=2**9, dx=0.65, center=0.0, k0=2.0, sigma=3.0)
+_BORN_RULES = [(born, "_radial_rule"), (born, "composite_gauss"), (born, "kve"),
+               (born, "beta"), (born, "_log_large_order")]
+
+# Every refusal on rho alone: (threshold, what the message names, the routine
+# on a model, the builders it must not reach first)
+DECAY_REFUSALS = {
+    "ray_difference": (
+        0.5, "the difference ray integral", lambda m: ray_difference(m, 1.0, 0.0),
+        [(potentials, "_power_primitive"), (potentials, "line_integral")]),
+    "eikonal_iterate": (
+        0.5, "the eikonal iteration", lambda m: eikonal.eikonal_iterate(m, 5.0),
+        [(_cyl, "make_grid"), (eikonal, "transport_orders")]),
+    "xi_term": (
+        0.5, "the Xi term of the modified free dynamics",
+        lambda m: propagator.modified_moller_probe(m, _PACKET, [5.0, 10.0, 20.0]),
+        [(propagator, "line_integral"), (propagator, "chebyshev_evolve"),
+         (propagator, "free_evolve")]),
+    "phase_shifts": (
+        1.0, "a partial-wave phase shift",
+        lambda m: partialwave.radial_phase_shift(m, 0, 1.0),
+        [(partialwave, "_default_r_max"), (partialwave, "_numerov_channels")]),
+    "born": (
+        1.0, "the first Born amplitude",
+        lambda m: born.born_first_amplitude(m, 2.0, np.pi / 2), _BORN_RULES),
+    "born_forward": (
+        3.0, "the forward first Born amplitude",
+        lambda m: born.born_first_amplitude(m, 1.0, 0.0), _BORN_RULES),
+    "hs": (
+        3.0, "the Hilbert-Schmidt weight ||v||_1",
+        lambda m: diagnostics.hs_norm_resolvent_weight(m, 1.0),
+        [(diagnostics, "composite_gauss"), (born, "born_first_amplitude")]),
+}
+
+
+class TestRequireDecay:
+    @pytest.mark.parametrize("site", DECAY_REFUSALS)
+    def test_refused_at_the_threshold_before_any_work(self, monkeypatch, site):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built work for a refused decay")
+
+        rho, what, routine, builders = DECAY_REFUSALS[site]
+        for module, name in builders:
+            monkeypatch.setattr(module, name, refuse)
+        message = f"{what} needs rho > {rho:g}; this power_tail has rho = {rho:g}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            routine(PotentialModel(kind="power_tail", v0=0.5, rho=rho))
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "power_tail"])
+    def test_faster_than_any_power_admitted(self, kind):
+        model = PotentialModel(kind=kind)
+        for rho in (0.5, 1.0, 3.0, 1e300):
+            assert model.require_decay(rho, "anything") is None
+
+    @pytest.mark.parametrize("experiment,rho,params,message", [
+        ("eikonal", 0.4, {}, "the eikonal iteration needs rho > 0.5"),
+        ("s0", 0.4, {}, "the eikonal iteration needs rho > 0.5"),
+        ("moller", 0.4, {"modified": True},
+         "the Xi term of the modified free dynamics needs rho > 0.5"),
+        ("born", 0.9, {}, "the first Born amplitude needs rho > 1"),
+        ("phaseshift", 0.9, {}, "a partial-wave phase shift needs rho > 1"),
+        ("diagnose", 2.0, {"check": "hs"},
+         "the Hilbert-Schmidt weight ||v||_1 needs rho > 3"),
+    ], ids=["eikonal", "s0", "moller", "born", "phaseshift", "hs"])
+    def test_cli_refuses_with_one_message(self, tmp_path, capsys, experiment, rho,
+                                          params, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "experiment": experiment, "params": params,
+            "potential": {"kind": "power_tail", "v0": 0.5, "rho": rho}}))
+        out = tmp_path / "out"
+        assert cli.run(str(path), out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}; this power_tail has rho = {rho:g}\n" in err
+        assert not out.exists()
 
 
 class TestConfig:

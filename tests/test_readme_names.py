@@ -9,6 +9,10 @@ Code blocks aside, a backticked span is a reference when it is
 - a bare upper-case constant such as `MAX_SPAN_PHASE`: some package module
   assigns it at top level.  The environment variables `*_NUM_THREADS` and
   `PYTHONPATH` are not package names.
+
+And every error a run can end in, each numerics.ScatterlabError subclass
+the package defines, is named in README.md: by its class name, or by its
+non-empty prefix, the text the CLI prints after "config error: ".
 """
 
 import ast
@@ -18,6 +22,7 @@ import re
 from pathlib import Path
 
 import scatterlab
+from scatterlab.numerics import ScatterlabError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "scatterlab"
@@ -74,3 +79,30 @@ def test_a_stale_name_is_caught():
              "_cyl.RegularGridInterpolator", "OMP_NUM_THREADS", "scatterlab.obs"]
     assert [span for span, resolves in _references(spans) if not resolves] == [
         "CHEBYSHEV_TOL", "propagator.jv", "scatterlab.obs"]
+
+
+def _unnamed_errors(text):
+    """The package's ScatterlabError subclasses that text names neither by
+    class name nor by prefix, as module.Class."""
+    unnamed = []
+    for name in sorted(MODULES):
+        module = importlib.import_module(f"scatterlab.{name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and issubclass(cls, ScatterlabError)
+                    and cls.__module__ == module.__name__
+                    and not re.search(rf"\b{cls.__name__}\b", text)
+                    and not (cls.prefix and cls.prefix in text)):
+                unnamed.append(f"{name}.{cls.__name__}")
+    return unnamed
+
+
+def test_every_typed_error_is_named():
+    assert _unnamed_errors((ROOT / "README.md").read_text()) == []
+
+
+def test_an_unnamed_error_is_caught():
+    # ParameterError's prefix is empty, so only its class name names it;
+    # NumericalError's prefix names it
+    text = ("ScatterlabError DomainError ConfigError numerical: convergence: "
+            "window: resonance proximity: reflection: ")
+    assert _unnamed_errors(text) == ["numerics.ParameterError"]
