@@ -42,9 +42,9 @@ _CELL_NODES = 4   # Gauss nodes per b_n table cell, along s and along z
 
 
 class ConvergenceError(ScatterlabError, RuntimeError):
-    """A quadrature that fails: its panel budget or its tail estimate.  An
-    integral that diverges for the decay of v is a DomainError instead
-    (PotentialModel.require_decay)."""
+    """A quadrature that fails: its panel budget, its end or its tail
+    estimate.  An integral that diverges for the decay of v is a
+    DomainError instead (PotentialModel.require_decay)."""
 
     prefix = "convergence: "
 
@@ -115,12 +115,14 @@ def _power_tail_amplitude(model: PotentialModel, q: float) -> float:
 def _radial_rule(model: PotentialModel,
                  wavenumber: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(R, nodes, weights): 16 Gauss nodes on each of at least 64 equal
-    panels of [0, R], none longer than pi / wavenumber, R where |v| < 1e-18
-    |v0| (at most 5000 on a power tail).  ConvergenceError past 200 000
-    panels, before any node is built."""
-    r_cut = model.tail_radius(1e-18 * abs(model.v0))
-    if model.kind == "power_tail":
-        r_cut = min(r_cut, 5000.0)
+    panels of [0, R], none longer than pi / wavenumber, R = tail_radius(1e-18
+    |v0|) (at most 5000 on a power tail).  ConvergenceError, before any
+    node is built, when R^2 (the integrands' r^2) overflows or past 200 000
+    panels."""
+    r_cut = min(model.tail_radius(1e-18 * abs(model.v0)),
+                5000.0 if model.kind == "power_tail" else np.inf)
+    if not r_cut * r_cut < np.inf:
+        raise ConvergenceError(f"the radial rule's end R = {r_cut:g} overflows R^2")
     panels = max(64.0, np.ceil(r_cut * wavenumber / np.pi))
     if not panels <= 200000:
         raise ConvergenceError(f"the radial rule would need {panels:.3g} panels, over 200000")
@@ -129,12 +131,11 @@ def _radial_rule(model: PotentialModel,
 
 def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> complex:
     """First Born amplitude f1(q) = -(4 pi)^-1 int exp(-i q.x) v(x) dx,
-    q = 2 k sin(theta/2): -int r^2 v sinc(qr) dr on _radial_rule, where
-    q effective_range > 1 with the bound 2 R |v(R)| / q on the tail
-    |int_R^inf r v sin(qr) dr| below 1e-9 (|v0| + |q f1|), and for a power
-    tail the closed form (_power_tail_amplitude).  v0 = 0 gives 0, as kind
-    zero does.  ParameterError unless k is a positive finite float and
-    theta lies in [0, pi]."""
+    q = 2 k sin(theta/2): -int r^2 v sinc(qr) dr on _radial_rule, whose end
+    R has |v(R)| < 1e-18 |v0|, and for a power tail the closed form
+    (_power_tail_amplitude).  v0 = 0 gives 0, as kind zero does.
+    ParameterError unless k is a positive finite float and theta lies in
+    [0, pi]."""
     if not 0.0 < k < np.inf:
         raise ParameterError(f"momentum must be positive and finite, got k={k}")
     if not 0.0 <= theta <= np.pi:   # partialwave.amplitude's rule
@@ -144,14 +145,8 @@ def born_first_amplitude(model: PotentialModel, k: float, theta: float) -> compl
     q = 2.0 * k * np.sin(theta / 2.0)
     if model.kind == "power_tail":
         return complex(_power_tail_amplitude(model, q))
-    r_cut, r, w = _radial_rule(model, q)
-    val = -float(np.dot(w, r * r * model.radial_values(r) * np.sinc(q / np.pi * r)))
-    if q * model.effective_range > 1.0:   # below, the bound grows like 1/q
-        tail = 2.0 * r_cut * abs(float(model.radial_values(r_cut))) / q
-        if tail > 1e-9 * (abs(model.v0) + abs(q * val)):
-            raise ConvergenceError(
-                f"tail estimate {tail:.2e} at r={r_cut:.1f} exceeds tolerance")
-    return complex(val)
+    _, r, w = _radial_rule(model, q)
+    return complex(-float(np.dot(w, r * r * model.radial_values(r) * np.sinc(q / np.pi * r))))
 
 
 def born_first_phase_shift(model: PotentialModel, k: float, l: int) -> float:

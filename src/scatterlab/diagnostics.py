@@ -87,7 +87,8 @@ def hs_norm_resolvent_weight(model: PotentialModel, c: float) -> float:
 
 @dataclass(frozen=True)
 class KatoReport:
-    r: float
+    """The Kato integrals of one weight <x>^-r, in the order of rs."""
+
     T_values: np.ndarray
     integrals: np.ndarray       # I(T) / ||f||^2
     saturating: bool            # < 1% growth on the last doubling
@@ -119,9 +120,7 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
     w2 = [(1.0 + x * x) ** -r for r in rs]      # <x>^{-2r}
     norm2 = np.sum(np.abs(f.values) ** 2) * f.dx
     if norm2 == 0.0:
-        return [KatoReport(r=r, T_values=T_values,
-                           integrals=np.zeros(len(T_values)), saturating=True)
-                for r in rs]
+        return [KatoReport(T_values, np.zeros(len(T_values)), True) for _ in rs]
     ts = np.arange(0.0, T_values[-1] + 0.5 * dt, dt)
     g = np.empty((len(w2), len(ts)))
     for i, ev in enumerate(propagator.free_evolve_series(f, ts)):
@@ -132,11 +131,10 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
     cums = np.empty_like(g)
     _cyl.cumulative_trapezoid(g, dt, cums)
     reports = []
-    for r, cum in zip(rs, cums):
+    for cum in cums:
         integrals = np.interp(T_values, ts, cum) / norm2
         growth = (integrals[-1] - integrals[-2]) / max(integrals[-2], 1e-300)
-        reports.append(KatoReport(r=r, T_values=T_values, integrals=integrals,
-                                  saturating=bool(growth < 0.01)))
+        reports.append(KatoReport(T_values, integrals, bool(growth < 0.01)))
     return reports
 
 

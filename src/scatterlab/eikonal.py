@@ -106,6 +106,7 @@ class EikonalData:
     sign +1 pairs with the outgoing eigenfunction (the CONE_HALF_ANGLE
     cone excluded around the negative axis); sign -1 with the incoming one
     (cone around the positive axis).  Tables are (n_s, n_z) on grid.
+    Phi = sum_n (2 |xi|)^-n phi_n, n <= N0; the orders phi_n are not kept.
 
     The package builds sign +1 only: for a real radial potential the
     sign -1 tables are the mirror Phi_-(s, z) = -Phi_+(s, -z), and S0 needs
@@ -118,7 +119,6 @@ class EikonalData:
     xi_norm: float
     N0: int
     grid: _cyl.CylGrid
-    phi_n: tuple[np.ndarray, ...]       # n = 0..N0
     Phi: np.ndarray
     Phi_s: np.ndarray
     Phi_z: np.ndarray
@@ -241,10 +241,8 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
     if not np.isfinite(q).all():
         raise NumericalError("q = 2 |xi| Phi_z + |grad Phi|^2 + v is not finite "
                              "on the eikonal tables")
-    return EikonalData(
-        sign=sign, model=model, xi_norm=float(xi_norm),
-        N0=N0, grid=grid, phi_n=tuple(phi), Phi=Phi, Phi_s=Phi_s,
-        Phi_z=Phi_z, lap_Phi=lap_Phi, q=q)
+    return EikonalData(sign=sign, model=model, xi_norm=float(xi_norm), N0=N0, grid=grid,
+                       Phi=Phi, Phi_s=Phi_s, Phi_z=Phi_z, lap_Phi=lap_Phi, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +303,12 @@ def _taper_profile(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class S0Sample:
+    """A value, its relative change on a 25% larger window, and whether that
+    is within 10%; the transport order is psi.N of the psi sampled."""
+
     value: complex
     sensitivity: float
     converged: bool
-    N: int
 
 
 def _cells(nodes: np.ndarray):
@@ -627,13 +627,16 @@ def s0_solutions(model: PotentialModel, lam: float,
     psi_plus.time_reversed() on the same stack.  Before any table,
     ParameterError when (2 sqrt(lam))^-N overflows, when a panel of the
     nested plane rule is wider than the tables' s extent, whose nodes would
-    then miss the tables, or when its node mesh exceeds MAX_PLANE_POINTS.
+    then miss the tables, or when its node mesh exceeds MAX_PLANE_POINTS,
+    first when sqrt(lam) window >= 1e150, where the count would overflow.
     """
     sql = np.sqrt(lam)
     _check_order_weight(sql, N)
     # the nested rule of _s0_quadrature, counted without building it: the
     # window's panels, the widest, and the extension panels on both sides
     window, _ = _s0_windows(model, sql)
+    if not float(window) * float(sql) < 1e150:   # a float product overflows silently
+        raise ParameterError(f"S0 plane window {window:g} exceeds MAX_PLANE_POINTS")
     panels = _plane_panels(window, sql)
     width = 2 * window / panels
     extent = _table_extent(model)
@@ -666,8 +669,7 @@ def s0_kernel(psi: _PsiEvaluator, theta: float) -> S0Sample:
     val, val_big = _s0_quadrature(psi, theta,
                                   _s0_windows(psi.eikonal.model, psi.xi))
     sens = abs(val_big - val) / max(abs(val), 1e-300)
-    return S0Sample(value=complex(val), sensitivity=float(sens),
-                    converged=bool(sens <= 0.10), N=psi.N)
+    return S0Sample(complex(val), float(sens), bool(sens <= 0.10))
 
 
 def s0_samples(model: PotentialModel, lam: float, N: int,

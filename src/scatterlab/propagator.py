@@ -294,8 +294,8 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     free_evolve_series runs instead to each span end of _edge_spans(packet,
     t_target), with the same checks and work cap (spans times points).
     yukawa is refused first: its clipped core would set b.  A b that is not
-    a positive float (v far above (pi/dx)^2 and nearly constant) is a
-    NumericalError before any coefficient.
+    a positive finite float ((pi/dx)^2 + max v overflowing, or v far above
+    (pi/dx)^2 and nearly constant) is a NumericalError before any coefficient.
     """
     if model.kind == "yukawa":
         raise DomainError(
@@ -316,10 +316,10 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
         return out
     lo, hi = float(np.min(v)), (np.pi / dx) ** 2 + float(np.max(v))
     a, b = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    if not b > 0.0:
+    if not 0.0 < b < np.inf:
         raise NumericalError(
             f"spectral interval [{lo!r}, {hi!r}] has half-width {b!r}, not a "
-            f"positive float, at (pi/dx)**2 = {(np.pi / dx) ** 2:.6g}")
+            f"positive finite float, at (pi/dx)**2 = {(np.pi / dx) ** 2:.6g}")
     m = _edge_width(n)
     n_spans = _edge_spans(packet, t_target, MAX_SPAN_PHASE / b)
     tau = span / n_spans

@@ -219,7 +219,7 @@ class TestFirstBorn:
                                       "compact_bump", "power_tail"])
     def test_zero_strength_is_zero(self, kind, theta):
         # every kind is v0 times a profile; at v0 = 0 the cutoff radius
-        # tail_radius(1e-18 |v0|) runs to its cap, past the panel cap
+        # tail_radius(1e-18 |v0|) would be asked for tol = 0, which it refuses
         model = PotentialModel(kind=kind, v0=0.0)
         assert born.born_first_amplitude(model, 1.0, theta) == 0.0
         assert born.born_first_phase_shift(model, 1.0, 0) == 0.0
@@ -280,6 +280,47 @@ class TestFirstBorn:
             ratios.append([f1.real / v0] + [born.born_first_phase_shift(model, q, l) / v0
                                             for l in (0, 2)])
         np.testing.assert_allclose(ratios, [ratios[0]] * 4, rtol=1e-14, atol=0.0)
+
+    def test_wide_gaussian_forward_closed_form(self):
+        # -int r^2 v dr = -v0 sqrt(pi) w^3 / 4: the rule ends where |v| <
+        # 1e-18 |v0|, at 7.45e6, where a search capped at r = 1e6 read 57% low
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=1e6)
+        val = born.born_first_amplitude(model, 1.0, 0.0)
+        assert val.imag == 0.0
+        assert val.real == pytest.approx(np.sqrt(np.pi) * 1e18 / 4, rel=1e-10)
+
+    def test_wide_yukawa_forward_closed_form(self):
+        # -g width^2 at g = -1, width 1e5; a search capped at r = 1e6 read
+        # 5.0e-4 low
+        model = PotentialModel(kind="yukawa", v0=-1.0, width=1e5)
+        assert born.born_first_amplitude(model, 1.0, 0.0).real == pytest.approx(
+            1e10, rel=1e-10)
+
+    def test_wide_gaussian_phase_shift_closed_form(self):
+        # delta_0^1 = -(v0 / k) int v sin^2(kr) dr / v0
+        #           = -(v0 / k) (sqrt(pi) w / 4) (1 - e^{-k^2 w^2}), at k w = 1;
+        # a search capped at r = 1e6 read 43% low
+        width, k = 1e6, 1e-6
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=width)
+        expect = (1.0 / k) * (np.sqrt(np.pi) * width / 4) * -np.expm1(-(k * width) ** 2)
+        assert born.born_first_phase_shift(model, k, 0) == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa", "square_well",
+                                      "compact_bump"])
+    def test_radial_rule_refuses_an_end_whose_square_overflows(self, monkeypatch, kind):
+        # at width 1e308 the rule's end is 1e308 or inf (the Gaussian's
+        # ladder passes the largest float with |v| above 1e-18): r^2 v on
+        # its nodes would be inf or nan, so no node is built
+        def no_rule(*args):
+            raise AssertionError("built a quadrature rule past R^2 = inf")
+
+        monkeypatch.setattr(born, "composite_gauss", no_rule)
+        model = PotentialModel(kind=kind, v0=-1.0, width=1e308)
+        for theta in (0.0, 1e-300, np.pi):
+            with pytest.raises(born.ConvergenceError, match="overflows R\\^2"):
+                born.born_first_amplitude(model, 1.0, theta)
+        with pytest.raises(born.ConvergenceError, match="overflows R\\^2"):
+            born.born_first_phase_shift(model, 1.0, 0)
 
     def test_panel_cap_refused_before_any_quadrature(self, monkeypatch):
         # the unit Gaussian's rule ends at r = 7.45: q = 2e5 and k = 2e5 ask
@@ -639,6 +680,24 @@ class TestCriterion06ClosedForm:
 
 
 class TestKernel:
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_error_order_at_fixed_momentum_transfer(self, q):
+        # at theta(lam) = 2 asin(q / 2 sqrt(lam)) the transfer q stays put,
+        # and |k_exact - k_N| falls as lam^(-N/2): slopes -0.002, -0.505
+        # and -1.161 at q = 1, -0.006, -0.507 and -1.066 at q = 2, every
+        # error at least 2.5e-6.  At a fixed theta q grows like sqrt(lam),
+        # and C4's lam >= 100 errors are the exact kernel's own size
+        lams = np.array([25.0, 50.0, 100.0, 200.0])
+        thetas = 2.0 * np.arcsin(q / (2.0 * np.sqrt(lams)))
+        exact = np.array([born.exact_kernel(GAUSS, lam, theta)
+                          for lam, theta in zip(lams, thetas)])
+        for N, tol in ((0, 0.05), (1, 0.05), (2, 0.25)):
+            errors = np.abs(exact - [born.high_energy_kernel(GAUSS, lam, theta, N)
+                                     for lam, theta in zip(lams, thetas)])
+            assert errors.min() > 1e-6
+            slope = np.polyfit(np.log(lams), np.log(errors), 1)[0]
+            assert abs(slope + N / 2) <= tol, (N, slope)
+
     def test_n0_matches_first_born(self):
         # k_0 = (i sqrt(lam) / 2 pi) f_1(q): an identity, not an expansion
         lam, theta = 4.0, np.pi / 3

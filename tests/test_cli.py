@@ -1154,6 +1154,47 @@ class TestTypedErrors:
             "params": {"n": 64}},
             f"numerical: spectral interval [{v0!r}, {v0!r}] has half-width 0.0")
 
+    # the eikonal tables of an infinite extent warn on their way to the
+    # NumericalError on q, as a run outside pytest prints and goes on
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa"])
+    @pytest.mark.parametrize("experiment,params", [
+        *[(name, {}) for name in cli.EXPERIMENTS if name not in ("diagnose", "acceptance")],
+        *[("diagnose", {"check": check}) for check in cli.EXPERIMENTS["diagnose"]],
+        ("eikonal", {"N0": 1}), ("moller", {"modified": True})],
+        ids=lambda value: value if isinstance(value, str) else
+        ",".join(f"{key}={item}" for key, item in value.items()) or "defaults")
+    def test_widest_potential_ends_in_a_result_or_a_typed_error(
+            self, tmp_path, capsys, kind, experiment, params):
+        # width 1e308 at every default, and with the ray integrals of N0 = 1
+        # and the Xi term: the radius searches run to r = inf, and a rule,
+        # line or window that would reach it is refused, never a traceback
+        # or a non-finite row
+        path = write_config(tmp_path, {
+            "experiment": experiment,
+            "potential": {"kind": kind, "v0": -1.0, "width": 1e308},
+            "params": params})
+        start = time.perf_counter()
+        code = cli.run(path, out_dir=str(tmp_path / "out"))
+        assert code in (0, 2)
+        if code == 2:
+            assert "config error: " in capsys.readouterr().err
+        assert time.perf_counter() - start < 10.0
+
+    def test_infinite_spectral_width_refused(self, tmp_path, capsys, monkeypatch):
+        # (pi/dx)**2 + max v overflows, so the half-width is inf; refused
+        # before any coefficient, and before the edge-check spans divide by
+        # MAX_SPAN_PHASE / inf = 0
+        def no_coefficients(*args, **kwargs):
+            raise AssertionError("computed coefficients for a refused run")
+
+        monkeypatch.setattr(propagator, "_expansion", no_coefficients)
+        self._assert_typed(tmp_path, capsys, {
+            "experiment": "propagate",
+            "potential": {"kind": "gaussian_well", "v0": 1.7e308, "width": 1e300},
+            "params": {"dx": 2.6e-154, "sigma": 1e-152, "n": 64}},
+            "numerical: spectral interval [1.7e+308, inf] has half-width inf")
+
     @pytest.mark.parametrize("experiment,params,message", [
         ("eikonal", {"xi_norm": 1e-155}, "(2 |xi|)^-N overflows"),
         ("eikonal", {"xi_norm": 1e-300}, "(2 |xi|)^-N overflows"),
@@ -1271,7 +1312,7 @@ class TestTypedErrors:
         ("eikonal", {"N": 1}, eikonal, "residual_norms",
          lambda eik, N: [0.5, np.nan], "row 1, column residual_norm: nan is not finite"),
         ("s0", {"thetas": [0.3]}, eikonal, "s0_samples",
-         lambda model, lam, N, thetas: [eikonal.S0Sample(complex(np.inf, 0.0), 0.0, True, N)],
+         lambda model, lam, N, thetas: [eikonal.S0Sample(complex(np.inf, 0.0), 0.0, True)],
          "row 0, column re_s0: inf is not finite"),
     ], ids=["hs", "eikonal", "s0"])
     def test_non_finite_output_row_refused(self, tmp_path, capsys, monkeypatch,

@@ -7,6 +7,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from scatterlab import acceptance, diagnostics, numerics, propagator
+from scatterlab.born import ConvergenceError
 from scatterlab.numerics import DomainError, ParameterError
 from scatterlab.potentials import PotentialModel
 
@@ -166,6 +167,20 @@ class TestHsNorm:
         val = diagnostics.hs_norm_resolvent_weight(GAUSS, 1.0)
         assert val == pytest.approx(np.sqrt(np.pi) / 8, rel=1e-10)
 
+    def test_wide_gaussian_closed_form(self):
+        # ||v||_1 / (8 pi) = sqrt(pi) w^3 / 8 at c = 1; the forward rule ends
+        # past r = 1e6, where a capped search read 57% low
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=1e6)
+        val = diagnostics.hs_norm_resolvent_weight(model, 1.0)
+        assert val == pytest.approx(np.sqrt(np.pi) * 1e18 / 8, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa", "square_well",
+                                      "compact_bump"])
+    def test_widest_width_refused_not_nan(self, kind):
+        model = PotentialModel(kind=kind, v0=-1.0, width=1e308)
+        with pytest.raises(ConvergenceError, match="overflows R"):
+            diagnostics.hs_norm_resolvent_weight(model, 1.0)
+
     def test_c_scaling_exact(self):
         v1 = diagnostics.hs_norm_resolvent_weight(GAUSS, 1.0)
         v16 = diagnostics.hs_norm_resolvent_weight(GAUSS, 16.0)
@@ -308,13 +323,11 @@ class TestKato:
         assert calls.count("forward") == 1
 
     def test_several_weights_match_one_call_each(self):
-        Ts = [5.0, 10.0, 20.0]
-        reps = diagnostics.kato_smoothness_integrals([1.0, 0.25, 0.5],
-                                                     self._packet(), Ts, dt=0.5)
-        assert [rep.r for rep in reps] == [1.0, 0.25, 0.5]
-        for rep in reps:
-            [one] = diagnostics.kato_smoothness_integrals([rep.r],
-                                                          self._packet(), Ts,
+        Ts, rs = [5.0, 10.0, 20.0], [1.0, 0.25, 0.5]
+        reps = diagnostics.kato_smoothness_integrals(rs, self._packet(), Ts, dt=0.5)
+        assert len(reps) == len(rs)
+        for r, rep in zip(rs, reps):
+            [one] = diagnostics.kato_smoothness_integrals([r], self._packet(), Ts,
                                                           dt=0.5)
             assert np.array_equal(rep.integrals, one.integrals)
             assert rep.saturating == one.saturating

@@ -11,7 +11,7 @@ from scatterlab import _cyl, eikonal
 from scatterlab.eikonal import (S0_SIGN, TAPER_FRACTION, _PsiEvaluator,
                                 _plane_rule, _taper_profile)
 from scatterlab.numerics import DomainError, ParameterError, composite_gauss
-from scatterlab.potentials import PotentialModel
+from scatterlab.potentials import PotentialModel, ray_difference
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
 TAIL2 = PotentialModel(kind="power_tail", v0=1.0, rho=2.0)
@@ -145,10 +145,16 @@ class TestIteration:
         assert eikonal.default_n0(0.75) == 2
 
     def test_phi1_solves_ray_equation(self):
-        # (2|xi|)^{-1} phi_1 equals the exact ray integral Phi
+        # at N0 = 1, Phi = (2|xi|)^{-1} phi_1, and phi_1 is the difference ray
+        # integral; on the far row it is the anchor itself
         data = eikonal.eikonal_iterate(GAUSS, 5.0, N0=1)
-        phi1_scaled = data.phi_n[1] / (2 * data.xi_norm)
-        assert np.max(np.abs(phi1_scaled - data.Phi)) < 1e-10
+        grid = data.grid
+        phi1 = data.Phi * (2 * data.xi_norm)
+        np.testing.assert_allclose(
+            phi1[:, -1], ray_difference(GAUSS, grid.s, grid.z[-1]), rtol=1e-14, atol=1e-15)
+        rows, cols = np.array([0, 10, 40, 100]), np.array([0, 120, 240, 360])
+        ref = ray_difference(GAUSS, grid.s[rows][:, None], grid.z[cols])
+        assert np.max(np.abs(phi1[np.ix_(rows, cols)] - ref)) < 1e-10
 
     def test_phi_at_matches_quadrature(self):
         data = eikonal.eikonal_iterate(GAUSS, 5.0, N0=1)
@@ -230,9 +236,13 @@ class TestIteration:
             got = eikonal._phi3_anchor(model, grid.s[rows], a, sign)
             ref = [sign * reference(grid.s[i], a) for i in rows]
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+        # phi_3 = (Phi at N0 = 3 - Phi at N0 = 2) (2|xi|)^3: phi_2 = 0, so the
+        # two sums share every other term
+        two = eikonal.eikonal_iterate(model, 5.0, N0=2)
+        phi3 = (data.Phi[:, -1] - two.Phi[:, -1]) * (2 * data.xi_norm) ** 3
         np.testing.assert_allclose(
-            data.phi_n[3][:, -1], eikonal._phi3_anchor(model, grid.s, grid.z[-1], +1),
-            rtol=0.0, atol=0.0)
+            phi3, eikonal._phi3_anchor(model, grid.s, grid.z[-1], +1),
+            rtol=1e-12, atol=0.0)
 
 
 class TestTransport:
@@ -299,7 +309,7 @@ class TestS0:
         # the span is read from the extremes and the fit does not depend on
         # the order; samples |omega - omega'|^-2 fit the exponent -2
         def samples(model, lam, N, thetas):
-            return [eikonal.S0Sample((2.0 * np.sin(th / 2)) ** -2.0, 0.0, True, N)
+            return [eikonal.S0Sample((2.0 * np.sin(th / 2)) ** -2.0, 0.0, True)
                     for th in thetas]
 
         monkeypatch.setattr(eikonal, "s0_samples", samples)
@@ -333,8 +343,8 @@ class TestS0Samples:
         samples = eikonal.s0_samples(GAUSS, 25.0, 1, thetas)
         assert builds == [(GAUSS, 25.0, 1)]
         psi = _solutions(GAUSS, 25.0, 1)[0]
+        assert psi.N == 1
         for th, sample in zip(thetas, samples):
-            assert sample.N == 1
             assert sample == eikonal.s0_kernel(psi, th)
 
 
@@ -893,6 +903,16 @@ class TestS0Preflight:
         with pytest.raises(ParameterError, match="S0 plane mesh of 4096 points "
                            "at lambda = 25 exceeds MAX_PLANE_POINTS = 4095"):
             eikonal.s0_solutions(GAUSS, sql**2, 1)
+
+    @pytest.mark.parametrize("width", [1e154, 1e300, 5e306, 1e308])
+    def test_wide_window_refused_before_its_panels(self, monkeypatch, width):
+        # 3 effective_range is 1.8e155 up to inf: the mesh count passed the
+        # float range in its message, and an infinite window's panel count
+        # was no integer
+        monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=width)
+        with pytest.raises(ParameterError, match="exceeds MAX_PLANE_POINTS"):
+            eikonal.s0_solutions(model, 100.0, 3)
 
     @pytest.mark.parametrize("lam", [1e6, 1e30, 1e300])
     def test_large_lambda_refused_before_tables(self, monkeypatch, lam):

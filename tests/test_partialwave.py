@@ -593,6 +593,49 @@ class TestTraceSumRule:
         assert gaps[0] / gaps[1] == pytest.approx(16.0, abs=2.0)
 
 
+class TestUnitarityOracle:
+    """The generalized optical theorem at second order in v: for a real
+    radial v, Im f(omega, omega') = (k / 4 pi) int f(omega, omega'')
+    conj(f(omega', omega'')) d omega'', and f_1 is real, so Im a(theta) =
+    I[f_1](theta) + O(v^3), with I[f_1] = (k / 4 pi) int f_1(omega . omega'')
+    f_1(omega' . omega'') d omega'' from the closed-form f_1 alone."""
+
+    K, L_MAX = 2.0, 30
+    STRENGTHS = np.array([0.4, 0.2, 0.1, 0.05, 0.025])
+
+    @classmethod
+    def sphere_integral(cls, f1, theta):
+        """I[f_1](theta), omega = e_z and omega' at angle theta in the xz
+        plane, on 200 Gauss nodes in cos theta'' x 400 equispaced phi'';
+        f1 takes q^2 = 2 k^2 (1 - cos)."""
+        x, wx = np.polynomial.legendre.leggauss(200)
+        phi = np.arange(400) * (2.0 * np.pi / 400)
+        cos_b = (np.sin(theta) * np.sqrt(1.0 - x * x))[:, None] * np.cos(phi) \
+            + np.cos(theta) * x[:, None]
+        k2 = 2.0 * cls.K ** 2
+        sphere = np.sum(wx[:, None] * f1(k2 * (1.0 - x))[:, None] * f1(k2 * (1.0 - cos_b)))
+        return cls.K / (4.0 * np.pi) * sphere * (2.0 * np.pi / 400)
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+    @pytest.mark.parametrize("kind", ["yukawa", "gaussian_well"])
+    def test_gap_is_third_order_in_strength(self, kind, theta):
+        # measured log-log slopes in g: 3.024 and 3.034 (yukawa, theta = 0
+        # and pi/2), 2.928 and 3.069 (Gaussian)
+        # f_1 of the unit-width profile: -1 / (q^2 + 1) for yukawa (mu = 1)
+        # at v0 = g, (sqrt(pi) / 4) e^{-q^2/4} for the Gaussian at v0 = -g
+        v0_sign, unit_f1 = ((1.0, lambda q2: -1.0 / (q2 + 1.0)) if kind == "yukawa" else
+                            (-1.0, lambda q2: np.sqrt(np.pi) / 4.0 * np.exp(-q2 / 4.0)))
+        unit = self.sphere_integral(unit_f1, theta)
+        gaps = []
+        for g in self.STRENGTHS:
+            model = PotentialModel(kind=kind, v0=v0_sign * g, width=1.0)
+            a = partialwave.amplitude(partialwave.phase_shift_table(model, self.K, self.L_MAX),
+                                      theta)
+            gaps.append(abs(a.imag - g * g * unit))
+        slope = np.polyfit(np.log(self.STRENGTHS), np.log(gaps), 1)[0]
+        assert slope == pytest.approx(3.0, abs=0.1)
+
+
 class TestAmplitude:
     def test_optical_theorem(self):
         # Im a(0) = (k / 4 pi) sigma_tot for a unitary truncated sum

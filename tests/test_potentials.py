@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from scatterlab import (_cyl, born, cli, diagnostics, eikonal, partialwave, potentials,
                         propagator)
-from scatterlab.numerics import DomainError
+from scatterlab.numerics import DomainError, NumericalError, ParameterError
 from scatterlab.potentials import (
     KINDS,
     PARAMETERS,
@@ -117,6 +117,33 @@ class TestModel:
         r = m.tail_radius(1e-10)
         assert abs(m.radial_values(r)) < 1e-10
         assert abs(m.radial_values(r / 1.3)) > 1e-10
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+    def test_tail_radius_refuses_a_tol_that_ends_no_search(self, tol):
+        # |v| < tol never holds at tol <= 0 or nan, and always at inf
+        for kind in KINDS:
+            with pytest.raises(ParameterError, match="tol must be positive and finite"):
+                PotentialModel(kind=kind, v0=-1.0 if kind != "zero" else None).tail_radius(tol)
+
+    def test_tail_radius_ladder(self):
+        # the rungs max(width, 1) 1.25^j; power_tail stops at r = 1e6
+        tail = PotentialModel(kind="power_tail", v0=1.0, rho=2.0)
+        assert tail.tail_radius(1e-3) == 1.25 ** 16
+        assert tail.tail_radius(1e-13) == 1e6
+        assert PotentialModel(kind="power_tail", v0=1.0, rho=0.5).tail_radius(1e-10) == 1e6
+        assert PotentialModel(kind="zero").tail_radius(1e-10) == 0.0
+        for kind in ("square_well", "compact_bump"):
+            assert PotentialModel(kind=kind, v0=-1.0, width=0.3).tail_radius(1e-10) == 0.3
+
+    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa"])
+    def test_tail_radius_has_no_cap_on_faster_than_power_kinds(self, kind):
+        # the ladder walks past r = 1e6 to the first rung where |v| < tol,
+        # and to r = inf, where v is 0, when every finite rung has |v| >= tol
+        width = 1e6
+        m = PotentialModel(kind=kind, v0=-1.0, width=width)
+        r = m.tail_radius(1e-18)
+        assert r > 1e6 and abs(m.radial_values(r)) < 1e-18 <= abs(m.radial_values(r / 1.25))
+        assert PotentialModel(kind=kind, v0=-1e300, width=1e308).tail_radius(1e-300) == np.inf
 
 
 class TestDecay:
@@ -281,6 +308,28 @@ def _quad_line(model, s, a, b, shift=None):
 class TestLineIntegral:
     """potentials.line_integral and ray_difference against adaptive
     quadrature and closed forms."""
+
+    def test_wide_gaussian_closed_form(self):
+        # int_0^inf v dw = v0 (sqrt(pi) w / 2) e^{-s^2/w^2}; the levels end
+        # where |v| < 1e-16 |v0|, past r = 1e6, where a capped search ended
+        # them and read the line at s = 1e5 16% low and the difference at
+        # s = 3e5 5.5% high
+        width = 1e6
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=width)
+        half = -np.sqrt(np.pi) * width / 2
+        assert line_integral(model, 1e5, 0.0) == pytest.approx(
+            half * np.exp(-(1e5 / width) ** 2), rel=1e-10)
+        assert ray_difference(model, 3e5, 0.0) == pytest.approx(
+            half * np.expm1(-(3e5 / width) ** 2), rel=1e-10)
+
+    @pytest.mark.parametrize("kind,width", [("gaussian_well", 1e308), ("yukawa", 1e200),
+                                            ("square_well", 1e300)])
+    def test_line_end_whose_square_overflows_refused(self, kind, width):
+        # the levels would end at inf or past 1.34e154, where their squares
+        # overflow and the panels read nan (s = 1e199 keeps off the yukawa core)
+        model = PotentialModel(kind=kind, v0=-1.0, width=width)
+        with pytest.raises(NumericalError, match="overflows R\\^2"):
+            line_integral(model, 1e199, 0.0)
 
     def test_power_tail_difference_against_quadrature(self):
         rng = np.random.default_rng(12)

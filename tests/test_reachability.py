@@ -15,6 +15,12 @@ Every name a package module assigns at top level, dunders excepted, is
 read: loaded by its bare name in its own module, or imported or reached as
 `module.name` from the package or the benchmark.
 
+Every field of a package dataclass is read: loaded as an attribute by its
+name (`x.field`) somewhere in the package or the benchmark.  The check goes
+by name alone, so a field shares its reads with any attribute of the same
+name: `S0Sample.N` passed as long as `_PsiEvaluator.N` was read.  A class
+that the package serializes whole with `asdict` is exempt (SERIALIZED).
+
 Every module-level import of the package is used in its module, except
 the scipy names that the benchmark tracer wraps (`SCIPY` in
 `perfbench/tracing.py`), which stay bound for it.
@@ -43,6 +49,11 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 ALLOWED = {
     ("born", "born_first_phase_shift"): "oracle of the partial-wave tests",
+}
+
+
+SERIALIZED = {
+    ("acceptance", "CriterionResult"): "cli writes each result whole with asdict",
 }
 
 
@@ -380,3 +391,31 @@ def test_every_import_is_used():
         unused += [(path.stem, name) for name in bound
                    if name not in used and name not in exempt.get(path.stem, ())]
     assert not unused, f"imports nothing in their module uses: {sorted(unused)}"
+
+
+def dataclass_fields() -> dict[tuple[str, str], list[str]]:
+    """(module, class) -> its field names, for every @dataclass of the package."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d, "id", None) == "dataclass"
+                    or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                found[(path.stem, node.name)] = [
+                    item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is carried, and computed, for no result
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    fields = dataclass_fields()
+    assert set(SERIALIZED) <= set(fields), "SERIALIZED names a class that is gone"
+    unread = sorted((*key, name) for key, names in fields.items()
+                    if key not in SERIALIZED for name in names if name not in read)
+    assert not unread, f"dataclass fields nothing reads: {unread}"
