@@ -42,9 +42,9 @@ _CELL_NODES = 4   # Gauss nodes per b_n table cell, along s and along z
 
 
 class ConvergenceError(ScatterlabError, RuntimeError):
-    """A quadrature that fails: its panel budget, its end or its tail
-    estimate.  An integral that diverges for the decay of v is a
-    DomainError instead (PotentialModel.require_decay)."""
+    """A quadrature that fails: its panel budget or its tail estimate.  An
+    integral that diverges for the decay of v is a DomainError instead
+    (PotentialModel.require_decay)."""
 
     prefix = "convergence: "
 
@@ -116,13 +116,12 @@ def _radial_rule(model: PotentialModel,
                  wavenumber: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(R, nodes, weights): 16 Gauss nodes on each of at least 64 equal
     panels of [0, R], none longer than pi / wavenumber, R = tail_radius(1e-18
-    |v0|) (at most 5000 on a power tail).  ConvergenceError, before any
-    node is built, when R^2 (the integrands' r^2) overflows or past 200 000
-    panels."""
+    |v0|) (at most 5000 on a power tail).  Before any node is built,
+    model.require_end refuses an R too large, and ConvergenceError comes
+    past 200 000 panels."""
     r_cut = min(model.tail_radius(1e-18 * abs(model.v0)),
                 5000.0 if model.kind == "power_tail" else np.inf)
-    if not r_cut * r_cut < np.inf:
-        raise ConvergenceError(f"the radial rule's end R = {r_cut:g} overflows R^2")
+    model.require_end(r_cut, "the radial rule")
     panels = max(64.0, np.ceil(r_cut * wavenumber / np.pi))
     if not panels <= 200000:
         raise ConvergenceError(f"the radial rule would need {panels:.3g} panels, over 200000")

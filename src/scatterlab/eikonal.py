@@ -158,10 +158,14 @@ def _check_order_weight(xi_norm: float, n: int, name: str = "N") -> None:
 
 def _table_extent(model: PotentialModel) -> float:
     """The s extent L of the eikonal tables: 40 for power tails,
-    max(3 effective_range, 20) otherwise."""
+    max(3 effective_range, 20) otherwise; ParameterError, before any table,
+    when their z span 3 L overflows."""
     if model.kind == "power_tail":
         return 40.0
-    return max(3.0 * model.effective_range, 20.0)
+    extent = max(3.0 * model.effective_range, 20.0)
+    if not 3.0 * extent < np.inf:
+        raise ParameterError(f"the eikonal tables' z span 3 L overflows at L = {extent:g}")
+    return extent
 
 
 def eikonal_iterate(model: PotentialModel, xi_norm: float,
@@ -524,13 +528,6 @@ def _plane_panels(window: float, sql: float) -> int:
     return max(6, int(np.ceil(2 * window / wavelength)))
 
 
-def _extension_panels(panels: int) -> int:
-    """Panels on each side of a window of the given panels out to 1.25
-    times its half-width: ceil(panels / 8), so none is wider than the
-    window's own."""
-    return -(-panels // 8)
-
-
 # the benchmark's eikonal.plane recorder (perfbench/tracing.py) reads the
 # nodes of a _plane_rule by name
 _PlaneRule = namedtuple("_PlaneRule", "nodes weights")
@@ -538,12 +535,12 @@ _PlaneRule = namedtuple("_PlaneRule", "nodes weights")
 
 def _plane_rule(window: float, sql: float, reach: float) -> _PlaneRule:
     """(nodes, weights) of the Gauss rule of PLANE_NODES nodes per panel on
-    the _plane_panels panels of [-window, window], nested in
-    _extension_panels equal panels on each side out to exactly +-reach
-    (1.25 window)."""
+    the _plane_panels panels of [-window, window], nested in ceil(panels /
+    8) equal panels on each side out to exactly +-reach (1.25 window), so
+    none is wider than the window's own."""
     panels = _plane_panels(window, sql)
     inner = np.linspace(-window, window, panels + 1)
-    outer = np.linspace(window, reach, _extension_panels(panels) + 1)
+    outer = np.linspace(window, reach, -(-panels // 8) + 1)
     edges = np.concatenate([-outer[:0:-1], inner, outer[1:]])
     return _PlaneRule(*composite_gauss(PLANE_NODES, edges))
 
@@ -627,26 +624,24 @@ def s0_solutions(model: PotentialModel, lam: float,
     psi_plus.time_reversed() on the same stack.  Before any table,
     ParameterError when (2 sqrt(lam))^-N overflows, when a panel of the
     nested plane rule is wider than the tables' s extent, whose nodes would
-    then miss the tables, or when its node mesh exceeds MAX_PLANE_POINTS,
-    first when sqrt(lam) window >= 1e150, where the count would overflow.
+    then miss the tables, or when its node mesh exceeds MAX_PLANE_POINTS.
     """
     sql = np.sqrt(lam)
     _check_order_weight(sql, N)
-    # the nested rule of _s0_quadrature, counted without building it: the
-    # window's panels, the widest, and the extension panels on both sides
-    window, _ = _s0_windows(model, sql)
-    if not float(window) * float(sql) < 1e150:   # a float product overflows silently
-        raise ParameterError(f"S0 plane window {window:g} exceeds MAX_PLANE_POINTS")
-    panels = _plane_panels(window, sql)
-    width = 2 * window / panels
     extent = _table_extent(model)
+    # the nested rule of _s0_quadrature, counted as _plane_rule counts it
+    # but in floats (inf past the float range): the window's panels, the
+    # widest, and the extension panels on both sides
+    window, _ = _s0_windows(model, sql)
+    panels = max(6.0, float(np.ceil(2 * float(window) / (2.0 * np.pi / float(sql)))))
+    width = 2 * window / panels
     if width > extent:
         raise ParameterError(
             f"S0 plane panels of width {width:g} at lambda = {lam:g} "
             f"exceed the tables' s extent {extent:g}")
-    points = (PLANE_NODES * (panels + 2 * _extension_panels(panels))) ** 2
-    if points > MAX_PLANE_POINTS:
-        raise ParameterError(f"S0 plane mesh of {points:.4g} points at lambda = "
+    side = PLANE_NODES * (panels + 2 * float(np.ceil(panels / 8)))
+    if side * side > MAX_PLANE_POINTS:
+        raise ParameterError(f"S0 plane mesh of {side * side:.4g} points at lambda = "
                              f"{lam:g} exceeds MAX_PLANE_POINTS = {MAX_PLANE_POINTS}")
     eik = eikonal_iterate(model, sql, sign=+1)
     b_n = tuple(islice(_recursion(eik, N), 0, 2 * N + 1, 2))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exprel, gamma, hyp2f1
 
-from .numerics import DomainError, NumericalError, ParameterError, gauss_panels
+from .numerics import DomainError, NumericalError, gauss_panels
 
 # The parameters each kind takes.  power_tail's length scale is the 1 of
 # 1 + r^2, so its width is fixed at 1; zero takes nothing.
@@ -72,6 +72,14 @@ class PotentialModel:
             raise DomainError(f"{what} needs rho > {rho:g}; this {self.kind} "
                               f"has rho = {self.rho:g}")
 
+    def require_end(self, r_end: float, what: str) -> None:
+        """NumericalError unless R^2 max(R |v0|, 1) < 1e300 at R = r_end, which
+        bounds the squared radii and the sums of r^2 |v| (weights summing to
+        R) of what, a rule on [0, R], with 1e8 to spare for their factors."""
+        if not r_end * r_end * max(r_end * abs(self.v0), 1.0) < 1e300:
+            raise NumericalError(f"{what} would end at R = {r_end:g}, where "
+                                 f"R^2 max(R |v0|, 1) >= 1e300")
+
     # -- radial profile -------------------------------------------------
 
     def radial_values(self, r):
@@ -113,19 +121,16 @@ class PotentialModel:
         return 10.0  # power_tail: no compact range; scale only
 
     def tail_radius(self, tol: float) -> float:
-        """The first rung r = max(width, 1) 1.25^j where |v| < tol (width for
+        """The first rung r = max(width, 1) 1.25^j where |v| <= tol (width for
         square_well and compact_bump, 0 for zero): at most 1e6 on power_tail,
-        at most inf, where v is 0, on the kinds that decay faster than any
-        power.  ParameterError unless tol is positive and finite."""
-        if not 0.0 < tol < np.inf:
-            raise ParameterError(f"tol must be positive and finite, got {tol}")
+        else at most inf, where v is 0, so an underflowed tol of 0 ends too."""
         if self.kind == "zero":
             return 0.0
         if self.kind in ("square_well", "compact_bump"):
             return self.width
         cap = 1e6 if self.kind == "power_tail" else np.inf
         r = max(self.width, 1.0)
-        while r < cap and not abs(float(self.radial_values(r))) < tol:
+        while r < cap and not abs(float(self.radial_values(r))) <= tol:
             r *= 1.25
         return min(r, cap)
 
@@ -217,8 +222,8 @@ def line_integral(model: PotentialModel, s, a, b=np.inf, f=None) -> np.ndarray:
     Otherwise: running sums of 8-node Gauss panels between the crossings of
     radial levels (64 panels over [0, width], then ratio 1.25) along each
     distinct line, plus a partial panel to each end.  The levels end at
-    R = tail_radius(1e-16 |v0|), so an f other than v must decay fast enough
-    there, and NumericalError when R^2 overflows.  yukawa raises DomainError
+    R = tail_radius(1e-16 |v0|), which model.require_end bounds, so an f
+    other than v must decay fast enough there.  yukawa raises DomainError
     when the segment comes within width/64 of the origin, into the 1/r core.
     """
     s, a, b = np.broadcast_arrays(np.abs(np.asarray(s, dtype=float)),
@@ -234,8 +239,7 @@ def line_integral(model: PotentialModel, s, a, b=np.inf, f=None) -> np.ndarray:
         def f(s, w):
             return model.radial_values(np.hypot(s, w))
     far = model.tail_radius(1e-16 * abs(model.v0))
-    if not far * far < np.inf:
-        raise NumericalError(f"the line rule's end R = {far:g} overflows R^2")
+    model.require_end(far, "the line rule")
     n_geo = int(np.ceil(np.log(max(far / model.width, 1.0)) / np.log(1.25)))
     levels = np.concatenate([np.linspace(0.0, model.width, 65),
                              model.width * 1.25 ** np.arange(1, n_geo + 1)])

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.special import erfc
 
 from scatterlab import _cyl, born, eikonal
-from scatterlab.numerics import DomainError, ParameterError, composite_gauss
+from scatterlab.numerics import DomainError, NumericalError, ParameterError, composite_gauss
 from scatterlab.potentials import PotentialModel, line_integral
 
 GAUSS = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
@@ -305,22 +305,33 @@ class TestFirstBorn:
         expect = (1.0 / k) * (np.sqrt(np.pi) * width / 4) * -np.expm1(-(k * width) ** 2)
         assert born.born_first_phase_shift(model, k, 0) == pytest.approx(expect, rel=1e-10)
 
-    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa", "square_well",
-                                      "compact_bump"])
-    def test_radial_rule_refuses_an_end_whose_square_overflows(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind,width", [
+        *[(kind, 1e308) for kind in ("gaussian_well", "yukawa", "square_well", "compact_bump")],
+        ("gaussian_well", 1e120), ("yukawa", 1e120)])
+    def test_radial_rule_refuses_an_end_too_large(self, monkeypatch, kind, width):
         # at width 1e308 the rule's end is 1e308 or inf (the Gaussian's
-        # ladder passes the largest float with |v| above 1e-18): r^2 v on
-        # its nodes would be inf or nan, so no node is built
+        # ladder passes the largest float with |v| above 1e-18), where r^2 v
+        # on its nodes would be inf or nan; at 1e120 R^2 is finite but the
+        # sums of r^2 v, of order w^3, are not, and at k = 1e-119, theta = pi
+        # their terms overflowed to +-inf and summed to nan.  No node is built
         def no_rule(*args):
-            raise AssertionError("built a quadrature rule past R^2 = inf")
+            raise AssertionError("built a quadrature rule past the float range")
 
         monkeypatch.setattr(born, "composite_gauss", no_rule)
-        model = PotentialModel(kind=kind, v0=-1.0, width=1e308)
-        for theta in (0.0, 1e-300, np.pi):
-            with pytest.raises(born.ConvergenceError, match="overflows R\\^2"):
-                born.born_first_amplitude(model, 1.0, theta)
-        with pytest.raises(born.ConvergenceError, match="overflows R\\^2"):
+        model = PotentialModel(kind=kind, v0=-1.0, width=width)
+        for k, theta in ((1.0, 0.0), (1.0, 1e-300), (1.0, np.pi), (1e-119, np.pi)):
+            with pytest.raises(NumericalError, match="the radial rule would end at R = "):
+                born.born_first_amplitude(model, k, theta)
+        with pytest.raises(NumericalError, match="the radial rule would end at R = "):
             born.born_first_phase_shift(model, 1.0, 0)
+
+    def test_widest_admitted_gaussian_closed_form(self):
+        # the rule ends at R = 7.45e99, where R^3 |v0| = 4.1e299 is below
+        # 1e300: admitted, and f1(0) = -v0 sqrt(pi) w^3 / 4 = 4.4e296
+        width = 1e99
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=width)
+        assert born.born_first_amplitude(model, 1.0, 0.0).real == pytest.approx(
+            np.sqrt(np.pi) * width**3 / 4, rel=1e-10)
 
     def test_panel_cap_refused_before_any_quadrature(self, monkeypatch):
         # the unit Gaussian's rule ends at r = 7.45: q = 2e5 and k = 2e5 ask

@@ -1154,9 +1154,6 @@ class TestTypedErrors:
             "params": {"n": 64}},
             f"numerical: spectral interval [{v0!r}, {v0!r}] has half-width 0.0")
 
-    # the eikonal tables of an infinite extent warn on their way to the
-    # NumericalError on q, as a run outside pytest prints and goes on
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa"])
     @pytest.mark.parametrize("experiment,params", [
         *[(name, {}) for name in cli.EXPERIMENTS if name not in ("diagnose", "acceptance")],
@@ -1180,6 +1177,15 @@ class TestTypedErrors:
         if code == 2:
             assert "config error: " in capsys.readouterr().err
         assert time.perf_counter() - start < 10.0
+
+    def test_subnormal_strength_runs(self, tmp_path):
+        # the ray integrals' relative tolerance 1e-16 |v0| underflows to 0
+        # at v0 = -1e-310; their levels end where v underflows to 0 too
+        path = write_config(tmp_path, {
+            "experiment": "eikonal",
+            "potential": {"kind": "gaussian_well", "v0": -1e-310, "width": 1.0},
+            "params": {"N0": 1}})
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 0
 
     def test_infinite_spectral_width_refused(self, tmp_path, capsys, monkeypatch):
         # (pi/dx)**2 + max v overflows, so the half-width is inf; refused

@@ -7,8 +7,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from scatterlab import acceptance, diagnostics, numerics, propagator
-from scatterlab.born import ConvergenceError
-from scatterlab.numerics import DomainError, ParameterError
+from scatterlab.numerics import DomainError, NumericalError, ParameterError
 from scatterlab.potentials import PotentialModel
 
 ZERO = PotentialModel(kind="zero")
@@ -174,11 +173,13 @@ class TestHsNorm:
         val = diagnostics.hs_norm_resolvent_weight(model, 1.0)
         assert val == pytest.approx(np.sqrt(np.pi) * 1e18 / 8, rel=1e-10)
 
-    @pytest.mark.parametrize("kind", ["gaussian_well", "yukawa", "square_well",
-                                      "compact_bump"])
-    def test_widest_width_refused_not_nan(self, kind):
-        model = PotentialModel(kind=kind, v0=-1.0, width=1e308)
-        with pytest.raises(ConvergenceError, match="overflows R"):
+    @pytest.mark.parametrize("kind,width", [
+        *[(kind, 1e308) for kind in ("gaussian_well", "yukawa", "square_well", "compact_bump")],
+        ("gaussian_well", 1e110)])
+    def test_widest_width_refused_not_nan(self, kind, width):
+        # at width 1e110 ||v||_1, of order w^3, read inf
+        model = PotentialModel(kind=kind, v0=-1.0, width=width)
+        with pytest.raises(NumericalError, match="the radial rule would end at R = "):
             diagnostics.hs_norm_resolvent_weight(model, 1.0)
 
     def test_c_scaling_exact(self):

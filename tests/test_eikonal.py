@@ -904,15 +904,21 @@ class TestS0Preflight:
                            "at lambda = 25 exceeds MAX_PLANE_POINTS = 4095"):
             eikonal.s0_solutions(GAUSS, sql**2, 1)
 
-    @pytest.mark.parametrize("width", [1e154, 1e300, 5e306, 1e308])
-    def test_wide_window_refused_before_its_panels(self, monkeypatch, width):
-        # 3 effective_range is 1.8e155 up to inf: the mesh count passed the
-        # float range in its message, and an infinite window's panel count
-        # was no integer
+    @pytest.mark.parametrize("width,lam,message", [
+        (1e150, 100.0, "S0 plane mesh of 3.283e\\+305 points"),
+        (1e300, 100.0, "S0 plane mesh of inf points"),
+        (1e306, 1e300, "S0 plane mesh of inf points"),
+        (5e306, 100.0, "z span 3 L overflows"), (1e308, 100.0, "z span 3 L overflows")])
+    def test_wide_window_refused_before_its_panels(self, monkeypatch, width, lam, message):
+        # 3 effective_range is 1.8e151 up to inf.  The mesh is counted in
+        # floats: an integer count past the float range failed to print, and
+        # a window of too many wavelengths gave an infinite panel count, no
+        # integer; both read inf points now.  Past a width of 3.4e306 the
+        # tables' z span overflows first
         monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
         model = PotentialModel(kind="gaussian_well", v0=-1.0, width=width)
-        with pytest.raises(ParameterError, match="exceeds MAX_PLANE_POINTS"):
-            eikonal.s0_solutions(model, 100.0, 3)
+        with pytest.raises(ParameterError, match=message):
+            eikonal.s0_solutions(model, lam, 3)
 
     @pytest.mark.parametrize("lam", [1e6, 1e30, 1e300])
     def test_large_lambda_refused_before_tables(self, monkeypatch, lam):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from scatterlab import (_cyl, born, cli, diagnostics, eikonal, partialwave, potentials,
                         propagator)
-from scatterlab.numerics import DomainError, NumericalError, ParameterError
+from scatterlab.numerics import DomainError, NumericalError
 from scatterlab.potentials import (
     KINDS,
     PARAMETERS,
@@ -118,12 +118,15 @@ class TestModel:
         assert abs(m.radial_values(r)) < 1e-10
         assert abs(m.radial_values(r / 1.3)) > 1e-10
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
-    def test_tail_radius_refuses_a_tol_that_ends_no_search(self, tol):
-        # |v| < tol never holds at tol <= 0 or nan, and always at inf
-        for kind in KINDS:
-            with pytest.raises(ParameterError, match="tol must be positive and finite"):
-                PotentialModel(kind=kind, v0=-1.0 if kind != "zero" else None).tail_radius(tol)
+    def test_tail_radius_ends_at_a_tol_of_zero(self):
+        # a relative tol such as 1e-18 |v0| underflows to 0 at a subnormal
+        # v0: the ladder ends at the first rung where v underflows to 0
+        # too, and power_tail at its cap
+        for kind in ("gaussian_well", "yukawa"):
+            model = PotentialModel(kind=kind, v0=-1e-310)
+            r = model.tail_radius(0.0)
+            assert model.radial_values(r) == 0.0 != model.radial_values(r / 1.25)
+        assert PotentialModel(kind="power_tail", v0=-1e-310, rho=2.0).tail_radius(0.0) == 1e6
 
     def test_tail_radius_ladder(self):
         # the rungs max(width, 1) 1.25^j; power_tail stops at r = 1e6
@@ -323,12 +326,14 @@ class TestLineIntegral:
             half * np.expm1(-(3e5 / width) ** 2), rel=1e-10)
 
     @pytest.mark.parametrize("kind,width", [("gaussian_well", 1e308), ("yukawa", 1e200),
-                                            ("square_well", 1e300)])
-    def test_line_end_whose_square_overflows_refused(self, kind, width):
+                                            ("square_well", 1e300), ("gaussian_well", 1e120)])
+    def test_line_end_too_large_refused(self, kind, width):
         # the levels would end at inf or past 1.34e154, where their squares
-        # overflow and the panels read nan (s = 1e199 keeps off the yukawa core)
+        # overflow and the panels read nan (s = 1e199 keeps off the yukawa
+        # core), or past 1e100, where model.require_end's bound refuses
+        # every rule
         model = PotentialModel(kind=kind, v0=-1.0, width=width)
-        with pytest.raises(NumericalError, match="overflows R\\^2"):
+        with pytest.raises(NumericalError, match="the line rule would end at R = "):
             line_integral(model, 1e199, 0.0)
 
     def test_power_tail_difference_against_quadrature(self):
