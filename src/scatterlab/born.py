@@ -188,16 +188,14 @@ def transport_orders(model: PotentialModel, grid: _cyl.CylGrid, q: np.ndarray,
     is a new array, which no later order writes to; i Lap Phi is formed once,
     and each source in place.
 
-    The recursion needs a smooth q: for yukawa, b_1 = int v dt diverges
-    logarithmically on the axis, so orders N >= 1 raise DomainError.  N
-    outside [0, MAX_ORDER] raises ParameterError.
+    b_1 = int v dt diverges on the axis for yukawa's 1/r core, so
+    model.require_bounded refuses N >= 1, on the first item.  N outside
+    [0, MAX_ORDER] raises ParameterError.
     """
     if not 0 <= N <= MAX_ORDER:
         raise ParameterError(f"N must lie in [0, MAX_ORDER = {MAX_ORDER}], got {N}")
-    if N >= 1 and model.kind == "yukawa":
-        raise DomainError("transport orders N >= 1 need a smooth potential; "
-                          "b_1 = int v dt diverges on the axis for the yukawa "
-                          "1/r core")
+    if N >= 1:
+        model.require_bounded("the transport order N >= 1")
     b = np.ones(q.shape, dtype=float if phi is None else complex)
     f = q
     if phi is not None:

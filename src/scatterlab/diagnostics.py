@@ -46,7 +46,8 @@ class ResonanceProximityError(ScatterlabError, ValueError):
 
 def _tridiag(model: PotentialModel, n: int, extent: float):
     """Grid x and the diagonal and off-diagonal of H = -Delta_h + v on
-    [-extent, extent] with Dirichlet ends (second-order FD)."""
+    [-extent, extent], Dirichlet ends (second-order FD); require_bounded first."""
+    model.require_bounded("the finite-difference H on the line")
     if n < 8:
         raise ParameterError("n too small")
     x = np.linspace(-extent, extent, n)
@@ -152,8 +153,9 @@ def mourre_check(model: PotentialModel, window: tuple[float, float],
     exact operator identity i[H, A] = 4 H_0 - 2 x v'(x), applied to the
     window vectors as a tridiagonal product (the raw matrix commutator
     vanishes on exact eigenvectors by the virial identity, so the symbolic
-    form is the faithful discretization).  The window is counted first:
-    WindowError when empty, ParameterError over MAX_WINDOW_FLOATS.
+    form is the faithful discretization).  yukawa is refused by _tridiag,
+    then the window is counted: WindowError when empty, ParameterError over
+    MAX_WINDOW_FLOATS.
     """
     lo, hi = window
     if not 0 < lo < hi:
@@ -318,6 +320,7 @@ def lap_probe(model: PotentialModel, lam: float, r: float, epsilons,
 
     A singular factorization, or a power-iteration norm that underflows to
     0 or is not finite (eps near the float64 limit), raises NumericalError.
+    yukawa is refused by _tridiag (DomainError), before any LAPACK call.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     if len(epsilons) < 2:

@@ -36,9 +36,9 @@ class PotentialModel:
                default 1; 1 for power_tail and zero
     rho:       decay exponent of v: power_tail's, default 2; inf for the rest
 
-    v0 must be finite, width positive and finite, and power_tail's rho
-    positive and finite; any other value is a ValueError.  require_decay is
-    the one refusal of a routine that needs v to decay faster than r^-rho.
+    v0 must be finite, width normal (>= 2.2250738585072014e-308) and finite,
+    power_tail's rho positive and finite; else ValueError.  The one refusals:
+    require_decay (v decays faster than r^-rho), require_bounded (at r = 0).
     """
 
     kind: str
@@ -60,8 +60,9 @@ class PotentialModel:
                                  f"{', '.join(takes) or 'no parameter'}")
         if not np.isfinite(self.v0):
             raise ValueError(f"v0 must be finite, got {self.v0}")
-        if not 0.0 < self.width < np.inf:
-            raise ValueError(f"width must be positive and finite, got {self.width}")
+        if not np.finfo(float).tiny <= self.width < np.inf:
+            raise ValueError(f"width must be at least the smallest normal float, "
+                             f"{np.finfo(float).tiny:.17g}, and finite, got {self.width}")
         if "rho" in takes and not 0.0 < self.rho < np.inf:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
@@ -71,6 +72,11 @@ class PotentialModel:
         if not self.rho > rho:
             raise DomainError(f"{what} needs rho > {rho:g}; this {self.kind} "
                               f"has rho = {self.rho:g}")
+
+    def require_bounded(self, what: str) -> None:
+        """DomainError if v is unbounded at r = 0 (yukawa): what samples v there."""
+        if self.kind == "yukawa":
+            raise DomainError(f"{what} needs v bounded at r = 0; this yukawa has a 1/r core")
 
     def require_end(self, r_end: float, what: str) -> None:
         """NumericalError unless R^2 max(R |v0|, 1) < 1e300 at R = r_end, which
@@ -83,27 +89,29 @@ class PotentialModel:
     # -- radial profile -------------------------------------------------
 
     def radial_values(self, r):
-        """v as a function of radius; vectorized over r >= 0."""
+        """v as a function of radius; vectorized over r >= 0.  r / width
+        overflows (tiny widths) only where v is 0, so its warning is off."""
         r = np.asarray(r, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(r)
-        if self.kind == "gaussian_well":
-            return self.v0 * np.exp(-((r / self.width) ** 2))
-        if self.kind == "yukawa":
-            mu = 1.0 / self.width
-            rr = np.maximum(r, YUKAWA_R_MIN)
-            return self.v0 * np.exp(-mu * rr) / rr
         if self.kind == "square_well":
             return np.where(r < self.width, self.v0, 0.0)
         if self.kind == "power_tail":
             return self.v0 * (1.0 + r * r) ** (-self.rho / 2.0)
-        if self.kind == "compact_bump":
-            # C^inf bump supported on r < width
-            u = np.atleast_1d(r / self.width)
-            out = np.zeros_like(u)
-            inside = u < 1.0
-            out[inside] = self.v0 * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-            return out.reshape(np.shape(r))
+        with np.errstate(over="ignore"):
+            if self.kind == "gaussian_well":
+                return self.v0 * np.exp(-((r / self.width) ** 2))
+            if self.kind == "yukawa":
+                mu = 1.0 / self.width
+                rr = np.maximum(r, YUKAWA_R_MIN)
+                return self.v0 * np.exp(-mu * rr) / rr
+            if self.kind == "compact_bump":
+                # C^inf bump supported on r < width
+                u = np.atleast_1d(r / self.width)
+                out = np.zeros_like(u)
+                inside = u < 1.0
+                out[inside] = self.v0 * np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+                return out.reshape(np.shape(r))
         raise AssertionError(self.kind)
 
     @property

@@ -22,9 +22,9 @@ from itertools import pairwise
 
 import numpy as np
 
-from .numerics import (DomainError, NumericalError, ParameterError, ScatterlabError,
-                       dft, dft_freqs, lazy_names)
-from .potentials import YUKAWA_R_MIN, PotentialModel, line_integral
+from .numerics import (NumericalError, ParameterError, ScatterlabError, dft, dft_freqs,
+                       lazy_names)
+from .potentials import PotentialModel, line_integral
 
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
 # name, so it stays bound, and scipy.integrate is imported only when it is
@@ -293,15 +293,11 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     Where v is zero on every node the series sums to e^{-ik^2 t}, which
     free_evolve_series runs instead to each span end of _edge_spans(packet,
     t_target), with the same checks and work cap (spans times points).
-    yukawa is refused first: its clipped core would set b.  A b that is not
-    a positive finite float ((pi/dx)^2 + max v overflowing, or v far above
-    (pi/dx)^2 and nearly constant) is a NumericalError before any coefficient.
+    model.require_bounded refuses yukawa first.  A b that is not a positive
+    finite float ((pi/dx)^2 + max v overflowing, or v far above (pi/dx)^2
+    and nearly constant) is a NumericalError before any coefficient.
     """
-    if model.kind == "yukawa":
-        raise DomainError(
-            "yukawa is refused on the line: its 1/r core, sampled at the grid "
-            f"node x = 0 as v = {float(model.radial_values(0.0)):.6g} (r clipped "
-            f"to {YUKAWA_R_MIN:g}), would top the spectral interval")
+    model.require_bounded("the Chebyshev evolution on the line")
     span = float(t_target - packet.t)
     if span == 0.0:
         return packet
@@ -398,11 +394,8 @@ def free_asymptotics(fhat, t: float, n: int, dx: float) -> WavePacket:
 
 def _xi_potential_term(model: PotentialModel, x: np.ndarray, t: float) -> np.ndarray:
     """t * int_0^1 v(s x) ds = t * (1/|x|) int_0^|x| v(r) dr (t * v(0) at x = 0),
-    from potentials.line_integral along the line through the origin."""
+    from potentials.line_integral, which refuses this line through yukawa's core."""
     model.require_decay(0.5, "the Xi term of the modified free dynamics")
-    if model.kind == "yukawa":
-        raise DomainError("Xi term diverges for yukawa: int_0 v dr is "
-                          "infinite for a 1/r core")
     ax = np.abs(np.asarray(x, dtype=float))
     mean = line_integral(model, 0.0, 0.0, ax) / np.where(ax > 0, ax, 1.0)
     return t * np.where(ax > 0, mean, model.radial_values(0.0))

@@ -1069,9 +1069,9 @@ class TestTypedErrors:
 
     def _assert_yukawa_refused(self, tmp_path, capsys, monkeypatch,
                                experiment, params):
-        # the 1/r core is clipped to about 5e7 at the grid node x = 0, the
-        # top of H's spectral interval; refused however short the run, before
-        # any coefficient is computed
+        # the 1/r core, clipped at the grid node x = 0, would top H's
+        # spectral interval; refused however short the run, before any
+        # coefficient is computed
         def no_coefficients(*args, **kwargs):
             raise AssertionError("computed coefficients for a refused run")
 
@@ -1080,9 +1080,8 @@ class TestTypedErrors:
             "experiment": experiment,
             "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
             "params": params},
-            "yukawa is refused on the line: its 1/r core, sampled at the grid "
-            "node x = 0 as v = 5e+07 (r clipped to 1e-08), would top the "
-            "spectral interval")
+            "the Chebyshev evolution on the line needs v bounded at r = 0; "
+            "this yukawa has a 1/r core")
 
     @pytest.mark.parametrize("sigma,width", [(1e-300, "0.0"), (1e200, "inf")],
                              ids=["narrow", "wide"])
@@ -1307,7 +1306,8 @@ class TestTypedErrors:
                   "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
                   "params": params}
         self._assert_typed(tmp_path, capsys, config,
-                           "transport orders N >= 1 need a smooth potential")
+                           "the transport order N >= 1 needs v bounded at r = 0; "
+                           "this yukawa has a 1/r core")
         path = write_config(tmp_path, {**config, "params": {**params, "N": 0}},
                             "order0.json")
         assert cli.run(path, out_dir=str(tmp_path / "order0")) == 0
@@ -1352,12 +1352,14 @@ class TestTypedErrors:
             "numerical: q = 2 |xi| Phi_z + |grad Phi|^2 + v is not finite")
 
     def test_modified_moller_on_yukawa_rejected(self, tmp_path, capsys):
-        # int_0 v dr diverges for the 1/r core, so the Dollard phase does too
+        # int_0 v dr diverges for the 1/r core, so the Dollard phase does
+        # too: line_integral refuses the line through the core
         self._assert_typed(tmp_path, capsys, {
             "experiment": "moller",
             "potential": {"kind": "yukawa", "v0": 0.5, "width": 0.3},
             "params": {"n": 512, "times": [5.0, 10.0, 20.0],
-                       "modified": True}}, "Xi term diverges")
+                       "modified": True}},
+            "the line passes through the yukawa 1/r core, where int v diverges")
 
     def test_phaseshift_long_range_tail_rejected_at_once(self, tmp_path, capsys):
         start = time.perf_counter()

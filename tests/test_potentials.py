@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from scatterlab import (_cyl, born, cli, diagnostics, eikonal, partialwave, potentials,
                         propagator)
-from scatterlab.numerics import DomainError, NumericalError
+from scatterlab.numerics import DomainError, NumericalError, ScatterlabError
 from scatterlab.potentials import (
     KINDS,
     PARAMETERS,
@@ -247,6 +247,122 @@ class TestRequireDecay:
         assert cli.run(str(path), out_dir=str(out)) == 2
         err = capsys.readouterr().err
         assert f"config error: {message}; this power_tail has rho = {rho:g}\n" in err
+        assert not out.exists()
+
+
+_YUKAWA = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
+_GRID = _cyl.make_grid(s_max=2.0, z_max=2.0, n_s=9, n_z=17)
+
+# Every caller of require_bounded: (what the message names, the routine on a
+# model, the work it must not reach first)
+BOUNDED_REFUSALS = {
+    "chebyshev_evolve": (
+        "the Chebyshev evolution on the line",
+        lambda m: propagator.chebyshev_evolve(_PACKET, m, 5.0),
+        [(propagator, "_expansion"), (propagator, "free_evolve_series")]),
+    "transport_orders": (
+        "the transport order N >= 1",
+        lambda m: next(born.transport_orders(m, _GRID, np.zeros((9, 17)), 1,
+                                             _cyl.march_up, np.zeros(9))),
+        [(_cyl, "march_up"), (_cyl, "march_down"), (_cyl, "laplacian")]),
+    "mourre_check": (
+        "the finite-difference H on the line",
+        lambda m: diagnostics.mourre_check(m, (1.0, 2.0), 4097),
+        [(diagnostics, "eigh_tridiagonal"), (diagnostics, "eigh")]),
+    "lap_probe": (
+        "the finite-difference H on the line",
+        lambda m: diagnostics.lap_probe(m, 1.0, 1.0, [0.1, 0.03], n=2001, extent=100.0),
+        [(diagnostics, "eigh_tridiagonal"), (diagnostics, "zgttrf")]),
+}
+
+
+class TestRequireBounded:
+    @pytest.mark.parametrize("site", BOUNDED_REFUSALS)
+    def test_core_refused_before_any_work(self, monkeypatch, site):
+        # on the line and on the transport axis the 1/r core is sampled at
+        # or near r = 0, where radial_values clips it: the result would
+        # depend on where the nodes fall
+        def refuse(*args, **kwargs):
+            raise AssertionError("built work for a refused core")
+
+        what, routine, builders = BOUNDED_REFUSALS[site]
+        for module, name in builders:
+            monkeypatch.setattr(module, name, refuse)
+        message = f"{what} needs v bounded at r = 0; this yukawa has a 1/r core"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            routine(_YUKAWA)
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "yukawa"])
+    def test_bounded_kinds_admitted(self, kind):
+        assert PotentialModel(kind=kind).require_bounded("anything") is None
+
+    @pytest.mark.parametrize("params", [{"check": "mourre", "n": 4097},
+                                        {"check": "lap"}], ids=["mourre", "lap"])
+    def test_cli_refuses_the_line_operator(self, tmp_path, capsys, params):
+        # both exited 0 with values that moved with the parity of n
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "experiment": "diagnose", "params": params,
+            "potential": {"kind": "yukawa", "v0": -1.0, "width": 1.0}}))
+        out = tmp_path / "out"
+        assert cli.run(str(path), out_dir=str(out)) == 2
+        assert capsys.readouterr().err == (
+            "config error: the finite-difference H on the line needs v bounded "
+            "at r = 0; this yukawa has a 1/r core\n")
+        assert not out.exists()
+
+
+TINY = np.finfo(float).tiny   # 2.2250738585072014e-308, the smallest normal float
+
+# Routines that sample v far out in units of width, where r / width overflows
+TINY_WIDTH_ROUTINES = {
+    "born_first_amplitude": lambda m: born.born_first_amplitude(m, 1.0, 0.5),
+    "born_first_phase_shift": lambda m: born.born_first_phase_shift(m, 1.0, 0),
+    "hs_norm_resolvent_weight": lambda m: diagnostics.hs_norm_resolvent_weight(m, 1.0),
+    "line_integral": lambda m: line_integral(m, 0.5, -1.0, 2.0),
+    "radial_phase_shift": lambda m: partialwave.radial_phase_shift(m, 0, 1.0),
+    "high_energy_kernel": lambda m: born.high_energy_kernel(m, 25.0, 0.3, 0),
+    "eikonal_iterate": lambda m: eikonal.eikonal_iterate(m, 5.0).Phi,
+    "mourre_check": lambda m: diagnostics.mourre_check(m, (1.0, 2.0), 512),
+}
+
+
+class TestTinyWidth:
+    @pytest.mark.parametrize("routine", TINY_WIDTH_ROUTINES)
+    @pytest.mark.parametrize("kind", ["gaussian_well", "compact_bump", "yukawa"])
+    def test_value_or_typed_error(self, kind, routine):
+        # under the suite's warnings-as-errors: r / width, its square and
+        # yukawa's mu r overflowed with a RuntimeWarning below width 1e-154
+        for width in (1e-200, 1e-300, 1e-307, TINY):
+            model = PotentialModel(kind=kind, v0=-1.0, width=width)
+            try:
+                value = TINY_WIDTH_ROUTINES[routine](model)
+            except ScatterlabError:
+                continue
+            assert np.all(np.isfinite(value)), (width, value)
+
+    def test_subnormal_width_refused(self):
+        # far / width overflowed line_integral's level count to inf
+        assert PotentialModel(kind="gaussian_well", width=TINY).width == TINY
+        for width in (1e-310, 5e-324):
+            with pytest.raises(ValueError, match=(
+                    "^width must be at least the smallest normal float, "
+                    f"2.2250738585072014e-308, and finite, got {width}$")):
+                PotentialModel(kind="gaussian_well", width=width)
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("eikonal", {"N0": 1}), ("moller", {"modified": True})], ids=["eikonal", "moller"])
+    def test_cli_refuses_subnormal_width(self, tmp_path, capsys, experiment, params):
+        # both ended in an OverflowError traceback, exit 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "experiment": experiment, "params": params,
+            "potential": {"kind": "gaussian_well", "v0": -1.0, "width": 1e-310}}))
+        out = tmp_path / "out"
+        assert cli.run(str(path), out_dir=str(out)) == 2
+        assert capsys.readouterr().err == (
+            "config error: at potential: width must be at least the smallest "
+            "normal float, 2.2250738585072014e-308, and finite, got 1e-310\n")
         assert not out.exists()
 
 

@@ -708,6 +708,60 @@ class TestMollerProbes:
         assert ratio == pytest.approx(2.0 ** rho, rel=0.05)
 
 
+class TestCookBound:
+    """Cook's method (J. M. Cook, J. Math. Phys. 36 (1957) 82) as the oracle
+    of C9's long-range and Dollard increments: for g(s) = e^{iHs} u(s),
+
+        ||g(T') - g(T)|| <= int_T^T' ||(V - v(2sP)) u(s)|| ds,
+
+    with u(s) f0's spectrum times e^{-i(p^2 s + X(s, p))}, X the Xi term
+    _xi_potential_term(model, 2ps, s); the plain probe drops X and v(2sP).
+    The integral is Gauss-Legendre in ln s, `nodes` per gap."""
+
+    TIMES = [20.0, 40.0, 80.0]
+
+    @staticmethod
+    def _bounds(f0, modified, nodes):
+        p = dft_freqs(len(f0.values), f0.dx)
+        spectrum = dft(f0.values)
+        v = TAIL.radial_values(np.abs(f0.grid))
+
+        def source_norm(s):
+            phase = p * p * s
+            if modified:
+                phase = phase + propagator._xi_potential_term(TAIL, 2 * p * s, s)
+            u_hat = spectrum * np.exp(-1j * phase)
+            w = v * dft(u_hat, "inverse")
+            if modified:
+                w -= dft(TAIL.radial_values(np.abs(2 * s * p)) * u_hat, "inverse")
+            return np.sqrt(np.sum(np.abs(w) ** 2) * f0.dx)
+
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        bounds = []
+        for a, b in pairwise(np.log(TestCookBound.TIMES)):
+            s = np.exp(0.5 * (b - a) * x + 0.5 * (a + b))
+            bounds.append(0.5 * (b - a) * sum(wi * si * source_norm(si)
+                                              for si, wi in zip(s, w)))
+        return np.array(bounds)
+
+    @pytest.mark.parametrize("modified", [False, True], ids=["long_range", "dollard"])
+    def test_increments_meet_the_bound(self, modified):
+        # C9's packet and power tail; measured ratios 0.99959 and 0.99966
+        # (long range), 0.99983 and 0.99996 (Dollard)
+        f0 = propagator.gaussian_packet(n=2**13, dx=0.65, center=0.0, k0=2.0,
+                                        sigma=6.0)
+        bounds = self._bounds(f0, modified, 24)
+        np.testing.assert_allclose(self._bounds(f0, modified, 48), bounds, rtol=1e-14)
+        probe = (propagator.modified_moller_probe if modified
+                 else propagator.moller_probe)
+        ratios = probe(TAIL, f0, self.TIMES).increments / bounds
+        assert np.all((0.999 <= ratios) & (ratios <= 1.0 + 1e-9)), ratios
+        if modified:
+            # the bound falls by 2.029 per doubling of T, which is why C9's
+            # mod_decay reads 8.16 < 10 over three doublings
+            assert bounds[0] / bounds[1] == pytest.approx(2.0, abs=0.05)
+
+
 class TestTimeDomainSMatrix:
     def test_zero_potential_unit_element(self):
         # on v = 0 chebyshev_evolve is the exact free multiply, bit for bit
@@ -733,7 +787,8 @@ class TestTimeDomainSMatrix:
     def test_yukawa_refused_by_its_core(self):
         # at its defaults the clipped core would ask for 4.8e9 terms
         yukawa = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
-        with pytest.raises(DomainError, match="its 1/r core, sampled at the grid"):
+        with pytest.raises(DomainError, match="^the Chebyshev evolution on the line "
+                           "needs v bounded at r = 0; this yukawa has a 1/r core$"):
             propagator.scattering_phase_from_time_domain(yukawa, 1.0)
 
     def test_unit_modulus(self):

@@ -38,6 +38,10 @@ a constant in disguise; the exceptions are listed in UNPASSED.  A default
 of any function or method that every call overrides is a required
 parameter in disguise, whose default branch no result depends on; the
 exceptions are listed in OVERRIDDEN.  Each entry gives the reason it stays.
+
+Outside `potentials.py`, a comparison on a `.kind` attribute appears only
+in a function listed in KIND_BRANCHES, with the reason it branches on the
+kind there rather than asking the model.
 """
 
 import ast
@@ -67,6 +71,16 @@ UNPASSED = {
 OVERRIDDEN = {
     ("cli", "run", "out_dir"): "an output path, set where the package is "
                                "deployed; main passes its --out",
+}
+
+
+KIND_BRANCHES = {
+    ("born", "_radial_rule"): "the 5000 cap on power tails, which only "
+                              "born_first_phase_shift reaches",
+    ("born", "born_first_amplitude"): "the power tail's closed form",
+    ("eikonal", "_table_extent"): "L = 40 on power tails",
+    ("partialwave", "_numerov_channels"): "the square well's edge average and "
+                                          "yukawa's seed at r = dr",
 }
 
 
@@ -419,3 +433,34 @@ def test_every_dataclass_field_is_read():
     unread = sorted((*key, name) for key, names in fields.items()
                     if key not in SERIALIZED for name in names if name not in read)
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def kind_branches() -> set[tuple[str, str]]:
+    """(module, function) of every top-level function or method (as
+    `Class.method`) outside potentials that compares a `.kind` attribute."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "potentials":
+            continue
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+        found.update((path.stem, name) for name, node in defs
+                     for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+                     if any(isinstance(side, ast.Attribute) and side.attr == "kind"
+                            for side in (cmp.left, *cmp.comparators)))
+    return found
+
+
+def test_kind_branches_are_listed():
+    # a routine that needs a property of v asks the model (require_decay,
+    # require_bounded, tail_radius) instead of naming the kinds that have it
+    unlisted = sorted(kind_branches() - set(KIND_BRANCHES))
+    assert not unlisted, f"branches on a model's kind outside potentials: {unlisted}"
+
+
+def test_kind_branches_allowlist_is_current():
+    stale = sorted(set(KIND_BRANCHES) - kind_branches())
+    assert not stale, f"KIND_BRANCHES entries to drop: {stale}"
