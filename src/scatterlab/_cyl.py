@@ -11,7 +11,10 @@ memory with the inputs, optional except for d_dz.  They write the result
 into it with numpy ufuncs and return it; without out they return a new
 array.  Either way the result is bit for bit np.gradient(f, h,
 edge_order=2) and scipy's cumulative_trapezoid(dx=h), with h the grid's
-step ds or dz.
+step ds or dz, except for the sign of a zero part of a complex entry:
+numpy divides a complex by a real c through Smith's branch, as
+(re + im 0) (1/c) and (im - re 0) (1/c), where these kernels multiply by
+1/c, which adds no signed zero.
 cumulative_trapezoid here is the package's one running trapezoid rule; the
 Kato integrals of diagnostics use it too.
 
@@ -61,7 +64,12 @@ def _gradient(f: np.ndarray, h: float, axis: int, out: np.ndarray) -> None:
     one-sided rules at both ends."""
     f, res = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(f[2:], f[:-2], out=res[1:-1])
-    res[1:-1] /= 2.0 * h
+    if np.iscomplexobj(res):
+        # numpy's complex / real forms (re + im 0) (1 / 2h) by Smith's
+        # branch; the product is the same without it
+        res[1:-1] *= 1.0 / (2.0 * h)
+    else:
+        res[1:-1] /= 2.0 * h
     res[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
     res[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
 
@@ -114,7 +122,7 @@ def cumulative_trapezoid(g: np.ndarray, dx: float, out: np.ndarray) -> None:
     cells = out[:, 1:]
     np.add(g[:, 1:], g[:, :-1], out=cells)
     cells *= dx
-    cells /= 2.0
+    cells *= 0.5
     np.cumsum(cells, axis=1, out=cells)
 
 

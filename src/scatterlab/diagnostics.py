@@ -125,8 +125,8 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
     ts = np.arange(0.0, T_values[-1] + 0.5 * dt, dt)
     g = np.empty((len(w2), len(ts)))
     for i, ev in enumerate(propagator.free_evolve_series(f, ts)):
-        propagator.check_edge(ev.edge_mass(), i)
         density = np.abs(ev.values) ** 2
+        propagator.check_edge(propagator.edge_fraction(density), i)
         for j, w in enumerate(w2):
             g[j, i] = np.sum(w * density) * f.dx
     cums = np.empty_like(g)

@@ -1,12 +1,14 @@
 """Shared numerical kernels: quadrature, special functions and the unitary
-discrete Fourier transform.
+discrete Fourier and sine transforms.
 
 The DFT calls pocketfft's ``c2c`` binding (``scipy.fft._pocketfft``), the
 routine ``scipy.fft.fft``/``ifft`` dispatch to.  On a 1024-point transform
 the uarray dispatch in front of it was about half of the call, and the
 Chebyshev propagator makes two such calls per term, about 8000 in a
 default ``moller`` run.  The results are bit-identical to ``scipy.fft`` with
-``norm="ortho"``.
+``norm="ortho"``.  The type-I sine transform, which the propagator applies
+to an odd packet's half line, calls the same module's ``dst`` binding.
+This module is the only one that imports ``scipy.fft._pocketfft``.
 
 All routines are pure functions; units are hbar = 1, 2m = 1 so that the
 Hamiltonian is -Laplacian + v and energy = k**2.
@@ -19,6 +21,7 @@ import importlib
 
 import numpy as np
 from scipy.fft._pocketfft.pypocketfft import c2c
+from scipy.fft._pocketfft.pypocketfft import dst as dst_binding
 from scipy.special import eval_legendre, spherical_jn, spherical_yn
 
 
@@ -114,7 +117,7 @@ def legendre_p_all(l_max: int, t) -> np.ndarray:
     return eval_legendre(np.arange(l_max + 1), np.clip(t, -1.0, 1.0)[..., None])
 
 
-def dft(values, direction: str = "forward") -> np.ndarray:
+def dft(values, direction: str = "forward", out: np.ndarray | None = None) -> np.ndarray:
     """Unitary discrete Fourier transform along the last axis; the length
     must be a power of two.
 
@@ -124,8 +127,10 @@ def dft(values, direction: str = "forward") -> np.ndarray:
     Calls pocketfft's c2c binding directly (inorm=1 is the n^{-1/2}
     scaling, one thread), bit-identical to scipy.fft.fft/ifft with
     norm="ortho" but without scipy.fft's uarray dispatch, which was about
-    half of a 1024-point call.  The input is cast to complex128 and never
-    written; the result is a new array.
+    half of a 1024-point call.  The input is cast to complex128.  The
+    result is written into out, a complex128 array of the input's shape
+    that may be the input itself, or else into a new array; the input is
+    written only as out.
     """
     if direction not in ("forward", "inverse"):
         raise ParameterError(f"unknown direction {direction!r}")
@@ -133,7 +138,31 @@ def dft(values, direction: str = "forward") -> np.ndarray:
     n = x.shape[-1]
     if n < 1 or n & (n - 1):
         raise ParameterError(f"length must be a power of two, got {n}")
-    return c2c(x, (x.ndim - 1,), direction == "forward", 1, None, 1)
+    return c2c(x, (x.ndim - 1,), direction == "forward", 1, out, 1)
+
+
+def dst(values, out: np.ndarray) -> np.ndarray:
+    """Unitary type-I discrete sine transform along the first axis of a real
+    array, written into out (a float64 array of its shape, which may be
+    values itself) and returned; its own inverse.  The axis's length n must
+    be one below a power of two.
+
+    X_k = (2 / (n + 1))^{1/2} sum_j x_j sin(pi (j + 1) (k + 1) / (n + 1))
+
+    Its modes, sin(pi (k + 1) (j + 1) / (n + 1)), are the odd modes of
+    dft's transform on 2 (n + 1) points: on the interior values
+    x_j = f((j + 1) h) of an odd packet f of 2 (n + 1) samples, which is 0
+    at j = -1 and j = n, each X_k is the packet's dft at bin k + 1 up to a
+    unimodular factor.  A complex z goes in as z.view(float).reshape(-1, 2),
+    whose columns, its real and imaginary parts, are transformed together.
+    Calls pocketfft's dst binding (type 1; inorm=1 is the
+    (2 (n + 1))^{-1/2} scaling, one thread).
+    """
+    x = np.asarray(values, dtype=float)
+    n = x.shape[0]
+    if n < 1 or (n + 1) & n:
+        raise ParameterError(f"length must be one below a power of two, got {n}")
+    return dst_binding(x, 1, (0,), 1, out, 1)
 
 
 def dft_freqs(n: int, dx: float) -> np.ndarray:

@@ -8,22 +8,25 @@ grid: v(|x|) is even there and the kinetic factor is even in k, so the
 evolution keeps the packet odd and both Dirichlet nodes (x = 0 and the
 self-mirrored x = -n dx / 2) stay zero.  Free evolution is exact in Fourier
 space; the Chebyshev expansion of e^{-iHt} is exact to roundoff, and every
-interacting evolution uses it.  One expansion covers many of its edge-mass
-checks, which are read from the expansion's own terms rather than by
-restarting it at each one.  Every coefficient, the final state's and the
-checks', comes from one Jacobi-Anger transform.
+interacting evolution uses it.  It evolves an exactly odd packet on the
+half line, the n/2 - 1 values between the Dirichlet nodes, through type-I
+sine transforms, which are the DFT's odd modes.  One expansion covers many
+of its edge-mass checks, which are read from the expansion's own terms
+rather than by restarting it at each one.  Every coefficient, the final
+state's and the checks', comes from one Jacobi-Anger transform.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import pairwise
 
 import numpy as np
 
 from .numerics import (NumericalError, ParameterError, ScatterlabError, dft, dft_freqs,
-                       lazy_names)
+                       dst, lazy_names)
 from .potentials import PotentialModel, line_integral
 
 # Not called here; the benchmark tracer (perfbench/tracing.py) wraps this
@@ -96,11 +99,16 @@ class WavePacket:
 
     def edge_mass(self) -> float:
         """Squared-norm fraction in the outer EDGE_FRACTION of the grid."""
-        m = _edge_width(len(self.values))
-        p = np.abs(self.values) ** 2
-        edge = p[:m].sum() + p[-m:].sum()
-        total = p.sum()
-        return float(edge / total) if total > 0 else 0.0
+        return edge_fraction(np.abs(self.values) ** 2)
+
+
+def edge_fraction(density: np.ndarray) -> float:
+    """The fraction of density's sum in its outer EDGE_FRACTION (0 for a
+    zero sum): WavePacket.edge_mass of a packet with density |values|^2."""
+    m = _edge_width(len(density))
+    edge = density[:m].sum() + density[-m:].sum()
+    total = density.sum()
+    return float(edge / total) if total > 0 else 0.0
 
 
 def check_work(n_steps: float, n_points: int, unit: str = "time steps") -> None:
@@ -229,36 +237,35 @@ def _expansion(a: float, b: float, tau: float, size: int):
 
 class _EdgeChecks:
     """The edge masses at one expansion's interior checks, read from its
-    terms: each term's 2m edge samples are gathered into a block of at most
-    _BLOCK rows, which is folded into every open check's edge samples by
-    one matrix product when it is full or when it completes the terms of
-    the next check.  That check is then decided, so a failing run stops
-    after the terms its failing check reads; its mass is over the initial
-    packet's squared norm, which the evolution conserves to roundoff.  Once
-    every check is decided, no more samples are gathered."""
+    terms: each term's samples at the edge indices are gathered into a
+    block of at most _BLOCK rows, which is folded into every open check's
+    edge samples by one matrix product when it is full or when it completes
+    the terms of the next check.  That check is then decided, so a failing
+    run stops after the terms its failing check reads; its mass is over the
+    initial packet's squared norm, which the evolution conserves to
+    roundoff.  Once every check is decided, no more samples are gathered."""
 
     def __init__(self, table, counts, edge, total: float, first: int):
         self.table, self.counts, self.edge = table, counts, edge
         self.total, self.first = total, first
         self.samples = np.zeros((len(table), len(edge)), dtype=complex)
-        self.block = np.empty((_BLOCK, len(edge)), dtype=complex)
-        self.rows = self.done = self.decided = 0
+        self.block = []
+        self.done = self.decided = 0
 
     def add(self, term: np.ndarray) -> None:
         if self.decided == len(self.counts):
             return
-        term.take(self.edge, out=self.block[self.rows])
-        self.rows += 1
-        if (self.rows == _BLOCK
-                or self.done + self.rows == self.counts[self.decided]):
+        self.block.append(term[self.edge])
+        if (len(self.block) == _BLOCK
+                or self.done + len(self.block) == self.counts[self.decided]):
             self.fold()
 
     def fold(self) -> None:
         """Fold the block in, then decide the checks whose terms are in."""
-        j, k = self.decided, self.done
-        self.samples[j:] += self.table[j:, k:k + self.rows] @ self.block[:self.rows]
-        self.done += self.rows
-        self.rows = 0
+        j, k, rows = self.decided, self.done, len(self.block)
+        self.samples[j:] += self.table[j:, k:k + rows] @ np.array(self.block)
+        self.block.clear()
+        self.done += rows
         while j < len(self.counts) and self.counts[j] <= self.done:
             edge = float(np.sum(np.abs(self.samples[j]) ** 2))
             check_edge(edge / self.total if self.total > 0 else 0.0,
@@ -278,6 +285,16 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     holds the spectrum of the grid's H = k^2 + v.  Each term applies H
     once, through one forward and one inverse transform; the coefficients
     come from _expansion's transform, for a backward run too.
+
+    An exactly odd packet (values[i] == -values[-i] for every i, so 0 at
+    both Dirichlet nodes) is evolved on the half line: its n/2 - 1 values
+    at x = (j + 1) dx, with numerics.dst for the transforms and the
+    multiplier at the sine modes k = pi m / (n/2 dx), m = 1 .. n/2 - 1, the
+    odd modes of the grid's.  The coefficients, spans, checks and work cap
+    are those of the whole grid; each check reads the half-line nodes the
+    edge strips mirror onto, and the state at an expansion's end is the odd
+    packet rebuilt on the grid, its Dirichlet nodes exactly 0.  Any other
+    packet, one off odd by an ulp too, is evolved on the whole grid.
 
     The edge-mass monitor is checked at the ends of equal spans
     (_edge_spans); ReflectionError at the first span whose edge mass exceeds
@@ -332,25 +349,50 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     check_work(whole * _terms(per * q) + (_terms(rest * q) if rest else 0.0), n,
                f"Chebyshev terms (spectral interval [{lo:.6g}, {hi:.6g}])")
     n_spans = int(n_spans)
-    # 2G = 2 (k^2 + v - a) / b; every term after the first needs 2G.  Held
-    # complex: numpy multiplies complex by complex several times faster than
-    # by real
-    kin = (dft_freqs(n, dx) ** 2 * (2.0 / b)).astype(complex)
-    pot = ((v - a) * (2.0 / b)).astype(complex)
-    work = np.empty(n, dtype=complex)
+    # 2G = 2 (k^2 + v - a) / b; every term after the first needs 2G
+    kin = dft_freqs(n, dx) ** 2 * (2.0 / b)
+    pot = (v - a) * (2.0 / b)
+    edge = np.r_[:m, n - m:n]
+    vals = packet.values
+    odd = np.array_equal(vals, -vals[-np.arange(n)])
+    if odd:
+        # the l = 0 channel: the n/2 - 1 values at x = (j + 1) dx between the
+        # Dirichlet nodes, the sine modes m = 1 .. n/2 - 1 of the same k, and
+        # the edge strips' nodes mirrored onto them (the left strip's but
+        # its Dirichlet node); a node may be read twice, as on the line.
+        # dst and the real multipliers act on a complex vector's (real,
+        # imaginary) columns
+        half = n // 2
+        vals = vals[half + 1:]
+        edge = np.r_[half - 1 - np.arange(1, m), edge[m:] - half - 1]
+        kin, pot = (np.column_stack((f, f)) for f in (kin[1:half], pot[half + 1:]))
+
+        def columns(z):
+            return z.view(float).reshape(-1, 2)
+    else:
+        # held complex: numpy multiplies complex by complex several times
+        # faster than by real
+        kin, pot = kin.astype(complex), pot.astype(complex)
+
+        def columns(z):
+            return z
+    forward = dst if odd else dft
+    inverse = dst if odd else partial(dft, direction="inverse")
+    # the kinetic step transforms into spectrum and back in place
+    spectrum, work = np.empty(len(vals), dtype=complex), np.empty(len(vals), dtype=complex)
+    spec, part = columns(spectrum), columns(work)
 
     def twice_g(phi):
-        spectrum = dft(phi)
-        spectrum *= kin
-        out = dft(spectrum, "inverse")
-        np.multiply(pot, phi, out=work)
-        out += work
-        return out
+        x = columns(phi)
+        forward(x, out=spec)
+        np.multiply(spec, kin, out=spec)
+        inverse(spec, out=spec)
+        np.multiply(pot, x, out=part)
+        return np.add(spectrum, work)
 
-    edge = np.r_[:m, n - m:n]
     total = float(np.sum(np.abs(packet.values) ** 2))
     expansions = {}
-    vals, done = packet.values, 0
+    done = 0
     while done < n_spans:
         size = min(per, n_spans - done)
         if size not in expansions:
@@ -371,7 +413,8 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
             checks.add(cur)
         vals = acc
         done += size
-        out = replace(packet, values=vals, t=packet.t + done * tau)
+        out = replace(packet, values=np.r_[0.0, -vals[::-1], 0.0, vals] if odd else vals,
+                      t=packet.t + done * tau)
         check_edge(out.edge_mass(), done)
     return replace(out, t=t_target)
 

@@ -14,6 +14,7 @@ from scatterlab.numerics import (
     composite_gauss,
     dft,
     dft_freqs,
+    dst,
     gauss_panels,
     legendre_p_all,
     spherical_bessel,
@@ -144,6 +145,54 @@ class TestLegendre:
             legendre_p_all(3, t)
 
 
+class TestDst:
+    @pytest.mark.parametrize("n", [1, 3, 7, 511])
+    def test_matches_the_sine_matrix(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 2))
+        j = np.arange(1, n + 1)
+        sines = np.sqrt(2 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+        assert np.allclose(dst(x, np.empty_like(x)), sines @ x, rtol=0.0,
+                           atol=1e-13 * np.sqrt(n))
+
+    def test_own_inverse_and_unitary(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((255, 2))
+        once = dst(x, np.empty_like(x))
+        assert np.linalg.norm(once) == pytest.approx(np.linalg.norm(x), rel=1e-14)
+        assert np.allclose(dst(once, np.empty_like(x)), x, rtol=0.0, atol=1e-14)
+
+    def test_bit_identical_to_scipy_dst_type_1_ortho(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((1023, 2))
+        expect = scipy.fft.dst(x, type=1, norm="ortho", axis=0)
+        assert np.array_equal(dst(x, np.empty_like(x)), expect)
+
+    def test_in_place_and_into_out(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((63, 2))
+        expect = dst(x, np.empty_like(x))
+        out = np.full_like(x, np.nan)
+        assert dst(x, out) is out and np.array_equal(out, expect)
+        assert dst(x, x) is x and np.array_equal(x, expect)
+
+    def test_odd_modes_of_the_dft(self):
+        # the interior of an odd packet of 2N points (0 at j = 0 and N):
+        # its dft at bin k is -i times the columns' transform at k - 1
+        rng = np.random.default_rng(10)
+        big = 256
+        z = rng.standard_normal(big - 1) + 1j * rng.standard_normal(big - 1)
+        packet = np.r_[0.0, z, 0.0, -z[::-1]]
+        columns = z.view(float).reshape(-1, 2)
+        sines = dst(columns, np.empty_like(columns)).view(complex).ravel()
+        assert np.allclose(dft(packet)[1:big], -1j * sines, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [0, 2, 8, 512])
+    def test_length_not_one_below_a_power_of_two_rejected(self, n):
+        with pytest.raises(ParameterError, match="one below a power of two"):
+            dst(np.zeros((n, 2)), np.zeros((n, 2)))
+
+
 class TestDft:
     def test_matches_numpy_unitary(self):
         rng = np.random.default_rng(0)
@@ -183,6 +232,16 @@ class TestDft:
         dft(v)
         dft(v, "inverse")
         assert np.array_equal(v, before)
+
+    def test_into_out_and_in_place(self):
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        for direction in ("forward", "inverse"):
+            expect = dft(v, direction)
+            out = np.full_like(v, np.nan)
+            assert dft(v, direction, out) is out and np.array_equal(out, expect)
+            w = v.copy()
+            assert dft(w, direction, w) is w and np.array_equal(w, expect)
 
     def test_real_input_gives_complex128(self):
         assert dft(np.arange(16.0)).dtype == np.complex128

@@ -475,9 +475,9 @@ class TestChebyshev:
         calls, built = [], []
         expansion = propagator._expansion
 
-        def counting_dft(values, direction="forward"):
+        def counting_dft(values, direction="forward", out=None):
             calls.append(direction)
-            return dft(values, direction)
+            return dft(values, direction, out)
 
         def recorded(a, b, tau, size):
             built.append((b * abs(tau), size))
@@ -511,6 +511,121 @@ class TestChebyshev:
         (size, terms), = built
         assert size == 36
         assert terms <= propagator._terms(propagator.MAX_SPAN_PHASE)
+
+
+def _odd_case(case):
+    """(packet, model, t) of an odd-packet evolution."""
+    if case == "time_domain":
+        pk, t = _time_domain_setting()
+        return pk, GAUSS, t
+    return _radial_packet(), {"radial_gauss": GAUSS, "radial_tail": TAIL}[case], 60.0
+
+
+def _one_ulp_off_odd(pk):
+    """pk with the real part of its largest entry moved up by one ulp."""
+    values = pk.values.copy()
+    i = np.argmax(np.abs(values))
+    values[i] = np.nextafter(values[i].real, np.inf) + 1j * values[i].imag
+    return replace(pk, values=values)
+
+
+def _counted_transforms(monkeypatch):
+    """(length, direction) of each of propagator's dft calls, the length of
+    each dst call, and (coefficients, spans, coefficient transform length)
+    of each expansion, as they are made."""
+    dft_calls, dst_calls, expansions = [], [], []
+    numerics_dst, expansion = propagator.dst, propagator._expansion
+
+    def counting_dft(values, direction="forward", out=None):
+        dft_calls.append((np.shape(values)[-1], direction))
+        return dft(values, direction, out)
+
+    def counting_dst(values, out):
+        dst_calls.append(len(values))
+        return numerics_dst(values, out)
+
+    def recorded(a, b, tau, size):
+        coef, table, counts = expansion(a, b, tau, size)
+        expansions.append((len(coef), size,
+                           propagator._table_points(size * (b * abs(tau)))))
+        return coef, table, counts
+
+    monkeypatch.setattr(propagator, "dft", counting_dft)
+    monkeypatch.setattr(propagator, "dst", counting_dst)
+    monkeypatch.setattr(propagator, "_expansion", recorded)
+    return dft_calls, dst_calls, expansions
+
+
+class TestOddPacketsOnTheHalfLine:
+    """An exactly odd packet is evolved on the n/2 - 1 interior values of
+    its half line, by sine transforms; the span chain on the full grid is
+    the oracle."""
+
+    @pytest.mark.parametrize("case,gap", [("time_domain", 5e-13), ("radial_gauss", 1e-13),
+                                          ("radial_tail", 1e-13)])
+    def test_matches_the_span_chain_on_the_full_grid(self, monkeypatch, case, gap):
+        # C10's evolution (36 checks) and the radial packet under the
+        # Gaussian and the power tail (9 checks each): every check within
+        # 1e-14 in sqrt(mass), and the state exactly odd, with both
+        # Dirichlet nodes exactly 0.  The state lies within 1e-13 of the
+        # chain's, within 5e-13 at C10, where the chain's coefficients from
+        # jv (b t = 1513) carry 3e-13 of their own (the full grid's
+        # evolution is 3.1e-13 from it there)
+        pk, model, t = _odd_case(case)
+        expect_masses = []
+        expect = chebyshev_span_oracle(pk, model, t, expect_masses)
+        got = []
+        check_edge = propagator.check_edge
+
+        def recorded(mass, span):
+            got.append((span, mass))
+            check_edge(mass, span)
+
+        monkeypatch.setattr(propagator, "check_edge", recorded)
+        out = propagator.chebyshev_evolve(pk, model, t)
+        n = len(out.values)
+        assert out.t == t
+        assert _l2_rel(out.values, expect.values) <= gap
+        assert np.array_equal(out.values, -out.values[-np.arange(n)])
+        assert out.values[0] == 0.0 and out.values[n // 2] == 0.0
+        assert [span for span, _ in got] == list(range(1, len(expect_masses) + 1))
+        for (_, mass), ref in zip(got, expect_masses, strict=True):
+            assert abs(np.sqrt(mass) - np.sqrt(ref)) <= 1e-14
+
+    def test_no_full_grid_transform_in_the_terms(self, monkeypatch):
+        # C10's evolution: two sine transforms of the n/2 - 1 interior
+        # values per term after the first; the only dft calls are the
+        # coefficient rows', whose length is not the grid's
+        pk, t = _time_domain_setting()
+        dft_calls, dst_calls, expansions = _counted_transforms(monkeypatch)
+        propagator.chebyshev_evolve(pk, GAUSS, t)
+        n = len(pk.values)
+        assert all(length != n for length, _ in dft_calls)
+        assert dst_calls == [n // 2 - 1] * (2 * sum(terms - 1 for terms, _, _ in expansions))
+
+    def test_one_ulp_off_odd_takes_the_full_grid(self, monkeypatch):
+        # the radial packet with one entry moved by one ulp is not odd: a
+        # forward and an inverse transform of the whole grid per term after
+        # the first, besides the coefficient rows' own transforms where
+        # their length is the grid's, and no sine transform
+        pk = _one_ulp_off_odd(_radial_packet())
+        dft_calls, dst_calls, expansions = _counted_transforms(monkeypatch)
+        out = propagator.chebyshev_evolve(pk, GAUSS, 60.0)
+        n = len(pk.values)
+        per_term = sum(terms - 1 for terms, _, _ in expansions)
+        rows = sum(size for _, size, points in expansions if points == n)
+        assert not dst_calls
+        assert dft_calls.count((n, "inverse")) == per_term
+        assert dft_calls.count((n, "forward")) == per_term + rows
+        assert not np.array_equal(out.values, -out.values[-np.arange(n)])
+
+    def test_c10_matches_the_full_grid_one_ulp_off_odd(self):
+        # C10's evolution against the same expansion on the full grid,
+        # which a one-ulp move of one entry selects
+        pk, t = _time_domain_setting()
+        half = propagator.chebyshev_evolve(pk, GAUSS, t)
+        full = propagator.chebyshev_evolve(_one_ulp_off_odd(pk), GAUSS, t)
+        assert _l2_rel(half.values, full.values) <= 1e-13
 
 
 class TestAsymptotics:
@@ -672,10 +787,10 @@ class TestMollerProbes:
         forward, inside = [], []
         chebyshev = propagator.chebyshev_evolve
 
-        def counting_dft(values, direction="forward"):
+        def counting_dft(values, direction="forward", out=None):
             if direction == "forward" and not inside:
                 forward.append(len(values))
-            return dft(values, direction)
+            return dft(values, direction, out)
 
         def marked_chebyshev(*args):
             inside.append(True)

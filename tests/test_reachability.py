@@ -42,6 +42,10 @@ exceptions are listed in OVERRIDDEN.  Each entry gives the reason it stays.
 Outside `potentials.py`, a comparison on a `.kind` attribute appears only
 in a function listed in KIND_BRANCHES, with the reason it branches on the
 kind there rather than asking the model.
+
+Only `numerics.py` imports from `scipy.fft._pocketfft`, and it imports
+`c2c` and `dst`; the package and the benchmark reach the transforms
+through numerics.
 """
 
 import ast
@@ -464,3 +468,33 @@ def test_kind_branches_are_listed():
 def test_kind_branches_allowlist_is_current():
     stale = sorted(set(KIND_BRANCHES) - kind_branches())
     assert not stale, f"KIND_BRANCHES entries to drop: {stale}"
+
+
+POCKETFFT = "scipy.fft._pocketfft"
+
+
+def pocketfft_imports(tree: ast.Module) -> set[str]:
+    """The names a source file imports from scipy.fft._pocketfft or its
+    submodules, and the module itself when it is imported whole."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names
+                         if alias.name.startswith(POCKETFFT))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith(POCKETFFT):
+                found.update(alias.name for alias in node.names)
+            else:
+                found.update(f"{node.module}.{alias.name}" for alias in node.names
+                             if f"{node.module}.{alias.name}".startswith(POCKETFFT))
+    return found
+
+
+def test_pocketfft_is_bound_only_in_numerics():
+    # numerics binds pocketfft's transforms once (dft on c2c, dst on dst);
+    # every other module and the benchmark call numerics, whose functions
+    # the benchmark tracer wraps
+    importers = {path.relative_to(ROOT).as_posix(): names
+                 for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+                 if (names := pocketfft_imports(ast.parse(path.read_text())))}
+    assert importers == {"src/scatterlab/numerics.py": {"c2c", "dst"}}
