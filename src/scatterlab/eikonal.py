@@ -168,15 +168,34 @@ def _table_extent(model: PotentialModel) -> float:
     return extent
 
 
+def _table_grid(model: PotentialModel, z_low: float = -np.inf,
+                margin: int = 0) -> _cyl.CylGrid:
+    """The eikonal tables' grid, 161 x 481 nodes on s in [0, L] and z in
+    [-1.5 L, 1.5 L] with L = _table_extent, or its z rows from margin rows
+    below the last one at or below z_low up.  Such a cut is a slice of the
+    whole grid's nodes, started lower while its first step is not the whole
+    grid's dz, the one step the kernels differentiate and march on."""
+    extent = _table_extent(model)
+    grid = _cyl.make_grid(s_max=extent, z_max=1.5 * extent, n_s=161, n_z=481)
+    z = grid.z
+    first = max(int(np.searchsorted(z, z_low, side="right")) - 1 - margin, 0)
+    while z[first + 1] - z[first] != grid.dz:
+        first -= 1
+    return _cyl.CylGrid(s=grid.s, z=z[first:])
+
+
 def eikonal_iterate(model: PotentialModel, xi_norm: float,
-                    N0: int | None = None, sign: int = +1) -> EikonalData:
+                    N0: int | None = None, sign: int = +1,
+                    grid: _cyl.CylGrid | None = None) -> EikonalData:
     """Solve the linearized ray equations by successive approximations.
 
     With zero vector potential phi_0 = 0 and the even orders vanish;
     phi_1 solves the ray equation with source v, phi_3 the one with
     source |grad phi_1|^2.  Each table is anchored by the difference ray
     integral on the far row and marched along rays.  The grid is 161 x 481
-    nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = _table_extent.
+    nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = _table_extent; for
+    sign +1 it may be a _table_grid cut, whose rows are the whole grid's
+    bit for bit but for the last few (s0_solutions' _cut_rows).
     For N0 = 0, Phi and its derivatives are one zero table, phi_0, and
     q = v.  DomainError for rho <= 1/2, first; ParameterError when
     lambda = xi_norm^2 or a weight (2 |xi|)^-n, n <= N0, overflows, before
@@ -196,8 +215,8 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
     if float(xi_norm) * float(xi_norm) == np.inf:
         raise ParameterError(f"lambda = xi_norm**2 overflows at xi_norm = {xi_norm:g} "
                              f"(above about 1.34e154)")
-    extent = _table_extent(model)
-    grid = _cyl.make_grid(s_max=extent, z_max=1.5 * extent, n_s=161, n_z=481)
+    if grid is None:
+        grid = _table_grid(model)
     v = model.radial_values(grid.radius())
 
     # the tables are anchored on the far row (z_max for sign +, z_min for
@@ -351,6 +370,9 @@ class _PsiEvaluator:
     Built from outgoing (sign +1) tables it evaluates psi_+; the __call__
     of its time_reversed() twin, which shares the stack (reverses is then
     the outgoing one), evaluates psi_-(x; omega) = conj psi_+(x; -omega).
+    Tables cut below (s0_solutions' theta) hold the whole grid's values
+    from z_floor up, their row _cut_rows(N); z_floor is -inf on the whole
+    grid.
     """
 
     def __init__(self, eikonal: EikonalData, b_n: tuple[np.ndarray, ...]):
@@ -378,6 +400,9 @@ class _PsiEvaluator:
         if eikonal.N0 >= 1:
             inner[6], inner[7], inner[8] = eikonal.Phi, eikonal.Phi_s, eikonal.Phi_z
         self._stack = stack
+        # the whole grid is symmetric in z, a cut one starts above -z_max
+        cut = grid.z[0] > -grid.z[-1]
+        self.z_floor = float(grid.z[_cut_rows(self.N)]) if cut else -np.inf
         self._s_cells = _cells(grid.s)
         self._z_cells = _cells(grid.z)
         # the nine scipy interpolators of __call__, built on its first call
@@ -545,6 +570,29 @@ def _plane_rule(window: float, sql: float, reach: float) -> _PlaneRule:
     return _PlaneRule(*composite_gauss(PLANE_NODES, edges))
 
 
+def _omega(theta: float) -> np.ndarray:
+    """omega = (sin(theta/2), 0, cos(theta/2)), normalised as every 3-D
+    direction is."""
+    return _unit([np.sin(theta / 2), 0.0, np.cos(theta / 2)])
+
+
+def _plane_low(reach: float, theta: float) -> float:
+    """A bound below the z = a p about omega = _omega(theta) = (p, 0, c)
+    of every node of the nested plane rule out to +-reach: -reach p, since
+    its Gauss nodes a lie inside (-reach, reach)."""
+    return -reach * float(_omega(theta)[0])
+
+
+def _cut_rows(N: int) -> int:
+    """Rows that outgoing tables cut below keep under the lowest row the
+    plane rule reads.  The march runs down from the top row, so the cut
+    moves only rows next to it, through the one-sided differences on its
+    first row: Phi's derivatives reach three rows up, each transport
+    order's Laplacian two more, and the stack's d_z b one more, which
+    2N + 4 rows cover at every order N."""
+    return 2 * N + 4
+
+
 def _plane_geometry(a: np.ndarray, b: np.ndarray, p: float, c: float):
     """(s, z, ds/dt) about omega = (p, 0, c) of the plane points (a, b, 0) on
     the (a, b) node mesh, t running along the plane's normal e_z.
@@ -591,8 +639,7 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float,
     wb = (2.0 * w[len(w) // 2:]).astype(complex)
     wb_big = (2.0 * w_big[half:]).astype(complex)
     m = len(wb)
-    # omega = (p, 0, c), normalised as every 3-D direction is
-    p, _, c = _unit([np.sin(theta / 2), 0.0, np.cos(theta / 2)])
+    p, _, c = _omega(theta)
     rows = max(1, _PLANE_BLOCK // len(b))
     work = psi.workspace(rows, rows * len(b))
     row_sums = np.empty((2, len(a)), dtype=complex)
@@ -614,14 +661,19 @@ def _s0_quadrature(psi: _PsiEvaluator, theta: float,
     return scale * (w @ row_sums[0, inner]), scale * (w_big @ row_sums[1])
 
 
-def s0_solutions(model: PotentialModel, lam: float,
-                 N: int) -> tuple[_PsiEvaluator, _PsiEvaluator]:
+def s0_solutions(model: PotentialModel, lam: float, N: int,
+                 theta: float | None = None) -> tuple[_PsiEvaluator, _PsiEvaluator]:
     """Reusable (psi_plus, psi_minus) evaluators at energy lam, with the
     default iteration depth default_n0(rho).
 
     Only the outgoing (sign +1) eikonal tables and their transport
     amplitudes b_0..b_N are built (no psi table or residual); psi_minus is
-    psi_plus.time_reversed() on the same stack.  Before any table,
+    psi_plus.time_reversed() on the same stack.  With theta, the largest
+    angle they will serve, the tables stop _cut_rows(N) rows below the
+    lowest z the plane rule reads at theta (_plane_low), so every row
+    s0_kernel reads is the whole grid's bit for bit, and s0_kernel refuses
+    a larger angle; without it they cover the whole grid, which __call__
+    needs.  Before any table,
     ParameterError when (2 sqrt(lam))^-N overflows, when a panel of the
     nested plane rule is wider than the tables' s extent, whose nodes would
     then miss the tables, or when its node mesh exceeds MAX_PLANE_POINTS.
@@ -632,7 +684,7 @@ def s0_solutions(model: PotentialModel, lam: float,
     # the nested rule of _s0_quadrature, counted as _plane_rule counts it
     # but in floats (inf past the float range): the window's panels, the
     # widest, and the extension panels on both sides
-    window, _ = _s0_windows(model, sql)
+    window, reach = _s0_windows(model, sql)
     panels = max(6.0, float(np.ceil(2 * float(window) / (2.0 * np.pi / float(sql)))))
     width = 2 * window / panels
     if width > extent:
@@ -643,7 +695,9 @@ def s0_solutions(model: PotentialModel, lam: float,
     if side * side > MAX_PLANE_POINTS:
         raise ParameterError(f"S0 plane mesh of {side * side:.4g} points at lambda = "
                              f"{lam:g} exceeds MAX_PLANE_POINTS = {MAX_PLANE_POINTS}")
-    eik = eikonal_iterate(model, sql, sign=+1)
+    z_low = -np.inf if theta is None else _plane_low(reach, theta)
+    eik = eikonal_iterate(model, sql, sign=+1,
+                          grid=_table_grid(model, z_low, _cut_rows(N)))
     b_n = tuple(islice(_recursion(eik, N), 0, 2 * N + 1, 2))
     psi = _PsiEvaluator(eik, b_n)
     return psi, psi.time_reversed()
@@ -660,9 +714,17 @@ def s0_kernel(psi: _PsiEvaluator, theta: float) -> S0Sample:
     tapered sums, over the window and over its 25% enlargement, on the same
     nodes; the sensitivity is their relative change, the window's effect
     alone (the nodes do not move), and the sample is flagged non-converged
-    when it exceeds 10%."""
-    val, val_big = _s0_quadrature(psi, theta,
-                                  _s0_windows(psi.eikonal.model, psi.xi))
+    when it exceeds 10%.  ParameterError, before the quadrature, when the
+    rule would read psi below its z_floor: an angle above the one its
+    tables were cut for."""
+    windows = _s0_windows(psi.eikonal.model, psi.xi)
+    low = _plane_low(windows[1], theta)
+    if low < psi.z_floor:
+        raise ParameterError(
+            f"theta = {theta:g} reads psi down to z = {low:.6g}, below the "
+            f"z = {psi.z_floor:.6g} its tables were cut at: build them for "
+            f"the largest angle")
+    val, val_big = _s0_quadrature(psi, theta, windows)
     sens = abs(val_big - val) / max(abs(val), 1e-300)
     return S0Sample(complex(val), float(sens), bool(sens <= 0.10))
 
@@ -671,14 +733,14 @@ def s0_samples(model: PotentialModel, lam: float, N: int,
                thetas) -> list[S0Sample]:
     """S0 kernel samples of transport order N at energy lam, one per angle
     in thetas: every angle is checked against the cap first, then one
-    s0_solutions build serves every angle."""
+    s0_solutions build for the largest serves every angle."""
     limit = 2.0 * np.arccos(S0_CAP_DELTA)
     for th in thetas:
         if not 0.0 < th < limit:
             raise ParameterError(
                 f"directions must lie in the cap around omega0 and differ: "
                 f"theta = {th:g} is outside (0, {limit:.6g})")
-    psi, _ = s0_solutions(model, lam, N)
+    psi, _ = s0_solutions(model, lam, N, max(thetas, default=None))
     return [s0_kernel(psi, th) for th in thetas]
 
 

@@ -241,12 +241,14 @@ class _EdgeChecks:
     block of at most _BLOCK rows, which is folded into every open check's
     edge samples by one matrix product when it is full or when it completes
     the terms of the next check.  That check is then decided, so a failing
-    run stops after the terms its failing check reads; its mass is over the
-    initial packet's squared norm, which the evolution conserves to
-    roundoff.  Once every check is decided, no more samples are gathered."""
+    run stops after the terms its failing check reads; its mass, the sum of
+    its samples' |.|^2 times their weights (the times the edge strips read
+    each node), is over the initial packet's squared norm, which the
+    evolution conserves to roundoff.  Once every check is decided, no more
+    samples are gathered."""
 
-    def __init__(self, table, counts, edge, total: float, first: int):
-        self.table, self.counts, self.edge = table, counts, edge
+    def __init__(self, table, counts, edge, weights, total: float, first: int):
+        self.table, self.counts, self.edge, self.weights = table, counts, edge, weights
         self.total, self.first = total, first
         self.samples = np.zeros((len(table), len(edge)), dtype=complex)
         self.block = []
@@ -267,7 +269,7 @@ class _EdgeChecks:
         self.block.clear()
         self.done += rows
         while j < len(self.counts) and self.counts[j] <= self.done:
-            edge = float(np.sum(np.abs(self.samples[j]) ** 2))
+            edge = float(np.sum(self.weights * np.abs(self.samples[j]) ** 2))
             check_edge(edge / self.total if self.total > 0 else 0.0,
                        self.first + j + 1)
             j += 1
@@ -292,9 +294,10 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     multiplier at the sine modes k = pi m / (n/2 dx), m = 1 .. n/2 - 1, the
     odd modes of the grid's.  The coefficients, spans, checks and work cap
     are those of the whole grid; each check reads the half-line nodes the
-    edge strips mirror onto, and the state at an expansion's end is the odd
-    packet rebuilt on the grid, its Dirichlet nodes exactly 0.  Any other
-    packet, one off odd by an ulp too, is evolved on the whole grid.
+    edge strips mirror onto once each, weighted by how many strips hold
+    them, and the state at an expansion's end is the odd packet rebuilt on
+    the grid, its Dirichlet nodes exactly 0.  Any other packet, one off odd
+    by an ulp too, is evolved on the whole grid.
 
     The edge-mass monitor is checked at the ends of equal spans
     (_edge_spans); ReflectionError at the first span whose edge mass exceeds
@@ -352,19 +355,19 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
     # 2G = 2 (k^2 + v - a) / b; every term after the first needs 2G
     kin = dft_freqs(n, dx) ** 2 * (2.0 / b)
     pot = (v - a) * (2.0 / b)
-    edge = np.r_[:m, n - m:n]
+    edge, weights = np.r_[:m, n - m:n], np.ones(2 * m)
     vals = packet.values
     odd = np.array_equal(vals, -vals[-np.arange(n)])
     if odd:
         # the l = 0 channel: the n/2 - 1 values at x = (j + 1) dx between the
         # Dirichlet nodes, the sine modes m = 1 .. n/2 - 1 of the same k, and
-        # the edge strips' nodes mirrored onto them (the left strip's but
-        # its Dirichlet node); a node may be read twice, as on the line.
-        # dst and the real multipliers act on a complex vector's (real,
-        # imaginary) columns
+        # the right edge strip's m nodes, j = n/2 - m - 1 .. n/2 - 2, onto
+        # which the left strip but its Dirichlet node mirrors: each read
+        # once, with weight 2 where both strips hold it.  dst and the real
+        # multipliers act on a complex vector's (real, imaginary) columns
         half = n // 2
         vals = vals[half + 1:]
-        edge = np.r_[half - 1 - np.arange(1, m), edge[m:] - half - 1]
+        edge, weights = np.arange(half - m - 1, half - 1), np.r_[1.0, np.full(m - 1, 2.0)]
         kin, pot = (np.column_stack((f, f)) for f in (kin[1:half], pot[half + 1:]))
 
         def columns(z):
@@ -398,7 +401,7 @@ def chebyshev_evolve(packet: WavePacket, model: PotentialModel,
         if size not in expansions:
             expansions[size] = _expansion(a, b, tau, size)
         coef, table, counts = expansions[size]
-        checks = _EdgeChecks(table, counts, edge, total, done)
+        checks = _EdgeChecks(table, counts, edge, weights, total, done)
         # T_0 = 1, T_1 = G, T_{k+1} = 2G T_k - T_{k-1}
         prev, cur = vals, 0.5 * twice_g(vals)
         acc = coef[0] * prev + coef[1] * cur

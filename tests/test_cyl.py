@@ -134,10 +134,44 @@ def test_acceptance_and_eikonal_grids_are_exactly_uniform():
         PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0),
         PotentialModel(kind="power_tail", v0=0.5, rho=0.9))]
     assert [(g.ds, g.dz) for g in grids[1:]] == [(0.125, 0.125), (0.25, 0.25)]
-    for grid in grids:
+    # the S0 tables of C7, of C15's two power tails and of the plane
+    # workload's s0 tasks, cut below the plane's reach: slices of those
+    # grids, with the same steps
+    gauss = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.0)
+    cuts = [eikonal.s0_solutions(model, lam, N, theta)[0].eikonal.grid
+            for model, lam, N, theta in (
+                (gauss, 100.0, 3, np.deg2rad(30.0)),
+                (PotentialModel(kind="power_tail", v0=0.5, rho=0.75), 100.0,
+                 eikonal.PROBE_N, 0.5),
+                (PotentialModel(kind="power_tail", v0=0.5, rho=1.0), 100.0,
+                 eikonal.PROBE_N, 0.5),
+                (gauss, 64.0, 3, np.deg2rad(32.0)))]
+    assert all(len(g.z) < 481 for g in cuts)
+    assert [(g.ds, g.dz) for g in cuts] == [(0.125, 0.125), (0.25, 0.25),
+                                           (0.25, 0.25), (0.125, 0.125)]
+    for grid in grids + cuts:
         assert exactly_uniform(grid.s) and exactly_uniform(grid.z)
     assert not any(exactly_uniform(g.s) or exactly_uniform(g.z)
                    for g in MARCH_GRIDS[3:])
+
+
+def test_cut_eikonal_grid_keeps_the_whole_grids_step():
+    # extent 54 (width 3): the whole grid's linspace steps differ by an ulp,
+    # so a cut that would start on a row with another step starts lower
+    model = PotentialModel(kind="gaussian_well", v0=-1.0, width=3.0)
+    whole = eikonal._table_grid(model)
+    assert not exactly_uniform(whole.z)
+    lowered = 0
+    for z_low in np.linspace(-40.0, -1.0, 40):
+        cut = eikonal._table_grid(model, z_low, 6)
+        first = len(whole.z) - len(cut.z)
+        assert np.array_equal(cut.s, whole.s)
+        assert np.array_equal(cut.z, whole.z[first:])
+        assert cut.dz == whole.dz
+        below = np.searchsorted(whole.z, z_low, side="right") - 1
+        assert first <= below - 6
+        lowered += first < below - 6
+    assert lowered > 0
 
 
 class TestKernelsBitForBit:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from scatterlab import _cyl, eikonal
+from scatterlab import _cyl, born, eikonal
 from scatterlab.eikonal import (S0_SIGN, TAPER_FRACTION, _PsiEvaluator,
                                 _plane_rule, _taper_profile)
 from scatterlab.numerics import DomainError, ParameterError, composite_gauss
@@ -339,13 +339,51 @@ class TestS0Samples:
             return solutions(*args)
 
         monkeypatch.setattr(eikonal, "s0_solutions", counting)
-        thetas = np.deg2rad([10.0, 20.0])
+        thetas = np.deg2rad([20.0, 10.0])
         samples = eikonal.s0_samples(GAUSS, 25.0, 1, thetas)
-        assert builds == [(GAUSS, 25.0, 1)]
+        # built for the largest angle, whose tables are cut below the plane's
+        # reach; every sample is the whole grid's bit for bit
+        assert builds == [(GAUSS, 25.0, 1, thetas[0])]
         psi = _solutions(GAUSS, 25.0, 1)[0]
         assert psi.N == 1
         for th, sample in zip(thetas, samples):
             assert sample == eikonal.s0_kernel(psi, th)
+
+    @pytest.mark.parametrize("model", [
+        PotentialModel(kind="power_tail", v0=0.5, rho=0.75), GAUSS],
+        ids=["power_tail_N0_2", "gaussian_N0_0"])
+    @pytest.mark.parametrize("theta", [np.nextafter(0.0, 1.0),
+                                       np.nextafter(CAP_LIMIT, 0.0)],
+                             ids=["smallest", "largest"])
+    def test_cut_tables_give_the_whole_grids_samples(self, model, theta):
+        # at the highest transport order, whose rows move furthest from the cut,
+        # and at the cap's extreme angles: the cut ends below the lowest
+        # row the plane reads, and the sample is the whole grid's
+        whole = _solutions(model, 64.0, born.MAX_ORDER)[0]
+        cut = eikonal.s0_solutions(model, 64.0, born.MAX_ORDER, theta)[0]
+        rows = len(cut.eikonal.grid.z)
+        assert rows < len(whole.eikonal.grid.z)
+        assert np.array_equal(cut.eikonal.grid.z, whole.eikonal.grid.z[-rows:])
+        assert cut.eikonal.grid.dz == whole.eikonal.grid.dz
+        assert eikonal.s0_kernel(cut, theta) == eikonal.s0_kernel(whole, theta)
+
+    def test_benchmark_angle_cuts_the_tables(self):
+        # the widest reach of the plane workload's s0.1angle tasks (width
+        # 1.05, lambda = 60, theta = 22 degrees, N = 3) reads |z| < 5 of
+        # the tables' [-30, 30]
+        model = PotentialModel(kind="gaussian_well", v0=-1.0, width=1.05)
+        psi = eikonal.s0_solutions(model, 60.0, 3, np.deg2rad(22.0))[0]
+        assert len(psi.eikonal.grid.z) < 481
+
+    def test_larger_angle_than_the_tables_refused(self, monkeypatch):
+        # tables cut for 20 degrees do not reach the rows that 30 degrees
+        # reads: refused before any quadrature, not read as the fill
+        psi = eikonal.s0_solutions(GAUSS, 64.0, 1, np.deg2rad(20.0))[0]
+        monkeypatch.setattr(eikonal, "_s0_quadrature", _build_nothing)
+        with pytest.raises(ParameterError, match="below the z = .* its tables were cut at"):
+            eikonal.s0_kernel(psi, np.deg2rad(30.0))
+        with pytest.raises(_TablesBuilt):
+            eikonal.s0_kernel(psi, np.deg2rad(20.0))
 
 
 def _full_plane_s0_quadrature(psi_plus: _PsiEvaluator, psi_minus: _PsiEvaluator,
