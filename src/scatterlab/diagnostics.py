@@ -115,6 +115,8 @@ def kato_smoothness_integrals(rs, f: propagator.WavePacket, T_values,
         raise ParameterError("T_values must be positive and increasing")
     if not np.isfinite(T_values[-1]):
         raise ParameterError("T_values must be finite")
+    if not 0.0 < dt < np.inf:
+        raise ParameterError(f"dt must be positive and finite, got dt={dt}")
     # np.arange's length, known before the samples are allocated
     propagator.check_work(np.ceil((T_values[-1] + 0.5 * dt) / dt), len(f.values))
     x = f.grid

@@ -79,12 +79,16 @@ def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int) -> float:
     integrand (ray_difference's DomainError); x must avoid the
     CONE_HALF_ANGLE cone around the -sign * xi direction.  yukawa raises
     DomainError: the reference ray int_0^inf v diverges at the core.
+    ParameterError, first, unless |xi| is a positive finite float.
     """
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    xi_hat = _unit(xi)
+    xi_norm = np.linalg.norm(xi)
+    if not 0.0 < xi_norm < np.inf:
+        raise ParameterError(f"|xi| must be positive and finite, got |xi|={xi_norm}")
+    xi_hat = xi / xi_norm
     # t |xi| = w - sign z: the ray x + sign t xi runs along w from sign z
     # outward, on the line at distance s from the origin
     z = float(x @ xi_hat)
@@ -92,7 +96,7 @@ def eikonal_phase_integral(model: PotentialModel, x, xi, sign: int) -> float:
     if -sign * z > np.cos(CONE_HALF_ANGLE) * np.linalg.norm(x):
         raise DomainError("x lies inside the excluded cone around "
                           "-sign * xi direction")
-    return sign * 0.5 * float(ray_difference(model, s, sign * z)) / np.linalg.norm(xi)
+    return sign * 0.5 * float(ray_difference(model, s, sign * z)) / xi_norm
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +110,8 @@ class EikonalData:
     sign +1 pairs with the outgoing eigenfunction (the CONE_HALF_ANGLE
     cone excluded around the negative axis); sign -1 with the incoming one
     (cone around the positive axis).  Tables are (n_s, n_z) on grid.
-    Phi = sum_n (2 |xi|)^-n phi_n, n <= N0; the orders phi_n are not kept.
+    Phi = sum_n (2 |xi|)^-n phi_n, n <= N0, of which only phi_1 and phi_3
+    are built (the even orders vanish) and neither is kept.
 
     The package builds sign +1 only: for a real radial potential the
     sign -1 tables are the mirror Phi_-(s, z) = -Phi_+(s, -z), and S0 needs
@@ -189,26 +194,32 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
                     grid: _cyl.CylGrid | None = None) -> EikonalData:
     """Solve the linearized ray equations by successive approximations.
 
-    With zero vector potential phi_0 = 0 and the even orders vanish;
-    phi_1 solves the ray equation with source v, phi_3 the one with
-    source |grad phi_1|^2.  Each table is anchored by the difference ray
-    integral on the far row and marched along rays.  The grid is 161 x 481
+    With zero vector potential phi_0 = 0 and the even orders vanish, so
+    only phi_1 (N0 >= 1) and phi_3 (N0 >= 3) are built, and N0 = 2k gives
+    the tables of N0 = 2k - 1: phi_1 solves the ray equation with source
+    v, phi_3 the one with source |grad phi_1|^2.  Each is anchored by the
+    difference ray integral on the far row, marched along rays into a row
+    of the returned stack, and summed into Phi.  The grid is 161 x 481
     nodes on s in [0, L], z in [-1.5 L, 1.5 L], with L = _table_extent; for
     sign +1 it may be a _table_grid cut, whose rows are the whole grid's
     bit for bit but for the last few (s0_solutions' _cut_rows).
-    For N0 = 0, Phi and its derivatives are one zero table, phi_0, and
-    q = v.  DomainError for rho <= 1/2, first; ParameterError when
+    For N0 = 0, Phi and its derivatives are one writeable zero table and
+    q = v.  DomainError for rho <= 1/2, first; ParameterError unless
+    xi_norm is a positive finite float and N0 an integer in [0, 4], or when
     lambda = xi_norm^2 or a weight (2 |xi|)^-n, n <= N0, overflows, before
     any table; NumericalError when q is not finite (|grad Phi|^2 overflows
     on a strong enough v), before any transport order is marched on it.
     """
     model.require_decay(0.5, "the eikonal iteration")
+    if not 0.0 < xi_norm < np.inf:
+        raise ParameterError(f"|xi| must be positive and finite, got xi_norm={xi_norm}")
     if N0 is None:
         N0 = default_n0(model.rho)
     if N0 == 0 and model.rho <= 1.0:
         raise ParameterError("N0 = 0 (no phase correction) needs rho > 1")
-    if N0 > 4:
-        raise ParameterError("N0 > 4 not supported (rho <= 1/2 regime)")
+    if N0 not in range(5):
+        raise ParameterError(f"N0 must be an integer in [0, 4] (past 4 is the rho <= 1/2 "
+                             f"regime), got N0={N0}")
     _check_order_weight(xi_norm, N0, "N0")
     # lam = xi_norm**2 is read off every result; a product overflows to inf
     # where ** raises
@@ -221,38 +232,35 @@ def eikonal_iterate(model: PotentialModel, xi_norm: float,
 
     # the tables are anchored on the far row (z_max for sign +, z_min for
     # sign -), whose rays x + sign t e_z run along w = sign z from a outward.
-    # phi_n, n = 0..N0, are the rows of one stack, marched into it; the even
-    # orders stay 0: phi_0 = 0 for zero vector potential, and the sources of
-    # phi_2 (2 grad phi_0 . grad phi_1) and phi_4 vanish with phi_0 = phi_2 = 0
+    # Only phi_1 and phi_3 are marched: phi_0 = 0 for zero vector potential,
+    # and the sources of phi_2 (2 grad phi_0 . grad phi_1) and phi_4 vanish
     march = _cyl.march_down if sign > 0 else _cyl.march_up
     a = grid.z[-1] if sign > 0 else -grid.z[0]
-    phi = np.zeros((N0 + 1,) + v.shape)
-    if N0 >= 1:
-        source = np.negative(v)
-        march(source, grid, sign * ray_difference(model, grid.s, a), out=phi[1])
-    if N0 >= 3:
-        # the source -|grad phi_1|^2, with d_dz phi_1 formed in phi_3's row
-        f3 = np.square(_cyl.d_ds(phi[1], grid, out=source), out=source)
-        f3 += np.square(_cyl.d_dz(phi[1], grid, out=phi[3]), out=phi[3])
-        np.negative(f3, out=f3)
-        march(f3, grid, _phi3_anchor(model, grid.s, a, sign), out=phi[3])
-
     if N0 == 0:
         # Phi = 0: no derivative pass, and q = 2 |xi| Phi_z + |grad Phi|^2 + v
         # is v itself.  The shared zero table stays writeable: scipy's
         # RegularGridInterpolator skips its fast linear path on read-only
         # values, and _PsiEvaluator.__call__ interpolates Phi, Phi_s and
         # Phi_z (the amplitudes' stack has no Phi planes for N0 = 0)
-        Phi = Phi_s = Phi_z = lap_Phi = phi[0]
+        Phi = Phi_s = Phi_z = lap_Phi = np.zeros(v.shape)
         q = v
     else:
-        # Phi and its derivatives are the rows of one stack; Lap Phi's row
-        # holds each weighted order until Phi is summed
+        # Phi and its derivatives are the rows of one stack; phi_1 is
+        # marched into Phi_s's row and phi_3 into Phi_z's until Phi is summed
         Phi, Phi_s, Phi_z, lap_Phi = np.empty((4,) + v.shape)
+        source = np.negative(v)
+        march(source, grid, sign * ray_difference(model, grid.s, a), out=Phi_s)
+        # Phi = 0 + (2 |xi|)^-1 phi_1 [+ (2 |xi|)^-3 phi_3], summed as over all
+        # n <= N0: phi_0's 0 first turns a -0 of phi_1 (v = 0, sign -1) into +0
         weights = (2.0 * xi_norm) ** -np.arange(N0 + 1)
-        np.multiply(weights[0], phi[0], out=Phi)
-        for w, p in zip(weights[1:], phi[1:]):
-            Phi += np.multiply(w, p, out=lap_Phi)
+        np.add(0.0, np.multiply(weights[1], Phi_s, out=Phi), out=Phi)
+        if N0 >= 3:
+            # the source -|grad phi_1|^2, with d_dz phi_1 formed in phi_3's row
+            f3 = np.square(_cyl.d_ds(Phi_s, grid, out=source), out=source)
+            f3 += np.square(_cyl.d_dz(Phi_s, grid, out=Phi_z), out=Phi_z)
+            np.negative(f3, out=f3)
+            march(f3, grid, _phi3_anchor(model, grid.s, a, sign), out=Phi_z)
+            Phi += np.multiply(weights[3], Phi_z, out=lap_Phi)
         _cyl.laplacian(_cyl.d_ds(Phi, grid, out=Phi_s), _cyl.d_dz(Phi, grid, out=Phi_z),
                        grid, out=lap_Phi)
         # q = 2 |xi| Phi_z + Phi_z^2 + Phi_s^2 + v, summed left to right
@@ -673,11 +681,13 @@ def s0_solutions(model: PotentialModel, lam: float, N: int,
     lowest z the plane rule reads at theta (_plane_low), so every row
     s0_kernel reads is the whole grid's bit for bit, and s0_kernel refuses
     a larger angle; without it they cover the whole grid, which __call__
-    needs.  Before any table,
-    ParameterError when (2 sqrt(lam))^-N overflows, when a panel of the
+    needs.  Before any table, ParameterError unless lam is a positive
+    finite float, when (2 sqrt(lam))^-N overflows, when a panel of the
     nested plane rule is wider than the tables' s extent, whose nodes would
     then miss the tables, or when its node mesh exceeds MAX_PLANE_POINTS.
     """
+    if not 0.0 < lam < np.inf:
+        raise ParameterError(f"lambda must be positive and finite, got lam={lam}")
     sql = np.sqrt(lam)
     _check_order_weight(sql, N)
     extent = _table_extent(model)

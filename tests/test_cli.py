@@ -1286,6 +1286,19 @@ class TestTypedErrors:
                 "params": {"lam": 64.0, "N": 1, "thetas": [theta]}},
                 "directions must lie in the cap around omega0")
 
+    def test_eikonal_float_integer_n0_runs(self, tmp_path):
+        # JSON Schema's integer admits 2.0, which ended in a TypeError
+        # traceback (exit 1) while the orders were a stack of N0 + 1 rows
+        rows = []
+        for n0 in (2, 2.0):
+            out = tmp_path / str(n0)
+            config = {"experiment": "eikonal",
+                      "potential": {"kind": "power_tail", "v0": 0.5, "rho": 0.9},
+                      "params": {"N0": n0, "N": 1}}
+            assert cli.run(write_config(tmp_path, config), out_dir=str(out)) == 0
+            rows.append((out / "result.csv").read_text().splitlines()[1:])
+        assert rows[0] == rows[1] and len(rows[0]) == 3
+
     def test_eikonal_on_yukawa_rejected(self, tmp_path, capsys):
         # the phi_1 anchor's reference ray int_0^inf v runs through the core
         self._assert_typed(tmp_path, capsys, {

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,17 @@ class TestKato:
         with pytest.raises(ParameterError, match="rs"):
             diagnostics.kato_smoothness_integrals([], self._packet(),
                                                   [5.0, 10.0])
+
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_dt_refused(self, dt):
+        # dt = 0 and inf warned, -1 ended in an IndexError and nan in a
+        # ValueError from np.arange
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError,
+                               match="dt must be positive and finite, got dt="):
+                diagnostics.kato_smoothness_integrals([1.0], self._packet(),
+                                                      [5.0, 10.0], dt=dt)
 
 
 class TestMourre:

@@ -181,18 +181,53 @@ class TestIteration:
         with pytest.raises(_TablesBuilt):
             eikonal.eikonal_iterate(model, 1e-150)
 
+    @pytest.mark.parametrize("N0", [-1, 1.5, 5])
+    def test_n0_outside_its_range_refused(self, monkeypatch, N0):
+        # N0 = -1 ended in an IndexError and N0 = 1.5 in a TypeError
+        monkeypatch.setattr(_cyl, "make_grid", _build_nothing)
+        with pytest.raises(ParameterError, match=r"N0 must be an integer in \[0, 4\]"):
+            eikonal.eikonal_iterate(TAIL1, 5.0, N0=N0)
+
     def test_n0_zero_rejected_for_long_range(self):
         with pytest.raises(ParameterError):
             eikonal.eikonal_iterate(TAIL1, 5.0, N0=0)
 
     def test_odd_depths_carry_the_even_tables(self):
-        # with zero vector potential phi_2 = phi_4 = 0, so N0 = 1 builds the
-        # tables of N0 = 2; both run at rho = 0.6, where N0 rho <= 1
-        model = PotentialModel(kind="power_tail", v0=0.5, rho=0.6)
-        one, two = (eikonal.eikonal_iterate(model, 5.0, N0=n) for n in (1, 2))
-        assert np.array_equal(one.Phi, two.Phi) and np.array_equal(one.q, two.q)
+        # with zero vector potential phi_2 = phi_4 = 0, so N0 = 2k builds the
+        # tables of N0 = 2k - 1 byte for byte; at rho = 0.6 N0 rho <= 1 for
+        # N0 = 1
+        for rho in (0.6, 0.9):
+            model = PotentialModel(kind="power_tail", v0=0.5, rho=rho)
+            for odd in (1, 3):
+                one, two = (eikonal.eikonal_iterate(model, 5.0, N0=n)
+                            for n in (odd, odd + 1))
+                for name in ("Phi", "Phi_s", "Phi_z", "lap_Phi", "q"):
+                    assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
         assert np.array_equal(eikonal.residual_norms(one, 1),
                               eikonal.residual_norms(two, 1))
+
+    def test_zero_n0_is_one_writeable_zero_table(self):
+        # _PsiEvaluator.__call__ interpolates Phi, Phi_s and Phi_z at N0 = 0,
+        # and scipy's RegularGridInterpolator skips its fast linear path on
+        # read-only values
+        data = eikonal.eikonal_iterate(GAUSS, 5.0, N0=0)
+        assert data.Phi is data.Phi_s is data.Phi_z is data.lap_Phi
+        assert data.Phi.flags.writeable and not data.Phi.any()
+        assert np.array_equal(data.q, GAUSS.radial_values(data.grid.radius()))
+
+    # tracemalloc peaks of one build in tables of the grid, measured: 7.33
+    # at N0 = 1 and 2 (v, -v, the four-row stack, q and the grid's radii);
+    # with an (N0 + 1)-row stack of the orders beside them, 9.33 and 10.33
+    @pytest.mark.parametrize("N0", [1, 2])
+    def test_build_peak_memory(self, N0):
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
+        tracemalloc.start()
+        try:
+            data = eikonal.eikonal_iterate(model, 5.0, N0=N0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * data.q.nbytes
 
     def test_yukawa_refused(self):
         yukawa = PotentialModel(kind="yukawa", v0=0.5, width=0.3)
@@ -973,6 +1008,45 @@ class TestS0Preflight:
         monkeypatch.setattr(eikonal, "eikonal_iterate", _build_nothing)
         with pytest.raises(_TablesBuilt):
             eikonal.s0_solutions(model, lam, 3)
+
+
+class TestEnergyRefusals:
+    """The eikonal entry points refuse a lambda or |xi| that is not a
+    positive finite float, before any table and with no warning.  Before,
+    s0_samples at lambda = inf ended in a ZeroDivisionError, lambda = -1 or
+    nan warned on its way to nan, eikonal_iterate at xi_norm = -5 reported
+    an overflowing order weight and xi = 0 warned of a division."""
+
+    @pytest.fixture(autouse=True)
+    def _no_tables_no_warnings(self, monkeypatch):
+        monkeypatch.setattr(_cyl, "make_grid", _build_nothing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, np.nan, np.inf])
+    def test_lambda(self, lam):
+        angles = np.linspace(0.05, 0.5, 5)
+        for call in (lambda: eikonal.s0_solutions(GAUSS, lam, 1),
+                     lambda: eikonal.s0_samples(GAUSS, lam, 1, [0.3]),
+                     lambda: eikonal.diagonal_exponent_probe(TAIL1, lam, angles)):
+            with pytest.raises(ParameterError,
+                               match=r"lambda must be positive and finite, got lam="):
+                call()
+
+    @pytest.mark.parametrize("xi_norm", [-1.0, 0.0, np.nan, np.inf])
+    def test_xi_norm(self, xi_norm):
+        model = PotentialModel(kind="power_tail", v0=0.5, rho=0.9)
+        with pytest.raises(ParameterError,
+                           match=r"\|xi\| must be positive and finite, got xi_norm="):
+            eikonal.eikonal_iterate(model, xi_norm)
+
+    @pytest.mark.parametrize("xi", [[0.0, 0.0, 0.0], [0.0, np.nan, 1.0],
+                                    [0.0, 0.0, np.inf]])
+    def test_xi_vector(self, xi):
+        with pytest.raises(ParameterError,
+                           match=r"\|xi\| must be positive and finite, got \|xi\|="):
+            eikonal.eikonal_phase_integral(GAUSS, [1.0, 0.5, 2.0], xi, +1)
 
 
 def _two_table_pair(model, lam, N):
